@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -11,8 +10,8 @@ import (
 	"time"
 
 	"repro/internal/minhash"
+	"repro/internal/obs"
 	"repro/internal/tokenize"
-	"repro/internal/weights"
 )
 
 // This file implements the shared Corpus the paper's framework stores
@@ -22,10 +21,11 @@ import (
 // layers the attached predicates need (q-gram and word token tables,
 // collection statistics, shared weight/posting tables, min-hash
 // signatures, edit-normalized strings), and supports epoch-versioned
-// Insert/Delete/Upsert: mutations re-tokenize only the changed records,
-// splice the cached per-record data, and publish a fresh immutable
-// Snapshot under a new epoch. Predicates attach as lightweight views that
-// re-read the snapshot when the epoch moves.
+// Insert/Delete/Upsert: a mutation tokenizes only the changed records,
+// splices them into the previous snapshot's tables (layers.go, splice.go),
+// and publishes a fresh immutable Snapshot under a new epoch. Predicates
+// attach as lightweight views that re-read the snapshot when the epoch
+// moves.
 
 // CorpusLayers selects which precomputed layers a Corpus materializes.
 // The facade's OpenCorpus builds AllLayers so that any predicate can
@@ -35,8 +35,8 @@ type CorpusLayers uint16
 
 const (
 	// LayerGrams is the q-gram token layer: per-record gram multisets,
-	// frequency maps, document lengths and collection statistics (plus the
-	// IDF-pruned variant when Config.PruneRate > 0).
+	// interned (rank, tf) pairs, document lengths and collection statistics
+	// (plus the IDF-pruned variant when Config.PruneRate > 0).
 	LayerGrams CorpusLayers = 1 << iota
 	// LayerPostings is the distinct-token inverted index shared by the
 	// overlap predicates.
@@ -52,15 +52,15 @@ const (
 	// with the raw-layer gram-frequency posting table the edit filter
 	// scans.
 	LayerNorms
-	// LayerTokenIDs interns tokens as dense ranks: per-record rank-sorted
-	// (rank, tf) pairs plus rank-indexed idf, so weight-table construction
-	// does array arithmetic instead of string-map operations.
+	// LayerTokenIDs is the rank-indexed idf column over the interned
+	// (rank, tf) pairs (the pairs themselves are always kept: every table
+	// derives from them).
 	LayerTokenIDs
 	// LayerWords is the word token layer used by the combination
 	// predicates, with per-position idf weights.
 	LayerWords
-	// LayerWordTFIDF is the per-record normalized tf-idf word weight maps
-	// used by SoftTFIDF.
+	// LayerWordTFIDF is the per-position normalized tf-idf word weight
+	// column used by SoftTFIDF.
 	LayerWordTFIDF
 	// LayerWordGrams is the per-(record, distinct word) q-gram set layer
 	// with its shared inverted index (GESJaccard's filter).
@@ -103,26 +103,6 @@ type WPost struct {
 	W   float64
 }
 
-// WordRef locates one distinct word of one record in the word layer.
-type WordRef struct {
-	Rec  int
-	Word int
-}
-
-// SigKey addresses one min-hash signature slot value, the join key of the
-// declarative GESapx plan.
-type SigKey struct {
-	Slot  int
-	Value uint64
-}
-
-// RankTF is one interned token occurrence of a record: the token's dense
-// rank in the sorted token order and its frequency in the record.
-type RankTF struct {
-	Rank int32
-	TF   int32
-}
-
 // RankTok pairs a query token with its corpus rank, the iteration unit of
 // the rank-ordered query paths.
 type RankTok struct {
@@ -130,180 +110,15 @@ type RankTok struct {
 	Rank int32
 }
 
-// GramLayer is the q-gram token layer of a snapshot, together with the
-// shared weight and posting tables derived from it. All fields are
-// read-only once the snapshot is published.
-type GramLayer struct {
-	// Docs, Counts and DL are the per-record gram multisets, frequency
-	// maps and multiset sizes.
-	Docs   [][]string
-	Counts []map[string]int
-	DL     []int
-	// Stats holds the collection statistics over the layer.
-	Stats *weights.Corpus
-	// rank maps each known token to its position in the sorted token
-	// order, so per-query deterministic iteration sorts small ints
-	// instead of strings; TokenByRank is the inverse.
-	rank        map[string]int32
-	TokenByRank []string
-	// Pairs and IDFByRank are the interned token layer (LayerTokenIDs):
-	// per-record rank-sorted (rank, tf) pairs and the idf of every rank.
-	Pairs     [][]RankTF
-	IDFByRank []float64
-	// Postings is the distinct-token inverted index, indexed by token rank
-	// (LayerPostings).
-	Postings [][]int32
-	// RSByRank is the Robertson–Sparck Jones weight table (LayerRS), and
-	// RSLen the per-record summed RS weight over distinct tokens (the
-	// weighted Jaccard union denominator), present when postings are too.
-	// Each RS posting list has the uniform weight RSByRank[r], so the
-	// weight table doubles as its own per-rank score bound; RSLenMin is
-	// the denominator bound column of WeightedJaccard's admission test.
-	RSByRank []float64
-	RSLen    []float64
-	RSLenMin float64
-	// TFIDFPost is the normalized tf-idf posting table indexed by token
-	// rank (LayerTFIDF); TFIDFMax and TFIDFMin are its per-rank weight
-	// bound columns, the max-score pruning input of the hot path.
-	TFIDFPost [][]WPost
-	TFIDFMax  []float64
-	TFIDFMin  []float64
-	// LMPost and LMSumComp are the language-model posting table (indexed
-	// by token rank) and the per-record Σ log(1−pm) column (LayerLM).
-	// LMMax/LMMin bound the posting weights per rank and LMCompMax bounds
-	// LMSumComp over records that can appear in a posting list.
-	LMPost    [][]WPost
-	LMMax     []float64
-	LMMin     []float64
-	LMSumComp []float64
-	LMCompMax float64
-	// TFPost is the gram-frequency posting table indexed by token rank
-	// (LayerNorms, on the raw layer): the record-side multiset the edit
-	// predicate's count filter scans.
-	TFPost [][]WPost
-}
-
-// WordLayer is the word token layer of a snapshot. All fields are
-// read-only once the snapshot is published.
-type WordLayer struct {
-	// Words, Counts are the per-record upper-cased word sequences and
-	// frequency maps; Stats the collection statistics over them.
-	Words  [][]string
-	Counts []map[string]int
-	Stats  *weights.Corpus
-	rank   map[string]int32
-	// IDFWeights carries the idf weight of every word position, the
-	// weight vector of the GES transformation cost.
-	IDFWeights [][]float64
-	// TFIDF is the per-record normalized tf-idf word weight map
-	// (LayerWordTFIDF).
-	TFIDF []map[string]float64
-	// Vocab, VocabGrams, GramSizes and GramIndex are the distinct-word
-	// q-gram sets and their shared inverted index (LayerWordGrams).
-	Vocab      [][]string
-	VocabGrams [][][]string
-	GramSizes  [][]int
-	GramIndex  map[string][]WordRef
-	// WordOff, WordRecOf and GramSizeOf flatten the distinct-word space
-	// into dense ids (WordOff[rec]+word), so the GES filters accumulate
-	// per-word match counts in a dense scratch instead of WordRef-keyed
-	// maps. WordTotal is the id-space size.
-	WordOff    []int32
-	WordRecOf  []int32
-	GramSizeOf []int32
-	WordTotal  int
-	// Sigs and SigIndex are the min-hash signatures and their shared
-	// (slot, value) index (LayerSigs).
-	Sigs     [][][]uint64
-	SigIndex map[SigKey][]WordRef
-}
-
-// orderedKnown returns the tokens of a query-side map that are known to
-// the rank table, ordered by the precomputed sorted token order. Score
-// accumulation iterates tokens in this order so repeated Selects produce
-// bit-identical results without re-sorting strings on every query.
-func orderedKnown[V any](counts map[string]V, rank map[string]int32) []string {
-	prs := orderedKnownRanks(counts, rank)
-	out := make([]string, len(prs))
-	for i, p := range prs {
-		out[i] = p.Tok
-	}
-	return out
-}
-
-// orderedKnownRanks is orderedKnown keeping the ranks, for query paths
-// that probe rank-indexed posting tables.
-func orderedKnownRanks[V any](counts map[string]V, rank map[string]int32) []RankTok {
-	out := make([]RankTok, 0, len(counts))
-	for t := range counts {
-		if r, ok := rank[t]; ok {
-			out = append(out, RankTok{Tok: t, Rank: r})
-		}
-	}
-	slices.SortFunc(out, func(a, b RankTok) int { return int(a.Rank) - int(b.Rank) })
-	return out
-}
-
-// OrderedKnown returns the known tokens of a query frequency map in the
-// corpus's sorted token order.
-func (l *GramLayer) OrderedKnown(counts map[string]int) []string {
-	return orderedKnown(counts, l.rank)
-}
-
-// OrderedKnownRanks returns the known tokens of a query frequency map with
-// their ranks, in the corpus's sorted token order.
-func (l *GramLayer) OrderedKnownRanks(counts map[string]int) []RankTok {
-	return orderedKnownRanks(counts, l.rank)
-}
-
-// OrderedKnownRankWeights is OrderedKnownRanks for weight maps.
-func (l *GramLayer) OrderedKnownRankWeights(w map[string]float64) []RankTok {
-	return orderedKnownRanks(w, l.rank)
-}
-
-// Rank returns the dense rank of a token, or false for tokens unknown to
-// the layer.
-func (l *GramLayer) Rank(t string) (int32, bool) {
-	r, ok := l.rank[t]
-	return r, ok
-}
-
-// RankTable allocates a posting table indexed by token rank with one
-// contiguous backing array: each rank's slice has zero length and exactly
-// its document frequency as capacity, so filling the table appends without
-// ever reallocating. Builders that skip some postings (zero-norm or
-// zero-length records) simply leave capacity unused.
-func (l *GramLayer) RankTable() [][]WPost {
-	total := 0
-	dfs := make([]int, len(l.TokenByRank))
-	for r, t := range l.TokenByRank {
-		d := l.Stats.DF(t)
-		dfs[r] = d
-		total += d
-	}
-	backing := make([]WPost, total)
-	table := make([][]WPost, len(dfs))
-	off := 0
-	for r, d := range dfs {
-		table[r] = backing[off : off : off+d]
-		off += d
-	}
-	return table
-}
-
-// OrderedKnownWeights returns the known words of a query weight map in the
-// corpus's sorted word order.
-func (l *WordLayer) OrderedKnownWeights(w map[string]float64) []string {
-	return orderedKnown(w, l.rank)
-}
-
 // Snapshot is one immutable version of a Corpus. Predicates attached to a
 // corpus read exactly one snapshot; mutations publish a new snapshot under
-// the next epoch and never touch an already-published one.
+// the next epoch and never touch what an already-published one can see
+// (list backing arrays may grow past a published snapshot's lengths, see
+// apply).
 type Snapshot struct {
 	Epoch   uint64
 	Records []Record
-	byTID   map[int]int
+	tids    []tidPos // sorted by TID
 	// Grams is the effective q-gram scoring layer: the IDF-pruned layer
 	// when Config.PruneRate > 0, the raw layer otherwise.
 	Grams *GramLayer
@@ -314,17 +129,29 @@ type Snapshot struct {
 	Words    *WordLayer
 	// Norms is the edit-normalized string column (LayerNorms).
 	Norms []string
-	// TokDur and WeightDur are the tokenization and table-computation
-	// times spent producing this snapshot (the §5.5.1 preprocessing
-	// phases; a mutation's delta cost, not a cumulative total).
+	// TokDur and WeightDur are the tokenization and assembly times spent
+	// producing this snapshot (the §5.5.1 preprocessing phases; a
+	// mutation's delta cost, not a cumulative total). The weight columns a
+	// predicate view derives on attach are timed by the view, not here.
 	TokDur    time.Duration
 	WeightDur time.Duration
 }
 
+// tidPos locates one record: the TID index is a TID-sorted array, so the
+// next snapshot's index is a block copy with shifted positions, not a map
+// rebuild.
+type tidPos struct {
+	tid int
+	pos int32
+}
+
 // Index returns the record position of a TID.
 func (s *Snapshot) Index(tid int) (int, bool) {
-	i, ok := s.byTID[tid]
-	return i, ok
+	i, ok := slices.BinarySearchFunc(s.tids, tid, func(e tidPos, tid int) int { return e.tid - tid })
+	if !ok {
+		return 0, false
+	}
+	return int(s.tids[i].pos), true
 }
 
 // Corpus is the shared, mutable token/weight store. It is safe for
@@ -457,12 +284,13 @@ func NewCorpus(records []Record, cfg Config, layers CorpusLayers) (*Corpus, erro
 	if c.layers.Has(LayerSigs) {
 		c.fam = minhash.NewFamily(cfg.MinHashSize(), cfg.MinHashSeed)
 	}
-	recs := append([]Record(nil), records...)
+	// A fresh build is a splice that appends every record to the empty
+	// snapshot: the one assembly path there is.
 	t0 := time.Now()
-	raw := c.tokenizeAll(recs)
-	tokDur := time.Since(t0)
+	sp := &splice{recs: append([]Record(nil), records...)}
+	c.tokenize(sp)
 	c.passes.Add(1)
-	c.snap.Store(c.assemble(recs, raw, 0, tokDur))
+	c.snap.Store(c.assemble(c.emptySnapshot(), sp, 0, time.Since(t0)))
 	return c, nil
 }
 
@@ -561,41 +389,23 @@ func (c *Corpus) Delete(tids ...int) error {
 	return c.mutate(nil, tids, false)
 }
 
+// MutationLockWaitUS is the time mutations spent waiting for the corpus
+// mutation lock (process-wide; exported as approx_mutation_lock_wait_us).
+var MutationLockWaitUS = obs.NewHistogram()
+
 func (c *Corpus) mutate(add []Record, del []int, upsert bool) error {
+	t0 := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	MutationLockWaitUS.Observe(time.Since(t0))
 	if len(add) == 0 && len(del) == 0 {
 		return nil
 	}
-	old := c.snap.Load()
-
-	drop, replace, appended, err := splitBatch(old.byTID, add, del, upsert)
-	if err != nil {
+	plan := newSplicePlan(c.snap.Load())
+	if err := plan.fold(add, del, upsert); err != nil {
 		return err
 	}
-
-	t0 := time.Now()
-	n := len(old.Records) - len(drop) + len(appended)
-	recs := make([]Record, 0, n)
-	raw := c.newRawData(n)
-	for i, r := range old.Records {
-		if drop[r.TID] {
-			continue
-		}
-		if nr, ok := replace[r.TID]; ok {
-			recs = append(recs, nr)
-			raw.appendTokenized(c, nr.Text)
-			continue
-		}
-		recs = append(recs, r)
-		raw.appendFrom(old, i)
-	}
-	for _, r := range appended {
-		recs = append(recs, r)
-		raw.appendTokenized(c, r.Text)
-	}
-	tokDur := time.Since(t0)
-	next := c.assemble(recs, raw, old.Epoch+1, tokDur)
+	next := c.apply(plan)
 	kind := MutationInsert
 	switch {
 	case len(del) > 0:
@@ -609,7 +419,12 @@ func (c *Corpus) mutate(add []Record, del []int, upsert bool) error {
 	}
 	m := Mutation{Kind: kind, Add: add, Del: del, Epoch: next.Epoch, Seq: seq}
 	if c.hook != nil {
-		if err := c.hook(m); err != nil {
+		t1 := time.Now()
+		err := c.hook(m)
+		if obs.TracingEnabled() {
+			obs.RecordStage("mutate.wal", time.Since(t1))
+		}
+		if err != nil {
 			return &PersistenceError{Err: err}
 		}
 	}
@@ -620,558 +435,278 @@ func (c *Corpus) mutate(add []Record, del []int, upsert bool) error {
 	return nil
 }
 
-// ---- tokenization (the single expensive pass) ----
-
-// rawData carries the per-record tokenization products a snapshot is
-// assembled from. Mutations splice these arrays, re-tokenizing only the
-// changed records.
-// splitBatch validates one mutation batch against the current TID index
-// and splits it into the three splice groups: TIDs to drop, records to
-// replace in place, and records to append.
-func splitBatch(byTID map[int]int, add []Record, del []int, upsert bool) (map[int]bool, map[int]Record, []Record, error) {
-	drop := make(map[int]bool, len(del))
-	for _, tid := range del {
-		if _, ok := byTID[tid]; !ok {
-			return nil, nil, nil, fmt.Errorf("approxsel: delete of unknown TID %d", tid)
-		}
-		if drop[tid] {
-			return nil, nil, nil, fmt.Errorf("approxsel: duplicate TID %d in delete", tid)
-		}
-		drop[tid] = true
+// apply tokenizes a plan's changed records and assembles the snapshot that
+// follows: the step Insert/Delete/Upsert and WAL replay share. The plan's
+// base must be the corpus's current snapshot and the caller must hold the
+// mutation lock: inverted lists that only gain values are extended in
+// place when their backing array has room, which is invisible to readers
+// of earlier snapshots (they never look past their own lengths) only as
+// long as snapshots form a single lineage. A snapshot that is assembled
+// but never published (the hook refused it) is simply dropped; whatever it
+// wrote past the base's lengths is overwritten by the next attempt.
+func (c *Corpus) apply(plan *splicePlan) *Snapshot {
+	sp := plan.splice()
+	t0 := time.Now()
+	c.tokenize(sp)
+	tokDur := time.Since(t0)
+	next := c.assemble(plan.base, sp, plan.epoch, tokDur)
+	if obs.TracingEnabled() {
+		obs.RecordStage("mutate.tokenize", tokDur)
+		obs.RecordStage("mutate.splice", next.WeightDur)
 	}
-	replace := make(map[int]Record)
-	var appended []Record
+	return next
+}
+
+// splicePlan folds mutation batches over a base snapshot into the one
+// splice that takes the base to their combined result. Each batch is
+// validated against the state the batches before it produced, exactly as
+// if they had published one by one; the work is proportional to the
+// batches, never to the base. A single Insert/Delete/Upsert is a plan with
+// one batch; WAL replay folds the whole log tail and assembles once.
+type splicePlan struct {
+	base     *Snapshot
+	epoch    uint64
+	dropped  map[int]bool   // base positions removed
+	replaced map[int]Record // base positions whose record changed
+	appended []Record       // records past the base, in arrival order
+	gone     []bool         // appended records a later batch deleted
+	appIdx   map[int]int    // TID → index into appended, live entries only
+}
+
+func newSplicePlan(base *Snapshot) *splicePlan {
+	return &splicePlan{base: base, epoch: base.Epoch, dropped: map[int]bool{}, replaced: map[int]Record{}, appIdx: map[int]int{}}
+}
+
+// has reports whether a TID is live in the planned state.
+func (p *splicePlan) has(tid int) bool {
+	if _, ok := p.appIdx[tid]; ok {
+		return true
+	}
+	pos, ok := p.base.Index(tid)
+	return ok && !p.dropped[pos]
+}
+
+// fold validates one batch and adds it to the plan; on error the plan is
+// abandoned by its caller.
+func (p *splicePlan) fold(add []Record, del []int, upsert bool) error {
+	deleting := make(map[int]bool, len(del))
+	for _, tid := range del {
+		if !p.has(tid) {
+			return fmt.Errorf("approxsel: delete of unknown TID %d", tid)
+		}
+		if deleting[tid] {
+			return fmt.Errorf("approxsel: duplicate TID %d in delete", tid)
+		}
+		deleting[tid] = true
+	}
 	seen := make(map[int]bool, len(add))
 	for _, r := range add {
 		if seen[r.TID] {
-			return nil, nil, nil, fmt.Errorf("approxsel: duplicate TID %d in insert", r.TID)
+			return fmt.Errorf("approxsel: duplicate TID %d in insert", r.TID)
 		}
 		seen[r.TID] = true
-		if drop[r.TID] {
-			return nil, nil, nil, fmt.Errorf("approxsel: TID %d both inserted and deleted", r.TID)
+		if deleting[r.TID] {
+			return fmt.Errorf("approxsel: TID %d both inserted and deleted", r.TID)
 		}
-		if _, ok := byTID[r.TID]; ok {
-			if !upsert {
-				return nil, nil, nil, fmt.Errorf("approxsel: insert of existing TID %d (use Upsert to replace)", r.TID)
-			}
-			replace[r.TID] = r
-		} else {
-			appended = append(appended, r)
+		if !upsert && p.has(r.TID) {
+			return fmt.Errorf("approxsel: insert of existing TID %d (use Upsert to replace)", r.TID)
 		}
 	}
-	return drop, replace, appended, nil
+	for _, tid := range del {
+		if i, ok := p.appIdx[tid]; ok {
+			p.gone[i] = true
+			delete(p.appIdx, tid)
+		} else {
+			pos, _ := p.base.Index(tid)
+			p.dropped[pos] = true
+			delete(p.replaced, pos)
+		}
+	}
+	for _, r := range add {
+		if i, ok := p.appIdx[r.TID]; ok {
+			p.appended[i] = r
+		} else if pos, ok := p.base.Index(r.TID); ok && !p.dropped[pos] {
+			p.replaced[pos] = r
+		} else {
+			p.appIdx[r.TID] = len(p.appended)
+			p.appended, p.gone = append(p.appended, r), append(p.gone, false)
+		}
+	}
+	p.epoch++
+	return nil
 }
 
-type rawData struct {
-	layers  CorpusLayers
-	docs    [][]string
-	counts  []map[string]int
-	words   [][]string
-	wcounts []map[string]int
-	vocab   [][]string
-	vgrams  [][][]string
-	sigs    [][][]uint64
-	norms   []string
+// splice turns the plan into the form assembly consumes.
+func (p *splicePlan) splice() *splice {
+	sp := &splice{}
+	for pos := range p.dropped {
+		sp.drop = append(sp.drop, pos)
+	}
+	for pos := range p.replaced {
+		sp.repl = append(sp.repl, pos)
+	}
+	sort.Ints(sp.drop)
+	sort.Ints(sp.repl)
+	sp.recs = make([]Record, 0, len(sp.repl)+len(p.appended))
+	for _, pos := range sp.repl {
+		sp.recs = append(sp.recs, p.replaced[pos])
+	}
+	for i, r := range p.appended {
+		if !p.gone[i] {
+			sp.recs = append(sp.recs, r)
+		}
+	}
+	return sp
 }
 
-func (c *Corpus) newRawData(n int) *rawData {
-	r := &rawData{layers: c.layers}
+// ---- tokenization (the single expensive pass) ----
+
+// rawCols carries the tokenization products of a splice's records, one
+// column per materialized layer (parallel to splice.recs).
+type rawCols struct {
+	docs   [][]string
+	words  [][]string
+	vocab  [][]string
+	vgrams [][][]string
+	sigs   [][][]uint64
+	norms  []string
+}
+
+// tokenize fills in the tokenization columns of a splice's records.
+func (c *Corpus) tokenize(sp *splice) {
+	n := len(sp.recs)
+	raw := &sp.raw
 	if c.layers.Has(LayerGrams) {
-		r.docs = make([][]string, 0, n)
-		r.counts = make([]map[string]int, 0, n)
+		raw.docs = make([][]string, n)
 	}
 	if c.layers.Has(LayerWords) {
-		r.words = make([][]string, 0, n)
-		r.wcounts = make([]map[string]int, 0, n)
+		raw.words = make([][]string, n)
 	}
 	if c.layers.Has(LayerWordGrams) {
-		r.vocab = make([][]string, 0, n)
-		r.vgrams = make([][][]string, 0, n)
+		raw.vocab, raw.vgrams = make([][]string, n), make([][][]string, n)
 	}
 	if c.layers.Has(LayerSigs) {
-		r.sigs = make([][][]uint64, 0, n)
+		raw.sigs = make([][][]uint64, n)
 	}
 	if c.layers.Has(LayerNorms) {
-		r.norms = make([]string, 0, n)
+		raw.norms = make([]string, n)
 	}
-	return r
-}
-
-// appendTokenized tokenizes one record text into every materialized layer.
-func (r *rawData) appendTokenized(c *Corpus, text string) {
-	if r.layers.Has(LayerGrams) {
-		doc := tokenize.QGrams(text, c.cfg.Q)
-		r.docs = append(r.docs, doc)
-		r.counts = append(r.counts, tokenize.Counts(doc))
-	}
-	if r.layers.Has(LayerWords) {
-		ws := tokenize.Words(strings.ToUpper(text))
-		r.words = append(r.words, ws)
-		r.wcounts = append(r.wcounts, tokenize.Counts(ws))
-		if r.layers.Has(LayerWordGrams) {
-			vocab := tokenize.Distinct(ws)
-			vgrams := make([][]string, len(vocab))
-			for j, w := range vocab {
-				vgrams[j] = tokenize.Distinct(tokenize.WordQGrams(w, c.cfg.WordQ))
-			}
-			r.vocab = append(r.vocab, vocab)
-			r.vgrams = append(r.vgrams, vgrams)
-			if r.layers.Has(LayerSigs) {
-				sigs := make([][]uint64, len(vocab))
-				for j := range vocab {
-					sigs[j] = c.fam.Signature(vgrams[j])
-				}
-				r.sigs = append(r.sigs, sigs)
+	for k, rec := range sp.recs {
+		if raw.docs != nil {
+			raw.docs[k] = tokenize.QGrams(rec.Text, c.cfg.Q)
+		}
+		if raw.words != nil {
+			raw.words[k] = tokenize.Words(strings.ToUpper(rec.Text))
+		}
+		if raw.vocab != nil {
+			raw.vocab[k] = tokenize.Distinct(raw.words[k])
+			raw.vgrams[k] = make([][]string, len(raw.vocab[k]))
+			for j, w := range raw.vocab[k] {
+				raw.vgrams[k][j] = tokenize.Distinct(tokenize.WordQGrams(w, c.cfg.WordQ))
 			}
 		}
-	}
-	if r.layers.Has(LayerNorms) {
-		r.norms = append(r.norms, tokenize.EditNormalize(text, c.cfg.Q))
-	}
-}
-
-// appendFrom reuses the cached tokenization of one retained record.
-func (r *rawData) appendFrom(s *Snapshot, i int) {
-	if r.layers.Has(LayerGrams) {
-		r.docs = append(r.docs, s.RawGrams.Docs[i])
-		r.counts = append(r.counts, s.RawGrams.Counts[i])
-	}
-	if r.layers.Has(LayerWords) {
-		r.words = append(r.words, s.Words.Words[i])
-		r.wcounts = append(r.wcounts, s.Words.Counts[i])
-		if r.layers.Has(LayerWordGrams) {
-			r.vocab = append(r.vocab, s.Words.Vocab[i])
-			r.vgrams = append(r.vgrams, s.Words.VocabGrams[i])
-			if r.layers.Has(LayerSigs) {
-				r.sigs = append(r.sigs, s.Words.Sigs[i])
+		if raw.sigs != nil {
+			raw.sigs[k] = make([][]uint64, len(raw.vocab[k]))
+			for j, grams := range raw.vgrams[k] {
+				raw.sigs[k][j] = c.fam.Signature(grams)
 			}
 		}
-	}
-	if r.layers.Has(LayerNorms) {
-		r.norms = append(r.norms, s.Norms[i])
+		if raw.norms != nil {
+			raw.norms[k] = tokenize.EditNormalize(rec.Text, c.cfg.Q)
+		}
 	}
 }
 
-func (c *Corpus) tokenizeAll(records []Record) *rawData {
-	raw := c.newRawData(len(records))
-	for _, r := range records {
-		raw.appendTokenized(c, r.Text)
-	}
-	return raw
-}
-
-// ---- assembly (statistics and shared tables, no string tokenization) ----
+// ---- assembly ----
 //
-// Mutations re-run this phase over the whole relation: collection
-// statistics (df/idf/avgdl) change globally on any insert or delete, and
-// the differential contract — a mutated corpus is bit-identical to a fresh
-// build — rules out approximate maintenance. Only string tokenization (the
-// dominant preprocessing cost) is incremental; assembly is O(total cached
-// tokens) of map/array work per mutation batch. Callers with bursts of
-// updates should batch them into one Insert/Delete/Upsert call.
+// assemble produces the snapshot that follows prev when the record list
+// changes by sp. Collection statistics change globally on any insert or
+// delete, and the differential contract — a mutated corpus is bit-identical
+// to a fresh build — rules out approximate maintenance; so the statistics
+// are kept as exact integer counters, the structural tables are spliced
+// (sharing every list the delta does not reach), and everything that is a
+// float function of N is left to derive itself on first use (layers.go).
+// The result is a pure function of the new records and their
+// tokenization: prev only says what can be reused, and a fresh build is
+// the same call over the empty snapshot. The cost of a write is the delta's
+// own tokens plus flat passes over integer arrays — positions above a
+// deleted record shift down, ranks move when the vocabulary gains or loses
+// a token. With PruneRate > 0 the pruned effective layer is rebuilt in
+// full, because its idf threshold moves with every write.
 
-func (c *Corpus) assemble(records []Record, raw *rawData, epoch uint64, tokDur time.Duration) *Snapshot {
-	start := time.Now()
-	s := &Snapshot{Epoch: epoch, Records: records, byTID: make(map[int]int, len(records))}
-	for i, r := range records {
-		s.byTID[r.TID] = i
-	}
+func (c *Corpus) emptySnapshot() *Snapshot {
+	s := &Snapshot{}
 	if c.layers.Has(LayerGrams) {
-		rawLayer := buildGramLayer(raw.docs, raw.counts)
-		s.RawGrams = rawLayer
-		eff := rawLayer
-		if c.cfg.PruneRate > 0 {
-			pdocs := pruneDocs(raw.docs, rawLayer.Stats, c.cfg.PruneRate)
-			pcounts := make([]map[string]int, len(pdocs))
-			for i, doc := range pdocs {
-				pcounts[i] = tokenize.Counts(doc)
-			}
-			eff = buildGramLayer(pdocs, pcounts)
-		}
-		s.Grams = eff
-		c.buildGramTables(eff)
-		if c.layers.Has(LayerNorms) {
-			buildTFPost(rawLayer)
-		}
-	}
-	if c.layers.Has(LayerNorms) {
-		s.Norms = raw.norms
+		s.RawGrams = emptyGramLayer()
 	}
 	if c.layers.Has(LayerWords) {
-		s.Words = c.buildWordLayer(raw)
+		s.Words = newWordLayer(emptyGramLayer(), c.layers)
+	}
+	return s
+}
+
+// gramTables narrows the corpus's layer set to the tables one gram layer
+// carries: everything when raw and effective layer are one, otherwise the
+// raw layer keeps only tokenization-level state plus the edit filter's TF
+// posting table and the derived tables live on the pruned effective layer.
+func (c *Corpus) gramTables(pruned, raw bool) CorpusLayers {
+	switch {
+	case !pruned:
+		return c.layers
+	case raw:
+		return c.layers & LayerNorms
+	}
+	return c.layers &^ LayerNorms
+}
+
+func (c *Corpus) assemble(prev *Snapshot, sp *splice, epoch uint64, tokDur time.Duration) *Snapshot {
+	start := time.Now()
+	sp.seal(len(prev.Records))
+	s := &Snapshot{
+		Epoch:   epoch,
+		Records: spliceRows(prev.Records, sp, sp.recs),
+		tids:    spliceTIDs(prev.tids, sp),
+	}
+	if c.layers.Has(LayerGrams) {
+		pruned := c.cfg.PruneRate > 0
+		s.RawGrams = prev.RawGrams.splice(sp, sp.raw.docs, c.gramTables(pruned, true))
+		s.Grams = s.RawGrams
+		if pruned {
+			all := (&splice{recs: s.Records}).seal(0)
+			s.Grams = emptyGramLayer().splice(all, pruneDocs(s.RawGrams, c.cfg.PruneRate), c.gramTables(pruned, false))
+		}
+	}
+	if c.layers.Has(LayerNorms) {
+		s.Norms = spliceRows(prev.Norms, sp, sp.raw.norms)
+	}
+	if c.layers.Has(LayerWords) {
+		s.Words = prev.Words.splice(sp, c.layers)
 	}
 	s.TokDur, s.WeightDur = tokDur, time.Since(start)
 	return s
 }
 
-func buildGramLayer(docs [][]string, counts []map[string]int) *GramLayer {
-	dls := make([]int, len(docs))
-	for i, doc := range docs {
-		dls[i] = len(doc)
-	}
-	stats := weights.BuildFromCounts(counts, dls)
-	sorted := stats.SortedTokens()
-	return &GramLayer{
-		Docs:        docs,
-		Counts:      counts,
-		DL:          dls,
-		Stats:       stats,
-		rank:        rankOf(sorted),
-		TokenByRank: sorted,
-	}
-}
-
-func rankOf(sorted []string) map[string]int32 {
-	rank := make(map[string]int32, len(sorted))
-	for i, t := range sorted {
-		rank[t] = int32(i)
-	}
-	return rank
-}
-
-// pruneDocs drops tokens whose idf falls below the §5.6 pruning threshold
-// min(idf) + rate·(max(idf) − min(idf)).
-func pruneDocs(docs [][]string, stats *weights.Corpus, rate float64) [][]string {
-	tokens := stats.SortedTokens()
-	if len(tokens) == 0 {
-		return docs
-	}
-	minIDF, maxIDF := math.Inf(1), math.Inf(-1)
-	idfOf := make(map[string]float64, len(tokens))
-	for _, t := range tokens {
-		idf := stats.IDF(t)
-		idfOf[t] = idf
-		if idf < minIDF {
-			minIDF = idf
-		}
-		if idf > maxIDF {
-			maxIDF = idf
-		}
-	}
-	threshold := minIDF + rate*(maxIDF-minIDF)
-	out := make([][]string, len(docs))
-	for i, doc := range docs {
-		kept := make([]string, 0, len(doc))
-		for _, t := range doc {
-			if idfOf[t] >= threshold {
-				kept = append(kept, t)
+// spliceTIDs carries the TID index over: dropped entries leave, positions
+// above a drop shift down, appended records enter (replacements keep both
+// TID and position).
+func spliceTIDs(old []tidPos, sp *splice) []tidPos {
+	out := make([]tidPos, 0, len(old)-len(sp.drop)+len(sp.recs)-len(sp.repl))
+	if len(sp.drop) == 0 {
+		out = append(out, old...)
+	} else {
+		for _, e := range old {
+			below, dropped := slices.BinarySearch(sp.drop, int(e.pos))
+			if !dropped {
+				out = append(out, tidPos{e.tid, e.pos - int32(below)})
 			}
 		}
-		out[i] = kept
+	}
+	for k := len(sp.repl); k < len(sp.recs); k++ {
+		out = append(out, tidPos{sp.recs[k].TID, sp.pos[k]})
+	}
+	byTID := func(a, b tidPos) int { return a.tid - b.tid }
+	if !slices.IsSortedFunc(out, byTID) {
+		slices.SortFunc(out, byTID)
 	}
 	return out
-}
-
-// buildGramTables derives the shared weight/posting tables of the
-// effective gram layer. The interned-token layer (rank-sorted pairs plus
-// rank-indexed idf) lets the table builders do array arithmetic instead of
-// string-map operations, and every floating-point accumulation iterates in
-// sorted-token order, so a mutated corpus reproduces a fresh build
-// bit-for-bit.
-func (c *Corpus) buildGramTables(l *GramLayer) {
-	if c.layers.Has(LayerTokenIDs) {
-		l.IDFByRank = make([]float64, len(l.TokenByRank))
-		for r, t := range l.TokenByRank {
-			l.IDFByRank[r] = l.Stats.IDF(t)
-		}
-		l.Pairs = make([][]RankTF, len(l.Counts))
-		for i, counts := range l.Counts {
-			pairs := make([]RankTF, 0, len(counts))
-			for t, tf := range counts {
-				pairs = append(pairs, RankTF{Rank: l.rank[t], TF: int32(tf)})
-			}
-			sort.Slice(pairs, func(a, b int) bool { return pairs[a].Rank < pairs[b].Rank })
-			l.Pairs[i] = pairs
-		}
-	}
-	if c.layers.Has(LayerPostings) {
-		// One contiguous backing array carved by document frequency, like
-		// RankTable.
-		total := 0
-		dfs := make([]int, len(l.TokenByRank))
-		for r, t := range l.TokenByRank {
-			d := l.Stats.DF(t)
-			dfs[r] = d
-			total += d
-		}
-		backing := make([]int32, total)
-		l.Postings = make([][]int32, len(dfs))
-		off := 0
-		for r, d := range dfs {
-			l.Postings[r] = backing[off : off : off+d]
-			off += d
-		}
-		for i, counts := range l.Counts {
-			for t := range counts {
-				r := l.rank[t]
-				l.Postings[r] = append(l.Postings[r], int32(i))
-			}
-		}
-	}
-	if c.layers.Has(LayerRS) {
-		l.RSByRank = make([]float64, len(l.TokenByRank))
-		for r, t := range l.TokenByRank {
-			l.RSByRank[r] = l.Stats.RS(t)
-		}
-		if c.layers.Has(LayerPostings) {
-			// Per record, contributions arrive in ascending token order —
-			// the same order an ordered per-record sum would use.
-			l.RSLen = make([]float64, len(l.Counts))
-			for r, w := range l.RSByRank {
-				for _, i := range l.Postings[r] {
-					l.RSLen[i] += w
-				}
-			}
-			l.RSLenMin = 0
-			for i, v := range l.RSLen {
-				if i == 0 || v < l.RSLenMin {
-					l.RSLenMin = v
-				}
-			}
-		}
-	}
-	if c.layers.Has(LayerTFIDF) {
-		l.TFIDFPost = l.RankTable()
-		for i, pairs := range l.Pairs {
-			// Mirrors weights.Corpus.TFIDF term for term: the norm sums
-			// (tf·idf)² in sorted-token order.
-			norm := 0.0
-			for _, p := range pairs {
-				w := float64(p.TF) * l.IDFByRank[p.Rank]
-				norm += w * w
-			}
-			if norm == 0 {
-				continue
-			}
-			norm = math.Sqrt(norm)
-			for _, p := range pairs {
-				w := float64(p.TF) * l.IDFByRank[p.Rank] / norm
-				l.TFIDFPost[p.Rank] = append(l.TFIDFPost[p.Rank], WPost{Rec: i, W: w})
-			}
-		}
-		l.TFIDFMax, l.TFIDFMin = PostingBounds(l.TFIDFPost)
-	}
-	if c.layers.Has(LayerLM) {
-		// Mirrors weights.Corpus.LM term for term, with pavg and log(cf/cs)
-		// precomputed per rank.
-		pavg := make([]float64, len(l.TokenByRank))
-		cfcsLog := make([]float64, len(l.TokenByRank))
-		for r, t := range l.TokenByRank {
-			pavg[r] = l.Stats.Pavg(t)
-			cfcsLog[r] = math.Log(l.Stats.CFCS(t))
-		}
-		l.LMPost = l.RankTable()
-		l.LMSumComp = make([]float64, len(l.Counts))
-		for i, pairs := range l.Pairs {
-			dl := float64(l.DL[i])
-			if dl == 0 {
-				continue
-			}
-			sum := 0.0
-			for _, p := range pairs {
-				tf := float64(p.TF)
-				pml := tf / dl
-				pa := pavg[p.Rank]
-				fbar := pa * dl
-				risk := (1.0 / (1.0 + fbar)) * powInt(fbar/(1.0+fbar), int(p.TF))
-				pm := math.Pow(pml, 1.0-risk) * math.Pow(pa, risk)
-				if pm > 1-1e-12 {
-					pm = 1 - 1e-12
-				}
-				sum += math.Log(1.0 - pm)
-				term := math.Log(pm) - math.Log(1.0-pm) - cfcsLog[p.Rank]
-				l.LMPost[p.Rank] = append(l.LMPost[p.Rank], WPost{Rec: i, W: term})
-			}
-			l.LMSumComp[i] = sum
-		}
-		l.LMMax, l.LMMin = PostingBounds(l.LMPost)
-		// The admission bound only has to cover records reachable through
-		// a posting list, i.e. records with tokens; zero-length records
-		// keep the neutral LMSumComp of 0, which would badly loosen the
-		// bound (their Σ log(1−pm) would be far below 0 if they had any).
-		first := true
-		for i := range l.Counts {
-			if l.DL[i] == 0 {
-				continue
-			}
-			if first || l.LMSumComp[i] > l.LMCompMax {
-				l.LMCompMax = l.LMSumComp[i]
-			}
-			first = false
-		}
-	}
-}
-
-// PostingBounds computes per-rank weight bound columns of a rank-indexed
-// posting table: maxs[r] and mins[r] bound the record-side weights of rank
-// r's list (both zero for empty lists). These are the score upper bounds
-// max-score pruning consumes; they are rebuilt with the tables on every
-// mutation epoch, so they can never drift out of sync with the postings.
-func PostingBounds(table [][]WPost) (maxs, mins []float64) {
-	maxs = make([]float64, len(table))
-	mins = make([]float64, len(table))
-	for r, posts := range table {
-		if len(posts) == 0 {
-			continue
-		}
-		mx, mn := posts[0].W, posts[0].W
-		for _, p := range posts[1:] {
-			if p.W > mx {
-				mx = p.W
-			}
-			if p.W < mn {
-				mn = p.W
-			}
-		}
-		maxs[r], mins[r] = mx, mn
-	}
-	return maxs, mins
-}
-
-// powInt is x^n for small positive integer exponents (term frequencies):
-// repeated multiplication is an order of magnitude cheaper than math.Pow
-// and exact for the n=1 common case. Large exponents fall back to math.Pow.
-func powInt(x float64, n int) float64 {
-	switch {
-	case n == 1:
-		return x
-	case n == 2:
-		return x * x
-	case n == 3:
-		return x * x * x
-	case n <= 8:
-		out := x
-		for i := 1; i < n; i++ {
-			out *= x
-		}
-		return out
-	default:
-		return math.Pow(x, float64(n))
-	}
-}
-
-// buildTFPost derives the raw layer's gram-frequency posting table, the
-// record side of the edit predicate's count filter.
-func buildTFPost(l *GramLayer) {
-	l.TFPost = l.RankTable()
-	for i, counts := range l.Counts {
-		for t, tf := range counts {
-			r := l.rank[t]
-			l.TFPost[r] = append(l.TFPost[r], WPost{Rec: i, W: float64(tf)})
-		}
-	}
-}
-
-func (c *Corpus) buildWordLayer(raw *rawData) *WordLayer {
-	wdls := make([]int, len(raw.words))
-	for i, ws := range raw.words {
-		wdls[i] = len(ws)
-	}
-	stats := weights.BuildFromCounts(raw.wcounts, wdls)
-	l := &WordLayer{
-		Words:  raw.words,
-		Counts: raw.wcounts,
-		Stats:  stats,
-		rank:   rankOf(stats.SortedTokens()),
-	}
-	l.IDFWeights = make([][]float64, len(raw.words))
-	for i, ws := range raw.words {
-		w := make([]float64, len(ws))
-		for j, t := range ws {
-			w[j] = stats.IDF(t)
-		}
-		l.IDFWeights[i] = w
-	}
-	if c.layers.Has(LayerWordTFIDF) {
-		l.TFIDF = make([]map[string]float64, len(raw.wcounts))
-		for i, counts := range raw.wcounts {
-			l.TFIDF[i] = stats.TFIDF(counts)
-		}
-	}
-	if c.layers.Has(LayerWordGrams) {
-		l.Vocab = raw.vocab
-		l.VocabGrams = raw.vgrams
-		l.GramSizes = make([][]int, len(raw.vgrams))
-		// Two passes: count references per gram, carve one backing array,
-		// fill. Incremental appends on a large map of small slices would
-		// churn the allocator instead.
-		counts := make(map[string]int)
-		for i, vgrams := range raw.vgrams {
-			sizes := make([]int, len(vgrams))
-			for j, grams := range vgrams {
-				sizes[j] = len(grams)
-				for _, g := range grams {
-					counts[g]++
-				}
-			}
-			l.GramSizes[i] = sizes
-		}
-		total := 0
-		for _, n := range counts {
-			total += n
-		}
-		backing := make([]WordRef, total)
-		l.GramIndex = make(map[string][]WordRef, len(counts))
-		off := 0
-		for g, n := range counts {
-			l.GramIndex[g] = backing[off : off : off+n]
-			off += n
-		}
-		for i, vgrams := range raw.vgrams {
-			for j, grams := range vgrams {
-				for _, g := range grams {
-					l.GramIndex[g] = append(l.GramIndex[g], WordRef{Rec: i, Word: j})
-				}
-			}
-		}
-		// Flatten the distinct-word space into dense ids so the GES
-		// filters can count gram/signature matches in a dense scratch.
-		l.WordOff = make([]int32, len(raw.vocab))
-		off = 0
-		for i, vocab := range raw.vocab {
-			l.WordOff[i] = int32(off)
-			off += len(vocab)
-		}
-		l.WordTotal = off
-		l.WordRecOf = make([]int32, off)
-		l.GramSizeOf = make([]int32, off)
-		for i, sizes := range l.GramSizes {
-			base := l.WordOff[i]
-			for j, sz := range sizes {
-				l.WordRecOf[base+int32(j)] = int32(i)
-				l.GramSizeOf[base+int32(j)] = int32(sz)
-			}
-		}
-	}
-	if c.layers.Has(LayerSigs) {
-		l.Sigs = raw.sigs
-		counts := make(map[SigKey]int)
-		for _, sigs := range raw.sigs {
-			for _, sig := range sigs {
-				for slot, v := range sig {
-					counts[SigKey{Slot: slot, Value: v}]++
-				}
-			}
-		}
-		total := 0
-		for _, n := range counts {
-			total += n
-		}
-		backing := make([]WordRef, total)
-		l.SigIndex = make(map[SigKey][]WordRef, len(counts))
-		off := 0
-		for k, n := range counts {
-			l.SigIndex[k] = backing[off : off : off+n]
-			off += n
-		}
-		for i, sigs := range raw.sigs {
-			for j, sig := range sigs {
-				for slot, v := range sig {
-					k := SigKey{Slot: slot, Value: v}
-					l.SigIndex[k] = append(l.SigIndex[k], WordRef{Rec: i, Word: j})
-				}
-			}
-		}
-	}
-	return l
 }

@@ -35,11 +35,11 @@ func TestNewCorpusBuildsRequestedLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := c.Snapshot()
-	if s.Grams == nil || s.Grams.Postings == nil || s.Grams.RSByRank == nil ||
-		s.Grams.TFIDFPost == nil || s.Grams.LMPost == nil {
+	if s.Grams == nil || s.Grams.Postings == nil || s.Grams.RS() == nil ||
+		s.Grams.TFIDF() == nil || s.Grams.LM() == nil {
 		t.Fatal("gram layer tables missing")
 	}
-	if s.Words == nil || s.Words.TFIDF == nil || s.Words.GramIndex == nil || s.Words.SigIndex == nil {
+	if s.Words == nil || s.Words.TFIDF() == nil || s.Words.GramIndex == nil || s.Words.SigIndex == nil {
 		t.Fatal("word layer tables missing")
 	}
 	if len(s.Norms) != len(s.Records) {
@@ -58,7 +58,7 @@ func TestNewCorpusBuildsRequestedLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ls := lean.Snapshot()
-	if ls.Words != nil || ls.Norms != nil || ls.Grams.TFIDFPost != nil {
+	if ls.Words != nil || ls.Norms != nil || ls.Grams.TFIDF() != nil {
 		t.Fatal("lean corpus built unrequested layers")
 	}
 }
@@ -129,7 +129,7 @@ func TestCorpusMutationEpochs(t *testing.T) {
 	}
 	// The snapshot's per-record data must track the record list.
 	s := c.Snapshot()
-	if len(s.Grams.Counts) != len(s.Records) || len(s.Norms) != len(s.Records) ||
+	if len(s.Grams.Pairs) != len(s.Records) || len(s.Norms) != len(s.Records) ||
 		len(s.Words.Words) != len(s.Records) {
 		t.Fatal("per-record arrays out of sync after mutations")
 	}
@@ -197,15 +197,15 @@ func TestCorpusMutationMatchesFreshBuild(t *testing.T) {
 			if a.Grams.Stats.IDF(tok) != b.Grams.Stats.IDF(tok) {
 				t.Fatalf("rate %v: idf(%q) drifted", rate, tok)
 			}
-			if a.Grams.RSByRank[r] != b.Grams.RSByRank[r] {
+			if a.Grams.RS().ByRank[r] != b.Grams.RS().ByRank[r] {
 				t.Fatalf("rate %v: RS(%q) drifted", rate, tok)
 			}
 		}
 		if a.Grams.Stats.Tokens() != b.Grams.Stats.Tokens() {
 			t.Fatalf("rate %v: vocabulary sizes differ", rate)
 		}
-		for i := range a.Grams.LMSumComp {
-			if a.Grams.LMSumComp[i] != b.Grams.LMSumComp[i] {
+		for i := range a.Grams.LM().SumComp {
+			if a.Grams.LM().SumComp[i] != b.Grams.LM().SumComp[i] {
 				t.Fatalf("rate %v: LM sum-comp %d drifted", rate, i)
 			}
 		}

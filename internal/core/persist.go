@@ -6,11 +6,9 @@ import (
 	"io"
 	"math"
 	"slices"
-	"time"
 
 	"repro/internal/minhash"
 	"repro/internal/store/segment"
-	"repro/internal/tokenize"
 	"repro/internal/weights"
 )
 
@@ -22,11 +20,14 @@ import (
 //
 // The encoding strategy follows one rule: everything carrying floating
 // point is serialized verbatim (bit patterns, never recomputed), and only
-// purely structural state — rank maps, frequency maps, document lengths,
-// the dense word-id space, TID index — is rebuilt from the serialized
-// arrays with the exact integer arithmetic of the assembly path. That
-// makes a loaded corpus bit-identical to the corpus that was saved: same
-// epoch, same scores, same tie order, for every predicate. Strings are
+// purely structural state — document lengths, the dense word-id space,
+// the TID index — is rebuilt from the serialized arrays with the exact
+// integer arithmetic of the assembly path. The weight columns a snapshot
+// derives on first use are all materialized before encoding and installed
+// as already derived on decoding, so the bytes do not depend on which
+// predicates happened to attach. That makes a loaded corpus bit-identical
+// to the corpus that was saved: same epoch, same scores, same tie order,
+// for every predicate. Strings are
 // interned through the token tables on decode (a document's grams alias
 // the TokenByRank entries), so a loaded snapshot is also more compact in
 // memory than a freshly tokenized one.
@@ -44,56 +45,18 @@ const (
 	secNorms    = 6
 )
 
-// gramFlags say which derived tables a serialized gram layer carries; they
-// mirror the assembly path, which builds tables on the effective layer and
-// only the TF posting table on the raw layer when pruning splits the two.
-type gramFlags struct {
-	tokenIDs bool
-	postings bool
-	rs       bool
-	tfidf    bool
-	lm       bool
-	tfpost   bool
-}
-
-func (f gramFlags) byte() uint8 {
+// tableFlags says which derived tables a serialized gram layer carries, as
+// the flag byte leading its section; it mirrors the assembly path, which
+// keeps the tables on the effective layer and only the TF posting table on
+// the raw layer when pruning splits the two.
+func tableFlags(layers CorpusLayers) uint8 {
 	var b uint8
-	set := func(bit uint8, on bool) {
-		if on {
-			b |= bit
+	for i, l := range []CorpusLayers{LayerTokenIDs, LayerPostings, LayerRS, LayerTFIDF, LayerLM, LayerNorms} {
+		if layers.Has(l) {
+			b |= 1 << i
 		}
 	}
-	set(1, f.tokenIDs)
-	set(2, f.postings)
-	set(4, f.rs)
-	set(8, f.tfidf)
-	set(16, f.lm)
-	set(32, f.tfpost)
 	return b
-}
-
-func gramFlagsFrom(b uint8) gramFlags {
-	return gramFlags{
-		tokenIDs: b&1 != 0,
-		postings: b&2 != 0,
-		rs:       b&4 != 0,
-		tfidf:    b&8 != 0,
-		lm:       b&16 != 0,
-		tfpost:   b&32 != 0,
-	}
-}
-
-// effGramFlags derives the effective layer's table set from the corpus's
-// materialized layers.
-func (c *Corpus) effGramFlags(pruned bool) gramFlags {
-	return gramFlags{
-		tokenIDs: c.layers.Has(LayerTokenIDs),
-		postings: c.layers.Has(LayerPostings),
-		rs:       c.layers.Has(LayerRS),
-		tfidf:    c.layers.Has(LayerTFIDF),
-		lm:       c.layers.Has(LayerLM),
-		tfpost:   c.layers.Has(LayerNorms) && !pruned,
-	}
 }
 
 // WriteSnapshot serializes the corpus's current snapshot to w. The write
@@ -128,31 +91,22 @@ func (c *Corpus) WriteSnapshot(w io.Writer) error {
 	}
 
 	if c.layers.Has(LayerGrams) {
+		e = segment.NewEncoder(1 << 20)
+		encodeGramLayer(e, s.RawGrams)
+		if err := sw.Section(secRawGrams, e.Bytes()); err != nil {
+			return err
+		}
 		if pruned {
-			// The raw layer keeps only tokenization-level state (plus the
-			// edit filter's TF posting table); the derived tables live on
-			// the pruned effective layer.
 			e = segment.NewEncoder(1 << 20)
-			encodeGramLayer(e, s.RawGrams, gramFlags{tfpost: c.layers.Has(LayerNorms)})
-			if err := sw.Section(secRawGrams, e.Bytes()); err != nil {
-				return err
-			}
-			e = segment.NewEncoder(1 << 20)
-			encodeGramLayer(e, s.Grams, c.effGramFlags(true))
+			encodeGramLayer(e, s.Grams)
 			if err := sw.Section(secEffGrams, e.Bytes()); err != nil {
-				return err
-			}
-		} else {
-			e = segment.NewEncoder(1 << 20)
-			encodeGramLayer(e, s.RawGrams, c.effGramFlags(false))
-			if err := sw.Section(secRawGrams, e.Bytes()); err != nil {
 				return err
 			}
 		}
 	}
 	if c.layers.Has(LayerWords) {
 		e = segment.NewEncoder(1 << 20)
-		encodeWordLayer(e, s.Words, c.layers)
+		encodeWordLayer(e, s.Words)
 		if err := sw.Section(secWords, e.Bytes()); err != nil {
 			return err
 		}
@@ -226,12 +180,11 @@ func LoadSnapshot(data []byte) (*Corpus, error) {
 	if c.layers.Has(LayerSigs) {
 		c.fam = minhash.NewFamily(cfg.MinHashSize(), cfg.MinHashSeed)
 	}
-	s := &Snapshot{Epoch: epoch, Records: records, byTID: make(map[int]int, nrec)}
-	for i, r := range records {
-		s.byTID[r.TID] = i
-	}
-	if len(s.byTID) != nrec {
-		return nil, fmt.Errorf("approxsel: snapshot records contain duplicate TIDs")
+	s := &Snapshot{Epoch: epoch, Records: records, tids: spliceTIDs(nil, (&splice{recs: records}).seal(0))}
+	for i := 1; i < nrec; i++ {
+		if s.tids[i].tid == s.tids[i-1].tid {
+			return nil, fmt.Errorf("approxsel: snapshot records contain duplicate TIDs")
+		}
 	}
 
 	if layers.Has(LayerGrams) {
@@ -239,11 +192,7 @@ func LoadSnapshot(data []byte) (*Corpus, error) {
 		if !ok {
 			return nil, fmt.Errorf("approxsel: snapshot has no gram layer section")
 		}
-		rawFlags := gramFlags{tfpost: layers.Has(LayerNorms)}
-		if !pruned {
-			rawFlags = c.effGramFlags(false)
-		}
-		l, err := decodeGramLayer(raw, nrec, rawFlags)
+		l, err := decodeGramLayer(raw, nrec, c.gramTables(pruned, true))
 		if err != nil {
 			return nil, err
 		}
@@ -253,7 +202,7 @@ func LoadSnapshot(data []byte) (*Corpus, error) {
 			if !ok {
 				return nil, fmt.Errorf("approxsel: pruned snapshot has no effective gram layer")
 			}
-			el, err := decodeGramLayer(eff, nrec, c.effGramFlags(true))
+			el, err := decodeGramLayer(eff, nrec, c.gramTables(pruned, false))
 			if err != nil {
 				return nil, err
 			}
@@ -290,112 +239,34 @@ func LoadSnapshot(data []byte) (*Corpus, error) {
 }
 
 // ReplayMutations applies a gap-free sequence of mutation batches as one
-// pass — the cold-start WAL replay path. Each batch splices the record
-// list and the raw token layers exactly like Insert/Delete/Upsert
-// (re-tokenizing only changed records), but the derived tables assemble
-// once, at the final epoch, instead of once per batch: table assembly is a
-// pure function of (records, raw layers), so the result is bit-identical
-// to applying the batches one at a time while the cost stays near a
-// single mutation's. The intermediate epochs are never observable during
-// a cold start, and a validation failure anywhere in the sequence leaves
-// the corpus unchanged. The mutation hook is not invoked — replayed
-// batches are already in the log.
+// pass — the cold-start WAL replay path. Every batch is validated against
+// the state its predecessors left, exactly like Insert/Delete/Upsert, but
+// the batches fold into one splice (splicePlan) that is tokenized and
+// assembled once, at the final epoch: assembly is a pure function of the
+// resulting records, so the outcome is bit-identical to applying the
+// batches one at a time, records overwritten later in the log are never
+// tokenized, and the cost stays that of a single mutation carrying the
+// log's net delta. The intermediate epochs are never observable during a
+// cold start, and a validation failure anywhere in the sequence leaves the
+// corpus unchanged. The mutation hook is not invoked — replayed batches
+// are already in the log.
 func (c *Corpus) ReplayMutations(muts []Mutation) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(muts) == 0 {
 		return nil
 	}
-	old := c.snap.Load()
-	recs := old.Records
-	cur := c.rawFromSnapshot(old)
-	byTID := old.byTID
-	epoch := old.Epoch
-	t0 := time.Now()
+	plan := newSplicePlan(c.snap.Load())
 	for _, m := range muts {
-		if m.Epoch != epoch+1 {
-			return fmt.Errorf("approxsel: replay gap: batch at epoch %d after epoch %d", m.Epoch, epoch)
+		if m.Epoch != plan.epoch+1 {
+			return fmt.Errorf("approxsel: replay gap: batch at epoch %d after epoch %d", m.Epoch, plan.epoch)
 		}
-		epoch++
-		drop, replace, appended, err := splitBatch(byTID, m.Add, m.Del, m.Kind == MutationUpsert)
-		if err != nil {
+		if err := plan.fold(m.Add, m.Del, m.Kind == MutationUpsert); err != nil {
 			return err
 		}
-		n := len(recs) - len(drop) + len(appended)
-		next := c.newRawData(n)
-		nrecs := make([]Record, 0, n)
-		for i, r := range recs {
-			if drop[r.TID] {
-				continue
-			}
-			if nr, ok := replace[r.TID]; ok {
-				nrecs = append(nrecs, nr)
-				next.appendTokenized(c, nr.Text)
-				continue
-			}
-			nrecs = append(nrecs, r)
-			next.appendFromRaw(cur, i)
-		}
-		for _, r := range appended {
-			nrecs = append(nrecs, r)
-			next.appendTokenized(c, r.Text)
-		}
-		recs, cur = nrecs, next
-		byTID = make(map[int]int, len(recs))
-		for i, r := range recs {
-			byTID[r.TID] = i
-		}
 	}
-	c.snap.Store(c.assemble(recs, cur, epoch, time.Since(t0)))
+	c.snap.Store(c.apply(plan))
 	return nil
-}
-
-// rawFromSnapshot views a snapshot's raw token layers as rawData, the
-// splice source of the first replayed batch.
-func (c *Corpus) rawFromSnapshot(s *Snapshot) *rawData {
-	r := &rawData{layers: c.layers}
-	if c.layers.Has(LayerGrams) {
-		r.docs = s.RawGrams.Docs
-		r.counts = s.RawGrams.Counts
-	}
-	if c.layers.Has(LayerWords) {
-		r.words = s.Words.Words
-		r.wcounts = s.Words.Counts
-		if c.layers.Has(LayerWordGrams) {
-			r.vocab = s.Words.Vocab
-			r.vgrams = s.Words.VocabGrams
-			if c.layers.Has(LayerSigs) {
-				r.sigs = s.Words.Sigs
-			}
-		}
-	}
-	if c.layers.Has(LayerNorms) {
-		r.norms = s.Norms
-	}
-	return r
-}
-
-// appendFromRaw reuses the cached tokenization of one retained record from
-// a prior splice round.
-func (r *rawData) appendFromRaw(src *rawData, i int) {
-	if r.layers.Has(LayerGrams) {
-		r.docs = append(r.docs, src.docs[i])
-		r.counts = append(r.counts, src.counts[i])
-	}
-	if r.layers.Has(LayerWords) {
-		r.words = append(r.words, src.words[i])
-		r.wcounts = append(r.wcounts, src.wcounts[i])
-		if r.layers.Has(LayerWordGrams) {
-			r.vocab = append(r.vocab, src.vocab[i])
-			r.vgrams = append(r.vgrams, src.vgrams[i])
-			if r.layers.Has(LayerSigs) {
-				r.sigs = append(r.sigs, src.sigs[i])
-			}
-		}
-	}
-	if r.layers.Has(LayerNorms) {
-		r.norms = append(r.norms, src.norms[i])
-	}
 }
 
 // ---- config ----
@@ -440,10 +311,6 @@ func decodeConfig(d *segment.Decoder) Config {
 
 // ---- collection statistics ----
 
-func encodeStats(e *segment.Encoder, l *GramLayer) {
-	encodeStatsData(e, l.Stats.Export(l.TokenByRank))
-}
-
 func encodeStatsData(e *segment.Encoder, d weights.StatsData) {
 	e.Int(d.N)
 	e.Int(d.CS)
@@ -457,10 +324,8 @@ func encodeStatsData(e *segment.Encoder, d weights.StatsData) {
 	}
 }
 
-// decodeStatsInto reads the flat statistics written by encodeStats (and the
-// word-layer encoder) and rebuilds the weights.Corpus over the given token
-// order: scalars and float aggregates restored bit-exactly, maps rebuilt
-// presized.
+// decodeStatsInto reads the flat statistics written by encodeStatsData and rebuilds the weights.Corpus over the given token
+// order: scalars and float aggregates restored bit-exactly.
 func decodeStatsInto(d *segment.Decoder, tokens []string) (*weights.Corpus, error) {
 	sd := weights.StatsData{
 		N:     d.Int(),
@@ -493,97 +358,79 @@ func decodeStatsInto(d *segment.Decoder, tokens []string) (*weights.Corpus, erro
 
 // ---- gram layers ----
 
-func encodeGramLayer(e *segment.Encoder, l *GramLayer, f gramFlags) {
-	e.U8(f.byte())
+func encodeGramLayer(e *segment.Encoder, l *GramLayer) {
+	l.materialize()
+	e.U8(tableFlags(l.layers))
 	e.Strs(l.TokenByRank)
-	encodeStats(e, l)
+	encodeStatsData(e, l.Stats.Export())
 	// Per-record gram multisets as dense ranks, preserving order (the edit
 	// predicate's positional filter reads gram positions). The total gram
 	// count leads, so the decoder carves every record's multiset from one
 	// contiguous backing array.
-	total := 0
-	for _, doc := range l.Docs {
-		total += len(doc)
-	}
-	e.Int(total)
-	for _, doc := range l.Docs {
+	e.Int(l.Stats.CS())
+	for i, doc := range l.Docs {
 		e.U32(uint32(len(doc)))
 		for _, g := range doc {
-			e.U32(uint32(l.rank[g]))
+			e.U32(uint32(pairIn(l.Pairs[i], l.TokenByRank, g).Rank))
 		}
 	}
-	// Per-record distinct (rank, tf) pairs in ascending rank order: the
-	// interned pair rows when LayerTokenIDs is on, and the decode source of
-	// the frequency maps always. Total first, again for backing-array
-	// carving.
-	allPairs := make([][]RankTF, len(l.Counts))
-	total = 0
-	for i := range l.Counts {
-		allPairs[i] = l.countPairs(i)
-		total += len(allPairs[i])
+	encodePairs(e, l.Pairs)
+	if l.layers.Has(LayerTokenIDs) {
+		e.F64s(l.idfByRank())
+	}
+	if l.layers.Has(LayerPostings) {
+		encodePostings(e, l.Postings)
+	}
+	if rs := l.RS(); rs != nil {
+		e.F64s(rs.ByRank)
+		e.Bool(rs.Len != nil)
+		if rs.Len != nil {
+			e.F64s(rs.Len)
+			e.F64(rs.LenMin)
+		}
+	}
+	if t := l.TFIDF(); t != nil {
+		encodePostTable(e, t)
+	}
+	if lm := l.LM(); lm != nil {
+		encodePostTable(e, &lm.PostTable)
+		e.F64s(lm.SumComp)
+		e.F64(lm.CompMax)
+	}
+	if l.layers.Has(LayerNorms) {
+		encodeWPostTable(e, l.TFPost())
+	}
+}
+
+// encodePairs writes per-record distinct (rank, tf) pairs in ascending rank
+// order, total first for backing-array carving.
+func encodePairs(e *segment.Encoder, rows [][]RankTF) {
+	total := 0
+	for _, pairs := range rows {
+		total += len(pairs)
 	}
 	e.Int(total)
-	for _, pairs := range allPairs {
+	for _, pairs := range rows {
 		e.U32(uint32(len(pairs)))
 		for _, p := range pairs {
 			e.U32(uint32(p.Rank))
 			e.U32(uint32(p.TF))
 		}
 	}
-	if f.tokenIDs {
-		e.F64s(l.IDFByRank)
-	}
-	if f.postings {
-		encodePostings(e, l.Postings)
-	}
-	if f.rs {
-		e.F64s(l.RSByRank)
-		hasLen := l.RSLen != nil
-		e.Bool(hasLen)
-		if hasLen {
-			e.F64s(l.RSLen)
-			e.F64(l.RSLenMin)
-		}
-	}
-	if f.tfidf {
-		encodeWPostTable(e, l.TFIDFPost)
-		e.F64s(l.TFIDFMax)
-		e.F64s(l.TFIDFMin)
-	}
-	if f.lm {
-		encodeWPostTable(e, l.LMPost)
-		e.F64s(l.LMMax)
-		e.F64s(l.LMMin)
-		e.F64s(l.LMSumComp)
-		e.F64(l.LMCompMax)
-	}
-	if f.tfpost {
-		encodeWPostTable(e, l.TFPost)
-	}
 }
 
-// countPairs returns record i's distinct (rank, tf) pairs in ascending rank
-// order: the precomputed interned rows when present, otherwise derived from
-// the frequency map.
-func (l *GramLayer) countPairs(i int) []RankTF {
-	if l.Pairs != nil {
-		return l.Pairs[i]
-	}
-	pairs := make([]RankTF, 0, len(l.Counts[i]))
-	for t, tf := range l.Counts[i] {
-		pairs = append(pairs, RankTF{Rank: l.rank[t], TF: int32(tf)})
-	}
-	sortRankTF(pairs)
-	return pairs
+func encodePostTable(e *segment.Encoder, t *PostTable) {
+	encodeWPostTable(e, t.Post)
+	e.F64s(t.Max)
+	e.F64s(t.Min)
 }
 
-func decodeGramLayer(payload []byte, nrec int, f gramFlags) (*GramLayer, error) {
+func decodeGramLayer(payload []byte, nrec int, layers CorpusLayers) (*GramLayer, error) {
 	d := segment.NewDecoder(payload)
-	if got := gramFlagsFrom(d.U8()); got != f {
-		return nil, fmt.Errorf("approxsel: gram layer tables %+v do not match materialized layers %+v", got, f)
+	if got, want := d.U8(), tableFlags(layers); got != want {
+		return nil, fmt.Errorf("approxsel: gram layer tables %06b do not match materialized layers %06b", got, want)
 	}
-	l := &GramLayer{TokenByRank: d.Strs()}
-	l.rank = rankOf(l.TokenByRank)
+	l := &GramLayer{TokenByRank: d.Strs(), layers: layers}
 	nTok := len(l.TokenByRank)
 
 	stats, err := decodeStatsInto(d, l.TokenByRank)
@@ -595,142 +442,159 @@ func decodeGramLayer(payload []byte, nrec int, f gramFlags) (*GramLayer, error) 
 	// Gram multisets: ranks back to interned strings (aliasing the token
 	// table), document lengths derived from the multiset sizes, every
 	// record's slice carved from one backing array.
-	totalGrams := d.Int()
-	if err := d.Err(); err != nil {
+	if l.Docs, err = decodeRankRows(d, nrec, l.TokenByRank, "gram multiset"); err != nil {
 		return nil, err
 	}
-	if totalGrams < 0 || totalGrams > d.Remaining()/4 {
-		return nil, fmt.Errorf("approxsel: gram multisets claim %d grams", totalGrams)
-	}
-	docBacking := make([]string, 0, totalGrams)
-	l.Docs = make([][]string, nrec)
 	l.DL = make([]int, nrec)
-	for i := 0; i < nrec; i++ {
-		n := int(d.U32())
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		rows := d.Raw(4*n, "gram multiset")
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		if len(docBacking)+n > totalGrams {
-			return nil, fmt.Errorf("approxsel: gram multiset of record %d overruns its table", i)
-		}
-		start := len(docBacking)
-		for j := 0; j < n; j++ {
-			id := binary.LittleEndian.Uint32(rows[4*j:])
-			if id >= uint32(nTok) {
-				return nil, fmt.Errorf("approxsel: gram rank %d out of range (%d tokens)", id, nTok)
-			}
-			docBacking = append(docBacking, l.TokenByRank[id])
-		}
-		l.Docs[i] = docBacking[start:len(docBacking):len(docBacking)]
-		l.DL[i] = n
+	for i, doc := range l.Docs {
+		l.DL[i] = len(doc)
 	}
-
-	// Distinct (rank, tf) pairs: frequency maps always, interned pair rows
-	// when the token-id layer is materialized.
-	totalPairs := d.Int()
-	if err := d.Err(); err != nil {
+	if l.Pairs, err = decodePairs(d, nrec, nTok); err != nil {
 		return nil, err
 	}
-	if totalPairs < 0 || totalPairs > d.Remaining()/8 {
-		return nil, fmt.Errorf("approxsel: count pairs claim %d rows", totalPairs)
-	}
-	var pairBacking []RankTF
-	if f.tokenIDs {
-		pairBacking = make([]RankTF, 0, totalPairs)
-		l.Pairs = make([][]RankTF, nrec)
-	}
-	l.Counts = make([]map[string]int, nrec)
-	for i := 0; i < nrec; i++ {
-		n := int(d.U32())
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		rows := d.Raw(8*n, "count pairs")
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		m := make(map[string]int, n)
-		start := len(pairBacking)
-		for j := 0; j < n; j++ {
-			rank := binary.LittleEndian.Uint32(rows[8*j:])
-			tf := binary.LittleEndian.Uint32(rows[8*j+4:])
-			if rank >= uint32(nTok) {
-				return nil, fmt.Errorf("approxsel: count rank %d out of range (%d tokens)", rank, nTok)
-			}
-			m[l.TokenByRank[rank]] = int(int32(tf))
-			if f.tokenIDs {
-				if len(pairBacking) == totalPairs {
-					return nil, fmt.Errorf("approxsel: count pairs of record %d overrun their table", i)
-				}
-				pairBacking = append(pairBacking, RankTF{Rank: int32(rank), TF: int32(tf)})
-			}
-		}
-		l.Counts[i] = m
-		if f.tokenIDs {
-			l.Pairs[i] = pairBacking[start:len(pairBacking):len(pairBacking)]
-		}
-	}
 
-	if f.tokenIDs {
-		l.IDFByRank = d.F64s()
-		if len(l.IDFByRank) != nTok {
-			return nil, fmt.Errorf("approxsel: idf column has %d entries for %d tokens", len(l.IDFByRank), nTok)
+	if layers.Has(LayerTokenIDs) {
+		idf := d.F64s()
+		if len(idf) != nTok {
+			return nil, fmt.Errorf("approxsel: idf column has %d entries for %d tokens", len(idf), nTok)
 		}
+		l.idf.set(idf)
 	}
-	if f.postings {
+	if layers.Has(LayerPostings) {
 		l.Postings, err = decodePostings(d, nTok, nrec)
 		if err != nil {
 			return nil, err
 		}
 	}
-	if f.rs {
-		l.RSByRank = d.F64s()
-		if len(l.RSByRank) != nTok {
-			return nil, fmt.Errorf("approxsel: RS column has %d entries for %d tokens", len(l.RSByRank), nTok)
+	if layers.Has(LayerRS) {
+		rs := &RSTable{ByRank: d.F64s()}
+		if len(rs.ByRank) != nTok {
+			return nil, fmt.Errorf("approxsel: RS column has %d entries for %d tokens", len(rs.ByRank), nTok)
 		}
 		if d.Bool() {
-			l.RSLen = d.F64s()
-			l.RSLenMin = d.F64()
-			if len(l.RSLen) != nrec {
-				return nil, fmt.Errorf("approxsel: RS length column has %d entries for %d records", len(l.RSLen), nrec)
+			rs.Len = d.F64s()
+			rs.LenMin = d.F64()
+			if len(rs.Len) != nrec {
+				return nil, fmt.Errorf("approxsel: RS length column has %d entries for %d records", len(rs.Len), nrec)
 			}
 		}
+		l.rs.set(rs)
 	}
-	if f.tfidf {
-		if l.TFIDFPost, err = decodeWPostTable(d, nTok, nrec); err != nil {
+	if layers.Has(LayerTFIDF) {
+		t, err := decodePostTable(d, nTok, nrec)
+		if err != nil {
 			return nil, err
 		}
-		l.TFIDFMax = d.F64s()
-		l.TFIDFMin = d.F64s()
-		if len(l.TFIDFMax) != nTok || len(l.TFIDFMin) != nTok {
-			return nil, fmt.Errorf("approxsel: tf-idf bound columns do not match %d tokens", nTok)
-		}
+		l.tfidf.set(t)
 	}
-	if f.lm {
-		if l.LMPost, err = decodeWPostTable(d, nTok, nrec); err != nil {
+	if layers.Has(LayerLM) {
+		t, err := decodePostTable(d, nTok, nrec)
+		if err != nil {
 			return nil, err
 		}
-		l.LMMax = d.F64s()
-		l.LMMin = d.F64s()
-		l.LMSumComp = d.F64s()
-		l.LMCompMax = d.F64()
-		if len(l.LMMax) != nTok || len(l.LMMin) != nTok || len(l.LMSumComp) != nrec {
+		lm := &LMTable{PostTable: *t, SumComp: d.F64s(), CompMax: d.F64()}
+		if len(lm.SumComp) != nrec {
 			return nil, fmt.Errorf("approxsel: LM columns do not match %d tokens / %d records", nTok, nrec)
 		}
+		l.lm.set(lm)
 	}
-	if f.tfpost {
-		if l.TFPost, err = decodeWPostTable(d, nTok, nrec); err != nil {
+	if layers.Has(LayerNorms) {
+		tfpost, err := decodeWPostTable(d, nTok, nrec)
+		if err != nil {
 			return nil, err
 		}
+		l.tfpost.set(tfpost)
 	}
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
 	return l, nil
+}
+
+// decodeRankRows reads per-record token sequences written as a total plus
+// (length, ranks...) rows, interning every token through the table and
+// carving all rows from one backing array.
+func decodeRankRows(d *segment.Decoder, nrec int, table []string, what string) ([][]string, error) {
+	total := d.Int()
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if total < 0 || total > d.Remaining()/4 {
+		return nil, fmt.Errorf("approxsel: %s table claims %d entries", what, total)
+	}
+	backing := make([]string, 0, total)
+	rows := make([][]string, nrec)
+	for i := range rows {
+		n := int(d.U32())
+		if err := d.Err(); err != nil {
+			return nil, err
+		}
+		raw := d.Raw(4*n, what)
+		if err := d.Err(); err != nil {
+			return nil, err
+		}
+		if len(backing)+n > total {
+			return nil, fmt.Errorf("approxsel: %s of record %d overruns its table", what, i)
+		}
+		start := len(backing)
+		for j := 0; j < n; j++ {
+			id := binary.LittleEndian.Uint32(raw[4*j:])
+			if id >= uint32(len(table)) {
+				return nil, fmt.Errorf("approxsel: %s rank %d out of range (%d tokens)", what, id, len(table))
+			}
+			backing = append(backing, table[id])
+		}
+		rows[i] = backing[start:len(backing):len(backing)]
+	}
+	return rows, nil
+}
+
+func decodePairs(d *segment.Decoder, nrec, nTok int) ([][]RankTF, error) {
+	total := d.Int()
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if total < 0 || total > d.Remaining()/8 {
+		return nil, fmt.Errorf("approxsel: count pairs claim %d rows", total)
+	}
+	backing := make([]RankTF, 0, total)
+	rows := make([][]RankTF, nrec)
+	for i := range rows {
+		n := int(d.U32())
+		if err := d.Err(); err != nil {
+			return nil, err
+		}
+		raw := d.Raw(8*n, "count pairs")
+		if err := d.Err(); err != nil {
+			return nil, err
+		}
+		if len(backing)+n > total {
+			return nil, fmt.Errorf("approxsel: count pairs of record %d overrun their table", i)
+		}
+		start := len(backing)
+		for j := 0; j < n; j++ {
+			rank := binary.LittleEndian.Uint32(raw[8*j:])
+			tf := binary.LittleEndian.Uint32(raw[8*j+4:])
+			if rank >= uint32(nTok) || (j > 0 && int32(rank) <= backing[len(backing)-1].Rank) {
+				return nil, fmt.Errorf("approxsel: count rank %d out of order or range (%d tokens)", rank, nTok)
+			}
+			backing = append(backing, RankTF{Rank: int32(rank), TF: int32(tf)})
+		}
+		rows[i] = backing[start:len(backing):len(backing)]
+	}
+	return rows, nil
+}
+
+func decodePostTable(d *segment.Decoder, nTok, nrec int) (*PostTable, error) {
+	post, err := decodeWPostTable(d, nTok, nrec)
+	if err != nil {
+		return nil, err
+	}
+	t := &PostTable{Post: post, Max: d.F64s(), Min: d.F64s()}
+	if len(t.Max) != nTok || len(t.Min) != nTok {
+		return nil, fmt.Errorf("approxsel: posting bound columns do not match %d tokens", nTok)
+	}
+	return t, nil
 }
 
 // encodePostings writes a rank-indexed posting table with its total, so the
@@ -852,77 +716,62 @@ func decodeWPostTable(d *segment.Decoder, nTok, nrec int) ([][]WPost, error) {
 
 // ---- word layer ----
 
-func encodeWordLayer(e *segment.Encoder, l *WordLayer, layers CorpusLayers) {
-	// Invert the rank map into the sorted word order (rank r holds the word
-	// with rank r), the string table everything else references.
-	sorted := make([]string, len(l.rank))
-	for t, r := range l.rank {
-		sorted[r] = t
-	}
+func encodeWordLayer(e *segment.Encoder, l *WordLayer) {
+	l.materialize()
+	// The sorted word order (rank r holds the word with rank r) is the
+	// string table everything else references.
+	sorted := l.toks.TokenByRank
 	e.Strs(sorted)
-	encodeStatsData(e, l.Stats.Export(sorted))
+	encodeStatsData(e, l.Stats.Export())
 
 	// Word sequences lead with their total size, so the decoder carves the
 	// per-record slices (and the idf-weight columns, which share the same
 	// lengths) from contiguous backing arrays.
-	total := 0
-	for _, ws := range l.Words {
-		total += len(ws)
-	}
-	e.Int(total)
-	for _, ws := range l.Words {
+	e.Int(l.Stats.CS())
+	for i, ws := range l.Words {
 		e.U32(uint32(len(ws)))
-		for _, w := range ws {
-			e.U32(uint32(l.rank[w]))
+		for j := range ws {
+			e.U32(uint32(l.pairOf(i, j).Rank))
 		}
 	}
-	for _, w := range l.IDFWeights {
+	for _, w := range l.IDFWeights() {
 		e.F64s(w)
 	}
-	if layers.Has(LayerWordTFIDF) {
-		for _, m := range l.TFIDF {
-			// Deterministic (rank, weight) rows in ascending rank order.
-			pairs := make([]RankTF, 0, len(m))
-			for t := range m {
-				pairs = append(pairs, RankTF{Rank: l.rank[t]})
+	if tfidf := l.TFIDF(); tfidf != nil {
+		idf := l.toks.idfByRank()
+		for i, col := range tfidf {
+			// Deterministic (rank, weight) rows in ascending rank order; a
+			// record with a zero norm has no rows.
+			pairs := l.Pairs[i]
+			if tfidfNorm(pairs, idf) == 0 {
+				pairs = nil
 			}
-			sortRankTF(pairs)
 			e.U32(uint32(len(pairs)))
 			for _, p := range pairs {
+				j := slices.Index(l.Words[i], sorted[p.Rank])
 				e.U32(uint32(p.Rank))
-				e.F64(m[sorted[p.Rank]])
+				e.F64(col[j])
 			}
 		}
 	}
-	if layers.Has(LayerWordGrams) {
-		total = 0
-		for _, vocab := range l.Vocab {
-			total += len(vocab)
-		}
-		e.Int(total)
-		for _, vocab := range l.Vocab {
+	if l.layers.Has(LayerWordGrams) {
+		e.Int(l.WordTotal)
+		for i, vocab := range l.Vocab {
 			e.U32(uint32(len(vocab)))
 			for _, w := range vocab {
-				e.U32(uint32(l.rank[w]))
+				e.U32(uint32(pairIn(l.Pairs[i], sorted, w).Rank))
 			}
 		}
-		// The word-gram string table: GramIndex keys in sorted order give
+		// The word-gram string table: the sorted gram dictionary gives
 		// every distinct gram a dense id.
-		grams := make([]string, 0, len(l.GramIndex))
-		for g := range l.GramIndex {
-			grams = append(grams, g)
-		}
-		sortStrings(grams)
-		gramID := make(map[string]int32, len(grams))
-		for i, g := range grams {
+		gramID := make(map[string]int32, len(l.GramKeys))
+		for i, g := range l.GramKeys {
 			gramID[g] = int32(i)
 		}
-		e.Strs(grams)
-		total = 0
-		for _, vgrams := range l.VocabGrams {
-			for _, gs := range vgrams {
-				total += len(gs)
-			}
+		e.Strs(l.GramKeys)
+		total := 0
+		for _, sz := range l.GramSizeOf {
+			total += int(sz)
 		}
 		e.Int(total)
 		for _, vgrams := range l.VocabGrams {
@@ -934,22 +783,13 @@ func encodeWordLayer(e *segment.Encoder, l *WordLayer, layers CorpusLayers) {
 				}
 			}
 		}
-		total := 0
-		for _, refs := range l.GramIndex {
-			total += len(refs)
-		}
 		e.Int(total)
-		for _, g := range grams {
-			refs := l.GramIndex[g]
-			e.U32(uint32(len(refs)))
-			for _, ref := range refs {
-				e.U32(uint32(ref.Rec))
-				e.U32(uint32(ref.Word))
-			}
+		for _, refs := range l.GramIndex {
+			l.encodeRefs(e, refs)
 		}
 	}
-	if layers.Has(LayerSigs) {
-		total = 0
+	if l.layers.Has(LayerSigs) {
+		total := 0
 		for _, sigs := range l.Sigs {
 			for _, sig := range sigs {
 				total += len(sig)
@@ -962,95 +802,101 @@ func encodeWordLayer(e *segment.Encoder, l *WordLayer, layers CorpusLayers) {
 				e.U64s(sig)
 			}
 		}
-		keys := make([]SigKey, 0, len(l.SigIndex))
-		for k := range l.SigIndex {
-			keys = append(keys, k)
-		}
-		sortSigKeys(keys)
-		total := 0
-		for _, refs := range l.SigIndex {
-			total += len(refs)
-		}
 		e.Int(total)
-		e.U32(uint32(len(keys)))
-		for _, k := range keys {
-			refs := l.SigIndex[k]
+		e.U32(uint32(len(l.SigKeys)))
+		for i, k := range l.SigKeys {
 			e.U32(uint32(k.Slot))
 			e.U64(k.Value)
-			e.U32(uint32(len(refs)))
-			for _, ref := range refs {
-				e.U32(uint32(ref.Rec))
-				e.U32(uint32(ref.Word))
-			}
+			l.encodeRefs(e, l.SigIndex[i])
 		}
 	}
+}
+
+// encodeRefs writes one inverted list as (record, word) references, the
+// wire form of the dense word ids.
+func (l *WordLayer) encodeRefs(e *segment.Encoder, refs []int32) {
+	e.U32(uint32(len(refs)))
+	for _, wid := range refs {
+		rec := l.WordRecOf[wid]
+		e.U32(uint32(rec))
+		e.U32(uint32(wid - l.WordOff[rec]))
+	}
+}
+
+// decodeRefs reads total inverted lists' worth of (record, word)
+// references back into dense word ids, n lists carved from one backing
+// array; each list is preceded by whatever key lead reads.
+func (l *WordLayer) decodeRefs(d *segment.Decoder, n, total int, what string, key func()) ([][]int32, error) {
+	if total < 0 || total > d.Remaining()/8 {
+		return nil, fmt.Errorf("approxsel: %s claims %d references", what, total)
+	}
+	backing := make([]int32, 0, total)
+	lists := make([][]int32, n)
+	for i := range lists {
+		key()
+		cnt := int(d.U32())
+		if err := d.Err(); err != nil {
+			return nil, err
+		}
+		rows := d.Raw(8*cnt, what)
+		if err := d.Err(); err != nil {
+			return nil, err
+		}
+		if len(backing)+cnt > total {
+			return nil, fmt.Errorf("approxsel: %s list %d overruns its table", what, i)
+		}
+		start := len(backing)
+		for j := 0; j < cnt; j++ {
+			rec := binary.LittleEndian.Uint32(rows[8*j:])
+			word := binary.LittleEndian.Uint32(rows[8*j+4:])
+			if rec >= uint32(len(l.Vocab)) || word >= uint32(len(l.Vocab[rec])) {
+				return nil, fmt.Errorf("approxsel: %s reference (%d, %d) out of range", what, rec, word)
+			}
+			backing = append(backing, l.WordOff[rec]+int32(word))
+		}
+		lists[i] = backing[start:len(backing):len(backing)]
+	}
+	return lists, nil
 }
 
 func decodeWordLayer(payload []byte, nrec int, layers CorpusLayers) (*WordLayer, error) {
 	d := segment.NewDecoder(payload)
 	sorted := d.Strs()
-	l := &WordLayer{rank: rankOf(sorted)}
-	nTok := len(sorted)
-
 	stats, err := decodeStatsInto(d, sorted)
 	if err != nil {
 		return nil, err
 	}
-	l.Stats = stats
-
-	totalWords := d.Int()
-	if err := d.Err(); err != nil {
+	words, err := decodeRankRows(d, nrec, sorted, "word sequence")
+	if err != nil {
 		return nil, err
 	}
-	if totalWords < 0 || totalWords > d.Remaining()/4 {
-		return nil, fmt.Errorf("approxsel: word sequences claim %d words", totalWords)
+	// The interned pairs rebuild with the exact integer counting of the
+	// assembly path.
+	toks := &GramLayer{Docs: words, DL: make([]int, nrec), Stats: stats, TokenByRank: sorted, Pairs: make([][]RankTF, nrec)}
+	var ranks []int32
+	for i, ws := range words {
+		toks.DL[i] = len(ws)
+		ranks = ranks[:0]
+		for _, w := range ws {
+			r, _ := stats.Rank(w)
+			ranks = append(ranks, r)
+		}
+		toks.Pairs[i] = weights.CountRanks(ranks)
 	}
-	wordBacking := make([]string, 0, totalWords)
-	l.Words = make([][]string, nrec)
-	l.Counts = make([]map[string]int, nrec)
-	for i := 0; i < nrec; i++ {
-		n := int(d.U32())
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		rows := d.Raw(4*n, "word sequence")
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		if len(wordBacking)+n > totalWords {
-			return nil, fmt.Errorf("approxsel: word sequence of record %d overruns its table", i)
-		}
-		start := len(wordBacking)
-		for j := 0; j < n; j++ {
-			id := binary.LittleEndian.Uint32(rows[4*j:])
-			if id >= uint32(nTok) {
-				return nil, fmt.Errorf("approxsel: word rank %d out of range (%d words)", id, nTok)
-			}
-			wordBacking = append(wordBacking, sorted[id])
-		}
-		ws := wordBacking[start:len(wordBacking):len(wordBacking)]
-		l.Words[i] = ws
-		// Frequency maps rebuild with the exact integer counting of the
-		// tokenization path.
-		l.Counts[i] = tokenize.Counts(ws)
-	}
+	l := newWordLayer(toks, layers)
+
 	// The idf-weight columns share the word sequences' lengths, so they
 	// carve from one backing array of the same total size.
-	idfBacking := make([]float64, totalWords)
-	l.IDFWeights = make([][]float64, nrec)
-	off := 0
-	for i := 0; i < nrec; i++ {
-		n := len(l.Words[i])
-		col := idfBacking[off : off+n : off+n]
+	idfw := l.wordColumns()
+	for i, col := range idfw {
 		if err := d.F64sInto(col); err != nil {
 			return nil, fmt.Errorf("approxsel: idf weights of record %d do not match its words: %w", i, err)
 		}
-		l.IDFWeights[i] = col
-		off += n
 	}
+	l.idf.set(idfw)
 	if layers.Has(LayerWordTFIDF) {
-		l.TFIDF = make([]map[string]float64, nrec)
-		for i := 0; i < nrec; i++ {
+		tfidf := l.wordColumns()
+		for i, col := range tfidf {
 			n := int(d.U32())
 			if err := d.Err(); err != nil {
 				return nil, err
@@ -1059,52 +905,37 @@ func decodeWordLayer(payload []byte, nrec int, layers CorpusLayers) (*WordLayer,
 			if err := d.Err(); err != nil {
 				return nil, err
 			}
-			m := make(map[string]float64, n)
-			for j := 0; j < n; j++ {
-				id := binary.LittleEndian.Uint32(rows[12*j:])
-				w := math.Float64frombits(binary.LittleEndian.Uint64(rows[12*j+4:]))
-				if id >= uint32(nTok) {
-					return nil, fmt.Errorf("approxsel: tf-idf word rank %d out of range", id)
-				}
-				m[sorted[id]] = w
+			if n != 0 && n != len(l.Pairs[i]) {
+				return nil, fmt.Errorf("approxsel: tf-idf weights of record %d do not match its words", i)
 			}
-			l.TFIDF[i] = m
+			for k := 0; k < n; k++ {
+				id := binary.LittleEndian.Uint32(rows[12*k:])
+				w := math.Float64frombits(binary.LittleEndian.Uint64(rows[12*k+4:]))
+				if int32(id) != l.Pairs[i][k].Rank {
+					return nil, fmt.Errorf("approxsel: tf-idf word rank %d out of place", id)
+				}
+				for j, word := range words[i] {
+					if word == sorted[id] {
+						col[j] = w
+					}
+				}
+			}
 		}
+		l.tfidf.set(tfidf)
 	}
 	if layers.Has(LayerWordGrams) {
-		totalVocab := d.Int()
-		if err := d.Err(); err != nil {
+		if l.Vocab, err = decodeRankRows(d, nrec, sorted, "vocab"); err != nil {
 			return nil, err
 		}
-		if totalVocab < 0 || totalVocab > d.Remaining()/4 {
-			return nil, fmt.Errorf("approxsel: vocabs claim %d words", totalVocab)
+		l.WordOff = make([]int32, nrec)
+		for i, vocab := range l.Vocab {
+			l.WordOff[i] = int32(l.WordTotal)
+			l.WordTotal += len(vocab)
 		}
-		vocabBacking := make([]string, 0, totalVocab)
-		l.Vocab = make([][]string, nrec)
-		for i := 0; i < nrec; i++ {
-			n := int(d.U32())
-			if err := d.Err(); err != nil {
-				return nil, err
-			}
-			rows := d.Raw(4*n, "vocab")
-			if err := d.Err(); err != nil {
-				return nil, err
-			}
-			if len(vocabBacking)+n > totalVocab {
-				return nil, fmt.Errorf("approxsel: vocab of record %d overruns its table", i)
-			}
-			start := len(vocabBacking)
-			for j := 0; j < n; j++ {
-				id := binary.LittleEndian.Uint32(rows[4*j:])
-				if id >= uint32(nTok) {
-					return nil, fmt.Errorf("approxsel: vocab word rank %d out of range", id)
-				}
-				vocabBacking = append(vocabBacking, sorted[id])
-			}
-			l.Vocab[i] = vocabBacking[start:len(vocabBacking):len(vocabBacking)]
+		l.GramKeys = d.Strs()
+		if !slices.IsSorted(l.GramKeys) {
+			return nil, fmt.Errorf("approxsel: word gram table out of order")
 		}
-		grams := d.Strs()
-		nGram := len(grams)
 		totalWG := d.Int()
 		if err := d.Err(); err != nil {
 			return nil, err
@@ -1112,14 +943,13 @@ func decodeWordLayer(payload []byte, nrec int, layers CorpusLayers) (*WordLayer,
 		if totalWG < 0 || totalWG > d.Remaining()/4 {
 			return nil, fmt.Errorf("approxsel: word grams claim %d entries", totalWG)
 		}
-		// Three backing arrays: the gram strings (totalWG entries), the
-		// per-word gram slices (one per vocab word), and the gram sizes.
+		// Two backing arrays: the gram strings (totalWG entries) and the
+		// per-word gram slices (one per vocab word).
 		wgBacking := make([]string, 0, totalWG)
-		vgramsBacking := make([][]string, totalVocab)
-		sizesBacking := make([]int, totalVocab)
-		vused := 0
+		vgramsBacking := make([][]string, l.WordTotal)
+		l.WordRecOf = make([]int32, l.WordTotal)
+		l.GramSizeOf = make([]int32, l.WordTotal)
 		l.VocabGrams = make([][][]string, nrec)
-		l.GramSizes = make([][]int, nrec)
 		for i := 0; i < nrec; i++ {
 			nw := int(d.U32())
 			if err := d.Err(); err != nil {
@@ -1128,9 +958,8 @@ func decodeWordLayer(payload []byte, nrec int, layers CorpusLayers) (*WordLayer,
 			if nw != len(l.Vocab[i]) {
 				return nil, fmt.Errorf("approxsel: vocab grams of record %d do not match its vocab", i)
 			}
-			vgrams := vgramsBacking[vused : vused+nw : vused+nw]
-			sizes := sizesBacking[vused : vused+nw : vused+nw]
-			vused += nw
+			base := int(l.WordOff[i])
+			vgrams := vgramsBacking[base : base+nw : base+nw]
 			for j := 0; j < nw; j++ {
 				ng := int(d.U32())
 				if err := d.Err(); err != nil {
@@ -1146,66 +975,23 @@ func decodeWordLayer(payload []byte, nrec int, layers CorpusLayers) (*WordLayer,
 				start := len(wgBacking)
 				for k := 0; k < ng; k++ {
 					id := binary.LittleEndian.Uint32(rows[4*k:])
-					if id >= uint32(nGram) {
-						return nil, fmt.Errorf("approxsel: word gram id %d out of range (%d grams)", id, nGram)
+					if id >= uint32(len(l.GramKeys)) {
+						return nil, fmt.Errorf("approxsel: word gram id %d out of range (%d grams)", id, len(l.GramKeys))
 					}
-					wgBacking = append(wgBacking, grams[id])
+					wgBacking = append(wgBacking, l.GramKeys[id])
 				}
 				vgrams[j] = wgBacking[start:len(wgBacking):len(wgBacking)]
-				sizes[j] = ng
+				l.WordRecOf[base+j] = int32(i)
+				l.GramSizeOf[base+j] = int32(ng)
 			}
 			l.VocabGrams[i] = vgrams
-			l.GramSizes[i] = sizes
 		}
 		total := d.Int()
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		if total < 0 || total > d.Remaining()/8 {
-			return nil, fmt.Errorf("approxsel: gram index claims %d references", total)
-		}
-		backing := make([]WordRef, 0, total)
-		l.GramIndex = make(map[string][]WordRef, nGram)
-		for gi := 0; gi < nGram; gi++ {
-			cnt := int(d.U32())
-			if err := d.Err(); err != nil {
-				return nil, err
-			}
-			rows := d.Raw(8*cnt, "gram index list")
-			if err := d.Err(); err != nil {
-				return nil, err
-			}
-			if len(backing)+cnt > total {
-				return nil, fmt.Errorf("approxsel: gram index list %d overruns its table", gi)
-			}
-			start := len(backing)
-			for j := 0; j < cnt; j++ {
-				rec := binary.LittleEndian.Uint32(rows[8*j:])
-				word := binary.LittleEndian.Uint32(rows[8*j+4:])
-				if rec >= uint32(nrec) {
-					return nil, fmt.Errorf("approxsel: gram index record %d out of range", rec)
-				}
-				backing = append(backing, WordRef{Rec: int(rec), Word: int(int32(word))})
-			}
-			l.GramIndex[grams[gi]] = backing[start:len(backing):len(backing)]
-		}
-		// The dense word-id space rebuilds with the exact integer
-		// arithmetic of the assembly path.
-		l.WordOff = make([]int32, nrec)
-		off := 0
-		for i, vocab := range l.Vocab {
-			l.WordOff[i] = int32(off)
-			off += len(vocab)
-		}
-		l.WordTotal = off
-		l.WordRecOf = make([]int32, off)
-		l.GramSizeOf = make([]int32, off)
-		for i, sizes := range l.GramSizes {
-			base := l.WordOff[i]
-			for j, sz := range sizes {
-				l.WordRecOf[base+int32(j)] = int32(i)
-				l.GramSizeOf[base+int32(j)] = int32(sz)
-			}
+		if l.GramIndex, err = l.decodeRefs(d, len(l.GramKeys), total, "gram index", func() {}); err != nil {
+			return nil, err
 		}
 	}
 	if layers.Has(LayerSigs) {
@@ -1223,8 +1009,8 @@ func decodeWordLayer(payload []byte, nrec int, layers CorpusLayers) (*WordLayer,
 			if err := d.Err(); err != nil {
 				return nil, err
 			}
-			if nw > d.Remaining()/4 {
-				return nil, fmt.Errorf("approxsel: signatures of record %d overrun payload", i)
+			if nw != len(l.Vocab[i]) {
+				return nil, fmt.Errorf("approxsel: signatures of record %d do not match its vocab", i)
 			}
 			sigs := make([][]uint64, nw)
 			for j := 0; j < nw; j++ {
@@ -1252,62 +1038,21 @@ func decodeWordLayer(payload []byte, nrec int, layers CorpusLayers) (*WordLayer,
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		if total < 0 || total > d.Remaining()/8 || nKeys < 0 || nKeys > d.Remaining()/16 {
-			return nil, fmt.Errorf("approxsel: signature index claims %d refs / %d keys", total, nKeys)
+		if nKeys < 0 || nKeys > d.Remaining()/16 {
+			return nil, fmt.Errorf("approxsel: signature index claims %d keys", nKeys)
 		}
-		backing := make([]WordRef, 0, total)
-		l.SigIndex = make(map[SigKey][]WordRef, nKeys)
-		for ki := 0; ki < nKeys; ki++ {
-			slot := int(d.U32())
-			value := d.U64()
-			cnt := int(d.U32())
-			if err := d.Err(); err != nil {
-				return nil, err
-			}
-			rows := d.Raw(8*cnt, "signature index list")
-			if err := d.Err(); err != nil {
-				return nil, err
-			}
-			if len(backing)+cnt > total {
-				return nil, fmt.Errorf("approxsel: signature index list %d overruns its table", ki)
-			}
-			start := len(backing)
-			for j := 0; j < cnt; j++ {
-				rec := binary.LittleEndian.Uint32(rows[8*j:])
-				word := binary.LittleEndian.Uint32(rows[8*j+4:])
-				if rec >= uint32(nrec) {
-					return nil, fmt.Errorf("approxsel: signature index record %d out of range", rec)
-				}
-				backing = append(backing, WordRef{Rec: int(rec), Word: int(int32(word))})
-			}
-			l.SigIndex[SigKey{Slot: slot, Value: value}] = backing[start:len(backing):len(backing)]
+		l.SigKeys = make([]SigKey, 0, nKeys)
+		if l.SigIndex, err = l.decodeRefs(d, nKeys, total, "signature index", func() {
+			l.SigKeys = append(l.SigKeys, SigKey{Slot: int(d.U32()), Value: d.U64()})
+		}); err != nil {
+			return nil, err
+		}
+		if !slices.IsSortedFunc(l.SigKeys, compareSigKeys) {
+			return nil, fmt.Errorf("approxsel: signature index out of order")
 		}
 	}
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
 	return l, nil
-}
-
-// ---- small deterministic sorts ----
-
-func sortRankTF(pairs []RankTF) {
-	slices.SortFunc(pairs, func(a, b RankTF) int { return int(a.Rank) - int(b.Rank) })
-}
-
-func sortStrings(ss []string) { slices.Sort(ss) }
-
-func sortSigKeys(ks []SigKey) {
-	slices.SortFunc(ks, func(a, b SigKey) int {
-		if a.Slot != b.Slot {
-			return a.Slot - b.Slot
-		}
-		switch {
-		case a.Value < b.Value:
-			return -1
-		case a.Value > b.Value:
-			return 1
-		}
-		return 0
-	})
 }

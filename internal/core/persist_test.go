@@ -42,16 +42,30 @@ func roundTrip(t *testing.T, c *Corpus) *Corpus {
 // field — including every float table bit for bit (reflect.DeepEqual
 // distinguishes float bit patterns via ==; NaNs do not appear in the
 // tables). This is the strongest form of the persistence contract: not
-// just equal scores, but equal state.
+// just equal scores, but equal state. Weight columns derive on first use,
+// so both sides materialize every column they carry first.
 func assertSnapshotsIdentical(t *testing.T, want, got *Snapshot) {
 	t.Helper()
+	for _, s := range []*Snapshot{want, got} {
+		for _, l := range []*GramLayer{s.RawGrams, s.Grams} {
+			if l != nil {
+				l.materialize()
+				l.idfByRank() // pruning derives it on the raw layer too
+				l.Stats.Export()
+			}
+		}
+		if s.Words != nil {
+			s.Words.materialize()
+			s.Words.Stats.Export()
+		}
+	}
 	if want.Epoch != got.Epoch {
 		t.Fatalf("epoch: want %d, got %d", want.Epoch, got.Epoch)
 	}
 	if !reflect.DeepEqual(want.Records, got.Records) {
 		t.Fatalf("records differ")
 	}
-	if !reflect.DeepEqual(want.byTID, got.byTID) {
+	if !reflect.DeepEqual(want.tids, got.tids) {
 		t.Fatalf("TID index differs")
 	}
 	if (want.Grams == want.RawGrams) != (got.Grams == got.RawGrams) {
@@ -81,17 +95,13 @@ func diffGramLayer(a, b *GramLayer) string {
 		name string
 		x, y any
 	}{
-		{"Docs", a.Docs, b.Docs}, {"Counts", a.Counts, b.Counts}, {"DL", a.DL, b.DL},
-		{"rank", a.rank, b.rank}, {"TokenByRank", a.TokenByRank, b.TokenByRank},
-		{"Pairs", a.Pairs, b.Pairs}, {"IDFByRank", a.IDFByRank, b.IDFByRank},
+		{"Docs", a.Docs, b.Docs}, {"DL", a.DL, b.DL},
+		{"TokenByRank", a.TokenByRank, b.TokenByRank},
+		{"Pairs", a.Pairs, b.Pairs}, {"layers", a.layers, b.layers},
 		{"Postings", a.Postings, b.Postings},
-		{"RSByRank", a.RSByRank, b.RSByRank}, {"RSLen", a.RSLen, b.RSLen},
-		{"RSLenMin", a.RSLenMin, b.RSLenMin},
-		{"TFIDFPost", a.TFIDFPost, b.TFIDFPost}, {"TFIDFMax", a.TFIDFMax, b.TFIDFMax},
-		{"TFIDFMin", a.TFIDFMin, b.TFIDFMin},
-		{"LMPost", a.LMPost, b.LMPost}, {"LMMax", a.LMMax, b.LMMax},
-		{"LMMin", a.LMMin, b.LMMin}, {"LMSumComp", a.LMSumComp, b.LMSumComp},
-		{"LMCompMax", a.LMCompMax, b.LMCompMax}, {"TFPost", a.TFPost, b.TFPost},
+		{"idf", a.idf.v, b.idf.v}, {"RS", a.RS(), b.RS()},
+		{"TFIDF", a.TFIDF(), b.TFIDF()}, {"LM", a.LM(), b.LM()},
+		{"TFPost", a.TFPost(), b.TFPost()},
 		{"Stats", a.Stats, b.Stats},
 	}
 	for _, c := range checks {
@@ -110,13 +120,14 @@ func diffWordLayer(a, b *WordLayer) string {
 		name string
 		x, y any
 	}{
-		{"Words", a.Words, b.Words}, {"Counts", a.Counts, b.Counts},
-		{"Stats", a.Stats, b.Stats}, {"rank", a.rank, b.rank},
-		{"IDFWeights", a.IDFWeights, b.IDFWeights}, {"TFIDF", a.TFIDF, b.TFIDF},
+		{"Words", a.Words, b.Words}, {"Pairs", a.Pairs, b.Pairs},
+		{"Stats", a.Stats, b.Stats}, {"toks", a.toks, b.toks},
+		{"IDFWeights", a.IDFWeights(), b.IDFWeights()}, {"TFIDF", a.TFIDF(), b.TFIDF()},
 		{"Vocab", a.Vocab, b.Vocab}, {"VocabGrams", a.VocabGrams, b.VocabGrams},
-		{"GramSizes", a.GramSizes, b.GramSizes}, {"GramIndex", a.GramIndex, b.GramIndex},
+		{"GramKeys", a.GramKeys, b.GramKeys}, {"GramIndex", a.GramIndex, b.GramIndex},
 		{"WordOff", a.WordOff, b.WordOff}, {"WordRecOf", a.WordRecOf, b.WordRecOf},
 		{"GramSizeOf", a.GramSizeOf, b.GramSizeOf}, {"WordTotal", a.WordTotal, b.WordTotal},
+		{"SigKeys", a.SigKeys, b.SigKeys},
 		{"Sigs", a.Sigs, b.Sigs}, {"SigIndex", a.SigIndex, b.SigIndex},
 	}
 	for _, c := range checks {

@@ -12,11 +12,13 @@ import (
 
 // Cosine is the tf-idf cosine similarity predicate (§3.2.1). Its posting
 // table is parameter-free, so it lives on the shared corpus
-// (core.LayerTFIDF) and attaching costs nothing.
+// (core.LayerTFIDF): the first view to attach in an epoch derives it, every
+// later one shares it.
 type Cosine struct {
 	phases
 	recs []core.Record
 	g    *core.GramLayer
+	t    *core.PostTable
 	q    int
 }
 
@@ -30,7 +32,7 @@ func NewCosine(records []core.Record, cfg core.Config) (*Cosine, error) {
 }
 
 func attachCosine(s *core.Snapshot, cfg core.Config) *Cosine {
-	return &Cosine{recs: s.Records, g: s.Grams, q: cfg.Q}
+	return &Cosine{recs: s.Records, g: s.Grams, t: s.Grams.TFIDF(), q: cfg.Q}
 }
 
 // Name implements core.Predicate.
@@ -47,9 +49,9 @@ func (p *Cosine) plan(query string, s *core.Scratch) ([]core.Term, core.Shape) {
 	for _, rt := range p.g.OrderedKnownRankWeights(qw) {
 		terms = append(terms, core.Term{
 			Q:    qw[rt.Tok],
-			W:    p.g.TFIDFPost[rt.Rank],
-			MaxW: p.g.TFIDFMax[rt.Rank],
-			MinW: p.g.TFIDFMin[rt.Rank],
+			W:    p.t.Post[rt.Rank],
+			MaxW: p.t.Max[rt.Rank],
+			MinW: p.t.Min[rt.Rank],
 		})
 	}
 	core.OrderTermsByImpact(terms)
@@ -105,8 +107,8 @@ func attachBM25(s *core.Snapshot, cfg core.Config) *BM25 {
 	// computing it once per rank keeps the attach at two logs per distinct
 	// token instead of two per (token, record) pair.
 	rs := make([]float64, len(g.TokenByRank))
-	for r, t := range g.TokenByRank {
-		rs[r] = g.Stats.RS(t)
+	for r := range rs {
+		rs[r] = g.Stats.RSAt(int32(r))
 	}
 	avgdl := g.Stats.AvgDL()
 	for i, pairs := range g.Pairs {

@@ -70,7 +70,12 @@ func GESScore(cost, wtQ float64) float64 {
 // parameter is per-attach.
 type gesEval struct {
 	w    *core.WordLayer
+	idfw [][]float64 // idf weight of every word position
 	cins float64
+}
+
+func newGESEval(s *core.Snapshot, cfg core.Config) *gesEval {
+	return &gesEval{w: s.Words, idfw: s.Words.IDFWeights(), cins: cfg.GESCins}
 }
 
 // queryWeights returns per-position idf weights and their sum for a query's
@@ -86,7 +91,7 @@ func (g *gesEval) queryWeights(qws []string) ([]float64, float64) {
 }
 
 func (g *gesEval) score(qws []string, qWeights []float64, wtQ float64, idx int) float64 {
-	cost := GESCost(qws, qWeights, g.w.Words[idx], g.w.IDFWeights[idx], g.cins)
+	cost := GESCost(qws, qWeights, g.w.Words[idx], g.idfw[idx], g.cins)
 	return GESScore(cost, wtQ)
 }
 
@@ -109,7 +114,7 @@ func NewGES(records []core.Record, cfg core.Config) (*GES, error) {
 }
 
 func attachGES(s *core.Snapshot, cfg core.Config) *GES {
-	return &GES{recs: s.Records, ges: &gesEval{w: s.Words, cins: cfg.GESCins}}
+	return &GES{recs: s.Records, ges: newGESEval(s, cfg)}
 }
 
 // Name implements core.Predicate.
@@ -164,7 +169,7 @@ func attachGESJaccard(s *core.Snapshot, cfg core.Config) *GESJaccard {
 	return &GESJaccard{
 		recs:  s.Records,
 		w:     s.Words,
-		ges:   &gesEval{w: s.Words, cins: cfg.GESCins},
+		ges:   newGESEval(s, cfg),
 		q:     cfg.WordQ,
 		theta: cfg.GESThreshold,
 	}
@@ -196,8 +201,8 @@ func (p *GESJaccard) selectOpts(query string, opts core.SelectOptions) ([]core.M
 		grams := tokenize.Distinct(tokenize.WordQGrams(t, p.q))
 		ws.Reset(p.w.WordTotal)
 		for _, g := range grams {
-			for _, ref := range p.w.GramIndex[g] {
-				ws.Add(p.w.WordOff[ref.Rec]+int32(ref.Word), 1)
+			for _, wid := range p.w.GramRefs(g) {
+				ws.Add(wid, 1)
 			}
 		}
 		for _, wid := range ws.Touched() {
@@ -219,15 +224,19 @@ func (p *GESJaccard) selectOpts(query string, opts core.SelectOptions) ([]core.M
 func gesVerifyCandidates(recs []core.Record, w *core.WordLayer, ges *gesEval, q int, theta float64, rs *core.Scratch, distinctQ []string, qws []string, qWeights []float64, wtQ float64, opts core.SelectOptions) []core.Match {
 	dq := 1 - 1.0/float64(q)
 	twoOverQ := 2.0 / float64(q)
+	idf := make([]float64, len(distinctQ))
+	for qi, t := range distinctQ {
+		idf[qi] = w.Stats.IDF(t)
+	}
 	out := make([]core.Match, 0, len(rs.Touched()))
 	for _, rec := range rs.Touched() {
 		ms := rs.RowFor(rec, len(distinctQ))
 		score := 0.0
-		for qi, t := range distinctQ {
+		for qi := range distinctQ {
 			if ms[qi] == 0 {
 				continue
 			}
-			score += w.Stats.IDF(t) * (twoOverQ*ms[qi] + dq)
+			score += idf[qi] * (twoOverQ*ms[qi] + dq)
 		}
 		score = (1.0 / wtQ) * score // match the SQL plan's association order
 		if score >= theta {
@@ -259,18 +268,19 @@ func (p *GESJaccard) selectNaive(query string, opts core.SelectOptions) ([]core.
 	distinctQ := tokenize.Distinct(qws)
 	for qi, t := range distinctQ {
 		grams := tokenize.Distinct(tokenize.WordQGrams(t, p.q))
-		common := map[core.WordRef]int{}
+		common := map[int32]int{}
 		for _, g := range grams {
-			for _, ref := range p.w.GramIndex[g] {
-				common[ref]++
+			for _, wid := range p.w.GramRefs(g) {
+				common[wid]++
 			}
 		}
-		for ref, c := range common {
-			jac := float64(c) / float64(len(grams)+p.w.GramSizes[ref.Rec][ref.Word]-c)
-			ms, ok := maxsim[ref.Rec]
+		for wid, c := range common {
+			jac := float64(c) / float64(len(grams)+int(p.w.GramSizeOf[wid])-c)
+			rec := int(p.w.WordRecOf[wid])
+			ms, ok := maxsim[rec]
 			if !ok {
 				ms = make([]float64, len(distinctQ))
-				maxsim[ref.Rec] = ms
+				maxsim[rec] = ms
 			}
 			if jac > ms[qi] {
 				ms[qi] = jac
@@ -323,7 +333,7 @@ func attachGESapx(s *core.Snapshot, cfg core.Config) *GESapx {
 	return &GESapx{
 		recs:   s.Records,
 		w:      s.Words,
-		ges:    &gesEval{w: s.Words, cins: cfg.GESCins},
+		ges:    newGESEval(s, cfg),
 		family: minhash.NewFamily(cfg.MinHashSize(), cfg.MinHashSeed),
 		q:      cfg.WordQ,
 		theta:  cfg.GESThreshold,
@@ -355,8 +365,8 @@ func (p *GESapx) selectOpts(query string, opts core.SelectOptions) ([]core.Match
 		sig := p.family.Signature(tokenize.Distinct(tokenize.WordQGrams(t, p.q)))
 		ws.Reset(p.w.WordTotal)
 		for slot, v := range sig {
-			for _, ref := range p.w.SigIndex[core.SigKey{Slot: slot, Value: v}] {
-				ws.Add(p.w.WordOff[ref.Rec]+int32(ref.Word), 1)
+			for _, wid := range p.w.SigRefs(core.SigKey{Slot: slot, Value: v}) {
+				ws.Add(wid, 1)
 			}
 		}
 		for _, wid := range ws.Touched() {
@@ -388,18 +398,19 @@ func (p *GESapx) selectNaive(query string, opts core.SelectOptions) ([]core.Matc
 	distinctQ := tokenize.Distinct(qws)
 	for qi, t := range distinctQ {
 		sig := p.family.Signature(tokenize.Distinct(tokenize.WordQGrams(t, p.q)))
-		matchCount := map[core.WordRef]int{}
+		matchCount := map[int32]int{}
 		for slot, v := range sig {
-			for _, ref := range p.w.SigIndex[core.SigKey{Slot: slot, Value: v}] {
-				matchCount[ref]++
+			for _, wid := range p.w.SigRefs(core.SigKey{Slot: slot, Value: v}) {
+				matchCount[wid]++
 			}
 		}
-		for ref, c := range matchCount {
+		for wid, c := range matchCount {
 			sim := float64(c) / k
-			ms, ok := maxsim[ref.Rec]
+			rec := int(p.w.WordRecOf[wid])
+			ms, ok := maxsim[rec]
 			if !ok {
 				ms = make([]float64, len(distinctQ))
-				maxsim[ref.Rec] = ms
+				maxsim[rec] = ms
 			}
 			if sim > ms[qi] {
 				ms[qi] = sim
@@ -432,6 +443,7 @@ type SoftTFIDF struct {
 	phases
 	recs  []core.Record
 	w     *core.WordLayer
+	tfidf [][]float64 // normalized tf-idf weight of every word position
 	theta float64
 }
 
@@ -445,7 +457,7 @@ func NewSoftTFIDF(records []core.Record, cfg core.Config) (*SoftTFIDF, error) {
 }
 
 func attachSoftTFIDF(s *core.Snapshot, cfg core.Config) *SoftTFIDF {
-	return &SoftTFIDF{recs: s.Records, w: s.Words, theta: cfg.SoftTFIDFTheta}
+	return &SoftTFIDF{recs: s.Records, w: s.Words, tfidf: s.Words.TFIDF(), theta: cfg.SoftTFIDFTheta}
 }
 
 // Name implements core.Predicate.
@@ -497,9 +509,9 @@ func (p *SoftTFIDF) scoreRecord(i int, ordered []string, qw map[string]float64, 
 		}
 		matched = true
 		qtf := float64(qcounts[t])
-		for _, r := range recWords {
+		for j, r := range recWords {
 			if strutil.JaroWinkler(t, r) == maxsim {
-				total += qtf * wq * p.w.TFIDF[i][r] * maxsim
+				total += qtf * wq * p.tfidf[i][j] * maxsim
 			}
 		}
 	}

@@ -21,7 +21,10 @@ import (
 type EditDistance struct {
 	phases
 	recs []core.Record
-	raw  *core.GramLayer // unpruned layer: TFPost + rank lookups
+	raw  *core.GramLayer // unpruned layer: rank lookups
+	// tfPost is the raw layer's gram-frequency posting table, the record
+	// side of the count filter (unused by the positional variant).
+	tfPost [][]core.WPost
 	// posIndex maps gram → per-record sorted start positions, built when
 	// the positional filter is enabled.
 	posIndex   map[string][]posPost
@@ -59,7 +62,9 @@ func attachEditDistance(s *core.Snapshot, cfg core.Config) *EditDistance {
 		norm:       s.Norms,
 		grams:      raw.DL,
 	}
-	if p.positional {
+	if !p.positional {
+		p.tfPost = raw.TFPost()
+	} else {
 		// The corpus's gram slice is in occurrence order, so position j of
 		// Docs[i] is the j-th gram start — no re-tokenization needed.
 		p.posIndex = make(map[string][]posPost)
@@ -166,7 +171,7 @@ func (p *EditDistance) selectOpts(query string, opts core.SelectOptions) ([]core
 			if !ok {
 				continue
 			}
-			for _, post := range p.raw.TFPost[r] {
+			for _, post := range p.tfPost[r] {
 				m := int(post.W)
 				if qtf < m {
 					m = qtf
@@ -262,7 +267,7 @@ func (p *EditDistance) selectNaive(query string, opts core.SelectOptions) ([]cor
 			if !ok {
 				continue
 			}
-			for _, post := range p.raw.TFPost[r] {
+			for _, post := range p.tfPost[r] {
 				m := int(post.W)
 				if qtf < m {
 					m = qtf

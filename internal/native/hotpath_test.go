@@ -300,3 +300,40 @@ func BenchmarkSelectHotPath(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFirstReadAfterWrite measures what the first read of each
+// predicate pays after a single-record write: the view re-attaches to the
+// new snapshot — deriving whatever shared weight column it reads, which a
+// write no longer builds — and answers one query. This is where the cost
+// that left the write path went; it must stay visible.
+func BenchmarkFirstReadAfterWrite(b *testing.B) {
+	c, records, cfg := hotPathCorpus(b, 2000, 11)
+	query := records[len(records)/2].Text
+	opts := core.SelectOptions{Limit: 10}
+	ctx := context.Background()
+	extra := core.Record{TID: 1 << 30, Text: records[7].Text + " appended"}
+	for _, name := range core.PredicateNames {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				b.StopTimer()
+				if err := c.Insert(extra); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				p, err := Attach(name, c, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := p.(core.ContextPredicate).SelectCtx(ctx, query, opts); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if err := c.Delete(extra.TID); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}

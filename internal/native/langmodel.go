@@ -19,6 +19,7 @@ type LM struct {
 	phases
 	recs []core.Record
 	g    *core.GramLayer
+	t    *core.LMTable
 	q    int
 }
 
@@ -32,7 +33,7 @@ func NewLM(records []core.Record, cfg core.Config) (*LM, error) {
 }
 
 func attachLM(s *core.Snapshot, cfg core.Config) *LM {
-	return &LM{recs: s.Records, g: s.Grams, q: cfg.Q}
+	return &LM{recs: s.Records, g: s.Grams, t: s.Grams.LM(), q: cfg.Q}
 }
 
 // Name implements core.Predicate.
@@ -48,15 +49,15 @@ func (p *LM) plan(query string, s *core.Scratch) ([]core.Term, core.Shape) {
 	for _, rt := range p.g.OrderedKnownRanks(qcounts) {
 		terms = append(terms, core.Term{
 			Q:    float64(qcounts[rt.Tok]),
-			W:    p.g.LMPost[rt.Rank],
-			MaxW: p.g.LMMax[rt.Rank],
-			MinW: p.g.LMMin[rt.Rank],
+			W:    p.t.Post[rt.Rank],
+			MaxW: p.t.Max[rt.Rank],
+			MinW: p.t.Min[rt.Rank],
 		})
 	}
 	core.OrderTermsByImpact(terms)
 	return terms, core.Shape{
-		Comp:    p.g.LMSumComp,
-		CompMax: p.g.LMCompMax,
+		Comp:    p.t.SumComp,
+		CompMax: p.t.CompMax,
 		Exp:     true,
 	}
 }
@@ -103,8 +104,8 @@ func attachHMM(s *core.Snapshot, cfg core.Config) *HMM {
 	p := &HMM{recs: s.Records, g: g, q: cfg.Q, postings: g.RankTable()}
 	// P(t|GE) = cf/cs is per token, not per posting.
 	cfcs := make([]float64, len(g.TokenByRank))
-	for r, t := range g.TokenByRank {
-		cfcs[r] = g.Stats.CFCS(t)
+	for r := range cfcs {
+		cfcs[r] = g.Stats.CFCSAt(int32(r))
 	}
 	a0 := cfg.HMMA0
 	a1 := 1 - a0

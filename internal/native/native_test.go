@@ -469,6 +469,36 @@ func TestPreprocessPhasesReported(t *testing.T) {
 	}
 }
 
+// TestWeightPhaseCoversDerivedColumns: the shared weight tables derive on
+// first use, so the cost moved out of corpus assembly — and must show up in
+// the weight phase of the predicate whose attach asked for the column, not
+// vanish. Tokenization stays the corpus's one shared pass.
+func TestWeightPhaseCoversDerivedColumns(t *testing.T) {
+	c, _, cfg := hotPathCorpus(t, 400, 3)
+	snap := c.Snapshot()
+	for _, name := range []string{"Cosine", "LM"} {
+		p, err := Attach(name, c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tok, w := p.(core.Phased).PreprocessPhases()
+		if tok != snap.TokDur {
+			t.Errorf("%s: tokenization phase %v, the corpus pass took %v", name, tok, snap.TokDur)
+		}
+		if w <= snap.WeightDur {
+			t.Errorf("%s: weight phase %v does not include deriving its table (assembly alone took %v)", name, w, snap.WeightDur)
+		}
+		// A second view finds the column derived and pays next to nothing.
+		again, err := Attach(name, c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, w2 := again.(core.Phased).PreprocessPhases(); w2 >= w {
+			t.Errorf("%s: second attach weight phase %v, first %v: the column was derived twice", name, w2, w)
+		}
+	}
+}
+
 func TestHMMWeightsAboveOneGiveMonotoneScores(t *testing.T) {
 	// A record sharing strictly more tokens with the query scores higher.
 	records := []core.Record{

@@ -11,8 +11,8 @@ import (
 // query-token iteration plus the posting probe that follows it. The
 // historical path re-sorted the query's token strings on every Select and
 // probed a string-keyed posting map per token; the corpus-backed path
-// looks up each token's precomputed rank once, sorts small ints, and
-// indexes posting slices directly.
+// finds each token's rank in the sorted token table once, sorts small
+// ints, and indexes posting slices directly.
 func BenchmarkQueryTokenOrder(b *testing.B) {
 	titles := makeTitles(2000)
 	records := make([]core.Record, len(titles))
@@ -24,10 +24,11 @@ func BenchmarkQueryTokenOrder(b *testing.B) {
 		b.Fatal(err)
 	}
 	layer := c.Snapshot().Grams
+	tfidf := layer.TFIDF().Post
 	// The pre-corpus architecture: a string-keyed posting map.
 	strPost := make(map[string][]core.WPost, len(layer.TokenByRank))
 	for r, t := range layer.TokenByRank {
-		strPost[t] = layer.TFIDFPost[r]
+		strPost[t] = tfidf[r]
 	}
 	queries := make([]map[string]int, 64)
 	for i := range queries {
@@ -49,7 +50,7 @@ func BenchmarkQueryTokenOrder(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			total := 0
 			for _, rt := range layer.OrderedKnownRanks(queries[i%len(queries)]) {
-				total += len(layer.TFIDFPost[rt.Rank])
+				total += len(tfidf[rt.Rank])
 			}
 			if total == 0 {
 				b.Fatal("no postings")

@@ -87,9 +87,9 @@ func NewJaccard(records []core.Record, cfg core.Config) (*Jaccard, error) {
 
 func attachJaccard(s *core.Snapshot, cfg core.Config) *Jaccard {
 	p := &Jaccard{recs: s.Records, g: s.Grams, q: cfg.Q}
-	p.setLen = make([]float64, len(s.Grams.Counts))
-	for i, counts := range s.Grams.Counts {
-		p.setLen[i] = float64(len(counts))
+	p.setLen = make([]float64, len(s.Grams.Pairs))
+	for i, pairs := range s.Grams.Pairs {
+		p.setLen[i] = float64(len(pairs))
 		if i == 0 || p.setLen[i] < p.minLen {
 			p.minLen = p.setLen[i]
 		}
@@ -140,6 +140,7 @@ type WeightedMatch struct {
 	phases
 	recs []core.Record
 	g    *core.GramLayer
+	rs   *core.RSTable
 	q    int
 }
 
@@ -153,7 +154,7 @@ func NewWeightedMatch(records []core.Record, cfg core.Config) (*WeightedMatch, e
 }
 
 func attachWeightedMatch(s *core.Snapshot, cfg core.Config) *WeightedMatch {
-	return &WeightedMatch{recs: s.Records, g: s.Grams, q: cfg.Q}
+	return &WeightedMatch{recs: s.Records, g: s.Grams, rs: s.Grams.RS(), q: cfg.Q}
 }
 
 // Name implements core.Predicate.
@@ -166,7 +167,7 @@ func (p *WeightedMatch) plan(query string, s *core.Scratch) ([]core.Term, core.S
 	qset := tokenize.Counts(tokenize.QGrams(query, p.q))
 	terms := s.TermBuf()
 	for _, rt := range p.g.OrderedKnownRanks(qset) {
-		terms = append(terms, core.Term{Q: p.g.RSByRank[rt.Rank], Ids: p.g.Postings[rt.Rank]})
+		terms = append(terms, core.Term{Q: p.rs.ByRank[rt.Rank], Ids: p.g.Postings[rt.Rank]})
 	}
 	core.OrderTermsByImpact(terms)
 	return terms, core.Shape{}
@@ -191,6 +192,7 @@ type WeightedJaccard struct {
 	phases
 	recs []core.Record
 	g    *core.GramLayer
+	rs   *core.RSTable
 	q    int
 }
 
@@ -205,8 +207,8 @@ func NewWeightedJaccard(records []core.Record, cfg core.Config) (*WeightedJaccar
 
 func attachWeightedJaccard(s *core.Snapshot, cfg core.Config) *WeightedJaccard {
 	// The union denominator Σ RS over each record's distinct tokens is the
-	// corpus's RSLen column — shared state, nothing to build here.
-	return &WeightedJaccard{recs: s.Records, g: s.Grams, q: cfg.Q}
+	// corpus's RS length column — shared state, derived once per snapshot.
+	return &WeightedJaccard{recs: s.Records, g: s.Grams, rs: s.Grams.RS(), q: cfg.Q}
 }
 
 // Name implements core.Predicate.
@@ -225,14 +227,14 @@ func (p *WeightedJaccard) plan(query string, s *core.Scratch) ([]core.Term, core
 	qlen := 0.0
 	terms := s.TermBuf()
 	for _, rt := range known {
-		w := p.g.RSByRank[rt.Rank]
+		w := p.rs.ByRank[rt.Rank]
 		qlen += w
 		terms = append(terms, core.Term{Q: w, Ids: p.g.Postings[rt.Rank]})
 	}
 	core.OrderTermsByImpact(terms)
 	return terms, core.Shape{
-		Den:    p.g.RSLen,
-		DenMin: p.g.RSLenMin,
+		Den:    p.rs.Len,
+		DenMin: p.rs.LenMin,
 		QSide:  qlen,
 	}
 }

@@ -225,20 +225,32 @@ func (h *corpusHandle) awaitEpochs(ctx context.Context, min []uint64) error {
 	if len(min) == 0 {
 		return nil
 	}
-	for {
-		e := h.sc.Epochs()
-		if len(min) != len(e) {
-			return fmt.Errorf("server: min_epochs has %d entries, corpus %q has %d shards", len(min), h.name, len(e))
-		}
-		if vectorCovers(e, min) {
-			return nil
-		}
+	var e []uint64
+	caughtUp := pollUntil(ctx, func() bool {
+		e = h.sc.Epochs()
+		return len(min) != len(e) || vectorCovers(e, min)
+	})
+	if len(min) != len(e) {
+		return fmt.Errorf("server: min_epochs has %d entries, corpus %q has %d shards", len(min), h.name, len(e))
+	}
+	if !caughtUp {
+		return fmt.Errorf("%w (at %v, need %v)", errStaleReplica, e, min)
+	}
+	return nil
+}
+
+// pollUntil re-evaluates ready every couple of milliseconds until it holds
+// (true) or the request deadline runs out (false): replication progress is
+// a lock-free value to watch, not an event to subscribe to.
+func pollUntil(ctx context.Context, ready func() bool) bool {
+	for !ready() {
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("%w (at %v, need %v)", errStaleReplica, e, min)
+			return false
 		case <-time.After(2 * time.Millisecond):
 		}
 	}
+	return true
 }
 
 func vectorCovers(have, need []uint64) bool {
@@ -313,7 +325,7 @@ func (s *Server) handleHash(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Realization = normRealization(req.Realization)
-	h, ph, ok := s.resolve(w, req.Corpus, req.Predicate, req.Realization)
+	h, ph, ok := s.resolve(w, r, req.Corpus, req.Predicate, req.Realization, req.MinEpochs)
 	if !ok {
 		return
 	}

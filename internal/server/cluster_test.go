@@ -13,6 +13,7 @@ import (
 	"time"
 
 	approxsel "repro"
+	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/core"
 )
@@ -52,7 +53,10 @@ func (p *lateHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.ServeHTTP(w, r)
 }
 
-func startServerCluster(t *testing.T, count, shards int) []*clusterServer {
+// startServerCluster boots count full stacks. A non-nil injector sits on
+// every peer link (transport and inbound middleware), so a test can cut a
+// member off with a chaos rule.
+func startServerCluster(t *testing.T, count, shards int, inj *chaos.Injector) []*clusterServer {
 	t.Helper()
 	root := t.TempDir()
 	nodes := make([]*clusterServer, count)
@@ -65,10 +69,18 @@ func startServerCluster(t *testing.T, count, shards int) []*clusterServer {
 		nodes[i] = &clusterServer{id: id, hs: hs, proxy: proxy}
 		peers[id] = hs.URL
 	}
+	if inj != nil {
+		inj.SetPeers(peers)
+	}
 	for i, cs := range nodes {
 		dir := filepath.Join(root, cs.id)
 		srv := New(Config{Shards: shards, DataDir: dir, RequestTimeout: 30 * time.Second})
+		var client *http.Client
+		if inj != nil {
+			client = &http.Client{Transport: inj.Transport(cs.id, &http.Transport{MaxIdleConnsPerHost: 4})}
+		}
 		node, err := cluster.NewNode(cluster.Config{
+			Client:            client,
 			ID:                cs.id,
 			Peers:             peers,
 			DataDir:           dir,
@@ -86,6 +98,9 @@ func startServerCluster(t *testing.T, count, shards int) []*clusterServer {
 		cs.s, cs.node = srv, node
 		cs.proxy.mu.Lock()
 		cs.proxy.h = srv.Handler()
+		if inj != nil {
+			cs.proxy.h = inj.Inbound(cs.id, cs.proxy.h)
+		}
 		cs.proxy.mu.Unlock()
 	}
 	for _, cs := range nodes {
@@ -218,7 +233,7 @@ func refHash(t *testing.T, ref *approxsel.ShardedCorpus, query string, vec []uin
 func TestServedClusterDifferentialAndFailover(t *testing.T) {
 	recs := serverClusterData(t)
 	const shards = 3
-	nodes := startServerCluster(t, 3, shards)
+	nodes := startServerCluster(t, 3, shards, nil)
 	leader := waitServedLeader(t, nodes, nil)
 
 	// Create the corpus at the cluster (landing on a random node: corpus
@@ -427,5 +442,98 @@ func TestResultHashCanonical(t *testing.T) {
 	}
 	if resultHash(ms, []uint64{4, 3}) == h1 {
 		t.Fatal("different vector, same hash")
+	}
+}
+
+// TestMinEpochsReadWaitsForUnknownCorpus is the read-your-writes
+// regression: corpus creation is acknowledged by a majority, so the third
+// replica may legitimately not know the corpus when a client presents the
+// epoch vector of an acked write. Such a read must wait for the replica to
+// catch up — it used to 404 in resolve before awaitEpochs ever ran. The
+// follower is held back with a chaos partition, so the lag is certain, not
+// a race.
+func TestMinEpochsReadWaitsForUnknownCorpus(t *testing.T) {
+	recs := serverClusterData(t)
+	const shards = 2
+	inj := chaos.New(1)
+	nodes := startServerCluster(t, 3, shards, inj)
+	leader := waitServedLeader(t, nodes, nil)
+	var held *clusterServer
+	for _, cs := range nodes {
+		if cs != leader {
+			held = cs
+			break
+		}
+	}
+	inj.SetRules([]chaos.Rule{{From: held.id, To: "*", Kind: chaos.KindPartition}})
+
+	code := postJSONRetry(t, leader.hs.URL, "/v1/corpora", CreateCorpusRequest{
+		Name: "c", Shards: shards, Records: toWireRecords(recs[:20]),
+	}, nil)
+	if code != http.StatusCreated && code != http.StatusOK {
+		t.Fatalf("create corpus: HTTP %d", code)
+	}
+	var mr MutateResponse
+	if code := postJSONRetry(t, leader.hs.URL, "/v1/insert", MutateRequest{Corpus: "c", Records: toWireRecords(recs[20:21])}, &mr); code != http.StatusOK {
+		t.Fatalf("insert: HTTP %d", code)
+	}
+	query := recs[20].Text
+	var want HashResponse
+	if code := postJSON(t, leader.hs.URL, "/v1/hash", HashRequest{Corpus: "c", Predicate: "Jaccard", Query: query, MinEpochs: mr.Epochs}, &want); code != http.StatusOK {
+		t.Fatalf("hash on leader: HTTP %d", code)
+	}
+
+	// Without a vector the held follower answers for what it has: nothing.
+	if code := postJSON(t, held.hs.URL, "/v1/select", SelectRequest{Corpus: "c", Predicate: "Jaccard", Query: query}, nil); code != http.StatusNotFound {
+		t.Fatalf("plain read of a corpus the replica lacks: HTTP %d, want 404", code)
+	}
+	// With the acked vector it must block until the replica has caught up.
+	before := held.s.met.requests.Value()
+	type reply struct {
+		code int
+		hr   HashResponse
+	}
+	done := make(chan reply, 1)
+	go func() {
+		var r reply
+		r.code = postJSON(t, held.hs.URL, "/v1/hash", HashRequest{Corpus: "c", Predicate: "Jaccard", Query: query, MinEpochs: mr.Epochs}, &r.hr)
+		done <- r
+	}()
+	for held.s.met.requests.Value() == before {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case r := <-done:
+		t.Fatalf("epoch-consistent read answered HTTP %d while the replica was still partitioned", r.code)
+	default:
+	}
+	inj.SetRules(nil)
+	r := <-done
+	if r.code != http.StatusOK {
+		t.Fatalf("epoch-consistent read on the healed replica: HTTP %d", r.code)
+	}
+	if r.hr.Hash != want.Hash {
+		t.Fatalf("held replica hash %s at %v, leader %s at %v", r.hr.Hash, r.hr.Epochs, want.Hash, want.Epochs)
+	}
+}
+
+// TestMinEpochsUnknownCorpusTimesOut: the wait is bounded by the request
+// deadline and ends in 504 (retry elsewhere), never in a hang or a 404.
+func TestMinEpochsUnknownCorpusTimesOut(t *testing.T) {
+	s := New(Config{RequestTimeout: 40 * time.Millisecond})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	for path, req := range map[string]any{
+		"/v1/select": SelectRequest{Corpus: "nope", Predicate: "Jaccard", Query: "q", MinEpochs: []uint64{1}},
+		"/v1/batch":  BatchRequest{Corpus: "nope", Predicate: "Jaccard", Queries: []string{"q"}, MinEpochs: []uint64{1}},
+		"/v1/hash":   HashRequest{Corpus: "nope", Predicate: "Jaccard", Query: "q", MinEpochs: []uint64{1}},
+		"/v1/join":   JoinRequest{Corpus: "nope", Predicate: "Jaccard", Theta: 0.5, MinEpochs: []uint64{1}},
+	} {
+		if code := postJSON(t, hs.URL, path, req, nil); code != http.StatusGatewayTimeout {
+			t.Errorf("%s with min_epochs on an unknown corpus: HTTP %d, want 504", path, code)
+		}
+	}
+	if code := postJSON(t, hs.URL, "/v1/select", SelectRequest{Corpus: "nope", Predicate: "Jaccard", Query: "q"}, nil); code != http.StatusNotFound {
+		t.Errorf("plain select on an unknown corpus: HTTP %d, want 404", code)
 	}
 }

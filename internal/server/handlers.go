@@ -86,6 +86,8 @@ type JoinRequest struct {
 	Realization string       `json:"realization,omitempty"`
 	Theta       float64      `json:"theta"`
 	Probe       []RecordJSON `json:"probe"`
+	// MinEpochs: see SelectRequest.
+	MinEpochs []uint64 `json:"min_epochs,omitempty"`
 }
 
 // JoinPair is the wire form of one join result.
@@ -327,13 +329,24 @@ func selectOptions(limit int, threshold *float64) (core.SelectOptions, error) {
 	return opts, nil
 }
 
-// resolve looks up the corpus and attached predicate of a request.
-func (s *Server) resolve(w http.ResponseWriter, corpus, predicate, realization string) (*corpusHandle, *predicateHandle, bool) {
+// resolve looks up the corpus and attached predicate of a request. A
+// request carrying an epoch vector got it from an acknowledged write, so a
+// corpus this replica does not know yet is replication lag, not a client
+// error — creation is acknowledged by a majority, and this may be the
+// replica outside it. Such a request waits for the corpus like it waits for
+// the epochs (awaitEpochs), bounded by the request deadline (504).
+func (s *Server) resolve(w http.ResponseWriter, r *http.Request, corpus, predicate, realization string, minEpochs []uint64) (*corpusHandle, *predicateHandle, bool) {
 	if predicate == "" {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("server: missing predicate name"))
 		return nil, nil, false
 	}
 	h, err := s.corpus(corpus)
+	if err != nil && len(minEpochs) > 0 {
+		if !pollUntil(r.Context(), func() bool { h, err = s.corpus(corpus); return err == nil }) {
+			s.fail(w, http.StatusGatewayTimeout, fmt.Errorf("%w: %v", errStaleReplica, err))
+			return nil, nil, false
+		}
+	}
 	if err != nil {
 		s.fail(w, http.StatusNotFound, err)
 		return nil, nil, false
@@ -355,7 +368,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Realization = normRealization(req.Realization)
-	h, ph, ok := s.resolve(w, req.Corpus, req.Predicate, req.Realization)
+	h, ph, ok := s.resolve(w, r, req.Corpus, req.Predicate, req.Realization, req.MinEpochs)
 	if !ok {
 		return
 	}
@@ -403,7 +416,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Realization = normRealization(req.Realization)
-	h, ph, ok := s.resolve(w, req.Corpus, req.Predicate, req.Realization)
+	h, ph, ok := s.resolve(w, r, req.Corpus, req.Predicate, req.Realization, req.MinEpochs)
 	if !ok {
 		return
 	}
@@ -515,8 +528,12 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Realization = normRealization(req.Realization)
-	h, ph, ok := s.resolve(w, req.Corpus, req.Predicate, req.Realization)
+	h, ph, ok := s.resolve(w, r, req.Corpus, req.Predicate, req.Realization, req.MinEpochs)
 	if !ok {
+		return
+	}
+	if err := h.awaitEpochs(r.Context(), req.MinEpochs); err != nil {
+		s.fail(w, epochWaitStatus(err), err)
 		return
 	}
 	ri := requestInfo(r.Context())

@@ -91,6 +91,10 @@ func newMetrics() *metrics {
 	reg.RegisterHistogram("approx_snapshot_save_us", "snapshot segment write+fsync latency", store.SnapshotSaveUS)
 	reg.RegisterHistogram("approx_snapshot_load_us", "snapshot load (decode + WAL replay scan) latency", store.SnapshotLoadUS)
 
+	// Mutation path: how long writes queue behind one another (tokenize,
+	// splice and WAL time are stage aggregates: mutate.* in /v1/stats).
+	reg.RegisterHistogram("approx_mutation_lock_wait_us", "time mutations waited for a corpus mutation lock", core.MutationLockWaitUS)
+
 	// Tracing: sampled traces since process start.
 	reg.CounterFunc("approx_traces_sampled_total", "requests traced by the sampler", obs.TracesSampled)
 

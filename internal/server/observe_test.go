@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -167,6 +168,39 @@ func TestSlowlogSpanTree(t *testing.T) {
 	}
 	if _, ok := st.Trace.Stages["shard.select"]; !ok {
 		t.Errorf("stage aggregates missing shard.select: %v", st.Trace.Stages)
+	}
+}
+
+// TestMutatePathObservable: a write's time is attributed — tokenizing the
+// delta, splicing the next snapshot, the write-ahead hook — in the stage
+// aggregates, and the wait for the mutation lock is a /metrics histogram.
+func TestMutatePathObservable(t *testing.T) {
+	defer obs.SetTraceSampling(0)
+	_, ts := newTestServer(t, Config{TraceSample: 1, DataDir: t.TempDir()}, 40)
+	before := core.MutationLockWaitUS.Snapshot().Count
+	if _, code := post[MutateResponse](t, ts, "/v1/insert", MutateRequest{Records: []RecordJSON{{TID: 9001, Text: "general electric co"}}}); code != http.StatusOK {
+		t.Fatalf("insert: status %d", code)
+	}
+	st, _ := get[Stats](t, ts, "/v1/stats")
+	for _, stage := range []string{"mutate.tokenize", "mutate.splice", "mutate.wal"} {
+		if agg, ok := st.Trace.Stages[stage]; !ok || agg.Count == 0 {
+			t.Errorf("stage aggregates missing %s: %v", stage, st.Trace.Stages)
+		}
+	}
+	if core.MutationLockWaitUS.Snapshot().Count == before {
+		t.Error("mutation lock wait not observed")
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	buf := new(bytes.Buffer)
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "# TYPE approx_mutation_lock_wait_us histogram") {
+		t.Error("/metrics missing approx_mutation_lock_wait_us")
 	}
 }
 

@@ -11,109 +11,184 @@ package weights
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 )
 
-// Corpus holds the collection statistics of a tokenized base relation.
+// RankTF is one interned token occurrence of a record: the token's rank in
+// the sorted token order and its frequency in the record.
+type RankTF struct {
+	Rank int32
+	TF   int32
+}
+
+// Corpus holds the collection statistics of a tokenized base relation,
+// indexed by token rank (position in the sorted token order). The integer
+// counters — N, cs, df, cf — are the whole state: every weight is a pure
+// function of them, so a relation that changes by a few records produces
+// its next Corpus by adjusting counters (New over spliced arrays), never by
+// recounting. The two floating-point aggregates are order-sensitive sums
+// and are derived on first use: the mean idf over the sorted tokens, and
+// the per-token Σ tf/dl that the caller's supplier sums in record order.
+// A Corpus is immutable and safe for concurrent use.
 type Corpus struct {
-	n      int            // number of records
-	df     map[string]int // records containing each token
-	cf     map[string]int // total occurrences of each token
-	cs     int            // total number of tokens in the collection
-	sumPML map[string]float64
-	avgdl  float64
-	avgIDF float64
+	n      int      // number of records
+	cs     int      // total number of tokens in the collection
+	tokens []string // distinct tokens, sorted: rank order
+	df     []int32  // records containing each token
+	cf     []int32  // total occurrences of each token
+	pml    struct {
+		once sync.Once
+		src  func() []float64
+		v    []float64
+	}
+	avg struct {
+		once sync.Once
+		v    float64
+	}
+}
+
+// New wraps rank-indexed integer counters as collection statistics. tokens
+// must be sorted and distinct, df and cf parallel to it. sumPML supplies the
+// per-rank Σ_D tf(t,D)/dl(D) sums on first use (see SumPML); nil means all
+// zero. The arrays are retained, not copied.
+func New(tokens []string, df, cf []int32, n, cs int, sumPML func() []float64) *Corpus {
+	c := &Corpus{n: n, cs: cs, tokens: tokens, df: df, cf: cf}
+	c.pml.src = sumPML
+	return c
+}
+
+// SumPML is the canonical form of the per-token Σ tf/dl aggregate: records
+// in storage order, so the float sums are the ones a fresh build produces.
+// Zero-length records contribute nothing.
+func SumPML(pairs [][]RankTF, dls []int, tokens int) []float64 {
+	sums := make([]float64, tokens)
+	for i, row := range pairs {
+		if dls[i] == 0 {
+			continue
+		}
+		dl := float64(dls[i])
+		for _, p := range row {
+			sums[p.Rank] += float64(p.TF) / dl
+		}
+	}
+	return sums
 }
 
 // Build computes corpus statistics from one token multiset per record.
 func Build(docs [][]string) *Corpus {
-	counts := make([]map[string]int, len(docs))
+	seen := map[string]struct{}{}
+	for _, doc := range docs {
+		for _, t := range doc {
+			seen[t] = struct{}{}
+		}
+	}
+	tokens := make([]string, 0, len(seen))
+	for t := range seen {
+		tokens = append(tokens, t)
+	}
+	sort.Strings(tokens)
+	c := &Corpus{n: len(docs), tokens: tokens, df: make([]int32, len(tokens)), cf: make([]int32, len(tokens))}
+	pairs := make([][]RankTF, len(docs))
 	dls := make([]int, len(docs))
 	for i, doc := range docs {
-		m := make(map[string]int, len(doc))
-		for _, t := range doc {
-			m[t]++
-		}
-		counts[i] = m
 		dls[i] = len(doc)
+		c.cs += len(doc)
+		ranks := make([]int32, len(doc))
+		for j, t := range doc {
+			ranks[j], _ = c.Rank(t)
+		}
+		pairs[i] = CountRanks(ranks)
+		for _, p := range pairs[i] {
+			c.df[p.Rank]++
+			c.cf[p.Rank] += p.TF
+		}
 	}
-	return BuildFromCounts(counts, dls)
+	c.pml.src = func() []float64 { return SumPML(pairs, dls, len(tokens)) }
+	return c
 }
 
-// BuildFromCounts computes corpus statistics from per-record token
-// frequency maps and multiset sizes. It is the maintenance path of the
-// shared corpus: after an insert or delete the statistics are recomputed
-// from the cached per-record counts without re-tokenizing any string, and
-// the result is bit-identical to Build over the same token multisets.
-func BuildFromCounts(counts []map[string]int, dls []int) *Corpus {
-	c := &Corpus{
-		df:     make(map[string]int),
-		cf:     make(map[string]int),
-		sumPML: make(map[string]float64),
-	}
-	c.n = len(counts)
-	totalDL := 0
-	for i, m := range counts {
-		dl := dls[i]
-		totalDL += dl
-		c.cs += dl
-		for t, tf := range m {
-			c.df[t]++
-			c.cf[t] += tf
-			if dl > 0 {
-				c.sumPML[t] += float64(tf) / float64(dl)
-			}
+// CountRanks folds a multiset of token ranks into rank-sorted (rank, tf)
+// pairs. It sorts ranks in place.
+func CountRanks(ranks []int32) []RankTF {
+	slices.Sort(ranks)
+	n := 0
+	for i, r := range ranks {
+		if i == 0 || r != ranks[i-1] {
+			n++
 		}
 	}
-	if c.n > 0 {
-		c.avgdl = float64(totalDL) / float64(c.n)
-	}
-	if len(c.df) > 0 {
-		// Sorted iteration keeps the average bit-deterministic across runs.
-		sum := 0.0
-		for _, t := range c.SortedTokens() {
-			sum += c.idfKnown(t)
+	pairs := make([]RankTF, 0, n)
+	for _, r := range ranks {
+		if n := len(pairs); n > 0 && pairs[n-1].Rank == r {
+			pairs[n-1].TF++
+		} else {
+			pairs = append(pairs, RankTF{Rank: r, TF: 1})
 		}
-		c.avgIDF = sum / float64(len(c.df))
 	}
-	return c
+	return pairs
 }
 
 // SortedTokens returns every distinct token of the base relation in sorted
 // order — the canonical iteration order used wherever floating-point sums
-// must be bit-deterministic.
-func (c *Corpus) SortedTokens() []string {
-	tokens := make([]string, 0, len(c.df))
-	for t := range c.df {
-		tokens = append(tokens, t)
-	}
-	sort.Strings(tokens)
-	return tokens
+// must be bit-deterministic, and the order ranks index. The slice is shared
+// and must not be modified.
+func (c *Corpus) SortedTokens() []string { return c.tokens }
+
+// Rank returns the position of a token in the sorted token order, or false
+// for tokens absent from the base relation.
+func (c *Corpus) Rank(token string) (int32, bool) {
+	i, ok := slices.BinarySearch(c.tokens, token)
+	return int32(i), ok
 }
 
 // NumRecords returns N, the number of records in the base relation.
 func (c *Corpus) NumRecords() int { return c.n }
 
 // DF returns the document frequency of a token (records containing it).
-func (c *Corpus) DF(token string) int { return c.df[token] }
+func (c *Corpus) DF(token string) int {
+	if r, ok := c.Rank(token); ok {
+		return int(c.df[r])
+	}
+	return 0
+}
 
 // CF returns the collection frequency of a token (total occurrences).
-func (c *Corpus) CF(token string) int { return c.cf[token] }
+func (c *Corpus) CF(token string) int {
+	if r, ok := c.Rank(token); ok {
+		return int(c.cf[r])
+	}
+	return 0
+}
+
+// DFs and CFs expose the rank-indexed counter columns (read-only).
+func (c *Corpus) DFs() []int32 { return c.df }
+func (c *Corpus) CFs() []int32 { return c.cf }
 
 // CS returns the raw collection size: the total number of tokens.
 func (c *Corpus) CS() int { return c.cs }
 
 // AvgDL returns the average number of tokens per record.
-func (c *Corpus) AvgDL() float64 { return c.avgdl }
+func (c *Corpus) AvgDL() float64 {
+	if c.n == 0 {
+		return 0
+	}
+	return float64(c.cs) / float64(c.n)
+}
 
 // Known reports whether the token occurs anywhere in the base relation.
-func (c *Corpus) Known(token string) bool { return c.df[token] > 0 }
+func (c *Corpus) Known(token string) bool {
+	_, ok := c.Rank(token)
+	return ok
+}
 
 // Tokens returns the number of distinct tokens in the corpus.
-func (c *Corpus) Tokens() int { return len(c.df) }
+func (c *Corpus) Tokens() int { return len(c.tokens) }
 
-func (c *Corpus) idfKnown(token string) float64 {
-	return math.Log(float64(c.n)) - math.Log(float64(c.df[token]))
+// IDFAt is the idf of the token at rank r: log(N) − log(df).
+func (c *Corpus) IDFAt(r int32) float64 {
+	return math.Log(float64(c.n)) - math.Log(float64(c.df[r]))
 }
 
 // IDF returns the inverse document frequency weight used by the tf-idf and
@@ -121,15 +196,31 @@ func (c *Corpus) idfKnown(token string) float64 {
 // relation receive the average idf over all known tokens, the paper's
 // convention for unseen query tokens (§4.5).
 func (c *Corpus) IDF(token string) float64 {
-	if c.df[token] == 0 {
-		return c.avgIDF
+	if r, ok := c.Rank(token); ok {
+		return c.IDFAt(r)
 	}
-	return c.idfKnown(token)
+	return c.AvgIDF()
 }
 
 // AvgIDF returns the mean idf over all tokens of the base relation, the
-// weight assigned to unseen query tokens.
-func (c *Corpus) AvgIDF() float64 { return c.avgIDF }
+// weight assigned to unseen query tokens. Summed in sorted-token order on
+// first use, so the average is bit-deterministic.
+func (c *Corpus) AvgIDF() float64 {
+	c.avg.once.Do(func() {
+		if len(c.tokens) == 0 {
+			return
+		}
+		sum := 0.0
+		for r := range c.tokens {
+			sum += c.IDFAt(int32(r))
+		}
+		c.avg.v = sum / float64(len(c.tokens))
+	})
+	return c.avg.v
+}
+
+// RSAt is the RS weight of the token at rank r (see RS).
+func (c *Corpus) RSAt(r int32) float64 { return c.rs(float64(c.df[r])) }
 
 // RS returns the modified Robertson–Sparck Jones weight of Eq. 3.5:
 //
@@ -138,20 +229,43 @@ func (c *Corpus) AvgIDF() float64 { return c.avgIDF }
 // This is the weighting scheme the paper selects for the weighted overlap
 // predicates (§5.3.1) and the idf part of BM25. It can be negative for
 // tokens occurring in more than half the records.
-func (c *Corpus) RS(token string) float64 {
-	nt := float64(c.df[token])
+func (c *Corpus) RS(token string) float64 { return c.rs(float64(c.DF(token))) }
+
+func (c *Corpus) rs(nt float64) float64 {
 	n := float64(c.n)
 	return math.Log(n-nt+0.5) - math.Log(nt+0.5)
 }
 
+// sumPML returns the per-rank Σ tf/dl column, asking the supplier once.
+func (c *Corpus) sumPML() []float64 {
+	c.pml.once.Do(func() {
+		if c.pml.src == nil {
+			c.pml.v = make([]float64, len(c.tokens))
+			return
+		}
+		c.pml.v, c.pml.src = c.pml.src(), nil
+	})
+	return c.pml.v
+}
+
+// PavgAt is Pavg of the token at rank r.
+func (c *Corpus) PavgAt(r int32) float64 { return c.sumPML()[r] / float64(c.df[r]) }
+
 // Pavg returns the mean probability of the token in the records containing
 // it (Eq. 3.8); zero for unseen tokens.
 func (c *Corpus) Pavg(token string) float64 {
-	df := c.df[token]
-	if df == 0 {
+	if r, ok := c.Rank(token); ok {
+		return c.PavgAt(r)
+	}
+	return 0
+}
+
+// CFCSAt is CFCS of the token at rank r.
+func (c *Corpus) CFCSAt(r int32) float64 {
+	if c.cs == 0 {
 		return 0
 	}
-	return c.sumPML[token] / float64(df)
+	return float64(c.cf[r]) / float64(c.cs)
 }
 
 // CFCS returns cf_t/cs, the background probability of a token (Eq. 3.7's
@@ -160,7 +274,7 @@ func (c *Corpus) CFCS(token string) float64 {
 	if c.cs == 0 {
 		return 0
 	}
-	return float64(c.cf[token]) / float64(c.cs)
+	return float64(c.CF(token)) / float64(c.cs)
 }
 
 // TFIDF computes the normalized tf-idf weights of one record (§3.2.1):
@@ -171,27 +285,28 @@ func (c *Corpus) CFCS(token string) float64 {
 // BASE_IDF; unknown tokens would otherwise distort the norm relative to the
 // declarative realization.
 func (c *Corpus) TFIDF(counts map[string]int) map[string]float64 {
-	// Iterate tokens in sorted order so the float norm (and therefore every
-	// weight) is bit-identical across calls regardless of map order.
-	tokens := make([]string, 0, len(counts))
-	for t := range counts {
-		if c.Known(t) {
-			tokens = append(tokens, t)
+	// Iterate tokens in rank (= sorted) order so the float norm (and
+	// therefore every weight) is bit-identical across calls regardless of
+	// map order.
+	known := make([]RankTF, 0, len(counts))
+	for t, tf := range counts {
+		if r, ok := c.Rank(t); ok {
+			known = append(known, RankTF{Rank: r, TF: int32(tf)})
 		}
 	}
-	sort.Strings(tokens)
+	slices.SortFunc(known, func(a, b RankTF) int { return int(a.Rank) - int(b.Rank) })
 	norm := 0.0
-	for _, t := range tokens {
-		w := float64(counts[t]) * c.idfKnown(t)
+	for _, p := range known {
+		w := float64(p.TF) * c.IDFAt(p.Rank)
 		norm += w * w
 	}
-	out := make(map[string]float64, len(tokens))
+	out := make(map[string]float64, len(known))
 	if norm == 0 {
 		return out
 	}
 	norm = math.Sqrt(norm)
-	for _, t := range tokens {
-		out[t] = float64(counts[t]) * c.idfKnown(t) / norm
+	for _, p := range known {
+		out[c.tokens[p.Rank]] = float64(p.TF) * c.IDFAt(p.Rank) / norm
 	}
 	return out
 }
@@ -199,9 +314,7 @@ func (c *Corpus) TFIDF(counts map[string]int) map[string]float64 {
 // ---- persistence ----
 
 // StatsData is the flat, rank-indexed form of a Corpus used by the
-// persistence layer: every map keyed by position in the sorted token order
-// (the same order SortedTokens returns), so a statistics table serializes
-// as three arrays instead of string-keyed maps.
+// persistence layer: three arrays in sorted token order plus the scalars.
 type StatsData struct {
 	N      int
 	CS     int
@@ -212,49 +325,41 @@ type StatsData struct {
 	SumPML []float64
 }
 
-// Export flattens the corpus statistics over the given token order, which
-// must be exactly SortedTokens() of this corpus.
-func (c *Corpus) Export(tokens []string) StatsData {
+// Export flattens the corpus statistics, materializing both float
+// aggregates.
+func (c *Corpus) Export() StatsData {
 	d := StatsData{
 		N:      c.n,
 		CS:     c.cs,
-		AvgDL:  c.avgdl,
-		AvgIDF: c.avgIDF,
-		DF:     make([]int64, len(tokens)),
-		CF:     make([]int64, len(tokens)),
-		SumPML: make([]float64, len(tokens)),
+		AvgDL:  c.AvgDL(),
+		AvgIDF: c.AvgIDF(),
+		DF:     make([]int64, len(c.tokens)),
+		CF:     make([]int64, len(c.tokens)),
+		SumPML: c.sumPML(),
 	}
-	for i, t := range tokens {
-		d.DF[i] = int64(c.df[t])
-		d.CF[i] = int64(c.cf[t])
-		d.SumPML[i] = c.sumPML[t]
+	for i := range c.tokens {
+		d.DF[i] = int64(c.df[i])
+		d.CF[i] = int64(c.cf[i])
 	}
 	return d
 }
 
-// FromData rebuilds a Corpus from its flat form. The scalar statistics
-// (including the float averages) are restored bit-exactly from the data
-// rather than recomputed, so a restored corpus answers every weight lookup
-// with the same bits as the corpus Export flattened.
+// FromData rebuilds a Corpus from its flat form. The float aggregates are
+// restored bit-exactly from the data rather than recomputed, so a restored
+// corpus answers every weight lookup with the same bits as the corpus
+// Export flattened.
 func FromData(tokens []string, d StatsData) (*Corpus, error) {
 	if len(d.DF) != len(tokens) || len(d.CF) != len(tokens) || len(d.SumPML) != len(tokens) {
 		return nil, fmt.Errorf("weights: stats arrays (%d/%d/%d entries) do not match %d tokens",
 			len(d.DF), len(d.CF), len(d.SumPML), len(tokens))
 	}
-	c := &Corpus{
-		n:      d.N,
-		cs:     d.CS,
-		avgdl:  d.AvgDL,
-		avgIDF: d.AvgIDF,
-		df:     make(map[string]int, len(tokens)),
-		cf:     make(map[string]int, len(tokens)),
-		sumPML: make(map[string]float64, len(tokens)),
+	c := &Corpus{n: d.N, cs: d.CS, tokens: tokens, df: make([]int32, len(tokens)), cf: make([]int32, len(tokens))}
+	for i := range tokens {
+		c.df[i] = int32(d.DF[i])
+		c.cf[i] = int32(d.CF[i])
 	}
-	for i, t := range tokens {
-		c.df[t] = int(d.DF[i])
-		c.cf[t] = int(d.CF[i])
-		c.sumPML[t] = d.SumPML[i]
-	}
+	c.pml.once.Do(func() { c.pml.v = d.SumPML })
+	c.avg.once.Do(func() { c.avg.v = d.AvgIDF })
 	return c, nil
 }
 
@@ -275,7 +380,7 @@ func DefaultBM25() BM25Params { return BM25Params{K1: 1.5, K3: 8, B: 0.675} }
 //	w_d(t,D) = w(1)(t) · (k1+1)·tf / (K(D) + tf)
 //	K(D)     = k1·((1−b) + b·|D|/avgdl)
 func (c *Corpus) BM25Doc(counts map[string]int, dl int, p BM25Params) map[string]float64 {
-	kd := p.K1 * ((1 - p.B) + p.B*float64(dl)/c.avgdl)
+	kd := p.K1 * ((1 - p.B) + p.B*float64(dl)/c.AvgDL())
 	out := make(map[string]float64, len(counts))
 	for t, tf := range counts {
 		tff := float64(tf)

@@ -256,3 +256,45 @@ func TestPropertyRSMonotoneInDF(t *testing.T) {
 		prev = rs
 	}
 }
+
+// TestNewOverCountersMatchesBuild: a Corpus is nothing but its integer
+// counters — wrapping the counters of a built corpus (the path incremental
+// maintenance takes) must answer every weight with the same bits, float
+// aggregates included, and survive the flat persistence form.
+func TestNewOverCountersMatchesBuild(t *testing.T) {
+	docs := [][]string{{"a", "b", "b"}, {"a", "c"}, {}, {"d"}, {"a", "b", "c", "d"}}
+	built := Build(docs)
+	tokens := built.SortedTokens()
+	pairs := make([][]RankTF, len(docs))
+	dls := make([]int, len(docs))
+	for i, doc := range docs {
+		ranks := make([]int32, len(doc))
+		for j, tok := range doc {
+			ranks[j], _ = built.Rank(tok)
+		}
+		pairs[i], dls[i] = CountRanks(ranks), len(doc)
+	}
+	wrapped := New(tokens, built.DFs(), built.CFs(), built.NumRecords(), built.CS(),
+		func() []float64 { return SumPML(pairs, dls, len(tokens)) })
+	restored, err := FromData(tokens, built.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Corpus{wrapped, restored} {
+		if c.AvgDL() != built.AvgDL() || c.AvgIDF() != built.AvgIDF() {
+			t.Fatalf("aggregates differ: avgdl %v/%v avgidf %v/%v", c.AvgDL(), built.AvgDL(), c.AvgIDF(), built.AvgIDF())
+		}
+		for _, tok := range append([]string{"zz"}, tokens...) {
+			if c.IDF(tok) != built.IDF(tok) || c.RS(tok) != built.RS(tok) ||
+				c.Pavg(tok) != built.Pavg(tok) || c.CFCS(tok) != built.CFCS(tok) {
+				t.Fatalf("weights of %q differ", tok)
+			}
+		}
+	}
+	if r, ok := built.Rank("c"); !ok || r != 2 {
+		t.Fatalf("rank(c) = %d, %v", r, ok)
+	}
+	if _, ok := built.Rank("zz"); ok {
+		t.Fatal("unknown token has a rank")
+	}
+}
