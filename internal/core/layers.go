@@ -561,6 +561,7 @@ type WordLayer struct {
 	SigIndex [][]int32
 
 	layers CorpusLayers
+	pos    lazy[[][]int32]
 	idf    lazy[[][]float64]
 	tfidf  lazy[[][]float64]
 }
@@ -714,11 +715,11 @@ func (l *WordLayer) OrderedKnownWeights(w map[string]float64) []string {
 	return out
 }
 
-// wordColumns allocates one zeroed float per word position, every record's
+// wordColumns allocates one zeroed value per word position, every record's
 // column carved from a single backing array.
-func (l *WordLayer) wordColumns() [][]float64 {
-	backing := make([]float64, l.Stats.CS())
-	out := make([][]float64, len(l.Words))
+func wordColumns[T any](l *WordLayer) [][]T {
+	backing := make([]T, l.Stats.CS())
+	out := make([][]T, len(l.Words))
 	off := 0
 	for i, ws := range l.Words {
 		out[i] = backing[off : off+len(ws) : off+len(ws)]
@@ -727,9 +728,22 @@ func (l *WordLayer) wordColumns() [][]float64 {
 	return out
 }
 
-// pairOf returns the interned pair of record i's j-th word.
-func (l *WordLayer) pairOf(i, j int) RankTF {
-	return pairIn(l.Pairs[i], l.toks.TokenByRank, l.Words[i][j])
+// PosRanks carries the dictionary rank of every word position:
+// Stats.SortedTokens()[PosRanks()[i][j]] is record i's j-th word. It is the
+// interned form of Words — what the segment stores, what the per-position
+// weight columns below are gathered through, and the index the
+// word-similarity columns of the combination predicates (WordSims) are read
+// by.
+func (l *WordLayer) PosRanks() [][]int32 {
+	return l.pos.get(func() [][]int32 {
+		cols := wordColumns[int32](l)
+		for i, col := range cols {
+			for j := range col {
+				col[j] = pairIn(l.Pairs[i], l.toks.TokenByRank, l.Words[i][j]).Rank
+			}
+		}
+		return cols
+	})
 }
 
 // IDFWeights carries the idf weight of every word position, the weight
@@ -737,10 +751,11 @@ func (l *WordLayer) pairOf(i, j int) RankTF {
 func (l *WordLayer) IDFWeights() [][]float64 {
 	return l.idf.get(func() [][]float64 {
 		idf := l.toks.idfByRank()
-		cols := l.wordColumns()
+		ranks := l.PosRanks()
+		cols := wordColumns[float64](l)
 		for i, col := range cols {
 			for j := range col {
-				col[j] = idf[l.pairOf(i, j).Rank]
+				col[j] = idf[ranks[i][j]]
 			}
 		}
 		return cols
@@ -757,15 +772,17 @@ func (l *WordLayer) TFIDF() [][]float64 {
 	}
 	return l.tfidf.get(func() [][]float64 {
 		idf := l.toks.idfByRank()
-		cols := l.wordColumns()
+		ranks := l.PosRanks()
+		cols := wordColumns[float64](l)
 		for i, col := range cols {
-			norm := tfidfNorm(l.Pairs[i], idf)
+			pairs := l.Pairs[i]
+			norm := tfidfNorm(pairs, idf)
 			if norm == 0 {
 				continue
 			}
 			for j := range col {
-				p := l.pairOf(i, j)
-				col[j] = float64(p.TF) * idf[p.Rank] / norm
+				k, _ := slices.BinarySearchFunc(pairs, ranks[i][j], func(p RankTF, r int32) int { return int(p.Rank - r) })
+				col[j] = float64(pairs[k].TF) * idf[pairs[k].Rank] / norm
 			}
 		}
 		return cols

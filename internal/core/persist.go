@@ -728,10 +728,10 @@ func encodeWordLayer(e *segment.Encoder, l *WordLayer) {
 	// per-record slices (and the idf-weight columns, which share the same
 	// lengths) from contiguous backing arrays.
 	e.Int(l.Stats.CS())
-	for i, ws := range l.Words {
-		e.U32(uint32(len(ws)))
-		for j := range ws {
-			e.U32(uint32(l.pairOf(i, j).Rank))
+	for _, ranks := range l.PosRanks() {
+		e.U32(uint32(len(ranks)))
+		for _, r := range ranks {
+			e.U32(uint32(r))
 		}
 	}
 	for _, w := range l.IDFWeights() {
@@ -873,21 +873,22 @@ func decodeWordLayer(payload []byte, nrec int, layers CorpusLayers) (*WordLayer,
 	// The interned pairs rebuild with the exact integer counting of the
 	// assembly path.
 	toks := &GramLayer{Docs: words, DL: make([]int, nrec), Stats: stats, TokenByRank: sorted, Pairs: make([][]RankTF, nrec)}
+	l := newWordLayer(toks, layers)
+	posRanks := wordColumns[int32](l)
 	var ranks []int32
 	for i, ws := range words {
 		toks.DL[i] = len(ws)
-		ranks = ranks[:0]
-		for _, w := range ws {
-			r, _ := stats.Rank(w)
-			ranks = append(ranks, r)
+		for j, w := range ws {
+			posRanks[i][j], _ = stats.Rank(w)
 		}
+		ranks = append(ranks[:0], posRanks[i]...) // CountRanks sorts in place
 		toks.Pairs[i] = weights.CountRanks(ranks)
 	}
-	l := newWordLayer(toks, layers)
+	l.pos.set(posRanks)
 
 	// The idf-weight columns share the word sequences' lengths, so they
 	// carve from one backing array of the same total size.
-	idfw := l.wordColumns()
+	idfw := wordColumns[float64](l)
 	for i, col := range idfw {
 		if err := d.F64sInto(col); err != nil {
 			return nil, fmt.Errorf("approxsel: idf weights of record %d do not match its words: %w", i, err)
@@ -895,7 +896,7 @@ func decodeWordLayer(payload []byte, nrec int, layers CorpusLayers) (*WordLayer,
 	}
 	l.idf.set(idfw)
 	if layers.Has(LayerWordTFIDF) {
-		tfidf := l.wordColumns()
+		tfidf := wordColumns[float64](l)
 		for i, col := range tfidf {
 			n := int(d.U32())
 			if err := d.Err(); err != nil {

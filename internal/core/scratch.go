@@ -137,3 +137,97 @@ func (s *Scratch) RowFor(rec int32, stride int) []float64 {
 	off := int(s.slot[rec]) * stride
 	return s.spill[off : off+stride]
 }
+
+// WordSims is the pooled per-query word-similarity table of the combination
+// predicates (GES family, SoftTFIDF). Those predicates compare every query
+// word with every word of every record they score; two records holding the
+// same word ask the same question, so the answer is kept per (query word,
+// dictionary word) instead: the row of dictionary rank r holds
+// kernel(words[c], dict[r]) at c, where ranks are those of the word layer's
+// dictionary (WordLayer.PosRanks maps word positions to them) and c numbers
+// the distinct query words.
+//
+// A dictionary word's row is computed the first time the query reads it and
+// epoch-stamped like Scratch, so a filtered predicate only pays the kernel
+// for the words its candidates hold and a checkout never clears anything.
+// The stored value is the kernel's own return value: reading it is
+// indistinguishable from calling the kernel. The table is sized at checkout
+// for the dictionary it is handed — ranks shift with every snapshot — and
+// keeps no reference to it after Release. Its footprint is distinct query
+// words × dictionary size floats, plus one stamp per dictionary word.
+//
+// Like a Scratch, a WordSims is single-goroutine state.
+type WordSims struct {
+	kernel func(q, w string) float64
+	words  []string // distinct query words, one column each
+	dict   []string // dictionary words by rank
+	vals   []float64
+	stamp  []uint32 // row r of vals is valid where stamp[r] == cur
+	cur    uint32
+	// Per-record side buffers reused across checkouts.
+	recRows [][]float64
+	floats  []float64
+}
+
+var wordSimsPool = sync.Pool{New: func() any { return new(WordSims) }}
+
+// GetWordSims checks a table out of the shared pool, with no row computed:
+// one column per word of words over the rank-ordered dictionary dict.
+func GetWordSims(kernel func(q, w string) float64, words, dict []string) *WordSims {
+	t := wordSimsPool.Get().(*WordSims)
+	t.kernel, t.words, t.dict = kernel, words, dict
+	if n := len(words) * len(dict); cap(t.vals) < n {
+		t.vals = make([]float64, n)
+	} else {
+		t.vals = t.vals[:n]
+	}
+	if cap(t.stamp) < len(dict) {
+		t.stamp = make([]uint32, len(dict))
+		t.cur = 0
+	} else {
+		t.stamp = t.stamp[:len(dict)]
+	}
+	t.cur++
+	if t.cur == 0 { // epoch wrap, as in Scratch.Reset
+		clear(t.stamp[:cap(t.stamp)])
+		t.cur = 1
+	}
+	return t
+}
+
+// Release returns the table to the pool, dropping its references into the
+// snapshot and the query.
+func (t *WordSims) Release() {
+	t.kernel, t.words, t.dict = nil, nil, nil
+	wordSimsPool.Put(t)
+}
+
+// RowsOf returns, for a record's word positions given as dictionary ranks,
+// each position's similarities to every query word: RowsOf(ranks)[j][c] is
+// kernel(words[c], dict[ranks[j]]). The slices are owned by the table and
+// the outer one is reused by the next call.
+func (t *WordSims) RowsOf(ranks []int32) [][]float64 {
+	n := len(t.words)
+	rows := t.recRows[:0]
+	for _, r := range ranks {
+		row := t.vals[int(r)*n:][:n:n]
+		if t.stamp[r] != t.cur {
+			t.stamp[r] = t.cur
+			for c, q := range t.words {
+				row[c] = t.kernel(q, t.dict[r])
+			}
+		}
+		rows = append(rows, row)
+	}
+	t.recRows = rows
+	return rows
+}
+
+// Floats returns a reusable float buffer of length n with unspecified
+// contents (the GES dynamic program's rows).
+func (t *WordSims) Floats(n int) []float64 {
+	if cap(t.floats) < n {
+		t.floats = make([]float64, n)
+	}
+	return t.floats[:n]
+}

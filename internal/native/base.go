@@ -64,7 +64,9 @@ func (a accumulator) matches(records []core.Record, opts core.SelectOptions) []c
 // naiveSelector is implemented by every native predicate: selectNaive runs
 // the pre-optimization merge (map accumulators, no pruning) over the same
 // query plan, visiting contributions in the same order as the optimized
-// path, so the two are bit-identical by construction.
+// path, so the two are bit-identical by construction. For the combination
+// class it also scores on the per-position string-pair path (GESCost,
+// direct strutil.JaroWinkler calls) instead of the word-similarity columns.
 type naiveSelector interface {
 	selectNaive(query string, opts core.SelectOptions) ([]core.Match, error)
 }

@@ -1,6 +1,7 @@
 package native
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -66,16 +67,17 @@ func GESScore(cost, wtQ float64) float64 {
 }
 
 // gesEval is the shared exact-GES scorer over the corpus's word layer: the
-// per-position idf weight vectors are shared corpus state, only the cins
-// parameter is per-attach.
+// per-position idf weight vectors and dictionary ranks are shared corpus
+// state, only the cins parameter is per-attach.
 type gesEval struct {
-	w    *core.WordLayer
-	idfw [][]float64 // idf weight of every word position
-	cins float64
+	w     *core.WordLayer
+	idfw  [][]float64 // idf weight of every word position
+	ranks [][]int32   // dictionary rank of every word position
+	cins  float64
 }
 
 func newGESEval(s *core.Snapshot, cfg core.Config) *gesEval {
-	return &gesEval{w: s.Words, idfw: s.Words.IDFWeights(), cins: cfg.GESCins}
+	return &gesEval{w: s.Words, idfw: s.Words.IDFWeights(), ranks: s.Words.PosRanks(), cins: cfg.GESCins}
 }
 
 // queryWeights returns per-position idf weights and their sum for a query's
@@ -90,9 +92,76 @@ func (g *gesEval) queryWeights(qws []string) ([]float64, float64) {
 	return w, wt
 }
 
-func (g *gesEval) score(qws []string, qWeights []float64, wtQ float64, idx int) float64 {
-	cost := GESCost(qws, qWeights, g.w.Words[idx], g.idfw[idx], g.cins)
-	return GESScore(cost, wtQ)
+// scoreNaive is exact GES of one record on the per-record string-pair path:
+// every (query word, record word position) pair calls the edit kernel. The
+// selectNaive oracles score with it, so the column path below is checked
+// against an independent computation.
+func (g *gesEval) scoreNaive(qws []string, qWeights []float64, wtQ float64, idx int) float64 {
+	return GESScore(GESCost(qws, qWeights, g.w.Words[idx], g.idfw[idx], g.cins), wtQ)
+}
+
+// gesQuery is the per-query state of exact GES scoring: the query's
+// weights, the similarity table of its distinct words, the table column of
+// every query word position (positions repeating a word share a column) and
+// the dynamic program's buffers.
+type gesQuery struct {
+	qWeights []float64
+	wtQ      float64
+	sims     *core.WordSims
+	col      []int
+	// noRecord is the program's first column, tc(q_1..q_i → nothing): the
+	// same for every record. prev and cur are its two working columns.
+	noRecord, prev, cur []float64
+}
+
+// begin checks out the similarity table of a query; distinctQ is
+// tokenize.Distinct(qws). The caller releases q.sims.
+func (g *gesEval) begin(qws, distinctQ []string, qWeights []float64, wtQ float64) gesQuery {
+	n := len(qws)
+	q := gesQuery{
+		qWeights: qWeights,
+		wtQ:      wtQ,
+		sims:     core.GetWordSims(strutil.EditSimilarity, distinctQ, g.w.Stats.SortedTokens()),
+		col:      make([]int, n),
+	}
+	buf := q.sims.Floats(3 * (n + 1))
+	q.noRecord, q.prev, q.cur = buf[:n+1], buf[n+1:2*(n+1)], buf[2*(n+1):]
+	q.noRecord[0] = 0
+	for i, t := range qws {
+		q.col[i] = slices.Index(distinctQ, t)
+		q.noRecord[i+1] = q.noRecord[i] + qWeights[i]
+	}
+	return q
+}
+
+// score is exact GES of one record. It fills the cells of GESCost's dynamic
+// program with GESCost's expressions — so the cost has the same bits —
+// but walks them record word by record word, reading sim_edit(q_i, d_j)
+// from d_j's row of the similarity table instead of recomputing it at
+// every position that holds the word.
+func (g *gesEval) score(q *gesQuery, idx int) float64 {
+	dWeights := g.idfw[idx]
+	prev, cur := q.prev, q.cur
+	copy(prev, q.noRecord)
+	for j, sims := range q.sims.RowsOf(g.ranks[idx]) {
+		insCost := g.cins * dWeights[j]
+		cur[0] = prev[0] + insCost
+		for i, wq := range q.qWeights {
+			repl := prev[i] + (1-sims[q.col[i]])*wq
+			del := cur[i] + wq
+			ins := prev[i+1] + insCost
+			best := repl
+			if del < best {
+				best = del
+			}
+			if ins < best {
+				best = ins
+			}
+			cur[i+1] = best
+		}
+		prev, cur = cur, prev
+	}
+	return GESScore(prev[len(q.qWeights)], q.wtQ)
 }
 
 // GES is the exact generalized edit similarity predicate (Eq. 3.14). Exact
@@ -127,9 +196,11 @@ func (p *GES) selectOpts(query string, opts core.SelectOptions) ([]core.Match, e
 		return nil, nil
 	}
 	qWeights, wtQ := p.ges.queryWeights(qws)
+	q := p.ges.begin(qws, tokenize.Distinct(qws), qWeights, wtQ)
+	defer q.sims.Release()
 	out := make([]core.Match, 0, len(p.recs))
 	for i, r := range p.recs {
-		score := p.ges.score(qws, qWeights, wtQ, i)
+		score := p.ges.score(&q, i)
 		if !opts.Keeps(score) {
 			continue
 		}
@@ -138,10 +209,19 @@ func (p *GES) selectOpts(query string, opts core.SelectOptions) ([]core.Match, e
 	return core.FinishMatches(out, opts), nil
 }
 
-// selectNaive: exact GES never used per-query accumulator maps — the
-// reference path is the production path.
+// selectNaive scores every record position by position on strings, through
+// a map accumulator.
 func (p *GES) selectNaive(query string, opts core.SelectOptions) ([]core.Match, error) {
-	return p.selectOpts(query, opts)
+	qws := queryWords(query)
+	if len(qws) == 0 {
+		return nil, nil
+	}
+	qWeights, wtQ := p.ges.queryWeights(qws)
+	acc := accumulator{}
+	for i := range p.recs {
+		acc[i] = p.ges.scoreNaive(qws, qWeights, wtQ, i)
+	}
+	return acc.matches(p.recs, opts), nil
 }
 
 // GESJaccard filters candidates with the over-estimating Jaccard bound of
@@ -220,7 +300,8 @@ func (p *GESJaccard) selectOpts(query string, opts core.SelectOptions) ([]core.M
 // gesVerifyCandidates evaluates the Fig. 4.6 filter score over matched
 // query words only and verifies survivors with exact GES. It is shared by
 // GESJaccard and GESapx, whose filters differ only in how the candidate
-// maxsim rows are estimated.
+// maxsim rows are estimated. The similarity columns fill on first read, so
+// verification pays the edit kernel only for the words the survivors hold.
 func gesVerifyCandidates(recs []core.Record, w *core.WordLayer, ges *gesEval, q int, theta float64, rs *core.Scratch, distinctQ []string, qws []string, qWeights []float64, wtQ float64, opts core.SelectOptions) []core.Match {
 	dq := 1 - 1.0/float64(q)
 	twoOverQ := 2.0 / float64(q)
@@ -228,6 +309,8 @@ func gesVerifyCandidates(recs []core.Record, w *core.WordLayer, ges *gesEval, q 
 	for qi, t := range distinctQ {
 		idf[qi] = w.Stats.IDF(t)
 	}
+	gq := ges.begin(qws, distinctQ, qWeights, wtQ)
+	defer gq.sims.Release()
 	out := make([]core.Match, 0, len(rs.Touched()))
 	for _, rec := range rs.Touched() {
 		ms := rs.RowFor(rec, len(distinctQ))
@@ -240,7 +323,7 @@ func gesVerifyCandidates(recs []core.Record, w *core.WordLayer, ges *gesEval, q 
 		}
 		score = (1.0 / wtQ) * score // match the SQL plan's association order
 		if score >= theta {
-			g := ges.score(qws, qWeights, wtQ, int(rec))
+			g := ges.score(&gq, int(rec))
 			if opts.Keeps(g) {
 				out = append(out, core.Match{TID: recs[rec].TID, Score: g})
 			}
@@ -300,7 +383,7 @@ func (p *GESJaccard) selectNaive(query string, opts core.SelectOptions) ([]core.
 		}
 		score = (1.0 / wtQ) * score // match the SQL plan's association order
 		if score >= p.theta {
-			acc[rec] = p.ges.score(qws, qWeights, wtQ, rec)
+			acc[rec] = p.ges.scoreNaive(qws, qWeights, wtQ, rec)
 		}
 	}
 	return acc.matches(p.recs, opts), nil
@@ -429,7 +512,7 @@ func (p *GESapx) selectNaive(query string, opts core.SelectOptions) ([]core.Matc
 		}
 		score = (1.0 / wtQ) * score // match the SQL plan's association order
 		if score >= p.theta {
-			acc[rec] = p.ges.score(qws, qWeights, wtQ, rec)
+			acc[rec] = p.ges.scoreNaive(qws, qWeights, wtQ, rec)
 		}
 	}
 	return acc.matches(p.recs, opts), nil
@@ -444,7 +527,25 @@ type SoftTFIDF struct {
 	recs  []core.Record
 	w     *core.WordLayer
 	tfidf [][]float64 // normalized tf-idf weight of every word position
+	ranks [][]int32   // dictionary rank of every word position
 	theta float64
+}
+
+// closeSlack is the margin by which strutil.JaroWinklerBound must fall short
+// of θ before closeSim trusts it: the bound holds in real arithmetic and is
+// evaluated in floats.
+const closeSlack = 1e-9
+
+// closeSim is the kernel of SoftTFIDF's similarity columns: Jaro–Winkler,
+// with pairs the cheap upper bound proves outside the CLOSE set (sim < θ)
+// censored to zero without running the kernel. Eq. 3.15 never reads a value
+// below θ — it only tests sim ≥ θ and compares with a maximum that passed
+// the test — so every score keeps its bits.
+func (p *SoftTFIDF) closeSim(q, w string) float64 {
+	if strutil.JaroWinklerBound(q, w) < p.theta-closeSlack {
+		return 0
+	}
+	return strutil.JaroWinkler(q, w)
 }
 
 // NewSoftTFIDF preprocesses the base relation for SoftTFIDF.
@@ -457,29 +558,47 @@ func NewSoftTFIDF(records []core.Record, cfg core.Config) (*SoftTFIDF, error) {
 }
 
 func attachSoftTFIDF(s *core.Snapshot, cfg core.Config) *SoftTFIDF {
-	return &SoftTFIDF{recs: s.Records, w: s.Words, tfidf: s.Words.TFIDF(), theta: cfg.SoftTFIDFTheta}
+	return &SoftTFIDF{recs: s.Records, w: s.Words, tfidf: s.Words.TFIDF(), ranks: s.Words.PosRanks(), theta: cfg.SoftTFIDFTheta}
 }
 
 // Name implements core.Predicate.
 func (p *SoftTFIDF) Name() string { return "SoftTFIDF" }
 
+// queryPlan tokenizes and weighs a query: the known query words in the
+// corpus's sorted word order, their normalized tf-idf weights and their
+// frequencies in the query. ok is false for a query without words.
+func (p *SoftTFIDF) queryPlan(query string) (ordered []string, qw map[string]float64, qcounts map[string]int, ok bool) {
+	qws := queryWords(query)
+	if len(qws) == 0 {
+		return nil, nil, nil, false
+	}
+	qcounts = tokenize.Counts(qws)
+	qw = p.w.Stats.TFIDF(qcounts)
+	return p.w.OrderedKnownWeights(qw), qw, qcounts, true
+}
+
 // selectOpts ranks records by Eq. 3.15: for every query word within θ of some
 // record word (CLOSE set), the contribution is w_q(t)·w_d(argmax)·maxsim.
 // Multiplicities follow the declarative cross-product: repeated query or
 // record word occurrences contribute repeatedly, and argmax ties all count.
-// The scan visits every record anyway, so matches materialize straight into
-// the result slice — no accumulator at all.
+// Jaro–Winkler is read from the query words' similarity columns at the
+// record words' dictionary ranks. The scan visits every record anyway, so
+// matches materialize straight into the result slice — no accumulator at
+// all.
 func (p *SoftTFIDF) selectOpts(query string, opts core.SelectOptions) ([]core.Match, error) {
-	qws := queryWords(query)
-	if len(qws) == 0 {
+	ordered, qw, qcounts, ok := p.queryPlan(query)
+	if !ok {
 		return nil, nil
 	}
-	qcounts := tokenize.Counts(qws)
-	qw := p.w.Stats.TFIDF(qcounts)
-	ordered := p.w.OrderedKnownWeights(qw)
+	sims := core.GetWordSims(p.closeSim, ordered, p.w.Stats.SortedTokens())
+	defer sims.Release()
+	coef := make([]float64, len(ordered)) // query-side factor qtf·w_q(t)
+	for k, t := range ordered {
+		coef[k] = float64(qcounts[t]) * qw[t]
+	}
 	out := make([]core.Match, 0, len(p.recs))
 	for i := range p.recs {
-		total, matched := p.scoreRecord(i, ordered, qw, qcounts)
+		total, matched := p.scoreRecord(i, sims, coef)
 		if !matched || !opts.Keeps(total) {
 			continue
 		}
@@ -488,8 +607,36 @@ func (p *SoftTFIDF) selectOpts(query string, opts core.SelectOptions) ([]core.Ma
 	return core.FinishMatches(out, opts), nil
 }
 
-// scoreRecord evaluates Eq. 3.15 for one record.
-func (p *SoftTFIDF) scoreRecord(i int, ordered []string, qw map[string]float64, qcounts map[string]int) (float64, bool) {
+// scoreRecord evaluates Eq. 3.15 for one record, reading Jaro–Winkler from
+// the record words' rows of the query's similarity table.
+func (p *SoftTFIDF) scoreRecord(i int, sims *core.WordSims, coef []float64) (float64, bool) {
+	rows, weights := sims.RowsOf(p.ranks[i]), p.tfidf[i]
+	total := 0.0
+	matched := false
+	for k := range coef {
+		maxsim := 0.0
+		for _, row := range rows {
+			if sim := row[k]; sim >= p.theta && sim > maxsim {
+				maxsim = sim
+			}
+		}
+		if maxsim == 0 {
+			continue
+		}
+		matched = true
+		for j, row := range rows {
+			if row[k] == maxsim {
+				total += coef[k] * weights[j] * maxsim
+			}
+		}
+	}
+	return total, matched
+}
+
+// scoreRecordNaive evaluates Eq. 3.15 for one record on the string-pair
+// path: Jaro–Winkler is called for every (query word, record word position)
+// pair, twice.
+func (p *SoftTFIDF) scoreRecordNaive(i int, ordered []string, qw map[string]float64, qcounts map[string]int) (float64, bool) {
 	recWords := p.w.Words[i]
 	if len(recWords) == 0 {
 		return 0, false
@@ -518,18 +665,16 @@ func (p *SoftTFIDF) scoreRecord(i int, ordered []string, qw map[string]float64, 
 	return total, matched
 }
 
-// selectNaive is the pre-optimization merge through a map accumulator.
+// selectNaive is the pre-optimization scan: per-position string kernels
+// merged through a map accumulator.
 func (p *SoftTFIDF) selectNaive(query string, opts core.SelectOptions) ([]core.Match, error) {
-	qws := queryWords(query)
-	if len(qws) == 0 {
+	ordered, qw, qcounts, ok := p.queryPlan(query)
+	if !ok {
 		return nil, nil
 	}
-	qcounts := tokenize.Counts(qws)
-	qw := p.w.Stats.TFIDF(qcounts)
-	ordered := p.w.OrderedKnownWeights(qw)
 	acc := accumulator{}
 	for i := range p.recs {
-		if total, matched := p.scoreRecord(i, ordered, qw, qcounts); matched {
+		if total, matched := p.scoreRecordNaive(i, ordered, qw, qcounts); matched {
 			acc[i] = total
 		}
 	}

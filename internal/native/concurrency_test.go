@@ -1,6 +1,8 @@
 package native
 
 import (
+	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -63,6 +65,58 @@ func TestConcurrentSelect(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
+}
+
+// TestConcurrentExpensiveSelectsShareColumns runs the five kernel-scoring
+// predicates over one corpus from concurrent goroutines, every goroutine
+// rotating through predicates and queries, so the pooled similarity tables
+// (and their DP rows) are handed between GES-family and SoftTFIDF selects of
+// different query sizes while other selects are mid-scan. Run with -race:
+// a table shared by two in-flight selects is a data race, and a table that
+// kept another query's columns shows up as a diverged result.
+func TestConcurrentExpensiveSelectsShareColumns(t *testing.T) {
+	c, records, cfg := hotPathCorpus(t, 150, 13)
+	queries := append(hotPathQueries(records), "data data mining data")
+	ctx := context.Background()
+	opts := core.SelectOptions{Limit: 10}
+
+	views := make([]core.ContextPredicate, len(expensiveFive))
+	want := make([][][]core.Match, len(expensiveFive))
+	for i, name := range expensiveFive {
+		p, err := Attach(name, c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views[i] = p.(core.ContextPredicate)
+		for _, q := range queries {
+			ms, err := views[i].SelectCtx(ctx, q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = append(want[i], ms)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				pi, qi := (g+i)%len(views), (g*3+i)%len(queries)
+				ms, err := views[pi].SelectCtx(ctx, queries[qi], opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(ms, want[pi][qi]) {
+					t.Errorf("%s %q: concurrent result diverged", expensiveFive[pi], queries[qi])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 type mismatchError struct {

@@ -276,7 +276,7 @@ func BenchmarkSelectHotPath(b *testing.B) {
 	queries := hotPathQueries(records)
 	opts := core.SelectOptions{Limit: 10}
 	ctx := context.Background()
-	for _, name := range []string{"Cosine", "BM25", "LM", "IntersectSize", "Jaccard", "WeightedMatch", "EditDistance", "GESJaccard"} {
+	for _, name := range []string{"Cosine", "BM25", "LM", "IntersectSize", "Jaccard", "WeightedMatch", "EditDistance", "GESJaccard", "GES", "SoftTFIDF"} {
 		p, err := Attach(name, c, cfg)
 		if err != nil {
 			b.Fatal(err)

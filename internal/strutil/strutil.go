@@ -5,14 +5,51 @@
 //
 // All functions operate on Unicode code points (runes), not bytes, so that
 // multi-byte characters count as single edit units.
+//
+// Levenshtein, EditSimilarity, Jaro and JaroWinkler take an allocation-free
+// fast path when both inputs are non-empty, ASCII and at most 64 bytes long
+// — every word token of the benchmark's relations: the edit distance runs
+// the Myers/Hyyrö bit-vector recurrence over one machine word, and Jaro
+// keeps its match flags in two bit masks. Any other input decodes each
+// string to runes once and runs the reference dynamic programs below. Both
+// paths compute the same integers and evaluate the same float expressions,
+// so which one ran is unobservable in the result (FuzzWordKernels).
 package strutil
+
+import "math/bits"
+
+// bitMask is the machine word of a bit-vector kernel, one bit per character.
+// Inputs of at most 16 bytes run on uint16 — the kernels' cost at word length
+// is dominated by zeroing the 128-entry character table, which is 256 bytes
+// there instead of 1 KiB — and inputs of at most maxBitLen bytes on uint64.
+type bitMask interface{ uint16 | uint64 }
+
+const maxBitLen = 64
+
+// asciiTable fills the zeroed peq so that it maps each ASCII character to
+// the bit mask of the positions holding it in s. The result accumulates the
+// bytes seen: a set high bit means s was not ASCII and the table is garbage.
+func asciiTable[M bitMask](peq *[128]M, s string) (or byte) {
+	for i := 0; i < len(s); i++ {
+		peq[s[i]&127] |= 1 << uint(i)
+		or |= s[i]
+	}
+	return or
+}
 
 // Levenshtein returns the classic Levenshtein edit distance between a and b:
 // the minimum number of single-character insertions, deletions and
 // substitutions required to transform a into b. Copy has cost zero and all
 // other operations unit cost, matching the paper's §3.4 cost model.
 func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
+	if d, ok := levenshteinASCII(a, b); ok {
+		return d
+	}
+	return levenshteinRunes([]rune(a), []rune(b))
+}
+
+// levenshteinRunes is the reference single-row dynamic program.
+func levenshteinRunes(ra, rb []rune) int {
 	n, m := len(ra), len(rb)
 	if n == 0 {
 		return m
@@ -46,6 +83,53 @@ func Levenshtein(a, b string) int {
 		prev, cur = cur, prev
 	}
 	return prev[m]
+}
+
+// levenshteinASCII is the fast path of Levenshtein; ok is false when the
+// inputs do not qualify.
+func levenshteinASCII(a, b string) (dist int, ok bool) {
+	switch n := max(len(a), len(b)); {
+	case len(a) == 0 || len(b) == 0:
+		return 0, false
+	case n <= 16:
+		return levenshteinBits[uint16](a, b)
+	case n <= maxBitLen:
+		return levenshteinBits[uint64](a, b)
+	}
+	return 0, false
+}
+
+// levenshteinBits is the Myers/Hyyrö bit-parallel edit distance: column j of
+// the dynamic program is held as the vertical delta bit-vectors (pv, mv)
+// over the characters of a, and one step per character of b advances the
+// whole column with a dozen word operations. score tracks the bottom cell,
+// D[|a|][j]. a and b are non-empty and fit M; ok reports that they were
+// ASCII.
+func levenshteinBits[M bitMask](a, b string) (dist int, ok bool) {
+	if len(a) < len(b) {
+		// The distance is symmetric and a step of the recurrence costs more
+		// than a table entry: walk the shorter string.
+		a, b = b, a
+	}
+	var peq [128]M
+	or := asciiTable(&peq, a)
+	pv, mv := ^M(0), M(0)
+	top := uint(len(a) - 1) // bit of the bottom row
+	score := len(a)
+	for j := 0; j < len(b); j++ {
+		or |= b[j]
+		eq := peq[b[j]&127]
+		xv := eq | mv
+		xh := (((eq & pv) + pv) ^ pv) | eq
+		ph := mv | ^(xh | pv)
+		mh := pv & xh
+		score += int(ph>>top&1) - int(mh>>top&1)
+		ph = ph<<1 | 1
+		mh <<= 1
+		pv = mh | ^(xv | ph)
+		mv = ph & xv
+	}
+	return score, or < 0x80
 }
 
 // LevenshteinWithin computes the Levenshtein distance between a and b if it
@@ -135,15 +219,20 @@ func LevenshteinWithin(a, b string, k int) (int, bool) {
 // where tc is the Levenshtein distance. Two empty strings have similarity 1.
 // The result is always in [0, 1].
 func EditSimilarity(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	maxLen := la
-	if lb > maxLen {
-		maxLen = lb
+	if d, ok := levenshteinASCII(a, b); ok {
+		return editSimilarity(d, len(a), len(b))
 	}
+	ra, rb := []rune(a), []rune(b)
+	return editSimilarity(levenshteinRunes(ra, rb), len(ra), len(rb))
+}
+
+// editSimilarity is Eq. 3.13 over an edit distance and the two lengths.
+func editSimilarity(dist, la, lb int) float64 {
+	maxLen := max(la, lb)
 	if maxLen == 0 {
 		return 1
 	}
-	return 1 - float64(Levenshtein(a, b))/float64(maxLen)
+	return 1 - float64(dist)/float64(maxLen)
 }
 
 // Jaro returns the Jaro similarity between a and b, in [0, 1]. Characters
@@ -153,7 +242,15 @@ func EditSimilarity(a, b string) float64 {
 //
 //	jaro = (m/|a| + m/|b| + (m−t)/m) / 3
 func Jaro(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
+	if j, ok := jaroASCII(a, b); ok {
+		return j
+	}
+	return jaroRunes([]rune(a), []rune(b))
+}
+
+// jaroRunes is the reference Jaro computation with per-character match
+// flags.
+func jaroRunes(ra, rb []rune) float64 {
 	la, lb := len(ra), len(rb)
 	if la == 0 && lb == 0 {
 		return 1
@@ -208,9 +305,68 @@ func Jaro(a, b string) float64 {
 		}
 		j++
 	}
+	return jaroScore(matches, transpositions, la, lb)
+}
+
+// jaroScore evaluates the Jaro formula over the match and transposition
+// counts.
+func jaroScore(matches, transpositions, la, lb int) float64 {
 	m := float64(matches)
 	t := float64(transpositions) / 2
 	return (m/float64(la) + m/float64(lb) + (m-t)/m) / 3
+}
+
+// jaroASCII is the fast path of Jaro; ok is false when the inputs do not
+// qualify.
+func jaroASCII(a, b string) (jaro float64, ok bool) {
+	switch n := max(len(a), len(b)); {
+	case len(a) == 0 || len(b) == 0:
+		return 0, false
+	case n <= 16:
+		return jaroBits[uint16](a, b)
+	case n <= maxBitLen:
+		return jaroBits[uint64](a, b)
+	}
+	return 0, false
+}
+
+// jaroBits keeps the match flags in two bit masks, and "the first unmatched
+// equal character of b inside the window" is the lowest set bit of one AND
+// — the same greedy assignment as the reference loop, so matches and
+// transpositions are the same integers. a and b are non-empty and fit M; ok
+// reports that they were ASCII.
+func jaroBits[M bitMask](a, b string) (jaro float64, ok bool) {
+	la, lb := len(a), len(b)
+	window := max(max(la, lb)/2-1, 0)
+	var peq [128]M
+	or := asciiTable(&peq, b)
+	var matchedA, matchedB M
+	for i := 0; i < la; i++ {
+		or |= a[i]
+		lo, hi := max(i-window, 0), min(i+window, lb-1)
+		if lo > hi {
+			continue // the window has left b
+		}
+		inWindow := (M(1)<<uint(hi+1) - 1) &^ (M(1)<<uint(lo) - 1)
+		free := peq[a[i]&127] & inWindow &^ matchedB
+		first := free & -free // zero when a[i] finds no partner
+		matchedB |= first
+		matchedA |= M((uint64(first)|-uint64(first))>>63) << uint(i)
+	}
+	if or >= 0x80 {
+		return 0, false
+	}
+	if matchedA == 0 {
+		return 0, true
+	}
+	// Count transpositions among matched characters in order.
+	transpositions := 0
+	for ma, mb := uint64(matchedA), uint64(matchedB); ma != 0; ma, mb = ma&(ma-1), mb&(mb-1) {
+		if a[bits.TrailingZeros64(ma)] != b[bits.TrailingZeros64(mb)] {
+			transpositions++
+		}
+	}
+	return jaroScore(bits.OnesCount64(uint64(matchedA)), transpositions, la, lb), true
 }
 
 // JaroWinklerPrefixScale is the standard Winkler prefix scaling factor p.
@@ -227,14 +383,64 @@ const JaroWinklerMaxPrefix = 4
 //
 // This is the word-level predicate the paper pairs with SoftTFIDF (θ=0.8).
 func JaroWinkler(a, b string) float64 {
-	j := Jaro(a, b)
+	if j, ok := jaroASCII(a, b); ok {
+		return winkler(j, bytePrefix(a, b))
+	}
 	ra, rb := []rune(a), []rune(b)
+	return winkler(jaroRunes(ra, rb), runePrefix(ra, rb))
+}
+
+// runePrefix is the Winkler prefix length: common leading characters, at
+// most JaroWinklerMaxPrefix.
+func runePrefix(ra, rb []rune) int {
 	prefix := 0
-	for prefix < len(ra) && prefix < len(rb) && prefix < JaroWinklerMaxPrefix {
-		if ra[prefix] != rb[prefix] {
-			break
-		}
+	for prefix < len(ra) && prefix < len(rb) && prefix < JaroWinklerMaxPrefix && ra[prefix] == rb[prefix] {
 		prefix++
 	}
+	return prefix
+}
+
+// JaroWinklerBound returns an upper bound of JaroWinkler(a, b) for the price
+// of one pass over each string: the Jaro matches cannot exceed either length
+// less the letters that string holds and the other lacks (letter sets are
+// folded to 64 bits, which only loosens the bound), transpositions are taken
+// as zero, and the common prefix is exact. A caller that only distinguishes
+// values at or above a threshold θ — SoftTFIDF's CLOSE set — can skip the
+// kernel where the bound falls short of θ; the bound is evaluated in floats,
+// so compare it with a small slack. Inputs the bound does not cover (empty
+// or non-ASCII) return 1.
+func JaroWinklerBound(a, b string) float64 {
+	la, lb := len(a), len(b)
+	if la == 0 || lb == 0 {
+		return 1
+	}
+	var setA, setB uint64
+	var or byte
+	for i := 0; i < la; i++ {
+		setA |= 1 << (a[i] & 63)
+		or |= a[i]
+	}
+	for i := 0; i < lb; i++ {
+		setB |= 1 << (b[i] & 63)
+		or |= b[i]
+	}
+	if or >= 0x80 {
+		return 1
+	}
+	m := float64(min(la-bits.OnesCount64(setA&^setB), lb-bits.OnesCount64(setB&^setA)))
+	return winkler((m/float64(la)+m/float64(lb)+1)/3, bytePrefix(a, b))
+}
+
+// bytePrefix is runePrefix for ASCII strings.
+func bytePrefix(a, b string) int {
+	prefix := 0
+	for prefix < len(a) && prefix < len(b) && prefix < JaroWinklerMaxPrefix && a[prefix] == b[prefix] {
+		prefix++
+	}
+	return prefix
+}
+
+// winkler applies the common-prefix boost to a Jaro similarity.
+func winkler(j float64, prefix int) float64 {
 	return j + float64(prefix)*JaroWinklerPrefixScale*(1-j)
 }

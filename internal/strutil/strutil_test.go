@@ -213,3 +213,121 @@ func close(a, b float64) bool {
 	}
 	return d < 1e-5
 }
+
+// runeReference computes the four word kernels through the rune dynamic
+// programs only — the pre-fast-path implementation, kept as the oracle the
+// bit-vector paths are fuzzed against.
+func runeReference(a, b string) (dist int, editSim, jaro, jw float64) {
+	ra, rb := []rune(a), []rune(b)
+	dist = levenshteinRunes(ra, rb)
+	editSim = editSimilarity(dist, len(ra), len(rb))
+	jaro = jaroRunes(ra, rb)
+	return dist, editSim, jaro, winkler(jaro, runePrefix(ra, rb))
+}
+
+func checkWordKernels(t *testing.T, a, b string) {
+	t.Helper()
+	dist, editSim, jaro, jw := runeReference(a, b)
+	if got := Levenshtein(a, b); got != dist {
+		t.Errorf("Levenshtein(%q,%q) = %d, rune reference %d", a, b, got, dist)
+	}
+	// Float results must agree bit for bit, not within a tolerance: the
+	// native↔declarative and optimized↔naive differentials compare scores
+	// built from these values with ==.
+	if got := EditSimilarity(a, b); got != editSim {
+		t.Errorf("EditSimilarity(%q,%q) = %v, rune reference %v", a, b, got, editSim)
+	}
+	if got := Jaro(a, b); got != jaro {
+		t.Errorf("Jaro(%q,%q) = %v, rune reference %v", a, b, got, jaro)
+	}
+	if got := JaroWinkler(a, b); got != jw {
+		t.Errorf("JaroWinkler(%q,%q) = %v, rune reference %v", a, b, got, jw)
+	}
+	// The bound holds in real arithmetic; in floats it may round a few ulps
+	// under a value it equals, which is what its callers' slack absorbs.
+	if bound := JaroWinklerBound(a, b); bound < jw-1e-12 {
+		t.Errorf("JaroWinklerBound(%q,%q) = %v below JaroWinkler %v", a, b, bound, jw)
+	}
+}
+
+// wordKernelSeeds covers both sides of every fast-path condition: empty,
+// ASCII, multi-byte, and lengths straddling the 16-byte (uint16 kernels) and
+// 64-byte (uint64 kernels) limits.
+func wordKernelSeeds() [][2]string {
+	a63, a64, a65 := strings.Repeat("ab", 32)[:63], strings.Repeat("ab", 32), strings.Repeat("ab", 33)[:65]
+	a15, a16, a17 := "ABCDEFGHIJKLMNO", "ABCDEFGHIJKLMNOP", "ABCDEFGHIJKLMNOPQ"
+	return [][2]string{
+		{a15, a16}, {a16, a16}, {a16, a17}, {a17, a15}, {a16, "PONMLKJIHGFEDCBA"}, {a16, "A"}, {"P", a17}, {a15 + "é", a16},
+		{"", ""}, {"", "A"}, {"A", ""}, {"A", "A"}, {"A", "B"},
+		{"MARTHA", "MARHTA"}, {"DWAYNE", "DUANE"}, {"DIXON", "DICKSONX"},
+		{"kitten", "sitting"}, {"ABCDEFGH", "HGFEDCBA"}, {"AAAA", "AAAAAAAA"},
+		{"日本語", "日本"}, {"naïve", "naive"}, {"é", "e"}, {"ab\x80", "ab"},
+		{a63, a64}, {a64, a64}, {a64, a65}, {a65, a63}, {a64, strings.ToUpper(a64)},
+		{a63 + "é", a64}, {strings.Repeat("x", 64), strings.Repeat("y", 64)},
+		{strings.Repeat("xy", 32), strings.Repeat("yx", 32)},
+	}
+}
+
+// TestWordKernelsMatchRuneReference runs the fuzz property over the seeds
+// and a seeded random sample, so the plain test run covers it too.
+func TestWordKernelsMatchRuneReference(t *testing.T) {
+	for _, s := range wordKernelSeeds() {
+		checkWordKernels(t, s[0], s[1])
+	}
+	rng := rand.New(rand.NewSource(7))
+	alphabets := []string{"AB", "ABCDEFGHIJKLMNOPQRSTUVWXYZ", "ABé日"}
+	word := func() string {
+		alpha := []rune(alphabets[rng.Intn(len(alphabets))])
+		n := rng.Intn(12)
+		if rng.Intn(8) == 0 {
+			n = 60 + rng.Intn(8)
+		}
+		out := make([]rune, n)
+		for i := range out {
+			out[i] = alpha[rng.Intn(len(alpha))]
+		}
+		return string(out)
+	}
+	for i := 0; i < 20000; i++ {
+		checkWordKernels(t, word(), word())
+	}
+}
+
+// FuzzWordKernels: whichever path Levenshtein, EditSimilarity, Jaro and
+// JaroWinkler take, they return exactly what the rune reference returns.
+func FuzzWordKernels(f *testing.F) {
+	for _, s := range wordKernelSeeds() {
+		f.Add(s[0], s[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		checkWordKernels(t, a, b)
+	})
+}
+
+// BenchmarkWordKernels times the two word-level kernels of the combination
+// predicates over word-length ASCII inputs — enough distinct pairs that the
+// branch predictor cannot memorize them.
+func BenchmarkWordKernels(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	words := make([]string, 1024)
+	for i := range words {
+		w := make([]byte, 3+rng.Intn(10))
+		for j := range w {
+			w[j] = byte('A' + rng.Intn(26))
+		}
+		words[i] = string(w)
+	}
+	for _, k := range []struct {
+		name string
+		f    func(a, b string) float64
+	}{{"EditSimilarity", EditSimilarity}, {"JaroWinkler", JaroWinkler}} {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkFloat = k.f(words[i%7], words[i%len(words)])
+			}
+		})
+	}
+}
+
+var sinkFloat float64
