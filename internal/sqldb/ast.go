@@ -1,5 +1,10 @@
 package sqldb
 
+import (
+	"fmt"
+	"strings"
+)
+
 // This file defines the abstract syntax tree produced by the parser.
 
 // stmt is any parsed SQL statement.
@@ -149,3 +154,31 @@ func (*funcCall) isExpr()   {}
 func (*inExpr) isExpr()     {}
 func (*isNullExpr) isExpr() {}
 func (*caseExpr) isExpr()   {}
+
+// exprString renders an expression for plan descriptions.
+func exprString(e expr) string {
+	switch x := e.(type) {
+	case *literal:
+		return x.Val.String()
+	case *colRef:
+		if x.Table == "" {
+			return x.Name
+		}
+		return x.Table + "." + x.Name
+	case *unaryExpr:
+		return x.Op + " " + exprString(x.X)
+	case *binaryExpr:
+		return "(" + exprString(x.L) + " " + x.Op + " " + exprString(x.R) + ")"
+	case *funcCall:
+		args := make([]string, len(x.Args))
+		for i, a := range x.Args {
+			args[i] = exprString(a)
+		}
+		if x.Star {
+			args = []string{"*"}
+		}
+		return x.Name + "(" + strings.Join(args, ", ") + ")"
+	default:
+		return fmt.Sprintf("%T", e)
+	}
+}

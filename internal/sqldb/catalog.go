@@ -9,6 +9,9 @@ import (
 
 // ScalarFunc is a user-defined scalar function. Implementations must be pure
 // (the planner may re-order or repeat calls) and safe for concurrent use.
+// args is valid only for the duration of the call: the engine refills one
+// argument buffer per call site for every row, so an implementation that
+// wants an argument later copies the Value out and never keeps the slice.
 // The paper's framework relies on UDFs for edit similarity and Jaro–Winkler
 // (§4.4, Appendix B.4.3); predicates register them the same way here.
 type ScalarFunc func(args []Value) (Value, error)

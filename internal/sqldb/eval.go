@@ -3,23 +3,29 @@ package sqldb
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
+	"unicode/utf8"
 )
 
-// relCol identifies one column of an intermediate relation by the table
-// alias that produced it and its (lower-case) column name.
+// relCol is one column an expression can name: the table alias that
+// produced it, its (lower-case) column name, and where its value lives in
+// the evaluation frame — the slot of its FROM item and the position within
+// that item's row.
 type relCol struct {
 	qual string
 	name string
+	slot int
+	idx  int
 }
 
-// relSchema is the compile-time shape of an intermediate relation.
+// relSchema is the set of columns an expression is compiled against.
 type relSchema struct {
 	cols []relCol
 }
 
-// resolve finds the position of a column reference. Unqualified names must
-// be unambiguous across the schema.
+// resolve finds the column a reference names, as a position in s.cols.
+// Unqualified names must be unambiguous across the schema.
 func (s *relSchema) resolve(qual, name string) (int, error) {
 	found := -1
 	for i, c := range s.cols {
@@ -43,10 +49,13 @@ func (s *relSchema) resolve(qual, name string) (int, error) {
 	return found, nil
 }
 
-// evalCtx carries the runtime state an evaluated expression can see: the
-// current source row and, in grouped queries, the finalized aggregate values.
+// evalCtx is the evaluation frame of one statement: rows holds the row
+// currently bound for each FROM item (a join stage binds its slot, it never
+// copies the row). While a grouped query emits a group, rep holds the
+// group's representative column values and aggs its finalized aggregates.
 type evalCtx struct {
-	row  []Value
+	rows [][]Value
+	rep  []Value
 	aggs []Value
 }
 
@@ -54,31 +63,53 @@ type evalCtx struct {
 type evalFn func(ctx *evalCtx) (Value, error)
 
 // aggSpec is one aggregate call discovered during compilation. Its arg is
-// evaluated per input row; its slot indexes evalCtx.aggs.
+// evaluated per input row; its position in compiler.aggs indexes
+// evalCtx.aggs. Structurally identical calls share one spec.
 type aggSpec struct {
-	name     string // COUNT, SUM, AVG, MIN, MAX
-	star     bool
-	distinct bool
-	arg      evalFn
+	call    *funcCall
+	op      aggOp
+	arg     evalFn    // nil for COUNT(*)
+	seen    *keyIndex // DISTINCT: the (group, value) pairs fed so far
+	extreme int       // MIN, MAX: position among the group's running extremes
 }
 
-// compiler compiles expressions against a schema, accumulating aggregate
-// specs when aggregates are allowed.
+type aggOp uint8
+
+const (
+	aggCount aggOp = iota
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+)
+
+// compiler compiles expressions against a schema. In grouped mode it
+// accumulates the aggregate specs of the expressions it compiles, and
+// column references outside aggregate arguments read the group's
+// representative values: rep lists, in evalCtx.rep order, the schema
+// positions those expressions read.
 type compiler struct {
-	db        *DB
-	schema    *relSchema
-	allowAggs bool
-	aggs      []aggSpec
+	db      *DB
+	schema  *relSchema
+	grouped bool
+	aggs    []aggSpec
+	rep     []int
+	inAgg   bool
 }
 
-// aggregate function names.
-var aggNames = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
+// aggOps names the aggregate functions.
+var aggOps = map[string]aggOp{
+	"COUNT": aggCount, "SUM": aggSum, "AVG": aggAvg, "MIN": aggMin, "MAX": aggMax,
+}
+
+// isAggCall reports whether x calls an aggregate. MIN/MAX with two or more
+// arguments are the scalar LEAST/GREATEST-style functions, not aggregates.
+func isAggCall(x *funcCall) bool {
+	_, ok := aggOps[x.Name]
+	return ok && (x.Star || len(x.Args) == 1)
 }
 
 // isAggregate reports whether the expression contains an aggregate call.
-// MIN/MAX with two or more arguments are the scalar LEAST/GREATEST-style
-// functions, not aggregates.
 func isAggregate(e expr) bool {
 	switch x := e.(type) {
 	case *literal, *colRef:
@@ -88,7 +119,7 @@ func isAggregate(e expr) bool {
 	case *binaryExpr:
 		return isAggregate(x.L) || isAggregate(x.R)
 	case *funcCall:
-		if aggNames[x.Name] && (x.Star || len(x.Args) == 1) {
+		if isAggCall(x) {
 			return true
 		}
 		for _, a := range x.Args {
@@ -120,11 +151,16 @@ func (c *compiler) compile(e expr) (evalFn, error) {
 		return func(*evalCtx) (Value, error) { return v, nil }, nil
 
 	case *colRef:
-		idx, err := c.schema.resolve(x.Table, x.Name)
+		pos, err := c.schema.resolve(x.Table, x.Name)
 		if err != nil {
 			return nil, err
 		}
-		return func(ctx *evalCtx) (Value, error) { return ctx.row[idx], nil }, nil
+		if c.grouped && !c.inAgg {
+			r := c.repSlot(pos)
+			return func(ctx *evalCtx) (Value, error) { return ctx.rep[r], nil }, nil
+		}
+		slot, idx := c.schema.cols[pos].slot, c.schema.cols[pos].idx
+		return func(ctx *evalCtx) (Value, error) { return ctx.rows[slot][idx], nil }, nil
 
 	case *unaryExpr:
 		inner, err := c.compile(x.X)
@@ -395,24 +431,56 @@ func (c *compiler) compileIn(x *inExpr) (evalFn, error) {
 	}, nil
 }
 
-func (c *compiler) compileFunc(x *funcCall) (evalFn, error) {
-	// Aggregates first: in aggregate-allowed mode, MIN/MAX/COUNT/SUM/AVG
-	// with a single argument (or *) compile to a slot read.
-	if aggNames[x.Name] && (x.Star || len(x.Args) == 1) {
-		if !c.allowAggs {
-			return nil, fmt.Errorf("sqldb: aggregate %s not allowed here", x.Name)
+// repSlot returns the evalCtx.rep position of schema column pos,
+// registering the column on first use.
+func (c *compiler) repSlot(pos int) int {
+	for r, p := range c.rep {
+		if p == pos {
+			return r
 		}
-		spec := aggSpec{name: x.Name, star: x.Star, distinct: x.Distinct}
+	}
+	c.rep = append(c.rep, pos)
+	return len(c.rep) - 1
+}
+
+// compileAggregate compiles an aggregate call to a read of its slot in
+// evalCtx.aggs. A call structurally identical to one already registered —
+// Jaccard's two COUNT(*) — reads that call's slot, so it is fed once per
+// row.
+func (c *compiler) compileAggregate(x *funcCall) (evalFn, error) {
+	if !c.grouped || c.inAgg {
+		return nil, fmt.Errorf("sqldb: aggregate %s not allowed here", x.Name)
+	}
+	slot := -1
+	for i := range c.aggs {
+		if reflect.DeepEqual(c.aggs[i].call, x) {
+			slot = i
+			break
+		}
+	}
+	if slot < 0 {
+		spec := aggSpec{call: x, op: aggOps[x.Name]}
+		if x.Distinct {
+			spec.seen = &keyIndex{}
+		}
 		if !x.Star {
+			c.inAgg = true
 			arg, err := c.compile(x.Args[0])
+			c.inAgg = false
 			if err != nil {
 				return nil, err
 			}
 			spec.arg = arg
 		}
-		slot := len(c.aggs)
+		slot = len(c.aggs)
 		c.aggs = append(c.aggs, spec)
-		return func(ctx *evalCtx) (Value, error) { return ctx.aggs[slot], nil }, nil
+	}
+	return func(ctx *evalCtx) (Value, error) { return ctx.aggs[slot], nil }, nil
+}
+
+func (c *compiler) compileFunc(x *funcCall) (evalFn, error) {
+	if isAggCall(x) {
+		return c.compileAggregate(x)
 	}
 
 	args := make([]evalFn, len(x.Args))
@@ -423,51 +491,38 @@ func (c *compiler) compileFunc(x *funcCall) (evalFn, error) {
 		}
 		args[i] = fn
 	}
-	evalArgs := func(ctx *evalCtx) ([]Value, error) {
-		vals := make([]Value, len(args))
-		for i, fn := range args {
-			v, err := fn(ctx)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		return vals, nil
-	}
-
+	var impl ScalarFunc
 	if fn, ok := builtinFuncs[x.Name]; ok {
 		if err := fn.checkArity(x.Name, len(args)); err != nil {
 			return nil, err
 		}
-		impl := fn.impl
-		return func(ctx *evalCtx) (Value, error) {
-			vals, err := evalArgs(ctx)
+		impl = fn.impl
+	} else if impl, ok = c.db.funcs[x.Name]; !ok {
+		// No locking here: compilation always happens under the public
+		// API's database lock (Exec holds the write lock, Query the read
+		// lock).
+		return nil, fmt.Errorf("sqldb: unknown function %s", x.Name)
+	}
+	// One argument buffer per call site, refilled for every call: the
+	// ScalarFunc contract makes it the callee's only for the call. A call
+	// nested in an argument is another call site with its own buffer.
+	vals := make([]Value, len(args))
+	return func(ctx *evalCtx) (Value, error) {
+		for i, fn := range args {
+			v, err := fn(ctx)
 			if err != nil {
 				return Null(), err
 			}
-			return impl(vals)
-		}, nil
-	}
-
-	// No locking here: compilation always happens under the public API's
-	// database lock (Exec holds the write lock, Query the read lock).
-	udf, ok := c.db.funcs[x.Name]
-	if !ok {
-		return nil, fmt.Errorf("sqldb: unknown function %s", x.Name)
-	}
-	return func(ctx *evalCtx) (Value, error) {
-		vals, err := evalArgs(ctx)
-		if err != nil {
-			return Null(), err
+			vals[i] = v
 		}
-		return udf(vals)
+		return impl(vals)
 	}, nil
 }
 
 // builtin holds a built-in scalar function implementation and arity bounds.
 type builtin struct {
 	minArgs, maxArgs int // maxArgs < 0 means variadic
-	impl             func(args []Value) (Value, error)
+	impl             ScalarFunc
 }
 
 func (b builtin) checkArity(name string, n int) error {
@@ -627,8 +682,8 @@ var builtinFuncs = map[string]builtin{
 		if anyNull(args) {
 			return Null(), nil
 		}
-		sub := []rune(args[0].AsString())
-		s := []rune(args[1].AsString())
+		sub, s := args[0].AsString(), args[1].AsString()
+		n := utf8.RuneCountInString(s)
 		start := 1
 		if len(args) == 3 {
 			start = int(args[2].AsInt())
@@ -636,16 +691,15 @@ var builtinFuncs = map[string]builtin{
 				start = 1
 			}
 		}
-		if start > len(s)+1 {
+		if start > n+1 {
 			return Int(0), nil
 		}
-		idx := strings.Index(string(s[start-1:]), string(sub))
+		tail := s[runeOffset(s, n, start-1):]
+		idx := strings.Index(tail, sub)
 		if idx < 0 {
 			return Int(0), nil
 		}
-		// Convert byte offset back to rune offset.
-		runesBefore := len([]rune(string(s[start-1:])[:idx]))
-		return Int(int64(start + runesBefore)), nil
+		return Int(int64(start + utf8.RuneCountInString(tail[:idx]))), nil
 	}},
 	"COALESCE": {1, -1, func(args []Value) (Value, error) {
 		for _, a := range args {
@@ -724,41 +778,57 @@ var lengthFn = builtin{1, 1, func(args []Value) (Value, error) {
 	if anyNull(args) {
 		return Null(), nil
 	}
-	return Int(int64(len([]rune(args[0].AsString())))), nil
+	return Int(int64(utf8.RuneCountInString(args[0].AsString()))), nil
 }}
 
 var substringFn = builtin{2, 3, func(args []Value) (Value, error) {
 	if anyNull(args) {
 		return Null(), nil
 	}
-	r := []rune(args[0].AsString())
+	s := args[0].AsString()
+	n := utf8.RuneCountInString(s)
 	pos := int(args[1].AsInt())
 	// MySQL: position is 1-based; negative counts from the end; 0 yields "".
 	switch {
 	case pos == 0:
 		return String(""), nil
 	case pos < 0:
-		pos = len(r) + pos + 1
+		pos = n + pos + 1
 		if pos < 1 {
 			return String(""), nil
 		}
 	}
-	if pos > len(r) {
+	if pos > n {
 		return String(""), nil
 	}
 	start := pos - 1
-	end := len(r)
+	end := n
 	if len(args) == 3 {
-		n := int(args[2].AsInt())
-		if n <= 0 {
+		count := int(args[2].AsInt())
+		if count <= 0 {
 			return String(""), nil
 		}
-		if start+n < end {
-			end = start + n
+		if start+count < end {
+			end = start + count
 		}
 	}
-	return String(string(r[start:end])), nil
+	// A copy: a stored token must not pin the string it was cut from.
+	return String(strings.Clone(s[runeOffset(s, n, start):runeOffset(s, n, end)])), nil
 }}
+
+// runeOffset returns the byte offset of the k-th rune of s, which has n
+// runes (k ≤ n).
+func runeOffset(s string, n, k int) int {
+	if n == len(s) {
+		return k // ASCII
+	}
+	off := 0
+	for ; k > 0; k-- {
+		_, w := utf8.DecodeRuneInString(s[off:])
+		off += w
+	}
+	return off
+}
 
 func stringFn(f func(string) string) builtin {
 	return builtin{1, 1, func(args []Value) (Value, error) {

@@ -1,10 +1,7 @@
 package sqldb
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 )
 
@@ -146,17 +143,19 @@ func (db *DB) execDelete(s *deleteStmt) (int, error) {
 		}
 		return n, nil
 	}
-	schema := baseSchema(t, strings.ToLower(s.Table))
-	c := &compiler{db: db, schema: schema}
-	cond, err := c.compile(s.Where)
+	schema := &relSchema{}
+	for i, col := range t.cols {
+		schema.cols = append(schema.cols, relCol{qual: strings.ToLower(s.Table), name: col.Name, idx: i})
+	}
+	cond, err := (&compiler{db: db, schema: schema}).compile(s.Where)
 	if err != nil {
 		return 0, err
 	}
 	kept := t.rows[:0:0]
 	removed := 0
-	ctx := &evalCtx{}
+	ctx := &evalCtx{rows: make([][]Value, 1)}
 	for _, row := range t.rows {
-		ctx.row = row
+		ctx.rows[0] = row
 		v, err := cond(ctx)
 		if err != nil {
 			return 0, err
@@ -194,1114 +193,161 @@ func (db *DB) execInsert(s *insertStmt) (int, error) {
 		}
 	}
 
-	var source [][]Value
-	if s.Select != nil {
-		rows, err := db.execSelect(s.Select)
-		if err != nil {
-			return 0, err
+	// store coerces one source row to the column types and appends it. A
+	// row that already has the table's shape is stored as is: the caller
+	// hands over ownership.
+	whole := len(dest) == len(t.cols)
+	for i, ci := range dest {
+		whole = whole && ci == i
+	}
+	n := 0
+	store := func(src []Value) {
+		row := src
+		if !whole {
+			row = make([]Value, len(t.cols))
 		}
-		if len(rows.Cols) != len(dest) {
-			return 0, fmt.Errorf("sqldb: INSERT expects %d columns, SELECT returns %d", len(dest), len(rows.Cols))
+		for i, ci := range dest {
+			row[ci] = coerce(src[i], t.cols[ci].Type)
 		}
-		source = rows.Data
-	} else {
+		t.appendRow(row)
+		n++
+	}
+
+	if s.Select == nil {
 		c := &compiler{db: db, schema: &relSchema{}}
 		ctx := &evalCtx{}
-		for _, rowExprs := range s.Rows {
+		rows := make([][]Value, len(s.Rows))
+		for r, rowExprs := range s.Rows {
 			if len(rowExprs) != len(dest) {
 				return 0, fmt.Errorf("sqldb: INSERT expects %d values, got %d", len(dest), len(rowExprs))
 			}
-			row := make([]Value, len(rowExprs))
+			rows[r] = make([]Value, len(rowExprs))
 			for i, e := range rowExprs {
 				fn, err := c.compile(e)
 				if err != nil {
 					return 0, err
 				}
-				v, err := fn(ctx)
-				if err != nil {
+				if rows[r][i], err = fn(ctx); err != nil {
 					return 0, err
 				}
-				row[i] = v
 			}
-			source = append(source, row)
 		}
+		for _, row := range rows {
+			store(row)
+		}
+		return n, nil
 	}
 
-	for _, src := range source {
-		row := make([]Value, len(t.cols))
-		for i, ci := range dest {
-			row[ci] = coerce(src[i], t.cols[ci].Type)
-		}
-		t.appendRow(row)
+	q, err := db.planQuery(s.Select)
+	if err != nil {
+		return 0, err
 	}
-	return len(source), nil
+	if len(q.names) != len(dest) {
+		return 0, fmt.Errorf("sqldb: INSERT expects %d columns, SELECT returns %d", len(dest), len(q.names))
+	}
+	if q.reads(t) {
+		// The statement sees the table as it was: finish reading it before
+		// the first row goes in.
+		rows, err := q.collect()
+		if err != nil {
+			return 0, err
+		}
+		for _, row := range rows.Data {
+			store(row)
+		}
+		return n, nil
+	}
+	// The table is the pipeline's sink. A statement that fails half-way
+	// inserts nothing.
+	before := len(t.rows)
+	if err := q.run(store); err != nil {
+		t.rows = t.rows[:before]
+		for _, ix := range t.indexes {
+			ix.rebuild(t.rows)
+		}
+		return 0, err
+	}
+	return n, nil
 }
 
 // ---- SELECT execution ----
 
-// relation is a materialized intermediate result.
-type relation struct {
-	schema *relSchema
-	rows   [][]Value
-	// table is non-nil when rows alias a base table heap and the schema maps
-	// 1:1 to the table's columns; this enables index nested-loop joins.
-	table *Table
+// query is a planned SELECT statement: one pipeline and projection per
+// UNION ALL arm, all planned (derived tables and IN subqueries evaluated)
+// before the first row is produced.
+type query struct {
+	names []string
+	arms  []arm
 }
 
-func baseSchema(t *Table, alias string) *relSchema {
-	cols := make([]relCol, len(t.cols))
-	for i, c := range t.cols {
-		cols[i] = relCol{qual: alias, name: c.Name}
-	}
-	return &relSchema{cols: cols}
+type arm struct {
+	plan *selectPlan
+	proj *projection
 }
 
-func (db *DB) execSelect(sel *selectStmt) (*Rows, error) {
-	out, err := db.execSelectCore(sel)
-	if err != nil {
-		return nil, err
-	}
-	for u := sel.Union; u != nil; u = u.Union {
-		next, err := db.execSelectCore(u)
+func (db *DB) planQuery(sel *selectStmt) (*query, error) {
+	q := &query{}
+	for ; sel != nil; sel = sel.Union {
+		plan, err := db.planSelect(sel)
 		if err != nil {
 			return nil, err
 		}
-		if len(next.Cols) != len(out.Cols) {
-			return nil, fmt.Errorf("sqldb: UNION ALL arms have %d and %d columns", len(out.Cols), len(next.Cols))
-		}
-		out.Data = append(out.Data, next.Data...)
-	}
-	return out, nil
-}
-
-// conjunct is one AND-term of the WHERE/ON pool with planning metadata.
-type conjunct struct {
-	e       expr
-	needs   map[string]bool // aliases referenced; nil means undetermined
-	applied bool
-}
-
-func (db *DB) execSelectCore(sel *selectStmt) (*Rows, error) {
-	// 1. Materialize FROM items.
-	rels := make([]relation, 0, len(sel.From))
-	aliases := make([]string, 0, len(sel.From))
-	var pool []*conjunct
-	for _, ref := range sel.From {
-		alias := ref.Alias
-		if alias == "" {
-			alias = strings.ToLower(ref.Name)
-		}
-		var rel relation
-		if ref.Sub != nil {
-			sub, err := db.execSelect(ref.Sub)
-			if err != nil {
-				return nil, err
-			}
-			cols := make([]relCol, len(sub.Cols))
-			for i, c := range sub.Cols {
-				cols[i] = relCol{qual: alias, name: c}
-			}
-			rel = relation{schema: &relSchema{cols: cols}, rows: sub.Data}
-		} else {
-			t := db.tables[strings.ToLower(ref.Name)]
-			if t == nil {
-				return nil, fmt.Errorf("sqldb: unknown table %q", ref.Name)
-			}
-			rel = relation{schema: baseSchema(t, alias), rows: t.rows, table: t}
-		}
-		rels = append(rels, rel)
-		aliases = append(aliases, alias)
-		if ref.On != nil {
-			for _, e := range splitAnd(ref.On) {
-				pool = append(pool, &conjunct{e: e})
-			}
-		}
-	}
-	if sel.Where != nil {
-		for _, e := range splitAnd(sel.Where) {
-			pool = append(pool, &conjunct{e: e})
-		}
-	}
-
-	// Column name → owning aliases, for resolving unqualified references in
-	// planning.
-	colOwners := map[string][]string{}
-	for i, rel := range rels {
-		seen := map[string]bool{}
-		for _, c := range rel.schema.cols {
-			if !seen[c.name] {
-				colOwners[c.name] = append(colOwners[c.name], aliases[i])
-				seen[c.name] = true
-			}
-		}
-	}
-	for _, cj := range pool {
-		cj.needs = referencedAliases(cj.e, colOwners)
-	}
-
-	// 2. Push single-relation filters down before joining.
-	for i := range rels {
-		var filters []*conjunct
-		for _, cj := range pool {
-			if cj.applied || cj.needs == nil || len(cj.needs) != 1 || !cj.needs[aliases[i]] {
-				continue
-			}
-			filters = append(filters, cj)
-		}
-		if len(filters) == 0 {
-			continue
-		}
-		filtered, err := db.filterRelation(rels[i], filters)
+		proj, err := db.compileProjection(sel, plan.schema)
 		if err != nil {
 			return nil, err
 		}
-		rels[i] = filtered
-		for _, cj := range filters {
-			cj.applied = true
+		if q.arms == nil {
+			q.names = proj.names
+		} else if len(proj.names) != len(q.names) {
+			return nil, fmt.Errorf("sqldb: UNION ALL arms have %d and %d columns", len(q.names), len(proj.names))
 		}
+		q.arms = append(q.arms, arm{plan, proj})
 	}
-
-	// 3. Join. Greedy order: start from the smallest relation, then prefer
-	// index nested-loop joins into indexed base tables, then hash joins,
-	// then the smallest remaining cross product.
-	var acc relation
-	joined := map[string]bool{}
-	if len(rels) == 0 {
-		acc = relation{schema: &relSchema{}, rows: [][]Value{{}}}
-	} else {
-		start := 0
-		for i := range rels {
-			if len(rels[i].rows) < len(rels[start].rows) {
-				start = i
-			}
-		}
-		acc = rels[start]
-		joined[aliases[start]] = true
-		remaining := make([]int, 0, len(rels)-1)
-		for i := range rels {
-			if i != start {
-				remaining = append(remaining, i)
-			}
-		}
-		for len(remaining) > 0 {
-			nextPos, err := db.chooseNext(acc, rels, aliases, joined, remaining, pool)
-			if err != nil {
-				return nil, err
-			}
-			idx := remaining[nextPos]
-			remaining = append(remaining[:nextPos], remaining[nextPos+1:]...)
-			combined, err := db.joinRelations(acc, rels[idx], aliases[idx], pool)
-			if err != nil {
-				return nil, err
-			}
-			acc = combined
-			joined[aliases[idx]] = true
-			// Apply every now-evaluable conjunct.
-			var filters []*conjunct
-			for _, cj := range pool {
-				if cj.applied || cj.needs == nil || !subset(cj.needs, joined) {
-					continue
-				}
-				filters = append(filters, cj)
-			}
-			if len(filters) > 0 {
-				acc, err = db.filterRelation(acc, filters)
-				if err != nil {
-					return nil, err
-				}
-				for _, cj := range filters {
-					cj.applied = true
-				}
-			}
-		}
-	}
-
-	// 4. Any leftover conjuncts (e.g. with undetermined references) apply to
-	// the full joined relation.
-	var leftovers []*conjunct
-	for _, cj := range pool {
-		if !cj.applied {
-			leftovers = append(leftovers, cj)
-		}
-	}
-	if len(leftovers) > 0 {
-		var err error
-		acc, err = db.filterRelation(acc, leftovers)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// 5. Projection, aggregation, ordering.
-	return db.project(sel, acc)
+	return q, nil
 }
 
-// filterRelation returns rel restricted to rows satisfying every conjunct.
-func (db *DB) filterRelation(rel relation, conjs []*conjunct) (relation, error) {
-	c := &compiler{db: db, schema: rel.schema}
-	fns := make([]evalFn, len(conjs))
-	for i, cj := range conjs {
-		fn, err := c.compile(cj.e)
-		if err != nil {
-			return relation{}, err
+// run streams the statement's result rows, arm after arm, into out, which
+// owns each row it is handed.
+func (q *query) run(out func(vals []Value)) error {
+	for _, a := range q.arms {
+		a.proj.out = out
+		if err := a.plan.run(a.proj.push); err != nil {
+			return err
 		}
-		fns[i] = fn
-	}
-	out := make([][]Value, 0, len(rel.rows))
-	ctx := &evalCtx{}
-rows:
-	for _, row := range rel.rows {
-		ctx.row = row
-		for _, fn := range fns {
-			v, err := fn(ctx)
-			if err != nil {
-				return relation{}, err
-			}
-			if !v.Truthy() {
-				continue rows
-			}
-		}
-		out = append(out, row)
-	}
-	return relation{schema: rel.schema, rows: out}, nil
-}
-
-// equiPair is an equality join condition split across the two join inputs.
-// accFn and relFn compute the key on the accumulated and candidate side;
-// relCol is the candidate-side column position when the candidate key is a
-// bare column reference (enabling index nested-loop joins), −1 otherwise.
-type equiPair struct {
-	accFn, relFn evalFn
-	relCol       int
-	cj           *conjunct
-}
-
-// equiPairsFor finds conjuncts of the form exprA = exprB where one side is
-// computable from acc alone and the other from cand alone. This covers both
-// plain column equality (R1.token = R2.token) and computed keys such as the
-// paper's word tokenizer join N2.i = LOCATE(' ', string, N1.i + 1).
-func equiPairsFor(db *DB, acc relation, cand relation, pool []*conjunct) []equiPair {
-	accC := &compiler{db: db, schema: acc.schema}
-	candC := &compiler{db: db, schema: cand.schema}
-	tryCompile := func(c *compiler, e expr) (evalFn, bool) {
-		if isAggregate(e) {
-			return nil, false
-		}
-		fn, err := c.compile(e)
-		return fn, err == nil
-	}
-	candCol := func(e expr) int {
-		cr, ok := e.(*colRef)
-		if !ok {
-			return -1
-		}
-		idx, err := cand.schema.resolve(cr.Table, cr.Name)
-		if err != nil {
-			return -1
-		}
-		return idx
-	}
-	var pairs []equiPair
-	for _, cj := range pool {
-		if cj.applied {
-			continue
-		}
-		be, ok := cj.e.(*binaryExpr)
-		if !ok || be.Op != "=" {
-			continue
-		}
-		if lfn, ok := tryCompile(accC, be.L); ok {
-			if rfn, ok := tryCompile(candC, be.R); ok {
-				pairs = append(pairs, equiPair{accFn: lfn, relFn: rfn, relCol: candCol(be.R), cj: cj})
-				continue
-			}
-		}
-		if lfn, ok := tryCompile(candC, be.L); ok {
-			if rfn, ok := tryCompile(accC, be.R); ok {
-				pairs = append(pairs, equiPair{accFn: rfn, relFn: lfn, relCol: candCol(be.L), cj: cj})
-			}
-		}
-	}
-	return pairs
-}
-
-// chooseNext picks the next relation to join (position within remaining).
-// Preference order: equi-join into an indexed base table, any equi-join,
-// a join that at least makes some pending filter applicable, and finally
-// the smallest remaining relation (cross product).
-func (db *DB) chooseNext(acc relation, rels []relation, aliases []string, joined map[string]bool, remaining []int, pool []*conjunct) (int, error) {
-	bestPos, bestScore, bestRows := -1, -1, 0
-	for pos, idx := range remaining {
-		cand := rels[idx]
-		pairs := equiPairsFor(db, acc, cand, pool)
-		score := 0
-		switch {
-		case len(pairs) > 0:
-			score = 2
-			if cand.table != nil {
-				for _, p := range pairs {
-					if p.relCol < 0 {
-						continue
-					}
-					colName := cand.schema.cols[p.relCol].name
-					if _, ok := cand.table.indexes[colName]; ok {
-						score = 3
-						break
-					}
-				}
-			}
-		default:
-			// Does adding cand make any pending conjunct evaluable? If so
-			// the cross product will be filtered immediately afterwards.
-			for _, cj := range pool {
-				if cj.applied || cj.needs == nil || !cj.needs[aliases[idx]] {
-					continue
-				}
-				applicable := true
-				for a := range cj.needs {
-					if a != aliases[idx] && !joined[a] {
-						applicable = false
-						break
-					}
-				}
-				if applicable {
-					score = 1
-					break
-				}
-			}
-		}
-		if score > bestScore || (score == bestScore && len(cand.rows) < bestRows) {
-			bestPos, bestScore, bestRows = pos, score, len(cand.rows)
-		}
-	}
-	if bestPos < 0 {
-		return 0, fmt.Errorf("sqldb: internal error: no joinable relation")
-	}
-	return bestPos, nil
-}
-
-// joinRelations joins acc with cand using the best available strategy.
-func (db *DB) joinRelations(acc, cand relation, alias string, pool []*conjunct) (relation, error) {
-	pairs := equiPairsFor(db, acc, cand, pool)
-	outSchema := &relSchema{cols: append(append([]relCol{}, acc.schema.cols...), cand.schema.cols...)}
-
-	if len(pairs) == 0 {
-		// Cross product; pool filters are applied by the caller.
-		out := make([][]Value, 0, len(acc.rows)*len(cand.rows))
-		for _, a := range acc.rows {
-			for _, b := range cand.rows {
-				out = append(out, concatRows(a, b))
-			}
-		}
-		return relation{schema: outSchema, rows: out}, nil
-	}
-
-	evalKey := func(fn evalFn, ctx *evalCtx) (Value, error) { return fn(ctx) }
-
-	// Index nested-loop join when the candidate is an indexed base table and
-	// the candidate-side key is a bare indexed column.
-	if cand.table != nil {
-		for pi, p := range pairs {
-			if p.relCol < 0 {
-				continue
-			}
-			colName := cand.schema.cols[p.relCol].name
-			ix, ok := cand.table.indexes[colName]
-			if !ok {
-				continue
-			}
-			rest := make([]equiPair, 0, len(pairs)-1)
-			for qi, q := range pairs {
-				if qi != pi {
-					rest = append(rest, q)
-				}
-			}
-			out := make([][]Value, 0, len(acc.rows))
-			actx, bctx := &evalCtx{}, &evalCtx{}
-			for _, a := range acc.rows {
-				actx.row = a
-				kv, err := evalKey(p.accFn, actx)
-				if err != nil {
-					return relation{}, err
-				}
-				if kv.IsNull() {
-					continue
-				}
-			matches:
-				for _, rp := range ix.buckets[kv.hashKey()] {
-					b := cand.rows[rp]
-					bctx.row = b
-					for _, q := range rest {
-						av, err := evalKey(q.accFn, actx)
-						if err != nil {
-							return relation{}, err
-						}
-						bv, err := evalKey(q.relFn, bctx)
-						if err != nil {
-							return relation{}, err
-						}
-						cmp, ok := Compare(av, bv)
-						if !ok || cmp != 0 {
-							continue matches
-						}
-					}
-					out = append(out, concatRows(a, b))
-				}
-			}
-			for _, p := range pairs {
-				p.cj.applied = true
-			}
-			return relation{schema: outSchema, rows: out}, nil
-		}
-	}
-
-	// Hash join: build on the smaller input.
-	var keybuf []byte
-	makeKey := func(row []Value, fns []evalFn, ctx *evalCtx) (string, bool, error) {
-		ctx.row = row
-		keybuf = keybuf[:0]
-		for _, fn := range fns {
-			v, err := fn(ctx)
-			if err != nil {
-				return "", false, err
-			}
-			if v.IsNull() {
-				return "", false, nil
-			}
-			keybuf = appendKey(keybuf, v)
-		}
-		return string(keybuf), true, nil
-	}
-	accFns := make([]evalFn, len(pairs))
-	candFns := make([]evalFn, len(pairs))
-	for i, p := range pairs {
-		accFns[i] = p.accFn
-		candFns[i] = p.relFn
-	}
-	capacity := len(acc.rows)
-	if len(cand.rows) > capacity {
-		capacity = len(cand.rows)
-	}
-	out := make([][]Value, 0, capacity)
-	ctx := &evalCtx{}
-	if len(cand.rows) <= len(acc.rows) {
-		ht := make(map[string][]int, len(cand.rows))
-		for i, b := range cand.rows {
-			k, ok, err := makeKey(b, candFns, ctx)
-			if err != nil {
-				return relation{}, err
-			}
-			if ok {
-				ht[k] = append(ht[k], i)
-			}
-		}
-		for _, a := range acc.rows {
-			k, ok, err := makeKey(a, accFns, ctx)
-			if err != nil {
-				return relation{}, err
-			}
-			if !ok {
-				continue
-			}
-			for _, bi := range ht[k] {
-				out = append(out, concatRows(a, cand.rows[bi]))
-			}
-		}
-	} else {
-		ht := make(map[string][]int, len(acc.rows))
-		for i, a := range acc.rows {
-			k, ok, err := makeKey(a, accFns, ctx)
-			if err != nil {
-				return relation{}, err
-			}
-			if ok {
-				ht[k] = append(ht[k], i)
-			}
-		}
-		for _, b := range cand.rows {
-			k, ok, err := makeKey(b, candFns, ctx)
-			if err != nil {
-				return relation{}, err
-			}
-			if !ok {
-				continue
-			}
-			for _, ai := range ht[k] {
-				out = append(out, concatRows(acc.rows[ai], b))
-			}
-		}
-	}
-	for _, p := range pairs {
-		p.cj.applied = true
-	}
-	return relation{schema: outSchema, rows: out}, nil
-}
-
-func concatRows(a, b []Value) []Value {
-	out := make([]Value, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
-}
-
-// splitAnd flattens an AND tree into conjuncts.
-func splitAnd(e expr) []expr {
-	if be, ok := e.(*binaryExpr); ok && be.Op == "AND" {
-		return append(splitAnd(be.L), splitAnd(be.R)...)
-	}
-	return []expr{e}
-}
-
-// referencedAliases returns the set of FROM aliases an expression touches,
-// or nil when a reference cannot be attributed statically.
-func referencedAliases(e expr, colOwners map[string][]string) map[string]bool {
-	needs := map[string]bool{}
-	ok := collectAliases(e, colOwners, needs)
-	if !ok {
-		return nil
-	}
-	return needs
-}
-
-func collectAliases(e expr, colOwners map[string][]string, needs map[string]bool) bool {
-	switch x := e.(type) {
-	case nil:
-		return true
-	case *literal:
-		return true
-	case *colRef:
-		if x.Table != "" {
-			needs[x.Table] = true
-			return true
-		}
-		owners := colOwners[x.Name]
-		if len(owners) != 1 {
-			return false
-		}
-		needs[owners[0]] = true
-		return true
-	case *unaryExpr:
-		return collectAliases(x.X, colOwners, needs)
-	case *binaryExpr:
-		return collectAliases(x.L, colOwners, needs) && collectAliases(x.R, colOwners, needs)
-	case *funcCall:
-		for _, a := range x.Args {
-			if !collectAliases(a, colOwners, needs) {
-				return false
-			}
-		}
-		return true
-	case *inExpr:
-		if !collectAliases(x.X, colOwners, needs) {
-			return false
-		}
-		for _, a := range x.List {
-			if !collectAliases(a, colOwners, needs) {
-				return false
-			}
-		}
-		return true // subquery is uncorrelated by construction
-	case *isNullExpr:
-		return collectAliases(x.X, colOwners, needs)
-	case *caseExpr:
-		for _, w := range x.Whens {
-			if !collectAliases(w.Cond, colOwners, needs) || !collectAliases(w.Then, colOwners, needs) {
-				return false
-			}
-		}
-		if x.Else != nil {
-			return collectAliases(x.Else, colOwners, needs)
-		}
-		return true
-	default:
-		return false
-	}
-}
-
-func subset(a, b map[string]bool) bool {
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// ---- projection, grouping, ordering ----
-
-func (db *DB) project(sel *selectStmt, acc relation) (*Rows, error) {
-	// Expand stars into concrete column expressions.
-	type projItem struct {
-		e     expr
-		alias string
-		name  string
-	}
-	var items []projItem
-	for _, it := range sel.Items {
-		if it.Star {
-			found := false
-			for _, c := range acc.schema.cols {
-				if it.StarTable != "" && c.qual != it.StarTable {
-					continue
-				}
-				items = append(items, projItem{e: &colRef{Table: c.qual, Name: c.name}, name: c.name})
-				found = true
-			}
-			if !found && it.StarTable != "" {
-				return nil, fmt.Errorf("sqldb: unknown table %q in select list", it.StarTable)
-			}
-			continue
-		}
-		name := it.Alias
-		if name == "" {
-			if cr, ok := it.Expr.(*colRef); ok {
-				name = cr.Name
-			}
-		}
-		items = append(items, projItem{e: it.Expr, alias: it.Alias, name: name})
-	}
-
-	grouped := len(sel.GroupBy) > 0
-	if !grouped {
-		for _, it := range items {
-			if it.e != nil && isAggregate(it.e) {
-				grouped = true
-				break
-			}
-		}
-		if sel.Having != nil && isAggregate(sel.Having) {
-			grouped = true
-		}
-	}
-
-	// Alias substitution for HAVING and ORDER BY: names that do not resolve
-	// in the source schema but match a select alias are replaced by the
-	// aliased expression (MySQL-compatible for the paper's HAVING score...).
-	aliasExpr := map[string]expr{}
-	for _, it := range items {
-		if it.alias != "" {
-			aliasExpr[it.alias] = it.e
-		}
-	}
-	substitute := func(e expr) expr { return substituteAliases(e, aliasExpr, acc.schema) }
-
-	c := &compiler{db: db, schema: acc.schema, allowAggs: grouped}
-	itemFns := make([]evalFn, len(items))
-	names := make([]string, len(items))
-	for i, it := range items {
-		fn, err := c.compile(it.e)
-		if err != nil {
-			return nil, err
-		}
-		itemFns[i] = fn
-		if it.name != "" {
-			names[i] = it.name
-		} else {
-			names[i] = fmt.Sprintf("col%d", i)
-		}
-	}
-
-	var havingFn evalFn
-	if sel.Having != nil {
-		fn, err := c.compile(substitute(sel.Having))
-		if err != nil {
-			return nil, err
-		}
-		havingFn = fn
-	}
-
-	// ORDER BY: positional references pick output columns; everything else
-	// evaluates in the same context as the select items.
-	type orderKey struct {
-		fn   evalFn // nil when positional
-		pos  int
-		desc bool
-	}
-	orderKeys := make([]orderKey, 0, len(sel.OrderBy))
-	for _, oi := range sel.OrderBy {
-		if lit, ok := oi.Expr.(*literal); ok && lit.Val.Kind == KindInt {
-			p := int(lit.Val.I) - 1
-			if p < 0 || p >= len(items) {
-				return nil, fmt.Errorf("sqldb: ORDER BY position %d out of range", lit.Val.I)
-			}
-			orderKeys = append(orderKeys, orderKey{pos: p, desc: oi.Desc, fn: nil})
-			continue
-		}
-		fn, err := c.compile(substitute(oi.Expr))
-		if err != nil {
-			return nil, err
-		}
-		orderKeys = append(orderKeys, orderKey{fn: fn, pos: -1, desc: oi.Desc})
-	}
-
-	type outRow struct {
-		vals []Value
-		keys []Value
-	}
-	var outs []outRow
-
-	emit := func(ctx *evalCtx) error {
-		if havingFn != nil {
-			hv, err := havingFn(ctx)
-			if err != nil {
-				return err
-			}
-			if !hv.Truthy() {
-				return nil
-			}
-		}
-		vals := make([]Value, len(itemFns))
-		for i, fn := range itemFns {
-			v, err := fn(ctx)
-			if err != nil {
-				return err
-			}
-			vals[i] = v
-		}
-		keys := make([]Value, len(orderKeys))
-		for i, ok := range orderKeys {
-			if ok.fn == nil {
-				keys[i] = vals[ok.pos]
-				continue
-			}
-			v, err := ok.fn(ctx)
-			if err != nil {
-				return err
-			}
-			keys[i] = v
-		}
-		outs = append(outs, outRow{vals: vals, keys: keys})
-		return nil
-	}
-
-	if grouped {
-		// Group-key expressions must not contain aggregates. Aliases from
-		// the select list may appear (MySQL extension used by the paper's
-		// Appendix A.3 GROUP BY ... qgram).
-		gc := &compiler{db: db, schema: acc.schema}
-		groupFns := make([]evalFn, len(sel.GroupBy))
-		for i, ge := range sel.GroupBy {
-			fn, err := gc.compile(substitute(ge))
-			if err != nil {
-				return nil, err
-			}
-			groupFns[i] = fn
-		}
-		type group struct {
-			rep  []Value
-			accs []aggAcc
-		}
-		groups := map[string]*group{}
-		var orderOfGroups []string
-		ctx := &evalCtx{}
-		var keybuf []byte
-		for _, row := range acc.rows {
-			ctx.row = row
-			keybuf = keybuf[:0]
-			for _, fn := range groupFns {
-				v, err := fn(ctx)
-				if err != nil {
-					return nil, err
-				}
-				keybuf = appendKey(keybuf, v)
-			}
-			k := string(keybuf)
-			g, ok := groups[k]
-			if !ok {
-				g = &group{rep: row, accs: newAggAccs(c.aggs)}
-				groups[k] = g
-				orderOfGroups = append(orderOfGroups, k)
-			}
-			for i := range c.aggs {
-				if err := g.accs[i].add(&c.aggs[i], ctx); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if len(groups) == 0 && len(sel.GroupBy) == 0 {
-			// Aggregate over empty input yields a single all-NULL group.
-			g := &group{rep: make([]Value, len(acc.schema.cols)), accs: newAggAccs(c.aggs)}
-			groups[""] = g
-			orderOfGroups = append(orderOfGroups, "")
-		}
-		for _, k := range orderOfGroups {
-			g := groups[k]
-			aggVals := make([]Value, len(g.accs))
-			for i := range g.accs {
-				aggVals[i] = g.accs[i].finalize(&c.aggs[i])
-			}
-			gctx := &evalCtx{row: g.rep, aggs: aggVals}
-			if err := emit(gctx); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		ctx := &evalCtx{}
-		for _, row := range acc.rows {
-			ctx.row = row
-			if err := emit(ctx); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// DISTINCT.
-	if sel.Distinct {
-		seen := map[string]bool{}
-		dedup := outs[:0]
-		var keybuf []byte
-		for _, o := range outs {
-			keybuf = keybuf[:0]
-			for _, v := range o.vals {
-				keybuf = appendKey(keybuf, v)
-			}
-			k := string(keybuf)
-			if !seen[k] {
-				seen[k] = true
-				dedup = append(dedup, o)
-			}
-		}
-		outs = dedup
-	}
-
-	// ORDER BY.
-	if len(orderKeys) > 0 {
-		sort.SliceStable(outs, func(i, j int) bool {
-			for k, ok := range orderKeys {
-				a, b := outs[i].keys[k], outs[j].keys[k]
-				cmp := compareForSort(a, b)
-				if cmp == 0 {
-					continue
-				}
-				if ok.desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-			return false
-		})
-	}
-
-	// LIMIT.
-	if sel.Limit != nil {
-		lc := &compiler{db: db, schema: &relSchema{}}
-		fn, err := lc.compile(sel.Limit)
-		if err != nil {
-			return nil, err
-		}
-		v, err := fn(&evalCtx{})
-		if err != nil {
-			return nil, err
-		}
-		n := int(v.AsInt())
-		if n < 0 {
-			n = 0
-		}
-		if n < len(outs) {
-			outs = outs[:n]
-		}
-	}
-
-	res := &Rows{Cols: names, Data: make([][]Value, len(outs))}
-	for i, o := range outs {
-		res.Data[i] = o.vals
-	}
-	return res, nil
-}
-
-// compareForSort orders values with NULLs first (MySQL ASC semantics).
-func compareForSort(a, b Value) int {
-	an, bn := a.IsNull(), b.IsNull()
-	switch {
-	case an && bn:
-		return 0
-	case an:
-		return -1
-	case bn:
-		return 1
-	}
-	cmp, _ := Compare(a, b)
-	return cmp
-}
-
-// substituteAliases replaces unresolvable plain column references that match
-// a select alias with the aliased expression.
-func substituteAliases(e expr, aliasExpr map[string]expr, schema *relSchema) expr {
-	switch x := e.(type) {
-	case *colRef:
-		if x.Table == "" {
-			if _, err := schema.resolve("", x.Name); err != nil {
-				if sub, ok := aliasExpr[x.Name]; ok {
-					return sub
-				}
-			}
-		}
-		return x
-	case *unaryExpr:
-		return &unaryExpr{Op: x.Op, X: substituteAliases(x.X, aliasExpr, schema)}
-	case *binaryExpr:
-		return &binaryExpr{Op: x.Op,
-			L: substituteAliases(x.L, aliasExpr, schema),
-			R: substituteAliases(x.R, aliasExpr, schema)}
-	case *funcCall:
-		args := make([]expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = substituteAliases(a, aliasExpr, schema)
-		}
-		return &funcCall{Name: x.Name, Args: args, Star: x.Star, Distinct: x.Distinct}
-	case *inExpr:
-		out := *x
-		out.X = substituteAliases(x.X, aliasExpr, schema)
-		list := make([]expr, len(x.List))
-		for i, a := range x.List {
-			list[i] = substituteAliases(a, aliasExpr, schema)
-		}
-		out.List = list
-		return &out
-	case *isNullExpr:
-		return &isNullExpr{X: substituteAliases(x.X, aliasExpr, schema), Not: x.Not}
-	case *caseExpr:
-		out := &caseExpr{}
-		for _, w := range x.Whens {
-			out.Whens = append(out.Whens, whenClause{
-				Cond: substituteAliases(w.Cond, aliasExpr, schema),
-				Then: substituteAliases(w.Then, aliasExpr, schema),
-			})
-		}
-		if x.Else != nil {
-			out.Else = substituteAliases(x.Else, aliasExpr, schema)
-		}
-		return out
-	default:
-		return e
-	}
-}
-
-// ---- aggregation accumulators ----
-
-// aggAcc accumulates one aggregate over one group.
-type aggAcc struct {
-	count    int64
-	nonNull  int64
-	isum     int64
-	fsum     float64
-	sawFloat bool
-	min, max Value
-	distinct map[string]bool
-}
-
-func newAggAccs(specs []aggSpec) []aggAcc {
-	accs := make([]aggAcc, len(specs))
-	for i, s := range specs {
-		if s.distinct {
-			accs[i].distinct = map[string]bool{}
-		}
-	}
-	return accs
-}
-
-func (a *aggAcc) add(spec *aggSpec, ctx *evalCtx) error {
-	a.count++
-	if spec.star {
-		return nil
-	}
-	v, err := spec.arg(ctx)
-	if err != nil {
-		return err
-	}
-	if v.IsNull() {
-		return nil
-	}
-	if a.distinct != nil {
-		k := string(appendKey(nil, v))
-		if a.distinct[k] {
-			return nil
-		}
-		a.distinct[k] = true
-	}
-	a.nonNull++
-	switch v.Kind {
-	case KindInt:
-		a.isum += v.I
-	case KindFloat:
-		a.fsum += v.F
-		a.sawFloat = true
-	case KindString:
-		a.fsum += v.AsFloat()
-		a.sawFloat = true
-	}
-	if a.nonNull == 1 {
-		a.min, a.max = v, v
-	} else {
-		if cmp, ok := Compare(v, a.min); ok && cmp < 0 {
-			a.min = v
-		}
-		if cmp, ok := Compare(v, a.max); ok && cmp > 0 {
-			a.max = v
+		if err := a.proj.finish(); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func (a *aggAcc) finalize(spec *aggSpec) Value {
-	switch spec.name {
-	case "COUNT":
-		if spec.star {
-			return Int(a.count)
-		}
-		return Int(a.nonNull)
-	case "SUM":
-		if a.nonNull == 0 {
-			return Null()
-		}
-		if a.sawFloat {
-			return Float(a.fsum + float64(a.isum))
-		}
-		return Int(a.isum)
-	case "AVG":
-		if a.nonNull == 0 {
-			return Null()
-		}
-		return Float((a.fsum + float64(a.isum)) / float64(a.nonNull))
-	case "MIN":
-		if a.nonNull == 0 {
-			return Null()
-		}
-		return a.min
-	case "MAX":
-		if a.nonNull == 0 {
-			return Null()
-		}
-		return a.max
-	default:
-		return Null()
+// collect materializes the result.
+func (q *query) collect() (*Rows, error) {
+	rows := &Rows{Cols: q.names, Data: [][]Value{}}
+	if err := q.run(func(vals []Value) { rows.Data = append(rows.Data, vals) }); err != nil {
+		return nil, err
 	}
+	return rows, nil
 }
 
-// appendKey appends a normalized, collision-free encoding of v to buf; it is
-// used for hash-join keys, GROUP BY keys, DISTINCT and COUNT(DISTINCT). The
-// normalization mirrors Value.hashKey: numerics exactly representable in
-// float64 share an encoding across INT/DOUBLE; larger integers keep their
-// exact 64-bit form.
-func appendKey(buf []byte, v Value) []byte {
-	k := v.hashKey()
-	switch k.kind {
-	case 'n':
-		return append(buf, 0)
-	case 'f':
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(k.f))
-		buf = append(buf, 1)
-		return append(buf, b[:]...)
-	case 'i':
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(k.i))
-		buf = append(buf, 3)
-		return append(buf, b[:]...)
-	default:
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(len(k.s)))
-		buf = append(buf, 2)
-		buf = append(buf, b[:]...)
-		return append(buf, k.s...)
+// reads reports whether a pipeline of the statement scans or probes t's
+// heap while it runs (derived tables and IN subqueries are done reading by
+// then).
+func (q *query) reads(t *Table) bool {
+	for _, a := range q.arms {
+		for i := range a.plan.sources {
+			if a.plan.sources[i].table == t {
+				return true
+			}
+		}
 	}
+	return false
+}
+
+func (db *DB) execSelect(sel *selectStmt) (*Rows, error) {
+	q, err := db.planQuery(sel)
+	if err != nil {
+		return nil, err
+	}
+	return q.collect()
 }

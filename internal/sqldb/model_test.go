@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -219,5 +220,265 @@ func TestRandomizedUnionAllAgainstModel(t *testing.T) {
 		if len(got.Data) != len(rows) {
 			t.Fatalf("trial %d: UNION ALL partition returned %d rows, want %d", trial, len(got.Data), len(rows))
 		}
+	}
+}
+
+// TestRandomizedThreeWayJoinAgainstModel drives the streaming executor
+// through every stage kind: random three-relation joins (one relation a
+// derived table, NULLs among the keys, indexes on half the trials, HAVING
+// on the groups) against a brute-force triple loop. Relation sizes vary
+// enough that hash stages build on either side.
+func TestRandomizedThreeWayJoinAgainstModel(t *testing.T) {
+	type arow struct{ k, x int64 }    // k = -1 encodes NULL
+	type brow struct{ k, j, y int64 } // k, j = -1 encode NULL
+	type crow struct{ j, z int64 }
+	shapes := []struct {
+		where string
+		match func(a arow, b brow, c crow) bool
+	}{
+		{"a.k = b.k AND b.j = d.j AND a.x <> b.y", func(a arow, b brow, c crow) bool {
+			return a.k >= 0 && a.k == b.k && b.j >= 0 && b.j == c.j && a.x != b.y
+		}},
+		{"a.k < b.k AND b.j = d.j", func(a arow, b brow, c crow) bool {
+			return a.k >= 0 && b.k >= 0 && a.k < b.k && b.j >= 0 && b.j == c.j
+		}},
+		{"a.k = b.k AND d.z > a.x", func(a arow, b brow, c crow) bool {
+			return a.k >= 0 && a.k == b.k && c.z > a.x
+		}},
+		{"a.k + 1 = b.k + 1 AND d.j = b.j AND d.z = b.y", func(a arow, b brow, c crow) bool {
+			return a.k >= 0 && a.k == b.k && b.j >= 0 && b.j == c.j && c.z == b.y
+		}},
+	}
+	null := func(v int64) Value {
+		if v < 0 {
+			return Null()
+		}
+		return Int(v)
+	}
+	// What the trials' plans must cover between them: every stage kind, a
+	// hash table on the upstream frames and one on the stage's own relation.
+	marks := []string{"index-nlj", "cross", "hash", "built on upstream", "built on d]"}
+	seen := map[string]bool{}
+	rng := rand.New(rand.NewSource(57))
+	for trial := 0; trial < 120; trial++ {
+		db := New()
+		mustExec(t, db, "CREATE TABLE a (k INT, x INT)")
+		mustExec(t, db, "CREATE TABLE b (k INT, j INT, y INT)")
+		mustExec(t, db, "CREATE TABLE c (j INT, z INT)")
+		as := make([]arow, rng.Intn(14))
+		for i := range as {
+			as[i] = arow{int64(rng.Intn(7)) - 1, int64(rng.Intn(5))}
+			mustExec(t, db, "INSERT INTO a VALUES (?, ?)", null(as[i].k), Int(as[i].x))
+		}
+		bs := make([]brow, rng.Intn(40))
+		for i := range bs {
+			bs[i] = brow{int64(rng.Intn(7)) - 1, int64(rng.Intn(6)) - 1, int64(rng.Intn(5))}
+			mustExec(t, db, "INSERT INTO b VALUES (?, ?, ?)", null(bs[i].k), null(bs[i].j), Int(bs[i].y))
+		}
+		cs := make([]crow, rng.Intn(16))
+		for i := range cs {
+			cs[i] = crow{int64(rng.Intn(5)), int64(rng.Intn(5))}
+			mustExec(t, db, "INSERT INTO c VALUES (?, ?)", Int(cs[i].j), Int(cs[i].z))
+		}
+		if trial%2 == 0 {
+			mustExec(t, db, "CREATE INDEX b_k ON b (k)")
+			mustExec(t, db, "CREATE INDEX a_k ON a (k)")
+		}
+		shape := shapes[trial%len(shapes)]
+		zmin, nmin := int64(rng.Intn(3)), int64(1+rng.Intn(3))
+		sql := `SELECT a.x, COUNT(*) AS n, SUM(d.z) AS s
+			FROM a, b, (SELECT j, z FROM c WHERE z >= ?) d
+			WHERE ` + shape.where + `
+			GROUP BY a.x HAVING n >= ? ORDER BY a.x`
+		got := mustQuery(t, db, sql, Int(zmin), Int(nmin))
+
+		type agg struct{ n, s int64 }
+		model := map[int64]*agg{}
+		for _, a := range as {
+			for _, b := range bs {
+				for _, c := range cs {
+					if c.z < zmin || !shape.match(a, b, c) {
+						continue
+					}
+					if model[a.x] == nil {
+						model[a.x] = &agg{}
+					}
+					model[a.x].n++
+					model[a.x].s += c.z
+				}
+			}
+		}
+		var keys []int64
+		for x, m := range model {
+			if m.n >= nmin {
+				keys = append(keys, x)
+			}
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		plan := planOf(t, db, sql, Int(zmin), Int(nmin)).String()
+		if len(got.Data) != len(keys) {
+			t.Fatalf("trial %d (%s): %d groups, want %d: %v", trial, plan, len(got.Data), len(keys), got.Data)
+		}
+		for i, x := range keys {
+			row := got.Data[i]
+			if row[0].AsInt() != x || row[1].AsInt() != model[x].n || row[2].AsInt() != model[x].s {
+				t.Fatalf("trial %d (%s): group %v, want x=%d n=%d s=%d", trial, plan, row, x, model[x].n, model[x].s)
+			}
+		}
+		for _, mark := range marks {
+			if strings.Contains(plan, mark) {
+				seen[mark] = true
+			}
+		}
+	}
+	for _, mark := range marks {
+		if !seen[mark] {
+			t.Errorf("no trial planned %q: the generator no longer covers it", mark)
+		}
+	}
+}
+
+// TestEmissionOrderWithoutOrderBy pins the order in which joined rows leave
+// the pipeline — outer order, then bucket or heap order — which is what
+// keeps float SUMs associating the same way from run to run and release to
+// release.
+func TestEmissionOrderWithoutOrderBy(t *testing.T) {
+	load := func(indexed bool) *DB {
+		db := New()
+		mustExec(t, db, "CREATE TABLE q (k INT, tag VARCHAR(4))")
+		mustExec(t, db, "CREATE TABLE p (k INT, v INT)")
+		mustExec(t, db, "INSERT INTO q VALUES (2, 'x'), (1, 'y'), (2, 'z')")
+		mustExec(t, db, "INSERT INTO p VALUES (1, 10), (2, 20), (3, 30), (2, 21), (1, 11)")
+		if indexed {
+			mustExec(t, db, "CREATE INDEX p_k ON p (k)")
+		}
+		return db
+	}
+	render := func(rows *Rows) string {
+		var parts []string
+		for _, r := range rows.Data {
+			parts = append(parts, r[0].AsString()+r[1].AsString())
+		}
+		return strings.Join(parts, " ")
+	}
+	// Index nested loop: q in heap order, each bucket in heap order.
+	got := render(mustQuery(t, load(true), "SELECT q.tag, p.v FROM p, q WHERE p.k = q.k"))
+	if want := "x20 x21 y10 y11 z20 z21"; got != want {
+		t.Errorf("index join emitted %s, want %s", got, want)
+	}
+	// Hash join with q (3 rows) upstream of p (5 rows): the table is built on
+	// the upstream frames and p streams, so p's heap order leads.
+	got = render(mustQuery(t, load(false), "SELECT q.tag, p.v FROM p, q WHERE p.k = q.k"))
+	if want := "y10 x20 z20 x21 z21 y11"; got != want {
+		t.Errorf("hash join built on upstream emitted %s, want %s", got, want)
+	}
+	// Hash join with the table on the stage's relation: upstream order, then
+	// the relation's heap order — the index join's order.
+	// (Upstream must be no smaller than the relation: five rows each.)
+	db := load(false)
+	mustExec(t, db, "INSERT INTO q VALUES (3, 'u'), (9, 'w')")
+	got = render(mustQuery(t, db, "SELECT q.tag, p.v FROM q, p WHERE p.k = q.k"))
+	if want := "x20 x21 y10 y11 z20 z21 u30"; got != want {
+		t.Errorf("hash join built on the relation emitted %s, want %s", got, want)
+	}
+	// Groups leave in first-seen order.
+	got = render(mustQuery(t, load(true), "SELECT q.tag, SUM(p.v) FROM p, q WHERE p.k = q.k GROUP BY q.tag"))
+	if want := "x41 y21 z41"; got != want {
+		t.Errorf("groups emitted %s, want %s", got, want)
+	}
+}
+
+// TestInsertSelectFromTargetSeesOnlyOldRows: a statement that reads the
+// table it inserts into inserts exactly what the rows present before it
+// produce, whether it scans the heap or probes the table's index.
+func TestInsertSelectFromTargetSeesOnlyOldRows(t *testing.T) {
+	for _, indexed := range []bool{false, true} {
+		db := New()
+		mustExec(t, db, "CREATE TABLE t (k INT, v INT)")
+		mustExec(t, db, "INSERT INTO t VALUES (1, 1), (1, 2), (2, 3)")
+		if indexed {
+			mustExec(t, db, "CREATE INDEX t_k ON t (k)")
+		}
+		// The self-join on k has 2·2 + 1 = 5 rows.
+		if n := mustExec(t, db, "INSERT INTO t SELECT a.k, a.v + 100 FROM t a, t b WHERE a.k = b.k"); n != 5 {
+			t.Fatalf("indexed=%v: inserted %d rows, want 5", indexed, n)
+		}
+		if n := mustExec(t, db, "INSERT INTO t SELECT k, v FROM t UNION ALL SELECT k, v FROM t WHERE v > 100"); n != 8+5 {
+			t.Fatalf("indexed=%v: union inserted %d rows, want 13", indexed, n)
+		}
+		rows := mustQuery(t, db, "SELECT COUNT(*), SUM(v) FROM t WHERE k = 1")
+		// k = 1 holds v ∈ {1, 2, 101, 101, 102, 102}, then all six again,
+		// then the four over 100 once more.
+		if rows.Data[0][0].AsInt() != 16 || rows.Data[0][1].AsInt() != 2*409+406 {
+			t.Fatalf("indexed=%v: %v", indexed, rows.Data)
+		}
+	}
+	// A failing INSERT ... SELECT leaves nothing behind, index included.
+	db := New()
+	db.RegisterFunc("FAILON", func(args []Value) (Value, error) {
+		if args[0].AsInt() == 3 {
+			return Null(), fmt.Errorf("boom")
+		}
+		return args[0], nil
+	})
+	mustExec(t, db, "CREATE TABLE src (v INT)")
+	mustExec(t, db, "CREATE TABLE dst (v INT)")
+	mustExec(t, db, "CREATE INDEX dst_v ON dst (v)")
+	mustExec(t, db, "INSERT INTO src VALUES (1), (2), (3), (4)")
+	mustExec(t, db, "INSERT INTO dst VALUES (1)")
+	if _, err := db.Exec("INSERT INTO dst SELECT FAILON(v) FROM src"); err == nil {
+		t.Fatal("the UDF error should fail the statement")
+	}
+	rows := mustQuery(t, db, "SELECT COUNT(*) FROM dst D, src S WHERE D.v = S.v")
+	if db.Table("dst").NumRows() != 1 || rows.Data[0][0].AsInt() != 1 {
+		t.Fatalf("failed insert left %d rows, join sees %v", db.Table("dst").NumRows(), rows.Data)
+	}
+}
+
+// TestTokenJoinAllocatesPerGroupNotPerJoinedRow holds the executor to its
+// cost model on the statement every declarative predicate scores with:
+// doubling the postings of every token doubles the joined rows and leaves
+// the groups alone, and must leave the allocation count alone too.
+func TestTokenJoinAllocatesPerGroupNotPerJoinedRow(t *testing.T) {
+	const tids, tokens = 300, 40
+	allocs := func(copies int) float64 {
+		db := New()
+		mustExec(t, db, "CREATE TABLE tokens (tid INT, token VARCHAR(16))")
+		mustExec(t, db, "CREATE TABLE qtokens (token VARCHAR(16))")
+		var rows [][]Value
+		for tid := 0; tid < tids; tid++ {
+			for k := 0; k < 8; k++ {
+				for c := 0; c < copies; c++ {
+					rows = append(rows, []Value{Int(int64(tid)), String(fmt.Sprintf("t%02d", (tid+k*7)%tokens))})
+				}
+			}
+		}
+		if err := db.BulkInsert("tokens", rows); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, db, "CREATE INDEX t_token ON tokens (token)")
+		for k := 0; k < tokens; k += 2 {
+			mustExec(t, db, "INSERT INTO qtokens VALUES (?)", String(fmt.Sprintf("t%02d", k)))
+		}
+		var groups int
+		n := testing.AllocsPerRun(5, func() {
+			got := mustQuery(t, db, `SELECT R1.tid, COUNT(*) AS score, SUM(R1.tid * 0.5) FROM tokens R1, qtokens R2
+				WHERE R1.token = R2.token GROUP BY R1.tid`)
+			groups = len(got.Data)
+		})
+		if groups != tids {
+			t.Fatalf("%d groups, want %d", groups, tids)
+		}
+		return n
+	}
+	// (The race detector's runtime adds the odd allocation of its own.)
+	once, twice := allocs(1), allocs(2)
+	if twice > once+8 {
+		t.Errorf("allocations follow the joined rows: %v per select with 1 200 joined rows, %v with 2 400", once, twice)
+	}
+	// One output row per group, the group slabs and map growth, and a
+	// constant for parsing and planning.
+	if ceiling := float64(2*tids + 200); once > ceiling {
+		t.Errorf("%v allocations per select, ceiling %v", once, ceiling)
 	}
 }

@@ -12,7 +12,23 @@ type parser struct {
 	pos    int
 	params []Value
 	nparam int
+	depth  int // open parseSelect / parseNot / parseUnary calls
 }
+
+// maxNesting bounds how deep expressions and subqueries may nest. Descent
+// is recursive, so without a bound a megabyte of '(' overflows the
+// goroutine stack, which is fatal rather than an error.
+const maxNesting = 256
+
+// nest enters one level of nesting; the caller defers p.unnest().
+func (p *parser) nest() error {
+	if p.depth++; p.depth > maxNesting {
+		return p.errorf("nested more than %d levels deep", maxNesting)
+	}
+	return nil
+}
+
+func (p *parser) unnest() { p.depth-- }
 
 // reserved words that terminate expression/alias parsing.
 var reservedWords = map[string]bool{
@@ -316,6 +332,10 @@ func (p *parser) parseInsert() (stmt, error) {
 // parseSelect parses a SELECT, including UNION ALL chains. A leading '('
 // wrapping the whole select is tolerated.
 func (p *parser) parseSelect() (*selectStmt, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	if p.accept(tokOp, "(") {
 		sel, err := p.parseSelect()
 		if err != nil {
@@ -580,7 +600,13 @@ func (p *parser) parseAnd() (expr, error) {
 	return l, nil
 }
 
+// Every cycle of the expression grammar passes through parseNot or
+// parseUnary, so these two (and parseSelect) carry the nesting bound.
 func (p *parser) parseNot() (expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	if p.acceptKeyword("NOT") {
 		x, err := p.parseNot()
 		if err != nil {
@@ -740,6 +766,10 @@ func (p *parser) parseMultiplicative() (expr, error) {
 }
 
 func (p *parser) parseUnary() (expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	if p.accept(tokOp, "-") {
 		x, err := p.parseUnary()
 		if err != nil {

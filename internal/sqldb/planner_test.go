@@ -428,3 +428,250 @@ func TestModAndNegativeRounding(t *testing.T) {
 		t.Fatalf("abs: %v", rows.Data)
 	}
 }
+
+// planOf plans the SELECT of a statement (a SELECT, or an INSERT ... SELECT)
+// and runs its pipeline into a discarding sink, so that hash stages have
+// decided their build side.
+func planOf(t *testing.T, db *DB, sql string, args ...Value) *selectPlan {
+	t.Helper()
+	st, err := parseSQL(sql, args)
+	if err != nil {
+		t.Fatalf("parse %s: %v", sql, err)
+	}
+	sel, ok := st.(*selectStmt)
+	if ins, isInsert := st.(*insertStmt); isInsert {
+		sel, ok = ins.Select, ins.Select != nil
+	}
+	if !ok {
+		t.Fatalf("%s has no SELECT", sql)
+	}
+	p, err := db.planSelect(sel)
+	if err != nil {
+		t.Fatalf("plan %s: %v", sql, err)
+	}
+	if err := p.run(func(*evalCtx) error { return nil }); err != nil {
+		t.Fatalf("run %s: %v", sql, err)
+	}
+	return p
+}
+
+// TestDeclarativeScoringPlans answers ROADMAP's question about the
+// declarative realization: the scoring statements of internal/declarative
+// (copied here; the package cannot be imported from this one) reach their
+// base relation through the CREATE INDEX index on its token / q-gram
+// column, starting from the query side.
+func TestDeclarativeScoringPlans(t *testing.T) {
+	db := New()
+	for _, s := range []string{
+		"CREATE TABLE base_tokensddl (tid INT, token VARCHAR(16), ddl INT)",
+		"CREATE INDEX btd_token ON base_tokensddl (token)",
+		"CREATE TABLE base_weights (tid INT, token VARCHAR(16), weight DOUBLE)",
+		"CREATE INDEX bw_token ON base_weights (token)",
+		"CREATE TABLE base_pm (tid INT, token VARCHAR(16), pm DOUBLE, cfcs DOUBLE)",
+		"CREATE INDEX bpm_token ON base_pm (token)",
+		"CREATE TABLE base_sumcompm (tid INT, sumcompm DOUBLE)",
+		"CREATE INDEX bsc_tid ON base_sumcompm (tid)",
+		"CREATE TABLE base_qgramstokensize (tid INT, token VARCHAR(64), qgram VARCHAR(16), size INT)",
+		"CREATE INDEX bqts_qgram ON base_qgramstokensize (qgram)",
+		"CREATE TABLE query_tokens (token VARCHAR(16))",
+		"CREATE TABLE query_tokens_d (token VARCHAR(16))",
+		"CREATE TABLE query_qgrams (token VARCHAR(64), qgram VARCHAR(16))",
+		"CREATE TABLE query_qgramsize (token VARCHAR(64), size INT)",
+		"CREATE TABLE jac_sim (tid INT, token2 VARCHAR(64), sim DOUBLE)",
+		"INSERT INTO query_tokens VALUES ('ab'), ('bc'), ('ab')",
+		"INSERT INTO query_tokens_d VALUES ('ab'), ('bc')",
+		"INSERT INTO query_qgrams VALUES ('w', '$w'), ('w', 'w$'), ('v', '$v'), ('v', 'v$')",
+		"INSERT INTO query_qgramsize VALUES ('w', 2), ('v', 2)",
+	} {
+		mustExec(t, db, s)
+	}
+	for tid := 1; tid <= 6; tid++ {
+		for _, tok := range []string{"ab", "bc", "cd"} {
+			id := Int(int64(tid))
+			mustExec(t, db, "INSERT INTO base_tokensddl VALUES (?, ?, 3)", id, String(tok))
+			mustExec(t, db, "INSERT INTO base_weights VALUES (?, ?, 0.5)", id, String(tok))
+			mustExec(t, db, "INSERT INTO base_pm VALUES (?, ?, 0.25, 0.125)", id, String(tok))
+			mustExec(t, db, "INSERT INTO base_qgramstokensize VALUES (?, 'w', ?, 2)", id, String("$"+tok[:1]))
+		}
+		mustExec(t, db, "INSERT INTO base_sumcompm VALUES (?, -1.5)", Int(int64(tid)))
+	}
+
+	cases := []struct {
+		name, sql, want string
+		args            []Value
+	}{
+		{"Jaccard", `
+			SELECT S1.tid, COUNT(*) / (S1.ddl + S2.ddl - COUNT(*)) AS score
+			FROM base_tokensddl S1, query_tokens_d R2,
+			     (SELECT COUNT(*) AS ddl FROM query_tokens_d) S2
+			WHERE S1.token = R2.token
+			GROUP BY S1.tid, S1.ddl, S2.ddl`,
+			"scan s2 → cross query_tokens_d → index-nlj base_tokensddl(token) ← r2.token", nil},
+		{"BM25", `
+			SELECT B.tid, SUM(B.weight * S.mtf) AS score
+			FROM base_weights B,
+			     (SELECT T.token, COUNT(*) * (? + 1) / (? + COUNT(*)) AS mtf
+			      FROM query_tokens T GROUP BY T.token) S
+			WHERE B.token = S.token
+			GROUP BY B.tid`,
+			"scan s → index-nlj base_weights(token) ← s.token", []Value{Float(8), Float(8)}},
+		{"LM inner", `
+			SELECT P1.tid AS tid,
+			       SUM(LOG(P1.pm)) - SUM(LOG(1.0 - P1.pm)) - SUM(LOG(P1.cfcs)) AS score
+			FROM base_pm P1, query_tokens T2
+			WHERE P1.token = T2.token
+			GROUP BY P1.tid`,
+			"scan query_tokens → index-nlj base_pm(token) ← t2.token", nil},
+		{"LM outer", `
+			SELECT B1.tid, EXP(B1.score + B2.sumcompm) AS score
+			FROM (SELECT P1.tid AS tid, SUM(LOG(P1.pm)) AS score
+			      FROM base_pm P1, query_tokens T2
+			      WHERE P1.token = T2.token
+			      GROUP BY P1.tid) B1,
+			     base_sumcompm B2
+			WHERE B1.tid = B2.tid`,
+			"scan b1 → index-nlj base_sumcompm(tid) ← b1.tid", nil},
+		{"HMM", `
+			SELECT W1.tid, EXP(SUM(LOG(W1.weight))) AS score
+			FROM base_weights W1, query_tokens T2
+			WHERE W1.token = T2.token
+			GROUP BY W1.tid`,
+			"scan query_tokens → index-nlj base_weights(token) ← t2.token", nil},
+		{"GESJaccard jac_sim", `
+			INSERT INTO jac_sim (tid, token2, sim)
+			SELECT BS.tid, Q.token, COUNT(*) / (BS.size + QS.size - COUNT(*))
+			FROM base_qgramstokensize BS, query_qgrams Q, query_qgramsize QS
+			WHERE BS.qgram = Q.qgram AND Q.token = QS.token
+			GROUP BY BS.tid, BS.token, Q.token, BS.size, QS.size`,
+			"scan query_qgramsize → hash query_qgrams: q.token = qs.token [built on upstream]" +
+				" → index-nlj base_qgramstokensize(qgram) ← q.qgram", nil},
+	}
+	for _, c := range cases {
+		if got := planOf(t, db, c.sql, c.args...).String(); got != c.want {
+			t.Errorf("%s plan:\n got %s\nwant %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestTokenizerJoinIsStreamedCross pins the Appendix A.1 tokenization
+// statement: its only conjunct is an inequality, so the INTEGERS join is a
+// cross stage that filters as it streams.
+func TestTokenizerJoinIsStreamedCross(t *testing.T) {
+	db := New()
+	mustExec(t, db, "CREATE TABLE base_table (tid INT, string VARCHAR(64))")
+	mustExec(t, db, "CREATE TABLE integers (i INT)")
+	mustExec(t, db, "CREATE TABLE base_tokens (tid INT, token VARCHAR(16))")
+	mustExec(t, db, `INSERT INTO base_table VALUES (1, 'ab cd'), (2, 'x'), (3, 'yz'), (4, 'pqr'),
+		(5, 'st'), (6, 'u v'), (7, 'w'), (8, 'mn'), (9, 'o')`)
+	mustExec(t, db, "INSERT INTO integers VALUES (1), (2), (3), (4), (5), (6), (7), (8)")
+	const stmt = `
+		INSERT INTO base_tokens (tid, token)
+		SELECT B.tid,
+		       SUBSTRING(CONCAT(?, UPPER(REPLACE(B.string, ' ', ?)), ?), N.i, ?)
+		FROM integers N INNER JOIN base_table B
+		  ON N.i <= LENGTH(REPLACE(B.string, ' ', ?)) + ?`
+	args := []Value{String("$"), String("$"), String("$"), Int(2), String("$"), Int(1)}
+	p := planOf(t, db, stmt, args...)
+	if got, want := p.String(), "scan integers → cross base_table"; got != want {
+		t.Fatalf("plan %s, want %s", got, want)
+	}
+	if len(p.stages[1].filters) != 1 {
+		t.Fatalf("the ON condition should be the cross stage's filter, got %d filters", len(p.stages[1].filters))
+	}
+	// 'ab cd' pads to '$AB$CD$': six 2-grams.
+	mustExec(t, db, stmt, args...)
+	rows := mustQuery(t, db, "SELECT COUNT(*) FROM base_tokens WHERE tid = 1")
+	if rows.Data[0][0].AsInt() != 6 {
+		t.Fatalf("q-grams of record 1: %v", rows.Data)
+	}
+}
+
+// TestHashStageReportsBuildSide checks both outcomes of the build-on-the-
+// smaller-input rule: a hash stage holds back at most as many upstream
+// frames as its relation has rows before it decides.
+func TestHashStageReportsBuildSide(t *testing.T) {
+	db := New()
+	mustExec(t, db, "CREATE TABLE few (k INT)")
+	mustExec(t, db, "CREATE TABLE many (k INT)")
+	mustExec(t, db, "CREATE TABLE most (k INT)")
+	mustExec(t, db, "INSERT INTO few VALUES (1), (2)")
+	mustExec(t, db, "INSERT INTO many VALUES (1), (1), (2), (3)")
+	mustExec(t, db, "INSERT INTO most VALUES (1), (2), (2), (2), (3), (3)")
+
+	p := planOf(t, db, "SELECT few.k FROM few, many WHERE few.k = many.k")
+	if got, want := p.String(), "scan few → hash many: many.k = few.k [built on upstream]"; got != want {
+		t.Errorf("plan %s, want %s", got, want)
+	}
+	// few ⋈ most yields four frames, as many as many has rows: many is not
+	// the larger side, so the table goes on it once the fourth frame arrives.
+	p = planOf(t, db, "SELECT few.k FROM many, most, few WHERE many.k = most.k AND few.k + 0 = most.k + 0")
+	want := "scan few → hash most: (most.k + 0) = (few.k + 0) [built on upstream]" +
+		" → hash many: many.k = most.k [built on many]"
+	if got := p.String(); got != want {
+		t.Errorf("plan %s, want %s", got, want)
+	}
+	if held := p.stages[2].hash.held; held != nil {
+		t.Errorf("a probing hash stage keeps %d held row headers", len(held))
+	}
+}
+
+// TestIdenticalAggregatesShareOneAccumulator: Jaccard's score expression
+// names COUNT(*) twice; both references read one slot, fed once per row.
+func TestIdenticalAggregatesShareOneAccumulator(t *testing.T) {
+	db := New()
+	mustExec(t, db, "CREATE TABLE s (tid INT, ddl INT, w DOUBLE)")
+	mustExec(t, db, "INSERT INTO s VALUES (1, 4, 0.5), (1, 4, 1.5), (2, 3, 2.0)")
+	st, err := parseSQL(`SELECT tid, COUNT(*) / (ddl + 2 - COUNT(*)), SUM(w) + SUM(w), SUM(w * 2), COUNT(w)
+		FROM s GROUP BY tid, ddl ORDER BY tid`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := st.(*selectStmt)
+	p, err := db.planSelect(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := db.compileProjection(sel, p.schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls []string
+	for _, a := range pr.aggs {
+		calls = append(calls, exprString(a.call))
+	}
+	if want := []string{"COUNT(*)", "SUM(w)", "SUM((w * 2))", "COUNT(w)"}; !reflect.DeepEqual(calls, want) {
+		t.Fatalf("accumulators %v, want %v", calls, want)
+	}
+	rows := mustQuery(t, db, `SELECT tid, COUNT(*) / (ddl + 2 - COUNT(*)), SUM(w) + SUM(w)
+		FROM s GROUP BY tid, ddl ORDER BY tid`)
+	if rows.Data[0][1].AsFloat() != 2.0/4 || rows.Data[0][2].AsFloat() != 4 || rows.Data[1][1].AsFloat() != 1.0/4 {
+		t.Fatalf("shared accumulators give %v", rows.Data)
+	}
+}
+
+// TestScalarFuncArgsValidOnlyDuringCall registers a UDF that breaks the
+// ScalarFunc contract by keeping its args slice: by the next call the
+// engine has refilled the same buffer, which is what the contract warns of.
+// A UDF that copies the value out sees every row.
+func TestScalarFuncArgsValidOnlyDuringCall(t *testing.T) {
+	db := newTestDB(t)
+	var kept [][]Value
+	var copied []Value
+	db.RegisterFunc("KEEP", func(args []Value) (Value, error) {
+		kept = append(kept, args)
+		copied = append(copied, args[0])
+		return args[0], nil
+	})
+	rows := mustQuery(t, db, "SELECT KEEP(name) FROM people")
+	if len(rows.Data) != 4 || len(kept) != 4 {
+		t.Fatalf("%d rows, %d calls", len(rows.Data), len(kept))
+	}
+	for i, name := range []string{"alice", "bob", "carol", "dave"} {
+		if rows.Data[i][0].AsString() != name || copied[i].AsString() != name {
+			t.Errorf("row %d: result %v, copied %v, want %s", i, rows.Data[i][0], copied[i], name)
+		}
+		if got := kept[i][0].AsString(); got != "dave" {
+			t.Errorf("retained slice %d reads %q: one buffer per call site, so every retained slice reads the last row", i, got)
+		}
+	}
+}

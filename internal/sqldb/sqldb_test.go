@@ -152,6 +152,11 @@ func TestScalarFunctions(t *testing.T) {
 		{"LOCATE('l', 'hello')", 3},
 		{"LOCATE('l', 'hello', 4)", 4},
 		{"LOCATE('z', 'hello')", 0},
+		{"LOCATE('l', 'héllo')", 3}, // positions count characters, not bytes
+		{"LOCATE('ö', 'héllö wörld', 6)", 8},
+		{"LOCATE('l', 'héllö wörld', 5)", 10},
+		{"LOCATE('', 'hé', 3)", 3},
+		{"LOCATE('h', 'hé', 4)", 0},
 		{"COALESCE(NULL, 7)", 7},
 		{"IFNULL(NULL, 9)", 9},
 		{"IF(1 < 2, 10, 20)", 10},
@@ -171,6 +176,10 @@ func TestScalarFunctions(t *testing.T) {
 		{"SUBSTRING('hello', 2, 3)", "ell"},
 		{"SUBSTRING('hello', 2)", "ello"},
 		{"SUBSTRING('hello', -3, 2)", "ll"},
+		{"SUBSTRING('héllö wörld', 2, 4)", "éllö"},
+		{"SUBSTRING('héllö', -2)", "lö"},
+		{"SUBSTRING('héllö', 6)", ""},
+		{"SUBSTRING('héllö', 5, 9)", "ö"},
 		{"REPLACE('a b c', ' ', '$')", "a$b$c"},
 		{"REVERSE('abc')", "cba"},
 		{"TRIM('  x  ')", "x"},

@@ -17,10 +17,19 @@
 //     similarity and Jaro–Winkler), registered with RegisterFunc
 //   - uncorrelated IN / NOT IN subqueries and ? placeholders
 //
-// Queries are planned with a small greedy join optimizer that prefers
-// index nested-loop joins into indexed base tables and hash joins otherwise,
-// mirroring how MySQL executes the paper's token-join queries when the
-// token columns are indexed.
+// A SELECT runs as plan → pipeline → sink. planSelect fixes the join order
+// with a small greedy optimizer — smallest relation first, then index
+// nested-loop joins into indexed base tables, hash joins otherwise, mirroring
+// how MySQL executes the paper's token-join queries when the token columns
+// are indexed — and compiles every key, conjunct and select expression once.
+// The joins then stream: each stage binds its row into its slot of the
+// statement's one evaluation frame, applies the conjuncts that just became
+// evaluable and hands the frame on, in a fixed emission order (outer order,
+// then bucket or heap order) so float SUMs associate the same way every
+// run. The sink is the projection — GROUP BY state proportionate to groups,
+// not joined rows — and, for INSERT ... SELECT, the target table. Only
+// derived tables, IN subqueries, pushed-down filters' row lists, a hash
+// stage's bounded input buffer and rows awaiting ORDER BY are materialized.
 package sqldb
 
 import (

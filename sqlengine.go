@@ -18,7 +18,10 @@ type SQLRows = sqldb.Rows
 type SQLValue = sqldb.Value
 
 // SQLFunc is a user-defined scalar function registerable on the engine,
-// like the paper's edit-similarity and Jaro–Winkler UDFs.
+// like the paper's edit-similarity and Jaro–Winkler UDFs. It must be pure
+// and safe for concurrent use, and its args slice is valid only for the
+// duration of the call — the engine reuses it for the next row; copy out
+// any value needed later.
 type SQLFunc = sqldb.ScalarFunc
 
 // NewSQLDB creates an empty database. The engine supports the SQL subset
