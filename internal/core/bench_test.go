@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/datasets"
@@ -80,5 +83,78 @@ func BenchmarkCorpusMutate(b *testing.B) {
 				b.StartTimer()
 			}
 		})
+	}
+}
+
+// BenchmarkEngineWalkVsLookup prices the max-score engine's four unit
+// operations against each other, per posting or candidate, on lists of 500,
+// 4 000 and 30 000 postings spread over 40 000 records: a full walk in
+// mid-query (half the records the list names are candidates already, the
+// other half become candidates), an update-only walk, a binary-search
+// lookup step (64 fresh candidates looked up in the list), and the floor
+// scan of kthKey per candidate. lookupStepCost and the scan budget in
+// hotpath.go are set from these ratios; the engine's work tally counts in
+// the same units.
+func BenchmarkEngineWalkVsLookup(b *testing.B) {
+	const universe = 40000
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{500, 4000, 30000} {
+		picks := rng.Perm(universe)[:n]
+		half := slices.Clone(picks[:n/2])
+		slices.Sort(picks)
+		slices.Sort(half)
+		posts := make([]WPost, n)
+		for i, r := range picks {
+			posts[i] = WPost{Rec: r, W: rng.Float64()}
+		}
+		t := &Term{Q: 1.5, W: posts, MaxW: 1, MinW: 0}
+		seen := &Term{Q: 1, Ids: make([]int32, len(half))}
+		for i, r := range half {
+			seen.Ids[i] = int32(r)
+		}
+		s := GetScratch(universe)
+		per := func(b *testing.B, units int) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(units), "ns/unit")
+		}
+		b.Run(fmt.Sprintf("full/%d", n), func(b *testing.B) {
+			for b.Loop() {
+				s.Reset(universe)
+				s.walkFull(seen)
+				s.walkFull(t)
+			}
+			per(b, n+n/2)
+		})
+		b.Run(fmt.Sprintf("update/%d", n), func(b *testing.B) {
+			for b.Loop() {
+				s.walkUpdateOnly(t)
+			}
+			per(b, n)
+		})
+		b.Run(fmt.Sprintf("floor/%d", n), func(b *testing.B) {
+			s.Reset(universe)
+			s.walkFull(t)
+			for b.Loop() {
+				s.kthKey(nil, 10)
+			}
+			per(b, n)
+		})
+		b.Run(fmt.Sprintf("lookup/%d", n), func(b *testing.B) {
+			// Fresh candidates every iteration, or the branch predictor
+			// learns the search paths and a step reads five times cheaper
+			// than the engine ever sees it.
+			x := uint32(2463534242)
+			s.touched = s.touched[:64]
+			for b.Loop() {
+				for i := range s.touched {
+					x ^= x << 13
+					x ^= x >> 17
+					x ^= x << 5
+					s.touched[i] = int32(x % universe)
+				}
+				s.finishByLookup(t)
+			}
+			per(b, 64*(bits.Len(uint(n))+1))
+		})
+		s.Release()
 	}
 }

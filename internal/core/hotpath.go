@@ -19,21 +19,23 @@ import (
 // bit-identical — scores and tie order — to NaiveTermSelect over the same
 // terms, which performs the classic full map merge. Pruning only ever
 // avoids work whose absence is provable from precomputed per-list weight
-// bounds:
+// bounds, and only where avoiding it is cheaper than doing it:
 //
-//   - While "admission" is open, every posting of every list is applied.
-//   - At each list boundary, the engine knows an upper bound on the total
-//     score any not-yet-touched record could still reach (the suffix sum of
-//     per-list maxima, plus the best per-record offset). Once that bound
-//     falls strictly below the floor — the k-th best lower-bounded
-//     candidate, or the pushed-down threshold — no new record can enter the
-//     result, and admission closes.
-//   - After closure, a remaining list either gets a cheap update-only walk
-//     (only already-touched records accumulate; no insertions), or — when
-//     the candidate set is smaller than the list — is skipped entirely:
-//     the candidates' contributions from that list are recovered by binary
-//     search into the (record-sorted) posting list, so every reported
-//     score still sums exactly the same contributions in the same order.
+//   - While "admission" is open, the plain accumulate loop applies every
+//     posting of every list; nothing else happens per posting.
+//   - At a list boundary the engine knows an upper bound on the score any
+//     not-yet-touched record could still reach (the suffix sum of per-list
+//     maxima, plus the best per-record offset). Once it falls strictly
+//     below the floor — the pushed-down threshold, an O(1) test, or the
+//     k-th best candidate key, a scan of the candidates taken only when
+//     the scan budget allows — no new record can enter the result, and
+//     admission closes.
+//   - After closure the candidates that cannot reach the result are
+//     dropped, and a remaining list gets the cheaper update-only walk or —
+//     when lookups by the survivors cost less — is skipped entirely, their
+//     contributions recovered by binary search into the (record-sorted)
+//     list: every reported score still sums exactly the same contributions
+//     in the same order.
 
 // Term is one query token's posting-list contribution to a selection.
 // Exactly one of W and Ids is set: W carries weighted postings (the
@@ -183,6 +185,38 @@ func (sh *Shape) ratioBound(x float64) float64 {
 
 // ---- engine ----
 
+// The engine prices its work in postings walked. BenchmarkEngineWalkVsLookup
+// measures the unit operations (2-core sandbox, lists of 500 / 4 000 /
+// 30 000 postings over 40 000 records): an admission-open walk costs
+// 1.8–2.2 ns per posting, an update-only walk 0.8–1.1 ns, one binary-search
+// step 5.9–7.1 ns (a cache miss and a mispredicted branch), a floor scan or
+// a compaction 1.2–1.8 ns per candidate.
+const (
+	// lookupStepCost prices one binary-search step of finishByLookup against
+	// the posting of the update-only walk it replaces.
+	lookupStepCost = 6
+	// scanShare bounds what floor scans and compactions may cost: one scan
+	// of the candidates at most 1/scanShare of the postings still to walk,
+	// all scans of a query at most 1/scanShare of its postings — a query
+	// whose scans never pay loses at most a quarter of a full walk.
+	scanShare = 4
+	// floorScans is the room a floor scan needs in that budget: it buys
+	// nothing unless it closes admission, which costs a compaction more.
+	// With room for fewer than eight scans, floors taken on the dirty DBLP
+	// relation cost more than they saved (README, "Max-score").
+	floorScans = 8
+	// scanRetry is how far the suffix bound has to fall after a scan of the
+	// candidates before another one can tell anything new.
+	scanRetry = 0.75
+)
+
+// lookupCost prices finishing a list by lookup: per candidate, the steps of
+// one binary search plus the compaction pass that precedes it. A list is
+// skipped when that is less than its postings, the price of walking it.
+func lookupCost(candidates, posts int) int {
+	return candidates * ((bits.Len(uint(posts))+1)*lookupStepCost + 1)
+}
+
 // MaxScoreSelect runs the score-at-a-time merge over terms (already in
 // OrderTermsByImpact order) and returns the ranked matches under opts.
 // The scratch must have been Reset for len(recs) records (GetScratch does).
@@ -196,80 +230,91 @@ func MaxScoreSelect(s *Scratch, recs []Record, terms []Term, sh Shape, opts Sele
 	if traced {
 		t0 = time.Now()
 	}
-	nt := len(terms)
-	pos, neg := s.suffixBounds(terms)
+	pos, neg, posts := s.suffixBounds(terms)
+	rem := posts // postings of terms[i:]
 
-	prune := opts.Limit > 0 || opts.HasThreshold
 	// Threshold in key space for the additive family: a key strictly below
 	// thKey has a final score provably below θ. The conversion is deflated
 	// by the pruning slack because log/exp are not exact inverses.
 	thKey := math.Inf(-1)
-	if opts.HasThreshold && !sh.ratio() {
-		if sh.Exp {
-			if opts.Threshold > 0 {
-				thKey = downBound(math.Log(opts.Threshold), 0)
-			}
-		} else {
-			thKey = downBound(opts.Threshold, 0)
-		}
+	switch {
+	case !opts.HasThreshold || sh.ratio():
+	case !sh.Exp:
+		thKey = downBound(opts.Threshold, 0)
+	case opts.Threshold > 0:
+		thKey = downBound(math.Log(opts.Threshold), 0)
 	}
-	useHeap := prune && !sh.ratio() && opts.Limit > 0
-	k := opts.Limit
+	// The top-k floor closes admission for the additive family only.
+	k := 0
+	if !sh.ratio() {
+		k = opts.Limit
+	}
+	// scanAt is the suffix bound below which the next scan of the
+	// candidates (a floor, or a compaction after closure) may run. A key
+	// cannot exceed the mass already processed, so no floor beats the
+	// unseen bound before half the mass is behind.
+	scanAt := pos[0] / 2
 
 	closed := false
+	work, scanned := 0, 0
 	var skipped, updateOnly, postsSkipped uint64
 	for i := range terms {
 		t := &terms[i]
-		if prune && !closed {
-			if sh.ratio() {
-				if opts.HasThreshold {
-					bound := sh.ratioBound(upBound(pos[i], pos[i]))
-					if upBound(bound, 0) < opts.Threshold {
-						closed = true
-					}
-				}
-			} else {
-				unseen := upBound(pos[i]+sh.CompMax, pos[i])
-				if unseen < thKey {
-					closed = true
-				} else if useHeap && len(s.hkeys) == k &&
-					unseen < downBound(s.hkeys[0]+neg[i], neg[i]) {
-					closed = true
-				}
+		n := t.size()
+		c := len(s.touched)
+		// room is what a scan of the candidates may cost at this boundary.
+		room := min(rem, posts-scanShare*scanned) / scanShare
+		compact := false
+		if !closed {
+			// Admission closes when no unseen record can reach the result —
+			// and only if the compaction that follows fits the budget.
+			switch {
+			case sh.ratio():
+				closed = opts.HasThreshold && c <= room &&
+					upBound(sh.ratioBound(upBound(pos[i], pos[i])), 0) < opts.Threshold
+			case upBound(pos[i]+sh.CompMax, pos[i]) < thKey:
+				closed = c <= room
+			case k > 0 && c >= k && pos[i] < scanAt && floorScans*c <= room:
+				scanned += c
+				scanAt = pos[i] * scanRetry
+				closed = upBound(pos[i]+sh.CompMax, pos[i]) < downBound(s.kthKey(sh.Comp, k)+neg[i], neg[i])
 			}
-		}
-		if closed {
-			// Admission is closed: this list can only adjust scores of
-			// candidates that can still reach the result. First drop the
-			// candidates that provably cannot (same bound argument as the
-			// closure test, applied per record), then pick the cheaper
-			// exact plan for the list — skip it entirely and recover the
-			// surviving candidates' contributions by binary search, or
-			// walk it in update-only mode.
-			s.compactCandidates(&sh, opts, pos[i], neg[i], thKey, useHeap, k)
-			n := t.size()
-			if lookupCheaper(len(s.touched), n) {
-				s.finishByLookup(t)
-				skipped++
-				postsSkipped += uint64(n)
-			} else {
-				s.walkUpdateOnly(t)
-				updateOnly++
-			}
-			continue
-		}
-		if useHeap {
-			s.walkFullHeap(t, sh.Comp, k)
+			compact = closed
 		} else {
-			s.walkFull(t)
+			// A lookup's price includes the compaction before it; before a
+			// walk a compaction, which may flip the list to a lookup, runs
+			// once the bound has moved and the budget allows.
+			compact = lookupCost(c, n) < n || (pos[i] < scanAt && c <= room)
 		}
+		if compact {
+			s.compactCandidates(&sh, opts, pos[i], neg[i], thKey, k)
+			scanned += c
+			scanAt = pos[i] * scanRetry
+			c = len(s.touched)
+		}
+		switch {
+		case !closed:
+			s.walkFull(t)
+			work += n
+		case lookupCost(c, n) < n:
+			s.finishByLookup(t)
+			work += lookupCost(c, n) - c // the compaction is in scanned
+			skipped++
+			postsSkipped += uint64(n)
+		default:
+			s.walkUpdateOnly(t)
+			work += n
+			updateOnly++
+		}
+		rem -= n
 	}
+	s.work = work + scanned
 
 	var t1 time.Time
 	if traced {
 		t1 = time.Now()
 	}
-	out := s.materialize(recs, &sh, opts)
+	out := s.materialize(recs, &sh, opts, thKey)
 	if traced {
 		t2 := time.Now()
 		obs.RecordStage("engine.accumulate", t1.Sub(t0))
@@ -277,7 +322,7 @@ func MaxScoreSelect(s *Scratch, recs []Record, terms []Term, sh Shape, opts Sele
 	}
 
 	hotPath.queries.Add(1)
-	hotPath.lists.Add(uint64(nt))
+	hotPath.lists.Add(uint64(len(terms)))
 	if closed {
 		hotPath.prunedQueries.Add(1)
 		hotPath.listsSkipped.Add(skipped)
@@ -320,8 +365,9 @@ func NaiveTermSelect(recs []Record, terms []Term, sh Shape, opts SelectOptions) 
 }
 
 // suffixBounds fills the scratch's suffix arrays: pos[i] (neg[i]) is the
-// summed positive (negative) contribution bound of terms[i:].
-func (s *Scratch) suffixBounds(terms []Term) (pos, neg []float64) {
+// summed positive (negative) contribution bound of terms[i:]. posts is the
+// summed length of all lists.
+func (s *Scratch) suffixBounds(terms []Term) (pos, neg []float64, posts int) {
 	nt := len(terms)
 	if cap(s.pos) < nt+1 {
 		s.pos = make([]float64, nt+1)
@@ -334,90 +380,119 @@ func (s *Scratch) suffixBounds(terms []Term) (pos, neg []float64) {
 		ub, lb := terms[i].bounds()
 		pos[i] = pos[i+1] + ub
 		neg[i] = neg[i+1] + lb
+		posts += terms[i].size()
 	}
-	return pos, neg
+	return pos, neg, posts
 }
 
-// lookupCheaper decides between binary-search finishing (candidates × log
-// posts) and an update-only walk (posts).
-func lookupCheaper(candidates, posts int) bool {
-	return candidates*(bits.Len(uint(posts))+1) < posts
-}
-
+// walkFull is the admission-open accumulate loop: Scratch.Add per posting,
+// without its branch — mid-query, whether a record is a candidate already
+// is a coin flip. The record is stored at the end of the touched list, which
+// grows only if the stamp was stale (Reset keeps a spare cell), and a stale
+// accumulator is masked to +0 before the add: 0 + w, exactly what the
+// reference merge computes for a first contribution.
 func (s *Scratch) walkFull(t *Term) {
-	q := t.Q
-	if t.Ids != nil {
-		for _, r := range t.Ids {
-			s.Add(r, q)
+	f, stamp, cur, q := s.f, s.stamp, s.cur, t.Q
+	touched := s.touched[:cap(s.touched)]
+	nt := len(s.touched)
+	for _, r := range t.Ids {
+		fresh := 0
+		if stamp[r] != cur {
+			fresh = 1
 		}
-		return
-	}
-	for _, p := range t.W {
-		s.Add(int32(p.Rec), q*p.W)
-	}
-}
-
-// walkFullHeap is walkFull plus floor-heap maintenance: after each
-// accumulation the record's key (accumulated mass plus its Comp offset)
-// updates the k-sized min-heap whose root is the pruning floor.
-func (s *Scratch) walkFullHeap(t *Term, comp []float64, k int) {
-	q := t.Q
-	if t.Ids != nil {
-		for _, r := range t.Ids {
-			s.Add(r, q)
-			kv := s.f[r]
-			if comp != nil {
-				kv += comp[r]
-			}
-			s.heapFix(r, kv, k)
-		}
-		return
+		touched[nt] = r
+		nt += fresh
+		stamp[r] = cur
+		f[r] = math.Float64frombits(math.Float64bits(f[r])&(uint64(fresh)-1)) + q
 	}
 	for _, p := range t.W {
 		r := int32(p.Rec)
-		s.Add(r, q*p.W)
-		kv := s.f[r]
-		if comp != nil {
-			kv += comp[r]
+		fresh := 0
+		if stamp[r] != cur {
+			fresh = 1
 		}
-		s.heapFix(r, kv, k)
+		touched[nt] = r
+		nt += fresh
+		stamp[r] = cur
+		f[r] = math.Float64frombits(math.Float64bits(f[r])&(uint64(fresh)-1)) + q*p.W
 	}
+	s.touched = touched[:nt]
 }
 
+// walkUpdateOnly accumulates a list after admission has closed, without
+// the stamp test: the accumulator cell of a record that is not a candidate
+// holds nothing anybody reads (a first touch stores, it never adds), so
+// adding into it is harmless, and the loop has no branch to mispredict.
 func (s *Scratch) walkUpdateOnly(t *Term) {
-	q := t.Q
-	if t.Ids != nil {
-		for _, r := range t.Ids {
-			if s.stamp[r] == s.cur {
-				s.f[r] += q
-			}
-		}
-		return
+	f, q := s.f, t.Q
+	for _, r := range t.Ids {
+		f[r] += q
 	}
 	for _, p := range t.W {
-		r := int32(p.Rec)
-		if s.stamp[r] == s.cur {
-			s.f[r] += q * p.W
+		f[p.Rec] += q * p.W
+	}
+}
+
+// key is a candidate's rank in the additive family: its accumulated mass
+// plus its Comp offset, the value final maps monotonically to the score.
+func key(f, comp []float64, r int32) float64 {
+	if comp != nil {
+		return f[r] + comp[r]
+	}
+	return f[r]
+}
+
+// kthKey returns the k-th largest candidate key by one pass with a k-sized
+// min-heap, which it leaves in the scratch: the root is the minimum of k
+// actual candidate keys, so it is a valid lower bound on the true k-th best
+// key, and hrecs names the k witnesses. There must be at least k candidates.
+func (s *Scratch) kthKey(comp []float64, k int) float64 {
+	f, hk, hr := s.f, s.hkeys[:0], s.hrecs[:0]
+	down := func(i int) {
+		for {
+			small := i
+			if l := 2*i + 1; l < k && hk[l] < hk[small] {
+				small = l
+			}
+			if l := 2*i + 2; l < k && hk[l] < hk[small] {
+				small = l
+			}
+			if small == i {
+				return
+			}
+			hk[i], hk[small] = hk[small], hk[i]
+			hr[i], hr[small] = hr[small], hr[i]
+			i = small
 		}
 	}
+	for _, r := range s.touched[:k] {
+		hk, hr = append(hk, key(f, comp, r)), append(hr, r)
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	root := hk[0]
+	for _, r := range s.touched[k:] {
+		if kv := key(f, comp, r); kv > root {
+			hk[0], hr[0] = kv, r
+			down(0)
+			root = hk[0]
+		}
+	}
+	s.hkeys, s.hrecs = hk, hr
+	return root
 }
 
 // compactCandidates drops candidates that provably cannot appear in the
-// result: with a full floor heap, a candidate whose best possible final
+// result: with k floor witnesses, a candidate whose best possible final
 // key (current key plus the remaining positive suffix) stays strictly
-// below the heap members' worst possible final key is outside the top-k —
-// the k members all outrank it; with a threshold, a candidate whose best
+// below the witnesses' worst possible final key is outside the top-k —
+// the k witnesses all outrank it; with a threshold, a candidate whose best
 // possible final score stays below θ is filtered either way. Dropping is
 // pure exclusion: surviving candidates keep accumulating every remaining
 // contribution, so reported scores are untouched.
-func (s *Scratch) compactCandidates(sh *Shape, opts SelectOptions, pos, neg, thKey float64, useHeap bool, k int) {
-	if len(s.touched) == 0 {
-		return
-	}
-	if sh.ratio() {
-		if !opts.HasThreshold {
-			return
-		}
+func (s *Scratch) compactCandidates(sh *Shape, opts SelectOptions, pos, neg, thKey float64, k int) {
+	if sh.ratio() { // closed by the threshold: there is one
 		kept := s.touched[:0]
 		for _, r := range s.touched {
 			x := upBound(s.f[r]+pos, pos)
@@ -437,37 +512,29 @@ func (s *Scratch) compactCandidates(sh *Shape, opts SelectOptions, pos, neg, thK
 		s.touched = kept
 		return
 	}
-	// Floor over the heap members' current keys (update-only walks keep
-	// accumulating into them, so recompute instead of trusting the root).
-	floor := math.Inf(1)
-	haveFloor := useHeap && len(s.hkeys) == k
-	if haveFloor {
+	// Floor over the witnesses' current keys (update-only walks and lookups
+	// keep accumulating into them, so recompute instead of trusting the
+	// root). A candidate is dropped when its best possible key — current key
+	// plus pos — stays below low, the higher of the floor's worst case and
+	// the threshold key.
+	low := thKey
+	if k > 0 && len(s.hrecs) == k {
+		floor := math.Inf(1)
 		for _, hr := range s.hrecs {
-			kv := s.f[hr]
-			if sh.Comp != nil {
-				kv += sh.Comp[hr]
-			}
-			if kv < floor {
-				floor = kv
-			}
+			floor = math.Min(floor, key(s.f, sh.Comp, hr))
 		}
+		low = math.Max(low, downBound(floor+neg, neg))
 	}
-	haveTh := opts.HasThreshold && !math.IsInf(thKey, -1)
-	if !haveFloor && !haveTh {
-		return
-	}
-	floorLow := downBound(floor+neg, neg)
-	kept := s.touched[:0]
+	// The slack moves to the constant side, one compare per candidate: a
+	// key below cut has |kv| ≤ |low|+|pos| or is far below, so kv+pos
+	// inflated by the slack stays below low; the four-fold margin covers
+	// that substitution and the rounding of cut itself.
+	cut := low - pos - 4*pruneSlack*(math.Abs(low)+math.Abs(pos)+1)
+	f, kept := s.f, s.touched[:0]
 	for _, r := range s.touched {
-		kv := s.f[r]
-		if sh.Comp != nil {
-			kv += sh.Comp[r]
+		if key(f, sh.Comp, r) >= cut {
+			kept = append(kept, r)
 		}
-		best := upBound(kv+pos, math.Abs(kv)+math.Abs(pos))
-		if (haveFloor && best < floorLow) || (haveTh && best < thKey) {
-			continue
-		}
-		kept = append(kept, r)
 	}
 	s.touched = kept
 }
@@ -513,105 +580,46 @@ func (s *Scratch) finishByLookup(t *Term) {
 	}
 }
 
-// materialize turns the touched set into the ranked result. With a limit
-// the candidates stage through the scratch's match buffer and only the
-// k-sized result is freshly allocated; without one the result itself is
-// O(candidates) and allocated exactly.
-func (s *Scratch) materialize(recs []Record, sh *Shape, opts SelectOptions) []Match {
-	if opts.Limit > 0 {
-		buf := s.ms[:0]
-		for _, r := range s.touched {
-			score, ok := sh.final(r, s.f[r])
-			if !ok || !opts.Keeps(score) {
-				continue
-			}
-			buf = append(buf, Match{TID: recs[r].TID, Score: score})
+// materialize turns the touched set into the ranked result. The additive
+// family is ranked in key space first: final is monotone in the key, so a
+// candidate whose key is below the threshold key, or below the k-th best
+// key deflated by the pruning slack, cannot be in the result, and only the
+// contenders pay final (an exp for LM/HMM) and a Match. Contenders stage
+// through the scratch's match buffer, so the only allocation is the result
+// itself, at its exact size.
+func (s *Scratch) materialize(recs []Record, sh *Shape, opts SelectOptions, thKey float64) []Match {
+	low := thKey
+	if k := opts.Limit; k > 0 && k < len(s.touched) && !sh.ratio() {
+		kth := downBound(s.kthKey(sh.Comp, k), 0)
+		// Two keys the slack apart have distinct scores wherever exp
+		// neither underflows nor overflows; elsewhere they may tie, ties go
+		// by TID, and every candidate stays a contender.
+		e := 1.0
+		if sh.Exp {
+			e = math.Exp(kth)
 		}
-		s.ms = buf
-		if opts.Limit < len(buf) {
-			return FinishMatches(buf, opts) // k-bounded heap, fresh k-slice
+		if e >= 0x1p-1022 && !math.IsInf(e, 1) {
+			low = math.Max(low, kth)
 		}
-		out := append([]Match(nil), buf...)
-		SortMatches(out)
-		return out
 	}
-	out := make([]Match, 0, len(s.touched))
+	f, buf := s.f, s.ms[:0]
 	for _, r := range s.touched {
-		score, ok := sh.final(r, s.f[r])
+		if !sh.ratio() && key(f, sh.Comp, r) < low {
+			continue
+		}
+		score, ok := sh.final(r, f[r])
 		if !ok || !opts.Keeps(score) {
 			continue
 		}
-		out = append(out, Match{TID: recs[r].TID, Score: score})
+		buf = append(buf, Match{TID: recs[r].TID, Score: score})
 	}
+	s.ms = buf
+	if opts.Limit > 0 && opts.Limit < len(buf) {
+		return FinishMatches(buf, opts) // k-bounded heap, fresh k-slice
+	}
+	out := append(make([]Match, 0, len(buf)), buf...)
 	SortMatches(out)
 	return out
-}
-
-// ---- floor heap (min-heap over candidate keys, root = pruning floor) ----
-
-// heapFix updates the floor heap after rec's key changed to kv: in-heap
-// records re-sift in place, new records displace the root only when they
-// strictly beat it. The root is always the minimum of k actual candidate
-// keys, which makes it a valid lower bound on the true k-th best key.
-func (s *Scratch) heapFix(r int32, kv float64, k int) {
-	if p := int(s.hpos[r]); p >= 0 {
-		s.hkeys[p] = kv
-		if !s.heapDown(p) {
-			s.heapUp(p)
-		}
-		return
-	}
-	if len(s.hkeys) < k {
-		s.hkeys = append(s.hkeys, kv)
-		s.hrecs = append(s.hrecs, r)
-		s.hpos[r] = int32(len(s.hkeys) - 1)
-		s.heapUp(len(s.hkeys) - 1)
-		return
-	}
-	if kv > s.hkeys[0] {
-		s.hpos[s.hrecs[0]] = -1
-		s.hkeys[0] = kv
-		s.hrecs[0] = r
-		s.hpos[r] = 0
-		s.heapDown(0)
-	}
-}
-
-func (s *Scratch) heapSwap(i, j int) {
-	s.hkeys[i], s.hkeys[j] = s.hkeys[j], s.hkeys[i]
-	s.hrecs[i], s.hrecs[j] = s.hrecs[j], s.hrecs[i]
-	s.hpos[s.hrecs[i]] = int32(i)
-	s.hpos[s.hrecs[j]] = int32(j)
-}
-
-func (s *Scratch) heapDown(i int) bool {
-	moved := false
-	for {
-		small := i
-		if l := 2*i + 1; l < len(s.hkeys) && s.hkeys[l] < s.hkeys[small] {
-			small = l
-		}
-		if r := 2*i + 2; r < len(s.hkeys) && s.hkeys[r] < s.hkeys[small] {
-			small = r
-		}
-		if small == i {
-			return moved
-		}
-		s.heapSwap(i, small)
-		i = small
-		moved = true
-	}
-}
-
-func (s *Scratch) heapUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s.hkeys[i] >= s.hkeys[parent] {
-			return
-		}
-		s.heapSwap(i, parent)
-		i = parent
-	}
 }
 
 // ---- pruning statistics ----
@@ -662,16 +670,6 @@ func HotPathSnapshot() HotPathStats {
 		ListsUpdateOnly: hotPath.listsUpdateOnly.Load(),
 		PostingsSkipped: hotPath.postingsSkipped.Load(),
 	}
-}
-
-// ResetHotPathStats zeroes the pruning counters (benchmark harness hook).
-func ResetHotPathStats() {
-	hotPath.queries.Store(0)
-	hotPath.prunedQueries.Store(0)
-	hotPath.lists.Store(0)
-	hotPath.listsSkipped.Store(0)
-	hotPath.listsUpdateOnly.Store(0)
-	hotPath.postingsSkipped.Store(0)
 }
 
 // Sub returns the counter deltas since an earlier snapshot.

@@ -7,11 +7,17 @@ import (
 )
 
 // randomTerms builds a random but valid query plan over n records: sorted
-// posting lists, mixed-sign weights, correct per-list bound columns.
-func randomTerms(rng *rand.Rand, n, nt int, weighted, signed bool) []Term {
+// posting lists, mixed-sign weights, correct per-list bound columns. A
+// skewed plan makes every other list short and a hundred times heavier, the
+// shape on which the engine closes admission and finishes by lookups.
+func randomTerms(rng *rand.Rand, n, nt int, weighted, signed, skewed bool) []Term {
 	terms := make([]Term, 0, nt)
 	for t := 0; t < nt; t++ {
 		df := 1 + rng.Intn(n)
+		heavy := skewed && t%2 == 0
+		if heavy {
+			df = 1 + rng.Intn(8)
+		}
 		perm := rng.Perm(n)[:df]
 		recs := append([]int(nil), perm...)
 		// Posting lists must be sorted by record position.
@@ -21,6 +27,9 @@ func randomTerms(rng *rand.Rand, n, nt int, weighted, signed bool) []Term {
 			}
 		}
 		q := rng.Float64() * 3
+		if heavy {
+			q *= 100
+		}
 		if signed && rng.Intn(3) == 0 {
 			q = -q
 		}
@@ -67,7 +76,7 @@ func matchesIdentical(t *testing.T, label string, want, got []Match) {
 // pruning is only ever allowed to skip provably irrelevant work.
 func TestMaxScoreMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	n := 60
+	n := 400
 	recs := make([]Record, n)
 	for i := range recs {
 		recs[i] = Record{TID: 1000 - i} // non-monotone TIDs exercise tie order
@@ -85,11 +94,12 @@ func TestMaxScoreMatchesNaive(t *testing.T) {
 		denMin = math.Min(denMin, den[i])
 	}
 
+	before := HotPathSnapshot()
 	for trial := 0; trial < 200; trial++ {
 		nt := 1 + rng.Intn(12)
 		weighted := rng.Intn(2) == 0
 		signed := rng.Intn(2) == 0
-		terms := randomTerms(rng, n, nt, weighted, signed)
+		terms := randomTerms(rng, n, nt, weighted, signed, trial%8 >= 4)
 
 		var sh Shape
 		var thresholds []float64
@@ -130,6 +140,11 @@ func TestMaxScoreMatchesNaive(t *testing.T) {
 			matchesIdentical(t, "engine vs naive", want, got)
 		}
 	}
+	// The comparison is only worth its name if the pruning half ran.
+	d := HotPathSnapshot().Sub(before)
+	if d.PrunedQueries < 100 || d.ListsSkipped < 100 || d.ListsUpdateOnly < 100 {
+		t.Fatalf("the trials barely reach closure, lookups and update-only walks: %+v", d)
+	}
 }
 
 // cloneTerms guards against the engine mutating the shared plan.
@@ -137,17 +152,37 @@ func cloneTerms(terms []Term) []Term {
 	return append([]Term(nil), terms...)
 }
 
-// TestMaxScorePrunesSkewedLists checks that pruning actually happens on the
-// workload shape it is designed for: a few rare high-weight lists followed
-// by long low-weight ones, probed with a small limit.
+// strideList is one list of equal-weight postings: the records r in [0, n)
+// with r%stride == 0, at weight w.
+func strideList(n, stride int, w float64) Term {
+	var posts []WPost
+	for r := 0; r < n; r += stride {
+		posts = append(posts, WPost{Rec: r, W: w})
+	}
+	return Term{Q: 1, W: posts, MaxW: w, MinW: w}
+}
+
+func totalPostings(terms []Term) int {
+	n := 0
+	for i := range terms {
+		n += terms[i].size()
+	}
+	return n
+}
+
+// TestMaxScorePrunesSkewedLists pins a case where pruning must pay: three
+// short heavy lists leave 30 candidates, ten feather-weight lists covering
+// all 20 000 records follow. Taking the floor costs 30 candidates against
+// 200 000 postings still to walk, admission closes, and every long list is
+// finished by 30 lookups instead of a walk — the work tally, in postings,
+// stays far below the full walk.
 func TestMaxScorePrunesSkewedLists(t *testing.T) {
-	n := 2000
+	n := 20000
 	recs := make([]Record, n)
 	for i := range recs {
 		recs[i] = Record{TID: i}
 	}
 	var terms []Term
-	// Three short, heavy lists.
 	for k := 0; k < 3; k++ {
 		posts := make([]WPost, 0, 10)
 		for r := k * 10; r < k*10+10; r++ {
@@ -155,32 +190,60 @@ func TestMaxScorePrunesSkewedLists(t *testing.T) {
 		}
 		terms = append(terms, Term{Q: 1, W: posts, MaxW: 5, MinW: 5})
 	}
-	// Ten long, feather-weight lists covering every record.
 	for k := 0; k < 10; k++ {
-		posts := make([]WPost, n)
-		for r := 0; r < n; r++ {
-			posts[r] = WPost{Rec: r, W: 0.001}
-		}
-		terms = append(terms, Term{Q: 1, W: posts, MaxW: 0.001, MinW: 0.001})
+		terms = append(terms, strideList(n, 1, 0.001))
 	}
 	OrderTermsByImpact(terms)
+	full := totalPostings(terms)
 
 	before := HotPathSnapshot()
 	s := GetScratch(n)
-	got := MaxScoreSelect(s, recs, terms, Shape{}, SelectOptions{Limit: 5})
+	got := MaxScoreSelect(s, recs, cloneTerms(terms), Shape{}, SelectOptions{Limit: 5})
+	work := s.work
 	s.Release()
 	delta := HotPathSnapshot().Sub(before)
 
 	want := NaiveTermSelect(recs, terms, Shape{}, SelectOptions{Limit: 5})
 	matchesIdentical(t, "pruned top-k", want, got)
-	if delta.PrunedQueries != 1 {
-		t.Fatalf("admission must close on the skewed workload: %+v", delta)
+	if delta.PrunedQueries != 1 || delta.ListsSkipped != 10 || delta.PostingsSkipped != uint64(10*n) {
+		t.Fatalf("the ten long feather-weight lists must be skipped entirely: %+v", delta)
 	}
-	if delta.ListsSkipped == 0 {
-		t.Fatalf("long feather-weight lists must be skipped entirely: %+v", delta)
+	if work*4 > full {
+		t.Fatalf("work tally %d is not well under the full walk of %d postings", work, full)
 	}
-	if delta.PostingsSkipped == 0 {
-		t.Fatalf("postings skipped must be counted: %+v", delta)
+}
+
+// TestMaxScoreWalksDenseLists is the mirror: thirty equal-weight lists each
+// covering a large share of the relation — the shape of bigram postings —
+// make nearly every record a candidate early, so a floor scan costs as
+// much as the lists it could save. Closure must not engage: the engine
+// does the plain walk and nothing else.
+func TestMaxScoreWalksDenseLists(t *testing.T) {
+	n := 4000
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = Record{TID: i}
+	}
+	terms := make([]Term, 30)
+	for i := range terms {
+		terms[i] = strideList(n, 2+i%5, 1)
+	}
+	full := totalPostings(terms)
+
+	before := HotPathSnapshot()
+	s := GetScratch(n)
+	got := MaxScoreSelect(s, recs, cloneTerms(terms), Shape{}, SelectOptions{Limit: 10})
+	work := s.work
+	s.Release()
+	delta := HotPathSnapshot().Sub(before)
+
+	want := NaiveTermSelect(recs, terms, Shape{}, SelectOptions{Limit: 10})
+	matchesIdentical(t, "dense top-k", want, got)
+	if delta.PrunedQueries != 0 {
+		t.Fatalf("closure engaged on dense lists: %+v", delta)
+	}
+	if work != full {
+		t.Fatalf("work tally %d, want exactly the %d postings of the plain walk", work, full)
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 	"sync/atomic"
 )
 
-// RunJobs runs fn(0), ..., fn(n-1) on a pool of up to workers goroutines —
-// the worker pool behind the facade's SelectBatch, the shard fan-out of
-// sharded selections, and parallel shard construction.
+// RunJobs runs fn(0), ..., fn(n-1) on up to workers goroutines, the calling
+// one among them — the worker pool behind the facade's SelectBatch, the
+// shard fan-out of sharded selections, and parallel shard construction.
 //
 // Error reporting is deterministic: RunJobs returns the error of the
 // lowest-indexed failing job, regardless of how jobs were scheduled across
@@ -64,29 +64,35 @@ func RunJobs(ctx context.Context, n, workers int, fn func(i int) error) (int, er
 		}
 	}
 
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if int64(i) >= minFail.Load() {
+				continue
+			}
+			if err := ctx.Err(); err != nil {
+				fail(i, err)
+				return
+			}
+			if err := fn(i); err != nil {
+				fail(i, err)
+			}
+		}
+	}
+	// The caller is one of the workers: a fan-out starts workers-1
+	// goroutines and is not parked and woken around them.
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if int64(i) >= minFail.Load() {
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					fail(i, err)
-					return
-				}
-				if err := fn(i); err != nil {
-					fail(i, err)
-				}
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 
 	if idx := minFail.Load(); idx < int64(n) {

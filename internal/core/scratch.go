@@ -22,12 +22,14 @@ type Scratch struct {
 	// the candidate count of the running query.
 	touched []int32
 
-	// Floor heap of the max-score engine: a min-heap over candidate keys
-	// whose root is the k-th best key seen so far. hpos tracks each
-	// record's heap position (-1 when absent), valid where stamp matches.
+	// Floor heap of the max-score engine (kthKey): a min-heap over the k
+	// best candidate keys of one pass, and the records that hold them.
 	hkeys []float64
 	hrecs []int32
-	hpos  []int32
+	// work is the last MaxScoreSelect's deterministic work tally: postings
+	// walked, priced lookup steps, and candidates scanned for floors and
+	// compaction.
+	work int
 
 	// Per-query side buffers reused across checkouts.
 	terms []Term
@@ -57,13 +59,12 @@ func (s *Scratch) Reset(n int) {
 		s.f = make([]float64, n)
 		s.slot = make([]int32, n)
 		s.stamp = make([]uint32, n)
-		s.hpos = make([]int32, n)
+		s.touched = make([]int32, 0, n+1) // walkFull stores before it grows
 		s.cur = 0
 	} else {
 		s.f = s.f[:cap(s.stamp)]
 		s.slot = s.slot[:cap(s.stamp)]
 		s.stamp = s.stamp[:cap(s.stamp)]
-		s.hpos = s.hpos[:cap(s.stamp)]
 	}
 	s.cur++
 	if s.cur == 0 {
@@ -85,7 +86,6 @@ func (s *Scratch) Add(rec int32, w float64) {
 	if s.stamp[rec] != s.cur {
 		s.stamp[rec] = s.cur
 		s.f[rec] = w
-		s.hpos[rec] = -1
 		s.touched = append(s.touched, rec)
 		return
 	}

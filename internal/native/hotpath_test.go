@@ -3,6 +3,7 @@ package native
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -15,6 +16,18 @@ import (
 // the workload shape of the benchmark's performance experiments.
 func hotPathCorpus(t testing.TB, size int, seed int64) (*core.Corpus, []core.Record, core.Config) {
 	t.Helper()
+	records := hotPathRecords(t, size, seed)
+	cfg := core.DefaultConfig()
+	c, err := core.NewCorpus(records, cfg, core.AllLayers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, records, cfg
+}
+
+// hotPathRecords is the dirty DBLP-like relation alone.
+func hotPathRecords(t testing.TB, size int, seed int64) []core.Record {
+	t.Helper()
 	clean := datasets.DBLPTitles(maxInt(size/10, 10), seed)
 	ds, err := dirty.Generate(clean, nil, dirty.Params{
 		Size: size, NumClean: maxInt(size/10, 10), Dist: dirty.Uniform,
@@ -24,12 +37,7 @@ func hotPathCorpus(t testing.TB, size int, seed int64) (*core.Corpus, []core.Rec
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
-	c, err := core.NewCorpus(ds.Records, cfg, core.AllLayers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, ds.Records, cfg
+	return ds.Records
 }
 
 func maxInt(a, b int) int {
@@ -155,6 +163,119 @@ func TestHotPathDifferential(t *testing.T) {
 				diffOne(t, p, q)
 			}
 		})
+	}
+}
+
+// enginePredicates are the eight predicates that score through
+// core.MaxScoreSelect; each builds its plan with a plan method.
+var enginePredicates = []string{"IntersectSize", "Jaccard", "WeightedMatch", "WeightedJaccard", "Cosine", "BM25", "LM", "HMM"}
+
+type planner interface {
+	plan(query string, s *core.Scratch) ([]core.Term, core.Shape)
+}
+
+// engineWork reads the engine's work tally of the scratch's last
+// selection. core keeps the tally out of its API — it exists for this
+// bound — so the test reads the unexported field by reflection.
+func engineWork(s *core.Scratch) int {
+	return int(reflect.ValueOf(s).Elem().FieldByName("work").Int())
+}
+
+// TestEngineWorkNeverExceedsFullWalk bounds what pruning may cost. The
+// engine tallies its work in postings: postings walked, lookup steps at
+// their measured price, candidates scanned for floors and compaction. Over
+// the dirty DBLP relation, for every engine predicate and every option
+// shape that prunes, the tally stays within 1.25 × the query's postings
+// (a walk that prunes nothing is 1.0; scans are budgeted against the
+// postings still to walk) plus its candidate count (the one compaction
+// closure always gets). Each answer is also checked against the reference
+// merge.
+func TestEngineWorkNeverExceedsFullWalk(t *testing.T) {
+	c, records, cfg := hotPathCorpus(t, 3000, 21)
+	recs := c.Snapshot().Records
+	var closed, total int
+	before := core.HotPathSnapshot()
+	for _, name := range enginePredicates {
+		p, err := Attach(name, c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi := 0; qi < 12; qi++ {
+			query := records[(qi*251+17)%len(records)].Text
+			full, err := NaiveSelect(p, query, core.SelectOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The tenth best score as θ: a selective threshold, the shape
+			// under which admission closes early.
+			th := full[min(9, len(full)-1)].Score
+			for _, opts := range []core.SelectOptions{
+				{Limit: 1},
+				{Limit: 10},
+				{Threshold: th, HasThreshold: true},
+				{Limit: 10, Threshold: th, HasThreshold: true},
+			} {
+				s := core.GetScratch(len(recs))
+				terms, sh := p.(planner).plan(query, s)
+				posts := 0
+				for i := range terms {
+					posts += len(terms[i].Ids) + len(terms[i].W)
+				}
+				got := core.MaxScoreSelect(s, recs, terms, sh, opts)
+				work := engineWork(s)
+				s.Release()
+				// Every record sharing a token with the query is a candidate
+				// of the full walk; the unthresholded ranking lists them.
+				if bound := posts + posts/4 + len(full); work > bound {
+					t.Errorf("%s %+v query %d: work %d exceeds 1.25 × %d postings + %d candidates", name, opts, qi, work, posts, len(full))
+				}
+				if work < posts {
+					closed++
+				}
+				total++
+				want, err := NaiveSelect(p, query, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertIdentical(t, fmt.Sprintf("%s %+v query %d", name, opts, qi), want, got)
+			}
+		}
+	}
+	// The bound must not hold vacuously: some of these selections prune.
+	if d := core.HotPathSnapshot().Sub(before); d.ListsSkipped == 0 || closed == 0 {
+		t.Fatalf("no selection did less than the full walk (%d of %d): %+v", closed, total, d)
+	}
+}
+
+// TestThresholdSelectionSkipsLists keeps the watch/join shape pruning: a
+// Jaccard selection at θ = 0.6 closes admission by the O(1) threshold test
+// once the unseen bound falls below θ, compacts, and finishes long lists by
+// lookup. At 12 000 records the lists are long enough for a lookup at its
+// measured price to beat a walk.
+func TestThresholdSelectionSkipsLists(t *testing.T) {
+	records := hotPathRecords(t, 12000, 21)
+	p, err := NewJaccard(records, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.SelectOptions{Threshold: 0.6, HasThreshold: true}
+	before := core.HotPathSnapshot()
+	for qi := 0; qi < 12; qi++ {
+		query := records[(qi*251+17)%len(records)].Text
+		want, err := NaiveSelect(p, query, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.SelectCtx(context.Background(), query, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIdentical(t, fmt.Sprintf("Jaccard θ=0.6 query %d", qi), want, got)
+	}
+	d := core.HotPathSnapshot().Sub(before)
+	t.Logf("%+v", d)
+	if d.PrunedQueries == 0 || d.ListsSkipped == 0 {
+		t.Fatalf("θ = 0.6 must close admission and skip lists: %+v", d)
 	}
 }
 

@@ -399,7 +399,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		ri.cache = "miss"
 	}
 	s.met.selects.Add(1)
-	s.met.predicate(req.Predicate).Observe(elapsed)
+	s.met.observeSelections(req.Predicate, cached, elapsed, 1)
 	writeJSON(w, http.StatusOK, SelectResponse{
 		Matches:   toWire(ms),
 		Count:     len(ms),
@@ -452,6 +452,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		missIdx = append(missIdx, i)
 	}
+	lookups := time.Since(start)
 	// Cache hits are versioned at e1 by construction; the batch as a whole
 	// is e1-consistent when the misses were too.
 	stable := true
@@ -491,16 +492,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	elapsed := time.Since(start)
-	// The predicate histogram tracks per-selection latency: a batch
-	// contributes one observation per query at the amortized cost, not a
-	// single whole-batch outlier.
-	if n := len(req.Queries); n > 0 {
-		h := s.met.predicate(req.Predicate)
-		per := elapsed / time.Duration(n)
-		for i := 0; i < n; i++ {
-			h.Observe(per)
-		}
-	}
+	// The predicate histogram tracks per-selection latency: the hits share
+	// the cache pass, the misses the fan-out.
+	s.met.observeSelections(req.Predicate, true, lookups, hits)
+	s.met.observeSelections(req.Predicate, false, elapsed-lookups, len(missIdx))
 	if hits == len(req.Queries) {
 		ri.cache = "hit"
 	} else {
@@ -552,14 +547,9 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, status(err), err)
 		return
 	}
-	// Like /v1/batch: one amortized observation per probe record.
-	if n := len(req.Probe); n > 0 {
-		h := s.met.predicate(req.Predicate)
-		per := elapsed / time.Duration(n)
-		for i := 0; i < n; i++ {
-			h.Observe(per)
-		}
-	}
+	// Like /v1/batch, one amortized observation per probe record; a join
+	// never reads the result cache.
+	s.met.observeSelections(req.Predicate, false, elapsed, len(req.Probe))
 	out := make([]JoinPair, len(pairs))
 	for i, p := range pairs {
 		out[i] = JoinPair{ProbeTID: p.ProbeTID, BaseTID: p.BaseTID, Score: p.Score}

@@ -48,7 +48,7 @@ type metrics struct {
 	mu          sync.Mutex
 	byEndpoint  map[string]*obs.Counter
 	endpointDur map[string]*obs.Histogram
-	byPredicate map[string]*obs.Histogram
+	byPredicate map[predSeries]*obs.Histogram
 }
 
 func newMetrics() *metrics {
@@ -63,7 +63,7 @@ func newMetrics() *metrics {
 		staleReads:  reg.Counter("approx_degraded_stale_reads_total", "reads served stale-marked while unable to reach a leader"),
 		byEndpoint:  make(map[string]*obs.Counter),
 		endpointDur: make(map[string]*obs.Histogram),
-		byPredicate: make(map[string]*obs.Histogram),
+		byPredicate: make(map[predSeries]*obs.Histogram),
 	}
 
 	// Selection engine: the max-score pruning counters (process-wide, the
@@ -126,16 +126,37 @@ func (m *metrics) endpointDuration(name string) *obs.Histogram {
 	return h
 }
 
-// predicate returns the per-predicate selection latency histogram.
-func (m *metrics) predicate(name string) *obs.Histogram {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.byPredicate[name]
-	if !ok {
-		h = m.reg.Histogram("approx_predicate_duration_us", "selection latency by predicate", obs.Label{Key: "predicate", Value: name})
-		m.byPredicate[name] = h
+// predSeries names one approx_predicate_duration_us series: a hit costs a
+// cache lookup and a miss a selection, so they never share a histogram.
+type predSeries struct {
+	predicate string
+	cached    bool
+}
+
+// observeSelections records n selections of a predicate that took total
+// together — one observation each at the amortized cost, so a batch is not
+// a single whole-batch outlier — in the series of their cache outcome.
+func (m *metrics) observeSelections(name string, cached bool, total time.Duration, n int) {
+	if n == 0 {
+		return
 	}
-	return h
+	m.mu.Lock()
+	key := predSeries{name, cached}
+	h, ok := m.byPredicate[key]
+	if !ok {
+		cache := "miss"
+		if cached {
+			cache = "hit"
+		}
+		h = m.reg.Histogram("approx_predicate_duration_us", "selection latency by predicate and cache outcome",
+			obs.Label{Key: "predicate", Value: name}, obs.Label{Key: "cache", Value: cache})
+		m.byPredicate[key] = h
+	}
+	m.mu.Unlock()
+	per := total / time.Duration(n)
+	for i := 0; i < n; i++ {
+		h.Observe(per)
+	}
 }
 
 func (m *metrics) endpointCounts() map[string]uint64 {
@@ -148,12 +169,16 @@ func (m *metrics) endpointCounts() map[string]uint64 {
 	return out
 }
 
+// predicateStats is the /v1/stats view: per predicate, the latency of the
+// selections that ran (cache hits are counted by the cache block).
 func (m *metrics) predicateStats() map[string]HistogramStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make(map[string]HistogramStats, len(m.byPredicate))
 	for k, h := range m.byPredicate {
-		out[k] = toHistogramStats(h.Snapshot())
+		if !k.cached {
+			out[k.predicate] = toHistogramStats(h.Snapshot())
+		}
 	}
 	return out
 }

@@ -121,6 +121,41 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestPredicateDurationSplitsCacheOutcome asserts that a selection served
+// from the result cache and one that ran the predicate land in different
+// approx_predicate_duration_us series — a microsecond lookup must not read
+// as engine latency — on /v1/select and, per query, on /v1/batch.
+func TestPredicateDurationSplitsCacheOutcome(t *testing.T) {
+	srv, ts := newTestServer(t, Config{TraceSample: -1}, 40)
+	sel := map[string]any{"predicate": "BM25", "query": "general electric", "limit": 3}
+	post[map[string]any](t, ts, "/v1/select", sel) // miss
+	post[map[string]any](t, ts, "/v1/select", sel) // hit
+	post[map[string]any](t, ts, "/v1/batch", map[string]any{
+		"predicate": "BM25", "queries": []string{"general electric", "international business"}, "limit": 3,
+	}) // one hit, one miss
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	buf := new(bytes.Buffer)
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`approx_predicate_duration_us_count{predicate="BM25",cache="miss"} 2`,
+		`approx_predicate_duration_us_count{predicate="BM25",cache="hit"} 2`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	if got := srv.stats().Predicates["BM25"].Count; got != 2 {
+		t.Errorf("/v1/stats predicates count the selections that ran: got %d, want 2", got)
+	}
+}
+
 // TestSlowlogSpanTree asserts the acceptance shape: with sampling on, a
 // /v1/select trace retained in the slow log shows admission → cache lookup
 // → shard fan-out → merge.
