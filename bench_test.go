@@ -179,7 +179,7 @@ func BenchmarkRunAll_Tiny(b *testing.B) {
 	}
 }
 
-// ---- ablation benchmarks (design choices called out in DESIGN.md) ----
+// ---- ablation benchmarks ----
 
 // BenchmarkAblationMinHashK sweeps the GESapx signature size (§5.4.1).
 func BenchmarkAblationMinHashK(b *testing.B) {

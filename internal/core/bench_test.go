@@ -103,11 +103,11 @@ func BenchmarkEngineWalkVsLookup(b *testing.B) {
 		half := slices.Clone(picks[:n/2])
 		slices.Sort(picks)
 		slices.Sort(half)
-		posts := make([]WPost, n)
+		ids, ws := make([]int32, n), make([]float64, n)
 		for i, r := range picks {
-			posts[i] = WPost{Rec: r, W: rng.Float64()}
+			ids[i], ws[i] = int32(r), rng.Float64()
 		}
-		t := &Term{Q: 1.5, W: posts, MaxW: 1, MinW: 0}
+		t := &Term{Q: 1.5, Ids: ids, W: ws, MaxW: 1, MinW: 0}
 		seen := &Term{Q: 1, Ids: make([]int32, len(half))}
 		for i, r := range half {
 			seen.Ids[i] = int32(r)

@@ -38,8 +38,10 @@ const (
 	// interned (rank, tf) pairs, document lengths and collection statistics
 	// (plus the IDF-pruned variant when Config.PruneRate > 0).
 	LayerGrams CorpusLayers = 1 << iota
-	// LayerPostings is the distinct-token inverted index shared by the
-	// overlap predicates.
+	// LayerPostings is the distinct-token inverted index: the record ids
+	// every rank-indexed table of the layer shares. The overlap predicates
+	// walk the ids alone; each weighted table is a weight column aligned
+	// with them.
 	LayerPostings
 	// LayerRS is the Robertson–Sparck Jones weight table (Eq. 3.5).
 	LayerRS
@@ -49,8 +51,7 @@ const (
 	// combined log terms and the per-record Σ log(1−pm) column (§3.3.1).
 	LayerLM
 	// LayerNorms is the edit-normalized string column (§4.4), together
-	// with the raw-layer gram-frequency posting table the edit filter
-	// scans.
+	// with the raw-layer gram-frequency column the edit filter scans.
 	LayerNorms
 	// LayerTokenIDs is the rank-indexed idf column over the interned
 	// (rank, tf) pairs (the pairs themselves are always kept: every table
@@ -76,10 +77,14 @@ const AllLayers = LayerGrams | LayerPostings | LayerRS | LayerTFIDF | LayerLM |
 	LayerNorms | LayerTokenIDs | LayerWords | LayerWordTFIDF | LayerWordGrams | LayerSigs
 
 // withDeps closes a layer set under build dependencies (weight tables need
-// their token layer; signatures need the word q-gram sets).
+// their token layer and the posting ids their columns align with;
+// signatures need the word q-gram sets).
 func (l CorpusLayers) withDeps() CorpusLayers {
 	if l&(LayerTFIDF|LayerLM) != 0 {
 		l |= LayerTokenIDs
+	}
+	if l&(LayerTFIDF|LayerLM|LayerNorms|LayerTokenIDs) != 0 {
+		l |= LayerPostings
 	}
 	if l&(LayerPostings|LayerRS|LayerTFIDF|LayerLM|LayerNorms|LayerTokenIDs) != 0 {
 		l |= LayerGrams
@@ -95,13 +100,6 @@ func (l CorpusLayers) withDeps() CorpusLayers {
 
 // Has reports whether every layer in want is present.
 func (l CorpusLayers) Has(want CorpusLayers) bool { return l&want == want }
-
-// WPost is one posting of a weighted inverted index: a record position and
-// the record-side weight of the token in that record.
-type WPost struct {
-	Rec int
-	W   float64
-}
 
 // RankTok pairs a query token with its corpus rank, the iteration unit of
 // the rank-ordered query paths.
@@ -645,18 +643,21 @@ func (c *Corpus) emptySnapshot() *Snapshot {
 	return s
 }
 
-// gramTables narrows the corpus's layer set to the tables one gram layer
+// gramTables narrows a corpus layer set to the tables one gram layer
 // carries: everything when raw and effective layer are one, otherwise the
 // raw layer keeps only tokenization-level state plus the edit filter's TF
-// posting table and the derived tables live on the pruned effective layer.
-func (c *Corpus) gramTables(pruned, raw bool) CorpusLayers {
+// column with the posting ids it aligns with, and the derived tables live
+// on the pruned effective layer.
+func gramTables(layers CorpusLayers, pruned, raw bool) CorpusLayers {
 	switch {
 	case !pruned:
-		return c.layers
-	case raw:
-		return c.layers & LayerNorms
+		return layers
+	case !raw:
+		return layers &^ LayerNorms
+	case layers.Has(LayerNorms):
+		return LayerNorms | LayerPostings
 	}
-	return c.layers &^ LayerNorms
+	return 0
 }
 
 func (c *Corpus) assemble(prev *Snapshot, sp *splice, epoch uint64, tokDur time.Duration) *Snapshot {
@@ -669,11 +670,11 @@ func (c *Corpus) assemble(prev *Snapshot, sp *splice, epoch uint64, tokDur time.
 	}
 	if c.layers.Has(LayerGrams) {
 		pruned := c.cfg.PruneRate > 0
-		s.RawGrams = prev.RawGrams.splice(sp, sp.raw.docs, c.gramTables(pruned, true))
+		s.RawGrams = prev.RawGrams.splice(sp, sp.raw.docs, gramTables(c.layers, pruned, true))
 		s.Grams = s.RawGrams
 		if pruned {
 			all := (&splice{recs: s.Records}).seal(0)
-			s.Grams = emptyGramLayer().splice(all, pruneDocs(s.RawGrams, c.cfg.PruneRate), c.gramTables(pruned, false))
+			s.Grams = emptyGramLayer().splice(all, pruneDocs(s.RawGrams, c.cfg.PruneRate), gramTables(c.layers, pruned, false))
 		}
 	}
 	if c.layers.Has(LayerNorms) {

@@ -37,19 +37,19 @@ import (
 //     list: every reported score still sums exactly the same contributions
 //     in the same order.
 
-// Term is one query token's posting-list contribution to a selection.
-// Exactly one of W and Ids is set: W carries weighted postings (the
-// contribution of posting p is Q·p.W), Ids carries unweighted postings
-// (contribution Q each). Posting lists must be sorted by ascending record
-// position, which is how every corpus/attach table is built.
+// Term is one query token's posting-list contribution to a selection. Ids
+// is the posting list, sorted by ascending record position (the layer's
+// shared id list). W == nil means unweighted: every posting contributes Q.
+// Otherwise W is the weight column aligned with Ids, index for index, and
+// posting j contributes Q·W[j].
 type Term struct {
 	// Q is the query-side factor of the token.
 	Q   float64
-	W   []WPost
 	Ids []int32
-	// MaxW and MinW bound the record-side weights of W (ignored for Ids,
-	// whose implicit weight is 1). They are the precomputed per-rank bound
-	// columns of the corpus snapshot or the attach-time weight tables.
+	W   []float64
+	// MaxW and MinW bound the record-side weights of W (ignored when W is
+	// nil: the implicit weight is 1). They are the precomputed per-rank
+	// bound columns of the corpus snapshot or the attach-time weight tables.
 	MaxW, MinW float64
 }
 
@@ -58,7 +58,7 @@ type Term struct {
 // nothing), lb ≤ any single record's gain (clamped at 0).
 func (t *Term) bounds() (ub, lb float64) {
 	var hi, lo float64
-	if t.Ids != nil {
+	if t.W == nil {
 		hi, lo = t.Q, t.Q
 	} else {
 		hi, lo = t.Q*t.MaxW, t.Q*t.MinW
@@ -69,12 +69,7 @@ func (t *Term) bounds() (ub, lb float64) {
 	return math.Max(0, hi), math.Min(0, lo)
 }
 
-func (t *Term) size() int {
-	if t.Ids != nil {
-		return len(t.Ids)
-	}
-	return len(t.W)
-}
+func (t *Term) size() int { return len(t.Ids) }
 
 // OrderTermsByImpact sorts terms by decreasing contribution upper bound,
 // keeping the original (token-rank) order for ties. Both the optimized and
@@ -105,6 +100,12 @@ type Shape struct {
 	CompMax float64
 	// Exp applies exp() to the offset sum (LM, HMM).
 	Exp bool
+	// Skip, when non-nil, marks records that are never part of a result
+	// however they accumulate (PostTable.Skip). Their aligned weights are
+	// 0, so their key is 0 — never above a candidate's in a family whose
+	// weights are non-negative, which is the only one that sets Skip: as a
+	// floor witness a skipped record can only lower the floor.
+	Skip []bool
 	// Den switches to the ratio family (Jaccard, WeightedJaccard):
 	// score = acc / (Den[rec] + QSide − acc), with DenMin the precomputed
 	// minimum of Den over records. DenAtLeastAcc declares Den[rec] ≥ acc
@@ -145,6 +146,9 @@ func downBound(x, scale float64) float64 {
 // final computes the exact final score of a touched record; ok=false drops
 // the record (the ratio family's zero-denominator guard).
 func (sh *Shape) final(rec int32, acc float64) (float64, bool) {
+	if sh.Skip != nil && sh.Skip[rec] {
+		return 0, false
+	}
 	if sh.Den != nil {
 		den := sh.Den[rec] + sh.QSide - acc
 		if den == 0 {
@@ -343,14 +347,12 @@ func NaiveTermSelect(recs []Record, terms []Term, sh Shape, opts SelectOptions) 
 	acc := make(map[int32]float64)
 	for i := range terms {
 		t := &terms[i]
-		if t.Ids != nil {
-			for _, r := range t.Ids {
+		for j, r := range t.Ids {
+			if t.W == nil {
 				acc[r] += t.Q
+			} else {
+				acc[r] += t.Q * t.W[j]
 			}
-			continue
-		}
-		for _, p := range t.W {
-			acc[int32(p.Rec)] += t.Q * p.W
 		}
 	}
 	out := make([]Match, 0, len(acc))
@@ -390,31 +392,36 @@ func (s *Scratch) suffixBounds(terms []Term) (pos, neg []float64, posts int) {
 // is a coin flip. The record is stored at the end of the touched list, which
 // grows only if the stamp was stale (Reset keeps a spare cell), and a stale
 // accumulator is masked to +0 before the add: 0 + w, exactly what the
-// reference merge computes for a first contribution.
+// reference merge computes for a first contribution. A weighted list reads
+// its ids and the weight column side by side, the column resliced to the
+// ids' length so the loop carries no bounds check.
 func (s *Scratch) walkFull(t *Term) {
-	f, stamp, cur, q := s.f, s.stamp, s.cur, t.Q
+	f, stamp, cur, q, ids := s.f, s.stamp, s.cur, t.Q, t.Ids
 	touched := s.touched[:cap(s.touched)]
 	nt := len(s.touched)
-	for _, r := range t.Ids {
-		fresh := 0
-		if stamp[r] != cur {
-			fresh = 1
+	if t.W == nil {
+		for _, r := range ids {
+			fresh := 0
+			if stamp[r] != cur {
+				fresh = 1
+			}
+			touched[nt] = r
+			nt += fresh
+			stamp[r] = cur
+			f[r] = math.Float64frombits(math.Float64bits(f[r])&(uint64(fresh)-1)) + q
 		}
-		touched[nt] = r
-		nt += fresh
-		stamp[r] = cur
-		f[r] = math.Float64frombits(math.Float64bits(f[r])&(uint64(fresh)-1)) + q
-	}
-	for _, p := range t.W {
-		r := int32(p.Rec)
-		fresh := 0
-		if stamp[r] != cur {
-			fresh = 1
+	} else {
+		w := t.W[:len(ids)]
+		for j, r := range ids {
+			fresh := 0
+			if stamp[r] != cur {
+				fresh = 1
+			}
+			touched[nt] = r
+			nt += fresh
+			stamp[r] = cur
+			f[r] = math.Float64frombits(math.Float64bits(f[r])&(uint64(fresh)-1)) + q*w[j]
 		}
-		touched[nt] = r
-		nt += fresh
-		stamp[r] = cur
-		f[r] = math.Float64frombits(math.Float64bits(f[r])&(uint64(fresh)-1)) + q*p.W
 	}
 	s.touched = touched[:nt]
 }
@@ -424,12 +431,16 @@ func (s *Scratch) walkFull(t *Term) {
 // holds nothing anybody reads (a first touch stores, it never adds), so
 // adding into it is harmless, and the loop has no branch to mispredict.
 func (s *Scratch) walkUpdateOnly(t *Term) {
-	f, q := s.f, t.Q
-	for _, r := range t.Ids {
-		f[r] += q
+	f, q, ids := s.f, t.Q, t.Ids
+	if t.W == nil {
+		for _, r := range ids {
+			f[r] += q
+		}
+		return
 	}
-	for _, p := range t.W {
-		f[p.Rec] += q * p.W
+	w := t.W[:len(ids)]
+	for j, r := range ids {
+		f[r] += q * w[j]
 	}
 }
 
@@ -543,39 +554,23 @@ func (s *Scratch) compactCandidates(sh *Shape, opts SelectOptions, pos, neg, thK
 // list by binary search, in touched order — each record still receives its
 // lists' contributions in list-processing order, so sums stay exact.
 func (s *Scratch) finishByLookup(t *Term) {
-	q := t.Q
-	if t.Ids != nil {
-		ids := t.Ids
-		for _, r := range s.touched {
-			lo, hi := 0, len(ids)
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if ids[mid] < r {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo < len(ids) && ids[lo] == r {
-				s.f[r] += q
-			}
-		}
-		return
-	}
-	posts := t.W
+	q, ids, w := t.Q, t.Ids, t.W
 	for _, r := range s.touched {
-		rec := int(r)
-		lo, hi := 0, len(posts)
+		lo, hi := 0, len(ids)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if posts[mid].Rec < rec {
+			if ids[mid] < r {
 				lo = mid + 1
 			} else {
 				hi = mid
 			}
 		}
-		if lo < len(posts) && posts[lo].Rec == rec {
-			s.f[r] += q * posts[lo].W
+		if lo < len(ids) && ids[lo] == r {
+			if w == nil {
+				s.f[r] += q
+			} else {
+				s.f[r] += q * w[lo]
+			}
 		}
 	}
 }

@@ -41,18 +41,18 @@ func randomTerms(rng *rand.Rand, n, nt int, weighted, signed, skewed bool) []Ter
 			terms = append(terms, Term{Q: q, Ids: ids})
 			continue
 		}
-		posts := make([]WPost, len(recs))
+		ids, ws := make([]int32, len(recs)), make([]float64, len(recs))
 		mx, mn := math.Inf(-1), math.Inf(1)
 		for i, r := range recs {
 			w := rng.Float64() * 2
 			if signed && rng.Intn(4) == 0 {
 				w = -w
 			}
-			posts[i] = WPost{Rec: r, W: w}
+			ids[i], ws[i] = int32(r), w
 			mx = math.Max(mx, w)
 			mn = math.Min(mn, w)
 		}
-		terms = append(terms, Term{Q: q, W: posts, MaxW: mx, MinW: mn})
+		terms = append(terms, Term{Q: q, Ids: ids, W: ws, MaxW: mx, MinW: mn})
 	}
 	OrderTermsByImpact(terms)
 	return terms
@@ -155,11 +155,12 @@ func cloneTerms(terms []Term) []Term {
 // strideList is one list of equal-weight postings: the records r in [0, n)
 // with r%stride == 0, at weight w.
 func strideList(n, stride int, w float64) Term {
-	var posts []WPost
+	var t Term
 	for r := 0; r < n; r += stride {
-		posts = append(posts, WPost{Rec: r, W: w})
+		t.Ids, t.W = append(t.Ids, int32(r)), append(t.W, w)
 	}
-	return Term{Q: 1, W: posts, MaxW: w, MinW: w}
+	t.Q, t.MaxW, t.MinW = 1, w, w
+	return t
 }
 
 func totalPostings(terms []Term) int {
@@ -184,11 +185,11 @@ func TestMaxScorePrunesSkewedLists(t *testing.T) {
 	}
 	var terms []Term
 	for k := 0; k < 3; k++ {
-		posts := make([]WPost, 0, 10)
+		t := Term{Q: 1, MaxW: 5, MinW: 5}
 		for r := k * 10; r < k*10+10; r++ {
-			posts = append(posts, WPost{Rec: r, W: 5})
+			t.Ids, t.W = append(t.Ids, int32(r)), append(t.W, 5)
 		}
-		terms = append(terms, Term{Q: 1, W: posts, MaxW: 5, MinW: 5})
+		terms = append(terms, t)
 	}
 	for k := 0; k < 10; k++ {
 		terms = append(terms, strideList(n, 1, 0.001))

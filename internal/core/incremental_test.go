@@ -297,6 +297,11 @@ func TestIncrementalAssembleMatchesFresh(t *testing.T) {
 						}
 					}
 				}
+				for _, l := range []*core.GramLayer{c.Snapshot().Grams, c.Snapshot().RawGrams} {
+					if err := core.ColumnsAligned(l); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+				}
 				a, b := snapshotSections(t, c), snapshotSections(t, fresh)
 				if len(a) != len(b) {
 					t.Fatalf("step %d: %d sections, fresh build has %d", step, len(a), len(b))
@@ -425,7 +430,7 @@ func TestOldSnapshotsSurviveLaterMutations(t *testing.T) {
 		check("RS", hd.snap.Grams.RS(), fs.Grams.RS())
 		check("TFIDF", hd.snap.Grams.TFIDF(), fs.Grams.TFIDF())
 		check("LM", hd.snap.Grams.LM(), fs.Grams.LM())
-		check("TFPost", hd.snap.RawGrams.TFPost(), fs.RawGrams.TFPost())
+		check("TF", hd.snap.RawGrams.TF(), fs.RawGrams.TF())
 		check("word gram index", hd.snap.Words.GramIndex, fs.Words.GramIndex)
 		check("signature index", hd.snap.Words.SigIndex, fs.Words.SigIndex)
 		check("word idf weights", hd.snap.Words.IDFWeights(), fs.Words.IDFWeights())

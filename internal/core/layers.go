@@ -47,11 +47,16 @@ func (l *lazy[T]) get(build func() T) T {
 // set installs an already computed column (the snapshot decoder's path).
 func (l *lazy[T]) set(v T) { l.once.Do(func() { l.v = v }) }
 
-// PostTable is a rank-indexed weighted posting table with its per-rank
-// weight bound columns, the max-score pruning input of the hot path.
+// PostTable is a rank-indexed weight column aligned with a layer's posting
+// ids — Post[r][j] is the weight of the token of rank r in record
+// Postings[r][j] — with its per-rank weight bound columns, the max-score
+// pruning input of the hot path. Skip, when non-nil, marks records whose
+// aligned weights are placeholders: they bound nothing and Shape.Skip keeps
+// them out of every result (Cosine's zero-norm records).
 type PostTable struct {
-	Post     [][]WPost
+	Post     [][]float64
 	Max, Min []float64
+	Skip     []bool
 }
 
 // RSTable is the Robertson–Sparck Jones weight table (Eq. 3.5). Each RS
@@ -90,7 +95,8 @@ type GramLayer struct {
 	// form of the frequency maps every table derives from.
 	Pairs [][]RankTF
 	// Postings is the distinct-token inverted index, indexed by token rank
-	// (LayerPostings).
+	// (LayerPostings): ascending record ids, the one copy every weight
+	// column of the layer is aligned with.
 	Postings [][]int32
 
 	// layers says which derived tables this layer carries: the corpus's
@@ -100,7 +106,7 @@ type GramLayer struct {
 	rs     lazy[*RSTable]
 	tfidf  lazy[*PostTable]
 	lm     lazy[*LMTable]
-	tfpost lazy[[][]WPost]
+	tf     lazy[[][]int32]
 }
 
 func emptyGramLayer() *GramLayer {
@@ -244,25 +250,24 @@ func (l *GramLayer) OrderedKnownRankWeights(w map[string]float64) []RankTok {
 	return orderedKnownRanks(w, l.Stats)
 }
 
-// RankTable allocates a posting table indexed by token rank with one
-// contiguous backing array: each rank's slice has zero length and exactly
-// its document frequency as capacity, so filling the table appends without
-// ever reallocating. Builders that skip some postings (zero-norm or
-// zero-length records) simply leave capacity unused.
-func (l *GramLayer) RankTable() [][]WPost {
-	dfs := l.Stats.DFs()
+// PostingColumn allocates a column aligned with the layer's posting ids,
+// carved from one backing array: rank r's slice is empty with capacity
+// len(Postings[r]), so a builder that visits records in ascending order and
+// appends one value per (rank, record) pair fills every slice exactly,
+// without reallocating.
+func PostingColumn[T any](l *GramLayer) [][]T {
 	total := 0
-	for _, d := range dfs {
-		total += int(d)
+	for _, ids := range l.Postings {
+		total += len(ids)
 	}
-	backing := make([]WPost, total)
-	table := make([][]WPost, len(dfs))
+	backing := make([]T, total)
+	col := make([][]T, len(l.Postings))
 	off := 0
-	for r, d := range dfs {
-		table[r] = backing[off : off : off+int(d)]
-		off += int(d)
+	for r, ids := range l.Postings {
+		col[r] = backing[off : off : off+len(ids)]
+		off += len(ids)
 	}
-	return table
+	return col
 }
 
 // ---- weight columns, derived on first use ----
@@ -315,21 +320,37 @@ func (l *GramLayer) TFIDF() *PostTable {
 	}
 	return l.tfidf.get(func() *PostTable {
 		idf := l.idfByRank()
-		post := l.RankTable()
-		for i, pairs := range l.Pairs {
+		post := PostingColumn[float64](l)
+		for _, pairs := range l.Pairs {
 			// Mirrors weights.Corpus.TFIDF term for term: the norm sums
-			// (tf·idf)² in sorted-token order.
+			// (tf·idf)² in sorted-token order. A zero-norm record has no
+			// tf-idf vector; its aligned weights are placeholders.
 			norm := tfidfNorm(pairs, idf)
-			if norm == 0 {
-				continue
-			}
 			for _, p := range pairs {
-				w := float64(p.TF) * idf[p.Rank] / norm
-				post[p.Rank] = append(post[p.Rank], WPost{Rec: i, W: w})
+				w := 0.0
+				if norm != 0 {
+					w = float64(p.TF) * idf[p.Rank] / norm
+				}
+				post[p.Rank] = append(post[p.Rank], w)
 			}
 		}
-		return newPostTable(post)
+		return NewPostTable(post, l.Postings, zeroNorms(l.Pairs, idf))
 	})
+}
+
+// zeroNorms marks the records that hold grams but have a tf-idf norm of 0
+// (every gram has idf 0), nil when there are none.
+func zeroNorms(pairs [][]RankTF, idf []float64) []bool {
+	var skip []bool
+	for i, row := range pairs {
+		if len(row) > 0 && tfidfNorm(row, idf) == 0 {
+			if skip == nil {
+				skip = make([]bool, len(pairs))
+			}
+			skip[i] = true
+		}
+	}
+	return skip
 }
 
 func tfidfNorm(pairs []RankTF, idf []float64) float64 {
@@ -344,9 +365,29 @@ func tfidfNorm(pairs []RankTF, idf []float64) float64 {
 	return math.Sqrt(norm)
 }
 
-func newPostTable(post [][]WPost) *PostTable {
-	t := &PostTable{Post: post}
-	t.Max, t.Min = PostingBounds(post)
+// NewPostTable wraps a weight column aligned with ids and derives its
+// per-rank bound columns: Max[r] and Min[r] bound the weights of rank r's
+// list over the records skip does not mark (both zero for a list without
+// such records). These are the score upper bounds max-score pruning
+// consumes; they are built with their column, so they can never drift out
+// of sync with it.
+func NewPostTable(post [][]float64, ids [][]int32, skip []bool) *PostTable {
+	t := &PostTable{Post: post, Max: make([]float64, len(post)), Min: make([]float64, len(post)), Skip: skip}
+	for r, ws := range post {
+		first := true
+		for j, w := range ws {
+			if skip != nil && skip[ids[r][j]] {
+				continue
+			}
+			if first || w > t.Max[r] {
+				t.Max[r] = w
+			}
+			if first || w < t.Min[r] {
+				t.Min[r] = w
+			}
+			first = false
+		}
+	}
 	return t
 }
 
@@ -365,7 +406,7 @@ func (l *GramLayer) LM() *LMTable {
 			pavg[r] = l.Stats.PavgAt(int32(r))
 			cfcsLog[r] = math.Log(l.Stats.CFCSAt(int32(r)))
 		}
-		post := l.RankTable()
+		post := PostingColumn[float64](l)
 		t := &LMTable{SumComp: make([]float64, len(l.Pairs))}
 		// The admission bound only has to cover records reachable through
 		// a posting list, i.e. records with tokens; zero-length records
@@ -390,7 +431,7 @@ func (l *GramLayer) LM() *LMTable {
 				}
 				sum += math.Log(1.0 - pm)
 				term := math.Log(pm) - math.Log(1.0-pm) - cfcsLog[p.Rank]
-				post[p.Rank] = append(post[p.Rank], WPost{Rec: i, W: term})
+				post[p.Rank] = append(post[p.Rank], term)
 			}
 			t.SumComp[i] = sum
 			if first || sum > t.CompMax {
@@ -398,26 +439,26 @@ func (l *GramLayer) LM() *LMTable {
 			}
 			first = false
 		}
-		t.PostTable = *newPostTable(post)
+		t.PostTable = *NewPostTable(post, l.Postings, nil)
 		return t
 	})
 }
 
-// TFPost returns the gram-frequency posting table (LayerNorms, on the raw
-// layer): the record-side multiset the edit predicate's count filter scans.
-// Nil when the layer does not carry it.
-func (l *GramLayer) TFPost() [][]WPost {
+// TF returns the gram-frequency column aligned with the posting ids
+// (LayerNorms, on the raw layer): the record-side multiset the edit
+// predicate's count filter scans. Nil when the layer does not carry it.
+func (l *GramLayer) TF() [][]int32 {
 	if !l.layers.Has(LayerNorms) {
 		return nil
 	}
-	return l.tfpost.get(func() [][]WPost {
-		post := l.RankTable()
-		for i, pairs := range l.Pairs {
+	return l.tf.get(func() [][]int32 {
+		col := PostingColumn[int32](l)
+		for _, pairs := range l.Pairs {
 			for _, p := range pairs {
-				post[p.Rank] = append(post[p.Rank], WPost{Rec: i, W: float64(p.TF)})
+				col[p.Rank] = append(col[p.Rank], p.TF)
 			}
 		}
-		return post
+		return col
 	})
 }
 
@@ -430,33 +471,7 @@ func (l *GramLayer) materialize() {
 	l.RS()
 	l.TFIDF()
 	l.LM()
-	l.TFPost()
-}
-
-// PostingBounds computes per-rank weight bound columns of a rank-indexed
-// posting table: maxs[r] and mins[r] bound the record-side weights of rank
-// r's list (both zero for empty lists). These are the score upper bounds
-// max-score pruning consumes; they are built with their table, so they can
-// never drift out of sync with the postings.
-func PostingBounds(table [][]WPost) (maxs, mins []float64) {
-	maxs = make([]float64, len(table))
-	mins = make([]float64, len(table))
-	for r, posts := range table {
-		if len(posts) == 0 {
-			continue
-		}
-		mx, mn := posts[0].W, posts[0].W
-		for _, p := range posts[1:] {
-			if p.W > mx {
-				mx = p.W
-			}
-			if p.W < mn {
-				mn = p.W
-			}
-		}
-		maxs[r], mins[r] = mx, mn
-	}
-	return maxs, mins
+	l.TF()
 }
 
 // powInt is x^n for small positive integer exponents (term frequencies):

@@ -46,9 +46,7 @@ const (
 )
 
 // tableFlags says which derived tables a serialized gram layer carries, as
-// the flag byte leading its section; it mirrors the assembly path, which
-// keeps the tables on the effective layer and only the TF posting table on
-// the raw layer when pruning splits the two.
+// the flag byte leading its section (wireTables decides which).
 func tableFlags(layers CorpusLayers) uint8 {
 	var b uint8
 	for i, l := range []CorpusLayers{LayerTokenIDs, LayerPostings, LayerRS, LayerTFIDF, LayerLM, LayerNorms} {
@@ -57,6 +55,21 @@ func tableFlags(layers CorpusLayers) uint8 {
 		}
 	}
 	return b
+}
+
+// wireTables is the table set a serialized gram layer declares, derived
+// from the layer set a segment header names. It mirrors the assembly path
+// (gramTables) with one exception: the raw layer of a pruned split does
+// not write its posting ids, which only key its TF column. Posting ids are
+// structure the interned pairs determine, so the decoder rebuilds them
+// wherever a layer needs them — also for headers written before the ids
+// became a dependency of every weight table.
+func wireTables(layers CorpusLayers, pruned, raw bool) CorpusLayers {
+	t := gramTables(layers, pruned, raw)
+	if pruned && raw {
+		t &^= LayerPostings
+	}
+	return t
 }
 
 // WriteSnapshot serializes the corpus's current snapshot to w. The write
@@ -92,13 +105,13 @@ func (c *Corpus) WriteSnapshot(w io.Writer) error {
 
 	if c.layers.Has(LayerGrams) {
 		e = segment.NewEncoder(1 << 20)
-		encodeGramLayer(e, s.RawGrams)
+		encodeGramLayer(e, s.RawGrams, wireTables(c.layers, pruned, true))
 		if err := sw.Section(secRawGrams, e.Bytes()); err != nil {
 			return err
 		}
 		if pruned {
 			e = segment.NewEncoder(1 << 20)
-			encodeGramLayer(e, s.Grams)
+			encodeGramLayer(e, s.Grams, wireTables(c.layers, pruned, false))
 			if err := sw.Section(secEffGrams, e.Bytes()); err != nil {
 				return err
 			}
@@ -152,7 +165,7 @@ func LoadSnapshot(data []byte) (*Corpus, error) {
 	}
 	d := segment.NewDecoder(hdr)
 	cfg := decodeConfig(d)
-	layers := CorpusLayers(d.U32())
+	stored := CorpusLayers(d.U32())
 	epoch := d.U64()
 	nrec := d.Int()
 	pruned := d.Bool()
@@ -176,7 +189,8 @@ func LoadSnapshot(data []byte) (*Corpus, error) {
 		return nil, err
 	}
 
-	c := &Corpus{cfg: cfg, layers: layers}
+	c := &Corpus{cfg: cfg, layers: stored.withDeps()}
+	layers := c.layers
 	if c.layers.Has(LayerSigs) {
 		c.fam = minhash.NewFamily(cfg.MinHashSize(), cfg.MinHashSeed)
 	}
@@ -192,7 +206,7 @@ func LoadSnapshot(data []byte) (*Corpus, error) {
 		if !ok {
 			return nil, fmt.Errorf("approxsel: snapshot has no gram layer section")
 		}
-		l, err := decodeGramLayer(raw, nrec, c.gramTables(pruned, true))
+		l, err := decodeGramLayer(raw, nrec, wireTables(stored, pruned, true), gramTables(layers, pruned, true))
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +216,7 @@ func LoadSnapshot(data []byte) (*Corpus, error) {
 			if !ok {
 				return nil, fmt.Errorf("approxsel: pruned snapshot has no effective gram layer")
 			}
-			el, err := decodeGramLayer(eff, nrec, c.gramTables(pruned, false))
+			el, err := decodeGramLayer(eff, nrec, wireTables(stored, pruned, false), gramTables(layers, pruned, false))
 			if err != nil {
 				return nil, err
 			}
@@ -358,9 +372,9 @@ func decodeStatsInto(d *segment.Decoder, tokens []string) (*weights.Corpus, erro
 
 // ---- gram layers ----
 
-func encodeGramLayer(e *segment.Encoder, l *GramLayer) {
+func encodeGramLayer(e *segment.Encoder, l *GramLayer, wire CorpusLayers) {
 	l.materialize()
-	e.U8(tableFlags(l.layers))
+	e.U8(tableFlags(wire))
 	e.Strs(l.TokenByRank)
 	encodeStatsData(e, l.Stats.Export())
 	// Per-record gram multisets as dense ranks, preserving order (the edit
@@ -378,7 +392,7 @@ func encodeGramLayer(e *segment.Encoder, l *GramLayer) {
 	if l.layers.Has(LayerTokenIDs) {
 		e.F64s(l.idfByRank())
 	}
-	if l.layers.Has(LayerPostings) {
+	if wire.Has(LayerPostings) {
 		encodePostings(e, l.Postings)
 	}
 	if rs := l.RS(); rs != nil {
@@ -390,15 +404,15 @@ func encodeGramLayer(e *segment.Encoder, l *GramLayer) {
 		}
 	}
 	if t := l.TFIDF(); t != nil {
-		encodePostTable(e, t)
+		encodePostTable(e, l.Postings, t)
 	}
 	if lm := l.LM(); lm != nil {
-		encodePostTable(e, &lm.PostTable)
+		encodePostTable(e, l.Postings, &lm.PostTable)
 		e.F64s(lm.SumComp)
 		e.F64(lm.CompMax)
 	}
-	if l.layers.Has(LayerNorms) {
-		encodeWPostTable(e, l.TFPost())
+	if tf := l.TF(); tf != nil {
+		encodeWPostTable(e, l.Postings, tf, nil)
 	}
 }
 
@@ -419,15 +433,17 @@ func encodePairs(e *segment.Encoder, rows [][]RankTF) {
 	}
 }
 
-func encodePostTable(e *segment.Encoder, t *PostTable) {
-	encodeWPostTable(e, t.Post)
+func encodePostTable(e *segment.Encoder, ids [][]int32, t *PostTable) {
+	encodeWPostTable(e, ids, t.Post, t.Skip)
 	e.F64s(t.Max)
 	e.F64s(t.Min)
 }
 
-func decodeGramLayer(payload []byte, nrec int, layers CorpusLayers) (*GramLayer, error) {
+// decodeGramLayer decodes a gram layer section that declares the wire
+// tables into a layer carrying layers.
+func decodeGramLayer(payload []byte, nrec int, wire, layers CorpusLayers) (*GramLayer, error) {
 	d := segment.NewDecoder(payload)
-	if got, want := d.U8(), tableFlags(layers); got != want {
+	if got, want := d.U8(), tableFlags(wire); got != want {
 		return nil, fmt.Errorf("approxsel: gram layer tables %06b do not match materialized layers %06b", got, want)
 	}
 	l := &GramLayer{TokenByRank: d.Strs(), layers: layers}
@@ -453,7 +469,7 @@ func decodeGramLayer(payload []byte, nrec int, layers CorpusLayers) (*GramLayer,
 		return nil, err
 	}
 
-	if layers.Has(LayerTokenIDs) {
+	if wire.Has(LayerTokenIDs) {
 		idf := d.F64s()
 		if len(idf) != nTok {
 			return nil, fmt.Errorf("approxsel: idf column has %d entries for %d tokens", len(idf), nTok)
@@ -461,8 +477,11 @@ func decodeGramLayer(payload []byte, nrec int, layers CorpusLayers) (*GramLayer,
 		l.idf.set(idf)
 	}
 	if layers.Has(LayerPostings) {
-		l.Postings, err = decodePostings(d, nTok, nrec)
-		if err != nil {
+		l.Postings = postingsFromPairs(l.Pairs, nTok)
+	}
+	if wire.Has(LayerPostings) {
+		// The stored ids must be exactly the lists rebuilt from the pairs.
+		if err := readAlignedRows(d, l.Postings, nil, 4, func(int, []byte) error { return nil }); err != nil {
 			return nil, err
 		}
 	}
@@ -481,14 +500,14 @@ func decodeGramLayer(payload []byte, nrec int, layers CorpusLayers) (*GramLayer,
 		l.rs.set(rs)
 	}
 	if layers.Has(LayerTFIDF) {
-		t, err := decodePostTable(d, nTok, nrec)
+		t, err := decodePostTable(d, l, zeroNorms(l.Pairs, l.idfByRank()))
 		if err != nil {
 			return nil, err
 		}
 		l.tfidf.set(t)
 	}
 	if layers.Has(LayerLM) {
-		t, err := decodePostTable(d, nTok, nrec)
+		t, err := decodePostTable(d, l, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -499,11 +518,11 @@ func decodeGramLayer(payload []byte, nrec int, layers CorpusLayers) (*GramLayer,
 		l.lm.set(lm)
 	}
 	if layers.Has(LayerNorms) {
-		tfpost, err := decodeWPostTable(d, nTok, nrec)
+		tf, err := decodeWPostTable(d, l, nil, tfValue)
 		if err != nil {
 			return nil, err
 		}
-		l.tfpost.set(tfpost)
+		l.tf.set(tf)
 	}
 	if err := d.Finish(); err != nil {
 		return nil, err
@@ -585,13 +604,13 @@ func decodePairs(d *segment.Decoder, nrec, nTok int) ([][]RankTF, error) {
 	return rows, nil
 }
 
-func decodePostTable(d *segment.Decoder, nTok, nrec int) (*PostTable, error) {
-	post, err := decodeWPostTable(d, nTok, nrec)
+func decodePostTable(d *segment.Decoder, l *GramLayer, skip []bool) (*PostTable, error) {
+	post, err := decodeWPostTable(d, l, skip, func(v float64) (float64, bool) { return v, true })
 	if err != nil {
 		return nil, err
 	}
-	t := &PostTable{Post: post, Max: d.F64s(), Min: d.F64s()}
-	if len(t.Max) != nTok || len(t.Min) != nTok {
+	t := &PostTable{Post: post, Max: d.F64s(), Min: d.F64s(), Skip: skip}
+	if nTok := len(l.Postings); len(t.Max) != nTok || len(t.Min) != nTok {
 		return nil, fmt.Errorf("approxsel: posting bound columns do not match %d tokens", nTok)
 	}
 	return t, nil
@@ -614,104 +633,141 @@ func encodePostings(e *segment.Encoder, table [][]int32) {
 	}
 }
 
-func decodePostings(d *segment.Decoder, nTok, nrec int) ([][]int32, error) {
-	total := d.Int()
-	n := int(d.U32())
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if n != nTok {
-		return nil, fmt.Errorf("approxsel: posting table has %d lists for %d tokens", n, nTok)
-	}
-	if total < 0 || total > d.Remaining()/4 {
-		return nil, fmt.Errorf("approxsel: posting table claims %d postings", total)
+// postingsFromPairs builds the distinct-token inverted index from the
+// interned pairs — the lists assembly splices, rebuilt with the same
+// integer arithmetic: per rank, the ascending positions of the records
+// holding the token.
+func postingsFromPairs(pairs [][]RankTF, nTok int) [][]int32 {
+	df := make([]int, nTok)
+	total := 0
+	for _, row := range pairs {
+		for _, p := range row {
+			df[p.Rank]++
+		}
+		total += len(row)
 	}
 	backing := make([]int32, total)
-	used := 0
-	table := make([][]int32, n)
-	for r := 0; r < n; r++ {
-		cnt := int(d.U32())
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		rows := d.Raw(4*cnt, "posting list")
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		if used+cnt > total {
-			return nil, fmt.Errorf("approxsel: posting list %d overruns its table", r)
-		}
-		list := backing[used : used+cnt : used+cnt]
-		for j := 0; j < cnt; j++ {
-			rec := binary.LittleEndian.Uint32(rows[4*j:])
-			if rec >= uint32(nrec) {
-				return nil, fmt.Errorf("approxsel: posting record %d out of range (%d records)", rec, nrec)
-			}
-			list[j] = int32(rec)
-		}
-		used += cnt
-		table[r] = list
+	lists := make([][]int32, nTok)
+	off := 0
+	for r, n := range df {
+		lists[r] = backing[off : off : off+n]
+		off += n
 	}
-	return table, d.Err()
+	for i, row := range pairs {
+		for _, p := range row {
+			lists[p.Rank] = append(lists[p.Rank], int32(i))
+		}
+	}
+	return lists
 }
 
-// encodeWPostTable writes a rank-indexed weighted posting table: record
-// positions as 32-bit ints, weights as raw float64 bits.
-func encodeWPostTable(e *segment.Encoder, table [][]WPost) {
+// encodeWPostTable writes a weight column aligned with the posting ids in
+// the segment's weighted-table form: per rank, (u32 record, f64 weight)
+// rows, the record taken from the shared list. Records skip marks have no
+// row.
+func encodeWPostTable[T int32 | float64](e *segment.Encoder, ids [][]int32, col [][]T, skip []bool) {
 	total := 0
-	for _, l := range table {
-		total += len(l)
+	for _, list := range ids {
+		total += rowCount(list, skip)
 	}
 	e.Int(total)
-	e.U32(uint32(len(table)))
-	for _, l := range table {
-		e.U32(uint32(len(l)))
-		for _, p := range l {
-			e.U32(uint32(p.Rec))
-			e.F64(p.W)
+	e.U32(uint32(len(ids)))
+	for r, list := range ids {
+		e.U32(uint32(rowCount(list, skip)))
+		for j, rec := range list {
+			if skip == nil || !skip[rec] {
+				e.U32(uint32(rec))
+				e.F64(float64(col[r][j]))
+			}
 		}
 	}
 }
 
-func decodeWPostTable(d *segment.Decoder, nTok, nrec int) ([][]WPost, error) {
+// rowCount is the number of ids in list that skip does not mark.
+func rowCount(list []int32, skip []bool) int {
+	n := len(list)
+	if skip != nil {
+		for _, rec := range list {
+			if skip[rec] {
+				n--
+			}
+		}
+	}
+	return n
+}
+
+// tfValue accepts a stored term frequency: a positive integer.
+func tfValue(v float64) (int32, bool) {
+	tf := int32(v)
+	return tf, tf > 0 && float64(tf) == v
+}
+
+// decodeWPostTable reads a table written by encodeWPostTable and returns its
+// weights only, aligned with the layer's posting ids. conv must accept every
+// stored value; records skip marks have no row and get the zero value.
+func decodeWPostTable[T any](d *segment.Decoder, l *GramLayer, skip []bool, conv func(float64) (T, bool)) ([][]T, error) {
+	col := PostingColumn[T](l)
+	err := readAlignedRows(d, l.Postings, skip, 12, func(r int, tail []byte) error {
+		var v T
+		if tail != nil {
+			var ok bool
+			if v, ok = conv(math.Float64frombits(binary.LittleEndian.Uint64(tail))); !ok {
+				return fmt.Errorf("approxsel: weighted posting list %d holds an invalid value", r)
+			}
+		}
+		col[r] = append(col[r], v)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return col, nil
+}
+
+// readAlignedRows reads a rank-indexed table in the segment's posting form
+// — a total, the list count, then per list a row count and width-byte rows
+// that lead with a u32 record id — whose lists must hold exactly the shared
+// ids skip does not mark, in order. val gets each row's bytes after the id,
+// and nil for every marked record.
+func readAlignedRows(d *segment.Decoder, ids [][]int32, skip []bool, width int, val func(r int, tail []byte) error) error {
 	total := d.Int()
 	n := int(d.U32())
 	if err := d.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	if n != nTok {
-		return nil, fmt.Errorf("approxsel: weighted posting table has %d lists for %d tokens", n, nTok)
+	if n != len(ids) {
+		return fmt.Errorf("approxsel: posting table has %d lists for %d tokens", n, len(ids))
 	}
-	if total < 0 || total > d.Remaining()/12 {
-		return nil, fmt.Errorf("approxsel: weighted posting table claims %d postings", total)
-	}
-	backing := make([]WPost, total)
-	used := 0
-	table := make([][]WPost, n)
-	for r := 0; r < n; r++ {
-		cnt := int(d.U32())
+	for r, list := range ids {
+		cnt, want := int64(d.U32()), rowCount(list, skip)
 		if err := d.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		rows := d.Raw(12*cnt, "weighted posting list")
+		if cnt != int64(want) {
+			return fmt.Errorf("approxsel: posting list %d has %d rows for %d shared ids", r, cnt, want)
+		}
+		rows := d.Raw(width*want, "posting list")
 		if err := d.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		if used+cnt > total {
-			return nil, fmt.Errorf("approxsel: weighted posting list %d overruns its table", r)
-		}
-		list := backing[used : used+cnt : used+cnt]
-		for j := 0; j < cnt; j++ {
-			rec := binary.LittleEndian.Uint32(rows[12*j:])
-			if rec >= uint32(nrec) {
-				return nil, fmt.Errorf("approxsel: weighted posting record %d out of range (%d records)", rec, nrec)
+		for _, rec := range list {
+			var tail []byte
+			if skip == nil || !skip[rec] {
+				if got := binary.LittleEndian.Uint32(rows); got != uint32(rec) {
+					return fmt.Errorf("approxsel: posting list %d names record %d where the shared list holds %d", r, got, rec)
+				}
+				tail, rows = rows[4:width], rows[width:]
 			}
-			list[j] = WPost{Rec: int(rec), W: math.Float64frombits(binary.LittleEndian.Uint64(rows[12*j+4:]))}
+			if err := val(r, tail); err != nil {
+				return err
+			}
 		}
-		used += cnt
-		table[r] = list
+		total -= want
 	}
-	return table, d.Err()
+	if total != 0 {
+		return fmt.Errorf("approxsel: posting table total does not match its lists")
+	}
+	return nil
 }
 
 // ---- word layer ----

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"reflect"
 	"testing"
 )
@@ -101,7 +102,7 @@ func diffGramLayer(a, b *GramLayer) string {
 		{"Postings", a.Postings, b.Postings},
 		{"idf", a.idf.v, b.idf.v}, {"RS", a.RS(), b.RS()},
 		{"TFIDF", a.TFIDF(), b.TFIDF()}, {"LM", a.LM(), b.LM()},
-		{"TFPost", a.TFPost(), b.TFPost()},
+		{"TF", a.TF(), b.TF()},
 		{"Stats", a.Stats, b.Stats},
 	}
 	for _, c := range checks {
@@ -375,5 +376,34 @@ func TestFreezeSerializesAgainstMutations(t *testing.T) {
 	})
 	if err == nil || err.Error() != "propagated" {
 		t.Fatalf("freeze must propagate fn's error, got %v", err)
+	}
+}
+
+// TestLoadSegmentWithoutPostingIDs loads a segment written before every
+// weight column shared the layer's posting ids: its header names the
+// tf-idf, LM and edit tables but not LayerPostings, so no id lists are on
+// disk. The loader rebuilds them from the interned pairs and reads the
+// stored (record, weight) rows against them; the result must equal a fresh
+// build, including the zero-norm record ("ab", TID 2) the tf-idf rows leave
+// out.
+func TestLoadSegmentWithoutPostingIDs(t *testing.T) {
+	data, err := os.ReadFile("testdata/lean-without-posting-ids.seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, err := LoadSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !lc.Layers().Has(LayerPostings | LayerTFIDF | LayerLM | LayerNorms) {
+		t.Fatalf("loaded layers %b lack the posting ids", lc.Layers())
+	}
+	fresh, err := NewCorpus(lc.Records(), lc.Config(), lc.Layers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSnapshotsIdentical(t, fresh.Snapshot(), lc.Snapshot())
+	if skip := lc.Snapshot().Grams.TFIDF().Skip; skip == nil || !skip[1] {
+		t.Fatalf("zero-norm record not marked after load: %v", skip)
 	}
 }

@@ -5,7 +5,6 @@
 // produce relations matching those statistics — size, tuple length, words
 // per tuple, and a Zipf-ish token frequency profile with very frequent
 // suffix/stop words, which is what the similarity predicates actually see.
-// The substitution is documented in DESIGN.md.
 package datasets
 
 import (

@@ -339,7 +339,7 @@ func (p *GESJaccard) Select(query string) ([]core.Match, error) {
 
 // GESapx is the declarative min-hash variant of Appendix B.4.2: signatures
 // are computed in SQL as per-slot minima of a hash UDF (standing in for the
-// paper's CONV/HEX arithmetic hash, see DESIGN.md), stored like
+// paper's CONV/HEX arithmetic hash), stored like
 // BASE_MINHASHSIGNATURE, and compared with a fid/value equi-join.
 type GESapx struct {
 	*base

@@ -10,7 +10,7 @@ import (
 	"repro/internal/native"
 )
 
-// Ablation experiments for the design choices DESIGN.md calls out. These go
+// Ablation experiments for the design choices of this reproduction. These go
 // beyond the paper's tables but quantify claims it makes in prose.
 
 // MinHashKResult sweeps the GESapx signature size. §5.4.1: "A small number

@@ -5,7 +5,7 @@ import (
 	"io"
 )
 
-// RunAll executes every experiment (E1–E12 of DESIGN.md) and writes the
+// RunAll executes every experiment of the reproduction and writes the
 // paper-style tables to w. Accuracy experiments use the Options scale;
 // performance experiments the PerfOptions scale.
 func RunAll(w io.Writer, ao Options, po PerfOptions) error {

@@ -49,13 +49,15 @@ func (p *Cosine) plan(query string, s *core.Scratch) ([]core.Term, core.Shape) {
 	for _, rt := range p.g.OrderedKnownRankWeights(qw) {
 		terms = append(terms, core.Term{
 			Q:    qw[rt.Tok],
+			Ids:  p.g.Postings[rt.Rank],
 			W:    p.t.Post[rt.Rank],
 			MaxW: p.t.Max[rt.Rank],
 			MinW: p.t.Min[rt.Rank],
 		})
 	}
 	core.OrderTermsByImpact(terms)
-	return terms, core.Shape{}
+	// Zero-norm records have no tf-idf vector: they are never a match.
+	return terms, core.Shape{Skip: p.t.Skip}
 }
 
 // selectOpts ranks records by Σ w_q(t)·w_d(t) on the score-at-a-time path.
@@ -74,15 +76,15 @@ func (p *Cosine) selectNaive(query string, opts core.SelectOptions) ([]core.Matc
 // BM25 is the BM25 probabilistic weighting predicate (§3.2.2), deployed for
 // data cleaning for the first time in the paper. Its record-side weights
 // depend on the k1/b parameters, so they are computed at attach time from
-// the shared corpus statistics.
+// the shared corpus statistics into a weight column aligned with the
+// layer's posting ids.
 type BM25 struct {
 	phases
-	recs       []core.Record
-	g          *core.GramLayer
-	postings   [][]core.WPost // indexed by token rank
-	maxW, minW []float64      // per-rank posting weight bounds
-	params     weights.BM25Params
-	q          int
+	recs   []core.Record
+	g      *core.GramLayer
+	t      *core.PostTable
+	params weights.BM25Params
+	q      int
 }
 
 // NewBM25 preprocesses the base relation with BM25 record-side weights.
@@ -97,11 +99,10 @@ func NewBM25(records []core.Record, cfg core.Config) (*BM25, error) {
 func attachBM25(s *core.Snapshot, cfg core.Config) *BM25 {
 	g := s.Grams
 	p := &BM25{
-		recs:     s.Records,
-		g:        g,
-		q:        cfg.Q,
-		params:   weights.BM25Params{K1: cfg.BM25K1, K3: cfg.BM25K3, B: cfg.BM25B},
-		postings: g.RankTable(),
+		recs:   s.Records,
+		g:      g,
+		q:      cfg.Q,
+		params: weights.BM25Params{K1: cfg.BM25K1, K3: cfg.BM25K3, B: cfg.BM25B},
 	}
 	// The RS factor of w_d (Eq. 3.4) is per token, not per posting:
 	// computing it once per rank keeps the attach at two logs per distinct
@@ -111,17 +112,18 @@ func attachBM25(s *core.Snapshot, cfg core.Config) *BM25 {
 		rs[r] = g.Stats.RSAt(int32(r))
 	}
 	avgdl := g.Stats.AvgDL()
+	post := core.PostingColumn[float64](g)
 	for i, pairs := range g.Pairs {
 		kd := p.params.K1 * ((1 - p.params.B) + p.params.B*float64(g.DL[i])/avgdl)
 		for _, pr := range pairs {
 			tf := float64(pr.TF)
 			w := rs[pr.Rank] * (p.params.K1 + 1) * tf / (kd + tf)
-			p.postings[pr.Rank] = append(p.postings[pr.Rank], core.WPost{Rec: i, W: w})
+			post[pr.Rank] = append(post[pr.Rank], w)
 		}
 	}
 	// The per-rank weight bounds feeding max-score pruning; the attach
-	// reruns on every corpus epoch, so bounds and postings move together.
-	p.maxW, p.minW = core.PostingBounds(p.postings)
+	// reruns on every corpus epoch, so bounds and weights move together.
+	p.t = core.NewPostTable(post, g.Postings, nil)
 	return p
 }
 
@@ -137,9 +139,10 @@ func (p *BM25) plan(query string, s *core.Scratch) ([]core.Term, core.Shape) {
 	for _, rt := range p.g.OrderedKnownRanks(qcounts) {
 		terms = append(terms, core.Term{
 			Q:    weights.BM25Query(qcounts[rt.Tok], p.params),
-			W:    p.postings[rt.Rank],
-			MaxW: p.maxW[rt.Rank],
-			MinW: p.minW[rt.Rank],
+			Ids:  p.g.Postings[rt.Rank],
+			W:    p.t.Post[rt.Rank],
+			MaxW: p.t.Max[rt.Rank],
+			MinW: p.t.Min[rt.Rank],
 		})
 	}
 	core.OrderTermsByImpact(terms)

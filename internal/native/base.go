@@ -29,11 +29,11 @@ var layerNeeds = map[string]core.CorpusLayers{
 	"Jaccard":         core.LayerGrams | core.LayerPostings,
 	"WeightedMatch":   core.LayerGrams | core.LayerPostings | core.LayerRS,
 	"WeightedJaccard": core.LayerGrams | core.LayerPostings | core.LayerRS,
-	"Cosine":          core.LayerGrams | core.LayerTFIDF,
-	"BM25":            core.LayerGrams | core.LayerTokenIDs,
-	"LM":              core.LayerGrams | core.LayerLM,
-	"HMM":             core.LayerGrams | core.LayerTokenIDs,
-	"EditDistance":    core.LayerGrams | core.LayerNorms,
+	"Cosine":          core.LayerGrams | core.LayerPostings | core.LayerTFIDF,
+	"BM25":            core.LayerGrams | core.LayerPostings | core.LayerTokenIDs,
+	"LM":              core.LayerGrams | core.LayerPostings | core.LayerLM,
+	"HMM":             core.LayerGrams | core.LayerPostings | core.LayerTokenIDs,
+	"EditDistance":    core.LayerGrams | core.LayerPostings | core.LayerNorms,
 	"GES":             core.LayerWords,
 	"GESJaccard":      core.LayerWords | core.LayerWordGrams,
 	"GESapx":          core.LayerWords | core.LayerWordGrams | core.LayerSigs,
@@ -86,7 +86,7 @@ func NaiveSelect(p core.Predicate, query string, opts core.SelectOptions) ([]cor
 // editNormalize prepares a string for the edit-based predicate: whitespace
 // runs collapse to the q-gram pad sequence and letters are upper-cased, so
 // that the q-gram filter and the verification distance operate on the same
-// text (§4.4; see DESIGN.md).
+// text (§4.4).
 func editNormalize(s string, q int) string {
 	return tokenize.EditNormalize(s, q)
 }

@@ -21,10 +21,11 @@ import (
 type EditDistance struct {
 	phases
 	recs []core.Record
-	raw  *core.GramLayer // unpruned layer: rank lookups
-	// tfPost is the raw layer's gram-frequency posting table, the record
-	// side of the count filter (unused by the positional variant).
-	tfPost [][]core.WPost
+	raw  *core.GramLayer // unpruned layer: rank lookups and posting ids
+	// tf is the raw layer's gram-frequency column aligned with its posting
+	// ids, the record side of the count filter (unused by the positional
+	// variant).
+	tf [][]int32
 	// posIndex maps gram → per-record sorted start positions, built when
 	// the positional filter is enabled.
 	posIndex   map[string][]posPost
@@ -63,7 +64,7 @@ func attachEditDistance(s *core.Snapshot, cfg core.Config) *EditDistance {
 		grams:      raw.DL,
 	}
 	if !p.positional {
-		p.tfPost = raw.TFPost()
+		p.tf = raw.TF()
 	} else {
 		// The corpus's gram slice is in occurrence order, so position j of
 		// Docs[i] is the j-th gram start — no re-tokenization needed.
@@ -171,12 +172,10 @@ func (p *EditDistance) selectOpts(query string, opts core.SelectOptions) ([]core
 			if !ok {
 				continue
 			}
-			for _, post := range p.tfPost[r] {
-				m := int(post.W)
-				if qtf < m {
-					m = qtf
-				}
-				s.Add(int32(post.Rec), float64(m))
+			ids := p.raw.Postings[r]
+			tf := p.tf[r][:len(ids)]
+			for j, rec := range ids {
+				s.Add(rec, float64(min(qtf, int(tf[j]))))
 			}
 		}
 	}
@@ -267,12 +266,8 @@ func (p *EditDistance) selectNaive(query string, opts core.SelectOptions) ([]cor
 			if !ok {
 				continue
 			}
-			for _, post := range p.tfPost[r] {
-				m := int(post.W)
-				if qtf < m {
-					m = qtf
-				}
-				common[post.Rec] += m
+			for j, rec := range p.raw.Postings[r] {
+				common[int(rec)] += min(qtf, int(p.tf[r][j]))
 			}
 		}
 	}

@@ -3,6 +3,8 @@ package native
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -163,6 +165,132 @@ func TestHotPathDifferential(t *testing.T) {
 				diffOne(t, p, q)
 			}
 		})
+	}
+}
+
+// TestCosineSkipsZeroNormRecords pins the zero-norm case of the Cosine
+// column. Every gram of "ab" occurs in every record, so all its grams have
+// idf 0 and its tf-idf vector is undefined: the record sits in the shared
+// posting lists but must never be a match, while records with a real vector
+// and a zero dot product still match at score 0. The expected answers are
+// bit patterns of the reference implementation, which never posted the
+// record at all.
+func TestCosineSkipsZeroNormRecords(t *testing.T) {
+	texts := []string{"ab cd", "ab", "cd ab", "ab ab ef", "xy ab", "ab cd ef"}
+	recs := make([]core.Record, len(texts))
+	for i, s := range texts {
+		recs[i] = core.Record{TID: i + 1, Text: s}
+	}
+	cfg := core.DefaultConfig()
+	c, err := core.NewCorpus(recs, cfg, core.AllLayers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skip := c.Snapshot().Grams.TFIDF().Skip; len(skip) != len(recs) || !skip[1] {
+		t.Fatalf("zero-norm record not marked: %v", skip)
+	}
+	p, err := Attach("Cosine", c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const one = 0x3ff0000000000000
+	type m struct {
+		tid  int
+		bits uint64
+	}
+	all, limit2, th := core.SelectOptions{}, core.SelectOptions{Limit: 2}, core.SelectOptions{Threshold: 0.3, HasThreshold: true}
+	cases := []struct {
+		query string
+		opts  core.SelectOptions
+		want  []m
+	}{
+		{"ab", all, nil},
+		{"ab", limit2, nil},
+		{"ab cd", all, []m{{1, one}, {3, one}, {6, 0x3fe113413e80fba6}, {4, 0}, {5, 0}}},
+		{"ab cd", limit2, []m{{1, one}, {3, one}}},
+		{"ab cd", th, []m{{1, one}, {3, one}, {6, 0x3fe113413e80fba6}}},
+		{"ab ef xy", all, []m{{5, 0x3feb47c00fdb80ec}, {4, 0x3fe0ba111d76cd94}, {6, 0x3fdc4b008e4555d4}, {1, 0}, {3, 0}}},
+		{"ab ef xy", limit2, []m{{5, 0x3feb47c00fdb80ec}, {4, 0x3fe0ba111d76cd94}}},
+		{"cd", th, []m{{1, one}, {3, one}, {6, 0x3fe113413e80fba6}}},
+	}
+	for _, tc := range cases {
+		want := make([]core.Match, len(tc.want))
+		for i, w := range tc.want {
+			want[i] = core.Match{TID: w.tid, Score: math.Float64frombits(w.bits)}
+		}
+		got, err := p.(core.ContextPredicate).SelectCtx(context.Background(), tc.query, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("%q %+v", tc.query, tc.opts)
+		assertIdentical(t, label, want, got)
+		naive, err := NaiveSelect(p, tc.query, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIdentical(t, label+" naive", want, naive)
+	}
+}
+
+// TestAttachColumnsAlignWithPostings drives a corpus through inserts,
+// upserts and deletes and checks, after every step, that the BM25 and HMM
+// attach columns hold exactly one weight per shared posting id of every
+// rank (the corpus's own columns are checked by
+// TestIncrementalAssembleMatchesFresh).
+func TestAttachColumnsAlignWithPostings(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	records := hotPathRecords(t, 60, 5)
+	cfg := core.DefaultConfig()
+	c, err := core.NewCorpus(records[:30], cfg, core.AllLayers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := []int{}
+	for _, r := range records[:30] {
+		live = append(live, r.TID)
+	}
+	next := 1 << 20
+	for step := 0; step < 40; step++ {
+		text := records[rng.Intn(len(records))].Text
+		switch k := rng.Intn(3); {
+		case k == 0 || len(live) < 5:
+			err = c.Insert(core.Record{TID: next, Text: text})
+			live = append(live, next)
+			next++
+		case k == 1:
+			err = c.Upsert(core.Record{TID: live[rng.Intn(len(live))], Text: text + " upserted"})
+		default:
+			i := rng.Intn(len(live))
+			err = c.Delete(live[i])
+			live = append(live[:i], live[i+1:]...)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := c.Snapshot().Grams
+		cols := map[string]*core.PostTable{}
+		for _, name := range []string{"BM25", "HMM"} {
+			p, err := Attach(name, c, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch p := p.(type) {
+			case *BM25:
+				cols[name] = p.t
+			case *HMM:
+				cols[name] = p.t
+			}
+		}
+		for name, col := range cols {
+			if len(col.Post) != len(g.Postings) {
+				t.Fatalf("step %d: %s has %d ranks, postings %d", step, name, len(col.Post), len(g.Postings))
+			}
+			for r, ids := range g.Postings {
+				if len(col.Post[r]) != len(ids) {
+					t.Fatalf("step %d: %s rank %d holds %d weights for %d ids", step, name, r, len(col.Post[r]), len(ids))
+				}
+			}
+		}
 	}
 }
 

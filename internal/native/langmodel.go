@@ -49,6 +49,7 @@ func (p *LM) plan(query string, s *core.Scratch) ([]core.Term, core.Shape) {
 	for _, rt := range p.g.OrderedKnownRanks(qcounts) {
 		terms = append(terms, core.Term{
 			Q:    float64(qcounts[rt.Tok]),
+			Ids:  p.g.Postings[rt.Rank],
 			W:    p.t.Post[rt.Rank],
 			MaxW: p.t.Max[rt.Rank],
 			MinW: p.t.Min[rt.Rank],
@@ -80,14 +81,13 @@ func (p *LM) selectNaive(query string, opts core.SelectOptions) ([]core.Match, e
 // product, over query token occurrences matched in the record, of
 // 1 + a1·P(t|D)/(a0·P(t|GE)) (rewritten Eq. 4.6). The weights depend on the
 // a0 parameter, so they are computed at attach time from the shared corpus
-// statistics.
+// statistics into a log-weight column aligned with the layer's posting ids.
 type HMM struct {
 	phases
-	recs       []core.Record
-	g          *core.GramLayer
-	postings   [][]core.WPost // indexed by token rank; W = log weight
-	maxW, minW []float64      // per-rank posting weight bounds
-	q          int
+	recs []core.Record
+	g    *core.GramLayer
+	t    *core.PostTable
+	q    int
 }
 
 // NewHMM preprocesses the base relation for the HMM predicate.
@@ -101,32 +101,27 @@ func NewHMM(records []core.Record, cfg core.Config) (*HMM, error) {
 
 func attachHMM(s *core.Snapshot, cfg core.Config) *HMM {
 	g := s.Grams
-	p := &HMM{recs: s.Records, g: g, q: cfg.Q, postings: g.RankTable()}
-	// P(t|GE) = cf/cs is per token, not per posting.
+	p := &HMM{recs: s.Records, g: g, q: cfg.Q}
+	// P(t|GE) = cf/cs is per token, not per posting; a token with a posting
+	// has cf > 0, and a record with a posting has dl > 0.
 	cfcs := make([]float64, len(g.TokenByRank))
 	for r := range cfcs {
 		cfcs[r] = g.Stats.CFCSAt(int32(r))
 	}
 	a0 := cfg.HMMA0
 	a1 := 1 - a0
+	post := core.PostingColumn[float64](g)
 	for i, pairs := range g.Pairs {
 		dl := float64(g.DL[i])
-		if dl == 0 {
-			continue
-		}
 		for _, pr := range pairs {
-			ptge := cfcs[pr.Rank]
-			if ptge == 0 {
-				continue
-			}
 			pml := float64(pr.TF) / dl
-			w := 1 + a1*pml/(a0*ptge)
-			p.postings[pr.Rank] = append(p.postings[pr.Rank], core.WPost{Rec: i, W: math.Log(w)})
+			w := 1 + a1*pml/(a0*cfcs[pr.Rank])
+			post[pr.Rank] = append(post[pr.Rank], math.Log(w))
 		}
 	}
 	// The per-rank weight bounds feeding max-score pruning; the attach
-	// reruns on every corpus epoch, so bounds and postings move together.
-	p.maxW, p.minW = core.PostingBounds(p.postings)
+	// reruns on every corpus epoch, so bounds and weights move together.
+	p.t = core.NewPostTable(post, g.Postings, nil)
 	return p
 }
 
@@ -141,9 +136,10 @@ func (p *HMM) plan(query string, s *core.Scratch) ([]core.Term, core.Shape) {
 	for _, rt := range p.g.OrderedKnownRanks(qcounts) {
 		terms = append(terms, core.Term{
 			Q:    float64(qcounts[rt.Tok]),
-			W:    p.postings[rt.Rank],
-			MaxW: p.maxW[rt.Rank],
-			MinW: p.minW[rt.Rank],
+			Ids:  p.g.Postings[rt.Rank],
+			W:    p.t.Post[rt.Rank],
+			MaxW: p.t.Max[rt.Rank],
+			MinW: p.t.Min[rt.Rank],
 		})
 	}
 	core.OrderTermsByImpact(terms)

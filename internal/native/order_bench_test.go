@@ -26,7 +26,7 @@ func BenchmarkQueryTokenOrder(b *testing.B) {
 	layer := c.Snapshot().Grams
 	tfidf := layer.TFIDF().Post
 	// The pre-corpus architecture: a string-keyed posting map.
-	strPost := make(map[string][]core.WPost, len(layer.TokenByRank))
+	strPost := make(map[string][]float64, len(layer.TokenByRank))
 	for r, t := range layer.TokenByRank {
 		strPost[t] = tfidf[r]
 	}

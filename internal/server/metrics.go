@@ -98,6 +98,9 @@ func newMetrics() *metrics {
 	// Tracing: sampled traces since process start.
 	reg.CounterFunc("approx_traces_sampled_total", "requests traced by the sampler", obs.TracesSampled)
 
+	// Go runtime: heap, GC pauses and goroutines, read at scrape time.
+	obs.RegisterRuntimeMetrics(reg)
+
 	return m
 }
 

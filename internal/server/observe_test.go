@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -118,6 +120,50 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestMetricsRuntimeGauges scrapes the Go runtime figures: a heap and a
+// goroutine count that cannot be zero in a serving process, and a GC pause
+// total that is positive after a forced collection and never falls.
+func TestMetricsRuntimeGauges(t *testing.T) {
+	_, ts := newTestServer(t, Config{TraceSample: -1}, 40)
+	scrape := func() map[string]float64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		buf := new(bytes.Buffer)
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]float64{}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			name, v, ok := strings.Cut(line, " ")
+			if !ok || !strings.HasPrefix(name, "approx_go_") {
+				continue
+			}
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("unparseable sample %q", line)
+			}
+			out[name] = f
+		}
+		return out
+	}
+	before := scrape()
+	runtime.GC()
+	after := scrape()
+	for _, name := range []string{"approx_go_heap_alloc_bytes", "approx_go_goroutines"} {
+		if after[name] <= 0 {
+			t.Errorf("%s = %v, want > 0", name, after[name])
+		}
+	}
+	pause, ok := after["approx_go_gc_pause_us_total"]
+	if !ok || pause <= 0 || pause < before["approx_go_gc_pause_us_total"] {
+		t.Errorf("approx_go_gc_pause_us_total %v -> %v across runtime.GC", before["approx_go_gc_pause_us_total"], pause)
 	}
 }
 
