@@ -14,6 +14,7 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -24,10 +25,18 @@ import (
 )
 
 func main() {
-	db := sqldb.New()
-	if err := seed(db); err != nil {
+	if err := run(os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "sqlshell: %v\n", err)
 		os.Exit(1)
+	}
+}
+
+// run seeds a database and runs the shell over it: statements read from in,
+// prompts and results written to out, until \q or the end of in.
+func run(in io.Reader, out io.Writer) error {
+	db := sqldb.New()
+	if err := seed(db); err != nil {
+		return err
 	}
 	db.RegisterFunc("EDITSIM", func(args []sqldb.Value) (sqldb.Value, error) {
 		if len(args) != 2 || args[0].IsNull() || args[1].IsNull() {
@@ -42,26 +51,26 @@ func main() {
 		return sqldb.Float(strutil.JaroWinkler(args[0].AsString(), args[1].AsString())), nil
 	})
 
-	fmt.Println("sqldb shell — tables: base_table, base_tokens, query_tokens; UDFs: EDITSIM, JAROWINKLER")
-	fmt.Println("end statements with ';'; \\t lists tables; \\q quits")
-	scanner := bufio.NewScanner(os.Stdin)
+	fmt.Fprintln(out, "sqldb shell — tables: base_table, base_tokens, query_tokens; UDFs: EDITSIM, JAROWINKLER")
+	fmt.Fprintln(out, "end statements with ';'; \\t lists tables; \\q quits")
+	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	var pending strings.Builder
 	prompt := "sql> "
 	for {
-		fmt.Print(prompt)
+		fmt.Fprint(out, prompt)
 		if !scanner.Scan() {
-			fmt.Println()
-			return
+			fmt.Fprintln(out)
+			return scanner.Err()
 		}
 		line := scanner.Text()
 		switch strings.TrimSpace(line) {
 		case `\q`, "exit", "quit":
-			return
+			return nil
 		case `\t`:
 			for _, t := range db.TableNames() {
 				tab := db.Table(t)
-				fmt.Printf("  %-20s %6d rows  (%s)\n", t, tab.NumRows(), strings.Join(tab.Columns(), ", "))
+				fmt.Fprintf(out, "  %-20s %6d rows  (%s)\n", t, tab.NumRows(), strings.Join(tab.Columns(), ", "))
 			}
 			continue
 		}
@@ -74,41 +83,40 @@ func main() {
 		prompt = "sql> "
 		sqlText := pending.String()
 		pending.Reset()
-		run(db, sqlText)
+		execute(db, out, sqlText)
 	}
 }
 
-func run(db *sqldb.DB, sqlText string) {
+// execute runs one statement (a script, unless it is a SELECT) and prints
+// its rows, its affected-row count or its error.
+func execute(db *sqldb.DB, out io.Writer, sqlText string) {
 	trimmed := strings.TrimSpace(sqlText)
 	if strings.HasPrefix(strings.ToUpper(trimmed), "SELECT") {
 		rows, err := db.Query(strings.TrimSuffix(trimmed, ";"))
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(out, "error:", err)
 			return
 		}
-		fmt.Println(strings.Join(rows.Cols, " | "))
-		limit := len(rows.Data)
-		if limit > 50 {
-			limit = 50
-		}
+		fmt.Fprintln(out, strings.Join(rows.Cols, " | "))
+		limit := min(len(rows.Data), 50)
 		for _, r := range rows.Data[:limit] {
 			cells := make([]string, len(r))
 			for i, v := range r {
 				cells[i] = v.AsString()
 			}
-			fmt.Println(strings.Join(cells, " | "))
+			fmt.Fprintln(out, strings.Join(cells, " | "))
 		}
 		if limit < len(rows.Data) {
-			fmt.Printf("... (%d rows total)\n", len(rows.Data))
+			fmt.Fprintf(out, "... (%d rows total)\n", len(rows.Data))
 		}
 		return
 	}
 	n, err := db.ExecScript(sqlText)
 	if err != nil {
-		fmt.Println("error:", err)
+		fmt.Fprintln(out, "error:", err)
 		return
 	}
-	fmt.Printf("ok (%d rows affected)\n", n)
+	fmt.Fprintf(out, "ok (%d rows affected)\n", n)
 }
 
 // seed loads a small tokenized company relation so scoring SQL can be

@@ -1,6 +1,7 @@
 package declarative
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -11,12 +12,14 @@ import (
 // benchSink keeps the measured call's result alive.
 var benchSink []core.Match
 
-// BenchmarkDeclarativeSelect measures one select per predicate class over
-// the relation the reference benchmark's decl-sql workload uses (2 000
-// dirty DBLP titles, §5.5), cycling through 40 queries. Run with -benchmem:
-// allocs/op is the number the sqldb executor is held to.
-func BenchmarkDeclarativeSelect(b *testing.B) {
-	const size, queries = 2000, 40
+// declSix is one predicate per class, the six the reference benchmark's
+// decl-sql workload runs.
+var declSix = []string{"Jaccard", "BM25", "LM", "EditDistance", "GESJaccard", "SoftTFIDF"}
+
+// benchRelation is the relation of the decl-sql workload: 2 000 dirty DBLP
+// titles (§5.5), seed 1.
+func benchRelation(b *testing.B) []core.Record {
+	const size = 2000
 	ds, err := dirty.Generate(datasets.DBLPTitles(size/10, 1), nil, dirty.Params{
 		Size: size, NumClean: size / 10, Dist: dirty.Uniform,
 		ErroneousPct: 0.70, ErrorExtent: 0.20, TokenSwapPct: 0.20,
@@ -25,16 +28,62 @@ func BenchmarkDeclarativeSelect(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, name := range []string{"Jaccard", "BM25", "LM", "EditDistance", "GESJaccard", "SoftTFIDF"} {
+	return ds.Records
+}
+
+// heapInUse returns the live heap after a full collection.
+func heapInUse() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// BenchmarkDeclarativePreprocess times building each decl-sql predicate —
+// its whole Appendix A/B preprocessing in SQL — and reports what the built
+// predicate keeps on the heap as MiB-retained: the sqldb tables, columns
+// and indexes it leaves behind.
+func BenchmarkDeclarativePreprocess(b *testing.B) {
+	records := benchRelation(b)
+	for _, name := range declSix {
 		b.Run(name, func(b *testing.B) {
-			p, err := Build(name, ds.Records, core.DefaultConfig())
+			var retained float64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				before := heapInUse()
+				b.StartTimer()
+				p, err := Build(name, records, core.DefaultConfig())
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				retained += float64(heapInUse()) - float64(before)
+				runtime.KeepAlive(p)
+				b.StartTimer()
+			}
+			b.ReportMetric(retained/float64(b.N)/(1<<20), "MiB-retained")
+		})
+	}
+}
+
+// BenchmarkDeclarativeSelect measures one select per predicate class over
+// the relation of the decl-sql workload, cycling through 40 queries. Run
+// with -benchmem: allocs/op is the number the sqldb executor is held to.
+func BenchmarkDeclarativeSelect(b *testing.B) {
+	const queries = 40
+	records := benchRelation(b)
+	size := len(records)
+	for _, name := range declSix {
+		b.Run(name, func(b *testing.B) {
+			p, err := Build(name, records, core.DefaultConfig())
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				q := ds.Records[i%queries*(size/queries)].Text
+				q := records[i%queries*(size/queries)].Text
 				if benchSink, err = p.Select(q); err != nil {
 					b.Fatal(err)
 				}

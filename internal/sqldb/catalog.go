@@ -16,34 +16,39 @@ import (
 // (§4.4, Appendix B.4.3); predicates register them the same way here.
 type ScalarFunc func(args []Value) (Value, error)
 
-// Table is an in-memory heap of rows plus any secondary hash indexes.
+// Table is an in-memory table: its rows, stored column by column, plus any
+// secondary equality indexes.
 type Table struct {
 	name    string
-	cols    []columnDef
+	defs    []columnDef
 	colIdx  map[string]int
-	rows    [][]Value
-	indexes map[string]*hashIndex // keyed by column name
+	rel     relation
+	indexes map[string]*index // keyed by column name
 }
 
-// hashIndex is an equality index: normalized value → row positions.
-type hashIndex struct {
-	col     int
-	buckets map[key][]int
+// index is an equality index on one column: the table's positions chained
+// per distinct value in row order — a joinTable whose keys are the column's
+// values. NULLs are not chained, since a NULL key matches nothing.
+type index struct {
+	col int
+	joinTable
 }
 
-func newHashIndex(col int) *hashIndex {
-	return &hashIndex{col: col, buckets: make(map[key][]int)}
+// add chains position len(ix.next), whose value is v.
+func (ix *index) add(v Value) {
+	id, added := int32(-1), false
+	if !v.IsNull() {
+		id, added = ix.keys.findValue(v, true)
+	}
+	ix.link(id, added)
 }
 
-func (ix *hashIndex) add(rowPos int, row []Value) {
-	k := row[ix.col].hashKey()
-	ix.buckets[k] = append(ix.buckets[k], rowPos)
-}
-
-func (ix *hashIndex) rebuild(rows [][]Value) {
-	ix.buckets = make(map[key][]int, len(rows))
-	for i, row := range rows {
-		ix.add(i, row)
+// rebuild indexes r afresh.
+func (ix *index) rebuild(r *relation) {
+	*ix = index{col: ix.col}
+	c := &r.cols[ix.col]
+	for i := 0; i < r.n; i++ {
+		ix.add(c.value(int32(i)))
 	}
 }
 
@@ -51,22 +56,45 @@ func (ix *hashIndex) rebuild(rows [][]Value) {
 func (t *Table) Name() string { return t.name }
 
 // NumRows returns the number of rows currently stored.
-func (t *Table) NumRows() int { return len(t.rows) }
+func (t *Table) NumRows() int { return t.rel.n }
 
 // Columns returns the column names in declaration order.
 func (t *Table) Columns() []string {
-	out := make([]string, len(t.cols))
-	for i, c := range t.cols {
+	out := make([]string, len(t.defs))
+	for i, c := range t.defs {
 		out[i] = c.Name
 	}
 	return out
 }
 
-func (t *Table) appendRow(row []Value) {
-	pos := len(t.rows)
-	t.rows = append(t.rows, row)
+// kinds returns the column types in declaration order.
+func (t *Table) kinds() []Kind {
+	out := make([]Kind, len(t.defs))
+	for i, c := range t.defs {
+		out[i] = c.Type
+	}
+	return out
+}
+
+// appendRow stores one row, coerced to the column types; vals is not
+// retained.
+func (t *Table) appendRow(vals []Value) {
+	pos := int32(t.rel.n)
+	t.rel.appendRow(vals)
 	for _, ix := range t.indexes {
-		ix.add(pos, row)
+		ix.add(t.rel.cols[ix.col].value(pos))
+	}
+}
+
+// truncate drops every row from position n on.
+func (t *Table) truncate(n int) {
+	t.rel.truncate(n)
+	t.reindex()
+}
+
+func (t *Table) reindex() {
+	for _, ix := range t.indexes {
+		ix.rebuild(&t.rel)
 	}
 }
 
@@ -144,12 +172,14 @@ func (db *DB) createTableLocked(name string, cols []columnDef, ifNotExists bool)
 		}
 		colIdx[c.Name] = i
 	}
-	db.tables[name] = &Table{
+	t := &Table{
 		name:    name,
-		cols:    cols,
+		defs:    cols,
 		colIdx:  colIdx,
-		indexes: make(map[string]*hashIndex),
+		indexes: make(map[string]*index),
 	}
+	t.rel = *newRelation(t.kinds())
+	db.tables[name] = t
 	return nil
 }
 
@@ -161,9 +191,9 @@ func (db *DB) DropTable(name string) {
 }
 
 // BulkInsert appends rows to a table without going through the SQL layer.
-// Values are coerced to the column types. It is the fast path used when
-// loading base relations; the declarative predicates still perform their
-// preprocessing in SQL.
+// Values are coerced to the column types and copied: rows is not retained.
+// It is the fast path used when loading base relations; the declarative
+// predicates still perform their preprocessing in SQL.
 func (db *DB) BulkInsert(name string, rows [][]Value) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -172,39 +202,20 @@ func (db *DB) BulkInsert(name string, rows [][]Value) error {
 		return fmt.Errorf("sqldb: unknown table %q", name)
 	}
 	for _, row := range rows {
-		if len(row) != len(t.cols) {
-			return fmt.Errorf("sqldb: BulkInsert %s: row has %d values, want %d", name, len(row), len(t.cols))
+		if len(row) != len(t.defs) {
+			return fmt.Errorf("sqldb: BulkInsert %s: row has %d values, want %d", name, len(row), len(t.defs))
 		}
-		stored := make([]Value, len(row))
-		for i, v := range row {
-			stored[i] = coerce(v, t.cols[i].Type)
-		}
-		t.appendRow(stored)
+		t.appendRow(row)
 	}
 	return nil
 }
 
-// CreateIndexOn creates a hash index on a single column programmatically.
-// Creating an index that already exists is a no-op.
+// CreateIndexOn creates an equality index on a single column
+// programmatically. Creating an index that already exists is a no-op.
 func (db *DB) CreateIndexOn(table, column string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	t := db.tables[strings.ToLower(table)]
-	if t == nil {
-		return fmt.Errorf("sqldb: unknown table %q", table)
-	}
-	col := strings.ToLower(column)
-	ci, ok := t.colIdx[col]
-	if !ok {
-		return fmt.Errorf("sqldb: table %q has no column %q", table, column)
-	}
-	if _, ok := t.indexes[col]; ok {
-		return nil
-	}
-	ix := newHashIndex(ci)
-	ix.rebuild(t.rows)
-	t.indexes[col] = ix
-	return nil
+	return db.createIndexLocked(table, column)
 }
 
 // Rows is the materialized result of a query.

@@ -9,14 +9,14 @@ import (
 )
 
 // relCol is one column an expression can name: the table alias that
-// produced it, its (lower-case) column name, and where its value lives in
-// the evaluation frame — the slot of its FROM item and the position within
-// that item's row.
+// produced it, its (lower-case) column name, and where its value lives — in
+// col, the column of its FROM item's relation, at the position the
+// evaluation frame binds in slot slot.
 type relCol struct {
 	qual string
 	name string
 	slot int
-	idx  int
+	col  *column
 }
 
 // relSchema is the set of columns an expression is compiled against.
@@ -49,13 +49,13 @@ func (s *relSchema) resolve(qual, name string) (int, error) {
 	return found, nil
 }
 
-// evalCtx is the evaluation frame of one statement: rows holds the row
-// currently bound for each FROM item (a join stage binds its slot, it never
-// copies the row). While a grouped query emits a group, rep holds the
-// group's representative column values and aggs its finalized aggregates.
+// evalCtx is the evaluation frame of one statement: pos holds, for each FROM
+// item, the position of the row currently bound (a join stage binds its
+// slot; a row is never copied). While a grouped query emits a group, pos
+// holds the group's representative row positions — −1 for a group with no
+// rows — and aggs its finalized aggregates.
 type evalCtx struct {
-	rows [][]Value
-	rep  []Value
+	pos  []int32
 	aggs []Value
 }
 
@@ -86,8 +86,7 @@ const (
 // compiler compiles expressions against a schema. In grouped mode it
 // accumulates the aggregate specs of the expressions it compiles, and
 // column references outside aggregate arguments read the group's
-// representative values: rep lists, in evalCtx.rep order, the schema
-// positions those expressions read.
+// representative row: rep lists the frame slots those expressions read.
 type compiler struct {
 	db      *DB
 	schema  *relSchema
@@ -155,12 +154,17 @@ func (c *compiler) compile(e expr) (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
+		col, slot := c.schema.cols[pos].col, c.schema.cols[pos].slot
 		if c.grouped && !c.inAgg {
-			r := c.repSlot(pos)
-			return func(ctx *evalCtx) (Value, error) { return ctx.rep[r], nil }, nil
+			c.repSlot(slot)
+			return func(ctx *evalCtx) (Value, error) {
+				if p := ctx.pos[slot]; p >= 0 {
+					return col.value(p), nil
+				}
+				return Null(), nil
+			}, nil
 		}
-		slot, idx := c.schema.cols[pos].slot, c.schema.cols[pos].idx
-		return func(ctx *evalCtx) (Value, error) { return ctx.rows[slot][idx], nil }, nil
+		return col.reader(slot), nil
 
 	case *unaryExpr:
 		inner, err := c.compile(x.X)
@@ -367,28 +371,29 @@ func (c *compiler) compileIn(x *inExpr) (evalFn, error) {
 	not := x.Not
 	if x.Sub != nil {
 		// Uncorrelated subquery: evaluate once at compile time.
-		rows, err := c.db.execSelect(x.Sub)
+		rel, names, err := c.db.materialize(x.Sub)
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: IN subquery: %w", err)
 		}
-		if len(rows.Cols) != 1 {
-			return nil, fmt.Errorf("sqldb: IN subquery must return one column, got %d", len(rows.Cols))
+		if len(names) != 1 {
+			return nil, fmt.Errorf("sqldb: IN subquery must return one column, got %d", len(names))
 		}
-		set := make(map[key]struct{}, len(rows.Data))
+		var set keyIndex
 		hasNull := false
-		for _, row := range rows.Data {
-			if row[0].IsNull() {
+		for i := int32(0); i < int32(rel.n); i++ {
+			if v := rel.cols[0].value(i); v.IsNull() {
 				hasNull = true
-				continue
+			} else {
+				set.findValue(v, true)
 			}
-			set[row[0].hashKey()] = struct{}{}
 		}
+		var buf []byte
 		return func(ctx *evalCtx) (Value, error) {
 			v, err := inner(ctx)
 			if err != nil || v.IsNull() {
 				return Null(), err
 			}
-			if _, ok := set[v.hashKey()]; ok {
+			if set.lookup(v, &buf) >= 0 {
 				return Bool(!not), nil
 			}
 			if hasNull {
@@ -431,16 +436,15 @@ func (c *compiler) compileIn(x *inExpr) (evalFn, error) {
 	}, nil
 }
 
-// repSlot returns the evalCtx.rep position of schema column pos,
-// registering the column on first use.
-func (c *compiler) repSlot(pos int) int {
-	for r, p := range c.rep {
-		if p == pos {
-			return r
+// repSlot registers frame slot slot as one a group's representative row
+// must bind.
+func (c *compiler) repSlot(slot int) {
+	for _, s := range c.rep {
+		if s == slot {
+			return
 		}
 	}
-	c.rep = append(c.rep, pos)
-	return len(c.rep) - 1
+	c.rep = append(c.rep, slot)
 }
 
 // compileAggregate compiles an aggregate call to a read of its slot in

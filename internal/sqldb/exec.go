@@ -101,11 +101,15 @@ func (db *DB) execStmt(st stmt) (int, error) {
 	case *insertStmt:
 		return db.execInsert(s)
 	case *selectStmt:
-		rows, err := db.execSelect(s)
+		q, err := db.planQuery(s)
 		if err != nil {
 			return 0, err
 		}
-		return len(rows.Data), nil
+		n := 0
+		if err := q.run(func([]Value) { n++ }); err != nil {
+			return 0, err
+		}
+		return n, nil
 	default:
 		return 0, fmt.Errorf("sqldb: unsupported statement %T", st)
 	}
@@ -124,8 +128,8 @@ func (db *DB) createIndexLocked(table, column string) error {
 	if _, ok := t.indexes[col]; ok {
 		return nil
 	}
-	ix := newHashIndex(ci)
-	ix.rebuild(t.rows)
+	ix := &index{col: ci}
+	ix.rebuild(&t.rel)
 	t.indexes[col] = ix
 	return nil
 }
@@ -135,42 +139,38 @@ func (db *DB) execDelete(s *deleteStmt) (int, error) {
 	if t == nil {
 		return 0, fmt.Errorf("sqldb: unknown table %q", s.Table)
 	}
+	n := t.rel.n
 	if s.Where == nil {
-		n := len(t.rows)
-		t.rows = t.rows[:0]
-		for _, ix := range t.indexes {
-			ix.rebuild(t.rows)
-		}
+		t.truncate(0)
 		return n, nil
 	}
 	schema := &relSchema{}
-	for i, col := range t.cols {
-		schema.cols = append(schema.cols, relCol{qual: strings.ToLower(s.Table), name: col.Name, idx: i})
+	for i, col := range t.defs {
+		schema.cols = append(schema.cols, relCol{qual: strings.ToLower(s.Table), name: col.Name, col: &t.rel.cols[i]})
 	}
 	cond, err := (&compiler{db: db, schema: schema}).compile(s.Where)
 	if err != nil {
 		return 0, err
 	}
-	kept := t.rows[:0:0]
-	removed := 0
-	ctx := &evalCtx{rows: make([][]Value, 1)}
-	for _, row := range t.rows {
-		ctx.rows[0] = row
+	// The rows that stay are copied into fresh columns, which then replace
+	// the table's.
+	kept := newRelation(t.kinds())
+	row := make([]Value, len(t.defs))
+	ctx := &evalCtx{pos: make([]int32, 1)}
+	for i := int32(0); i < int32(n); i++ {
+		ctx.pos[0] = i
 		v, err := cond(ctx)
 		if err != nil {
 			return 0, err
 		}
-		if v.Truthy() {
-			removed++
-		} else {
-			kept = append(kept, row)
+		if !v.Truthy() {
+			t.rel.row(i, row)
+			kept.appendRow(row)
 		}
 	}
-	t.rows = kept
-	for _, ix := range t.indexes {
-		ix.rebuild(t.rows)
-	}
-	return removed, nil
+	t.rel = *kept
+	t.reindex()
+	return n - kept.n, nil
 }
 
 func (db *DB) execInsert(s *insertStmt) (int, error) {
@@ -178,9 +178,9 @@ func (db *DB) execInsert(s *insertStmt) (int, error) {
 	if t == nil {
 		return 0, fmt.Errorf("sqldb: unknown table %q", s.Table)
 	}
-	dest := make([]int, 0, len(t.cols))
+	dest := make([]int, 0, len(t.defs))
 	if len(s.Columns) == 0 {
-		for i := range t.cols {
+		for i := range t.defs {
 			dest = append(dest, i)
 		}
 	} else {
@@ -193,21 +193,13 @@ func (db *DB) execInsert(s *insertStmt) (int, error) {
 		}
 	}
 
-	// store coerces one source row to the column types and appends it. A
-	// row that already has the table's shape is stored as is: the caller
-	// hands over ownership.
-	whole := len(dest) == len(t.cols)
-	for i, ci := range dest {
-		whole = whole && ci == i
-	}
+	// store places one source row's values in their columns of a row
+	// buffer, whose other columns stay NULL, and appends it.
+	row := make([]Value, len(t.defs))
 	n := 0
 	store := func(src []Value) {
-		row := src
-		if !whole {
-			row = make([]Value, len(t.cols))
-		}
 		for i, ci := range dest {
-			row[ci] = coerce(src[i], t.cols[ci].Type)
+			row[ci] = src[i]
 		}
 		t.appendRow(row)
 		n++
@@ -232,8 +224,8 @@ func (db *DB) execInsert(s *insertStmt) (int, error) {
 				}
 			}
 		}
-		for _, row := range rows {
-			store(row)
+		for _, vals := range rows {
+			store(vals)
 		}
 		return n, nil
 	}
@@ -248,23 +240,22 @@ func (db *DB) execInsert(s *insertStmt) (int, error) {
 	if q.reads(t) {
 		// The statement sees the table as it was: finish reading it before
 		// the first row goes in.
-		rows, err := q.collect()
+		rel, err := q.materialize()
 		if err != nil {
 			return 0, err
 		}
-		for _, row := range rows.Data {
-			store(row)
+		src := make([]Value, len(dest))
+		for i := int32(0); i < int32(rel.n); i++ {
+			rel.row(i, src)
+			store(src)
 		}
 		return n, nil
 	}
 	// The table is the pipeline's sink. A statement that fails half-way
 	// inserts nothing.
-	before := len(t.rows)
+	before := t.rel.n
 	if err := q.run(store); err != nil {
-		t.rows = t.rows[:before]
-		for _, ix := range t.indexes {
-			ix.rebuild(t.rows)
-		}
+		t.truncate(before)
 		return 0, err
 	}
 	return n, nil
@@ -306,9 +297,13 @@ func (db *DB) planQuery(sel *selectStmt) (*query, error) {
 	return q, nil
 }
 
-// run streams the statement's result rows, arm after arm, into out, which
-// owns each row it is handed.
-func (q *query) run(out func(vals []Value)) error {
+// rowSink consumes a statement's result rows. vals is valid only for the
+// duration of the call: the projection refills one buffer for every row, so
+// a sink that keeps a row copies the values out and never keeps the slice.
+type rowSink func(vals []Value)
+
+// run streams the statement's result rows, arm after arm, into out.
+func (q *query) run(out rowSink) error {
 	for _, a := range q.arms {
 		a.proj.out = out
 		if err := a.plan.run(a.proj.push); err != nil {
@@ -321,17 +316,40 @@ func (q *query) run(out func(vals []Value)) error {
 	return nil
 }
 
-// collect materializes the result.
+// collect materializes the result as Rows. Rows are cut from slabs of
+// Values, up to 256 rows a slab, rather than allocated one by one.
 func (q *query) collect() (*Rows, error) {
 	rows := &Rows{Cols: q.names, Data: [][]Value{}}
-	if err := q.run(func(vals []Value) { rows.Data = append(rows.Data, vals) }); err != nil {
+	w := len(q.names)
+	var slab []Value
+	err := q.run(func(vals []Value) {
+		if len(slab) < w {
+			slab = make([]Value, w*min(max(len(rows.Data), 4), 256))
+		}
+		row := slab[:w:w]
+		slab = slab[w:]
+		copy(row, vals)
+		rows.Data = append(rows.Data, row)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return rows, nil
 }
 
+// materialize runs the statement into a relation whose columns hold Values:
+// a derived table, an IN subquery's result, or the rows an INSERT reads
+// from its own target.
+func (q *query) materialize() (*relation, error) {
+	rel := newRelation(make([]Kind, len(q.names)))
+	if err := q.run(rel.appendRow); err != nil {
+		return nil, err
+	}
+	return rel, nil
+}
+
 // reads reports whether a pipeline of the statement scans or probes t's
-// heap while it runs (derived tables and IN subqueries are done reading by
+// rows while it runs (derived tables and IN subqueries are done reading by
 // then).
 func (q *query) reads(t *Table) bool {
 	for _, a := range q.arms {
@@ -350,4 +368,14 @@ func (db *DB) execSelect(sel *selectStmt) (*Rows, error) {
 		return nil, err
 	}
 	return q.collect()
+}
+
+// materialize plans and runs a derived table or IN subquery.
+func (db *DB) materialize(sel *selectStmt) (*relation, []string, error) {
+	q, err := db.planQuery(sel)
+	if err != nil {
+		return nil, nil, err
+	}
+	rel, err := q.materialize()
+	return rel, q.names, err
 }

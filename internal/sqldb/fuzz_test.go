@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"go/ast"
 	goparser "go/parser"
 	gotoken "go/token"
@@ -81,6 +82,163 @@ func FuzzParseSQL(f *testing.F) {
 		stmts, err := parseScript(src, args)
 		if err == nil && len(stmts) > len(toks) {
 			t.Fatalf("%d statements from %d tokens", len(stmts), len(toks))
+		}
+	})
+}
+
+// fuzzDB is the database FuzzExecSQL runs each script against: three small
+// tables with NULLs in every column kind, an index, and a UDF that fails on
+// 3, so INSERT ... SELECT can fail half-way.
+func fuzzDB(t *testing.T) *DB {
+	db := New()
+	db.RegisterFunc("FAILON", func(args []Value) (Value, error) {
+		if len(args) != 1 {
+			return Null(), errors.New("FAILON takes one argument")
+		}
+		if args[0].AsInt() == 3 {
+			return Null(), errors.New("boom")
+		}
+		return args[0], nil
+	})
+	for _, s := range []string{
+		"CREATE TABLE a (k INT, s VARCHAR(8), f DOUBLE)",
+		"CREATE TABLE b (k INT, t VARCHAR(8))",
+		"CREATE TABLE c (x DOUBLE)",
+		"CREATE INDEX b_k ON b (k)",
+		"INSERT INTO a VALUES (1, 'x', 0.5), (2, NULL, 1.5), (NULL, 'y', NULL), (3, 'x', -0.0)",
+		"INSERT INTO b VALUES (1, 'p'), (2, 'q'), (2, NULL), (NULL, 'r'), (3, 'p')",
+		"INSERT INTO c VALUES (1.0), (2.5), (NULL)",
+	} {
+		mustExec(t, db, s)
+	}
+	return db
+}
+
+// fromItems counts the FROM items of every SELECT in st, subqueries and
+// UNION ALL arms included: the exponent of the joined rows a statement can
+// ask for.
+func fromItems(st stmt) int {
+	n := 0
+	var sel func(*selectStmt)
+	var ex func(expr)
+	sel = func(s *selectStmt) {
+		for ; s != nil; s = s.Union {
+			n += len(s.From)
+			for _, r := range s.From {
+				if r.Sub != nil {
+					sel(r.Sub)
+				}
+				ex(r.On)
+			}
+			for _, it := range s.Items {
+				ex(it.Expr)
+			}
+			for _, e := range s.GroupBy {
+				ex(e)
+			}
+			for _, o := range s.OrderBy {
+				ex(o.Expr)
+			}
+			ex(s.Where)
+			ex(s.Having)
+			ex(s.Limit)
+		}
+	}
+	ex = func(e expr) {
+		switch x := e.(type) {
+		case *unaryExpr:
+			ex(x.X)
+		case *binaryExpr:
+			ex(x.L)
+			ex(x.R)
+		case *funcCall:
+			for _, a := range x.Args {
+				ex(a)
+			}
+		case *inExpr:
+			if x.Sub != nil {
+				sel(x.Sub)
+			}
+			ex(x.X)
+			for _, a := range x.List {
+				ex(a)
+			}
+		case *isNullExpr:
+			ex(x.X)
+		case *caseExpr:
+			for _, w := range x.Whens {
+				ex(w.Cond)
+				ex(w.Then)
+			}
+			ex(x.Else)
+		}
+	}
+	switch s := st.(type) {
+	case *selectStmt:
+		sel(s)
+	case *insertStmt:
+		sel(s.Select)
+		for _, row := range s.Rows {
+			for _, e := range row {
+				ex(e)
+			}
+		}
+	case *deleteStmt:
+		ex(s.Where)
+	}
+	return n
+}
+
+// FuzzExecSQL executes generated scripts, statement by statement, against
+// fuzzDB. Whatever a statement does — succeed, fail to plan, fail half-way —
+// it must not panic, and afterwards every table must be consistent (see
+// checkTables): columns of equal length and indexes equal to a rebuild.
+// Scripts that could ask for more than a moment's work are skipped: more
+// than eight statements or three FROM items in one, and tables past 32
+// rows or 4 KiB of strings end the run.
+func FuzzExecSQL(f *testing.F) {
+	for _, s := range []string{
+		"SELECT a.k, b.t FROM a, b WHERE a.k = b.k",
+		"SELECT a.s, COUNT(*), SUM(f), MIN(s), MAX(b.t) FROM a, b WHERE a.k = b.k GROUP BY a.s HAVING COUNT(*) > 0 ORDER BY 2 DESC",
+		"INSERT INTO b SELECT k + 1, s FROM a; DELETE FROM b WHERE k = 2; SELECT * FROM b WHERE k IN (SELECT k FROM a)",
+		"INSERT INTO b SELECT FAILON(k), s FROM a",
+		"INSERT INTO b (t) VALUES ('z'), (NULL); DELETE FROM b; INSERT INTO b SELECT * FROM b",
+		"DELETE FROM a WHERE f IS NULL OR s = 'x'; INSERT INTO a (k) SELECT x FROM c",
+		"CREATE INDEX a_s ON a (s); INSERT INTO a SELECT k, CONCAT(s, s), f * 2 FROM a WHERE k <> 1; SELECT * FROM a, b WHERE a.s = b.t",
+		"DROP TABLE b; CREATE TABLE b (k DOUBLE, t INT); CREATE INDEX b_t ON b (t); INSERT INTO b VALUES (1.5, '7'), (NULL, 2.9)",
+		"SELECT DISTINCT x FROM (SELECT k AS x FROM a UNION ALL SELECT x FROM c) d ORDER BY x LIMIT 2",
+		"INSERT INTO c SELECT COUNT(*) FROM a WHERE k > 99; INSERT INTO c SELECT AVG(k) FROM b GROUP BY t",
+		"SELECT c1.x, c2.x FROM c c1 INNER JOIN c c2 ON c1.x + 0 = c2.x + 0 AND c1.x <= c2.x",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		stmts, err := parseScript(src, make([]Value, strings.Count(src, "?")))
+		if err != nil || len(stmts) > 8 {
+			return
+		}
+		for _, st := range stmts {
+			if fromItems(st) > 3 {
+				return
+			}
+		}
+		db := fuzzDB(t)
+		for _, st := range stmts {
+			db.mu.Lock()
+			_, _ = db.execStmt(st) // an error is an outcome like any other
+			db.mu.Unlock()
+			checkTables(t, db)
+			for _, tab := range db.tables {
+				bytes := 0
+				for i := range tab.rel.cols {
+					for p := int32(0); p < int32(tab.rel.n); p++ {
+						bytes += len(tab.rel.cols[i].value(p).S)
+					}
+				}
+				if tab.rel.n > 32 || bytes > 4<<10 {
+					return
+				}
+			}
 		}
 	})
 }

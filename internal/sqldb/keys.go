@@ -6,10 +6,10 @@ import (
 )
 
 // keyIndex assigns dense ids, in first-seen order, to the distinct keys of
-// a hash join's build side, a GROUP BY or a DISTINCT. A key that is a single
-// integral value (GROUP BY R1.tid) goes through an integer-keyed map;
-// everything else through its appendKey encoding, looked up without
-// allocating.
+// a hash join's build side, a table index, an IN subquery, a GROUP BY or a
+// DISTINCT. A key that is a single integral value (GROUP BY R1.tid) goes
+// through an integer-keyed map; everything else through its appendKey
+// encoding, looked up without allocating.
 type keyIndex struct {
 	ints map[int64]int32
 	strs map[string]int32
@@ -23,6 +23,14 @@ func (k *keyIndex) len() int { return len(k.ints) + len(k.strs) }
 // is NULL (a NULL join key matches nothing, a NULL group key is a group).
 // With add, an absent key is assigned the next id.
 func (k *keyIndex) find(fns []evalFn, ctx *evalCtx, add, nulls bool) (id int32, added bool, err error) {
+	if len(fns) == 1 {
+		v, err := fns[0](ctx)
+		if err != nil || v.IsNull() && !nulls {
+			return -1, false, err
+		}
+		id, added = k.findValue(v, add)
+		return id, added, nil
+	}
 	k.buf = k.buf[:0]
 	for _, fn := range fns {
 		v, err := fn(ctx)
@@ -32,16 +40,36 @@ func (k *keyIndex) find(fns []evalFn, ctx *evalCtx, add, nulls bool) (id int32, 
 		if v.IsNull() && !nulls {
 			return -1, false, nil
 		}
-		if len(fns) == 1 {
-			if n, ok := intKey(v); ok {
-				id, added = k.findInt(n, add)
-				return id, added, nil
-			}
-		}
 		k.buf = appendKey(k.buf, v)
 	}
 	id, added = k.findEncoded(add)
 	return id, added, nil
+}
+
+// findValue is find for the one-component key v.
+func (k *keyIndex) findValue(v Value, add bool) (int32, bool) {
+	if n, ok := intKey(v); ok {
+		return k.findInt(n, add)
+	}
+	k.buf = appendKey(k.buf[:0], v)
+	return k.findEncoded(add)
+}
+
+// lookup returns the id of the one-component key v, or −1. It encodes into
+// *buf, not the index's own scratch, so that concurrent readers may probe
+// one table's index.
+func (k *keyIndex) lookup(v Value, buf *[]byte) int32 {
+	if n, ok := intKey(v); ok {
+		if id, ok := k.ints[n]; ok {
+			return id
+		}
+		return -1
+	}
+	*buf = appendKey((*buf)[:0], v)
+	if id, ok := k.strs[string(*buf)]; ok {
+		return id
+	}
+	return -1
 }
 
 func (k *keyIndex) findInt(n int64, add bool) (int32, bool) {
@@ -104,10 +132,10 @@ func intKey(v Value) (int64, bool) {
 }
 
 // appendKey appends a normalized, collision-free encoding of v to buf; it is
-// used for hash-join keys, GROUP BY keys, DISTINCT and COUNT(DISTINCT). The
-// normalization mirrors Value.hashKey: numerics exactly representable in
-// float64 share an encoding across INT/DOUBLE; larger integers keep their
-// exact 64-bit form.
+// used for hash-join and index keys, IN subqueries, GROUP BY keys, DISTINCT
+// and COUNT(DISTINCT). The normalization mirrors Value.hashKey: numerics
+// exactly representable in float64 share an encoding across INT/DOUBLE;
+// larger integers keep their exact 64-bit form.
 func appendKey(buf []byte, v Value) []byte {
 	k := v.hashKey()
 	switch k.kind {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -43,6 +44,35 @@ func loadModel(t *testing.T, db *DB, rows []modelRow) {
 		}
 		mustExec(t, db, "INSERT INTO t VALUES (?, ?, ?, ?)",
 			Int(r.g), av, Float(r.b), String(r.s))
+	}
+}
+
+// checkTables fails unless every table of db is consistent: each column
+// holds one value per row, no NULL bit is set past the last row, and every
+// index equals one rebuilt from the rows.
+func checkTables(t testing.TB, db *DB) {
+	t.Helper()
+	for name, tab := range db.tables {
+		for i := range tab.rel.cols {
+			c := &tab.rel.cols[i]
+			if n := max(len(c.ints), len(c.floats), len(c.strs), len(c.vals)); n != tab.rel.n {
+				t.Fatalf("table %s column %d holds %d values for %d rows", name, i, n, tab.rel.n)
+			}
+			for p := tab.rel.n; p < len(c.nulls)*64; p++ {
+				if c.isNull(int32(p)) {
+					t.Fatalf("table %s column %d: NULL bit %d set past the last row (%d rows)", name, i, p, tab.rel.n)
+				}
+			}
+		}
+		for col, ix := range tab.indexes {
+			fresh := &index{col: ix.col}
+			fresh.rebuild(&tab.rel)
+			got := []any{ix.keys.ints, ix.keys.strs, ix.head, ix.tail, ix.next}
+			want := []any{fresh.keys.ints, fresh.keys.strs, fresh.head, fresh.tail, fresh.next}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("index %s(%s) differs from a rebuild:\n got %v\nwant %v", name, col, got, want)
+			}
+		}
 	}
 }
 
@@ -432,6 +462,80 @@ func TestInsertSelectFromTargetSeesOnlyOldRows(t *testing.T) {
 	rows := mustQuery(t, db, "SELECT COUNT(*) FROM dst D, src S WHERE D.v = S.v")
 	if db.Table("dst").NumRows() != 1 || rows.Data[0][0].AsInt() != 1 {
 		t.Fatalf("failed insert left %d rows, join sees %v", db.Table("dst").NumRows(), rows.Data)
+	}
+	checkTables(t, db)
+}
+
+// TestRandomizedWritesAgainstModel runs random INSERTs, DELETEs (some with
+// a condition, some of everything) and INSERT ... SELECTs that fail half-way
+// against a slice of rows: after every statement the table reads back as
+// the slice, in order, and both its indexes equal a rebuild.
+func TestRandomizedWritesAgainstModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for trial := 0; trial < 20; trial++ {
+		rows := randomModel(rng, rng.Intn(20))
+		db := New()
+		db.RegisterFunc("FAILON", func(args []Value) (Value, error) {
+			if args[0].AsInt() == 3 {
+				return Null(), fmt.Errorf("boom")
+			}
+			return args[0], nil
+		})
+		loadModel(t, db, rows)
+		mustExec(t, db, "CREATE INDEX t_s ON t (s)")
+		mustExec(t, db, "CREATE INDEX t_a ON t (a)")
+		for step := 0; step < 25; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4:
+				add := randomModel(rng, 1+rng.Intn(8))
+				for _, r := range add {
+					av := Int(r.a)
+					if r.a < 0 {
+						av = Null()
+					}
+					mustExec(t, db, "INSERT INTO t VALUES (?, ?, ?, ?)", Int(r.g), av, Float(r.b), String(r.s))
+				}
+				rows = append(rows, add...)
+			case op < 7:
+				g := int64(rng.Intn(5))
+				mustExec(t, db, "DELETE FROM t WHERE g = ? OR a IS NULL", Int(g))
+				kept := rows[:0:0]
+				for _, r := range rows {
+					if r.g != g && r.a >= 0 {
+						kept = append(kept, r)
+					}
+				}
+				rows = kept
+			case op < 9:
+				// FAILON(g) fails on the first row with g = 3, if there is one.
+				_, err := db.Exec("INSERT INTO t SELECT FAILON(g), a, b, s FROM (SELECT * FROM t) d")
+				fails := false
+				for _, r := range rows {
+					fails = fails || r.g == 3
+				}
+				if (err != nil) != fails {
+					t.Fatalf("trial %d step %d: INSERT ... SELECT err = %v, want failure %v", trial, step, err, fails)
+				}
+				if !fails {
+					rows = append(rows, rows...)
+				}
+			default:
+				mustExec(t, db, "DELETE FROM t")
+				rows = nil
+			}
+			checkTables(t, db)
+			got := mustQuery(t, db, "SELECT g, a, b, s FROM t")
+			if len(got.Data) != len(rows) {
+				t.Fatalf("trial %d step %d: %d rows, model has %d", trial, step, len(got.Data), len(rows))
+			}
+			for i, r := range rows {
+				row := got.Data[i]
+				if row[0].AsInt() != r.g || row[1].IsNull() != (r.a < 0) || r.a >= 0 && row[1].AsInt() != r.a ||
+					row[2].AsFloat() != r.b || row[3].AsString() != r.s {
+					t.Fatalf("trial %d step %d: row %d is %v, model %+v", trial, step, i, row, r)
+				}
+			}
+		}
 	}
 }
 

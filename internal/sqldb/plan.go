@@ -7,22 +7,41 @@ import (
 
 // This file plans one SELECT core and streams its joins. planSelect fixes
 // the join order and compiles every join key and conjunct once; run then
-// pushes rows through the left-deep pipeline of stages, each binding its
-// row into the statement's one evaluation frame, so no join output is ever
-// materialized — only derived tables, pushed-down filters' row lists and a
-// hash stage's bounded input buffer are.
+// pushes rows through the left-deep pipeline of stages, each binding a row
+// position into the statement's one evaluation frame, so no join output is
+// ever materialized — only derived tables, pushed-down filters' position
+// lists and a hash stage's bounded buffer of held-back positions are.
 
-// source is one FROM item resolved for execution. Its rows bind into frame
-// slot slot.
+// source is one FROM item resolved for execution: the rows of rel it binds,
+// by position, into frame slot slot.
 type source struct {
 	name  string // table name, or the alias of a derived table
 	alias string
 	slot  int
 	cols  []relCol
-	rows  [][]Value
-	// table is non-nil while rows is the heap of a base table, which is
-	// what makes the table's indexes usable; a pushed-down filter clears it.
+	rel   *relation
+	// sel, when non-nil, lists the positions of rel the source binds (a
+	// pushed-down filter's survivors); nil binds every row.
+	sel []int32
+	// table is non-nil while the source binds every row of a base table,
+	// which is what makes the table's indexes usable.
 	table *Table
+}
+
+// size returns how many rows the source binds.
+func (s *source) size() int {
+	if s.sel != nil {
+		return len(s.sel)
+	}
+	return s.rel.n
+}
+
+// at returns the position in rel of the source's i-th row.
+func (s *source) at(i int) int32 {
+	if s.sel != nil {
+		return s.sel[i]
+	}
+	return int32(i)
 }
 
 // conjunct is one AND-term of the WHERE/ON pool with planning metadata.
@@ -53,9 +72,9 @@ const (
 )
 
 // stage adds one relation to the frames flowing through the pipeline: for
-// every upstream frame it binds each matching row of src into src's slot,
-// drops the frame unless the conjuncts that just became evaluable hold, and
-// hands it to next.
+// every upstream frame it binds each matching row of src, by position, into
+// src's slot, drops the frame unless the conjuncts that just became
+// evaluable hold, and hands it to next.
 type stage struct {
 	kind stageKind
 	src  *source
@@ -63,17 +82,18 @@ type stage struct {
 	// stage keys on all of them; an index stage probes index with pairs[0]
 	// and compares the rest per match.
 	pairs   []equiPair
-	index   *hashIndex
+	index   *index
 	filters []evalFn
 	next    func(*evalCtx) error
 
 	outerVals []Value   // index stage: the outer side of pairs[1:] for the current frame
+	keyBuf    []byte    // index stage: scratch for the probe's key encoding
 	hash      *hashJoin // hash stage
 }
 
 // selectPlan is the executable form of one SELECT core's FROM/WHERE.
 type selectPlan struct {
-	sources []source // in FROM order; a FROM-less SELECT scans one empty row
+	sources []source // in FROM order; a FROM-less SELECT scans one row of no columns
 	schema  *relSchema
 	stages  []*stage // in join order
 }
@@ -131,20 +151,20 @@ func (db *DB) planSelect(sel *selectStmt) (*selectPlan, error) {
 		}
 		var names []string
 		if ref.Sub != nil {
-			sub, err := db.execSelect(ref.Sub)
+			rel, cols, err := db.materialize(ref.Sub)
 			if err != nil {
 				return nil, err
 			}
-			src.name, src.rows, names = src.alias, sub.Data, sub.Cols
+			src.name, src.rel, names = src.alias, rel, cols
 		} else {
 			t := db.tables[strings.ToLower(ref.Name)]
 			if t == nil {
 				return nil, fmt.Errorf("sqldb: unknown table %q", ref.Name)
 			}
-			src.name, src.rows, src.table, names = t.name, t.rows, t, t.Columns()
+			src.name, src.rel, src.table, names = t.name, &t.rel, t, t.Columns()
 		}
 		for i, name := range names {
-			src.cols = append(src.cols, relCol{qual: src.alias, name: name, slot: slot, idx: i})
+			src.cols = append(src.cols, relCol{qual: src.alias, name: name, slot: slot, col: &src.rel.cols[i]})
 		}
 		p.sources = append(p.sources, src)
 		p.schema.cols = append(p.schema.cols, src.cols...)
@@ -155,7 +175,7 @@ func (db *DB) planSelect(sel *selectStmt) (*selectPlan, error) {
 		}
 	}
 	if len(p.sources) == 0 {
-		p.sources = []source{{name: "dual", rows: [][]Value{{}}}}
+		p.sources = []source{{name: "dual", rel: &relation{n: 1}}}
 	}
 	if sel.Where != nil {
 		for _, e := range splitAnd(sel.Where) {
@@ -178,12 +198,12 @@ func (db *DB) planSelect(sel *selectStmt) (*selectPlan, error) {
 		cj.needs = referencedAliases(cj.e, colOwners)
 	}
 	full := &compiler{db: db, schema: p.schema}
-	ctx := &evalCtx{rows: make([][]Value, len(p.sources))}
+	ctx := &evalCtx{pos: make([]int32, len(p.sources))}
 
 	// Push single-relation filters below the joins. The order and build
 	// sides chosen below depend on the filtered sizes, and a filtered
-	// relation is no longer its table's heap, so its indexes are out of
-	// reach. A lone relation needs no order: its filters run in the scan.
+	// relation binds only some of its table's rows, so its indexes are out
+	// of reach. A lone relation needs no order: its filters run in the scan.
 	for i := range p.sources {
 		if len(p.sources) == 1 {
 			break
@@ -204,23 +224,23 @@ func (db *DB) planSelect(sel *selectStmt) (*selectPlan, error) {
 		if len(filters) == 0 {
 			continue
 		}
-		var kept [][]Value
-		for _, row := range src.rows {
-			ctx.rows[src.slot] = row
+		kept := []int32{}
+		for i := int32(0); i < int32(src.rel.n); i++ {
+			ctx.pos[src.slot] = i
 			ok, err := holds(filters, ctx)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				kept = append(kept, row)
+				kept = append(kept, i)
 			}
 		}
-		src.rows, src.table = kept, nil
+		src.sel, src.table = kept, nil
 	}
 
 	first := 0
 	for i := range p.sources {
-		if len(p.sources[i].rows) < len(p.sources[first].rows) {
+		if p.sources[i].size() < p.sources[first].size() {
 			first = i
 		}
 	}
@@ -247,7 +267,7 @@ func (db *DB) planSelect(sel *selectStmt) (*selectPlan, error) {
 			case unlocksConjunct(cand.alias, joined, pool):
 				score = 1
 			}
-			if score > bestScore || (score == bestScore && len(cand.rows) < len(remaining[bestPos].rows)) {
+			if score > bestScore || (score == bestScore && cand.size() < remaining[bestPos].size()) {
 				bestPos, bestScore, bestPairs = pos, score, pairs
 			}
 		}
@@ -477,14 +497,14 @@ func subset(a, b map[string]bool) bool {
 // ---- the pipeline ----
 
 // run streams every joined frame that satisfies the plan's conjuncts into
-// sink, in emission order: outer order, then bucket or heap order.
+// sink, in emission order: outer order, then index-chain or row order.
 func (p *selectPlan) run(sink func(*evalCtx) error) error {
 	next := sink
 	for i := len(p.stages) - 1; i >= 0; i-- {
 		p.stages[i].next = next
 		next = p.stages[i].push
 	}
-	ctx := &evalCtx{rows: make([][]Value, len(p.sources))}
+	ctx := &evalCtx{pos: make([]int32, len(p.sources))}
 	if err := next(ctx); err != nil {
 		return err
 	}
@@ -527,8 +547,8 @@ func (st *stage) push(ctx *evalCtx) error {
 	case stageHash:
 		return st.pushHash(ctx)
 	}
-	for _, row := range st.src.rows {
-		ctx.rows[st.src.slot] = row
+	for i, n := 0, st.src.size(); i < n; i++ {
+		ctx.pos[st.src.slot] = st.src.at(i)
 		if err := st.pass(ctx); err != nil {
 			return err
 		}
@@ -541,8 +561,8 @@ func (st *stage) pushIndex(ctx *evalCtx) error {
 	if err != nil || kv.IsNull() {
 		return err
 	}
-	bucket := st.index.buckets[kv.hashKey()]
-	if len(bucket) == 0 {
+	id := st.index.keys.lookup(kv, &st.keyBuf)
+	if id < 0 {
 		return nil
 	}
 	rest := st.pairs[1:]
@@ -552,8 +572,8 @@ func (st *stage) pushIndex(ctx *evalCtx) error {
 		}
 	}
 matches:
-	for _, pos := range bucket {
-		ctx.rows[st.src.slot] = st.src.rows[pos]
+	for r := st.index.head[id]; r >= 0; r = st.index.next[r] {
+		ctx.pos[st.src.slot] = r
 		for i, p := range rest {
 			iv, err := p.inner(ctx)
 			if err != nil {
@@ -578,9 +598,9 @@ matches:
 // on. If upstream ends first, the table is built on the held frames and the
 // relation's rows probe it.
 type hashJoin struct {
-	outerKeys, innerKeys []evalFn  // the two sides of the stage's pairs
-	held                 [][]Value // frames awaiting the decision, len(ctx.rows) row headers each
-	probing              bool      // table is built on the stage's relation
+	outerKeys, innerKeys []evalFn // the two sides of the stage's pairs
+	held                 []int32  // frames awaiting the decision, len(ctx.pos) positions each
+	probing              bool     // table is built on the stage's relation
 	table                joinTable
 	builtOn              string
 }
@@ -590,22 +610,22 @@ func (st *stage) pushHash(ctx *evalCtx) error {
 	if h.probing {
 		return st.probeHash(ctx)
 	}
-	h.held = append(h.held, ctx.rows...)
-	if len(h.held) < len(st.src.rows)*len(ctx.rows) {
+	h.held = append(h.held, ctx.pos...)
+	if len(h.held) < st.src.size()*len(ctx.pos) {
 		return nil
 	}
-	for i, row := range st.src.rows {
-		ctx.rows[st.src.slot] = row
-		if err := h.table.insert(h.innerKeys, ctx, int32(i)); err != nil {
+	for i, n := 0, st.src.size(); i < n; i++ {
+		ctx.pos[st.src.slot] = st.src.at(i)
+		if err := h.table.insert(h.innerKeys, ctx); err != nil {
 			return err
 		}
 	}
 	h.probing, h.builtOn = true, st.src.name
 	// The last held frame is the one being pushed, so replaying leaves the
 	// frame as upstream bound it.
-	n := len(ctx.rows)
+	n := len(ctx.pos)
 	for at := 0; at < len(h.held); at += n {
-		copy(ctx.rows, h.held[at:at+n])
+		copy(ctx.pos, h.held[at:at+n])
 		if err := st.probeHash(ctx); err != nil {
 			return err
 		}
@@ -617,7 +637,7 @@ func (st *stage) pushHash(ctx *evalCtx) error {
 func (st *stage) probeHash(ctx *evalCtx) error {
 	r, err := st.hash.table.first(st.hash.outerKeys, ctx)
 	for ; err == nil && r >= 0; r = st.hash.table.next[r] {
-		ctx.rows[st.src.slot] = st.src.rows[r]
+		ctx.pos[st.src.slot] = st.src.at(int(r))
 		err = st.pass(ctx)
 	}
 	return err
@@ -630,20 +650,21 @@ func (st *stage) flushHash(ctx *evalCtx) error {
 	if h.probing || len(h.held) == 0 {
 		return nil
 	}
-	n := len(ctx.rows)
+	n := len(ctx.pos)
 	for at := 0; at < len(h.held); at += n {
-		copy(ctx.rows, h.held[at:at+n])
-		if err := h.table.insert(h.outerKeys, ctx, int32(at/n)); err != nil {
+		copy(ctx.pos, h.held[at:at+n])
+		if err := h.table.insert(h.outerKeys, ctx); err != nil {
 			return err
 		}
 	}
 	h.builtOn = "upstream"
-	for _, row := range st.src.rows {
-		ctx.rows[st.src.slot] = row
+	for i, m := 0, st.src.size(); i < m; i++ {
+		pos := st.src.at(i)
+		ctx.pos[st.src.slot] = pos
 		r, err := h.table.first(h.innerKeys, ctx)
 		for ; err == nil && r >= 0; r = h.table.next[r] {
-			copy(ctx.rows, h.held[int(r)*n:int(r)*n+n])
-			ctx.rows[st.src.slot] = row
+			copy(ctx.pos, h.held[int(r)*n:int(r)*n+n])
+			ctx.pos[st.src.slot] = pos
 			err = st.pass(ctx)
 		}
 		if err != nil {
@@ -653,29 +674,38 @@ func (st *stage) flushHash(ctx *evalCtx) error {
 	return nil
 }
 
-// joinTable is a hash join's build side: rows chained per distinct key in
-// insertion order, without a slice per key.
+// joinTable chains rows per distinct key in insertion order, without a
+// slice per key: a hash join's build side, and a table index.
 type joinTable struct {
 	keys       keyIndex
 	head, tail []int32 // per key id: first and last row of the chain
 	next       []int32 // per row: the next row with the same key, −1 at the end
 }
 
-// insert adds row, which must be len(t.next), under the key the frame
-// yields; a row with a NULL key component joins nothing.
-func (t *joinTable) insert(keys []evalFn, ctx *evalCtx, row int32) error {
-	t.next = append(t.next, -1)
+// insert adds the next row, len(t.next), under the key the frame yields; a
+// row with a NULL key component joins nothing.
+func (t *joinTable) insert(keys []evalFn, ctx *evalCtx) error {
 	id, added, err := t.keys.find(keys, ctx, true, false)
-	if err != nil || id < 0 {
+	if err != nil {
 		return err
 	}
-	if added {
-		t.head, t.tail = append(t.head, row), append(t.tail, row)
-		return nil
-	}
-	t.next[t.tail[id]] = row
-	t.tail[id] = row
+	t.link(id, added)
 	return nil
+}
+
+// link appends the next row to the chain of key id (a new key's when added);
+// with id −1 the row is chained nowhere.
+func (t *joinTable) link(id int32, added bool) {
+	row := int32(len(t.next))
+	t.next = append(t.next, -1)
+	switch {
+	case id < 0:
+	case added:
+		t.head, t.tail = append(t.head, row), append(t.tail, row)
+	default:
+		t.next[t.tail[id]] = row
+		t.tail[id] = row
+	}
 }
 
 // first returns the first row stored under the key the frame yields, or −1.

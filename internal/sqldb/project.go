@@ -7,9 +7,9 @@ import (
 
 // projection is the sink of a SELECT core's pipeline: it turns the frames
 // the joins emit into output rows — grouping and aggregating, HAVING,
-// DISTINCT, ORDER BY, LIMIT — and hands each finished row to out, which
-// owns it from then on. Its state is proportionate to groups and output
-// rows, never to joined rows.
+// DISTINCT, ORDER BY, LIMIT — and hands each finished row to out, under the
+// rowSink contract: the row is valid for the call only. Its state is
+// proportionate to groups and output rows, never to joined rows.
 type projection struct {
 	names    []string
 	items    []evalFn
@@ -21,13 +21,14 @@ type projection struct {
 	grouped bool
 	groupBy []evalFn
 	aggs    []aggSpec
-	rep     []relCol // the columns post-aggregation expressions read
+	rep     []int // the frame slots post-aggregation expressions read
 	groups  groupTable
 
+	buf     []Value  // the output row being built
 	seen    keyIndex // DISTINCT
-	pending []outRow // ORDER BY: rows awaiting the sort
+	pending []Value  // ORDER BY: rows awaiting the sort, then their sort keys, one after another
 	emitted int
-	out     func(vals []Value)
+	out     rowSink
 }
 
 // orderKey is one ORDER BY term: an output column position, or an
@@ -36,11 +37,6 @@ type orderKey struct {
 	fn   evalFn // nil when positional
 	pos  int
 	desc bool
-}
-
-type outRow struct {
-	vals []Value
-	keys []Value
 }
 
 // compileProjection compiles everything after FROM/WHERE of one SELECT core
@@ -77,7 +73,7 @@ func (db *DB) compileProjection(sel *selectStmt, schema *relSchema) (*projection
 		items = append(items, projItem{e: it.Expr, alias: it.Alias, name: name})
 	}
 
-	pr := &projection{distinct: sel.Distinct, limit: -1, grouped: len(sel.GroupBy) > 0}
+	pr := &projection{distinct: sel.Distinct, limit: -1, grouped: len(sel.GroupBy) > 0, buf: make([]Value, len(items))}
 	if !pr.grouped {
 		for _, it := range items {
 			if isAggregate(it.e) {
@@ -162,10 +158,7 @@ func (db *DB) compileProjection(sel *selectStmt, schema *relSchema) (*projection
 			}
 			pr.groupBy = append(pr.groupBy, fn)
 		}
-		pr.aggs = c.aggs
-		for _, pos := range c.rep {
-			pr.rep = append(pr.rep, schema.cols[pos])
-		}
+		pr.aggs, pr.rep = c.aggs, c.rep
 		pr.groups = groupTable{nrep: len(pr.rep), nagg: len(pr.aggs)}
 		for i := range pr.aggs {
 			if op := pr.aggs[i].op; op == aggMin || op == aggMax {
@@ -192,8 +185,8 @@ func (pr *projection) push(ctx *evalCtx) error {
 	}
 	if added {
 		rep := pr.groups.add()
-		for i, c := range pr.rep {
-			rep[i] = ctx.rows[c.slot][c.idx]
+		for i, slot := range pr.rep {
+			rep[i] = ctx.pos[slot]
 		}
 	}
 	accs, extremes := pr.groups.accs(gid)
@@ -210,12 +203,22 @@ func (pr *projection) push(ctx *evalCtx) error {
 func (pr *projection) finish() error {
 	if pr.grouped {
 		if pr.groups.n == 0 && len(pr.groupBy) == 0 {
-			// Aggregate over empty input yields a single all-NULL group.
-			pr.groups.add()
+			// Aggregate over empty input yields a single group with no
+			// rows, whose columns read NULL.
+			rep := pr.groups.add()
+			for i := range rep {
+				rep[i] = -1
+			}
 		}
-		ctx := &evalCtx{aggs: make([]Value, len(pr.aggs))}
+		nslots := 0
+		for _, slot := range pr.rep {
+			nslots = max(nslots, slot+1)
+		}
+		ctx := &evalCtx{pos: make([]int32, nslots), aggs: make([]Value, len(pr.aggs))}
 		for gid := int32(0); gid < int32(pr.groups.n); gid++ {
-			ctx.rep = pr.groups.rep(gid)
+			for i, p := range pr.groups.rep(gid) {
+				ctx.pos[pr.rep[i]] = p
+			}
 			accs, extremes := pr.groups.accs(gid)
 			for i := range accs {
 				ctx.aggs[i] = accs[i].finalize(&pr.aggs[i], extremes)
@@ -228,10 +231,16 @@ func (pr *projection) finish() error {
 	if len(pr.order) == 0 {
 		return nil
 	}
-	outs := pr.pending
-	sort.SliceStable(outs, func(i, j int) bool {
+	w := len(pr.items) + len(pr.order)
+	rows := make([]int, len(pr.pending)/w)
+	for i := range rows {
+		rows[i] = i * w
+	}
+	keys := func(at int) []Value { return pr.pending[at+len(pr.items) : at+w] }
+	sort.SliceStable(rows, func(i, j int) bool {
+		a, b := keys(rows[i]), keys(rows[j])
 		for k, ok := range pr.order {
-			cmp := compareForSort(outs[i].keys[k], outs[j].keys[k])
+			cmp := compareForSort(a[k], b[k])
 			if cmp == 0 {
 				continue
 			}
@@ -242,8 +251,8 @@ func (pr *projection) finish() error {
 		}
 		return false
 	})
-	for _, o := range outs {
-		pr.release(o.vals)
+	for _, at := range rows {
+		pr.release(pr.pending[at : at+len(pr.items)])
 	}
 	return nil
 }
@@ -257,8 +266,7 @@ func (pr *projection) emit(ctx *evalCtx) error {
 			return err
 		}
 	}
-	buf := make([]Value, len(pr.items)+len(pr.order))
-	vals, keys := buf[:len(pr.items):len(pr.items)], buf[len(pr.items):]
+	vals := pr.buf
 	for i, fn := range pr.items {
 		v, err := fn(ctx)
 		if err != nil {
@@ -273,18 +281,18 @@ func (pr *projection) emit(ctx *evalCtx) error {
 		pr.release(vals)
 		return nil
 	}
-	for i, ok := range pr.order {
+	pr.pending = append(pr.pending, vals...)
+	for _, ok := range pr.order {
 		if ok.fn == nil {
-			keys[i] = vals[ok.pos]
+			pr.pending = append(pr.pending, vals[ok.pos])
 			continue
 		}
 		v, err := ok.fn(ctx)
 		if err != nil {
 			return err
 		}
-		keys[i] = v
+		pr.pending = append(pr.pending, v)
 	}
-	pr.pending = append(pr.pending, outRow{vals: vals, keys: keys})
 	return nil
 }
 
@@ -370,22 +378,24 @@ func substituteAliases(e expr, aliasExpr map[string]expr, schema *relSchema) exp
 const groupChunk = 256
 
 // groupTable holds the state of every group in chunked slabs: per group,
-// nrep representative column values (what the post-aggregation expressions
-// read, not a copy of the joined row), nagg accumulators and — only for the
-// MIN and MAX among them — nextreme running extremes.
+// the positions of its representative row in the nrep frame slots the
+// post-aggregation expressions read (the first row of the group: nothing is
+// copied), nagg accumulators and — only for the MIN and MAX among them —
+// nextreme running extremes.
 type groupTable struct {
 	keys                 keyIndex
 	nrep, nagg, nextreme int
 	n                    int
-	reps                 [][]Value
+	reps                 [][]int32
 	accSlabs             [][]aggAcc
 	extremes             [][]Value
 }
 
-// add appends a zeroed group and returns its representative values to fill.
-func (g *groupTable) add() []Value {
+// add appends a zeroed group and returns its representative positions to
+// fill.
+func (g *groupTable) add() []int32 {
 	if g.n%groupChunk == 0 {
-		g.reps = append(g.reps, make([]Value, groupChunk*g.nrep))
+		g.reps = append(g.reps, make([]int32, groupChunk*g.nrep))
 		g.accSlabs = append(g.accSlabs, make([]aggAcc, groupChunk*g.nagg))
 		g.extremes = append(g.extremes, make([]Value, groupChunk*g.nextreme))
 	}
@@ -393,7 +403,7 @@ func (g *groupTable) add() []Value {
 	return g.rep(int32(g.n - 1))
 }
 
-func (g *groupTable) rep(gid int32) []Value {
+func (g *groupTable) rep(gid int32) []int32 {
 	at := int(gid) % groupChunk * g.nrep
 	return g.reps[gid/groupChunk][at : at+g.nrep]
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -837,4 +838,55 @@ func TestTableNames(t *testing.T) {
 	if got := db.TableNames(); !reflect.DeepEqual(got, []string{"a", "b"}) {
 		t.Fatalf("TableNames: %v", got)
 	}
+}
+
+// TestConcurrentQueriesProbeOneIndex runs index nested-loop joins and IN
+// subqueries from several goroutines at once over one database: readers
+// share a table's index and must each get the sequential answer (run with
+// -race).
+func TestConcurrentQueriesProbeOneIndex(t *testing.T) {
+	db := New()
+	mustExec(t, db, "CREATE TABLE tokens (tid INT, token VARCHAR(8), w DOUBLE)")
+	mustExec(t, db, "CREATE TABLE q (token VARCHAR(8))")
+	var rows [][]Value
+	for tid := 0; tid < 200; tid++ {
+		for k := 0; k < 5; k++ {
+			rows = append(rows, []Value{Int(int64(tid)), String(fmt.Sprintf("t%d", (tid+k*3)%40)), Float(float64(k) / 8)})
+		}
+	}
+	if err := db.BulkInsert("tokens", rows); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "CREATE INDEX tok ON tokens (token)")
+	mustExec(t, db, "CREATE INDEX tid ON tokens (tid)")
+	mustExec(t, db, "INSERT INTO q VALUES ('t1'), ('t7'), ('t33'), ('none')")
+	stmts := []string{
+		"SELECT T.tid, SUM(T.w) FROM tokens T, q WHERE T.token = q.token GROUP BY T.tid",
+		"SELECT A.tid, COUNT(*) FROM tokens A, (SELECT tid FROM tokens WHERE w > 0.3) B WHERE A.tid = B.tid GROUP BY A.tid",
+		"SELECT COUNT(*) FROM tokens WHERE token IN (SELECT token FROM q)",
+	}
+	want := make([]string, len(stmts))
+	for i, s := range stmts {
+		want[i] = fmt.Sprint(mustQuery(t, db, s).Data)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				i := (g + round) % len(stmts)
+				got, err := db.Query(stmts[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if s := fmt.Sprint(got.Data); s != want[i] {
+					t.Errorf("goroutine %d: %s gave %.80s…, sequentially %.80s…", g, stmts[i], s, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

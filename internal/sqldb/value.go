@@ -17,19 +17,29 @@
 //     similarity and Jaro–Winkler), registered with RegisterFunc
 //   - uncorrelated IN / NOT IN subqueries and ? placeholders
 //
+// A table stores its rows column by column: INT as an int64 vector, DOUBLE
+// as a float64 vector, VARCHAR as a string vector, with a NULL bitmap that
+// exists only once a NULL does. A row is a position in those vectors; no
+// Value and no heap object is kept per row. An index chains a column's
+// positions per distinct value, in row order, with one int32 link per row.
+//
 // A SELECT runs as plan → pipeline → sink. planSelect fixes the join order
 // with a small greedy optimizer — smallest relation first, then index
 // nested-loop joins into indexed base tables, hash joins otherwise, mirroring
 // how MySQL executes the paper's token-join queries when the token columns
-// are indexed — and compiles every key, conjunct and select expression once.
-// The joins then stream: each stage binds its row into its slot of the
-// statement's one evaluation frame, applies the conjuncts that just became
-// evaluable and hands the frame on, in a fixed emission order (outer order,
-// then bucket or heap order) so float SUMs associate the same way every
-// run. The sink is the projection — GROUP BY state proportionate to groups,
-// not joined rows — and, for INSERT ... SELECT, the target table. Only
-// derived tables, IN subqueries, pushed-down filters' row lists, a hash
-// stage's bounded input buffer and rows awaiting ORDER BY are materialized.
+// are indexed — and compiles every key, conjunct and select expression once;
+// a column reference compiles to a read of its vector. The joins then
+// stream: each stage binds a row position into its slot of the statement's
+// one evaluation frame, applies the conjuncts that just became evaluable and
+// hands the frame on, in a fixed emission order (outer order, then index
+// chain or row order) so float SUMs associate the same way every run. The
+// sink is the projection — GROUP BY state proportionate to groups, not
+// joined rows — which refills one output row buffer: INSERT ... SELECT and
+// derived tables copy it into columns, and only Query's Rows and the rows
+// awaiting ORDER BY allocate rows. Derived tables and IN subqueries are
+// materialized as relations of the same column layout; pushed-down filters
+// as position lists; a hash stage holds back at most its relation's row
+// count of upstream frames, as positions.
 package sqldb
 
 import (
