@@ -8,12 +8,9 @@
 //	approxbench -scale 1         # paper scale (5000-tuple datasets, 500 queries)
 //	approxbench -exp figure5.3   # a single experiment
 //	approxbench -impl native     # measure the in-memory realization instead
-//	approxbench -exp bench -benchjson out/   # machine-readable BENCH_preprocess/select/serve/hotpath/persist/watch .json
-//	approxbench -exp hotpath -benchjson out/ # only the selection hot-path benchmark (BENCH_hotpath.json)
-//	approxbench -exp persist -benchjson out/ # only the persistence benchmark (BENCH_persist.json)
-//	approxbench -exp watch -benchjson out/   # only the standing-query benchmark (BENCH_watch.json)
-//	approxbench -exp cluster -benchjson out/ # only the replicated-serving benchmark (BENCH_cluster.json)
-//	approxbench -exp chaos -benchjson out/   # only the fault-injection drill (BENCH_chaos.json)
+//
+// The system's performance and correctness benchmark is a separate program:
+// go run ./bench (see bench/README.md).
 package main
 
 import (
@@ -24,177 +21,11 @@ import (
 	"strings"
 
 	approxsel "repro"
-	"repro/internal/cluster/nemesis"
 	"repro/internal/experiments"
-	"repro/internal/server/loadtest"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// runServeBench runs the serving-path load test at the benchmark harness's
-// scale — the third machine-readable artifact next to BENCH_preprocess.json
-// and BENCH_select.json: the naive per-request path versus a warm, sharded,
-// cache-accelerated approxserved over the same zipf-skewed query mix. The
-// performance options map onto the load test conservatively so the CI
-// bench-smoke sizes stay fast: the relation is Size records and the timed
-// request count scales with Queries.
-func runServeBench(o experiments.PerfOptions) (loadtest.Report, error) {
-	requests := o.Queries * 20
-	if requests < 60 {
-		requests = 60
-	}
-	distinct := o.Queries * 2
-	if distinct < 10 {
-		distinct = 10
-	}
-	return loadtest.Run(loadtest.Options{
-		Records:  o.Size,
-		Requests: requests,
-		Distinct: distinct,
-		Seed:     o.Seed,
-	})
-}
-
-// runClusterBench runs the approxcluster read-scaling load test — one
-// approxserved node versus leader + 2 followers with query-affinity
-// routing at equal per-node cache, plus the cross-replica result-hash
-// differential — and writes BENCH_cluster.json, the seventh
-// machine-readable artifact.
-func runClusterBench(o experiments.PerfOptions, w io.Writer, benchJSON string) error {
-	requests := o.Queries * 20
-	if requests < 60 {
-		requests = 60
-	}
-	r, err := loadtest.RunCluster(loadtest.ClusterOptions{
-		Records:  o.Size,
-		Requests: requests,
-		Seed:     o.Seed,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	r.Print(w)
-	if !r.HashOK {
-		return fmt.Errorf("cluster bench: replica result hashes diverged")
-	}
-	if benchJSON != "" {
-		if err := r.WriteJSON(benchJSON); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s/BENCH_cluster.json\n", benchJSON)
-	}
-	return nil
-}
-
-// runChaosBench runs the nemesis fault-injection drill — a 3-node cluster
-// under the full randomized fault schedule (partitions, one-way links,
-// lossy/slow/duplicating networks, clock-skewed lease expiry, crash+rejoin
-// and a final rolling restart) with a concurrent mutating client — and
-// writes BENCH_chaos.json, the eighth machine-readable artifact. The run
-// fails if any replica hash diverged after a heal, any acked write was
-// lost, the watch resume was not exactly-once, or a client request failed
-// during the rolling restart.
-func runChaosBench(o experiments.PerfOptions, w io.Writer, benchJSON string) error {
-	records := o.Size
-	if records > 600 {
-		records = 600
-	}
-	r, err := nemesis.Run(nemesis.Options{Records: records, Seed: o.Seed})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	r.Print(w)
-	switch {
-	case !r.HashOK:
-		return fmt.Errorf("chaos bench: replica hashes diverged after heal")
-	case r.AckedWriteLoss > 0:
-		return fmt.Errorf("chaos bench: %d acked writes lost", r.AckedWriteLoss)
-	case !r.WatchExactlyOnce:
-		return fmt.Errorf("chaos bench: watch resume was not exactly-once")
-	case r.RollingRestartFailures > 0:
-		return fmt.Errorf("chaos bench: %d client requests failed during rolling restart", r.RollingRestartFailures)
-	}
-	if benchJSON != "" {
-		if err := r.WriteJSON(benchJSON); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s/BENCH_chaos.json\n", benchJSON)
-	}
-	return nil
-}
-
-// runHotPathBench runs the selection hot-path benchmark — the naive
-// map-accumulator merge versus the dense score-at-a-time path with
-// max-score pruning, per predicate, at Limit 10 over the zipf mix — and
-// writes BENCH_hotpath.json, the fourth machine-readable artifact.
-func runHotPathBench(o experiments.PerfOptions, w io.Writer, benchJSON string) error {
-	r, err := experiments.RunHotPath(experiments.HotPathOptions{
-		Records: o.Size,
-		Queries: o.Queries * 2,
-		Seed:    o.Seed,
-		Config:  o.Config,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	r.Print(w)
-	if benchJSON != "" {
-		if err := r.WriteJSON(benchJSON); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s/BENCH_hotpath.json\n", benchJSON)
-	}
-	return nil
-}
-
-// runPersistBench runs the approxstore persistence benchmark — cold corpus
-// build versus snapshot-segment load (and load + WAL replay) — and writes
-// BENCH_persist.json, the fifth machine-readable artifact.
-func runPersistBench(o experiments.PerfOptions, w io.Writer, benchJSON string) error {
-	r, err := experiments.RunPersist(experiments.PersistOptions{
-		Records: o.Size,
-		Seed:    o.Seed,
-		Config:  o.Config,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	r.Print(w)
-	if benchJSON != "" {
-		if err := r.WriteJSON(benchJSON); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s/BENCH_persist.json\n", benchJSON)
-	}
-	return nil
-}
-
-// runWatchBench runs the approxwatch standing-query benchmark — per-insert
-// incremental delta evaluation versus a from-scratch batch re-join — and
-// writes BENCH_watch.json, the sixth machine-readable artifact.
-func runWatchBench(o experiments.PerfOptions, w io.Writer, benchJSON string) error {
-	r, err := experiments.RunWatch(experiments.WatchOptions{
-		Records: o.Size,
-		Seed:    o.Seed,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	r.Print(w)
-	if benchJSON != "" {
-		if err := r.WriteJSON(benchJSON); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s/BENCH_watch.json\n", benchJSON)
-	}
-	return nil
 }
 
 // run executes the tool with explicit arguments and streams, so tests can
@@ -206,12 +37,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	perfSize := fs.Int("perfsize", 2000, "relation size for Figures 5.2/5.3 (paper: 10000)")
 	perfSizes := fs.String("perfsizes", "1000,2000,4000", "comma-separated sizes for Figure 5.4 (paper: 10000..100000)")
 	perfQueries := fs.Int("perfqueries", 20, "timed queries per performance point (paper: 100)")
-	impl := fs.String("impl", "declarative", "realization measured by performance experiments: declarative|native (bench also accepts: both)")
-	exp := fs.String("exp", "all", "experiment: all, bench, hotpath, persist, watch, cluster, chaos, table5.1, table5.3, qgram, table5.5, table5.6, figure5.1, table5.7, figure5.2, figure5.3, figure5.4, figure5.5, figure5.6, ablation.minhash, ablation.impl, ablation.q")
+	impl := fs.String("impl", "declarative", "realization measured by performance experiments: declarative|native")
+	exp := fs.String("exp", "all", "experiment: all, table5.1, table5.3, qgram, table5.5, table5.6, figure5.1, table5.7, figure5.2, figure5.3, figure5.4, figure5.5, figure5.6, ablation.minhash, ablation.impl, ablation.q, ablation.dist")
 	seed := fs.Int64("seed", 1, "generation seed")
-	benchJSON := fs.String("benchjson", "", "directory to write the BENCH_*.json artifacts (with -exp bench, hotpath or persist)")
 	list := fs.Bool("list", false, "list the registered predicates and realizations, then exit")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *impl != "declarative" && *impl != "native" {
+		fmt.Fprintf(stderr, "approxbench: bad -impl %q (want declarative or native)\n", *impl)
 		return 2
 	}
 
@@ -250,53 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch strings.ToLower(*exp) {
 	case "all":
 		err = experiments.RunAll(w, ao, po)
-	case "bench":
-		var r experiments.BenchReport
-		if r, err = experiments.RunBench(po); err == nil {
-			r.Print(w)
-			if *benchJSON != "" {
-				if err = r.WriteJSONFiles(*benchJSON); err == nil {
-					fmt.Fprintf(w, "\nwrote %s/BENCH_preprocess.json and %s/BENCH_select.json\n", *benchJSON, *benchJSON)
-				}
-			}
-		}
-		if err == nil {
-			var sr loadtest.Report
-			if sr, err = runServeBench(po); err == nil {
-				fmt.Fprintln(w)
-				sr.Print(w)
-				if *benchJSON != "" {
-					if err = sr.WriteJSON(*benchJSON); err == nil {
-						fmt.Fprintf(w, "wrote %s/BENCH_serve.json\n", *benchJSON)
-					}
-				}
-			}
-		}
-		if err == nil {
-			err = runHotPathBench(po, w, *benchJSON)
-		}
-		if err == nil {
-			err = runPersistBench(po, w, *benchJSON)
-		}
-		if err == nil {
-			err = runWatchBench(po, w, *benchJSON)
-		}
-		if err == nil {
-			err = runClusterBench(po, w, *benchJSON)
-		}
-		if err == nil {
-			err = runChaosBench(po, w, *benchJSON)
-		}
-	case "hotpath":
-		err = runHotPathBench(po, w, *benchJSON)
-	case "persist":
-		err = runPersistBench(po, w, *benchJSON)
-	case "watch":
-		err = runWatchBench(po, w, *benchJSON)
-	case "cluster":
-		err = runClusterBench(po, w, *benchJSON)
-	case "chaos":
-		err = runChaosBench(po, w, *benchJSON)
 	case "table5.1":
 		experiments.Table51(ao).Print(w)
 	case "table5.3":

@@ -2,9 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -34,129 +31,6 @@ func TestRunSingleExperiment(t *testing.T) {
 	}
 }
 
-// TestRunBenchJSON runs the machine-readable benchmark mode on a tiny
-// relation and validates the emitted BENCH_*.json files.
-func TestRunBenchJSON(t *testing.T) {
-	dir := t.TempDir()
-	var out, errOut bytes.Buffer
-	code := run([]string{
-		"-exp", "bench", "-impl", "native",
-		"-perfsize", "200", "-perfqueries", "3",
-		"-benchjson", dir,
-	}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
-	}
-	var pre struct {
-		Records        int   `json:"records"`
-		SharedCorpusNS int64 `json:"shared_corpus_ns"`
-		Entries        []struct {
-			Predicate   string `json:"predicate"`
-			Realization string `json:"realization"`
-			BuildNS     int64  `json:"build_ns"`
-		} `json:"entries"`
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_preprocess.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &pre); err != nil {
-		t.Fatalf("BENCH_preprocess.json: %v", err)
-	}
-	if len(pre.Entries) != 13 || pre.SharedCorpusNS <= 0 || pre.Records != 200 {
-		t.Fatalf("preprocess report: %+v", pre)
-	}
-	var sel struct {
-		Queries int `json:"queries"`
-		Entries []struct {
-			Predicate   string `json:"predicate"`
-			AvgSelectNS int64  `json:"avg_select_ns"`
-		} `json:"entries"`
-	}
-	data, err = os.ReadFile(filepath.Join(dir, "BENCH_select.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &sel); err != nil {
-		t.Fatalf("BENCH_select.json: %v", err)
-	}
-	if len(sel.Entries) != 13 || sel.Queries <= 0 {
-		t.Fatalf("select report: %+v", sel)
-	}
-	for _, e := range sel.Entries {
-		if e.AvgSelectNS <= 0 {
-			t.Fatalf("non-positive select timing for %s", e.Predicate)
-		}
-	}
-
-	// The bench experiment also records the serving-path datapoint.
-	var serve struct {
-		Records int `json:"records"`
-		Entries []struct {
-			Path string  `json:"path"`
-			QPS  float64 `json:"qps"`
-		} `json:"entries"`
-		DifferentialOK bool `json:"differential_ok"`
-	}
-	data, err = os.ReadFile(filepath.Join(dir, "BENCH_serve.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &serve); err != nil {
-		t.Fatalf("BENCH_serve.json: %v", err)
-	}
-	if serve.Records != 200 || len(serve.Entries) != 2 || !serve.DifferentialOK {
-		t.Fatalf("serve report: %s", data)
-	}
-	for _, e := range serve.Entries {
-		if e.QPS <= 0 {
-			t.Fatalf("non-positive qps for path %s", e.Path)
-		}
-	}
-
-	// The bench experiment also records the hot-path datapoint.
-	var hot struct {
-		Records int `json:"records"`
-		Entries []struct {
-			Predicate           string `json:"predicate"`
-			NaiveNSPerQuery     int64  `json:"naive_ns_per_query"`
-			OptimizedNSPerQuery int64  `json:"optimized_ns_per_query"`
-		} `json:"entries"`
-		DifferentialOK bool `json:"differential_ok"`
-	}
-	data, err = os.ReadFile(filepath.Join(dir, "BENCH_hotpath.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &hot); err != nil {
-		t.Fatalf("BENCH_hotpath.json: %v", err)
-	}
-	if hot.Records != 200 || len(hot.Entries) != 13 || !hot.DifferentialOK {
-		t.Fatalf("hotpath report: %s", data)
-	}
-	for _, e := range hot.Entries {
-		if e.NaiveNSPerQuery <= 0 || e.OptimizedNSPerQuery <= 0 {
-			t.Fatalf("missing hot-path timing for %s", e.Predicate)
-		}
-	}
-}
-
-// TestRunHotPathOnly drives the standalone hot-path experiment.
-func TestRunHotPathOnly(t *testing.T) {
-	dir := t.TempDir()
-	var out, errOut bytes.Buffer
-	code := run([]string{
-		"-exp", "hotpath", "-perfsize", "200", "-perfqueries", "3",
-		"-benchjson", dir,
-	}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
-	}
-	if _, err := os.Stat(filepath.Join(dir, "BENCH_hotpath.json")); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRunBadFlags pins the error paths.
 func TestRunBadFlags(t *testing.T) {
 	var out, errOut bytes.Buffer
@@ -165,5 +39,18 @@ func TestRunBadFlags(t *testing.T) {
 	}
 	if code := run([]string{"-perfsizes", "12,x"}, &out, &errOut); code != 2 {
 		t.Fatalf("bad perfsizes: exit %d", code)
+	}
+	// Any -impl other than the two realizations used to measure the
+	// declarative one silently.
+	if code := run([]string{"-impl", "both", "-exp", "table5.1", "-scale", "50"}, &out, &errOut); code != 2 {
+		t.Fatalf("bad impl: exit %d", code)
+	}
+	// The -exp usage names the experiments the switch accepts.
+	errOut.Reset()
+	if code := run([]string{"-h"}, &out, &errOut); code != 2 {
+		t.Fatalf("-h: exit %d", code)
+	}
+	if !strings.Contains(errOut.String(), "ablation.dist") {
+		t.Fatalf("-exp usage leaves out ablation.dist:\n%s", errOut.String())
 	}
 }

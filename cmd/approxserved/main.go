@@ -3,7 +3,9 @@
 // /v1/select, /v1/batch, /v1/join, the mutation endpoints /v1/insert,
 // /v1/delete and /v1/upsert, standing queries (/v1/watch: SSE or long-poll
 // streams of incremental join events), runtime corpus management
-// (/v1/corpora) and observability (/v1/stats, /healthz).
+// (/v1/corpora) and observability (/v1/stats, /v1/slowlog, /metrics,
+// /healthz). The serve-hot and serve-cold workloads of go run ./bench
+// measure this serving path.
 //
 // Usage:
 //
@@ -11,8 +13,6 @@
 //	approxserved -addr :9090 -dataset company:2000 -shards 4
 //	approxserved -dataset titles.txt              # one record per line
 //	approxserved -data /var/lib/approxsel         # durable: load-on-start, WAL, /v1/snapshot
-//	approxserved -selftest                        # run the bundled load test
-//	approxserved -selftest -benchjson out/        # ... and write BENCH_serve.json
 //	approxserved -node-id n0 -peers n0=http://h0:8080,n1=http://h1:8080,n2=http://h2:8080
 //	                                              # replicated serving (approxcluster)
 //	approxserved -node-id n2 -peers ... -join     # join empty; corpora arrive from the leader
@@ -41,7 +41,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/server"
-	"repro/internal/server/loadtest"
 )
 
 func main() {
@@ -76,54 +75,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	join := fs.Bool("join", false, "cluster: start empty and receive corpora from the leader (skips -dataset)")
 	chaosSeed := fs.Int64("chaos-seed", 0, "chaos: enable fault injection on peer traffic with this RNG seed (cluster mode only; exposes GET/POST /chaos/rules)")
 	chaosRules := fs.String("chaos-rules", "", "chaos: initial fault rules as inline JSON, or @file to read them from a file")
-
-	selftest := fs.Bool("selftest", false, "run the bundled load test instead of serving")
-	ltRecords := fs.Int("records", 5000, "selftest: relation size")
-	ltRequests := fs.Int("requests", 2000, "selftest: timed serve-path requests")
-	ltDistinct := fs.Int("distinct", 200, "selftest: distinct queries in the mix")
-	ltZipf := fs.Float64("zipf", 1.3, "selftest: zipf skew of the query mix (must be > 1)")
-	ltPredicate := fs.String("predicate", "BM25", "selftest: probed predicate")
-	ltLimit := fs.Int("limit", 10, "selftest: per-query top-k")
-	benchJSON := fs.String("benchjson", "", "selftest: directory to write BENCH_serve.json")
-	minSpeedup := fs.Float64("minspeedup", 0, "selftest: fail unless served/naive QPS ratio reaches this")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-
-	if *selftest {
-		report, err := loadtest.Run(loadtest.Options{
-			Records:      *ltRecords,
-			Requests:     *ltRequests,
-			Distinct:     *ltDistinct,
-			ZipfS:        *ltZipf,
-			Predicate:    *ltPredicate,
-			Limit:        *ltLimit,
-			Shards:       *shards,
-			CacheEntries: *cacheEntries,
-			Seed:         *seed,
-		})
-		if err != nil {
-			fmt.Fprintf(stderr, "approxserved: selftest: %v\n", err)
-			return 1
-		}
-		report.Print(stdout)
-		if *benchJSON != "" {
-			if err := report.WriteJSON(*benchJSON); err != nil {
-				fmt.Fprintf(stderr, "approxserved: %v\n", err)
-				return 1
-			}
-			fmt.Fprintf(stdout, "wrote %s/BENCH_serve.json\n", *benchJSON)
-		}
-		if !report.DifferentialOK {
-			fmt.Fprintln(stderr, "approxserved: selftest: cached results diverged from uncached computation")
-			return 1
-		}
-		if *minSpeedup > 0 && report.Speedup < *minSpeedup {
-			fmt.Fprintf(stderr, "approxserved: selftest: speedup %.2fx below required %.2fx\n",
-				report.Speedup, *minSpeedup)
-			return 1
-		}
-		return 0
 	}
 
 	var alog io.Writer

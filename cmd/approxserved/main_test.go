@@ -221,44 +221,6 @@ func TestDrainPersistsLastAckedEpoch(t *testing.T) {
 	}
 }
 
-// TestSelftest runs the bundled load test at a tiny scale and checks the
-// BENCH_serve.json artifact.
-func TestSelftest(t *testing.T) {
-	dir := t.TempDir()
-	var stdout, stderr bytes.Buffer
-	code := run(context.Background(), []string{
-		"-selftest",
-		"-records", "150",
-		"-requests", "80",
-		"-distinct", "15",
-		"-shards", "2",
-		"-benchjson", dir,
-	}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("selftest exit %d: %s", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "speedup") {
-		t.Fatalf("selftest summary missing: %s", stdout.String())
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_serve.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Entries []struct {
-			Path string  `json:"path"`
-			QPS  float64 `json:"qps"`
-		} `json:"entries"`
-		DifferentialOK bool `json:"differential_ok"`
-	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Entries) != 2 || !report.DifferentialOK {
-		t.Fatalf("report: %s", data)
-	}
-}
-
 // TestLoadDataset covers the dataset spec parser.
 func TestLoadDataset(t *testing.T) {
 	if rs, err := loadDataset("dblp:30", 1); err != nil || len(rs) != 30 {

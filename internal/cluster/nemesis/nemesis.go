@@ -6,7 +6,7 @@
 // reading. After every heal it asserts the paper's replicated contract:
 // identical /v1/hash on every replica at a pinned epoch vector, no
 // acknowledged write lost, and watch resume delivering every event exactly
-// once on every node. Results land in BENCH_chaos.json.
+// once on every node. Run returns the tallies as a Report.
 package nemesis
 
 import (

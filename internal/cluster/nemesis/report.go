@@ -1,14 +1,6 @@
 package nemesis
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"path/filepath"
-	"sort"
-	"time"
-)
+import "sort"
 
 // StepResult records one nemesis step: which faults it injected, how long
 // re-election took when the step deposed a leader, and how long the
@@ -22,8 +14,8 @@ type StepResult struct {
 	HashOK        bool     `json:"hash_ok"`
 }
 
-// Report is the machine-readable result of one nemesis drill, written as
-// BENCH_chaos.json.
+// Report is the result of one nemesis drill; TestNemesisFullSchedule
+// asserts its invariants over the full randomized schedule.
 type Report struct {
 	Nodes   int   `json:"nodes"`
 	Records int   `json:"records"`
@@ -78,36 +70,4 @@ func median(ms []int64) int64 {
 	s := append([]int64(nil), ms...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	return s[len(s)/2]
-}
-
-// WriteJSON writes the report as BENCH_chaos.json in dir (created if
-// missing).
-func (r Report) WriteJSON(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_chaos.json"), append(data, '\n'), 0o644)
-}
-
-// Print writes a human-readable summary.
-func (r Report) Print(w io.Writer) {
-	fmt.Fprintf(w, "Nemesis drill — %d nodes, %d records, seed %d\n", r.Nodes, r.Records, r.Seed)
-	for _, s := range r.Steps {
-		fmt.Fprintf(w, "  %-18s faults=%v", s.Step, s.FaultKinds)
-		if s.ReelectionMS > 0 {
-			fmt.Fprintf(w, "  reelect %v", time.Duration(s.ReelectionMS)*time.Millisecond)
-		}
-		fmt.Fprintf(w, "  converge %v  hash ok=%v\n", time.Duration(s.ConvergenceMS)*time.Millisecond, s.HashOK)
-	}
-	fmt.Fprintf(w, "  faults injected: %d total across %d kinds %v\n", r.TotalFaults, r.DistinctFaultKinds, r.FaultsInjected)
-	fmt.Fprintf(w, "  median reelection %v, median convergence %v\n",
-		time.Duration(r.MedianReelectionMS)*time.Millisecond, time.Duration(r.MedianConvergenceMS)*time.Millisecond)
-	fmt.Fprintf(w, "  acked writes %d (loss %d), hash checks %d ok=%v, watch events %d exactly-once=%v\n",
-		r.AckedWrites, r.AckedWriteLoss, r.HashChecks, r.HashOK, r.WatchEvents, r.WatchExactlyOnce)
-	fmt.Fprintf(w, "  client: %d requests, %d retries, %d failures, %d stale reads observed; rolling restart: %d requests, %d failures\n",
-		r.ClientRequests, r.ClientRetries, r.ClientFailures, r.StaleReadsObserved, r.RollingRestartRequests, r.RollingRestartFailures)
 }

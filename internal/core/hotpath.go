@@ -338,8 +338,7 @@ func MaxScoreSelect(s *Scratch, recs []Record, terms []Term, sh Shape, opts Sele
 }
 
 // NaiveTermSelect is the reference merge the optimized engine is
-// differential-tested against, and the "old" side of BENCH_hotpath.json:
-// a per-query map accumulator over every posting of every term, fully
+// differential-tested against: a per-query map accumulator over every posting of every term, fully
 // materialized, then sorted and truncated. Because it visits the same
 // contributions in the same term order as MaxScoreSelect, the two paths
 // agree bit for bit.
@@ -621,7 +620,7 @@ func (s *Scratch) materialize(recs []Record, sh *Shape, opts SelectOptions, thKe
 
 // hotPathCounters aggregates process-wide max-score pruning counters. They
 // are written once per query (not per posting) and surface through
-// HotPathSnapshot, the /v1/stats hot_path block, and BENCH_hotpath.json.
+// HotPathSnapshot, the /v1/stats hot_path block and go run ./bench.
 var hotPath struct {
 	queries         atomic.Uint64
 	prunedQueries   atomic.Uint64

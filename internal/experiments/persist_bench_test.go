@@ -7,8 +7,8 @@ import (
 	"repro/internal/store"
 )
 
-// BenchmarkSnapshotLoad times the cold-start restore path at the committed
-// artifact's scale; pair with -cpuprofile to find decode hot spots.
+// BenchmarkSnapshotLoad times the cold-start restore path of a 5 000-record
+// corpus; pair with -cpuprofile to find decode hot spots.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	ds, err := dblpDataset(5000, 1)
 	if err != nil {

@@ -43,8 +43,7 @@ var layerNeeds = map[string]core.CorpusLayers{
 // accumulator is the legacy per-query map accumulator. The hot path now
 // runs on core.Scratch dense accumulators; the map form survives only in
 // the predicates' selectNaive reference branches, which NaiveSelect exposes
-// as the differential-testing oracle and the "old" side of
-// BENCH_hotpath.json.
+// as the differential-testing oracle.
 type accumulator map[int]float64
 
 // matches converts accumulated scores into the ranked Match slice contract,
@@ -72,9 +71,9 @@ type naiveSelector interface {
 }
 
 // NaiveSelect runs the reference (map-accumulator, unpruned) merge of a
-// native predicate. It exists for differential testing and for the
-// old-vs-new measurements of BENCH_hotpath.json; production callers use
-// Select/SelectCtx, which run the dense score-at-a-time hot path.
+// native predicate. It exists for differential testing (TestHotPathDifferential)
+// and BenchmarkSelectHotPath; production callers use Select/SelectCtx, which
+// run the dense score-at-a-time hot path.
 func NaiveSelect(p core.Predicate, query string, opts core.SelectOptions) ([]core.Match, error) {
 	ns, ok := p.(naiveSelector)
 	if !ok {

@@ -519,7 +519,7 @@ func TestSelectHotPathAllocs(t *testing.T) {
 
 // BenchmarkSelectHotPath measures ns/op and allocs/op of the optimized
 // path against the naive reference merge, one representative predicate per
-// class, at Limit=10 — the BENCH_hotpath.json scenario in Go-bench form.
+// class, at Limit=10.
 func BenchmarkSelectHotPath(b *testing.B) {
 	c, records, cfg := hotPathCorpus(b, 2000, 11)
 	queries := hotPathQueries(records)
