@@ -35,11 +35,9 @@ func multisetPrep(records []core.Record, cfg core.Config) (*base, error) {
 	return b, nil
 }
 
-// Cosine is the declarative tf-idf cosine similarity of Appendix B.2.1.
-type Cosine struct{ *base }
-
-// NewCosine builds the idf, tf, length and normalized weight tables.
-func NewCosine(records []core.Record, cfg core.Config) (*Cosine, error) {
+// prepCosine builds the idf, tf, length and normalized weight tables of the
+// tf-idf cosine similarity (Appendix B.2.1).
+func prepCosine(records []core.Record, cfg core.Config) (*base, error) {
 	b, err := multisetPrep(records, cfg)
 	if err != nil {
 		return nil, err
@@ -74,16 +72,14 @@ func NewCosine(records []core.Record, cfg core.Config) (*Cosine, error) {
 		}
 	}
 	b.wDur = time.Since(t0)
-	return &Cosine{base: b}, nil
+	return b, nil
 }
 
-// Name implements core.Predicate.
-func (p *Cosine) Name() string { return "Cosine" }
-
-// Select computes normalized query weights on the fly (only tokens known to
-// the base relation participate, per the BASE_IDF join) and runs Figure 4.3.
-func (p *Cosine) Select(query string) ([]core.Match, error) {
-	if err := p.setQuery(query, p.cfg.Q); err != nil {
+// selectCosine computes normalized query weights on the fly (only tokens
+// known to the base relation participate, per the BASE_IDF join) and runs
+// Figure 4.3.
+func (b *base) selectCosine(query string) ([]core.Match, error) {
+	if err := b.setQuery(query, b.cfg.Q); err != nil {
 		return nil, err
 	}
 	steps := []string{
@@ -99,11 +95,11 @@ func (p *Cosine) Select(query string) ([]core.Match, error) {
 		 WHERE T.token = I.token AND QL.len > 0`,
 	}
 	for _, s := range steps {
-		if err := p.exec(s); err != nil {
+		if err := b.exec(s); err != nil {
 			return nil, err
 		}
 	}
-	rows, err := p.db.Query(`
+	rows, err := b.db.Query(`
 		SELECT R1W.tid, SUM(R1W.weight * R2W.weight) AS score
 		FROM base_weights R1W, query_weights R2W
 		WHERE R1W.token = R2W.token
@@ -114,11 +110,8 @@ func (p *Cosine) Select(query string) ([]core.Match, error) {
 	return matches(rows), nil
 }
 
-// BM25 is the declarative BM25 of Appendix B.2.2.
-type BM25 struct{ *base }
-
-// NewBM25 builds the modified tf/idf weight tables of Appendix B.2.2.
-func NewBM25(records []core.Record, cfg core.Config) (*BM25, error) {
+// prepBM25 builds the modified tf/idf weight tables of Appendix B.2.2.
+func prepBM25(records []core.Record, cfg core.Config) (*base, error) {
 	b, err := multisetPrep(records, cfg)
 	if err != nil {
 		return nil, err
@@ -173,20 +166,17 @@ func NewBM25(records []core.Record, cfg core.Config) (*BM25, error) {
 		}
 	}
 	b.wDur = time.Since(t0)
-	return &BM25{base: b}, nil
+	return b, nil
 }
 
-// Name implements core.Predicate.
-func (p *BM25) Name() string { return "BM25" }
-
-// Select computes query-side saturated tf weights on the fly and runs the
-// weighted join of Figure 4.3.
-func (p *BM25) Select(query string) ([]core.Match, error) {
-	if err := p.setQuery(query, p.cfg.Q); err != nil {
+// selectBM25 computes query-side saturated tf weights on the fly and runs
+// the weighted join of Figure 4.3.
+func (b *base) selectBM25(query string) ([]core.Match, error) {
+	if err := b.setQuery(query, b.cfg.Q); err != nil {
 		return nil, err
 	}
-	k3 := sqldb.Float(p.cfg.BM25K3)
-	rows, err := p.db.Query(`
+	k3 := sqldb.Float(b.cfg.BM25K3)
+	rows, err := b.db.Query(`
 		SELECT B.tid, SUM(B.weight * S.mtf) AS score
 		FROM base_weights B,
 		     (SELECT T.token, COUNT(*) * (? + 1) / (? + COUNT(*)) AS mtf

@@ -117,15 +117,9 @@ func normalizeUpper(s string) string {
 	return strings.ToUpper(normalize(s))
 }
 
-// GES is the declarative exact generalized edit similarity: word-level
-// preprocessing in SQL, scoring via the GESSCORE UDF over the base relation.
-type GES struct {
-	*base
-	queryArg func(string) sqldb.Value
-}
-
-// NewGES preprocesses word tokens and idf weights, and registers the UDF.
-func NewGES(records []core.Record, cfg core.Config) (*GES, error) {
+// prepGES prepares the exact generalized edit similarity: word tokens and
+// idf weights in SQL, and the GESSCORE UDF that scores the base relation.
+func prepGES(records []core.Record, cfg core.Config) (*base, error) {
 	b, err := wordPrep(records, cfg)
 	if err != nil {
 		return nil, err
@@ -135,23 +129,17 @@ func NewGES(records []core.Record, cfg core.Config) (*GES, error) {
 		return nil, err
 	}
 	registerGESScore(b.db, idf, cfg.GESCins)
-	return &GES{
-		base:     b,
-		queryArg: func(q string) sqldb.Value { return sqldb.String(normalize(q)) },
-	}, nil
+	return b, nil
 }
 
-// Name implements core.Predicate.
-func (p *GES) Name() string { return "GES" }
-
-// Select scores every record with the GESSCORE UDF.
-func (p *GES) Select(query string) ([]core.Match, error) {
+// selectGES scores every record with the GESSCORE UDF.
+func (b *base) selectGES(query string) ([]core.Match, error) {
 	if len(tokenize.Words(query)) == 0 {
 		return nil, nil
 	}
-	rows, err := p.db.Query(
+	rows, err := b.db.Query(
 		"SELECT B.tid, GESSCORE(?, B.string) AS score FROM base_table B",
-		p.queryArg(query))
+		sqldb.String(normalize(query)))
 	if err != nil {
 		return nil, err
 	}
@@ -226,16 +214,10 @@ func (b *base) candidateScores(query string, q int, theta float64) ([]core.Match
 	return matches(rows), nil
 }
 
-// GESJaccard is the declarative filtered GES of Appendix B.4.1: word-token
-// Jaccard over q-gram sets bounds GES from above; survivors are verified
-// with the GESSCORE UDF.
-type GESJaccard struct {
-	*base
-	theta float64
-}
-
-// NewGESJaccard builds the two-level tokenization and gram-set size tables.
-func NewGESJaccard(records []core.Record, cfg core.Config) (*GESJaccard, error) {
+// prepGESJaccard builds the two-level tokenization and gram-set size tables
+// of the filtered GES of Appendix B.4.1: word-token Jaccard over q-gram sets
+// bounds GES from above; survivors are verified with the GESSCORE UDF.
+func prepGESJaccard(records []core.Record, cfg core.Config) (*base, error) {
 	b, err := wordPrep(records, cfg)
 	if err != nil {
 		return nil, err
@@ -288,18 +270,15 @@ func NewGESJaccard(records []core.Record, cfg core.Config) (*GESJaccard, error) 
 	}
 	registerGESScore(b.db, idf, cfg.GESCins)
 	b.wDur += time.Since(t0)
-	return &GESJaccard{base: b, theta: cfg.GESThreshold}, nil
+	return b, nil
 }
 
-// Name implements core.Predicate.
-func (p *GESJaccard) Name() string { return "GESJaccard" }
-
-// Select runs the B.4.1 filtering pipeline and verifies candidates.
-func (p *GESJaccard) Select(query string) ([]core.Match, error) {
-	if err := p.setQueryWords(query); err != nil {
+// selectGESJaccard runs the B.4.1 filtering pipeline and verifies candidates.
+func (b *base) selectGESJaccard(query string) ([]core.Match, error) {
+	if err := b.setQueryWords(query); err != nil {
 		return nil, err
 	}
-	q := p.cfg.WordQ
+	q := b.cfg.WordQ
 	padArg := sqldb.String(pad(q))
 	steps := []struct {
 		sql  string
@@ -327,36 +306,27 @@ func (p *GESJaccard) Select(query string) ([]core.Match, error) {
 		       SELECT J.tid, J.token2, MAX(J.sim) FROM jac_sim J GROUP BY J.tid, J.token2`},
 	}
 	for _, s := range steps {
-		if err := p.exec(s.sql, s.args...); err != nil {
+		if err := b.exec(s.sql, s.args...); err != nil {
 			return nil, err
 		}
 	}
-	if err := p.refreshQueryIDF(); err != nil {
+	if err := b.refreshQueryIDF(); err != nil {
 		return nil, err
 	}
-	return p.candidateScores(query, q, p.theta)
+	return b.candidateScores(query, q, b.cfg.GESThreshold)
 }
 
-// GESapx is the declarative min-hash variant of Appendix B.4.2: signatures
-// are computed in SQL as per-slot minima of a hash UDF (standing in for the
-// paper's CONV/HEX arithmetic hash), stored like
-// BASE_MINHASHSIGNATURE, and compared with a fid/value equi-join.
-type GESapx struct {
-	*base
-	theta float64
-	k     int
-}
-
-// NewGESapx builds signatures for every (record, word) pair.
-func NewGESapx(records []core.Record, cfg core.Config) (*GESapx, error) {
-	if cfg.MinHashK <= 0 {
-		cfg.MinHashK = core.DefaultConfig().MinHashK
-	}
+// prepGESapx builds signatures for every (record, word) pair for the
+// min-hash variant of Appendix B.4.2: signatures are computed in SQL as
+// per-slot minima of a hash UDF (standing in for the paper's CONV/HEX
+// arithmetic hash), stored like BASE_MINHASHSIGNATURE, and compared with a
+// fid/value equi-join.
+func prepGESapx(records []core.Record, cfg core.Config) (*base, error) {
 	b, err := wordPrep(records, cfg)
 	if err != nil {
 		return nil, err
 	}
-	family := minhash.NewFamily(cfg.MinHashK, cfg.MinHashSeed)
+	family := minhash.NewFamily(cfg.MinHashSize(), cfg.MinHashSeed)
 	b.db.RegisterFunc("MHASH", func(args []sqldb.Value) (sqldb.Value, error) {
 		if len(args) != 2 {
 			return sqldb.Null(), fmt.Errorf("MHASH takes 2 arguments")
@@ -386,7 +356,7 @@ func NewGESapx(records []core.Record, cfg core.Config) (*GESapx, error) {
 	if err := b.exec("CREATE TABLE fids (fid INT)"); err != nil {
 		return nil, err
 	}
-	fidRows := make([][]sqldb.Value, cfg.MinHashK)
+	fidRows := make([][]sqldb.Value, cfg.MinHashSize())
 	for i := range fidRows {
 		fidRows[i] = []sqldb.Value{sqldb.Int(int64(i))}
 	}
@@ -418,19 +388,16 @@ func NewGESapx(records []core.Record, cfg core.Config) (*GESapx, error) {
 	}
 	registerGESScore(b.db, idf, cfg.GESCins)
 	b.wDur += time.Since(t0)
-	return &GESapx{base: b, theta: cfg.GESThreshold, k: cfg.MinHashK}, nil
+	return b, nil
 }
 
-// Name implements core.Predicate.
-func (p *GESapx) Name() string { return "GESapx" }
-
-// Select estimates word similarities from signature agreement and verifies
-// surviving candidates with exact GES.
-func (p *GESapx) Select(query string) ([]core.Match, error) {
-	if err := p.setQueryWords(query); err != nil {
+// selectGESapx estimates word similarities from signature agreement and
+// verifies surviving candidates with exact GES.
+func (b *base) selectGESapx(query string) ([]core.Match, error) {
+	if err := b.setQueryWords(query); err != nil {
 		return nil, err
 	}
-	q := p.cfg.WordQ
+	q := b.cfg.WordQ
 	padArg := sqldb.String(pad(q))
 	steps := []struct {
 		sql  string
@@ -456,33 +423,27 @@ func (p *GESapx) Select(query string) ([]core.Match, error) {
 			      FROM base_mh B, query_mh Q
 			      WHERE B.fid = Q.fid AND B.value = Q.value
 			      GROUP BY B.tid, B.token, Q.token`,
-			args: []sqldb.Value{sqldb.Float(float64(p.k))},
+			args: []sqldb.Value{sqldb.Float(float64(b.cfg.MinHashSize()))},
 		},
 		{sql: "DELETE FROM maxsim_t"},
 		{sql: `INSERT INTO maxsim_t (tid, token2, maxsim)
 		       SELECT M.tid, M.token2, MAX(M.sim) FROM mh_sim M GROUP BY M.tid, M.token2`},
 	}
 	for _, s := range steps {
-		if err := p.exec(s.sql, s.args...); err != nil {
+		if err := b.exec(s.sql, s.args...); err != nil {
 			return nil, err
 		}
 	}
-	if err := p.refreshQueryIDF(); err != nil {
+	if err := b.refreshQueryIDF(); err != nil {
 		return nil, err
 	}
-	return p.candidateScores(query, q, p.theta)
+	return b.candidateScores(query, q, b.cfg.GESThreshold)
 }
 
-// SoftTFIDF is the declarative realization of Appendix B.4.3: normalized
-// tf-idf word weights, a Jaro–Winkler UDF cross product for CLOSE, and the
-// MAXSIM/MAXTOKEN aggregation of Figure 4.7.
-type SoftTFIDF struct {
-	*base
-	theta float64
-}
-
-// NewSoftTFIDF builds word tf-idf weight tables and registers JAROWINKLER.
-func NewSoftTFIDF(records []core.Record, cfg core.Config) (*SoftTFIDF, error) {
+// prepSoftTFIDF builds the word tf-idf weight tables of SoftTFIDF (Appendix
+// B.4.3) and registers the JAROWINKLER UDF that its CLOSE cross product
+// calls.
+func prepSoftTFIDF(records []core.Record, cfg core.Config) (*base, error) {
 	b, err := wordPrep(records, cfg)
 	if err != nil {
 		return nil, err
@@ -522,16 +483,14 @@ func NewSoftTFIDF(records []core.Record, cfg core.Config) (*SoftTFIDF, error) {
 		}
 	}
 	b.wDur += time.Since(t0)
-	return &SoftTFIDF{base: b, theta: cfg.SoftTFIDFTheta}, nil
+	return b, nil
 }
 
-// Name implements core.Predicate.
-func (p *SoftTFIDF) Name() string { return "SoftTFIDF" }
-
-// Select runs the Figure 4.7 pipeline: CLOSE via the UDF cross product,
-// per-query-word maxima, argmax rows, then the weighted sum.
-func (p *SoftTFIDF) Select(query string) ([]core.Match, error) {
-	if err := p.setQueryWords(query); err != nil {
+// selectSoftTFIDF runs the Figure 4.7 pipeline: CLOSE via the UDF cross
+// product, per-query-word maxima, argmax rows (MAXSIM/MAXTOKEN), then the
+// weighted sum.
+func (b *base) selectSoftTFIDF(query string) ([]core.Match, error) {
+	if err := b.setQueryWords(query); err != nil {
 		return nil, err
 	}
 	steps := []struct {
@@ -554,7 +513,7 @@ func (p *SoftTFIDF) Select(query string) ([]core.Match, error) {
 			      SELECT R1.tid, R1.token, R2.token, JAROWINKLER(R1.token, R2.token)
 			      FROM base_words R1, query_words R2
 			      WHERE JAROWINKLER(R1.token, R2.token) >= ?`,
-			args: []sqldb.Value{sqldb.Float(p.theta)},
+			args: []sqldb.Value{sqldb.Float(b.cfg.SoftTFIDFTheta)},
 		},
 		{sql: "DELETE FROM maxsim_t"},
 		{sql: `INSERT INTO maxsim_t (tid, token2, maxsim)
@@ -566,11 +525,11 @@ func (p *SoftTFIDF) Select(query string) ([]core.Match, error) {
 		       WHERE CS.tid = MS.tid AND CS.token2 = MS.token2 AND MS.maxsim = CS.sim`},
 	}
 	for _, s := range steps {
-		if err := p.exec(s.sql, s.args...); err != nil {
+		if err := b.exec(s.sql, s.args...); err != nil {
 			return nil, err
 		}
 	}
-	rows, err := p.db.Query(`
+	rows, err := b.db.Query(`
 		SELECT TM.tid, SUM(WQ.weight * WB.weight * TM.maxsim) AS score
 		FROM maxtoken TM, query_weights WQ, base_weights WB
 		WHERE TM.token2 = WQ.token AND TM.tid = WB.tid AND TM.token1 = WB.token

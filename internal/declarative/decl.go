@@ -23,9 +23,9 @@ import (
 // database holding the relations, the configuration, and preprocessing
 // phase timings.
 type base struct {
-	phases
-	db  *sqldb.DB
-	cfg core.Config
+	db           *sqldb.DB
+	cfg          core.Config
+	tokDur, wDur time.Duration
 }
 
 // normalize collapses whitespace runs to single spaces, mirroring the
@@ -74,7 +74,7 @@ func newBase(records []core.Record, cfg core.Config) (*base, error) {
 		return nil, err
 	}
 	// Enough positions to cover padded, space-expanded strings.
-	limit := (maxLen+2)*maxInt(cfg.Q, cfg.WordQ) + 4
+	limit := (maxLen+2)*max(cfg.Q, cfg.WordQ) + 4
 	ints := make([][]sqldb.Value, 0, limit)
 	for i := 1; i <= limit; i++ {
 		ints = append(ints, []sqldb.Value{sqldb.Int(int64(i))})
@@ -198,21 +198,9 @@ func matches(rows *sqldb.Rows) []core.Match {
 	return out
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// phases mirrors native's preprocessing phase timing.
-type phases struct {
-	tokDur, wDur time.Duration
-}
-
 // PreprocessPhases implements core.Phased.
-func (p *phases) PreprocessPhases() (time.Duration, time.Duration) {
-	return p.tokDur, p.wDur
+func (b *base) PreprocessPhases() (time.Duration, time.Duration) {
+	return b.tokDur, b.wDur
 }
 
 // pruneSQL applies §5.6 IDF pruning to a token table: tokens with
@@ -249,39 +237,53 @@ func (b *base) pruneSQL(tokTable string, rate float64) error {
 	return b.exec("DROP TABLE prune_bounds")
 }
 
+// predicate is every declarative predicate: the database its
+// preprocessing statements built and the statements one selection runs.
+type predicate struct {
+	*base
+	name string
+	sel  func(*base, string) ([]core.Match, error)
+}
+
+// Name implements core.Predicate.
+func (p *predicate) Name() string { return p.name }
+
+// Select implements core.Predicate.
+func (p *predicate) Select(query string) ([]core.Match, error) { return p.sel(p.base, query) }
+
+// predicates is the build table: each benchmark predicate's preprocessing
+// (Appendix A and B statements) and its selection statements.
+var predicates = map[string]struct {
+	prep func([]core.Record, core.Config) (*base, error)
+	sel  func(*base, string) ([]core.Match, error)
+}{
+	"IntersectSize":   {overlapPrep, (*base).selectIntersectSize},
+	"Jaccard":         {prepJaccard, (*base).selectJaccard},
+	"WeightedMatch":   {weightedOverlapPrep, (*base).selectWeightedMatch},
+	"WeightedJaccard": {prepWeightedJaccard, (*base).selectWeightedJaccard},
+	"Cosine":          {prepCosine, (*base).selectCosine},
+	"BM25":            {prepBM25, (*base).selectBM25},
+	"LM":              {prepLM, (*base).selectLM},
+	"HMM":             {prepHMM, (*base).selectHMM},
+	"EditDistance":    {prepEditDistance, (*base).selectEditDistance},
+	"GES":             {prepGES, (*base).selectGES},
+	"GESJaccard":      {prepGESJaccard, (*base).selectGESJaccard},
+	"GESapx":          {prepGESapx, (*base).selectGESapx},
+	"SoftTFIDF":       {prepSoftTFIDF, (*base).selectSoftTFIDF},
+}
+
 // Build constructs the named declarative predicate. Names match
 // core.PredicateNames.
 func Build(name string, records []core.Record, cfg core.Config) (core.Predicate, error) {
-	switch name {
-	case "IntersectSize":
-		return NewIntersectSize(records, cfg)
-	case "Jaccard":
-		return NewJaccard(records, cfg)
-	case "WeightedMatch":
-		return NewWeightedMatch(records, cfg)
-	case "WeightedJaccard":
-		return NewWeightedJaccard(records, cfg)
-	case "Cosine":
-		return NewCosine(records, cfg)
-	case "BM25":
-		return NewBM25(records, cfg)
-	case "LM":
-		return NewLM(records, cfg)
-	case "HMM":
-		return NewHMM(records, cfg)
-	case "EditDistance":
-		return NewEditDistance(records, cfg)
-	case "GES":
-		return NewGES(records, cfg)
-	case "GESJaccard":
-		return NewGESJaccard(records, cfg)
-	case "GESapx":
-		return NewGESapx(records, cfg)
-	case "SoftTFIDF":
-		return NewSoftTFIDF(records, cfg)
-	default:
+	def, ok := predicates[name]
+	if !ok {
 		return nil, fmt.Errorf("declarative: unknown predicate %q", name)
 	}
+	b, err := def.prep(records, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &predicate{base: b, name: name, sel: def.sel}, nil
 }
 
 // Builders is the registration table of the declarative realization: one

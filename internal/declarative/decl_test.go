@@ -183,20 +183,70 @@ func TestDeclarativeBuildUnknown(t *testing.T) {
 	}
 }
 
+// TestBuildEveryPredicate pins what both realizations' Build returns for
+// every benchmark predicate: its own name, the preprocessing phases, and
+// whether batch probing may run it concurrently — native predicates are
+// read-only after Attach, declarative ones share query tables.
+func TestBuildEveryPredicate(t *testing.T) {
+	records := randomRecords(12, 5)
+	cfg := core.DefaultConfig()
+	for _, name := range core.PredicateNames {
+		nat, err := native.Build(name, records, cfg)
+		if err != nil {
+			t.Fatalf("native %s: %v", name, err)
+		}
+		dec, err := Build(name, records, cfg)
+		if err != nil {
+			t.Fatalf("declarative %s: %v", name, err)
+		}
+		for _, p := range []core.Predicate{nat, dec} {
+			if p.Name() != name {
+				t.Errorf("Build(%q).Name() = %q", name, p.Name())
+			}
+			if _, ok := p.(core.Phased); !ok {
+				t.Errorf("%s: %T does not report preprocessing phases", name, p)
+			}
+		}
+		if _, ok := nat.(core.ContextPredicate); !ok {
+			t.Errorf("native %s does not take selection options", name)
+		}
+		if !core.ConcurrentSafe(nat) {
+			t.Errorf("native %s is not concurrent-safe", name)
+		}
+		if core.ConcurrentSafe(dec) {
+			t.Errorf("declarative %s claims concurrent-safe selects over shared query tables", name)
+		}
+	}
+
+	if _, err := native.Build("NoSuch", records, cfg); err == nil {
+		t.Error("native.Build of an unknown predicate should error")
+	}
+	c, err := core.NewCorpus(records, cfg, core.LayerGrams|core.LayerPostings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := native.Attach("NoSuch", c, cfg); err == nil {
+		t.Error("native.Attach of an unknown predicate should error")
+	}
+	if _, err := native.Attach("BM25", c, cfg); err == nil {
+		t.Error("native.Attach(BM25) on a corpus without token ids should error")
+	}
+}
+
 func TestDeclarativeRejectsDuplicateTIDs(t *testing.T) {
 	records := []core.Record{{TID: 1, Text: "a"}, {TID: 1, Text: "b"}}
-	if _, err := NewJaccard(records, core.DefaultConfig()); err == nil {
+	if _, err := Build("Jaccard", records, core.DefaultConfig()); err == nil {
 		t.Fatal("duplicate TIDs should be rejected")
 	}
 }
 
 func TestDeclarativePreprocessPhases(t *testing.T) {
 	records := randomRecords(10, 3)
-	p, err := NewBM25(records, core.DefaultConfig())
+	p, err := Build("BM25", records, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok, w := p.PreprocessPhases()
+	tok, w := p.(core.Phased).PreprocessPhases()
 	if tok <= 0 || w <= 0 {
 		t.Fatalf("phases should be positive: %v %v", tok, w)
 	}

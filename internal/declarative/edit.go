@@ -9,18 +9,13 @@ import (
 	"repro/internal/strutil"
 )
 
-// EditDistance is the declarative edit predicate (§4.4, following Gravano
-// et al. [11]): q-gram count and length filters expressed in SQL generate a
-// candidate set with no false negatives, and an edit-similarity UDF verifies
-// exact scores — the same UDF-based design the paper uses.
-type EditDistance struct {
-	*base
-	theta float64
-}
-
-// NewEditDistance tokenizes the base relation and stores the normalized
-// strings plus gram counts used by the filters.
-func NewEditDistance(records []core.Record, cfg core.Config) (*EditDistance, error) {
+// prepEditDistance prepares the edit predicate (§4.4, following Gravano et
+// al. [11]), whose q-gram count and length filters expressed in SQL generate
+// a candidate set with no false negatives and whose edit-similarity UDF
+// verifies exact scores — the same UDF-based design the paper uses. It
+// tokenizes the base relation and stores the normalized strings plus gram
+// counts used by the filters.
+func prepEditDistance(records []core.Record, cfg core.Config) (*base, error) {
 	b, err := multisetPrep(records, cfg)
 	if err != nil {
 		return nil, err
@@ -56,7 +51,7 @@ func NewEditDistance(records []core.Record, cfg core.Config) (*EditDistance, err
 		}
 	}
 	b.wDur = time.Since(t0)
-	return &EditDistance{base: b, theta: cfg.EditTheta}, nil
+	return b, nil
 }
 
 // registerEditSim installs the edit-similarity UDF: 1 − lev(a,b)/max(|a|,|b|).
@@ -72,16 +67,13 @@ func registerEditSim(db *sqldb.DB) {
 	})
 }
 
-// Name implements core.Predicate.
-func (p *EditDistance) Name() string { return "EditDistance" }
-
-// Select generates candidates with the SQL count/length filters (θ > 0) or
-// scores the whole base relation (θ = 0), verifying with the UDF.
-func (p *EditDistance) Select(query string) ([]core.Match, error) {
-	if err := p.setQuery(query, p.cfg.Q); err != nil {
+// selectEditDistance generates candidates with the SQL count/length filters
+// (θ > 0) or scores the whole base relation (θ = 0), verifying with the UDF.
+func (b *base) selectEditDistance(query string) ([]core.Match, error) {
+	if err := b.setQuery(query, b.cfg.Q); err != nil {
 		return nil, err
 	}
-	padArg := sqldb.String(pad(p.cfg.Q))
+	padArg := sqldb.String(pad(b.cfg.Q))
 	steps := []struct {
 		sql  string
 		args []sqldb.Value
@@ -93,17 +85,17 @@ func (p *EditDistance) Select(query string) ([]core.Match, error) {
 			             LENGTH(REPLACE(UPPER(string), ' ', ?)),
 			             LENGTH(REPLACE(UPPER(string), ' ', ?)) + ?
 			      FROM query_table`,
-			args: []sqldb.Value{padArg, padArg, padArg, sqldb.Int(int64(p.cfg.Q - 1))},
+			args: []sqldb.Value{padArg, padArg, padArg, sqldb.Int(int64(b.cfg.Q - 1))},
 		},
 	}
 	for _, s := range steps {
-		if err := p.exec(s.sql, s.args...); err != nil {
+		if err := b.exec(s.sql, s.args...); err != nil {
 			return nil, err
 		}
 	}
 
-	if p.theta <= 0 {
-		rows, err := p.db.Query(`
+	if b.cfg.EditTheta <= 0 {
+		rows, err := b.db.Query(`
 			SELECT BE.tid, EDITSIM(QE.norm, BE.norm) AS score
 			FROM base_edit BE, query_edit QE`)
 		if err != nil {
@@ -112,9 +104,9 @@ func (p *EditDistance) Select(query string) ([]core.Match, error) {
 		return matches(rows), nil
 	}
 
-	theta := sqldb.Float(p.theta)
-	q := sqldb.Int(int64(p.cfg.Q))
-	rows, err := p.db.Query(`
+	theta := sqldb.Float(b.cfg.EditTheta)
+	q := sqldb.Int(int64(b.cfg.Q))
+	rows, err := b.db.Query(`
 		SELECT F.tid, EDITSIM(QE.norm, BE.norm) AS score
 		FROM (SELECT R1.tid AS tid, COUNT(*) AS common
 		      FROM base_tokens R1, query_tokens R2

@@ -7,13 +7,10 @@ import (
 	"repro/internal/sqldb"
 )
 
-// LM is the declarative language modeling predicate of Appendix B.3.1: a
-// chain of derived relations (tf, dl, pml, pavg, freq, risk, cfcs, pm) ending
-// in BASE_PM and BASE_SUMCOMPMBASE, then the Figure 4.4 scoring query.
-type LM struct{ *base }
-
-// NewLM builds the language-model preprocessing chain.
-func NewLM(records []core.Record, cfg core.Config) (*LM, error) {
+// prepLM builds the preprocessing chain of the language modeling predicate
+// (Appendix B.3.1): derived relations (tf, dl, pml, pavg, freq, risk, cfcs,
+// pm) ending in BASE_PM and BASE_SUMCOMPMBASE.
+func prepLM(records []core.Record, cfg core.Config) (*base, error) {
 	b, err := multisetPrep(records, cfg)
 	if err != nil {
 		return nil, err
@@ -83,19 +80,16 @@ func NewLM(records []core.Record, cfg core.Config) (*LM, error) {
 		}
 	}
 	b.wDur = time.Since(t0)
-	return &LM{base: b}, nil
+	return b, nil
 }
 
-// Name implements core.Predicate.
-func (p *LM) Name() string { return "LM" }
-
-// Select runs the Figure 4.4 scoring query: the join term over shared
+// selectLM runs the Figure 4.4 scoring query: the join term over shared
 // tokens plus the stored Σ log(1−pm) per record.
-func (p *LM) Select(query string) ([]core.Match, error) {
-	if err := p.setQuery(query, p.cfg.Q); err != nil {
+func (b *base) selectLM(query string) ([]core.Match, error) {
+	if err := b.setQuery(query, b.cfg.Q); err != nil {
 		return nil, err
 	}
-	rows, err := p.db.Query(`
+	rows, err := b.db.Query(`
 		SELECT B1.tid, EXP(B1.score + B2.sumcompm) AS score
 		FROM (SELECT P1.tid AS tid,
 		             SUM(LOG(P1.pm)) - SUM(LOG(1.0 - P1.pm)) - SUM(LOG(P1.cfcs)) AS score
@@ -110,13 +104,10 @@ func (p *LM) Select(query string) ([]core.Match, error) {
 	return matches(rows), nil
 }
 
-// HMM is the declarative two-state HMM predicate of Appendix B.3.2 /
-// Figure 4.5: per-(record, token) weights 1 + a1·pml/(a0·ptge) stored at
-// preprocessing, and EXP(SUM(LOG(weight))) at query time.
-type HMM struct{ *base }
-
-// NewHMM builds the HMM weight table.
-func NewHMM(records []core.Record, cfg core.Config) (*HMM, error) {
+// prepHMM builds the weight table of the two-state HMM predicate (Appendix
+// B.3.2 / Figure 4.5): per-(record, token) weights 1 + a1·pml/(a0·ptge),
+// combined as EXP(SUM(LOG(weight))) at query time.
+func prepHMM(records []core.Record, cfg core.Config) (*base, error) {
 	b, err := multisetPrep(records, cfg)
 	if err != nil {
 		return nil, err
@@ -159,18 +150,15 @@ func NewHMM(records []core.Record, cfg core.Config) (*HMM, error) {
 		return nil, err
 	}
 	b.wDur = time.Since(t0)
-	return &HMM{base: b}, nil
+	return b, nil
 }
 
-// Name implements core.Predicate.
-func (p *HMM) Name() string { return "HMM" }
-
-// Select runs the Figure 4.5 scoring query.
-func (p *HMM) Select(query string) ([]core.Match, error) {
-	if err := p.setQuery(query, p.cfg.Q); err != nil {
+// selectHMM runs the Figure 4.5 scoring query.
+func (b *base) selectHMM(query string) ([]core.Match, error) {
+	if err := b.setQuery(query, b.cfg.Q); err != nil {
 		return nil, err
 	}
-	rows, err := p.db.Query(`
+	rows, err := b.db.Query(`
 		SELECT W1.tid, EXP(SUM(LOG(W1.weight))) AS score
 		FROM base_weights W1, query_tokens T2
 		WHERE W1.token = T2.token

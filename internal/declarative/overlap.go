@@ -63,27 +63,13 @@ func (b *base) setDistinctQuery(query string) error {
 		SELECT T.token FROM query_tokens T GROUP BY T.token`)
 }
 
-// IntersectSize is the declarative realization of Figure 4.1.
-type IntersectSize struct{ *base }
-
-// NewIntersectSize preprocesses the base relation per Appendix B.1.1.
-func NewIntersectSize(records []core.Record, cfg core.Config) (*IntersectSize, error) {
-	b, err := overlapPrep(records, cfg)
-	if err != nil {
+// selectIntersectSize runs the Figure 4.1 scoring query of IntersectSize,
+// over overlapPrep's tables (Appendix B.1.1).
+func (b *base) selectIntersectSize(query string) ([]core.Match, error) {
+	if err := b.setDistinctQuery(query); err != nil {
 		return nil, err
 	}
-	return &IntersectSize{base: b}, nil
-}
-
-// Name implements core.Predicate.
-func (p *IntersectSize) Name() string { return "IntersectSize" }
-
-// Select runs the Figure 4.1 scoring query.
-func (p *IntersectSize) Select(query string) ([]core.Match, error) {
-	if err := p.setDistinctQuery(query); err != nil {
-		return nil, err
-	}
-	rows, err := p.db.Query(`
+	rows, err := b.db.Query(`
 		SELECT R1.tid, COUNT(*) AS score
 		FROM base_tokens R1, query_tokens_d R2
 		WHERE R1.token = R2.token
@@ -94,12 +80,9 @@ func (p *IntersectSize) Select(query string) ([]core.Match, error) {
 	return matches(rows), nil
 }
 
-// Jaccard is the declarative realization of Figure 4.2 / Appendix B.1.2.
-type Jaccard struct{ *base }
-
-// NewJaccard preprocesses per Appendix B.1.2, storing per-record distinct
-// token counts in base_tokensddl.
-func NewJaccard(records []core.Record, cfg core.Config) (*Jaccard, error) {
+// prepJaccard preprocesses Jaccard per Appendix B.1.2, storing per-record
+// distinct token counts in base_tokensddl.
+func prepJaccard(records []core.Record, cfg core.Config) (*base, error) {
 	b, err := overlapPrep(records, cfg)
 	if err != nil {
 		return nil, err
@@ -120,18 +103,15 @@ func NewJaccard(records []core.Record, cfg core.Config) (*Jaccard, error) {
 		}
 	}
 	b.wDur += time.Since(t0)
-	return &Jaccard{base: b}, nil
+	return b, nil
 }
 
-// Name implements core.Predicate.
-func (p *Jaccard) Name() string { return "Jaccard" }
-
-// Select runs the Figure 4.2 scoring query.
-func (p *Jaccard) Select(query string) ([]core.Match, error) {
-	if err := p.setDistinctQuery(query); err != nil {
+// selectJaccard runs the Figure 4.2 scoring query.
+func (b *base) selectJaccard(query string) ([]core.Match, error) {
+	if err := b.setDistinctQuery(query); err != nil {
 		return nil, err
 	}
-	rows, err := p.db.Query(`
+	rows, err := b.db.Query(`
 		SELECT S1.tid, COUNT(*) / (S1.ddl + S2.ddl - COUNT(*)) AS score
 		FROM base_tokensddl S1, query_tokens_d R2,
 		     (SELECT COUNT(*) AS ddl FROM query_tokens_d) S2
@@ -175,27 +155,13 @@ func weightedOverlapPrep(records []core.Record, cfg core.Config) (*base, error) 
 	return b, nil
 }
 
-// WeightedMatch is the declarative realization of Appendix B.1.3.
-type WeightedMatch struct{ *base }
-
-// NewWeightedMatch preprocesses RS-weighted distinct tokens.
-func NewWeightedMatch(records []core.Record, cfg core.Config) (*WeightedMatch, error) {
-	b, err := weightedOverlapPrep(records, cfg)
-	if err != nil {
+// selectWeightedMatch is WeightedMatch (Appendix B.1.3): it sums the RS
+// weights of shared distinct tokens, over weightedOverlapPrep's tables.
+func (b *base) selectWeightedMatch(query string) ([]core.Match, error) {
+	if err := b.setDistinctQuery(query); err != nil {
 		return nil, err
 	}
-	return &WeightedMatch{base: b}, nil
-}
-
-// Name implements core.Predicate.
-func (p *WeightedMatch) Name() string { return "WeightedMatch" }
-
-// Select sums the RS weights of shared distinct tokens.
-func (p *WeightedMatch) Select(query string) ([]core.Match, error) {
-	if err := p.setDistinctQuery(query); err != nil {
-		return nil, err
-	}
-	rows, err := p.db.Query(`
+	rows, err := b.db.Query(`
 		SELECT W1.tid, SUM(W1.weight) AS score
 		FROM base_weights W1, query_tokens_d T2
 		WHERE W1.token = T2.token
@@ -206,13 +172,10 @@ func (p *WeightedMatch) Select(query string) ([]core.Match, error) {
 	return matches(rows), nil
 }
 
-// WeightedJaccard is the declarative realization of Appendix B.1.4, using
-// RS weights on both sides per §5.3.1.
-type WeightedJaccard struct{ *base }
-
-// NewWeightedJaccard preprocesses RS-weighted tokens plus per-record summed
-// weights (base_tokensddl with ddl = Σ weight).
-func NewWeightedJaccard(records []core.Record, cfg core.Config) (*WeightedJaccard, error) {
+// prepWeightedJaccard preprocesses WeightedJaccard (Appendix B.1.4, RS
+// weights on both sides per §5.3.1): RS-weighted tokens plus per-record
+// summed weights (base_tokensddl with ddl = Σ weight).
+func prepWeightedJaccard(records []core.Record, cfg core.Config) (*base, error) {
 	b, err := weightedOverlapPrep(records, cfg)
 	if err != nil {
 		return nil, err
@@ -233,19 +196,16 @@ func NewWeightedJaccard(records []core.Record, cfg core.Config) (*WeightedJaccar
 		}
 	}
 	b.wDur += time.Since(t0)
-	return &WeightedJaccard{base: b}, nil
+	return b, nil
 }
 
-// Name implements core.Predicate.
-func (p *WeightedJaccard) Name() string { return "WeightedJaccard" }
-
-// Select divides the shared weight by the union weight; query-side token
-// weights come from the base relation's RS weight table.
-func (p *WeightedJaccard) Select(query string) ([]core.Match, error) {
-	if err := p.setDistinctQuery(query); err != nil {
+// selectWeightedJaccard divides the shared weight by the union weight;
+// query-side token weights come from the base relation's RS weight table.
+func (b *base) selectWeightedJaccard(query string) ([]core.Match, error) {
+	if err := b.setDistinctQuery(query); err != nil {
 		return nil, err
 	}
-	rows, err := p.db.Query(`
+	rows, err := b.db.Query(`
 		SELECT S1.tid, SUM(S1.weight) / (S1.ddl + S2.ddl - SUM(S1.weight)) AS score
 		FROM base_tokensddl S1, query_tokens_d R2,
 		     (SELECT IFNULL(SUM(I.midf), 0.0) AS ddl

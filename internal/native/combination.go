@@ -70,6 +70,7 @@ func GESScore(cost, wtQ float64) float64 {
 // per-position idf weight vectors and dictionary ranks are shared corpus
 // state, only the cins parameter is per-attach.
 type gesEval struct {
+	recs  []core.Record
 	w     *core.WordLayer
 	idfw  [][]float64 // idf weight of every word position
 	ranks [][]int32   // dictionary rank of every word position
@@ -77,7 +78,7 @@ type gesEval struct {
 }
 
 func newGESEval(s *core.Snapshot, cfg core.Config) *gesEval {
-	return &gesEval{w: s.Words, idfw: s.Words.IDFWeights(), ranks: s.Words.PosRanks(), cins: cfg.GESCins}
+	return &gesEval{recs: s.Records, w: s.Words, idfw: s.Words.IDFWeights(), ranks: s.Words.PosRanks(), cins: cfg.GESCins}
 }
 
 // queryWeights returns per-position idf weights and their sum for a query's
@@ -94,8 +95,8 @@ func (g *gesEval) queryWeights(qws []string) ([]float64, float64) {
 
 // scoreNaive is exact GES of one record on the per-record string-pair path:
 // every (query word, record word position) pair calls the edit kernel. The
-// selectNaive oracles score with it, so the column path below is checked
-// against an independent computation.
+// naive oracles score with it, so the column path below is checked against
+// an independent computation.
 func (g *gesEval) scoreNaive(qws []string, qWeights []float64, wtQ float64, idx int) float64 {
 	return GESScore(GESCost(qws, qWeights, g.w.Words[idx], g.idfw[idx], g.cins), wtQ)
 }
@@ -164,152 +165,148 @@ func (g *gesEval) score(q *gesQuery, idx int) float64 {
 	return GESScore(prev[len(q.qWeights)], q.wtQ)
 }
 
-// GES is the exact generalized edit similarity predicate (Eq. 3.14). Exact
-// scoring touches every record — precisely the cost GESJaccard and GESapx
-// were designed to avoid.
-type GES struct {
-	phases
-	recs []core.Record
-	ges  *gesEval
+// attachGES is the exact generalized edit similarity predicate (Eq. 3.14).
+// Exact scoring touches every record — precisely the cost GESJaccard and
+// GESapx were designed to avoid.
+func attachGES(s *core.Snapshot, cfg core.Config) predicate {
+	g := newGESEval(s, cfg)
+	return predicate{sel: g.selectAll, naive: g.selectAllNaive}
 }
 
-// NewGES preprocesses the base relation for exact GES.
-func NewGES(records []core.Record, cfg core.Config) (*GES, error) {
-	p, err := Build("GES", records, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.(*GES), nil
-}
-
-func attachGES(s *core.Snapshot, cfg core.Config) *GES {
-	return &GES{recs: s.Records, ges: newGESEval(s, cfg)}
-}
-
-// Name implements core.Predicate.
-func (p *GES) Name() string { return "GES" }
-
-// selectOpts scores every base record with exact GES.
-func (p *GES) selectOpts(query string, opts core.SelectOptions) ([]core.Match, error) {
+// selectAll scores every base record with exact GES.
+func (g *gesEval) selectAll(query string, opts core.SelectOptions) []core.Match {
 	qws := queryWords(query)
 	if len(qws) == 0 {
-		return nil, nil
+		return nil
 	}
-	qWeights, wtQ := p.ges.queryWeights(qws)
-	q := p.ges.begin(qws, tokenize.Distinct(qws), qWeights, wtQ)
+	qWeights, wtQ := g.queryWeights(qws)
+	q := g.begin(qws, tokenize.Distinct(qws), qWeights, wtQ)
 	defer q.sims.Release()
-	out := make([]core.Match, 0, len(p.recs))
-	for i, r := range p.recs {
-		score := p.ges.score(&q, i)
+	out := make([]core.Match, 0, len(g.recs))
+	for i, r := range g.recs {
+		score := g.score(&q, i)
 		if !opts.Keeps(score) {
 			continue
 		}
 		out = append(out, core.Match{TID: r.TID, Score: score})
 	}
-	return core.FinishMatches(out, opts), nil
+	return core.FinishMatches(out, opts)
 }
 
-// selectNaive scores every record position by position on strings, through
-// a map accumulator.
-func (p *GES) selectNaive(query string, opts core.SelectOptions) ([]core.Match, error) {
+// selectAllNaive scores every record position by position on strings,
+// through a map accumulator.
+func (g *gesEval) selectAllNaive(query string, opts core.SelectOptions) []core.Match {
 	qws := queryWords(query)
 	if len(qws) == 0 {
-		return nil, nil
+		return nil
 	}
-	qWeights, wtQ := p.ges.queryWeights(qws)
+	qWeights, wtQ := g.queryWeights(qws)
 	acc := accumulator{}
-	for i := range p.recs {
-		acc[i] = p.ges.scoreNaive(qws, qWeights, wtQ, i)
+	for i := range g.recs {
+		acc[i] = g.scoreNaive(qws, qWeights, wtQ, i)
 	}
-	return acc.matches(p.recs, opts), nil
+	return acc.matches(g.recs, opts)
 }
 
-// GESJaccard filters candidates with the over-estimating Jaccard bound of
-// Eq. 4.7 before verifying them with exact GES. The word q-gram inverted
-// index is shared corpus state (core.LayerWordGrams).
-type GESJaccard struct {
-	phases
-	recs  []core.Record
-	w     *core.WordLayer
-	ges   *gesEval
-	q     int
-	theta float64
+// gesFilter is the scorer of the two filtered GES predicates: candidates
+// whose over-estimate of GES reaches θ are verified with exact GES.
+// GESJaccard bounds each word similarity by the Jaccard coefficient of the
+// words' q-gram sets (Eq. 4.7), over the corpus's word q-gram inverted
+// index (core.LayerWordGrams). GESapx replaces it with a min-hash estimate
+// (Eq. 4.8), trading accuracy for faster filtering; its signature index is
+// shared corpus state (core.LayerSigs) and only the query-side hash family
+// is reconstructed at attach (it is deterministic in k and seed).
+type gesFilter struct {
+	ges    *gesEval
+	family *minhash.Family // nil for GESJaccard
+	q      int
+	theta  float64
 }
 
-// NewGESJaccard preprocesses the base relation for the filtered predicate.
-func NewGESJaccard(records []core.Record, cfg core.Config) (*GESJaccard, error) {
-	p, err := Build("GESJaccard", records, cfg)
-	if err != nil {
-		return nil, err
+func attachGESJaccard(s *core.Snapshot, cfg core.Config) predicate {
+	return newGESFilter(s, cfg, nil)
+}
+
+func attachGESapx(s *core.Snapshot, cfg core.Config) predicate {
+	return newGESFilter(s, cfg, minhash.NewFamily(cfg.MinHashSize(), cfg.MinHashSeed))
+}
+
+func newGESFilter(s *core.Snapshot, cfg core.Config, family *minhash.Family) predicate {
+	f := &gesFilter{ges: newGESEval(s, cfg), family: family, q: cfg.WordQ, theta: cfg.GESThreshold}
+	return predicate{sel: f.selectOpts, naive: f.selectNaive}
+}
+
+// estimate turns c, the match count of word wid, into the filter's word
+// similarity: the Jaccard coefficient of the q-gram sets, or the share of
+// agreeing signature slots.
+func (f *gesFilter) estimate(c float64, grams int, wid int32) float64 {
+	if f.family == nil {
+		return c / (float64(grams+int(f.ges.w.GramSizeOf[wid])) - c)
 	}
-	return p.(*GESJaccard), nil
+	return c / float64(f.family.K())
 }
 
-func attachGESJaccard(s *core.Snapshot, cfg core.Config) *GESJaccard {
-	return &GESJaccard{
-		recs:  s.Records,
-		w:     s.Words,
-		ges:   newGESEval(s, cfg),
-		q:     cfg.WordQ,
-		theta: cfg.GESThreshold,
-	}
-}
-
-// Name implements core.Predicate.
-func (p *GESJaccard) Name() string { return "GESJaccard" }
-
-// selectOpts generates candidates whose Eq. 4.7 over-estimate reaches θ, then
-// ranks them by exact GES score. Per-word gram-match counts accumulate in a
-// dense scratch over the corpus's flat word-id space, and the per-record
-// maxsim rows live in a second scratch's flat stride buffer — the former
-// WordRef- and record-keyed maps of this filter, pooled and reused.
-func (p *GESJaccard) selectOpts(query string, opts core.SelectOptions) ([]core.Match, error) {
+// selectOpts generates candidates whose estimate reaches θ, then ranks them
+// by exact GES score. Per-word match counts accumulate in a dense scratch
+// over the corpus's flat word-id space, and the per-record maxsim rows live
+// in a second scratch's flat stride buffer — the former WordRef- and
+// record-keyed maps of this filter, pooled and reused.
+func (f *gesFilter) selectOpts(query string, opts core.SelectOptions) []core.Match {
 	qws := queryWords(query)
 	if len(qws) == 0 {
-		return nil, nil
+		return nil
 	}
-	qWeights, wtQ := p.ges.queryWeights(qws)
+	qWeights, wtQ := f.ges.queryWeights(qws)
 	if wtQ == 0 {
-		return nil, nil
+		return nil
 	}
+	w := f.ges.w
 	distinctQ := tokenize.Distinct(qws)
-	ws := core.GetScratch(p.w.WordTotal)
-	rs := core.GetScratch(len(p.recs))
+	ws := core.GetScratch(w.WordTotal)
+	rs := core.GetScratch(len(f.ges.recs))
 	defer ws.Release()
 	defer rs.Release()
 	for qi, t := range distinctQ {
-		grams := tokenize.Distinct(tokenize.WordQGrams(t, p.q))
-		ws.Reset(p.w.WordTotal)
-		for _, g := range grams {
-			for _, wid := range p.w.GramRefs(g) {
-				ws.Add(wid, 1)
+		grams := tokenize.Distinct(tokenize.WordQGrams(t, f.q))
+		ws.Reset(w.WordTotal)
+		// Count each word's matches: shared q-grams for GESJaccard, agreeing
+		// signature slots for GESapx.
+		if f.family == nil {
+			for _, g := range grams {
+				for _, wid := range w.GramRefs(g) {
+					ws.Add(wid, 1)
+				}
+			}
+		} else {
+			for slot, v := range f.family.Signature(grams) {
+				for _, wid := range w.SigRefs(core.SigKey{Slot: slot, Value: v}) {
+					ws.Add(wid, 1)
+				}
 			}
 		}
 		for _, wid := range ws.Touched() {
-			c := ws.Val(wid)
-			jac := c / (float64(len(grams)+int(p.w.GramSizeOf[wid])) - c)
-			row := rs.RowFor(p.w.WordRecOf[wid], len(distinctQ))
-			if jac > row[qi] {
-				row[qi] = jac
+			sim := f.estimate(ws.Val(wid), len(grams), wid)
+			row := rs.RowFor(w.WordRecOf[wid], len(distinctQ))
+			if sim > row[qi] {
+				row[qi] = sim
 			}
 		}
 	}
-	return gesVerifyCandidates(p.recs, p.w, p.ges, p.q, p.theta, rs, distinctQ, qws, qWeights, wtQ, opts), nil
+	return f.verify(rs, distinctQ, qws, qWeights, wtQ, opts)
 }
 
-// gesVerifyCandidates evaluates the Fig. 4.6 filter score over matched
-// query words only and verifies survivors with exact GES. It is shared by
-// GESJaccard and GESapx, whose filters differ only in how the candidate
-// maxsim rows are estimated. The similarity columns fill on first read, so
-// verification pays the edit kernel only for the words the survivors hold.
-func gesVerifyCandidates(recs []core.Record, w *core.WordLayer, ges *gesEval, q int, theta float64, rs *core.Scratch, distinctQ []string, qws []string, qWeights []float64, wtQ float64, opts core.SelectOptions) []core.Match {
-	dq := 1 - 1.0/float64(q)
-	twoOverQ := 2.0 / float64(q)
+// verify evaluates the Fig. 4.6 filter score over matched query words only
+// and verifies survivors with exact GES. The similarity columns fill on
+// first read, so verification pays the edit kernel only for the words the
+// survivors hold.
+func (f *gesFilter) verify(rs *core.Scratch, distinctQ, qws []string, qWeights []float64, wtQ float64, opts core.SelectOptions) []core.Match {
+	dq := 1 - 1.0/float64(f.q)
+	twoOverQ := 2.0 / float64(f.q)
 	idf := make([]float64, len(distinctQ))
 	for qi, t := range distinctQ {
-		idf[qi] = w.Stats.IDF(t)
+		idf[qi] = f.ges.w.Stats.IDF(t)
 	}
-	gq := ges.begin(qws, distinctQ, qWeights, wtQ)
+	gq := f.ges.begin(qws, distinctQ, qWeights, wtQ)
 	defer gq.sims.Release()
 	out := make([]core.Match, 0, len(rs.Touched()))
 	for _, rec := range rs.Touched() {
@@ -322,51 +319,60 @@ func gesVerifyCandidates(recs []core.Record, w *core.WordLayer, ges *gesEval, q 
 			score += idf[qi] * (twoOverQ*ms[qi] + dq)
 		}
 		score = (1.0 / wtQ) * score // match the SQL plan's association order
-		if score >= theta {
-			g := ges.score(&gq, int(rec))
+		if score >= f.theta {
+			g := f.ges.score(&gq, int(rec))
 			if opts.Keeps(g) {
-				out = append(out, core.Match{TID: recs[rec].TID, Score: g})
+				out = append(out, core.Match{TID: f.ges.recs[rec].TID, Score: g})
 			}
 		}
 	}
 	return core.FinishMatches(out, opts)
 }
 
-// selectNaive is the pre-optimization filter: WordRef- and record-keyed
+// selectNaive is the pre-optimization filter: word-id- and record-keyed
 // maps allocated per query.
-func (p *GESJaccard) selectNaive(query string, opts core.SelectOptions) ([]core.Match, error) {
+func (f *gesFilter) selectNaive(query string, opts core.SelectOptions) []core.Match {
 	qws := queryWords(query)
 	if len(qws) == 0 {
-		return nil, nil
+		return nil
 	}
-	qWeights, wtQ := p.ges.queryWeights(qws)
+	qWeights, wtQ := f.ges.queryWeights(qws)
 	if wtQ == 0 {
-		return nil, nil
+		return nil
 	}
-	dq := 1 - 1.0/float64(p.q)
-	twoOverQ := 2.0 / float64(p.q)
+	w := f.ges.w
+	dq := 1 - 1.0/float64(f.q)
+	twoOverQ := 2.0 / float64(f.q)
 
 	// maxsim per record per distinct query word.
 	maxsim := map[int][]float64{}
 	distinctQ := tokenize.Distinct(qws)
 	for qi, t := range distinctQ {
-		grams := tokenize.Distinct(tokenize.WordQGrams(t, p.q))
+		grams := tokenize.Distinct(tokenize.WordQGrams(t, f.q))
 		common := map[int32]int{}
-		for _, g := range grams {
-			for _, wid := range p.w.GramRefs(g) {
-				common[wid]++
+		if f.family == nil {
+			for _, g := range grams {
+				for _, wid := range w.GramRefs(g) {
+					common[wid]++
+				}
+			}
+		} else {
+			for slot, v := range f.family.Signature(grams) {
+				for _, wid := range w.SigRefs(core.SigKey{Slot: slot, Value: v}) {
+					common[wid]++
+				}
 			}
 		}
 		for wid, c := range common {
-			jac := float64(c) / float64(len(grams)+int(p.w.GramSizeOf[wid])-c)
-			rec := int(p.w.WordRecOf[wid])
+			sim := f.estimate(float64(c), len(grams), wid)
+			rec := int(w.WordRecOf[wid])
 			ms, ok := maxsim[rec]
 			if !ok {
 				ms = make([]float64, len(distinctQ))
 				maxsim[rec] = ms
 			}
-			if jac > ms[qi] {
-				ms[qi] = jac
+			if sim > ms[qi] {
+				ms[qi] = sim
 			}
 		}
 	}
@@ -379,156 +385,32 @@ func (p *GESJaccard) selectNaive(query string, opts core.SelectOptions) ([]core.
 			if ms[qi] == 0 {
 				continue
 			}
-			score += p.w.Stats.IDF(t) * (twoOverQ*ms[qi] + dq)
+			score += w.Stats.IDF(t) * (twoOverQ*ms[qi] + dq)
 		}
 		score = (1.0 / wtQ) * score // match the SQL plan's association order
-		if score >= p.theta {
-			acc[rec] = p.ges.scoreNaive(qws, qWeights, wtQ, rec)
+		if score >= f.theta {
+			acc[rec] = f.ges.scoreNaive(qws, qWeights, wtQ, rec)
 		}
 	}
-	return acc.matches(p.recs, opts), nil
+	return acc.matches(f.ges.recs, opts)
 }
 
-// GESapx replaces the token-level Jaccard of GESJaccard with a min-hash
-// estimate (Eq. 4.8), trading accuracy for faster filtering. The signature
-// index is shared corpus state (core.LayerSigs); only the query-side hash
-// family is reconstructed at attach (it is deterministic in k and seed).
-type GESapx struct {
-	phases
-	recs   []core.Record
-	w      *core.WordLayer
-	ges    *gesEval
-	family *minhash.Family
-	q      int
-	theta  float64
-}
-
-// NewGESapx preprocesses the base relation with min-hash signatures.
-func NewGESapx(records []core.Record, cfg core.Config) (*GESapx, error) {
-	p, err := Build("GESapx", records, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.(*GESapx), nil
-}
-
-func attachGESapx(s *core.Snapshot, cfg core.Config) *GESapx {
-	return &GESapx{
-		recs:   s.Records,
-		w:      s.Words,
-		ges:    newGESEval(s, cfg),
-		family: minhash.NewFamily(cfg.MinHashSize(), cfg.MinHashSeed),
-		q:      cfg.WordQ,
-		theta:  cfg.GESThreshold,
-	}
-}
-
-// Name implements core.Predicate.
-func (p *GESapx) Name() string { return "GESapx" }
-
-// selectOpts generates candidates with the min-hash estimate of Eq. 4.8 and
-// ranks them by exact GES score, accumulating signature-slot matches in the
-// dense word-id scratch exactly like GESJaccard's filter.
-func (p *GESapx) selectOpts(query string, opts core.SelectOptions) ([]core.Match, error) {
-	qws := queryWords(query)
-	if len(qws) == 0 {
-		return nil, nil
-	}
-	qWeights, wtQ := p.ges.queryWeights(qws)
-	if wtQ == 0 {
-		return nil, nil
-	}
-	k := float64(p.family.K())
-	distinctQ := tokenize.Distinct(qws)
-	ws := core.GetScratch(p.w.WordTotal)
-	rs := core.GetScratch(len(p.recs))
-	defer ws.Release()
-	defer rs.Release()
-	for qi, t := range distinctQ {
-		sig := p.family.Signature(tokenize.Distinct(tokenize.WordQGrams(t, p.q)))
-		ws.Reset(p.w.WordTotal)
-		for slot, v := range sig {
-			for _, wid := range p.w.SigRefs(core.SigKey{Slot: slot, Value: v}) {
-				ws.Add(wid, 1)
-			}
-		}
-		for _, wid := range ws.Touched() {
-			sim := ws.Val(wid) / k
-			row := rs.RowFor(p.w.WordRecOf[wid], len(distinctQ))
-			if sim > row[qi] {
-				row[qi] = sim
-			}
-		}
-	}
-	return gesVerifyCandidates(p.recs, p.w, p.ges, p.q, p.theta, rs, distinctQ, qws, qWeights, wtQ, opts), nil
-}
-
-// selectNaive is the pre-optimization filter with per-query maps.
-func (p *GESapx) selectNaive(query string, opts core.SelectOptions) ([]core.Match, error) {
-	qws := queryWords(query)
-	if len(qws) == 0 {
-		return nil, nil
-	}
-	qWeights, wtQ := p.ges.queryWeights(qws)
-	if wtQ == 0 {
-		return nil, nil
-	}
-	dq := 1 - 1.0/float64(p.q)
-	twoOverQ := 2.0 / float64(p.q)
-	k := float64(p.family.K())
-
-	maxsim := map[int][]float64{}
-	distinctQ := tokenize.Distinct(qws)
-	for qi, t := range distinctQ {
-		sig := p.family.Signature(tokenize.Distinct(tokenize.WordQGrams(t, p.q)))
-		matchCount := map[int32]int{}
-		for slot, v := range sig {
-			for _, wid := range p.w.SigRefs(core.SigKey{Slot: slot, Value: v}) {
-				matchCount[wid]++
-			}
-		}
-		for wid, c := range matchCount {
-			sim := float64(c) / k
-			rec := int(p.w.WordRecOf[wid])
-			ms, ok := maxsim[rec]
-			if !ok {
-				ms = make([]float64, len(distinctQ))
-				maxsim[rec] = ms
-			}
-			if sim > ms[qi] {
-				ms[qi] = sim
-			}
-		}
-	}
-
-	acc := accumulator{}
-	for rec, ms := range maxsim {
-		score := 0.0
-		for qi, t := range distinctQ {
-			if ms[qi] == 0 {
-				continue
-			}
-			score += p.w.Stats.IDF(t) * (twoOverQ*ms[qi] + dq)
-		}
-		score = (1.0 / wtQ) * score // match the SQL plan's association order
-		if score >= p.theta {
-			acc[rec] = p.ges.scoreNaive(qws, qWeights, wtQ, rec)
-		}
-	}
-	return acc.matches(p.recs, opts), nil
-}
-
-// SoftTFIDF combines normalized tf-idf word weights with Jaro–Winkler
-// word-level similarity (Eq. 3.15), the configuration Cohen et al. found
-// strongest and the paper confirms (§5.3.2). Its per-record weight maps are
-// shared corpus state (core.LayerWordTFIDF).
-type SoftTFIDF struct {
-	phases
+// softTFIDF is the scorer of SoftTFIDF, which combines normalized tf-idf
+// word weights with Jaro–Winkler word-level similarity (Eq. 3.15), the
+// configuration Cohen et al. found strongest and the paper confirms
+// (§5.3.2). Its per-record weight maps are shared corpus state
+// (core.LayerWordTFIDF).
+type softTFIDF struct {
 	recs  []core.Record
 	w     *core.WordLayer
 	tfidf [][]float64 // normalized tf-idf weight of every word position
 	ranks [][]int32   // dictionary rank of every word position
 	theta float64
+}
+
+func attachSoftTFIDF(s *core.Snapshot, cfg core.Config) predicate {
+	p := &softTFIDF{recs: s.Records, w: s.Words, tfidf: s.Words.TFIDF(), ranks: s.Words.PosRanks(), theta: cfg.SoftTFIDFTheta}
+	return predicate{sel: p.selectOpts, naive: p.selectNaive}
 }
 
 // closeSlack is the margin by which strutil.JaroWinklerBound must fall short
@@ -541,33 +423,17 @@ const closeSlack = 1e-9
 // censored to zero without running the kernel. Eq. 3.15 never reads a value
 // below θ — it only tests sim ≥ θ and compares with a maximum that passed
 // the test — so every score keeps its bits.
-func (p *SoftTFIDF) closeSim(q, w string) float64 {
+func (p *softTFIDF) closeSim(q, w string) float64 {
 	if strutil.JaroWinklerBound(q, w) < p.theta-closeSlack {
 		return 0
 	}
 	return strutil.JaroWinkler(q, w)
 }
 
-// NewSoftTFIDF preprocesses the base relation for SoftTFIDF.
-func NewSoftTFIDF(records []core.Record, cfg core.Config) (*SoftTFIDF, error) {
-	p, err := Build("SoftTFIDF", records, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.(*SoftTFIDF), nil
-}
-
-func attachSoftTFIDF(s *core.Snapshot, cfg core.Config) *SoftTFIDF {
-	return &SoftTFIDF{recs: s.Records, w: s.Words, tfidf: s.Words.TFIDF(), ranks: s.Words.PosRanks(), theta: cfg.SoftTFIDFTheta}
-}
-
-// Name implements core.Predicate.
-func (p *SoftTFIDF) Name() string { return "SoftTFIDF" }
-
 // queryPlan tokenizes and weighs a query: the known query words in the
 // corpus's sorted word order, their normalized tf-idf weights and their
 // frequencies in the query. ok is false for a query without words.
-func (p *SoftTFIDF) queryPlan(query string) (ordered []string, qw map[string]float64, qcounts map[string]int, ok bool) {
+func (p *softTFIDF) queryPlan(query string) (ordered []string, qw map[string]float64, qcounts map[string]int, ok bool) {
 	qws := queryWords(query)
 	if len(qws) == 0 {
 		return nil, nil, nil, false
@@ -585,10 +451,10 @@ func (p *SoftTFIDF) queryPlan(query string) (ordered []string, qw map[string]flo
 // record words' dictionary ranks. The scan visits every record anyway, so
 // matches materialize straight into the result slice — no accumulator at
 // all.
-func (p *SoftTFIDF) selectOpts(query string, opts core.SelectOptions) ([]core.Match, error) {
+func (p *softTFIDF) selectOpts(query string, opts core.SelectOptions) []core.Match {
 	ordered, qw, qcounts, ok := p.queryPlan(query)
 	if !ok {
-		return nil, nil
+		return nil
 	}
 	sims := core.GetWordSims(p.closeSim, ordered, p.w.Stats.SortedTokens())
 	defer sims.Release()
@@ -604,12 +470,12 @@ func (p *SoftTFIDF) selectOpts(query string, opts core.SelectOptions) ([]core.Ma
 		}
 		out = append(out, core.Match{TID: p.recs[i].TID, Score: total})
 	}
-	return core.FinishMatches(out, opts), nil
+	return core.FinishMatches(out, opts)
 }
 
 // scoreRecord evaluates Eq. 3.15 for one record, reading Jaro–Winkler from
 // the record words' rows of the query's similarity table.
-func (p *SoftTFIDF) scoreRecord(i int, sims *core.WordSims, coef []float64) (float64, bool) {
+func (p *softTFIDF) scoreRecord(i int, sims *core.WordSims, coef []float64) (float64, bool) {
 	rows, weights := sims.RowsOf(p.ranks[i]), p.tfidf[i]
 	total := 0.0
 	matched := false
@@ -636,7 +502,7 @@ func (p *SoftTFIDF) scoreRecord(i int, sims *core.WordSims, coef []float64) (flo
 // scoreRecordNaive evaluates Eq. 3.15 for one record on the string-pair
 // path: Jaro–Winkler is called for every (query word, record word position)
 // pair, twice.
-func (p *SoftTFIDF) scoreRecordNaive(i int, ordered []string, qw map[string]float64, qcounts map[string]int) (float64, bool) {
+func (p *softTFIDF) scoreRecordNaive(i int, ordered []string, qw map[string]float64, qcounts map[string]int) (float64, bool) {
 	recWords := p.w.Words[i]
 	if len(recWords) == 0 {
 		return 0, false
@@ -667,10 +533,10 @@ func (p *SoftTFIDF) scoreRecordNaive(i int, ordered []string, qw map[string]floa
 
 // selectNaive is the pre-optimization scan: per-position string kernels
 // merged through a map accumulator.
-func (p *SoftTFIDF) selectNaive(query string, opts core.SelectOptions) ([]core.Match, error) {
+func (p *softTFIDF) selectNaive(query string, opts core.SelectOptions) []core.Match {
 	ordered, qw, qcounts, ok := p.queryPlan(query)
 	if !ok {
-		return nil, nil
+		return nil
 	}
 	acc := accumulator{}
 	for i := range p.recs {
@@ -678,5 +544,5 @@ func (p *SoftTFIDF) selectNaive(query string, opts core.SelectOptions) ([]core.M
 			acc[i] = total
 		}
 	}
-	return acc.matches(p.recs, opts), nil
+	return acc.matches(p.recs, opts)
 }

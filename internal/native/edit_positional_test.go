@@ -33,13 +33,13 @@ func TestPositionalFilterNoFalseNegatives(t *testing.T) {
 		cfgP := core.DefaultConfig()
 		cfgP.EditTheta = theta
 		cfgP.EditPositional = true
-		positional, err := NewEditDistance(records, cfgP)
+		positional, err := Build("EditDistance", records, cfgP)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfgB := core.DefaultConfig()
 		cfgB.EditTheta = 0
-		brute, err := NewEditDistance(records, cfgB)
+		brute, err := Build("EditDistance", records, cfgB)
 		if err != nil {
 			t.Fatal(err)
 		}

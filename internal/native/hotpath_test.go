@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/dirty"
+	"repro/internal/weights"
 )
 
 // hotPathCorpus builds a dirty DBLP-like relation and an all-layers corpus,
@@ -30,9 +31,9 @@ func hotPathCorpus(t testing.TB, size int, seed int64) (*core.Corpus, []core.Rec
 // hotPathRecords is the dirty DBLP-like relation alone.
 func hotPathRecords(t testing.TB, size int, seed int64) []core.Record {
 	t.Helper()
-	clean := datasets.DBLPTitles(maxInt(size/10, 10), seed)
+	clean := datasets.DBLPTitles(max(size/10, 10), seed)
 	ds, err := dirty.Generate(clean, nil, dirty.Params{
-		Size: size, NumClean: maxInt(size/10, 10), Dist: dirty.Uniform,
+		Size: size, NumClean: max(size/10, 10), Dist: dirty.Uniform,
 		ErroneousPct: 0.70, ErrorExtent: 0.20, TokenSwapPct: 0.20,
 		Seed: seed,
 	})
@@ -40,13 +41,6 @@ func hotPathRecords(t testing.TB, size int, seed int64) []core.Record {
 		t.Fatal(err)
 	}
 	return ds.Records
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // hotPathQueries mixes dirty record texts with a query containing unknown
@@ -234,9 +228,9 @@ func TestCosineSkipsZeroNormRecords(t *testing.T) {
 
 // TestAttachColumnsAlignWithPostings drives a corpus through inserts,
 // upserts and deletes and checks, after every step, that the BM25 and HMM
-// attach columns hold exactly one weight per shared posting id of every
-// rank (the corpus's own columns are checked by
-// TestIncrementalAssembleMatchesFresh).
+// weight columns, built by the functions their attach calls, hold exactly
+// one weight per shared posting id of every rank (the corpus's own columns
+// are checked by TestIncrementalAssembleMatchesFresh).
 func TestAttachColumnsAlignWithPostings(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	records := hotPathRecords(t, 60, 5)
@@ -268,18 +262,9 @@ func TestAttachColumnsAlignWithPostings(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := c.Snapshot().Grams
-		cols := map[string]*core.PostTable{}
-		for _, name := range []string{"BM25", "HMM"} {
-			p, err := Attach(name, c, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			switch p := p.(type) {
-			case *BM25:
-				cols[name] = p.t
-			case *HMM:
-				cols[name] = p.t
-			}
+		cols := map[string]*core.PostTable{
+			"BM25": bm25Column(g, weights.BM25Params{K1: cfg.BM25K1, K3: cfg.BM25K3, B: cfg.BM25B}),
+			"HMM":  hmmColumn(g, cfg.HMMA0),
 		}
 		for name, col := range cols {
 			if len(col.Post) != len(g.Postings) {
@@ -295,12 +280,8 @@ func TestAttachColumnsAlignWithPostings(t *testing.T) {
 }
 
 // enginePredicates are the eight predicates that score through
-// core.MaxScoreSelect; each builds its plan with a plan method.
+// core.MaxScoreSelect, each with its own plan.
 var enginePredicates = []string{"IntersectSize", "Jaccard", "WeightedMatch", "WeightedJaccard", "Cosine", "BM25", "LM", "HMM"}
-
-type planner interface {
-	plan(query string, s *core.Scratch) ([]core.Term, core.Shape)
-}
 
 // engineWork reads the engine's work tally of the scratch's last
 // selection. core keeps the tally out of its API — it exists for this
@@ -344,7 +325,7 @@ func TestEngineWorkNeverExceedsFullWalk(t *testing.T) {
 				{Limit: 10, Threshold: th, HasThreshold: true},
 			} {
 				s := core.GetScratch(len(recs))
-				terms, sh := p.(planner).plan(query, s)
+				terms, sh := p.(*predicate).plan(query, s)
 				posts := 0
 				for i := range terms {
 					posts += len(terms[i].Ids) + len(terms[i].W)
@@ -382,7 +363,7 @@ func TestEngineWorkNeverExceedsFullWalk(t *testing.T) {
 // measured price to beat a walk.
 func TestThresholdSelectionSkipsLists(t *testing.T) {
 	records := hotPathRecords(t, 12000, 21)
-	p, err := NewJaccard(records, core.DefaultConfig())
+	p, err := Build("Jaccard", records, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +375,7 @@ func TestThresholdSelectionSkipsLists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.SelectCtx(context.Background(), query, opts)
+		got, err := p.(core.ContextPredicate).SelectCtx(context.Background(), query, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -95,17 +95,17 @@ func TestBuildUnknownPredicate(t *testing.T) {
 func TestValidateRejectsBadConfig(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Q = 0
-	if _, err := NewJaccard(companyRecords, cfg); err == nil {
+	if _, err := Build("Jaccard", companyRecords, cfg); err == nil {
 		t.Fatal("q=0 should be rejected")
 	}
 	cfg = core.DefaultConfig()
 	cfg.PruneRate = 1.0
-	if _, err := NewJaccard(companyRecords, cfg); err == nil {
+	if _, err := Build("Jaccard", companyRecords, cfg); err == nil {
 		t.Fatal("prune rate 1.0 should be rejected")
 	}
 	cfg = core.DefaultConfig()
 	dup := []core.Record{{TID: 1, Text: "a"}, {TID: 1, Text: "b"}}
-	if _, err := NewJaccard(dup, cfg); err == nil {
+	if _, err := Build("Jaccard", dup, cfg); err == nil {
 		t.Fatal("duplicate TIDs should be rejected")
 	}
 }
@@ -226,7 +226,7 @@ func TestTokenSwapError(t *testing.T) {
 
 func TestIntersectSizeCounts(t *testing.T) {
 	records := []core.Record{{TID: 1, Text: "ab"}, {TID: 2, Text: "cd"}}
-	p, err := NewIntersectSize(records, core.DefaultConfig())
+	p, err := Build("IntersectSize", records, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestIntersectSizeCounts(t *testing.T) {
 }
 
 func TestJaccardRange(t *testing.T) {
-	p, err := NewJaccard(companyRecords, core.DefaultConfig())
+	p, err := Build("Jaccard", companyRecords, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,13 +314,13 @@ func TestEditFilterMatchesBruteForce(t *testing.T) {
 	for _, theta := range []float64{0.5, 0.7, 0.9} {
 		cfgF := core.DefaultConfig()
 		cfgF.EditTheta = theta
-		filtered, err := NewEditDistance(records, cfgF)
+		filtered, err := Build("EditDistance", records, cfgF)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfgB := core.DefaultConfig()
 		cfgB.EditTheta = 0
-		brute, err := NewEditDistance(records, cfgB)
+		brute, err := Build("EditDistance", records, cfgB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,11 +361,11 @@ func TestEditFilterMatchesBruteForce(t *testing.T) {
 func TestGESJaccardFilterSubsumesHighScores(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.GESThreshold = 0.6
-	filt, err := NewGESJaccard(companyRecords, cfg)
+	filt, err := Build("GESJaccard", companyRecords, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := NewGES(companyRecords, cfg)
+	exact, err := Build("GES", companyRecords, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestGESJaccardFilterSubsumesHighScores(t *testing.T) {
 func TestGESapxReturnsCandidates(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.GESThreshold = 0.5
-	p, err := NewGESapx(companyRecords, cfg)
+	p, err := Build("GESapx", companyRecords, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,14 +409,14 @@ func TestGESapxReturnsCandidates(t *testing.T) {
 func TestGESapxDefaultsK(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.MinHashK = 0 // should fall back to the paper's 5
-	if _, err := NewGESapx(companyRecords, cfg); err != nil {
+	if _, err := Build("GESapx", companyRecords, cfg); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSoftTFIDFMatchesCloseWords(t *testing.T) {
 	cfg := core.DefaultConfig()
-	p, err := NewSoftTFIDF(companyRecords, cfg)
+	p, err := Build("SoftTFIDF", companyRecords, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestPruningImprovesUnweightedAccuracyShape(t *testing.T) {
 	// AT&T variants must then rely on rarer grams only.
 	cfg := core.DefaultConfig()
 	cfg.PruneRate = 0.3
-	p, err := NewIntersectSize(companyRecords, cfg)
+	p, err := Build("IntersectSize", companyRecords, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,11 +459,11 @@ func TestPruningImprovesUnweightedAccuracyShape(t *testing.T) {
 }
 
 func TestPreprocessPhasesReported(t *testing.T) {
-	p, err := NewBM25(companyRecords, core.DefaultConfig())
+	p, err := Build("BM25", companyRecords, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok, w := p.PreprocessPhases()
+	tok, w := p.(core.Phased).PreprocessPhases()
 	if tok < 0 || w < 0 {
 		t.Fatalf("phases: %v %v", tok, w)
 	}
@@ -506,7 +506,7 @@ func TestHMMWeightsAboveOneGiveMonotoneScores(t *testing.T) {
 		{TID: 2, Text: "abcxyz"},
 		{TID: 3, Text: "abzzzz"},
 	}
-	p, err := NewHMM(records, core.DefaultConfig())
+	p, err := Build("HMM", records, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,14 +543,5 @@ func TestGESScoreClamps(t *testing.T) {
 	}
 	if s := GESScore(1, 0); s != 0 {
 		t.Errorf("zero query weight should score 0, got %v", s)
-	}
-}
-
-func TestEditNormalize(t *testing.T) {
-	if got := editNormalize("db  lab", 3); got != "DB$$LAB" {
-		t.Errorf("editNormalize = %q", got)
-	}
-	if got := editNormalize(" x ", 2); got != "X" {
-		t.Errorf("editNormalize trim = %q", got)
 	}
 }

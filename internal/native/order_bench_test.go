@@ -1,6 +1,7 @@
 package native
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -59,6 +60,17 @@ func BenchmarkQueryTokenOrder(b *testing.B) {
 	})
 }
 
+// sortedTokens returns the map's keys in sorted order: the pre-corpus
+// deterministic iteration order that StringSortMapProbe measures.
+func sortedTokens[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for t := range m {
+		keys = append(keys, t)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // BenchmarkSelectOrdered measures a full weighted Select, whose token
 // iteration order now comes from the corpus rank table.
 func BenchmarkSelectOrdered(b *testing.B) {
@@ -67,7 +79,7 @@ func BenchmarkSelectOrdered(b *testing.B) {
 	for i, t := range titles {
 		records[i] = core.Record{TID: i + 1, Text: t}
 	}
-	p, err := NewBM25(records, core.DefaultConfig())
+	p, err := Build("BM25", records, core.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,185 +2,76 @@ package native
 
 import (
 	"context"
+	"time"
 
 	"repro/internal/core"
 )
 
-// Every native predicate implements core.Predicate through a plain Select
-// and core.ContextPredicate through SelectCtx: the options-aware selectOpts
-// path is shared, so a limit or threshold is pushed down into ranking (a
-// k-bounded heap and pre-materialization filtering) instead of being
-// post-applied to the full sorted candidate set.
+// predicate is every native predicate. An engine predicate supplies plan,
+// the posting-list terms and combining shape of a query, and selects
+// through core.MaxScoreSelect; a kernel-scoring predicate supplies sel and
+// naive instead. Selection options are pushed down either way: a limit or
+// threshold reaches ranking (a k-bounded heap and pre-materialization
+// filtering) instead of being post-applied to the full sorted candidate set.
 //
-// Context cancellation is honored at query granularity: a Select already in
-// flight runs to completion, which keeps the scoring loops branch-free.
+// After Attach a predicate is read-only, so concurrent Selects are safe
+// (verified under -race by TestConcurrentSelect).
+type predicate struct {
+	name         string
+	recs         []core.Record
+	tokDur, wDur time.Duration
+	plan         func(query string, s *core.Scratch) ([]core.Term, core.Shape)
+	// sel and naive are a kernel-scoring predicate's select path and its
+	// reference oracle: map accumulators, and for the combination class the
+	// per-position string-pair path (GESCost, direct strutil.JaroWinkler
+	// calls) instead of the word-similarity columns.
+	sel, naive func(query string, opts core.SelectOptions) []core.Match
+}
 
-// ConcurrentProbeSafe implements core.ConcurrentProber for every native
-// predicate via the embedded phases record: after preprocessing the
-// predicates are read-only, so concurrent Selects are safe (verified under
-// -race by TestConcurrentSelect).
-func (*phases) ConcurrentProbeSafe() bool { return true }
+// Name implements core.Predicate.
+func (p *predicate) Name() string { return p.name }
 
-func selectCtx(ctx context.Context, f func(string, core.SelectOptions) ([]core.Match, error), query string, opts core.SelectOptions) ([]core.Match, error) {
+// Select implements core.Predicate.
+func (p *predicate) Select(query string) ([]core.Match, error) {
+	return p.selectOpts(query, core.SelectOptions{}), nil
+}
+
+// SelectCtx implements core.ContextPredicate. Cancellation is honored at
+// query granularity: a Select already in flight runs to completion, which
+// keeps the scoring loops branch-free.
+func (p *predicate) SelectCtx(ctx context.Context, query string, opts core.SelectOptions) ([]core.Match, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return f(query, opts)
+	return p.selectOpts(query, opts), nil
 }
 
-// Select implements core.Predicate.
-func (p *IntersectSize) Select(query string) ([]core.Match, error) {
-	return p.selectOpts(query, core.SelectOptions{})
+// ConcurrentProbeSafe implements core.ConcurrentProber.
+func (*predicate) ConcurrentProbeSafe() bool { return true }
+
+// PreprocessPhases implements core.Phased: the corpus's tokenization pass
+// and the weight phase (shared table assembly plus this attach).
+func (p *predicate) PreprocessPhases() (time.Duration, time.Duration) {
+	return p.tokDur, p.wDur
 }
 
-// SelectCtx implements core.ContextPredicate.
-func (p *IntersectSize) SelectCtx(ctx context.Context, query string, opts core.SelectOptions) ([]core.Match, error) {
-	return selectCtx(ctx, p.selectOpts, query, opts)
-}
-
-// Select implements core.Predicate.
-func (p *Jaccard) Select(query string) ([]core.Match, error) {
-	return p.selectOpts(query, core.SelectOptions{})
-}
-
-// SelectCtx implements core.ContextPredicate.
-func (p *Jaccard) SelectCtx(ctx context.Context, query string, opts core.SelectOptions) ([]core.Match, error) {
-	return selectCtx(ctx, p.selectOpts, query, opts)
-}
-
-// Select implements core.Predicate.
-func (p *WeightedMatch) Select(query string) ([]core.Match, error) {
-	return p.selectOpts(query, core.SelectOptions{})
-}
-
-// SelectCtx implements core.ContextPredicate.
-func (p *WeightedMatch) SelectCtx(ctx context.Context, query string, opts core.SelectOptions) ([]core.Match, error) {
-	return selectCtx(ctx, p.selectOpts, query, opts)
-}
-
-// Select implements core.Predicate.
-func (p *WeightedJaccard) Select(query string) ([]core.Match, error) {
-	return p.selectOpts(query, core.SelectOptions{})
-}
-
-// SelectCtx implements core.ContextPredicate.
-func (p *WeightedJaccard) SelectCtx(ctx context.Context, query string, opts core.SelectOptions) ([]core.Match, error) {
-	return selectCtx(ctx, p.selectOpts, query, opts)
-}
-
-// Select implements core.Predicate.
-func (p *Cosine) Select(query string) ([]core.Match, error) {
-	return p.selectOpts(query, core.SelectOptions{})
-}
-
-// SelectCtx implements core.ContextPredicate.
-func (p *Cosine) SelectCtx(ctx context.Context, query string, opts core.SelectOptions) ([]core.Match, error) {
-	return selectCtx(ctx, p.selectOpts, query, opts)
-}
-
-// Select implements core.Predicate.
-func (p *BM25) Select(query string) ([]core.Match, error) {
-	return p.selectOpts(query, core.SelectOptions{})
-}
-
-// SelectCtx implements core.ContextPredicate.
-func (p *BM25) SelectCtx(ctx context.Context, query string, opts core.SelectOptions) ([]core.Match, error) {
-	return selectCtx(ctx, p.selectOpts, query, opts)
-}
-
-// Select implements core.Predicate.
-func (p *LM) Select(query string) ([]core.Match, error) {
-	return p.selectOpts(query, core.SelectOptions{})
-}
-
-// SelectCtx implements core.ContextPredicate.
-func (p *LM) SelectCtx(ctx context.Context, query string, opts core.SelectOptions) ([]core.Match, error) {
-	return selectCtx(ctx, p.selectOpts, query, opts)
-}
-
-// Select implements core.Predicate.
-func (p *HMM) Select(query string) ([]core.Match, error) {
-	return p.selectOpts(query, core.SelectOptions{})
-}
-
-// SelectCtx implements core.ContextPredicate.
-func (p *HMM) SelectCtx(ctx context.Context, query string, opts core.SelectOptions) ([]core.Match, error) {
-	return selectCtx(ctx, p.selectOpts, query, opts)
-}
-
-// Select implements core.Predicate.
-func (p *EditDistance) Select(query string) ([]core.Match, error) {
-	return p.selectOpts(query, core.SelectOptions{})
-}
-
-// SelectCtx implements core.ContextPredicate.
-func (p *EditDistance) SelectCtx(ctx context.Context, query string, opts core.SelectOptions) ([]core.Match, error) {
-	return selectCtx(ctx, p.selectOpts, query, opts)
-}
-
-// Select implements core.Predicate.
-func (p *GES) Select(query string) ([]core.Match, error) {
-	return p.selectOpts(query, core.SelectOptions{})
-}
-
-// SelectCtx implements core.ContextPredicate.
-func (p *GES) SelectCtx(ctx context.Context, query string, opts core.SelectOptions) ([]core.Match, error) {
-	return selectCtx(ctx, p.selectOpts, query, opts)
-}
-
-// Select implements core.Predicate.
-func (p *GESJaccard) Select(query string) ([]core.Match, error) {
-	return p.selectOpts(query, core.SelectOptions{})
-}
-
-// SelectCtx implements core.ContextPredicate.
-func (p *GESJaccard) SelectCtx(ctx context.Context, query string, opts core.SelectOptions) ([]core.Match, error) {
-	return selectCtx(ctx, p.selectOpts, query, opts)
-}
-
-// Select implements core.Predicate.
-func (p *GESapx) Select(query string) ([]core.Match, error) {
-	return p.selectOpts(query, core.SelectOptions{})
-}
-
-// SelectCtx implements core.ContextPredicate.
-func (p *GESapx) SelectCtx(ctx context.Context, query string, opts core.SelectOptions) ([]core.Match, error) {
-	return selectCtx(ctx, p.selectOpts, query, opts)
-}
-
-// Select implements core.Predicate.
-func (p *SoftTFIDF) Select(query string) ([]core.Match, error) {
-	return p.selectOpts(query, core.SelectOptions{})
-}
-
-// SelectCtx implements core.ContextPredicate.
-func (p *SoftTFIDF) SelectCtx(ctx context.Context, query string, opts core.SelectOptions) ([]core.Match, error) {
-	return selectCtx(ctx, p.selectOpts, query, opts)
-}
-
-// Builders is the registration table of the native realization: one
-// BuilderFunc per benchmark predicate, in terms of which the facade's
-// registry resolves New.
-func Builders() map[string]core.BuilderFunc {
-	out := make(map[string]core.BuilderFunc, len(core.PredicateNames))
-	for _, name := range core.PredicateNames {
-		out[name] = func(records []core.Record, cfg core.Config) (core.Predicate, error) {
-			return Build(name, records, cfg)
-		}
+func (p *predicate) selectOpts(query string, opts core.SelectOptions) []core.Match {
+	if p.plan == nil {
+		return p.sel(query, opts)
 	}
-	return out
+	s := core.GetScratch(len(p.recs))
+	defer s.Release()
+	terms, sh := p.plan(query, s)
+	return core.MaxScoreSelect(s, p.recs, terms, sh, opts)
 }
 
-// CorpusBuilders is the corpus-aware registration table of the native
-// realization: one CorpusBuilderFunc per benchmark predicate, each
-// attaching to a shared core.Corpus instead of preprocessing a private
-// copy of the relation.
-func CorpusBuilders() map[string]core.CorpusBuilderFunc {
-	out := make(map[string]core.CorpusBuilderFunc, len(core.PredicateNames))
-	for _, name := range core.PredicateNames {
-		out[name] = func(c *core.Corpus, cfg core.Config) (core.Predicate, error) {
-			return Attach(name, c, cfg)
-		}
+// selectNaive is the pre-optimization merge: map accumulators, no pruning.
+// An engine predicate's merge visits the same plan in the same order as the
+// optimized path, so the two are bit-identical by construction.
+func (p *predicate) selectNaive(query string, opts core.SelectOptions) []core.Match {
+	if p.plan == nil {
+		return p.naive(query, opts)
 	}
-	return out
+	terms, sh := p.plan(query, nil)
+	return core.NaiveTermSelect(p.recs, terms, sh, opts)
 }

@@ -101,6 +101,15 @@ func TestWordQGramsQ1(t *testing.T) {
 	}
 }
 
+func TestEditNormalize(t *testing.T) {
+	if got := EditNormalize("db  lab", 3); got != "DB$$LAB" {
+		t.Errorf("EditNormalize = %q", got)
+	}
+	if got := EditNormalize(" x ", 2); got != "X" {
+		t.Errorf("EditNormalize trim = %q", got)
+	}
+}
+
 func TestWords(t *testing.T) {
 	got := Words("  Morgan  Stanley\tGroup\nInc. ")
 	want := []string{"Morgan", "Stanley", "Group", "Inc."}
