@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/strutil"
 	"repro/internal/weights"
 )
 
@@ -579,6 +580,7 @@ type WordLayer struct {
 	pos    lazy[[][]int32]
 	idf    lazy[[][]float64]
 	tfidf  lazy[[][]float64]
+	wsigs  lazy[[]strutil.WordSig]
 }
 
 func newWordLayer(toks *GramLayer, layers CorpusLayers) *WordLayer {
@@ -801,6 +803,20 @@ func (l *WordLayer) TFIDF() [][]float64 {
 			}
 		}
 		return cols
+	})
+}
+
+// WordSigs carries the signature of every dictionary word, by rank:
+// WordSigs()[r] is strutil.Sig(Stats.SortedTokens()[r]). GES and SoftTFIDF bound
+// every word's similarity to a query word from it before running a string
+// kernel (WordSims.EditBounds, WordSims.FillJaroWinkler).
+func (l *WordLayer) WordSigs() []strutil.WordSig {
+	return l.wsigs.get(func() []strutil.WordSig {
+		sigs := make([]strutil.WordSig, len(l.toks.TokenByRank))
+		for r, w := range l.toks.TokenByRank {
+			sigs[r] = strutil.Sig(w)
+		}
+		return sigs
 	})
 }
 

@@ -1,6 +1,11 @@
 package core
 
-import "sync"
+import (
+	"iter"
+	"sync"
+
+	"repro/internal/strutil"
+)
 
 // Scratch is the reusable dense accumulator of the selection hot path. It
 // replaces the per-query map[int]float64 accumulators (and their secondary
@@ -107,6 +112,47 @@ func (s *Scratch) Val(rec int32) float64 {
 // owned by the scratch and is invalidated by the next Reset.
 func (s *Scratch) Touched() []int32 { return s.touched }
 
+// Descending visits the stamped records by decreasing value. It heapifies
+// the touched list in place and pops one record per step, so a caller that
+// stops after p records pays O(n + p·log n) instead of a sort. The touched
+// list is consumed.
+func (s *Scratch) Descending() iter.Seq2[int32, float64] {
+	return func(yield func(int32, float64) bool) {
+		h := s.touched
+		for i := len(h)/2 - 1; i >= 0; i-- {
+			s.siftMax(h, i)
+		}
+		for len(h) > 0 {
+			rec := h[0]
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+			s.siftMax(h, 0)
+			if !yield(rec, s.f[rec]) {
+				break
+			}
+		}
+		s.touched = h[:0]
+	}
+}
+
+// siftMax restores the max-heap order of h, keyed by value, below i.
+func (s *Scratch) siftMax(h []int32, i int) {
+	for {
+		top := i
+		if l := 2*i + 1; l < len(h) && s.f[h[l]] > s.f[h[top]] {
+			top = l
+		}
+		if r := 2*i + 2; r < len(h) && s.f[h[r]] > s.f[h[top]] {
+			top = r
+		}
+		if top == i {
+			return
+		}
+		h[i], h[top] = h[top], h[i]
+		i = top
+	}
+}
+
 // TermBuf returns the scratch's reusable term buffer, empty. A nil scratch
 // yields a nil buffer, so plan builders work without a scratch too.
 func (s *Scratch) TermBuf() []Term {
@@ -156,6 +202,12 @@ func (s *Scratch) RowFor(rec int32, stride int) []float64 {
 // keeps no reference to it after Release. Its footprint is distinct query
 // words × dictionary size floats, plus one stamp per dictionary word.
 //
+// Before any kernel runs, a predicate can bound every cell from the words'
+// signatures (WordLayer.WordSigs): EditBounds fills a second plane of the
+// same shape with an upper bound of each edit similarity, and
+// FillJaroWinkler computes the whole Jaro–Winkler table at once, running
+// the kernel only where the bound reaches a floor.
+//
 // Like a Scratch, a WordSims is single-goroutine state.
 type WordSims struct {
 	kernel func(q, w string) float64
@@ -164,7 +216,9 @@ type WordSims struct {
 	vals   []float64
 	stamp  []uint32 // row r of vals is valid where stamp[r] == cur
 	cur    uint32
-	// Per-record side buffers reused across checkouts.
+	// Per-query side buffers reused across checkouts.
+	qsigs   []strutil.WordSig // signatures of words
+	bounds  []float64         // the bound plane, laid out like vals
 	recRows [][]float64
 	floats  []float64
 }
@@ -202,25 +256,80 @@ func (t *WordSims) Release() {
 	wordSimsPool.Put(t)
 }
 
-// RowsOf returns, for a record's word positions given as dictionary ranks,
-// each position's similarities to every query word: RowsOf(ranks)[j][c] is
-// kernel(words[c], dict[ranks[j]]). The slices are owned by the table and
-// the outer one is reused by the next call.
-func (t *WordSims) RowsOf(ranks []int32) [][]float64 {
+// Row returns dictionary rank r's similarities to every query word:
+// Row(r)[c] is kernel(words[c], dict[r]). The slice is owned by the table.
+func (t *WordSims) Row(r int32) []float64 {
 	n := len(t.words)
+	row := t.vals[int(r)*n:][:n:n]
+	if t.stamp[r] != t.cur {
+		t.stamp[r] = t.cur
+		for c, q := range t.words {
+			row[c] = t.kernel(q, t.dict[r])
+		}
+	}
+	return row
+}
+
+// RowsOf returns, for a record's word positions given as dictionary ranks,
+// each position's row: RowsOf(ranks)[j] is Row(ranks[j]). The outer slice is
+// reused by the next call.
+func (t *WordSims) RowsOf(ranks []int32) [][]float64 {
 	rows := t.recRows[:0]
 	for _, r := range ranks {
-		row := t.vals[int(r)*n:][:n:n]
-		if t.stamp[r] != t.cur {
-			t.stamp[r] = t.cur
-			for c, q := range t.words {
-				row[c] = t.kernel(q, t.dict[r])
-			}
-		}
-		rows = append(rows, row)
+		rows = append(rows, t.Row(r))
 	}
 	t.recRows = rows
 	return rows
+}
+
+// querySigs returns the signatures of the query words.
+func (t *WordSims) querySigs() []strutil.WordSig {
+	t.qsigs = t.qsigs[:0]
+	for _, q := range t.words {
+		t.qsigs = append(t.qsigs, strutil.Sig(q))
+	}
+	return t.qsigs
+}
+
+// EditBounds returns the edit bound plane of the query: row r, at
+// [r·len(words), (r+1)·len(words)), holds Sig(words[c]).EditBound(&sigs[r])
+// at c, an upper bound of EditSimilarity(words[c], dict[r]), where sigs are
+// the dictionary's signatures by rank. No kernel runs. The slice is owned by
+// the table.
+func (t *WordSims) EditBounds(sigs []strutil.WordSig) []float64 {
+	qs := t.querySigs()
+	n := len(qs)
+	if cap(t.bounds) < n*len(sigs) {
+		t.bounds = make([]float64, n*len(sigs))
+	}
+	t.bounds = t.bounds[:n*len(sigs)]
+	for r := range sigs {
+		row := t.bounds[r*n : r*n+n]
+		for c := range qs {
+			row[c] = qs[c].EditBound(&sigs[r])
+		}
+	}
+	return t.bounds
+}
+
+// FillJaroWinkler computes every row of a table whose kernel is
+// strutil.JaroWinkler now. A cell whose Sig(words[c]).JaroWinklerBound(&sigs[r])
+// falls below floor holds 0 and costs no kernel call; every other cell holds
+// the kernel's value. A caller that never reads a value below floor — the
+// CLOSE test of SoftTFIDF — cannot tell the table from the kernel.
+func (t *WordSims) FillJaroWinkler(sigs []strutil.WordSig, floor float64) {
+	qs := t.querySigs()
+	n := len(qs)
+	for r := range sigs {
+		row := t.vals[r*n : r*n+n]
+		for c := range qs {
+			row[c] = 0
+			if qs[c].JaroWinklerBound(&sigs[r]) >= floor {
+				row[c] = t.kernel(t.words[c], t.dict[r])
+			}
+		}
+		t.stamp[r] = t.cur
+	}
 }
 
 // Floats returns a reusable float buffer of length n with unspecified

@@ -124,24 +124,66 @@ func worseRank(a, b Match) bool {
 	return a.TID > b.TID
 }
 
-// bestMatches selects the k best matches with a k-sized min-heap whose root
-// is the worst kept match, then sorts the survivors. The result is
+// bestMatches selects the k best matches with a TopK. The result is
 // identical to SortMatches followed by truncation at k.
 func bestMatches(ms []Match, k int) []Match {
-	h := make([]Match, 0, k)
+	t := NewTopK(k, len(ms))
 	for _, m := range ms {
-		if len(h) < k {
-			h = append(h, m)
-			siftUp(h, len(h)-1)
-			continue
-		}
-		if worseRank(h[0], m) {
-			h[0] = m
-			siftDown(h, 0)
-		}
+		t.Push(m)
 	}
-	SortMatches(h)
-	return h
+	return t.Ranked()
+}
+
+// TopK keeps the k best matches pushed into it under the SortMatches order,
+// in a k-sized min-heap whose root is the worst kept match. With k ≤ 0 —
+// no limit — it keeps every match.
+type TopK struct {
+	h []Match
+	k int
+}
+
+// NewTopK returns an empty TopK for the k best matches, or for all of them
+// when k ≤ 0, among at most n pushed. Its buffer is sized for min(k, n), so
+// a limit taken from a request never sizes an allocation past the
+// candidates.
+func NewTopK(k, n int) *TopK {
+	c := n
+	if k > 0 && k < n {
+		c = k
+	}
+	return &TopK{h: make([]Match, 0, max(c, 0)), k: k}
+}
+
+// Push offers m; it is kept if it ranks among the k best so far.
+func (t *TopK) Push(m Match) {
+	if t.k <= 0 {
+		t.h = append(t.h, m)
+		return
+	}
+	if len(t.h) < t.k {
+		t.h = append(t.h, m)
+		siftUp(t.h, len(t.h)-1)
+		return
+	}
+	if worseRank(t.h[0], m) {
+		t.h[0] = m
+		siftDown(t.h, 0)
+	}
+}
+
+// Floor reports the score of the worst kept match once k are kept: a match
+// scoring below it can no longer enter.
+func (t *TopK) Floor() (float64, bool) {
+	if t.k <= 0 || len(t.h) < t.k {
+		return 0, false
+	}
+	return t.h[0].Score, true
+}
+
+// Ranked returns the kept matches in SortMatches order.
+func (t *TopK) Ranked() []Match {
+	SortMatches(t.h)
+	return t.h
 }
 
 func siftUp(h []Match, i int) {

@@ -1,8 +1,10 @@
 package native
 
 import (
+	"math"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/minhash"
@@ -75,11 +77,20 @@ type gesEval struct {
 	idfw  [][]float64 // idf weight of every word position
 	ranks [][]int32   // dictionary rank of every word position
 	cins  float64
+	sigs  []strutil.WordSig // dictionary word signatures by rank (exact GES only)
+	// verified counts the records exact GES has scored with the dynamic
+	// program, over every select: the work its record bound leaves.
+	verified atomic.Int64
 }
 
 func newGESEval(s *core.Snapshot, cfg core.Config) *gesEval {
 	return &gesEval{recs: s.Records, w: s.Words, idfw: s.Words.IDFWeights(), ranks: s.Words.PosRanks(), cins: cfg.GESCins}
 }
+
+// boundSlack is the margin by which a signature-derived upper bound must
+// fall short of a cut before a record or word pair is skipped: the bounds
+// hold in real arithmetic and are evaluated in floats.
+const boundSlack = 1e-9
 
 // queryWeights returns per-position idf weights and their sum for a query's
 // word tokens; unseen tokens take the average idf (§4.5).
@@ -113,6 +124,9 @@ type gesQuery struct {
 	// noRecord is the program's first column, tc(q_1..q_i → nothing): the
 	// same for every record. prev and cur are its two working columns.
 	noRecord, prev, cur []float64
+	// maxub holds, per distinct query word, the record bound's running
+	// maximum over the record's words.
+	maxub []float64
 }
 
 // begin checks out the similarity table of a query; distinctQ is
@@ -125,8 +139,8 @@ func (g *gesEval) begin(qws, distinctQ []string, qWeights []float64, wtQ float64
 		sims:     core.GetWordSims(strutil.EditSimilarity, distinctQ, g.w.Stats.SortedTokens()),
 		col:      make([]int, n),
 	}
-	buf := q.sims.Floats(3 * (n + 1))
-	q.noRecord, q.prev, q.cur = buf[:n+1], buf[n+1:2*(n+1)], buf[2*(n+1):]
+	buf := q.sims.Floats(3*(n+1) + len(distinctQ))
+	q.noRecord, q.prev, q.cur, q.maxub = buf[:n+1], buf[n+1:2*(n+1)], buf[2*(n+1):3*(n+1)], buf[3*(n+1):]
 	q.noRecord[0] = 0
 	for i, t := range qws {
 		q.col[i] = slices.Index(distinctQ, t)
@@ -165,15 +179,65 @@ func (g *gesEval) score(q *gesQuery, idx int) float64 {
 	return GESScore(prev[len(q.qWeights)], q.wtQ)
 }
 
+// bound is an upper bound of record idx's GES score read from the bound
+// plane, where every query word's column holds an upper bound of its edit
+// similarity to each dictionary word. Idf weights are non-negative and the
+// dynamic program deletes or replaces each query word once, so q_i costs at
+// least w(q_i)·(1 − max_j ub(q_i, d_j)); at most n record words are
+// replaced, so at least (m − n)⁺ are inserted, each for at least
+// c_ins·min_j w(d_j) (for a negative c_ins, every record word inserted is
+// the least cost). GESScore over that cost clamps at 0 as the score does.
+func (g *gesEval) bound(q *gesQuery, plane []float64, idx int) float64 {
+	mx := q.maxub
+	clear(mx)
+	ranks, dWeights := g.ranks[idx], g.idfw[idx]
+	minW, sumW := math.Inf(1), 0.0
+	for j, r := range ranks {
+		for c, ub := range plane[int(r)*len(mx):][:len(mx)] {
+			if ub > mx[c] {
+				mx[c] = ub
+			}
+		}
+		minW = min(minW, dWeights[j])
+		sumW += dWeights[j]
+	}
+	cost := 0.0
+	for i, wq := range q.qWeights {
+		cost += (1 - mx[q.col[i]]) * wq
+	}
+	if g.cins < 0 {
+		cost += g.cins * sumW
+	} else if extra := len(ranks) - len(q.qWeights); extra > 0 {
+		cost += g.cins * minW * float64(extra)
+	}
+	return GESScore(cost, q.wtQ)
+}
+
 // attachGES is the exact generalized edit similarity predicate (Eq. 3.14).
-// Exact scoring touches every record — precisely the cost GESJaccard and
-// GESapx were designed to avoid.
+// Exact scoring of every record is precisely the cost GESJaccard and GESapx
+// were designed to avoid; under a limit or a threshold GES bounds every
+// record first and scores only those the bound cannot rule out.
 func attachGES(s *core.Snapshot, cfg core.Config) predicate {
-	g := newGESEval(s, cfg)
+	g := newExactGES(s, cfg)
 	return predicate{sel: g.selectAll, naive: g.selectAllNaive}
 }
 
-// selectAll scores every base record with exact GES.
+// newExactGES is the scorer of exact GES: a gesEval that also holds the
+// dictionary's word signatures its record bound reads.
+func newExactGES(s *core.Snapshot, cfg core.Config) *gesEval {
+	g := newGESEval(s, cfg)
+	g.sigs = s.Words.WordSigs()
+	return g
+}
+
+// selectAll ranks the base records by exact GES. An O(letters) signature
+// bound of every (query word, dictionary word) pair gives each record an
+// upper bound of its score (bound); records are scored in decreasing bound
+// order until the bound falls below the cut — the threshold, or the k-th
+// best score found so far — less boundSlack. A record left unscored scores
+// strictly below the cut, so results, scores and ties are those of the full
+// scan. With no limit and no threshold the cut stays at −∞ and every record
+// is scored. The edit kernel runs only for the words of the records scored.
 func (g *gesEval) selectAll(query string, opts core.SelectOptions) []core.Match {
 	qws := queryWords(query)
 	if len(qws) == 0 {
@@ -182,15 +246,36 @@ func (g *gesEval) selectAll(query string, opts core.SelectOptions) []core.Match 
 	qWeights, wtQ := g.queryWeights(qws)
 	q := g.begin(qws, tokenize.Distinct(qws), qWeights, wtQ)
 	defer q.sims.Release()
-	out := make([]core.Match, 0, len(g.recs))
-	for i, r := range g.recs {
-		score := g.score(&q, i)
+	plane := q.sims.EditBounds(g.sigs)
+	cut := math.Inf(-1)
+	if opts.HasThreshold {
+		cut = opts.Threshold
+	}
+	cands := core.GetScratch(len(g.recs))
+	defer cands.Release()
+	for i := range g.recs {
+		if u := g.bound(&q, plane, i); u >= cut-boundSlack {
+			cands.Add(int32(i), u)
+		}
+	}
+	top := core.NewTopK(opts.Limit, len(g.recs))
+	scored := 0
+	for rec, u := range cands.Descending() {
+		if u < cut-boundSlack {
+			break
+		}
+		score := g.score(&q, int(rec))
+		scored++
 		if !opts.Keeps(score) {
 			continue
 		}
-		out = append(out, core.Match{TID: r.TID, Score: score})
+		top.Push(core.Match{TID: g.recs[rec].TID, Score: score})
+		if floor, full := top.Floor(); full && floor > cut {
+			cut = floor
+		}
 	}
-	return core.FinishMatches(out, opts)
+	g.verified.Add(int64(scored))
+	return top.Ranked()
 }
 
 // selectAllNaive scores every record position by position on strings,
@@ -403,31 +488,15 @@ func (f *gesFilter) selectNaive(query string, opts core.SelectOptions) []core.Ma
 type softTFIDF struct {
 	recs  []core.Record
 	w     *core.WordLayer
-	tfidf [][]float64 // normalized tf-idf weight of every word position
-	ranks [][]int32   // dictionary rank of every word position
+	tfidf [][]float64       // normalized tf-idf weight of every word position
+	ranks [][]int32         // dictionary rank of every word position
+	sigs  []strutil.WordSig // dictionary word signatures by rank
 	theta float64
 }
 
 func attachSoftTFIDF(s *core.Snapshot, cfg core.Config) predicate {
-	p := &softTFIDF{recs: s.Records, w: s.Words, tfidf: s.Words.TFIDF(), ranks: s.Words.PosRanks(), theta: cfg.SoftTFIDFTheta}
+	p := &softTFIDF{recs: s.Records, w: s.Words, tfidf: s.Words.TFIDF(), ranks: s.Words.PosRanks(), sigs: s.Words.WordSigs(), theta: cfg.SoftTFIDFTheta}
 	return predicate{sel: p.selectOpts, naive: p.selectNaive}
-}
-
-// closeSlack is the margin by which strutil.JaroWinklerBound must fall short
-// of θ before closeSim trusts it: the bound holds in real arithmetic and is
-// evaluated in floats.
-const closeSlack = 1e-9
-
-// closeSim is the kernel of SoftTFIDF's similarity columns: Jaro–Winkler,
-// with pairs the cheap upper bound proves outside the CLOSE set (sim < θ)
-// censored to zero without running the kernel. Eq. 3.15 never reads a value
-// below θ — it only tests sim ≥ θ and compares with a maximum that passed
-// the test — so every score keeps its bits.
-func (p *softTFIDF) closeSim(q, w string) float64 {
-	if strutil.JaroWinklerBound(q, w) < p.theta-closeSlack {
-		return 0
-	}
-	return strutil.JaroWinkler(q, w)
 }
 
 // queryPlan tokenizes and weighs a query: the known query words in the
@@ -447,30 +516,47 @@ func (p *softTFIDF) queryPlan(query string) (ordered []string, qw map[string]flo
 // record word (CLOSE set), the contribution is w_q(t)·w_d(argmax)·maxsim.
 // Multiplicities follow the declarative cross-product: repeated query or
 // record word occurrences contribute repeatedly, and argmax ties all count.
+//
 // Jaro–Winkler is read from the query words' similarity columns at the
-// record words' dictionary ranks. The scan visits every record anyway, so
-// matches materialize straight into the result slice — no accumulator at
-// all.
+// record words' dictionary ranks. The columns are filled for the whole
+// dictionary at once, and the kernel runs only on the pairs whose signature
+// bound reaches θ less boundSlack; the others hold 0. Eq. 3.15 never reads a
+// value below θ — it only tests sim ≥ θ and compares with a maximum that
+// passed the test — so every score keeps its bits. A record none of whose
+// words is CLOSE to a query word matches nothing, so only records holding a
+// CLOSE word are scored.
 func (p *softTFIDF) selectOpts(query string, opts core.SelectOptions) []core.Match {
 	ordered, qw, qcounts, ok := p.queryPlan(query)
 	if !ok {
 		return nil
 	}
-	sims := core.GetWordSims(p.closeSim, ordered, p.w.Stats.SortedTokens())
+	sims := core.GetWordSims(strutil.JaroWinkler, ordered, p.w.Stats.SortedTokens())
 	defer sims.Release()
+	sims.FillJaroWinkler(p.sigs, p.theta-boundSlack)
+	close := core.GetScratch(len(p.sigs))
+	defer close.Release()
+	for r := range p.sigs {
+		for _, sim := range sims.Row(int32(r)) {
+			if sim >= p.theta && sim > 0 {
+				close.Add(int32(r), 1)
+				break
+			}
+		}
+	}
 	coef := make([]float64, len(ordered)) // query-side factor qtf·w_q(t)
 	for k, t := range ordered {
 		coef[k] = float64(qcounts[t]) * qw[t]
 	}
-	out := make([]core.Match, 0, len(p.recs))
-	for i := range p.recs {
-		total, matched := p.scoreRecord(i, sims, coef)
-		if !matched || !opts.Keeps(total) {
+	top := core.NewTopK(opts.Limit, len(p.recs))
+	for i, ranks := range p.ranks {
+		if !slices.ContainsFunc(ranks, close.Stamped) {
 			continue
 		}
-		out = append(out, core.Match{TID: p.recs[i].TID, Score: total})
+		if total, matched := p.scoreRecord(i, sims, coef); matched && opts.Keeps(total) {
+			top.Push(core.Match{TID: p.recs[i].TID, Score: total})
+		}
 	}
-	return core.FinishMatches(out, opts)
+	return top.Ranked()
 }
 
 // scoreRecord evaluates Eq. 3.15 for one record, reading Jaro–Winkler from

@@ -92,6 +92,7 @@ func diffOne(t *testing.T, p core.Predicate, query string) {
 	optsList := []core.SelectOptions{
 		{},
 		{Limit: 1},
+		{Limit: 3},
 		{Limit: 10},
 	}
 	if th, ok := thresholdFor(t, p, query); ok {

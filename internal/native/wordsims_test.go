@@ -3,6 +3,7 @@ package native
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -169,6 +170,63 @@ func TestWordSimilaritySelectAllocs(t *testing.T) {
 		})
 		if allocs > 100 {
 			t.Errorf("%s: %v allocs/select — a string kernel is allocating per word pair again?", name, allocs)
+		}
+	}
+}
+
+// TestGESBoundPrunesVerification pins the work of exact GES under a limit:
+// over eight queries on 2 000 records, Limit(10) verifies fewer than half
+// of the records with the dynamic program — a corrupted query whose tenth
+// best score is low verifies many, a clean one a few dozen — while a select
+// with no limit and no threshold still scores every record. Each pruned
+// ranking equals the full scan's, bit for bit.
+func TestGESBoundPrunesVerification(t *testing.T) {
+	c, records, cfg := hotPathCorpus(t, 2000, 9)
+	g := newExactGES(c.Snapshot(), cfg)
+	selectCounted := func(query string, opts core.SelectOptions) ([]core.Match, int) {
+		before := g.verified.Load()
+		ms := g.selectAll(query, opts)
+		return ms, int(g.verified.Load() - before)
+	}
+	const queries = 8
+	verified := 0
+	for qi := 0; qi < queries; qi++ {
+		query := records[(qi*251+17)%len(records)].Text
+		full, scored := selectCounted(query, core.SelectOptions{})
+		if scored != len(records) {
+			t.Fatalf("query %d: the full ranking scored %d of %d records", qi, scored, len(records))
+		}
+		top, scored := selectCounted(query, core.SelectOptions{Limit: 10})
+		t.Logf("query %d: Limit(10) verified %d of %d records", qi, scored, len(records))
+		verified += scored
+		assertIdentical(t, fmt.Sprintf("GES Limit(10) query %d", qi), full[:10], top)
+	}
+	if verified >= queries*len(records)/2 {
+		t.Errorf("Limit(10) verified %d records over %d queries of %d records", verified, queries, len(records))
+	}
+}
+
+// TestHugeLimitIsNoLimit: a limit past any corpus size — as a request body
+// may carry — ranks exactly what no limit does, and sizes nothing by it.
+func TestHugeLimitIsNoLimit(t *testing.T) {
+	c, records, cfg := hotPathCorpus(t, 300, 5)
+	ctx := context.Background()
+	for _, name := range []string{"GES", "SoftTFIDF"} {
+		p, err := Attach(name, c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := p.(core.ContextPredicate)
+		for _, query := range []string{records[3].Text, records[150].Text} {
+			full, err := cp.SelectCtx(ctx, query, core.SelectOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			huge, err := cp.SelectCtx(ctx, query, core.SelectOptions{Limit: math.MaxInt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertIdentical(t, name+" Limit(MaxInt)", full, huge)
 		}
 	}
 }

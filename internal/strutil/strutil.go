@@ -16,7 +16,11 @@
 // so which one ran is unobservable in the result (FuzzWordKernels).
 package strutil
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+	"unsafe"
+)
 
 // bitMask is the machine word of a bit-vector kernel, one bit per character.
 // Inputs of at most 16 bytes run on uint16 — the kernels' cost at word length
@@ -138,12 +142,37 @@ func levenshteinBits[M bitMask](a, b string) (dist int, ok bool) {
 // the returned distance is an unspecified value > k.
 //
 // This is the kernel behind the q-gram filtered edit predicate: candidates
-// that survive count/length filtering are verified with a small band.
+// that survive count/length filtering are verified with a small band. ASCII
+// inputs are read as bytes in place and the two rows come from a pool, so a
+// verification allocates nothing; other inputs decode to runes first.
 func LevenshteinWithin(a, b string, k int) (int, bool) {
 	if k < 0 {
 		return 0, false
 	}
-	ra, rb := []rune(a), []rune(b)
+	rows := bandRows.Get().(*[]int)
+	defer bandRows.Put(rows)
+	if isASCII(a) && isASCII(b) {
+		// Read-only byte views of the strings: the band never writes them.
+		return levenshteinBand(unsafe.Slice(unsafe.StringData(a), len(a)), unsafe.Slice(unsafe.StringData(b), len(b)), k, rows)
+	}
+	return levenshteinBand([]rune(a), []rune(b), k, rows)
+}
+
+// bandRows pools the two dynamic-program rows of LevenshteinWithin.
+var bandRows = sync.Pool{New: func() any { return new([]int) }}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
+}
+
+// levenshteinBand is LevenshteinWithin over bytes or runes, with its two
+// rows carved from *rows (grown as needed).
+func levenshteinBand[E byte | rune](ra, rb []E, k int, rows *[]int) (int, bool) {
 	n, m := len(ra), len(rb)
 	if n > m {
 		ra, rb = rb, ra
@@ -154,8 +183,11 @@ func LevenshteinWithin(a, b string, k int) (int, bool) {
 	}
 	const inf = 1 << 29
 	// Band of width 2k+1 around the diagonal.
-	prev := make([]int, m+1)
-	cur := make([]int, m+1)
+	if cap(*rows) < 2*(m+1) {
+		*rows = make([]int, 2*(m+1))
+	}
+	buf := (*rows)[:2*(m+1)]
+	prev, cur := buf[:m+1], buf[m+1:]
 	for j := 0; j <= m; j++ {
 		if j <= k {
 			prev[j] = j
@@ -400,35 +432,88 @@ func runePrefix(ra, rb []rune) int {
 	return prefix
 }
 
-// JaroWinklerBound returns an upper bound of JaroWinkler(a, b) for the price
-// of one pass over each string: the Jaro matches cannot exceed either length
-// less the letters that string holds and the other lacks (letter sets are
-// folded to 64 bits, which only loosens the bound), transpositions are taken
-// as zero, and the common prefix is exact. A caller that only distinguishes
-// values at or above a threshold θ — SoftTFIDF's CLOSE set — can skip the
-// kernel where the bound falls short of θ; the bound is evaluated in floats,
-// so compare it with a small slack. Inputs the bound does not cover (empty
-// or non-ASCII) return 1.
-func JaroWinklerBound(a, b string) float64 {
-	la, lb := len(a), len(b)
-	if la == 0 || lb == 0 {
-		return 1
-	}
-	var setA, setB uint64
+// WordSig is the summary of a word that the signature bounds read: its
+// length, its letter set folded to 64 bits, its letter counts in 32 classes
+// (one byte each, packed four words wide) and its first four bytes. Building
+// one is a pass over the word; comparing two is a few dozen word operations,
+// whatever their length. The zero WordSig stands for a word the bounds do
+// not cover — empty or non-ASCII — and bounds against it return 1.
+type WordSig struct {
+	counts [4]uint64 // class c (byte & 31) is byte c&7 of counts[c>>3]; zero past maxBitLen bytes
+	set    uint64    // bit (byte & 63) for every byte
+	n      uint32    // length in bytes, 0 when uncovered
+	prefix uint32    // the first min(n, 4) bytes, little-endian, zero-padded
+}
+
+// Sig returns the signature of w.
+func Sig(w string) WordSig {
+	var s WordSig
 	var or byte
-	for i := 0; i < la; i++ {
-		setA |= 1 << (a[i] & 63)
-		or |= a[i]
+	for i := 0; i < len(w); i++ {
+		c := w[i]
+		or |= c
+		s.set |= 1 << (c & 63)
+		if len(w) <= maxBitLen { // no class count can pass 64: a byte holds it
+			s.counts[c>>3&3] += 1 << (8 * (c & 7))
+		}
+		if i < JaroWinklerMaxPrefix {
+			s.prefix |= uint32(c) << (8 * i)
+		}
 	}
-	for i := 0; i < lb; i++ {
-		setB |= 1 << (b[i] & 63)
-		or |= b[i]
+	if or >= 0x80 || uint64(len(w)) > 1<<32-1 {
+		return WordSig{}
 	}
-	if or >= 0x80 {
+	s.n = uint32(len(w))
+	return s
+}
+
+// EditBound returns an upper bound of EditSimilarity between the words of
+// a and b. Each letter of the longer word that the shorter cannot pair with
+// an equal letter costs at least one edit, so the distance is at least
+// max(|a|,|b|) less the letters they share — the bag distance — and
+// Eq. 3.13 over that distance bounds the similarity: shared / max(|a|,|b|)
+// in real arithmetic. Folding letters into 32 classes only adds shared
+// letters. The bound is evaluated with editSimilarity's own expression and
+// IEEE division and subtraction are monotone, so it is ≥ EditSimilarity in
+// floats too. Words longer than 64 bytes return 1, as does any uncovered
+// word.
+func (a *WordSig) EditBound(b *WordSig) float64 {
+	if a.n == 0 || b.n == 0 || a.n > maxBitLen || b.n > maxBitLen {
 		return 1
 	}
-	m := float64(min(la-bits.OnesCount64(setA&^setB), lb-bits.OnesCount64(setB&^setA)))
-	return winkler((m/float64(la)+m/float64(lb)+1)/3, bytePrefix(a, b))
+	return editSimilarity(int(max(a.n, b.n))-sharedLetters(&a.counts, &b.counts), int(a.n), int(b.n))
+}
+
+// sharedLetters is Σ min(a[c], b[c]) over the 32 class counts, eight
+// classes per word: every count is ≤ 64, so bytes never carry into each
+// other.
+func sharedLetters(a, b *[4]uint64) int {
+	const hi = 0x8080808080808080
+	var sum uint64
+	for k := range a {
+		x, y := a[k], b[k]
+		ge := (((x | hi) - y) & hi >> 7) * 0xff // 0xff in the bytes where x ≥ y
+		sum += y&ge | x&^ge
+	}
+	return int(sum * 0x0101010101010101 >> 56)
+}
+
+// JaroWinklerBound returns an upper bound of JaroWinkler between the words
+// of a and b: the Jaro matches cannot exceed either length less the letters
+// that word holds and the other lacks (letter sets are folded to 64 bits,
+// which only loosens the bound), transpositions are taken as zero, and the
+// common prefix is exact. A caller that only distinguishes values at or above
+// a threshold θ — SoftTFIDF's CLOSE set — can skip the kernel where the bound
+// falls short of θ; the bound is evaluated in floats, so compare it with a
+// small slack. An uncovered word returns 1.
+func (a *WordSig) JaroWinklerBound(b *WordSig) float64 {
+	if a.n == 0 || b.n == 0 {
+		return 1
+	}
+	la, lb := int(a.n), int(b.n)
+	m := float64(min(la-bits.OnesCount64(a.set&^b.set), lb-bits.OnesCount64(b.set&^a.set)))
+	prefix := min(bits.TrailingZeros32(a.prefix^b.prefix)/8, la, lb)
+	return winkler((m/float64(la)+m/float64(lb)+1)/3, prefix)
 }
 
 // bytePrefix is runePrefix for ASCII strings.

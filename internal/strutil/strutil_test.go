@@ -1,6 +1,7 @@
 package strutil
 
 import (
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -243,11 +244,51 @@ func checkWordKernels(t *testing.T, a, b string) {
 	if got := JaroWinkler(a, b); got != jw {
 		t.Errorf("JaroWinkler(%q,%q) = %v, rune reference %v", a, b, got, jw)
 	}
-	// The bound holds in real arithmetic; in floats it may round a few ulps
-	// under a value it equals, which is what its callers' slack absorbs.
-	if bound := JaroWinklerBound(a, b); bound < jw-1e-12 {
+	sa, sb := Sig(a), Sig(b)
+	// The edit bound is evaluated with Eq. 3.13's own expression over a
+	// smaller distance, so it holds in floats without slack.
+	if bound := sa.EditBound(&sb); bound < editSim {
+		t.Errorf("EditBound(%q,%q) = %v below EditSimilarity %v", a, b, bound, editSim)
+	}
+	// The JW bound holds in real arithmetic; in floats it may round a few
+	// ulps under a value it equals, which is what its callers' slack absorbs.
+	bound := sa.JaroWinklerBound(&sb)
+	if ref := jaroWinklerBoundRef(a, b); bound != ref {
+		t.Errorf("JaroWinklerBound(%q,%q) = %v, string reference %v", a, b, bound, ref)
+	}
+	if bound < jw-1e-12 {
 		t.Errorf("JaroWinklerBound(%q,%q) = %v below JaroWinkler %v", a, b, bound, jw)
 	}
+	for _, k := range []int{0, 1, 2, dist - 1, dist, dist + 1} {
+		d, ok := LevenshteinWithin(a, b, k)
+		if ok != (dist <= k) || ok && d != dist {
+			t.Errorf("LevenshteinWithin(%q,%q,%d) = %d, %v; Levenshtein %d", a, b, k, d, ok, dist)
+		}
+	}
+}
+
+// jaroWinklerBoundRef is the bound of WordSig.JaroWinklerBound computed on
+// the strings themselves, the pre-signature implementation.
+func jaroWinklerBoundRef(a, b string) float64 {
+	la, lb := len(a), len(b)
+	if la == 0 || lb == 0 {
+		return 1
+	}
+	var setA, setB uint64
+	var or byte
+	for i := 0; i < la; i++ {
+		setA |= 1 << (a[i] & 63)
+		or |= a[i]
+	}
+	for i := 0; i < lb; i++ {
+		setB |= 1 << (b[i] & 63)
+		or |= b[i]
+	}
+	if or >= 0x80 {
+		return 1
+	}
+	m := float64(min(la-bits.OnesCount64(setA&^setB), lb-bits.OnesCount64(setB&^setA)))
+	return winkler((m/float64(la)+m/float64(lb)+1)/3, bytePrefix(a, b))
 }
 
 // wordKernelSeeds covers both sides of every fast-path condition: empty,
@@ -294,7 +335,9 @@ func TestWordKernelsMatchRuneReference(t *testing.T) {
 }
 
 // FuzzWordKernels: whichever path Levenshtein, EditSimilarity, Jaro and
-// JaroWinkler take, they return exactly what the rune reference returns.
+// JaroWinkler take, they return exactly what the rune reference returns; the
+// two signature bounds hold; and LevenshteinWithin agrees with Levenshtein
+// on either side of the distance.
 func FuzzWordKernels(f *testing.F) {
 	for _, s := range wordKernelSeeds() {
 		f.Add(s[0], s[1])
@@ -305,26 +348,38 @@ func FuzzWordKernels(f *testing.F) {
 }
 
 // BenchmarkWordKernels times the two word-level kernels of the combination
-// predicates over word-length ASCII inputs — enough distinct pairs that the
-// branch predictor cannot memorize them.
+// predicates, the two signature bounds that screen them and the banded edit
+// distance of the edit predicate over word-length ASCII inputs — enough
+// distinct pairs that the branch predictor cannot memorize them.
 func BenchmarkWordKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	words := make([]string, 1024)
+	sigs := make([]WordSig, len(words))
 	for i := range words {
 		w := make([]byte, 3+rng.Intn(10))
 		for j := range w {
 			w[j] = byte('A' + rng.Intn(26))
 		}
 		words[i] = string(w)
+		sigs[i] = Sig(words[i])
 	}
 	for _, k := range []struct {
 		name string
-		f    func(a, b string) float64
-	}{{"EditSimilarity", EditSimilarity}, {"JaroWinkler", JaroWinkler}} {
+		f    func(i, j int) float64
+	}{
+		{"EditSimilarity", func(i, j int) float64 { return EditSimilarity(words[i], words[j]) }},
+		{"JaroWinkler", func(i, j int) float64 { return JaroWinkler(words[i], words[j]) }},
+		{"EditBound", func(i, j int) float64 { return sigs[i].EditBound(&sigs[j]) }},
+		{"JaroWinklerBound", func(i, j int) float64 { return sigs[i].JaroWinklerBound(&sigs[j]) }},
+		{"LevenshteinWithin", func(i, j int) float64 {
+			d, _ := LevenshteinWithin(words[i], words[j], 3)
+			return float64(d)
+		}},
+	} {
 		b.Run(k.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sinkFloat = k.f(words[i%7], words[i%len(words)])
+				sinkFloat = k.f(i%7, i%len(words))
 			}
 		})
 	}
