@@ -9,6 +9,9 @@ import (
 
 // ScalarFunc is a user-defined scalar function. Implementations must be pure
 // (the planner may re-order or repeat calls) and safe for concurrent use.
+// Where a call reads the columns of one FROM item only, the engine may
+// evaluate it once per row of that item and reuse the result for every
+// joined row it appears in.
 // args is valid only for the duration of the call: the engine refills one
 // argument buffer per call site for every row, so an implementation that
 // wants an argument later copies the Value out and never keeps the slice.

@@ -87,6 +87,8 @@ const (
 // accumulates the aggregate specs of the expressions it compiles, and
 // column references outside aggregate arguments read the group's
 // representative row: rep lists the frame slots those expressions read.
+// With plan set, what it compiles is evaluated at stage stage of plan, and
+// memoized where that plan says row positions repeat (see memoSlot).
 type compiler struct {
 	db      *DB
 	schema  *relSchema
@@ -94,6 +96,8 @@ type compiler struct {
 	aggs    []aggSpec
 	rep     []int
 	inAgg   bool
+	plan    *selectPlan
+	stage   int
 }
 
 // aggOps names the aggregate functions.
@@ -144,6 +148,9 @@ func isAggregate(e expr) bool {
 }
 
 func (c *compiler) compile(e expr) (evalFn, error) {
+	if slot, ok := c.memoSlot(e); ok {
+		return c.compileMemo(e, slot)
+	}
 	switch x := e.(type) {
 	case *literal:
 		v := x.Val
@@ -433,6 +440,111 @@ func (c *compiler) compileIn(x *inExpr) (evalFn, error) {
 			return Null(), nil
 		}
 		return Bool(not), nil
+	}, nil
+}
+
+// memoSlot reports whether e is memoized where the compiler's code runs,
+// and by the row position in which frame slot. e qualifies when it calls a
+// scalar function (recomputing plain arithmetic is cheaper than a lookup),
+// contains no aggregate, reads columns of exactly one FROM item, and the
+// plan says that item's positions repeat at the compiler's stage. Every
+// builtin and ScalarFunc is pure, so e's value is a function of the row.
+func (c *compiler) memoSlot(e expr) (int, bool) {
+	if c.plan == nil {
+		return 0, false
+	}
+	slot, call := -1, false
+	var reads func(expr) bool // reports whether every column read is slot's
+	reads = func(e expr) bool {
+		switch x := e.(type) {
+		case nil, *literal:
+			return true
+		case *colRef:
+			pos, err := c.schema.resolve(x.Table, x.Name)
+			if err != nil || slot >= 0 && c.schema.cols[pos].slot != slot {
+				return false
+			}
+			slot = c.schema.cols[pos].slot
+			return true
+		case *unaryExpr:
+			return reads(x.X)
+		case *binaryExpr:
+			return reads(x.L) && reads(x.R)
+		case *funcCall:
+			if isAggCall(x) {
+				return false
+			}
+			call = true
+			for _, a := range x.Args {
+				if !reads(a) {
+					return false
+				}
+			}
+			return true
+		case *inExpr:
+			for _, a := range x.List {
+				if !reads(a) {
+					return false
+				}
+			}
+			return reads(x.X) // a subquery is uncorrelated
+		case *isNullExpr:
+			return reads(x.X)
+		case *caseExpr:
+			for _, w := range x.Whens {
+				if !reads(w.Cond) || !reads(w.Then) {
+					return false
+				}
+			}
+			return reads(x.Else)
+		default:
+			return false
+		}
+	}
+	ok := reads(e) && call && slot >= 0 && c.plan.repeats(c.stage, slot)
+	return slot, ok
+}
+
+// memoEntry is one row's memoized value; set tells a NULL from no entry.
+type memoEntry struct {
+	v   Value
+	set bool
+}
+
+// compileMemo compiles e, which memoSlot accepted, to a function that
+// evaluates it at most once per row of the FROM item in frame slot slot.
+// It evaluates only when asked, as the unmemoized expression would, so
+// short-circuits and filter order still decide which rows reach a UDF. The
+// cache is allocated on the first call, one entry per row of the item, and
+// lives as long as the statement's plan; an error is never cached, and
+// position −1 (a group with no rows) is not a row, so it is recomputed.
+func (c *compiler) compileMemo(e expr, slot int) (evalFn, error) {
+	plan := c.plan
+	c.plan = nil // memoize the largest qualifying subexpression, not its parts
+	fn, err := c.compile(e)
+	c.plan = plan
+	if err != nil {
+		return nil, err
+	}
+	plan.stages[c.stage].memos++
+	rows := plan.sources[slot].rel.n
+	var cache []memoEntry
+	return func(ctx *evalCtx) (Value, error) {
+		p := ctx.pos[slot]
+		if p < 0 {
+			return fn(ctx)
+		}
+		if cache == nil {
+			cache = make([]memoEntry, rows)
+		}
+		if m := &cache[p]; m.set {
+			return m.v, nil
+		}
+		v, err := fn(ctx)
+		if err == nil {
+			cache[p] = memoEntry{v, true}
+		}
+		return v, err
 	}, nil
 }
 

@@ -283,7 +283,7 @@ func (db *DB) planQuery(sel *selectStmt) (*query, error) {
 		if err != nil {
 			return nil, err
 		}
-		proj, err := db.compileProjection(sel, plan.schema)
+		proj, err := db.compileProjection(sel, plan)
 		if err != nil {
 			return nil, err
 		}

@@ -209,6 +209,10 @@ func FuzzExecSQL(f *testing.F) {
 		"SELECT DISTINCT x FROM (SELECT k AS x FROM a UNION ALL SELECT x FROM c) d ORDER BY x LIMIT 2",
 		"INSERT INTO c SELECT COUNT(*) FROM a WHERE k > 99; INSERT INTO c SELECT AVG(k) FROM b GROUP BY t",
 		"SELECT c1.x, c2.x FROM c c1 INNER JOIN c c2 ON c1.x + 0 = c2.x + 0 AND c1.x <= c2.x",
+		// FAILON over the rescanned item of a cross join: memoized per row.
+		"SELECT a.k, FAILON(b.k) + 1 FROM a, b WHERE a.k <= b.k",
+		"INSERT INTO c SELECT FAILON(c2.x) * 2 FROM c c1, c c2 WHERE c1.x < LENGTH(CONCAT(c2.x, 'z'))",
+		"INSERT INTO b SELECT FAILON(b.k + 1), CONCAT(a.s, b.t) FROM a, b WHERE a.k >= FAILON(b.k) GROUP BY b.k, a.s, b.t",
 	} {
 		f.Add(s)
 	}

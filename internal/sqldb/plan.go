@@ -11,6 +11,13 @@ import (
 // position into the statement's one evaluation frame, so no join output is
 // ever materialized — only derived tables, pushed-down filters' position
 // lists and a hash stage's bounded buffer of held-back positions are.
+//
+// The plan also decides where a row position can come back: a stage loops
+// with the slots earlier stages bound held still, and a cross stage rescans
+// its relation for every upstream frame. There, and only there, a compiled
+// expression that reads one FROM item through a function call is memoized
+// by that item's row position (see compiler.memoSlot), so the Appendix A
+// tokenizers pad and measure each record once, not once per integer.
 
 // source is one FROM item resolved for execution: the rows of rel it binds,
 // by position, into frame slot slot.
@@ -85,6 +92,9 @@ type stage struct {
 	index   *index
 	filters []evalFn
 	next    func(*evalCtx) error
+	// memos counts the memoized subexpressions evaluated at the stage: in
+	// its filters and, at the last stage, in the projection.
+	memos int
 
 	outerVals []Value   // index stage: the outer side of pairs[1:] for the current frame
 	keyBuf    []byte    // index stage: scratch for the probe's key encoding
@@ -108,13 +118,14 @@ func (p *selectPlan) String() string {
 
 // String describes the stage, e.g. "index-nlj base_weights(token) ← s.token".
 // A hash stage that has run also reports which input it built its table on.
+// Memoized subexpressions are counted, e.g. "cross base_table [memo 2]".
 func (st *stage) String() string {
 	var sb strings.Builder
 	switch st.kind {
 	case stageScan:
-		return "scan " + st.src.name
+		sb.WriteString("scan " + st.src.name)
 	case stageCross:
-		return "cross " + st.src.name
+		sb.WriteString("cross " + st.src.name)
 	case stageIndex:
 		fmt.Fprintf(&sb, "index-nlj %s(%s) ← %s", st.src.name, st.src.cols[st.index.col].name, exprString(st.pairs[0].outerExpr))
 		for _, p := range st.pairs[1:] {
@@ -133,7 +144,25 @@ func (st *stage) String() string {
 			sb.WriteString(" [built on " + st.hash.builtOn + "]")
 		}
 	}
+	if st.memos > 0 {
+		fmt.Fprintf(&sb, " [memo %d]", st.memos)
+	}
 	return sb.String()
+}
+
+// repeats reports whether a site evaluated as stage k binds its rows can
+// see the same row position in frame slot slot more than once: the slot is
+// bound by an earlier stage, which holds it still while stage k loops, or
+// by stage k itself when it is a cross stage, which rescans its relation
+// for every upstream frame. The rows an index or hash stage binds, and the
+// first stage's, are not expected to come back.
+func (p *selectPlan) repeats(k, slot int) bool {
+	for j, st := range p.stages[:k+1] {
+		if st.src.slot == slot {
+			return j < k || st.kind == stageCross
+		}
+	}
+	return false
 }
 
 // planSelect resolves the FROM items (materializing derived tables), pushes
@@ -245,6 +274,9 @@ func (db *DB) planSelect(sel *selectStmt) (*selectPlan, error) {
 		}
 	}
 	p.stages = []*stage{{kind: stageScan, src: &p.sources[first]}}
+	// From here on a conjunct runs as some stage binds its rows, where a
+	// row can come back; a pushed-down filter saw each row once.
+	full.plan = p
 	joined := map[string]bool{p.sources[first].alias: true}
 	outer := &relSchema{cols: p.sources[first].cols}
 	var remaining []*source
@@ -293,6 +325,8 @@ func (db *DB) planSelect(sel *selectStmt) (*selectPlan, error) {
 		}
 		joined[cand.alias] = true
 		outer.cols = append(outer.cols[:len(outer.cols):len(outer.cols)], cand.cols...)
+		p.stages = append(p.stages, st)
+		full.stage = len(p.stages) - 1
 		for _, cj := range pool {
 			if cj.applied || cj.needs == nil || !subset(cj.needs, joined) {
 				continue
@@ -304,12 +338,12 @@ func (db *DB) planSelect(sel *selectStmt) (*selectPlan, error) {
 			st.filters = append(st.filters, fn)
 			cj.applied = true
 		}
-		p.stages = append(p.stages, st)
 	}
 
 	// Conjuncts whose references could not be attributed (or, with a single
 	// relation, all of them) apply to the complete frame.
-	last := p.stages[len(p.stages)-1]
+	full.stage = len(p.stages) - 1
+	last := p.stages[full.stage]
 	for _, cj := range pool {
 		if cj.applied {
 			continue

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -430,8 +431,9 @@ func TestModAndNegativeRounding(t *testing.T) {
 }
 
 // planOf plans the SELECT of a statement (a SELECT, or an INSERT ... SELECT)
-// and runs its pipeline into a discarding sink, so that hash stages have
-// decided their build side.
+// with its projection, so that the plan counts the projection's memo sites,
+// and runs it into a discarding sink, so that hash stages have decided
+// their build side. It returns the first UNION ALL arm's plan.
 func planOf(t *testing.T, db *DB, sql string, args ...Value) *selectPlan {
 	t.Helper()
 	st, err := parseSQL(sql, args)
@@ -445,14 +447,14 @@ func planOf(t *testing.T, db *DB, sql string, args ...Value) *selectPlan {
 	if !ok {
 		t.Fatalf("%s has no SELECT", sql)
 	}
-	p, err := db.planSelect(sel)
+	q, err := db.planQuery(sel)
 	if err != nil {
 		t.Fatalf("plan %s: %v", sql, err)
 	}
-	if err := p.run(func(*evalCtx) error { return nil }); err != nil {
+	if err := q.run(func([]Value) {}); err != nil {
 		t.Fatalf("run %s: %v", sql, err)
 	}
-	return p
+	return q.arms[0].plan
 }
 
 // TestDeclarativeScoringPlans answers ROADMAP's question about the
@@ -555,34 +557,149 @@ func TestDeclarativeScoringPlans(t *testing.T) {
 
 // TestTokenizerJoinIsStreamedCross pins the Appendix A.1 tokenization
 // statement: its only conjunct is an inequality, so the INTEGERS join is a
-// cross stage that filters as it streams.
+// cross stage that filters as it streams. Both B.string subexpressions read
+// only the rescanned base_table, so they are memoized: a counting stand-in
+// for REPLACE runs once per base_table row at each of its two sites, not
+// once per (integer, record) pair, and the tokens stay the same.
 func TestTokenizerJoinIsStreamedCross(t *testing.T) {
 	db := New()
+	calls := 0
+	db.RegisterFunc("COUNTED_REPLACE", func(args []Value) (Value, error) {
+		calls++
+		return builtinFuncs["REPLACE"].impl(args)
+	})
 	mustExec(t, db, "CREATE TABLE base_table (tid INT, string VARCHAR(64))")
 	mustExec(t, db, "CREATE TABLE integers (i INT)")
 	mustExec(t, db, "CREATE TABLE base_tokens (tid INT, token VARCHAR(16))")
+	mustExec(t, db, "CREATE TABLE counted_tokens (tid INT, token VARCHAR(16))")
 	mustExec(t, db, `INSERT INTO base_table VALUES (1, 'ab cd'), (2, 'x'), (3, 'yz'), (4, 'pqr'),
 		(5, 'st'), (6, 'u v'), (7, 'w'), (8, 'mn'), (9, 'o')`)
 	mustExec(t, db, "INSERT INTO integers VALUES (1), (2), (3), (4), (5), (6), (7), (8)")
-	const stmt = `
-		INSERT INTO base_tokens (tid, token)
-		SELECT B.tid,
-		       SUBSTRING(CONCAT(?, UPPER(REPLACE(B.string, ' ', ?)), ?), N.i, ?)
-		FROM integers N INNER JOIN base_table B
-		  ON N.i <= LENGTH(REPLACE(B.string, ' ', ?)) + ?`
+	stmt := func(dst, replace string) string {
+		return fmt.Sprintf(`
+			INSERT INTO %s (tid, token)
+			SELECT B.tid,
+			       SUBSTRING(CONCAT(?, UPPER(%[2]s(B.string, ' ', ?)), ?), N.i, ?)
+			FROM integers N INNER JOIN base_table B
+			  ON N.i <= LENGTH(%[2]s(B.string, ' ', ?)) + ?`, dst, replace)
+	}
 	args := []Value{String("$"), String("$"), String("$"), Int(2), String("$"), Int(1)}
-	p := planOf(t, db, stmt, args...)
-	if got, want := p.String(), "scan integers → cross base_table"; got != want {
+	p := planOf(t, db, stmt("base_tokens", "REPLACE"), args...)
+	if got, want := p.String(), "scan integers → cross base_table [memo 2]"; got != want {
 		t.Fatalf("plan %s, want %s", got, want)
 	}
 	if len(p.stages[1].filters) != 1 {
 		t.Fatalf("the ON condition should be the cross stage's filter, got %d filters", len(p.stages[1].filters))
 	}
 	// 'ab cd' pads to '$AB$CD$': six 2-grams.
-	mustExec(t, db, stmt, args...)
+	mustExec(t, db, stmt("base_tokens", "REPLACE"), args...)
 	rows := mustQuery(t, db, "SELECT COUNT(*) FROM base_tokens WHERE tid = 1")
 	if rows.Data[0][0].AsInt() != 6 {
 		t.Fatalf("q-grams of record 1: %v", rows.Data)
+	}
+	n := mustExec(t, db, stmt("counted_tokens", "COUNTED_REPLACE"), args...)
+	if calls != 2*9 {
+		t.Errorf("%d calls for 9 records at 2 sites: want one per record and site, not one per pair (8 × 9 at the ON condition alone)", calls)
+	}
+	want := mustQuery(t, db, "SELECT tid, token FROM base_tokens")
+	if got := mustQuery(t, db, "SELECT tid, token FROM counted_tokens"); n != len(want.Data) || !reflect.DeepEqual(got.Data, want.Data) {
+		t.Fatalf("memoized tokens differ:\n got %v\nwant %v", got.Data, want.Data)
+	}
+}
+
+// TestIndexJoinedItemIsNotMemoized: in LM's SUM(LOG(P1.pm)) the function
+// reads the index-joined last item, whose rows are not expected to repeat,
+// so the site is not memoized and the function runs once per joined row,
+// even when a repeated query token joins the same rows twice.
+func TestIndexJoinedItemIsNotMemoized(t *testing.T) {
+	db := New()
+	calls := 0
+	db.RegisterFunc("COUNTED_LOG", func(args []Value) (Value, error) {
+		calls++
+		return builtinFuncs["LOG"].impl(args)
+	})
+	mustExec(t, db, "CREATE TABLE base_pm (tid INT, token VARCHAR(8), pm DOUBLE)")
+	mustExec(t, db, "CREATE TABLE query_tokens (token VARCHAR(8))")
+	mustExec(t, db, "CREATE INDEX base_pm_token ON base_pm (token)")
+	mustExec(t, db, "INSERT INTO base_pm VALUES (1, 'ab', 0.5), (1, 'cd', 0.25), (2, 'ab', 0.125), (3, 'ef', 0.5)")
+	mustExec(t, db, "INSERT INTO query_tokens VALUES ('ab'), ('cd'), ('ab')")
+	const stmt = `
+		SELECT P1.tid, SUM(COUNTED_LOG(P1.pm)) AS score
+		FROM base_pm P1, query_tokens T2
+		WHERE P1.token = T2.token
+		GROUP BY P1.tid`
+	if got, want := planOf(t, db, stmt).String(), "scan query_tokens → index-nlj base_pm(token) ← t2.token"; got != want {
+		t.Fatalf("plan %s, want %s", got, want)
+	}
+	calls = 0
+	rows := mustQuery(t, db, stmt)
+	if calls != 5 {
+		t.Errorf("%d calls, want one per joined row (5)", calls)
+	}
+	if len(rows.Data) != 2 || rows.Data[0][1].AsFloat() != 2*math.Log(0.5)+math.Log(0.25) || rows.Data[1][1].AsFloat() != 2*math.Log(0.125) {
+		t.Fatalf("scores %v", rows.Data)
+	}
+}
+
+// TestMemoKeepsFailuresAndNulls: a memoized subexpression fails the
+// statement with the error the function returned, caches no error, reaches
+// a function only on the rows the unmemoized plan reaches, and hands a
+// NULL it computed back as NULL.
+func TestMemoKeepsFailuresAndNulls(t *testing.T) {
+	db := New()
+	boom := errors.New("boom")
+	calls := 0
+	db.RegisterFunc("FAILON", func(args []Value) (Value, error) {
+		calls++
+		switch args[0].AsInt() {
+		case 3:
+			return Null(), boom
+		case 2:
+			return Null(), nil
+		}
+		return args[0], nil
+	})
+	mustExec(t, db, "CREATE TABLE a (k INT)")
+	mustExec(t, db, "CREATE TABLE b (k INT)")
+	mustExec(t, db, "CREATE TABLE dst (k INT, v INT)")
+	mustExec(t, db, "CREATE INDEX dst_v ON dst (v)")
+	mustExec(t, db, "INSERT INTO a VALUES (1), (2)")
+	mustExec(t, db, "INSERT INTO b VALUES (1), (2), (3), (4)")
+	mustExec(t, db, "INSERT INTO dst VALUES (0, 0)")
+
+	const lazy = "SELECT a.k, FAILON(b.k) + 1 FROM a, b WHERE b.k <= a.k"
+	if got, want := planOf(t, db, lazy).String(), "scan a → cross b [memo 1]"; got != want {
+		t.Fatalf("plan %s, want %s", got, want)
+	}
+	const failing = "INSERT INTO dst SELECT a.k, FAILON(b.k) + 1 FROM a, b WHERE a.k <= b.k"
+	for try := 0; try < 2; try++ { // a second run fails again: no memo outlives its statement
+		if _, err := db.Exec(failing); !errors.Is(err, boom) {
+			t.Fatalf("run %d: err %v, want %v", try, err, boom)
+		}
+		checkTables(t, db)
+		if n := db.Table("dst").NumRows(); n != 1 {
+			t.Fatalf("the failed insert left %d rows", n)
+		}
+	}
+
+	// b.k = 3 never passes the filter, so FAILON never sees it; b.k = 1
+	// passes for both rows of a and is computed once.
+	calls = 0
+	rows := mustQuery(t, db, lazy)
+	if len(rows.Data) != 3 || calls != 2 {
+		t.Fatalf("%d rows from %d calls, want 3 from 2: %v", len(rows.Data), calls, rows.Data)
+	}
+
+	// FAILON(2) is NULL, computed once and read back as NULL for each a.
+	calls = 0
+	rows = mustQuery(t, db, "SELECT a.k, b.k, FAILON(b.k) + 1 FROM a, b WHERE b.k <> 3")
+	if len(rows.Data) != 6 || calls != 3 {
+		t.Fatalf("%d rows from %d calls, want 6 from 3", len(rows.Data), calls)
+	}
+	for _, r := range rows.Data {
+		if r[2].IsNull() != (r[1].AsInt() == 2) {
+			t.Errorf("row %v: FAILON(%v) + 1 should be NULL exactly for b.k = 2", r, r[1])
+		}
 	}
 }
 
@@ -631,7 +748,7 @@ func TestIdenticalAggregatesShareOneAccumulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := db.compileProjection(sel, p.schema)
+	pr, err := db.compileProjection(sel, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,8 +40,11 @@ type orderKey struct {
 }
 
 // compileProjection compiles everything after FROM/WHERE of one SELECT core
-// against the frame schema.
-func (db *DB) compileProjection(sel *selectStmt, schema *relSchema) (*projection, error) {
+// against the frame schema of plan. What reads the frame runs at plan's last
+// stage — per joined frame, or per group on its representative row — and
+// is memoized as a filter there would be.
+func (db *DB) compileProjection(sel *selectStmt, plan *selectPlan) (*projection, error) {
+	schema, last := plan.schema, len(plan.stages)-1
 	// Expand stars into concrete column expressions, in FROM order.
 	type projItem struct {
 		e     expr
@@ -98,7 +101,7 @@ func (db *DB) compileProjection(sel *selectStmt, schema *relSchema) (*projection
 	}
 	substitute := func(e expr) expr { return substituteAliases(e, aliasExpr, schema) }
 
-	c := &compiler{db: db, schema: schema, grouped: pr.grouped}
+	c := &compiler{db: db, schema: schema, grouped: pr.grouped, plan: plan, stage: last}
 	pr.items = make([]evalFn, len(items))
 	pr.names = make([]string, len(items))
 	for i, it := range items {
@@ -150,7 +153,7 @@ func (db *DB) compileProjection(sel *selectStmt, schema *relSchema) (*projection
 	if pr.grouped {
 		// Group-key expressions read the frame and must not contain
 		// aggregates.
-		gc := &compiler{db: db, schema: schema}
+		gc := &compiler{db: db, schema: schema, plan: plan, stage: last}
 		for _, ge := range sel.GroupBy {
 			fn, err := gc.compile(substitute(ge))
 			if err != nil {
