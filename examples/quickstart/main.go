@@ -6,12 +6,23 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"math"
+	"os"
 
 	approxsel "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the walkthrough to w. It fails if the declarative BM25 top
+// match is not the native one: same TID, score within 1e-9.
+func run(w io.Writer) error {
 	records := []approxsel.Record{
 		{TID: 1, Text: "AT&T Incorporated"},
 		{TID: 2, Text: "AT&T Inc."},
@@ -29,28 +40,32 @@ func main() {
 	// options New uses the paper's defaults and the in-memory realization.
 	bm25, err := approxsel.New("BM25", records)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("BM25 top 4 for query 'AT&T Inc':")
+	fmt.Fprintln(w, "BM25 top 4 for query 'AT&T Inc':")
 	matches, err := approxsel.SelectCtx(ctx, bm25, "AT&T Inc", approxsel.Limit(4))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, m := range matches {
-		fmt.Printf("  tid %d  score %7.3f  %s\n", m.TID, m.Score, text(records, m.TID))
+		fmt.Fprintf(w, "  tid %d  score %7.3f  %s\n", m.TID, m.Score, text(records, m.TID))
 	}
 
 	// The same predicate, realized purely in SQL over the bundled engine.
 	decl, err := approxsel.New("BM25", records,
 		approxsel.WithRealization(approxsel.Declarative))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	top, err := approxsel.TopK(decl, "AT&T Inc", 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nDeclarative BM25 agrees: top match is tid %d (%s), score %.3f\n",
+	if len(top) == 0 || len(matches) == 0 || top[0].TID != matches[0].TID ||
+		math.Abs(top[0].Score-matches[0].Score) > 1e-9 {
+		return fmt.Errorf("declarative BM25 top match %v differs from the native %v", top, matches)
+	}
+	fmt.Fprintf(w, "\nDeclarative BM25 agrees: top match is tid %d (%s), score %.3f\n",
 		top[0].TID, text(records, top[0].TID), top[0].Score)
 
 	// Thresholded selection: the paper's sim(tq, t) >= theta operation,
@@ -58,15 +73,15 @@ func main() {
 	// defaults.
 	jac, err := approxsel.New("Jaccard", records, approxsel.WithQ(2))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	close, err := approxsel.SelectCtx(ctx, jac, "Beijing Hotel", approxsel.Threshold(0.5))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\nJaccard >= 0.5 for 'Beijing Hotel':")
+	fmt.Fprintln(w, "\nJaccard >= 0.5 for 'Beijing Hotel':")
 	for _, m := range close {
-		fmt.Printf("  tid %d  score %5.3f  %s\n", m.TID, m.Score, text(records, m.TID))
+		fmt.Fprintf(w, "  tid %d  score %5.3f  %s\n", m.TID, m.Score, text(records, m.TID))
 	}
 
 	// Batched probing: every record queries the base relation through a
@@ -78,18 +93,19 @@ func main() {
 	res, err := approxsel.SelectBatch(ctx, bm25, queries,
 		approxsel.Workers(4), approxsel.Limit(2))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\nBatch probe, best other match per record:")
+	fmt.Fprintln(w, "\nBatch probe, best other match per record:")
 	for i, ms := range res {
 		for _, m := range ms {
 			if m.TID == records[i].TID {
 				continue
 			}
-			fmt.Printf("  %-28s -> tid %d (%s)\n", records[i].Text, m.TID, text(records, m.TID))
+			fmt.Fprintf(w, "  %-28s -> tid %d (%s)\n", records[i].Text, m.TID, text(records, m.TID))
 			break
 		}
 	}
+	return nil
 }
 
 func text(records []approxsel.Record, tid int) string {

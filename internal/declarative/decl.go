@@ -11,6 +11,7 @@ package declarative
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 	"unicode"
@@ -205,7 +206,8 @@ func (b *base) PreprocessPhases() (time.Duration, time.Duration) {
 
 // pruneSQL applies §5.6 IDF pruning to a token table: tokens with
 // idf < min + rate·(max − min) are deleted, entirely in SQL, before any
-// weight table is derived.
+// weight table is derived. Its scratch tables go with the other
+// intermediates when Build drops them.
 func (b *base) pruneSQL(tokTable string, rate float64) error {
 	if rate <= 0 {
 		return nil
@@ -224,17 +226,10 @@ func (b *base) pruneSQL(tokTable string, rate float64) error {
 			return err
 		}
 	}
-	err := b.exec(fmt.Sprintf(`DELETE FROM %s WHERE token IN (
+	return b.exec(fmt.Sprintf(`DELETE FROM %s WHERE token IN (
 			SELECT P.token FROM prune_idf P, prune_bounds B
 			WHERE P.idf < B.lo + ? * (B.hi - B.lo))`, tokTable),
 		sqldb.Float(rate))
-	if err != nil {
-		return err
-	}
-	if err := b.exec("DROP TABLE prune_idf"); err != nil {
-		return err
-	}
-	return b.exec("DROP TABLE prune_bounds")
 }
 
 // predicate is every declarative predicate: the database its
@@ -251,25 +246,39 @@ func (p *predicate) Name() string { return p.name }
 // Select implements core.Predicate.
 func (p *predicate) Select(query string) ([]core.Match, error) { return p.sel(p.base, query) }
 
+// Tables shared by several keep lists: what setQuery (q-gram queries) and
+// setQueryWords (word queries) refill on every select, and what the
+// filter-then-verify pipeline of GESJaccard and GESapx reads besides its
+// own similarity tables (refreshQueryIDF, candidateScores).
+const (
+	gramQuery = "integers query_table query_tokens"
+	wordQuery = "integers query_table query_words"
+	gesFilter = wordQuery + " base_idf base_idfavg base_table cand maxsim_t query_idf sum_idf"
+)
+
 // predicates is the build table: each benchmark predicate's preprocessing
-// (Appendix A and B statements) and its selection statements.
+// (Appendix A and B statements), its selection statements, and keep, the
+// tables those statements read or write. Build drops every other table, so
+// a predicate holds only what its select needs; a table missing from keep
+// makes the select fail with sqldb's unknown-table error.
 var predicates = map[string]struct {
 	prep func([]core.Record, core.Config) (*base, error)
 	sel  func(*base, string) ([]core.Match, error)
+	keep string
 }{
-	"IntersectSize":   {overlapPrep, (*base).selectIntersectSize},
-	"Jaccard":         {prepJaccard, (*base).selectJaccard},
-	"WeightedMatch":   {weightedOverlapPrep, (*base).selectWeightedMatch},
-	"WeightedJaccard": {prepWeightedJaccard, (*base).selectWeightedJaccard},
-	"Cosine":          {prepCosine, (*base).selectCosine},
-	"BM25":            {prepBM25, (*base).selectBM25},
-	"LM":              {prepLM, (*base).selectLM},
-	"HMM":             {prepHMM, (*base).selectHMM},
-	"EditDistance":    {prepEditDistance, (*base).selectEditDistance},
-	"GES":             {prepGES, (*base).selectGES},
-	"GESJaccard":      {prepGESJaccard, (*base).selectGESJaccard},
-	"GESapx":          {prepGESapx, (*base).selectGESapx},
-	"SoftTFIDF":       {prepSoftTFIDF, (*base).selectSoftTFIDF},
+	"IntersectSize":   {overlapPrep, (*base).selectIntersectSize, gramQuery + " query_tokens_d base_tokens"},
+	"Jaccard":         {prepJaccard, (*base).selectJaccard, gramQuery + " query_tokens_d base_tokensddl"},
+	"WeightedMatch":   {weightedOverlapPrep, (*base).selectWeightedMatch, gramQuery + " query_tokens_d base_weights"},
+	"WeightedJaccard": {prepWeightedJaccard, (*base).selectWeightedJaccard, gramQuery + " query_tokens_d base_bmidf base_tokensddl"},
+	"Cosine":          {prepCosine, (*base).selectCosine, gramQuery + " query_tf query_weights base_idf base_weights"},
+	"BM25":            {prepBM25, (*base).selectBM25, gramQuery + " base_weights"},
+	"LM":              {prepLM, (*base).selectLM, gramQuery + " base_pm base_sumcompm"},
+	"HMM":             {prepHMM, (*base).selectHMM, gramQuery + " base_weights"},
+	"EditDistance":    {prepEditDistance, (*base).selectEditDistance, gramQuery + " query_edit base_edit base_tokens"},
+	"GES":             {prepGES, (*base).selectGES, "base_table"},
+	"GESJaccard":      {prepGESJaccard, (*base).selectGESJaccard, gesFilter + " query_qgrams query_qgramsize jac_sim base_qgramstokensize"},
+	"GESapx":          {prepGESapx, (*base).selectGESapx, gesFilter + " fids query_qgrams query_mh mh_sim base_mh"},
+	"SoftTFIDF":       {prepSoftTFIDF, (*base).selectSoftTFIDF, wordQuery + " query_tf query_weights close_sim maxsim_t maxtoken base_idf base_weights base_words"},
 }
 
 // Build constructs the named declarative predicate. Names match
@@ -283,6 +292,17 @@ func Build(name string, records []core.Record, cfg core.Config) (core.Predicate,
 	if err != nil {
 		return nil, err
 	}
+	t0 := time.Now()
+	keep := strings.Fields(def.keep)
+	for _, t := range b.db.TableNames() {
+		if slices.Contains(keep, t) {
+			continue
+		}
+		if err := b.exec("DROP TABLE " + t); err != nil {
+			return nil, err
+		}
+	}
+	b.wDur += time.Since(t0)
 	return &predicate{base: b, name: name, sel: def.sel}, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -174,6 +175,45 @@ func TestDifferentialWithPruning(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBuildKeepsOnlyWhatSelectReads holds every predicate's keep set to
+// the tables its select touches: after Build the database holds exactly
+// keep, and dropping any one keep entry makes the first select fail with
+// sqldb's unknown-table error, so no entry is kept for nothing. That
+// nothing needed was dropped is what the golden and differential tests
+// show.
+func TestBuildKeepsOnlyWhatSelectReads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds every predicate once per kept table")
+	}
+	records, queries := goldenRelation(t)
+	pruned := core.DefaultConfig()
+	pruned.PruneRate = 0.25
+	for _, cfg := range []core.Config{core.DefaultConfig(), pruned} {
+		for _, name := range core.PredicateNames {
+			keep := strings.Fields(predicates[name].keep)
+			slices.Sort(keep)
+			build := func() *predicate {
+				p, err := Build(name, records, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				return p.(*predicate)
+			}
+			if got := build().db.TableNames(); !slices.Equal(got, keep) {
+				t.Errorf("%s (prune %v) keeps %v, want %v", name, cfg.PruneRate, got, keep)
+			}
+			for _, table := range keep {
+				p := build()
+				p.db.DropTable(table)
+				_, err := p.Select(queries[0])
+				if want := fmt.Sprintf("unknown table %q", table); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s (prune %v) without %s: select error %v, want %s", name, cfg.PruneRate, table, err, want)
+				}
+			}
+		}
 	}
 }
 
