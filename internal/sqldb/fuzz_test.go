@@ -68,6 +68,9 @@ func FuzzParseSQL(f *testing.F) {
 		"SELECT DISTINCT x FROM (SELECT 1 AS x UNION ALL SELECT 2) d WHERE x NOT IN (1, 2) AND x IN (SELECT y FROM u)",
 		"INSERT INTO t (a, b) VALUES (1, 'it''s'), (?, 2e-3); -- comment\n/* block */ DROP TABLE IF EXISTS t",
 		"CREATE TABLE IF NOT EXISTS `t` (\"a\" BIGINT, b DOUBLE, c VARCHAR(8)); CREATE INDEX i ON t (a)",
+		// Build drops intermediates with "DROP TABLE " + name; the source
+		// holds only that prefix, so a whole statement is seeded here.
+		"DROP TABLE prune_idf",
 		"((((((((((", "SELECT - - - - 1", "SELECT NOT NOT NOT 1", "'", "`", "1e", "SELECT f(", "SELECT CASE",
 	} {
 		f.Add(s)
