@@ -217,6 +217,54 @@ func TestBuildKeepsOnlyWhatSelectReads(t *testing.T) {
 	}
 }
 
+// TestSelectsLeaveDictionaryAsBuilt runs 2 000 distinct queries — a word
+// of a record and a word no record has — through GESJaccard on the golden
+// relation. Every select interns its query's strings and frees them when
+// the next select empties the query tables. Once the last query's rows are
+// gone too, the database's string dictionary holds exactly the strings
+// Build left it, and its codes have grown by no more than two selects hold
+// at once.
+func TestSelectsLeaveDictionaryAsBuilt(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2 000 selects")
+	}
+	records, _ := goldenRelation(t)
+	p, err := Build("GESJaccard", records, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := p.(*predicate).db
+	var perQuery []string // the tables a select fills: empty after Build
+	for _, name := range db.TableNames() {
+		if db.Table(name).NumRows() == 0 {
+			perQuery = append(perQuery, name)
+		}
+	}
+	held, codes := db.DictionarySize()
+	most := 0 // the most strings a select left held
+	for i := 0; i < 2000; i++ {
+		words := strings.Fields(records[i%len(records)].Text)
+		if _, err := p.Select(fmt.Sprintf("%s zq%d", words[0], i)); err != nil {
+			t.Fatal(err)
+		}
+		h, _ := db.DictionarySize()
+		most = max(most, h-held)
+	}
+	for _, name := range perQuery {
+		if _, err := db.Exec("DELETE FROM " + name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A select empties the last one's tables as it fills its own, so at
+	// most two selects' strings are ever held at once.
+	h, c := db.DictionarySize()
+	if h != held || c > codes+2*most {
+		t.Errorf("after 2 000 selects the dictionary holds %d strings in %d codes; Build left %d in %d, and a select holds at most %d",
+			h, c, held, codes, most)
+	}
+	t.Logf("%d strings in %d codes after Build, %d codes after 2 000 selects (a select holds at most %d); tables emptied: %v", held, codes, c, most, perQuery)
+}
+
 func TestDeclarativeBuildUnknown(t *testing.T) {
 	if _, err := Build("NoSuch", nil, core.DefaultConfig()); err == nil {
 		t.Fatal("unknown predicate should error")

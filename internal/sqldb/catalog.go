@@ -41,15 +41,15 @@ type index struct {
 func (ix *index) add(v Value) {
 	id, added := int32(-1), false
 	if !v.IsNull() {
-		id, added = ix.keys.findValue(v, true)
+		id, added = ix.keys.add(v)
 	}
 	ix.link(id, added)
 }
 
 // rebuild indexes r afresh.
 func (ix *index) rebuild(r *relation) {
-	*ix = index{col: ix.col}
 	c := &r.cols[ix.col]
+	*ix = index{col: ix.col, joinTable: joinTable{keys: keyIndex{dict: c.dict}}}
 	for i := 0; i < r.n; i++ {
 		ix.add(c.value(int32(i)))
 	}
@@ -89,7 +89,8 @@ func (t *Table) appendRow(vals []Value) {
 	}
 }
 
-// truncate drops every row from position n on.
+// truncate drops every row from position n on, releasing their VARCHAR
+// cells.
 func (t *Table) truncate(n int) {
 	t.rel.truncate(n)
 	t.reindex()
@@ -101,12 +102,13 @@ func (t *Table) reindex() {
 	}
 }
 
-// DB is an in-memory database: a catalog of tables plus registered scalar
-// functions. All public methods are safe for concurrent use; writes take an
-// exclusive lock.
+// DB is an in-memory database: a catalog of tables, the dictionary their
+// VARCHAR cells are codes in, and registered scalar functions. All public
+// methods are safe for concurrent use; writes take an exclusive lock.
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
+	dict   *dict
 	funcs  map[string]ScalarFunc
 }
 
@@ -114,6 +116,7 @@ type DB struct {
 func New() *DB {
 	return &DB{
 		tables: make(map[string]*Table),
+		dict:   newDict(),
 		funcs:  make(map[string]ScalarFunc),
 	}
 }
@@ -144,6 +147,14 @@ func (db *DB) TableNames() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// DictionarySize returns how many distinct strings the database's VARCHAR
+// cells hold, and how many dictionary codes exist, held or free to reuse.
+func (db *DB) DictionarySize() (held, codes int) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.dict.live(), len(db.dict.strs) - 1
 }
 
 // CreateTable creates a table programmatically. Column kinds must be one of
@@ -181,7 +192,7 @@ func (db *DB) createTableLocked(name string, cols []columnDef, ifNotExists bool)
 		colIdx:  colIdx,
 		indexes: make(map[string]*index),
 	}
-	t.rel = *newRelation(t.kinds())
+	t.rel = *newRelation(t.kinds(), db.dict)
 	db.tables[name] = t
 	return nil
 }
@@ -190,7 +201,16 @@ func (db *DB) createTableLocked(name string, cols []columnDef, ifNotExists bool)
 func (db *DB) DropTable(name string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	delete(db.tables, strings.ToLower(name))
+	db.dropLocked(strings.ToLower(name))
+}
+
+// dropLocked removes the named table, if it exists, and releases its
+// VARCHAR cells.
+func (db *DB) dropLocked(name string) {
+	if t := db.tables[name]; t != nil {
+		t.rel.truncate(0)
+		delete(db.tables, name)
+	}
 }
 
 // BulkInsert appends rows to a table without going through the SQL layer.

@@ -8,11 +8,13 @@ type relation struct {
 	n    int
 }
 
-// newRelation returns an empty relation with a column of each kind. A kind
-// other than INT, DOUBLE or VARCHAR makes a column with no fixed kind.
-func newRelation(kinds []Kind) *relation {
+// newRelation returns an empty relation with a column of each kind, whose
+// VARCHAR cells are codes in d. A kind other than INT, DOUBLE or VARCHAR
+// makes a column with no fixed kind.
+func newRelation(kinds []Kind, d *dict) *relation {
 	r := &relation{cols: make([]column, len(kinds))}
 	for i, k := range kinds {
+		r.cols[i].dict = d
 		switch k {
 		case KindInt, KindFloat, KindString:
 			r.cols[i].kind = k
@@ -37,7 +39,8 @@ func (r *relation) row(i int32, dst []Value) {
 	}
 }
 
-// truncate drops every row from position n on.
+// truncate drops every row from position n on, releasing their VARCHAR
+// cells.
 func (r *relation) truncate(n int) {
 	for i := range r.cols {
 		r.cols[i].truncate(n)
@@ -46,18 +49,19 @@ func (r *relation) truncate(n int) {
 }
 
 // column is one column of a relation, stored as one vector of its kind:
-// INT as int64s, DOUBLE as float64s, VARCHAR as strings. A column with no
-// fixed kind (KindNull: a derived table's, whose rows may mix kinds) holds
-// Values. A typed column's NULLs are the set bits of nulls, which stays nil
-// until the first NULL and covers positions up to the last one; the vector
-// holds a zero there.
+// INT as int64s, DOUBLE as float64s, VARCHAR as int32 codes in dict, with
+// −1 for NULL. A column with no fixed kind (KindNull: a derived table's,
+// whose rows may mix kinds) holds Values. An INT or DOUBLE column's NULLs
+// are the set bits of nulls, which stays nil until the first NULL and
+// covers positions up to the last one; the vector holds a zero there.
 type column struct {
 	kind   Kind
 	ints   []int64
 	floats []float64
-	strs   []string
+	codes  []int32
 	vals   []Value
 	nulls  []uint64
+	dict   *dict
 }
 
 func (c *column) isNull(i int32) bool {
@@ -76,10 +80,18 @@ func (c *column) value(i int32) Value {
 	case KindFloat:
 		return Value{Kind: KindFloat, F: c.floats[i]}
 	case KindString:
-		return Value{Kind: KindString, S: c.strs[i]}
+		return c.str(c.codes[i])
 	default:
 		return c.vals[i]
 	}
+}
+
+// str returns the VARCHAR cell holding code, which carries it.
+func (c *column) str(code int32) Value {
+	if code < 0 {
+		return Value{}
+	}
+	return Value{Kind: KindString, code: code, S: c.dict.strs[code]}
 }
 
 // reader compiles a read of the column at the position frame slot slot
@@ -103,20 +115,14 @@ func (c *column) reader(slot int) evalFn {
 			return Value{Kind: KindFloat, F: c.floats[i]}, nil
 		}
 	case KindString:
-		return func(ctx *evalCtx) (Value, error) {
-			i := ctx.pos[slot]
-			if c.nulls != nil && c.isNull(i) {
-				return Value{}, nil
-			}
-			return Value{Kind: KindString, S: c.strs[i]}, nil
-		}
+		return func(ctx *evalCtx) (Value, error) { return c.str(c.codes[ctx.pos[slot]]), nil }
 	default:
 		return func(ctx *evalCtx) (Value, error) { return c.vals[ctx.pos[slot]], nil }
 	}
 }
 
 // append stores v, coerced to the column's kind, at position i, which must
-// be the column's length.
+// be the column's length. A VARCHAR is interned.
 func (c *column) append(i int, v Value) {
 	if c.kind == KindNull {
 		c.vals = append(c.vals, v)
@@ -124,6 +130,10 @@ func (c *column) append(i int, v Value) {
 	}
 	v = coerce(v, c.kind)
 	if v.IsNull() {
+		if c.kind == KindString {
+			c.codes = append(c.codes, -1)
+			return
+		}
 		c.setNull(i)
 	}
 	switch c.kind {
@@ -132,7 +142,7 @@ func (c *column) append(i int, v Value) {
 	case KindFloat:
 		c.floats = append(c.floats, v.F)
 	default:
-		c.strs = append(c.strs, v.S)
+		c.codes = append(c.codes, c.dict.intern(v))
 	}
 }
 
@@ -144,8 +154,9 @@ func (c *column) setNull(i int) {
 	c.nulls[w] |= 1 << (i & 63)
 }
 
-// truncate drops positions n and on. The vector keeps its capacity, so
-// the strings or Values past the end are zeroed to let them be collected.
+// truncate drops positions n and on, releasing their codes. The vector
+// keeps its capacity, so the Values past the end are zeroed to let them be
+// collected.
 func (c *column) truncate(n int) {
 	switch c.kind {
 	case KindInt:
@@ -153,8 +164,10 @@ func (c *column) truncate(n int) {
 	case KindFloat:
 		c.floats = c.floats[:n]
 	case KindString:
-		clear(c.strs[n:])
-		c.strs = c.strs[:n]
+		for _, code := range c.codes[n:] {
+			c.dict.release(code)
+		}
+		c.codes = c.codes[:n]
 	default:
 		clear(c.vals[n:])
 		c.vals = c.vals[:n]

@@ -385,22 +385,21 @@ func (c *compiler) compileIn(x *inExpr) (evalFn, error) {
 		if len(names) != 1 {
 			return nil, fmt.Errorf("sqldb: IN subquery must return one column, got %d", len(names))
 		}
-		var set keyIndex
+		set := keyIndex{dict: c.db.dict}
 		hasNull := false
 		for i := int32(0); i < int32(rel.n); i++ {
 			if v := rel.cols[0].value(i); v.IsNull() {
 				hasNull = true
 			} else {
-				set.findValue(v, true)
+				set.add(v)
 			}
 		}
-		var buf []byte
 		return func(ctx *evalCtx) (Value, error) {
 			v, err := inner(ctx)
 			if err != nil || v.IsNull() {
 				return Null(), err
 			}
-			if set.lookup(v, &buf) >= 0 {
+			if set.lookup(v) >= 0 {
 				return Bool(!not), nil
 			}
 			if hasNull {
@@ -577,7 +576,7 @@ func (c *compiler) compileAggregate(x *funcCall) (evalFn, error) {
 	if slot < 0 {
 		spec := aggSpec{call: x, op: aggOps[x.Name]}
 		if x.Distinct {
-			spec.seen = &keyIndex{}
+			spec.seen = &keyIndex{dict: c.db.dict}
 		}
 		if !x.Star {
 			c.inAgg = true
@@ -608,12 +607,13 @@ func (c *compiler) compileFunc(x *funcCall) (evalFn, error) {
 		args[i] = fn
 	}
 	var impl ScalarFunc
+	registered := false
 	if fn, ok := builtinFuncs[x.Name]; ok {
 		if err := fn.checkArity(x.Name, len(args)); err != nil {
 			return nil, err
 		}
 		impl = fn.impl
-	} else if impl, ok = c.db.funcs[x.Name]; !ok {
+	} else if impl, registered = c.db.funcs[x.Name]; !registered {
 		// No locking here: compilation always happens under the public
 		// API's database lock (Exec holds the write lock, Query the read
 		// lock).
@@ -621,13 +621,18 @@ func (c *compiler) compileFunc(x *funcCall) (evalFn, error) {
 	}
 	// One argument buffer per call site, refilled for every call: the
 	// ScalarFunc contract makes it the callee's only for the call. A call
-	// nested in an argument is another call site with its own buffer.
+	// nested in an argument is another call site with its own buffer. A
+	// registered function may keep an argument, so it gets none that
+	// carries a code, which is valid for the statement only.
 	vals := make([]Value, len(args))
 	return func(ctx *evalCtx) (Value, error) {
 		for i, fn := range args {
 			v, err := fn(ctx)
 			if err != nil {
 				return Null(), err
+			}
+			if registered {
+				v.code = 0
 			}
 			vals[i] = v
 		}
@@ -928,8 +933,9 @@ var substringFn = builtin{2, 3, func(args []Value) (Value, error) {
 			end = start + count
 		}
 	}
-	// A copy: a stored token must not pin the string it was cut from.
-	return String(strings.Clone(s[runeOffset(s, n, start):runeOffset(s, n, end)])), nil
+	// No copy: a stored token is cloned once, when the dictionary first
+	// sees it.
+	return String(s[runeOffset(s, n, start):runeOffset(s, n, end)]), nil
 }}
 
 // runeOffset returns the byte offset of the k-th rune of s, which has n

@@ -94,7 +94,7 @@ func (db *DB) execStmt(st stmt) (int, error) {
 		if _, ok := db.tables[name]; !ok && !s.IfExists {
 			return 0, fmt.Errorf("sqldb: unknown table %q", s.Name)
 		}
-		delete(db.tables, name)
+		db.dropLocked(name)
 		return 0, nil
 	case *deleteStmt:
 		return db.execDelete(s)
@@ -153,14 +153,15 @@ func (db *DB) execDelete(s *deleteStmt) (int, error) {
 		return 0, err
 	}
 	// The rows that stay are copied into fresh columns, which then replace
-	// the table's.
-	kept := newRelation(t.kinds())
+	// the table's, whose cells are released.
+	kept := newRelation(t.kinds(), db.dict)
 	row := make([]Value, len(t.defs))
 	ctx := &evalCtx{pos: make([]int32, 1)}
 	for i := int32(0); i < int32(n); i++ {
 		ctx.pos[0] = i
 		v, err := cond(ctx)
 		if err != nil {
+			kept.truncate(0)
 			return 0, err
 		}
 		if !v.Truthy() {
@@ -168,6 +169,7 @@ func (db *DB) execDelete(s *deleteStmt) (int, error) {
 			kept.appendRow(row)
 		}
 	}
+	t.rel.truncate(0)
 	t.rel = *kept
 	t.reindex()
 	return n - kept.n, nil
@@ -328,7 +330,10 @@ func (q *query) collect() (*Rows, error) {
 		}
 		row := slab[:w:w]
 		slab = slab[w:]
-		copy(row, vals)
+		for i, v := range vals {
+			v.code = 0 // a code is the statement's, not the caller's
+			row[i] = v
+		}
 		rows.Data = append(rows.Data, row)
 	})
 	if err != nil {
@@ -341,7 +346,7 @@ func (q *query) collect() (*Rows, error) {
 // a derived table, an IN subquery's result, or the rows an INSERT reads
 // from its own target.
 func (q *query) materialize() (*relation, error) {
-	rel := newRelation(make([]Kind, len(q.names)))
+	rel := newRelation(make([]Kind, len(q.names)), nil)
 	if err := q.run(rel.appendRow); err != nil {
 		return nil, err
 	}

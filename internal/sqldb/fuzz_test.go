@@ -195,7 +195,8 @@ func fromItems(st stmt) int {
 // FuzzExecSQL executes generated scripts, statement by statement, against
 // fuzzDB. Whatever a statement does — succeed, fail to plan, fail half-way —
 // it must not panic, and afterwards every table must be consistent (see
-// checkTables): columns of equal length and indexes equal to a rebuild.
+// checkTables): columns of equal length, indexes equal to a rebuild, and
+// dictionary codes that count exactly the cells holding them.
 // Scripts that could ask for more than a moment's work are skipped: more
 // than eight statements or three FROM items in one, and tables past 32
 // rows or 4 KiB of strings end the run.
@@ -216,6 +217,9 @@ func FuzzExecSQL(f *testing.F) {
 		"SELECT a.k, FAILON(b.k) + 1 FROM a, b WHERE a.k <= b.k",
 		"INSERT INTO c SELECT FAILON(c2.x) * 2 FROM c c1, c c2 WHERE c1.x < LENGTH(CONCAT(c2.x, 'z'))",
 		"INSERT INTO b SELECT FAILON(b.k + 1), CONCAT(a.s, b.t) FROM a, b WHERE a.k >= FAILON(b.k) GROUP BY b.k, a.s, b.t",
+		// Computed strings interned into the target mid-statement, then
+		// freed codes handed to new strings.
+		"INSERT INTO b SELECT DISTINCT k, SUBSTRING(CONCAT(s, 'q'), 2) FROM a; DELETE FROM a; INSERT INTO a (s) SELECT t FROM b WHERE t IN (SELECT SUBSTRING(t, 1) FROM b)",
 	} {
 		f.Add(s)
 	}

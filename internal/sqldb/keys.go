@@ -1,38 +1,49 @@
 package sqldb
 
 import (
-	"encoding/binary"
 	"math"
+	"math/bits"
+	"slices"
 )
 
 // keyIndex assigns dense ids, in first-seen order, to the distinct keys of
 // a hash join's build side, a table index, an IN subquery, a GROUP BY or a
-// DISTINCT. A key that is a single integral value (GROUP BY R1.tid) goes
-// through an integer-keyed map; everything else through its appendKey
-// encoding, looked up without allocating.
+// DISTINCT. A key is a fixed stride of 64-bit words: one tag word per 21
+// components, three bits a component, then one word per component (see
+// word). The keys lie back to back in one slice, found through one
+// open-addressing table of their hashes and ids.
 type keyIndex struct {
-	ints map[int64]int32
-	strs map[string]int32
-	buf  []byte // scratch: the encoding of the key being looked up
+	dict   *dict              // resolves VARCHARs that carry no code
+	tags   int                // tag words per key
+	stride int                // words per key; 0 until the first key
+	n      int32              // keys
+	words  []uint64           // key id's words at id*stride
+	slots  []uint64           // hash and id per key (see slot), 0 when empty; len a power of two
+	local  map[string]keyWord // computed strings resolved so far
+	buf    []uint64           // scratch: the key being looked up
 }
 
-func (k *keyIndex) len() int { return len(k.ints) + len(k.strs) }
+// The tag of a key component: what its word holds.
+const (
+	tagNull  uint64 = iota // NULL; the word is 0
+	tagInt                 // INT, or a DOUBLE holding an int64: the integer
+	tagFloat               // any other DOUBLE: its bits, so −0.0 stays apart from 0
+	tagCode                // a VARCHAR the dictionary holds: its code
+	tagLocal               // a VARCHAR no table holds: a code of the index's own
+)
+
+const tagBits, tagsPerWord = 3, 21
+
+// keyWord is one key component: its tag and its word.
+type keyWord struct{ tag, w uint64 }
 
 // find evaluates the key expressions on the frame and returns the key's id,
 // or −1 when the key is absent — or, unless nulls is set, when a component
 // is NULL (a NULL join key matches nothing, a NULL group key is a group).
 // With add, an absent key is assigned the next id.
 func (k *keyIndex) find(fns []evalFn, ctx *evalCtx, add, nulls bool) (id int32, added bool, err error) {
-	if len(fns) == 1 {
-		v, err := fns[0](ctx)
-		if err != nil || v.IsNull() && !nulls {
-			return -1, false, err
-		}
-		id, added = k.findValue(v, add)
-		return id, added, nil
-	}
-	k.buf = k.buf[:0]
-	for _, fn := range fns {
+	key := k.scratch(len(fns))
+	for i, fn := range fns {
 		v, err := fn(ctx)
 		if err != nil {
 			return -1, false, err
@@ -40,116 +51,156 @@ func (k *keyIndex) find(fns []evalFn, ctx *evalCtx, add, nulls bool) (id int32, 
 		if v.IsNull() && !nulls {
 			return -1, false, nil
 		}
-		k.buf = appendKey(k.buf, v)
+		k.put(key, i, v)
 	}
-	id, added = k.findEncoded(add)
+	id, added = k.findKey(key, add)
 	return id, added, nil
 }
 
-// findValue is find for the one-component key v.
-func (k *keyIndex) findValue(v Value, add bool) (int32, bool) {
-	if n, ok := intKey(v); ok {
-		return k.findInt(n, add)
+// add adds the tuple as a key, unless present, and returns its id and
+// whether it was new.
+func (k *keyIndex) add(vals ...Value) (int32, bool) {
+	key := k.scratch(len(vals))
+	for i, v := range vals {
+		k.put(key, i, v)
 	}
-	k.buf = appendKey(k.buf[:0], v)
-	return k.findEncoded(add)
+	return k.findKey(key, true)
 }
 
-// lookup returns the id of the one-component key v, or −1. It encodes into
-// *buf, not the index's own scratch, so that concurrent readers may probe
-// one table's index.
-func (k *keyIndex) lookup(v Value, buf *[]byte) int32 {
-	if n, ok := intKey(v); ok {
-		if id, ok := k.ints[n]; ok {
-			return id
-		}
+// lookup returns the id of the one-component key v, or −1. It writes
+// nothing, so that concurrent readers may probe one table's index.
+func (k *keyIndex) lookup(v Value) int32 {
+	w, ok := k.word(v, false)
+	if !ok || k.stride != 2 {
 		return -1
 	}
-	*buf = appendKey((*buf)[:0], v)
-	if id, ok := k.strs[string(*buf)]; ok {
-		return id
-	}
-	return -1
+	id, _ := k.findKey([]uint64{w.tag, w.w}, false)
+	return id
 }
 
-func (k *keyIndex) findInt(n int64, add bool) (int32, bool) {
-	if id, ok := k.ints[n]; ok {
-		return id, false
+// scratch returns the key buffer, sized for n components on first use, with
+// its tag words cleared.
+func (k *keyIndex) scratch(n int) []uint64 {
+	if k.stride == 0 {
+		k.tags = (n + tagsPerWord - 1) / tagsPerWord
+		k.stride = k.tags + n
+		k.buf = make([]uint64, k.stride)
 	}
-	if !add {
-		return -1, false
-	}
-	if k.ints == nil {
-		k.ints = map[int64]int32{}
-	}
-	id := int32(k.len())
-	k.ints[n] = id
-	return id, true
+	clear(k.buf[:k.tags])
+	return k.buf
 }
 
-// addValues adds the tuple as a key and reports whether it was new.
-func (k *keyIndex) addValues(vals ...Value) bool {
-	k.buf = k.buf[:0]
-	for _, v := range vals {
-		k.buf = appendKey(k.buf, v)
-	}
-	_, added := k.findEncoded(true)
-	return added
+// put sets component i of key to v.
+func (k *keyIndex) put(key []uint64, i int, v Value) {
+	w, _ := k.word(v, true)
+	key[i/tagsPerWord] |= w.tag << (tagBits * (i % tagsPerWord))
+	key[k.tags+i] = w.w
 }
 
-// findEncoded looks up the key encoded in k.buf.
-func (k *keyIndex) findEncoded(add bool) (int32, bool) {
-	if id, ok := k.strs[string(k.buf)]; ok {
-		return id, false
+// word returns v as a key component. INT 1 and DOUBLE 1.0 are one key, as
+// Compare has them equal. A VARCHAR read from a column carries its code; any
+// other is resolved once, to its dictionary code or else to a code of the
+// index's own, and cached, so a string interned while the index lives keeps
+// its key. Without cache nothing is written, and a string that is neither
+// cached nor in the dictionary is reported absent: no key holds it.
+func (k *keyIndex) word(v Value, cache bool) (keyWord, bool) {
+	switch v.Kind {
+	case KindInt:
+		return keyWord{tagInt, uint64(v.I)}, true
+	case KindFloat:
+		f := v.F
+		if f == math.Trunc(f) && f >= -1<<63 && f < 1<<63 && !(f == 0 && math.Signbit(f)) {
+			return keyWord{tagInt, uint64(int64(f))}, true
+		}
+		return keyWord{tagFloat, math.Float64bits(f)}, true
+	case KindString:
+		if v.code > 0 {
+			return keyWord{tagCode, uint64(v.code)}, true
+		}
+		if w, ok := k.local[v.S]; ok {
+			return w, true
+		}
+		c, held := k.dict.codes[v.S]
+		w := keyWord{tagCode, uint64(c)}
+		if !cache {
+			return w, held
+		}
+		if !held {
+			w = keyWord{tagLocal, uint64(len(k.local))}
+		}
+		if k.local == nil {
+			k.local = map[string]keyWord{}
+		}
+		k.local[v.S] = w
+		return w, true
 	}
-	if !add {
-		return -1, false
-	}
-	if k.strs == nil {
-		k.strs = map[string]int32{}
-	}
-	id := int32(k.len())
-	k.strs[string(k.buf)] = id
-	return id, true
+	return keyWord{}, true
 }
 
-// intKey reports whether v's normalized key (Value.hashKey: INT 1 and
-// DOUBLE 1.0 are one key) is an integer, and which. Negative zero is left
-// to appendKey, which tells it from zero.
-func intKey(v Value) (int64, bool) {
-	if v.Kind == KindInt {
-		return v.I, true // what both branches below come to
+// findKey returns the id of key, or −1. With add, an absent key is copied
+// in under the next id; without, nothing is written.
+func (k *keyIndex) findKey(key []uint64, add bool) (int32, bool) {
+	h := hashWords(key)
+	if k.slots == nil {
+		if !add {
+			return -1, false
+		}
+		k.slots = make([]uint64, 16)
 	}
-	switch k := v.hashKey(); k.kind {
-	case 'i':
-		return k.i, true
-	case 'f':
-		if k.f == math.Trunc(k.f) && math.Abs(k.f) <= float64(float64ExactInt) && !(k.f == 0 && math.Signbit(k.f)) {
-			return int64(k.f), true
+	mask := uint32(len(k.slots) - 1)
+	i := h & mask
+	for ; k.slots[i] != 0; i = (i + 1) & mask {
+		s := k.slots[i]
+		if uint32(s>>32) != h {
+			continue
+		}
+		id := int32(s) - 1
+		if slices.Equal(k.words[int(id)*k.stride:][:k.stride], key) {
+			return id, false
 		}
 	}
-	return 0, false
+	if !add {
+		return -1, false
+	}
+	id := k.n
+	k.n++
+	k.words = append(k.words, key...)
+	if 2*int(k.n) <= len(k.slots) {
+		k.slots[i] = slot(h, id)
+		return id, true
+	}
+	// At half full the table doubles, and every key is placed again.
+	old := k.slots
+	k.slots = make([]uint64, 2*len(old))
+	for _, s := range old {
+		if s != 0 {
+			k.place(s)
+		}
+	}
+	k.place(slot(h, id))
+	return id, true
 }
 
-// appendKey appends a normalized, collision-free encoding of v to buf; it is
-// used for hash-join and index keys, IN subqueries, GROUP BY keys, DISTINCT
-// and COUNT(DISTINCT). The normalization mirrors Value.hashKey: numerics
-// exactly representable in float64 share an encoding across INT/DOUBLE;
-// larger integers keep their exact 64-bit form.
-func appendKey(buf []byte, v Value) []byte {
-	k := v.hashKey()
-	switch k.kind {
-	case 'n':
-		return append(buf, 0)
-	case 'f':
-		buf = append(buf, 1)
-		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(k.f))
-	case 'i':
-		buf = append(buf, 3)
-		return binary.LittleEndian.AppendUint64(buf, uint64(k.i))
-	default:
-		buf = append(buf, 2)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(k.s)))
-		return append(buf, k.s...)
+// place puts slot s in the first empty slot of its probe sequence.
+func (k *keyIndex) place(s uint64) {
+	mask := uint32(len(k.slots) - 1)
+	i := uint32(s>>32) & mask
+	for k.slots[i] != 0 {
+		i = (i + 1) & mask
 	}
+	k.slots[i] = s
+}
+
+// slot packs a key's hash and id into its slot: the hash in the high half,
+// so a probe compares hashes without reading the key, and id+1 in the low.
+func slot(h uint32, id int32) uint64 { return uint64(h)<<32 | uint64(id+1) }
+
+// hashWords hashes a key's words.
+func hashWords(key []uint64) uint32 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, w := range key {
+		hi, lo := bits.Mul64(h^w, 0xbf58476d1ce4e5b9)
+		h = hi ^ lo
+	}
+	return uint32(h)
 }

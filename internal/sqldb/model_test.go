@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -48,14 +49,16 @@ func loadModel(t *testing.T, db *DB, rows []modelRow) {
 }
 
 // checkTables fails unless every table of db is consistent: each column
-// holds one value per row, no NULL bit is set past the last row, and every
-// index equals one rebuilt from the rows.
+// holds one value per row, no NULL bit is set past the last row, every
+// index equals one rebuilt from the rows, and the dictionary counts exactly
+// the cells that hold each code.
 func checkTables(t testing.TB, db *DB) {
 	t.Helper()
+	held := make([]int32, len(db.dict.strs))
 	for name, tab := range db.tables {
 		for i := range tab.rel.cols {
 			c := &tab.rel.cols[i]
-			if n := max(len(c.ints), len(c.floats), len(c.strs), len(c.vals)); n != tab.rel.n {
+			if n := max(len(c.ints), len(c.floats), len(c.codes), len(c.vals)); n != tab.rel.n {
 				t.Fatalf("table %s column %d holds %d values for %d rows", name, i, n, tab.rel.n)
 			}
 			for p := tab.rel.n; p < len(c.nulls)*64; p++ {
@@ -63,16 +66,44 @@ func checkTables(t testing.TB, db *DB) {
 					t.Fatalf("table %s column %d: NULL bit %d set past the last row (%d rows)", name, i, p, tab.rel.n)
 				}
 			}
+			for _, code := range c.codes {
+				if code == 0 || int(code) >= len(held) {
+					t.Fatalf("table %s column %d holds code %d of a dictionary of %d", name, i, code, len(held))
+				}
+				if code > 0 {
+					held[code]++
+				}
+			}
 		}
 		for col, ix := range tab.indexes {
 			fresh := &index{col: ix.col}
 			fresh.rebuild(&tab.rel)
-			got := []any{ix.keys.ints, ix.keys.strs, ix.head, ix.tail, ix.next}
-			want := []any{fresh.keys.ints, fresh.keys.strs, fresh.head, fresh.tail, fresh.next}
+			got := []any{ix.keys.stride, ix.keys.n, ix.keys.words, ix.keys.slots, ix.keys.local, ix.head, ix.tail, ix.next}
+			want := []any{fresh.keys.stride, fresh.keys.n, fresh.keys.words, fresh.keys.slots, fresh.keys.local, fresh.head, fresh.tail, fresh.next}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("index %s(%s) differs from a rebuild:\n got %v\nwant %v", name, col, got, want)
 			}
 		}
+	}
+	d, live := db.dict, 0
+	for code := 1; code < len(held); code++ {
+		s := d.strs[code]
+		if d.refs[code] != held[code] {
+			t.Fatalf("dictionary code %d (%q) counts %d cells, %d hold it", code, s, d.refs[code], held[code])
+		}
+		if held[code] == 0 {
+			if s != "" || !slices.Contains(d.free, int32(code)) {
+				t.Fatalf("dictionary code %d is held by no cell but keeps %q or is not free", code, s)
+			}
+			continue
+		}
+		live++
+		if got, ok := d.codes[s]; !ok || got != int32(code) {
+			t.Fatalf("dictionary code %d holds %q, which maps to %d (present %v)", code, s, got, ok)
+		}
+	}
+	if live != d.live() || live+len(d.free) != len(held)-1 {
+		t.Fatalf("dictionary has %d live codes and %d free of %d, but maps %d strings", live, len(d.free), len(held)-1, d.live())
 	}
 }
 

@@ -97,7 +97,6 @@ type stage struct {
 	memos int
 
 	outerVals []Value   // index stage: the outer side of pairs[1:] for the current frame
-	keyBuf    []byte    // index stage: scratch for the probe's key encoding
 	hash      *hashJoin // hash stage
 }
 
@@ -314,7 +313,7 @@ func (db *DB) planSelect(sel *selectStmt) (*selectPlan, error) {
 			st.outerVals = make([]Value, len(st.pairs)-1)
 		} else if len(bestPairs) > 0 {
 			st.kind = stageHash
-			st.hash = &hashJoin{}
+			st.hash = &hashJoin{table: joinTable{keys: keyIndex{dict: db.dict}}}
 			for _, pr := range bestPairs {
 				st.hash.outerKeys = append(st.hash.outerKeys, pr.outer)
 				st.hash.innerKeys = append(st.hash.innerKeys, pr.inner)
@@ -595,7 +594,7 @@ func (st *stage) pushIndex(ctx *evalCtx) error {
 	if err != nil || kv.IsNull() {
 		return err
 	}
-	id := st.index.keys.lookup(kv, &st.keyBuf)
+	id := st.index.keys.lookup(kv)
 	if id < 0 {
 		return nil
 	}

@@ -76,7 +76,7 @@ func (db *DB) compileProjection(sel *selectStmt, plan *selectPlan) (*projection,
 		items = append(items, projItem{e: it.Expr, alias: it.Alias, name: name})
 	}
 
-	pr := &projection{distinct: sel.Distinct, limit: -1, grouped: len(sel.GroupBy) > 0, buf: make([]Value, len(items))}
+	pr := &projection{distinct: sel.Distinct, limit: -1, grouped: len(sel.GroupBy) > 0, buf: make([]Value, len(items)), seen: keyIndex{dict: db.dict}}
 	if !pr.grouped {
 		for _, it := range items {
 			if isAggregate(it.e) {
@@ -162,7 +162,7 @@ func (db *DB) compileProjection(sel *selectStmt, plan *selectPlan) (*projection,
 			pr.groupBy = append(pr.groupBy, fn)
 		}
 		pr.aggs, pr.rep = c.aggs, c.rep
-		pr.groups = groupTable{nrep: len(pr.rep), nagg: len(pr.aggs)}
+		pr.groups = groupTable{keys: keyIndex{dict: db.dict}, nrep: len(pr.rep), nagg: len(pr.aggs)}
 		for i := range pr.aggs {
 			if op := pr.aggs[i].op; op == aggMin || op == aggMax {
 				pr.aggs[i].extreme = pr.groups.nextreme
@@ -277,8 +277,10 @@ func (pr *projection) emit(ctx *evalCtx) error {
 		}
 		vals[i] = v
 	}
-	if pr.distinct && !pr.seen.addValues(vals...) {
-		return nil
+	if pr.distinct {
+		if _, added := pr.seen.add(vals...); !added {
+			return nil
+		}
 	}
 	if len(pr.order) == 0 {
 		pr.release(vals)
@@ -439,7 +441,7 @@ func (a *aggAcc) add(spec *aggSpec, ctx *evalCtx, gid int32, extremes []Value) e
 	}
 	if spec.seen != nil {
 		// One index for the whole statement, keyed by (group, value).
-		if !spec.seen.addValues(Int(int64(gid)), v) {
+		if _, added := spec.seen.add(Int(int64(gid)), v); !added {
 			return nil
 		}
 	}

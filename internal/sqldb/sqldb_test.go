@@ -842,8 +842,8 @@ func TestTableNames(t *testing.T) {
 
 // TestConcurrentQueriesProbeOneIndex runs index nested-loop joins and IN
 // subqueries from several goroutines at once over one database: readers
-// share a table's index and must each get the sequential answer (run with
-// -race).
+// share a table's index and the string dictionary and must each get the
+// sequential answer (run with -race).
 func TestConcurrentQueriesProbeOneIndex(t *testing.T) {
 	db := New()
 	mustExec(t, db, "CREATE TABLE tokens (tid INT, token VARCHAR(8), w DOUBLE)")
@@ -864,6 +864,8 @@ func TestConcurrentQueriesProbeOneIndex(t *testing.T) {
 		"SELECT T.tid, SUM(T.w) FROM tokens T, q WHERE T.token = q.token GROUP BY T.tid",
 		"SELECT A.tid, COUNT(*) FROM tokens A, (SELECT tid FROM tokens WHERE w > 0.3) B WHERE A.tid = B.tid GROUP BY A.tid",
 		"SELECT COUNT(*) FROM tokens WHERE token IN (SELECT token FROM q)",
+		// A computed probe key looks its string up in the dictionary.
+		"SELECT q.token, COUNT(*) FROM q, tokens T WHERE T.token = LOWER(q.token) GROUP BY q.token",
 	}
 	want := make([]string, len(stmts))
 	for i, s := range stmts {

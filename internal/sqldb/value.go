@@ -18,10 +18,20 @@
 //   - uncorrelated IN / NOT IN subqueries and ? placeholders
 //
 // A table stores its rows column by column: INT as an int64 vector, DOUBLE
-// as a float64 vector, VARCHAR as a string vector, with a NULL bitmap that
-// exists only once a NULL does. A row is a position in those vectors; no
-// Value and no heap object is kept per row. An index chains a column's
-// positions per distinct value, in row order, with one int32 link per row.
+// as a float64 vector, with a NULL bitmap that exists only once a NULL
+// does, and VARCHAR as an int32 vector of codes, −1 for NULL, into the
+// database's one dictionary of strings. The dictionary counts the cells
+// holding each code and frees and reuses a code no cell holds. A row is a
+// position in those vectors; no Value and no heap object is kept per row. An
+// index chains a column's positions per distinct value, in row order, with
+// one int32 link per row.
+//
+// Keys are integers. A VARCHAR read from a column carries its code in the
+// Value for the rest of the statement (Rows and the arguments of registered
+// functions carry none), and every key — of a hash join, an index, an IN
+// set, a GROUP BY or a DISTINCT — is a fixed stride of 64-bit words in one
+// flat hash table: per component an integer, a DOUBLE's bits or a string's
+// code, with a tag word per 21 components.
 //
 // A SELECT runs as plan → pipeline → sink. planSelect fixes the join order
 // with a small greedy optimizer — smallest relation first, then index
@@ -78,6 +88,11 @@ func (k Kind) String() string {
 // Value is a single SQL value. The zero Value is NULL.
 type Value struct {
 	Kind Kind
+	// code is a VARCHAR's code in the dictionary of the database whose
+	// column it was read from, or 0. It lives in the padding after Kind, so
+	// it costs no space, and only for the statement that read it: Rows and
+	// the arguments of registered functions carry none.
+	code int32
 	I    int64
 	F    float64
 	S    string
@@ -194,6 +209,8 @@ func Compare(a, b Value) (int, bool) {
 	}
 	if a.Kind == KindString && b.Kind == KindString {
 		switch {
+		case a.code != 0 && a.code == b.code:
+			return 0, true
 		case a.S < b.S:
 			return -1, true
 		case a.S > b.S:
@@ -220,46 +237,6 @@ func Compare(a, b Value) (int, bool) {
 		return 1, true
 	default:
 		return 0, true
-	}
-}
-
-// key is the normalized hash-key representation of a value used by joins,
-// GROUP BY, DISTINCT and indexes. Numeric values that float64 can represent
-// exactly normalize to float64 so that INT 1 and DOUBLE 1.0 land in the same
-// bucket; integers beyond 2^53 (e.g. the min-hash values the GESapx
-// realization stores) keep their exact int64 representation, as do integral
-// floats in that range, so no distinct keys ever collide.
-type key struct {
-	kind byte // 'n' null, 'f' float-normalized, 'i' exact integer, 's' string
-	f    float64
-	i    int64
-	s    string
-}
-
-const float64ExactInt = int64(1) << 53
-
-func (v Value) hashKey() key {
-	switch v.Kind {
-	case KindInt:
-		if v.I >= -float64ExactInt && v.I <= float64ExactInt {
-			return key{kind: 'f', f: float64(v.I)}
-		}
-		return key{kind: 'i', i: v.I}
-	case KindFloat:
-		// Floats above 2^53 are all integral; represent them exactly as
-		// int64 when possible so they join with equal-valued integers.
-		const maxInt64Float = float64(1) * (1 << 62) * 2 // 2^63
-		if v.F > float64(float64ExactInt) && v.F < maxInt64Float {
-			return key{kind: 'i', i: int64(v.F)}
-		}
-		if v.F < -float64(float64ExactInt) && v.F >= -maxInt64Float {
-			return key{kind: 'i', i: int64(v.F)}
-		}
-		return key{kind: 'f', f: v.F}
-	case KindString:
-		return key{kind: 's', s: v.S}
-	default:
-		return key{kind: 'n'}
 	}
 }
 
