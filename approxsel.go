@@ -131,15 +131,6 @@ func New(name string, records []Record, opts ...BuildOption) (Predicate, error) 
 	return builder(records, settings.Config)
 }
 
-// NewDeclarative preprocesses the base relation for the named predicate
-// using the declarative (SQL) realization over the bundled engine.
-//
-// Deprecated: use New with WithRealization(Declarative). This wrapper is
-// kept so existing callers compile unchanged.
-func NewDeclarative(name string, records []Record, cfg Config) (Predicate, error) {
-	return New(name, records, WithConfig(cfg), WithRealization(Declarative))
-}
-
 // SelectCtx runs one approximate selection with per-selection options. A
 // Limit or Threshold is pushed down into the predicate when it supports it
 // (core.ContextPredicate — all native predicates), replacing the full sort

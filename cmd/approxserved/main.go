@@ -13,16 +13,10 @@
 //	approxserved -addr :9090 -dataset company:2000 -shards 4
 //	approxserved -dataset titles.txt              # one record per line
 //	approxserved -data /var/lib/approxsel         # durable: load-on-start, WAL, /v1/snapshot
-//	approxserved -node-id n0 -peers n0=http://h0:8080,n1=http://h1:8080,n2=http://h2:8080
-//	                                              # replicated serving (approxcluster)
-//	approxserved -node-id n2 -peers ... -join     # join empty; corpora arrive from the leader
-//	approxserved -node-id n0 -peers ... -chaos-seed 7 -chaos-rules @rules.json
-//	                                              # fault injection on peer traffic (POST /chaos/rules to switch)
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -38,8 +32,6 @@ import (
 	"time"
 
 	approxsel "repro"
-	"repro/internal/chaos"
-	"repro/internal/cluster"
 	"repro/internal/server"
 )
 
@@ -70,11 +62,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	traceSample := fs.Int("trace-sample", 16, "trace one in every N requests (1 = all, negative disables tracing)")
 	slowlogEntries := fs.Int("slowlog", 32, "slow-query log capacity (top-N slowest traced requests, GET /v1/slowlog)")
 	accessLog := fs.String("access-log", "", "access log destination: a file path, \"-\" for stdout, empty disables")
-	nodeID := fs.String("node-id", "", "cluster: this node's ID (enables replication; must appear in -peers)")
-	peersSpec := fs.String("peers", "", "cluster: comma-separated id=url pairs, including this node")
-	join := fs.Bool("join", false, "cluster: start empty and receive corpora from the leader (skips -dataset)")
-	chaosSeed := fs.Int64("chaos-seed", 0, "chaos: enable fault injection on peer traffic with this RNG seed (cluster mode only; exposes GET/POST /chaos/rules)")
-	chaosRules := fs.String("chaos-rules", "", "chaos: initial fault rules as inline JSON, or @file to read them from a file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -105,59 +92,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		SlowLogEntries: *slowlogEntries,
 		AccessLog:      alog,
 	})
-	var node *cluster.Node
-	var inj *chaos.Injector
-	if (*chaosSeed != 0 || *chaosRules != "") && *nodeID == "" {
-		fmt.Fprintln(stderr, "approxserved: -chaos-seed/-chaos-rules require cluster mode (-node-id and -peers)")
-		return 2
-	}
-	if *nodeID != "" || *peersSpec != "" {
-		peers, err := parsePeers(*peersSpec)
-		if err != nil {
-			fmt.Fprintf(stderr, "approxserved: %v\n", err)
-			return 2
-		}
-		var client *http.Client
-		if *chaosSeed != 0 || *chaosRules != "" {
-			// The injector sits on both sides of the peer mesh: every RPC
-			// this node sends goes through Transport, every RPC it receives
-			// through the Inbound wrapper mounted below. Client traffic
-			// (no chaos peer header) is never touched.
-			inj = chaos.New(*chaosSeed)
-			inj.SetPeers(peers)
-			spec := *chaosRules
-			if strings.HasPrefix(spec, "@") {
-				data, err := os.ReadFile(spec[1:])
-				if err != nil {
-					fmt.Fprintf(stderr, "approxserved: -chaos-rules: %v\n", err)
-					return 2
-				}
-				spec = string(data)
-			}
-			rules, err := chaos.ParseRules(spec)
-			if err != nil {
-				fmt.Fprintf(stderr, "approxserved: -chaos-rules: %v\n", err)
-				return 2
-			}
-			inj.SetRules(rules)
-			client = &http.Client{Transport: inj.Transport(*nodeID, nil)}
-		}
-		node, err = cluster.NewNode(cluster.Config{
-			ID:      *nodeID,
-			Peers:   peers,
-			DataDir: *dataDir,
-			Backend: srv.ClusterBackend(),
-			Client:  client,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(stderr, "approxserved: "+format+"\n", args...)
-			},
-		})
-		if err != nil {
-			fmt.Fprintf(stderr, "approxserved: %v\n", err)
-			return 2
-		}
-		srv.AttachCluster(node)
-	}
 	// A data directory restores every stored corpus first — including ones
 	// created at runtime through POST /v1/corpora in a previous life. Only
 	// when the named corpus is not among them is the -dataset loaded and
@@ -172,10 +106,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "approxserved: restored corpus %q from %s\n", n, *dataDir)
 		}
 	}
-	// A joining replica starts empty: its corpora arrive from the leader
-	// through the snapshot + WAL-tail catch-up path, never from -dataset —
-	// that is the only way every replica ends up bit-identical.
-	if !*join && !srv.HasCorpus(*corpusName) {
+	if !srv.HasCorpus(*corpusName) {
 		records, err := loadDataset(*dataset, *seed)
 		if err != nil {
 			fmt.Fprintf(stderr, "approxserved: %v\n", err)
@@ -198,11 +129,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	if names := srv.ClusterBackend().Corpora(); len(names) > 0 {
-		fmt.Fprintf(stdout, "approxserved: serving corpora %q on %s\n", names, ln.Addr())
-	} else {
-		fmt.Fprintf(stdout, "approxserved: serving on %s (no local corpora yet; awaiting the cluster leader)\n", ln.Addr())
-	}
+	fmt.Fprintf(stdout, "approxserved: serving corpus %q on %s\n", *corpusName, ln.Addr())
 
 	// The debug server mounts the profiling endpoints (and a second /metrics
 	// for scrapers that cannot reach the serving port) on its own listener,
@@ -233,44 +160,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "approxserved: debug server (pprof, /metrics) on %s\n", dln.Addr())
 	}
 
-	handler := srv.Handler()
-	if inj != nil {
-		// The chaos mount wraps the whole serving surface: peer-originated
-		// RPCs pass the injector's Inbound gate, and /chaos/rules switches
-		// the active rule set at runtime without a restart.
-		cmux := http.NewServeMux()
-		cmux.HandleFunc("GET /chaos/rules", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(inj.Rules())
-		})
-		cmux.HandleFunc("POST /chaos/rules", func(w http.ResponseWriter, r *http.Request) {
-			body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			rules, err := chaos.ParseRules(string(body))
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			inj.SetRules(rules)
-			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprintf(w, "{\"rules\":%d}\n", len(rules))
-		})
-		cmux.Handle("/", inj.Inbound(*nodeID, handler))
-		handler = cmux
-		fmt.Fprintf(stdout, "approxserved: chaos injection armed (seed %d, %d initial rules)\n", *chaosSeed, len(inj.Rules()))
-	}
-	hs := &http.Server{Handler: handler}
+	hs := &http.Server{Handler: srv.Handler()}
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
-	if node != nil {
-		// The node's RPC surface rides the server's own /cluster/ mount, so
-		// elections and replication start only once the listener is up.
-		node.Start()
-		fmt.Fprintf(stdout, "approxserved: cluster node %q up, peers %s\n", *nodeID, *peersSpec)
-	}
 	select {
 	case err := <-done:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -283,11 +175,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// forever), then stop accepting and drain in-flight requests, then
 		// fsync and seal the write-ahead logs — the last acknowledged
 		// mutation is on stable storage before the process exits.
-		if node != nil {
-			// Stop election and replication loops first: nothing new is
-			// pulled or applied while the store drains below.
-			node.Stop()
-		}
 		srv.DrainWatches()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -308,26 +195,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "approxserved: drained, bye")
 	}
 	return 0
-}
-
-// parsePeers parses the -peers spec: comma-separated id=url pairs, e.g.
-// "n0=http://127.0.0.1:8080,n1=http://127.0.0.1:8081".
-func parsePeers(spec string) (map[string]string, error) {
-	if spec == "" {
-		return nil, fmt.Errorf("cluster mode needs -peers (id=url,...)")
-	}
-	peers := make(map[string]string)
-	for _, part := range strings.Split(spec, ",") {
-		id, url, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok || id == "" || url == "" {
-			return nil, fmt.Errorf("bad -peers entry %q (want id=url)", part)
-		}
-		if _, dup := peers[id]; dup {
-			return nil, fmt.Errorf("duplicate peer ID %q in -peers", id)
-		}
-		peers[id] = url
-	}
-	return peers, nil
 }
 
 // loadDataset parses the -dataset spec: dblp:N and company:N generate the

@@ -250,11 +250,21 @@ func TestLoadDataset(t *testing.T) {
 	}
 }
 
-// TestBadFlags keeps flag errors at exit code 2.
+// TestBadFlags keeps flag errors at exit code 2, including the retired
+// replication and fault-injection flags.
 func TestBadFlags(t *testing.T) {
 	var out bytes.Buffer
-	if code := run(context.Background(), []string{"-nosuchflag"}, &out, &out); code != 2 {
-		t.Fatalf("exit %d", code)
+	for _, args := range [][]string{
+		{"-nosuchflag"},
+		{"-node-id", "n0"},
+		{"-peers", "n0=http://127.0.0.1:8080"},
+		{"-join"},
+		{"-chaos-seed", "7"},
+		{"-chaos-rules", "[]"},
+	} {
+		if code := run(context.Background(), args, &out, &out); code != 2 {
+			t.Fatalf("%v: exit %d", args, code)
+		}
 	}
 	if code := run(context.Background(), []string{"-dataset", "dblp:x"}, &out, &out); code != 1 {
 		t.Fatalf("bad dataset spec: exit %d", code)

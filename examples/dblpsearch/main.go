@@ -15,9 +15,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"time"
 
 	approxsel "repro"
@@ -28,23 +30,31 @@ func main() {
 	size := flag.Int("size", 5000, "number of titles in the relation")
 	serve := flag.Bool("serve", false, "run the search through approxserved over HTTP instead of in-process")
 	flag.Parse()
+	if err := run(os.Stdout, *size, *serve); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	titles := approxsel.DBLPTitles(*size, 7)
+// run prints the search demo over size generated titles to w: in process,
+// or with serve through approxserved over HTTP.
+func run(w io.Writer, size int, serve bool) error {
+	// The pruning table queries titles up to index 19*37 = 703.
+	if size < 704 {
+		return fmt.Errorf("size %d: need at least 704 titles", size)
+	}
+	titles := approxsel.DBLPTitles(size, 7)
 	records := make([]approxsel.Record, len(titles))
 	for i, title := range titles {
 		records[i] = approxsel.Record{TID: i + 1, Text: title}
 	}
 
-	if *serve {
-		if err := serveDemo(titles, records); err != nil {
-			log.Fatal(err)
-		}
-		return
+	if serve {
+		return serveDemo(w, titles, records)
 	}
 
 	bm25, err := approxsel.New("BM25", records)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Misspelled and word-swapped variants of real titles still match.
@@ -54,29 +64,29 @@ func main() {
 		misspell(base),
 		swapFirstWords(base),
 	}
-	fmt.Printf("searching %d titles; target: %q\n", len(records), base)
+	fmt.Fprintf(w, "searching %d titles; target: %q\n", len(records), base)
 	for _, q := range queries {
 		top, err := approxsel.TopK(bm25, q, 1)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		hit := "MISS"
 		if len(top) > 0 && top[0].TID == 124 {
 			hit = "hit "
 		}
-		fmt.Printf("  [%s] query %q\n", hit, q)
+		fmt.Fprintf(w, "  [%s] query %q\n", hit, q)
 	}
 
 	// The §5.6 enhancement: prune low-IDF grams during preprocessing.
 	// Pruning shrinks the token table, speeding queries at a small
 	// accuracy cost (or even a gain for unweighted predicates).
-	fmt.Println("\nIDF pruning trade-off (BM25):")
-	fmt.Println("  rate   preprocess    query-avg   top1-hits/20")
+	fmt.Fprintln(w, "\nIDF pruning trade-off (BM25):")
+	fmt.Fprintln(w, "  rate   preprocess    query-avg   top1-hits/20")
 	for _, rate := range []float64{0, 0.2, 0.4} {
 		start := time.Now()
 		p, err := approxsel.New("BM25", records, approxsel.WithPruneRate(rate))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		prep := time.Since(start)
 
@@ -86,27 +96,28 @@ func main() {
 			q := misspell(titles[i*37])
 			top, err := approxsel.TopK(p, q, 1)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			if len(top) > 0 && top[0].TID == i*37+1 {
 				hits++
 			}
 		}
 		avg := time.Since(start) / 20
-		fmt.Printf("  %.1f   %10s   %10s   %d\n", rate, prep.Round(time.Millisecond), avg.Round(time.Microsecond), hits)
+		fmt.Fprintf(w, "  %.1f   %10s   %10s   %d\n", rate, prep.Round(time.Millisecond), avg.Round(time.Microsecond), hits)
 	}
+	return nil
 }
 
 // serveDemo is the HTTP-client example: everything below talks to
 // approxserved's JSON API exactly as a remote client would.
-func serveDemo(titles []string, records []approxsel.Record) error {
+func serveDemo(w io.Writer, titles []string, records []approxsel.Record) error {
 	srv := server.New(server.Config{})
 	if err := srv.AddCorpus("dblp", records); err != nil {
 		return err
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	fmt.Printf("approxserved serving %d titles at %s\n", len(records), ts.URL)
+	fmt.Fprintf(w, "approxserved serving %d titles at %s\n", len(records), ts.URL)
 
 	type match struct {
 		TID   int     `json:"tid"`
@@ -137,7 +148,7 @@ func serveDemo(titles []string, records []approxsel.Record) error {
 	}
 
 	base := titles[123]
-	fmt.Printf("target: %q\n", base)
+	fmt.Fprintf(w, "target: %q\n", base)
 	for _, q := range []string{base, misspell(base), swapFirstWords(base), misspell(base)} {
 		r, err := search(q)
 		if err != nil {
@@ -147,7 +158,7 @@ func serveDemo(titles []string, records []approxsel.Record) error {
 		if len(r.Matches) > 0 && r.Matches[0].TID == 124 {
 			hit = "hit "
 		}
-		fmt.Printf("  [%s] cached=%-5v %6dµs  query %q\n", hit, r.Cached, r.ElapsedUS, q)
+		fmt.Fprintf(w, "  [%s] cached=%-5v %6dµs  query %q\n", hit, r.Cached, r.ElapsedUS, q)
 	}
 
 	// Mutations invalidate by epoch advance: the repeated query misses the
@@ -164,13 +175,13 @@ func serveDemo(titles []string, records []approxsel.Record) error {
 		return err
 	}
 	resp.Body.Close()
-	fmt.Println("inserted one record; epoch advanced")
+	fmt.Fprintln(w, "inserted one record; epoch advanced")
 	for i := 0; i < 2; i++ {
 		r, err := search(misspell(base))
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  re-query: cached=%-5v %6dµs\n", r.Cached, r.ElapsedUS)
+		fmt.Fprintf(w, "  re-query: cached=%-5v %6dµs\n", r.Cached, r.ElapsedUS)
 	}
 	return nil
 }

@@ -3,7 +3,7 @@
 // gauges, log2-bucketed latency histograms), a sampled low-overhead span
 // tracer with a top-N slow-query log, and process-wide per-stage latency
 // aggregates. Every subsystem (server, sharded fan-out, hot-path engine,
-// cache, store, watch, cluster) reports through it, so one /metrics scrape
+// cache, store, watch) reports through it, so one /metrics scrape
 // and one slow-query span tree answer "where did that request spend its
 // time".
 //
@@ -327,7 +327,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 
 // GaugeFunc registers a gauge whose value is read from f at exposition
 // time — the bridge for counters owned elsewhere (hot-path pruning stats,
-// replication lag, cache occupancy).
+// cache occupancy).
 func (r *Registry) GaugeFunc(name, help string, f func() float64, labels ...Label) {
 	r.register(name, help, kindGauge, labels, func() *child {
 		return &child{write: func(w io.Writer, n, l string) {

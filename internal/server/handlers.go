@@ -37,10 +37,6 @@ type SelectRequest struct {
 	Query       string   `json:"query"`
 	Limit       int      `json:"limit,omitempty"`
 	Threshold   *float64 `json:"threshold,omitempty"`
-	// MinEpochs is the client's last-seen epoch vector (epoch-consistent
-	// reads): the reply is computed at-or-past it, waiting up to the
-	// request deadline on a stale replica (504 → retry elsewhere).
-	MinEpochs []uint64 `json:"min_epochs,omitempty"`
 }
 
 // SelectResponse carries the ranked matches. Epochs is the shard-epoch
@@ -62,8 +58,6 @@ type BatchRequest struct {
 	Queries     []string `json:"queries"`
 	Limit       int      `json:"limit,omitempty"`
 	Threshold   *float64 `json:"threshold,omitempty"`
-	// MinEpochs: see SelectRequest.
-	MinEpochs []uint64 `json:"min_epochs,omitempty"`
 }
 
 // BatchResponse carries one ranked match slice per query, in query order.
@@ -86,8 +80,6 @@ type JoinRequest struct {
 	Realization string       `json:"realization,omitempty"`
 	Theta       float64      `json:"theta"`
 	Probe       []RecordJSON `json:"probe"`
-	// MinEpochs: see SelectRequest.
-	MinEpochs []uint64 `json:"min_epochs,omitempty"`
 }
 
 // JoinPair is the wire form of one join result.
@@ -189,10 +181,6 @@ type Stats struct {
 	// Watch reports the standing-query subsystem, aggregated across
 	// corpora.
 	Watch WatchStats `json:"watch"`
-	// Cluster reports the replication layer (role, term, applied epoch
-	// vectors, follower lag, peer liveness) when the server is part of a
-	// cluster; omitted standalone.
-	Cluster *ClusterStats `json:"cluster,omitempty"`
 	// Trace reports the span tracer: sampling configuration, traces
 	// retained, and the process-wide per-stage latency aggregates.
 	Trace TraceStats `json:"trace"`
@@ -264,25 +252,13 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("POST /v1/watch", s.instrument("watch", s.handleWatch))
 	mux.HandleFunc("POST /v1/corpora", s.instrument("corpora", s.admit(s.handleCreateCorpus)))
 	mux.HandleFunc("GET /v1/corpora", s.instrument("corpora", s.handleListCorpora))
-	mux.HandleFunc("POST /v1/hash", s.instrument("hash", s.admit(s.handleHash)))
 	mux.HandleFunc("GET /v1/stats", s.instrument("stats", s.handleStats))
 	// The observability surface itself is served bare: scrapes should not
 	// perturb the very counters, sampler and slow log they report.
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/slowlog", s.handleSlowlog)
-	// The replication and election RPC surface of an attached cluster node;
-	// 404 on a standalone server.
-	mux.HandleFunc("/cluster/", s.handleClusterRPC)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		// Role lets a load balancer route writes to the leader without a
-		// second request.
-		resp := map[string]string{"status": "ok"}
-		if n := s.clusterNode(); n != nil {
-			role, _, leader := n.Role()
-			resp["role"] = string(role)
-			resp["leader"] = leader
-		}
-		writeJSON(w, http.StatusOK, resp)
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	return mux
 }
@@ -329,24 +305,13 @@ func selectOptions(limit int, threshold *float64) (core.SelectOptions, error) {
 	return opts, nil
 }
 
-// resolve looks up the corpus and attached predicate of a request. A
-// request carrying an epoch vector got it from an acknowledged write, so a
-// corpus this replica does not know yet is replication lag, not a client
-// error — creation is acknowledged by a majority, and this may be the
-// replica outside it. Such a request waits for the corpus like it waits for
-// the epochs (awaitEpochs), bounded by the request deadline (504).
-func (s *Server) resolve(w http.ResponseWriter, r *http.Request, corpus, predicate, realization string, minEpochs []uint64) (*corpusHandle, *predicateHandle, bool) {
+// resolve looks up the corpus and attached predicate of a request.
+func (s *Server) resolve(w http.ResponseWriter, corpus, predicate, realization string) (*corpusHandle, *predicateHandle, bool) {
 	if predicate == "" {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("server: missing predicate name"))
 		return nil, nil, false
 	}
 	h, err := s.corpus(corpus)
-	if err != nil && len(minEpochs) > 0 {
-		if !pollUntil(r.Context(), func() bool { h, err = s.corpus(corpus); return err == nil }) {
-			s.fail(w, http.StatusGatewayTimeout, fmt.Errorf("%w: %v", errStaleReplica, err))
-			return nil, nil, false
-		}
-	}
 	if err != nil {
 		s.fail(w, http.StatusNotFound, err)
 		return nil, nil, false
@@ -368,7 +333,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Realization = normRealization(req.Realization)
-	h, ph, ok := s.resolve(w, r, req.Corpus, req.Predicate, req.Realization, req.MinEpochs)
+	h, ph, ok := s.resolve(w, req.Corpus, req.Predicate, req.Realization)
 	if !ok {
 		return
 	}
@@ -376,13 +341,6 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
-	}
-	if err := h.awaitEpochs(r.Context(), req.MinEpochs); err != nil {
-		s.fail(w, epochWaitStatus(err), err)
-		return
-	}
-	if len(req.MinEpochs) == 0 {
-		s.markStale(w)
 	}
 	ri := requestInfo(r.Context())
 	ri.corpus, ri.predicate, ri.shards = h.name, req.Predicate, h.sc.Shards()
@@ -416,7 +374,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Realization = normRealization(req.Realization)
-	h, ph, ok := s.resolve(w, r, req.Corpus, req.Predicate, req.Realization, req.MinEpochs)
+	h, ph, ok := s.resolve(w, req.Corpus, req.Predicate, req.Realization)
 	if !ok {
 		return
 	}
@@ -424,13 +382,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
-	}
-	if err := h.awaitEpochs(r.Context(), req.MinEpochs); err != nil {
-		s.fail(w, epochWaitStatus(err), err)
-		return
-	}
-	if len(req.MinEpochs) == 0 {
-		s.markStale(w)
 	}
 	ri := requestInfo(r.Context())
 	ri.corpus, ri.predicate, ri.shards = h.name, req.Predicate, h.sc.Shards()
@@ -523,12 +474,8 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Realization = normRealization(req.Realization)
-	h, ph, ok := s.resolve(w, r, req.Corpus, req.Predicate, req.Realization, req.MinEpochs)
+	h, ph, ok := s.resolve(w, req.Corpus, req.Predicate, req.Realization)
 	if !ok {
-		return
-	}
-	if err := h.awaitEpochs(r.Context(), req.MinEpochs); err != nil {
-		s.fail(w, epochWaitStatus(err), err)
 		return
 	}
 	ri := requestInfo(r.Context())
@@ -586,19 +533,9 @@ const (
 
 func (s *Server) handleMutate(op mutateOp) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		// The body is drained before decoding so a follower can relay it
-		// to the leader verbatim (writes are leader-only in a cluster).
-		body, err := s.readBody(w, r)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			return
-		}
-		if s.forwardMutation(w, r, body) {
-			return
-		}
 		var req MutateRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("server: bad request body: %w", err))
+		if err := s.decode(w, r, &req); err != nil {
+			s.fail(w, http.StatusBadRequest, err)
 			return
 		}
 		h, err := s.corpus(req.Corpus)
@@ -629,28 +566,14 @@ func (s *Server) handleMutate(op mutateOp) http.HandlerFunc {
 			s.fail(w, mutationStatus(err), err)
 			return
 		}
-		// Acknowledge only once a majority of the cluster holds the batch;
-		// a leader killed after the 200 cannot lose this write.
-		if err := s.waitQuorum(r.Context(), h, epochs); err != nil {
-			s.fail(w, http.StatusGatewayTimeout, err)
-			return
-		}
 		writeJSON(w, http.StatusOK, MutateResponse{Len: n, Epochs: epochs})
 	}
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	body, err := s.readBody(w, r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	if s.forwardMutation(w, r, body) {
-		return
-	}
 	var req DeleteRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("server: bad request body: %w", err))
+	if err := s.decode(w, r, &req); err != nil {
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	h, err := s.corpus(req.Corpus)
@@ -672,10 +595,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	ap.End()
 	if err != nil {
 		s.fail(w, mutationStatus(err), err)
-		return
-	}
-	if err := s.waitQuorum(r.Context(), h, epochs); err != nil {
-		s.fail(w, http.StatusGatewayTimeout, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, MutateResponse{Len: n, Epochs: epochs})
@@ -728,19 +647,9 @@ func storeInfo(name string, st approxsel.StoreStats) StoreInfo {
 // ---- corpora and observability ----
 
 func (s *Server) handleCreateCorpus(w http.ResponseWriter, r *http.Request) {
-	// Corpus creation is a mutation: in a cluster it lands at the leader
-	// and reaches followers through the snapshot join path.
-	body, err := s.readBody(w, r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	if s.forwardMutation(w, r, body) {
-		return
-	}
 	var req CreateCorpusRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("server: bad request body: %w", err))
+	if err := s.decode(w, r, &req); err != nil {
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	// Corpus builds are not interruptible; honor an already-expired
@@ -828,7 +737,6 @@ func (s *Server) stats() Stats {
 	}
 	hp := core.HotPathSnapshot()
 	st.HotPath = HotPathStats{HotPathStats: hp, PruneRate: hp.PruneRate()}
-	st.Cluster = s.clusterStats()
 	st.Trace = s.traceStats()
 	return st
 }

@@ -33,17 +33,15 @@ func toHistogramStats(s obs.HistogramSnapshot) HistogramStats {
 // metrics aggregates the server-wide counters behind /v1/stats and owns
 // the obs registry behind GET /metrics — one unified catalog spanning
 // request admission, per-predicate latency, the result cache, the
-// selection engine's pruning counters, the durable store, watches and
-// (when attached) the replication cluster.
+// selection engine's pruning counters, the durable store and watches.
 type metrics struct {
 	start time.Time
 	reg   *obs.Registry
 
-	requests   *obs.Counter // admitted requests
-	rejected   *obs.Counter // 429s from admission
-	errors     *obs.Counter // non-2xx responses other than 429
-	selects    *obs.Counter // /v1/select probes served (approx_select_total)
-	staleReads *obs.Counter // reads served with X-Approx-Stale while degraded
+	requests *obs.Counter // admitted requests
+	rejected *obs.Counter // 429s from admission
+	errors   *obs.Counter // non-2xx responses other than 429
+	selects  *obs.Counter // /v1/select probes served (approx_select_total)
 
 	mu          sync.Mutex
 	byEndpoint  map[string]*obs.Counter
@@ -60,7 +58,6 @@ func newMetrics() *metrics {
 		rejected:    reg.Counter("approx_requests_rejected_total", "requests rejected with 429 at admission"),
 		errors:      reg.Counter("approx_request_errors_total", "non-2xx responses other than 429"),
 		selects:     reg.Counter("approx_select_total", "/v1/select probes served"),
-		staleReads:  reg.Counter("approx_degraded_stale_reads_total", "reads served stale-marked while unable to reach a leader"),
 		byEndpoint:  make(map[string]*obs.Counter),
 		endpointDur: make(map[string]*obs.Histogram),
 		byPredicate: make(map[predSeries]*obs.Histogram),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -296,4 +297,78 @@ func TestInstrumentStatusRecorded(t *testing.T) {
 	if !strings.Contains(buf.String(), "status=404") {
 		t.Errorf("access log did not record status: %q", buf.String())
 	}
+}
+
+// TestMetricCatalog holds /metrics and README's catalog table to one list:
+// every metric a durable server emits after a select, an insert and a watch
+// registration is documented, and every documented metric is emitted.
+func TestMetricCatalog(t *testing.T) {
+	_, ts := newTestServer(t, Config{TraceSample: -1, DataDir: t.TempDir()}, 40)
+	if _, code := post[SelectResponse](t, ts, "/v1/select", SelectRequest{Predicate: "BM25", Query: "general electric", Limit: 3}); code != http.StatusOK {
+		t.Fatalf("select: HTTP %d", code)
+	}
+	if _, code := post[MutateResponse](t, ts, "/v1/insert", MutateRequest{Records: []RecordJSON{{TID: 1000, Text: "general electric company"}}}); code != http.StatusOK {
+		t.Fatalf("insert: HTTP %d", code)
+	}
+	if _, code := post[WatchPollResponse](t, ts, "/v1/watch", WatchRequest{Predicate: "Jaccard", Theta: 0.6, Mode: "poll"}); code != http.StatusOK {
+		t.Fatalf("watch: HTTP %d", code)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text := new(bytes.Buffer)
+	if _, err := text.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	emitted := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE (\S+) `).FindAllStringSubmatch(text.String(), -1) {
+		emitted[m[1]] = true
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, row := range regexp.MustCompile("(?m)^\\| (`approx_[^|]*)\\|").FindAllStringSubmatch(string(readme), -1) {
+		for _, name := range regexp.MustCompile("`(approx_[^`]*)`").FindAllStringSubmatch(row[1], -1) {
+			for _, n := range expandMetricName(name[1]) {
+				documented[n] = true
+			}
+		}
+	}
+	if len(documented) == 0 {
+		t.Fatal("no metric rows found in README; the table pattern is stale")
+	}
+	for n := range emitted {
+		if !documented[n] {
+			t.Errorf("/metrics emits %s, but README's catalog does not list it", n)
+		}
+	}
+	for n := range documented {
+		if !emitted[n] {
+			t.Errorf("README's catalog lists %s, but /metrics does not emit it", n)
+		}
+	}
+}
+
+// expandMetricName turns one catalog entry into metric names: a trailing
+// {label,...} set is dropped, and an inner {a,b} alternation expands, so
+// approx_cache_{hits,misses}_total names two metrics.
+func expandMetricName(entry string) []string {
+	open := strings.IndexByte(entry, '{')
+	if open < 0 {
+		return []string{entry}
+	}
+	end := open + strings.IndexByte(entry[open:], '}')
+	if end == len(entry)-1 {
+		return []string{entry[:open]}
+	}
+	var out []string
+	for _, alt := range strings.Split(entry[open+1:end], ",") {
+		out = append(out, expandMetricName(entry[:open]+alt+entry[end+1:])...)
+	}
+	return out
 }

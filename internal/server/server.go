@@ -32,7 +32,6 @@ import (
 	"time"
 
 	approxsel "repro"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server/cache"
@@ -149,9 +148,6 @@ type Server struct {
 
 	mu      sync.RWMutex
 	corpora map[string]*corpusHandle
-	// cluster is the attached replication node (AttachCluster); nil for a
-	// standalone server.
-	cluster *cluster.Node
 	// creating holds names whose corpus build is in flight, so a racing
 	// create of the same name fails fast instead of double-touching one
 	// data directory.
@@ -250,7 +246,6 @@ func (s *Server) addCorpus(name string, records []approxsel.Record, shards int, 
 	s.mu.Lock()
 	s.corpora[name] = h
 	s.mu.Unlock()
-	s.wireReplication(h)
 	return nil
 }
 

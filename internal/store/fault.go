@@ -2,10 +2,10 @@ package store
 
 import "sync"
 
-// FaultHook intercepts the store's durability syscalls so tests and chaos
-// drills can inject the failures a real disk produces: short (torn) WAL
-// appends and failed fsyncs. The zero state — no hook installed — costs one
-// RWMutex read per call. internal/chaos.StoreFaults implements it.
+// FaultHook intercepts the store's durability syscalls so tests can inject
+// the failures a real disk produces: short (torn) WAL appends and failed
+// fsyncs. The zero state — no hook installed — costs one RWMutex read per
+// call.
 type FaultHook interface {
 	// WALAppend is consulted before a WAL frame is written. Returning
 	// (len(frame), nil) writes the frame normally. Returning (keep, err)

@@ -7,8 +7,7 @@ import (
 	"repro/internal/core"
 )
 
-// hookFaults is a minimal FaultHook: one-shot armed faults, mirroring what
-// internal/chaos.StoreFaults injects during nemesis drills.
+// hookFaults is a minimal FaultHook: one-shot armed faults.
 type hookFaults struct {
 	failFsync bool
 	tearKeep  int

@@ -522,8 +522,8 @@ func syncDir(dir string) {
 // the global version the segments encode; per-shard WALs replay each shard
 // past it to the last acknowledged state. Seq is the corpus-wide batch
 // sequence number at the checkpoint — the floor the counter resumes above
-// when the truncated WAL holds nothing newer (absent in pre-replication
-// manifests, which decode as zero).
+// when the truncated WAL holds nothing newer (absent in older manifests,
+// which decode as zero).
 type Manifest struct {
 	Version int      `json:"version"`
 	Shards  int      `json:"shards"`
@@ -563,33 +563,6 @@ func WriteManifest(root string, m Manifest) error {
 	return nil
 }
 
-// MaterializeShard initializes dir as one shard's store holding exactly
-// the given snapshot segment (already in the segment format, at the given
-// epoch) and an empty write-ahead log — the install step of a replica
-// joining from a full-snapshot transfer. An existing store in dir is
-// replaced.
-func MaterializeShard(dir string, segData []byte, epoch uint64) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("approxstore: %w", err)
-	}
-	final := filepath.Join(dir, segName(epoch))
-	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, segData, 0o644); err != nil {
-		return fmt.Errorf("approxstore: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("approxstore: %w", err)
-	}
-	f, err := createWAL(filepath.Join(dir, walName))
-	if err != nil {
-		return fmt.Errorf("approxstore: %w", err)
-	}
-	f.Close()
-	syncDir(dir)
-	return nil
-}
-
 // ReadManifest reads and validates root's manifest.
 func ReadManifest(root string) (Manifest, error) {
 	var m Manifest
@@ -610,73 +583,4 @@ func ReadManifest(root string) (Manifest, error) {
 		return m, fmt.Errorf("approxstore: manifest epoch vector has %d entries for %d shards", len(m.Epochs), m.Shards)
 	}
 	return m, nil
-}
-
-// nodeStateName is the file the cluster layer persists its election state
-// in, next to the corpus manifest in the node's data directory.
-const nodeStateName = "NODESTATE"
-
-// NodeState is the durable election state of one cluster node: the highest
-// term it has seen and the candidate it voted for in that term. A node must
-// never vote twice in one term or regress its term across a restart, so
-// both are fsynced before any vote or term bump takes effect.
-type NodeState struct {
-	Version  int    `json:"version"`
-	Term     uint64 `json:"term"`
-	VotedFor string `json:"voted_for,omitempty"`
-}
-
-// ReadNodeState reads the node's persisted election state; a missing file
-// is a fresh node at term zero, not an error.
-func ReadNodeState(root string) (NodeState, error) {
-	data, err := os.ReadFile(filepath.Join(root, nodeStateName))
-	if os.IsNotExist(err) {
-		return NodeState{Version: 1}, nil
-	}
-	if err != nil {
-		return NodeState{}, fmt.Errorf("approxstore: %w", err)
-	}
-	var st NodeState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return NodeState{}, fmt.Errorf("approxstore: bad node state: %w", err)
-	}
-	if st.Version != 1 {
-		return NodeState{}, fmt.Errorf("approxstore: unsupported node state version %d", st.Version)
-	}
-	return st, nil
-}
-
-// WriteNodeState atomically and durably replaces the node's persisted
-// election state.
-func WriteNodeState(root string, st NodeState) error {
-	if err := os.MkdirAll(root, 0o755); err != nil {
-		return fmt.Errorf("approxstore: %w", err)
-	}
-	st.Version = 1
-	data, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return fmt.Errorf("approxstore: %w", err)
-	}
-	tmp := filepath.Join(root, nodeStateName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("approxstore: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("approxstore: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("approxstore: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("approxstore: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(root, nodeStateName)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("approxstore: %w", err)
-	}
-	syncDir(root)
-	return nil
 }

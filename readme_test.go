@@ -33,3 +33,69 @@ func TestReadmePathsExist(t *testing.T) {
 		t.Errorf("README mentions %s; the BENCH_*.json artifacts are retired", name)
 	}
 }
+
+// TestReadmeNamesRealFlagsAndRoutes keeps README's approxserved surface
+// honest. A flag counts as attributed to approxserved when it follows the
+// command on a README line (`approxserved -data DIR`) or stands alone in
+// backticks in a section that documents the daemon; each must be defined
+// in cmd/approxserved's run. Every /v1/, /cluster/ or /chaos/ route README
+// names must be registered in internal/server/handlers.go.
+func TestReadmeNamesRealFlagsAndRoutes(t *testing.T) {
+	data, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := string(data)
+	flags := sourceNames(t, "cmd/approxserved/main.go", `fs\.\w+\("([\w-]+)"`)
+	routes := sourceNames(t, "internal/server/handlers.go", `mux\.HandleFunc\("(?:[A-Z]+ )?(/[^"]*)"`)
+
+	var named []string
+	for _, m := range regexp.MustCompile("(?m)(?:^|`)approxserved ([^`#\n]*)").FindAllStringSubmatch(readme, -1) {
+		named = append(named, strings.Fields(m[1])...)
+	}
+	daemon := regexp.MustCompile(`^(approxserved|Observability|Durable persistence|Standing queries)\b`)
+	for _, section := range strings.Split(readme, "\n## ")[1:] {
+		if !daemon.MatchString(section) {
+			continue
+		}
+		for _, m := range regexp.MustCompile("`(-[^`]*)`").FindAllStringSubmatch(section, -1) {
+			named = append(named, strings.Fields(m[1])...)
+		}
+	}
+	checked := 0
+	for _, tok := range named {
+		if len(tok) < 2 || tok[0] != '-' || tok[1] < 'a' || tok[1] > 'z' {
+			continue // an argument: a path, -1, or "-" for stdout
+		}
+		if !flags[tok[1:]] {
+			t.Errorf("README attributes %s to approxserved, but run defines no such flag", tok)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no approxserved flag found in README; the patterns are stale")
+	}
+	for _, route := range regexp.MustCompile(`/(?:v1|cluster|chaos)/[\w/-]*`).FindAllString(readme, -1) {
+		if !routes[route] {
+			t.Errorf("README names route %s, but handlers.go registers no such route", route)
+		}
+	}
+}
+
+// sourceNames returns the first submatch of every match of pattern in the
+// Go source file path.
+func sourceNames(t *testing.T, path, pattern string) map[string]bool {
+	t.Helper()
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, m := range regexp.MustCompile(pattern).FindAllStringSubmatch(string(src), -1) {
+		names[m[1]] = true
+	}
+	if len(names) == 0 {
+		t.Fatalf("no names matched %s in %s; the pattern is stale", pattern, path)
+	}
+	return names
+}

@@ -53,10 +53,6 @@ type ShardedCorpus struct {
 	// past the largest logged sequence on a durable open.
 	hub *watch.Hub
 	seq atomic.Uint64
-
-	// replObs, when set, receives every applied logical batch — the
-	// replication source hook of approxcluster (SetReplicationObserver).
-	replObs func(watch.Batch)
 }
 
 // OpenShardedCorpus tokenizes the base relation once, partitioned across
@@ -394,12 +390,6 @@ func (s *ShardedCorpus) mutate(add []Record, del []int, upsert bool) error {
 		}
 		if len(subs) > 0 {
 			s.hub.OnBatch(watch.Batch{Seq: seq, Subs: subs})
-			// The replication source hook ships exactly what the hub saw:
-			// the sub-batches that actually landed, stamped with their
-			// post-apply epochs and the shared sequence number.
-			if s.replObs != nil {
-				s.replObs(watch.Batch{Seq: seq, Subs: subs})
-			}
 		}
 	}
 	if err != nil {
