@@ -21,11 +21,13 @@
 //
 // Construction goes through a pluggable predicate registry. New resolves a
 // predicate name against the chosen realization (WithRealization, default
-// Native) and applies functional options on top of the paper's defaults:
+// Native) under the paper's defaults, or under a Config passed as an
+// option:
 //
 //	records := []approxsel.Record{{TID: 1, Text: "AT&T Incorporated"}, ...}
-//	p, err := approxsel.New("BM25", records,
-//	        approxsel.WithQ(3), approxsel.WithPruneRate(0.1))
+//	cfg := approxsel.DefaultConfig()
+//	cfg.Q, cfg.PruneRate = 3, 0.1
+//	p, err := approxsel.New("BM25", records, cfg)
 //	matches, err := p.Select("AT&T Inc")
 //
 // Applications plug their own predicates into the same framework with
@@ -54,9 +56,11 @@
 //	top, err := approxsel.SelectCtx(ctx, p, "AT&T Inc", approxsel.Limit(10))
 //	res, err := approxsel.SelectBatch(ctx, p, queries, approxsel.Workers(8))
 //
-// OpenShardedCorpus partitions the relation across per-core corpus shards:
-// preprocessing, mutations and probing parallelize across the shards, and
-// selections merge the per-shard top-k rankings deterministically. The
+// OpenShardedCorpus partitions the relation across per-core corpus shards
+// (a Corpus is the one-shard case): preprocessing, mutations and probing
+// parallelize across the shards, and selections merge the per-shard top-k
+// rankings deterministically. WithDataDir makes either opener durable, and
+// RegisterWatch turns an approximate join into a standing query. The
 // sharded corpus (with its per-shard epoch vector) is the storage engine of
 // cmd/approxserved, the HTTP/JSON serving subsystem with an epoch-keyed
 // result cache (internal/server).
@@ -99,17 +103,14 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 
 // New preprocesses the base relation for the named predicate, resolving the
 // name through the predicate registry. With no options it builds the
-// in-memory realization under the paper's DefaultConfig; options select the
-// realization (WithRealization) and adjust parameters (WithQ, WithBM25,
-// ...). A Config value is itself an option replacing the whole parameter
-// set, so the original call form New(name, records, cfg) keeps working.
+// in-memory realization under the paper's DefaultConfig; WithRealization
+// selects the realization, and a Config value replaces the whole parameter
+// set, so the call form New(name, records, cfg) works.
 //
-// With WithCorpus the predicate instead attaches to a shared Corpus
-// (records is ignored): thirteen predicates attached to one corpus share a
-// single tokenization/statistics pass, and the predicate observes
-// Insert/Delete/Upsert on the corpus. Without the option, New builds a
-// private one-shot corpus materializing only the layers the predicate
-// reads, so the cost of single-predicate construction is unchanged.
+// New builds a private one-shot corpus materializing only the layers the
+// predicate reads. To share one tokenization/statistics pass across
+// predicates and observe Insert/Delete/Upsert, open a Corpus and attach
+// with its Predicate method instead.
 func New(name string, records []Record, opts ...BuildOption) (Predicate, error) {
 	settings := core.BuildSettings{
 		Config:      core.DefaultConfig(),
@@ -120,9 +121,6 @@ func New(name string, records []Record, opts ...BuildOption) (Predicate, error) 
 	}
 	if settings.DataDir != "" {
 		return nil, fmt.Errorf("approxsel: WithDataDir is not a valid New option; open a durable corpus with OpenCorpus(records, WithDataDir(dir)) and attach through Corpus.Predicate")
-	}
-	if settings.Corpus != nil {
-		return attachToCorpus(settings.Corpus, Realization(settings.Realization), name, settings.Config)
 	}
 	builder, err := lookupBuilder(Realization(settings.Realization), name)
 	if err != nil {

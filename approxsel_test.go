@@ -37,7 +37,7 @@ func TestFacadeNewAndSelect(t *testing.T) {
 
 func TestFacadeDeclarative(t *testing.T) {
 	records := facadeRecords()[:25]
-	p, err := New("BM25", records, WithConfig(DefaultConfig()), WithRealization(Declarative))
+	p, err := New("BM25", records, DefaultConfig(), WithRealization(Declarative))
 	if err != nil {
 		t.Fatal(err)
 	}

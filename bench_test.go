@@ -225,7 +225,7 @@ func benchPredicate(b *testing.B, name string, declarative bool) {
 	var p Predicate
 	var err error
 	if declarative {
-		p, err = New(name, records, WithConfig(cfg), WithRealization(Declarative))
+		p, err = New(name, records, cfg, WithRealization(Declarative))
 	} else {
 		p, err = New(name, records, cfg)
 	}

@@ -2,143 +2,25 @@ package approxsel
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/store"
-	"repro/internal/watch"
 )
 
 // Corpus is the shared, mutable base relation the paper's framework stores
 // inside the DBMS: one set of precomputed token and weight tables that all
-// registered predicates read. OpenCorpus tokenizes the relation exactly
-// once; Predicate attaches any registered predicate as a lightweight view
-// sharing the corpus data (so building the full thirteen-predicate suite
-// performs a single tokenization/statistics pass); and Insert, Delete and
-// Upsert mutate the relation in place, re-tokenizing only the changed
-// records. Mutations are epoch-versioned: attached predicates notice the
-// epoch change on their next selection and re-attach to the fresh
-// statistics automatically.
-//
-// A Corpus is safe for concurrent use: selections read immutable
-// snapshots, mutations publish new snapshots atomically, and a selection
-// racing a mutation observes either the old or the new version — never a
-// mix.
-type Corpus struct {
-	c *core.Corpus
-	// log is the attached approxstore write-ahead log when the corpus was
-	// opened with WithDataDir; nil for a purely in-memory corpus.
-	log *store.Log
-	// hub fans the mutation stream out to registered watches (approxwatch);
-	// always set, idle until the first RegisterWatch.
-	hub *watch.Hub
-}
+// registered predicates read. It is the one-shard ShardedCorpus.
+type Corpus = ShardedCorpus
 
 // OpenCorpus tokenizes the base relation once, materializing every
 // precomputed layer (q-grams, word grams, counts, document lengths,
 // IDF/weight statistics, min-hash signatures, edit-normalized strings) so
-// that any registered predicate can attach. Options adjust the
-// tokenization parameters exactly as in New; WithRealization and
-// WithCorpus are not meaningful here (the realization is chosen per
-// Predicate call).
+// that any registered predicate can attach. It is OpenShardedCorpus with
+// one shard; with WithDataDir a stored manifest's shard count wins.
 func OpenCorpus(records []Record, opts ...BuildOption) (*Corpus, error) {
-	settings := core.BuildSettings{
-		Config:      core.DefaultConfig(),
-		Realization: string(Native),
-	}
-	for _, o := range opts {
-		o.ApplyBuild(&settings)
-	}
-	if settings.Corpus != nil {
-		return nil, fmt.Errorf("approxsel: WithCorpus is not a valid OpenCorpus option")
-	}
-	if dir := settings.DataDir; dir != "" {
-		// Durable corpus: an existing store wins over the records argument
-		// (its segment carries the configuration it was built with); a fresh
-		// directory is seeded from records and the WAL attaches either way.
-		if store.HasManifest(dir) {
-			return nil, fmt.Errorf("approxsel: %s holds a sharded corpus store; open it with OpenShardedCorpus", dir)
-		}
-		if store.Exists(dir) {
-			log, err := store.Open(dir)
-			if err != nil {
-				return nil, err
-			}
-			// The WAL window that replayed during the open seeds the watch
-			// hub's resumable history: a client reconnecting across the
-			// restart with its last-seen epoch gets the missed events.
-			c := log.Corpus()
-			base, muts := log.TakeReplay()
-			hub := wireWatchHub(c, base, log.Stats().SnapshotEpoch, muts)
-			return &Corpus{c: c, log: log, hub: hub}, nil
-		}
-		c, err := core.NewCorpus(records, settings.Config, core.AllLayers)
-		if err != nil {
-			return nil, err
-		}
-		log, err := store.Create(dir, c)
-		if err != nil {
-			return nil, err
-		}
-		return &Corpus{c: c, log: log, hub: wireWatchHub(c, c.Records(), c.Epoch(), nil)}, nil
-	}
-	c, err := core.NewCorpus(records, settings.Config, core.AllLayers)
-	if err != nil {
-		return nil, err
-	}
-	return &Corpus{c: c, hub: wireWatchHub(c, c.Records(), c.Epoch(), nil)}, nil
+	return OpenShardedCorpus(records, 1, opts...)
 }
-
-// Predicate attaches the named predicate to the corpus, resolving the name
-// through the predicate registry exactly like New. The attach starts from
-// the corpus's own configuration; options apply on top, and may change
-// scoring-level parameters only (tokenization-level parameters — q-gram
-// sizes, pruning, min-hash geometry — are fixed at OpenCorpus).
-//
-// Native predicates attach as views over the corpus's shared tables; the
-// declarative realization and Register-ed predicates are adapted
-// automatically, rebuilding from the corpus's records when the epoch
-// moves.
-func (c *Corpus) Predicate(name string, opts ...BuildOption) (Predicate, error) {
-	settings := core.BuildSettings{
-		Config:      c.c.Config(),
-		Realization: string(Native),
-	}
-	for _, o := range opts {
-		o.ApplyBuild(&settings)
-	}
-	if settings.Corpus != nil && settings.Corpus != c.c {
-		return nil, fmt.Errorf("approxsel: WithCorpus naming a different corpus is not a valid Corpus.Predicate option")
-	}
-	return attachToCorpus(c.c, Realization(settings.Realization), name, settings.Config)
-}
-
-// Insert adds records to the corpus, tokenizing only the new records;
-// inserting an existing TID is an error. Attached predicates observe the
-// update on their next selection.
-func (c *Corpus) Insert(records ...Record) error { return c.c.Insert(records...) }
-
-// Delete removes records by TID; deleting an unknown TID is an error.
-// Attached predicates observe the update on their next selection.
-func (c *Corpus) Delete(tids ...int) error { return c.c.Delete(tids...) }
-
-// Upsert inserts records, replacing any existing record with the same TID.
-func (c *Corpus) Upsert(records ...Record) error { return c.c.Upsert(records...) }
-
-// Len returns the current number of records.
-func (c *Corpus) Len() int { return c.c.Len() }
-
-// Epoch returns the corpus's mutation epoch; it increases with every
-// applied Insert, Delete or Upsert.
-func (c *Corpus) Epoch() uint64 { return c.c.Epoch() }
-
-// Records returns a copy of the current base relation in storage order.
-func (c *Corpus) Records() []Record { return c.c.Records() }
-
-// Config returns the configuration the corpus was opened with.
-func (c *Corpus) Config() Config { return c.c.Config() }
 
 // attachToCorpus resolves (realization, name) and wraps the resulting
 // builder in an epoch-refreshing view.
@@ -168,12 +50,12 @@ func attachToCorpus(cc *core.Corpus, r Realization, name string, cfg Config) (Pr
 	return v, nil
 }
 
-// corpusView is the lightweight predicate view Corpus.Predicate returns:
-// it holds a builder closure plus the inner predicate built for the
-// current epoch, and transparently rebuilds the inner predicate when the
-// corpus moves to a new epoch. For native predicates the rebuild is a
-// cheap re-attach to the corpus's already-updated shared tables; for
-// adapted legacy builders it is a rebuild from the corpus's records.
+// corpusView is the lightweight predicate view of one shard: it holds a
+// builder closure plus the inner predicate built for the current epoch,
+// and transparently rebuilds the inner predicate when the corpus moves to
+// a new epoch. For native predicates the rebuild is a cheap re-attach to
+// the corpus's already-updated shared tables; for adapted legacy builders
+// it is a rebuild from the corpus's records.
 type corpusView struct {
 	corpus *core.Corpus
 	name   string

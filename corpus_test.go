@@ -26,7 +26,7 @@ func TestCorpusSinglePass(t *testing.T) {
 		}
 		preds[name] = p
 	}
-	if got := c.c.TokenizePasses(); got != 1 {
+	if got := c.shards[0].TokenizePasses(); got != 1 {
 		t.Fatalf("thirteen attaches must share one tokenization pass, got %d", got)
 	}
 	queries := []string{records[0].Text, records[7].Text + " inc", "zzzz"}
@@ -174,19 +174,23 @@ func TestCorpusConcurrentSelectBatch(t *testing.T) {
 	}
 }
 
-// TestWithCorpusOption checks the New(name, nil, WithCorpus(c)) call form
-// and that the option adopts the corpus configuration.
-func TestWithCorpusOption(t *testing.T) {
+// TestCorpusPredicateOptions checks that an attach starts from the corpus
+// configuration, that a Config option may change scoring-level parameters
+// on top of it, and that a conflicting tokenization-level parameter is
+// rejected.
+func TestCorpusPredicateOptions(t *testing.T) {
 	records := facadeRecords()[:30]
-	c, err := OpenCorpus(records, WithQ(3))
+	q3 := DefaultConfig()
+	q3.Q = 3
+	c, err := OpenCorpus(records, q3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New("BM25", nil, WithCorpus(c))
+	p, err := c.Predicate("BM25")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := New("BM25", records, WithQ(3))
+	want, err := New("BM25", records, q3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,18 +203,17 @@ func TestWithCorpusOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !matchesEqual(a, b) {
-		t.Fatalf("WithCorpus attach diverged: %+v vs %+v", a, b)
+		t.Fatalf("attach did not adopt the corpus configuration: %+v vs %+v", a, b)
 	}
-	// Scoring options still compose on top of the adopted config.
-	if _, err := c.Predicate("BM25", WithBM25(2, 8, 0.5)); err != nil {
+	scoring := c.Config()
+	scoring.BM25K1, scoring.BM25B = 2, 0.5
+	if _, err := c.Predicate("BM25", scoring); err != nil {
 		t.Fatalf("scoring option on attach: %v", err)
 	}
-	// Tokenization options that contradict the corpus are rejected.
-	if _, err := c.Predicate("BM25", WithQ(2)); err == nil {
+	if _, err := c.Predicate("BM25", DefaultConfig()); err == nil {
 		t.Fatal("q mismatch must be rejected at attach")
 	}
-	// The records argument is ignored with WithCorpus — nil is fine, and
-	// push-down options keep working through the view.
+	// Push-down options keep working through the view.
 	top, err := SelectCtx(context.Background(), p, records[2].Text, Limit(3))
 	if err != nil || len(top) > 3 {
 		t.Fatalf("TopK through corpus view: %v %v", top, err)
@@ -269,7 +272,9 @@ func TestCorpusDeclarativeAndCustomAttach(t *testing.T) {
 }
 
 func TestOpenCorpusErrors(t *testing.T) {
-	if _, err := OpenCorpus(facadeRecords(), WithQ(0)); err == nil {
+	bad := DefaultConfig()
+	bad.Q = 0
+	if _, err := OpenCorpus(facadeRecords(), bad); err == nil {
 		t.Error("invalid config must be rejected")
 	}
 	dup := []Record{{TID: 1, Text: "a"}, {TID: 1, Text: "b"}}
@@ -279,9 +284,6 @@ func TestOpenCorpusErrors(t *testing.T) {
 	c, err := OpenCorpus(facadeRecords()[:5])
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := OpenCorpus(facadeRecords()[:5], WithCorpus(c)); err == nil {
-		t.Error("WithCorpus inside OpenCorpus must be rejected")
 	}
 	if _, err := c.Predicate("NoSuchPredicate"); err == nil {
 		t.Error("unknown predicate must be rejected")

@@ -50,7 +50,9 @@ func TestDicePredicate(t *testing.T) {
 		"Pacific Mills Incorporated of the Western Territories and Beyond",
 	}
 	for _, q := range []int{2, 3} {
-		p, err := approxsel.New("DiceTest", records, approxsel.WithQ(q))
+		cfg := approxsel.DefaultConfig()
+		cfg.Q = q
+		p, err := approxsel.New("DiceTest", records, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

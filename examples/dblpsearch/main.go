@@ -83,8 +83,10 @@ func run(w io.Writer, size int, serve bool) error {
 	fmt.Fprintln(w, "\nIDF pruning trade-off (BM25):")
 	fmt.Fprintln(w, "  rate   preprocess    query-avg   top1-hits/20")
 	for _, rate := range []float64{0, 0.2, 0.4} {
+		cfg := approxsel.DefaultConfig()
+		cfg.PruneRate = rate
 		start := time.Now()
-		p, err := approxsel.New("BM25", records, approxsel.WithPruneRate(rate))
+		p, err := approxsel.New("BM25", records, cfg)
 		if err != nil {
 			return err
 		}

@@ -69,9 +69,10 @@ func run(w io.Writer) error {
 		top[0].TID, text(records, top[0].TID), top[0].Score)
 
 	// Thresholded selection: the paper's sim(tq, t) >= theta operation,
-	// with a functional option tweaking one parameter on top of the
-	// defaults.
-	jac, err := approxsel.New("Jaccard", records, approxsel.WithQ(2))
+	// with a Config option tweaking one parameter of the defaults.
+	cfg := approxsel.DefaultConfig()
+	cfg.Q = 2
+	jac, err := approxsel.New("Jaccard", records, cfg)
 	if err != nil {
 		return err
 	}

@@ -167,11 +167,6 @@ type Corpus struct {
 	// hook, when set, observes every applied mutation under the mutation
 	// lock — the write-ahead attachment point of the persistence layer.
 	hook func(Mutation) error
-	// obs are the post-publish mutation observers (the watch subsystem's
-	// attachment point): called under the mutation lock after the snapshot
-	// has published, so they see exactly the state the mutation produced and
-	// cannot veto it.
-	obs []func(Mutation)
 	// seqSrc, when set, supplies the batch sequence number stamped on every
 	// mutation. A sharded corpus installs one source across its shards so
 	// that all sub-batches of one logical batch share a sequence number;
@@ -230,17 +225,6 @@ func (c *Corpus) SetMutationHook(fn func(Mutation) error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.hook = fn
-}
-
-// AddMutationObserver registers fn as a post-publish mutation observer,
-// fanning out alongside the store hook: it is called under the mutation
-// lock after the new snapshot has published, so observers run serialized,
-// in registration order, and read exactly the state the mutation produced.
-// Unlike the write-ahead hook an observer cannot abort the mutation.
-func (c *Corpus) AddMutationObserver(fn func(Mutation)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.obs = append(c.obs, fn)
 }
 
 // SetSeqSource installs the supplier of batch sequence numbers stamped on
@@ -427,9 +411,6 @@ func (c *Corpus) mutate(add []Record, del []int, upsert bool) error {
 		}
 	}
 	c.snap.Store(next)
-	for _, fn := range c.obs {
-		fn(m)
-	}
 	return nil
 }
 

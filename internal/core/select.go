@@ -217,14 +217,11 @@ func siftDown(h []Match, i int) {
 // ---- constructor options ----
 
 // BuildSettings is the state assembled by constructor options before a
-// predicate is built: the parameter Config, the realization name the
-// facade resolves through its registry, and — when the WithCorpus option
-// is given — the shared corpus the predicate attaches to instead of
-// preprocessing its own copy of the relation.
+// predicate is built: the parameter Config and the realization name the
+// facade resolves through its registry.
 type BuildSettings struct {
 	Config      Config
 	Realization string
-	Corpus      *Corpus
 	// DataDir, when set by the WithDataDir option, makes OpenCorpus and
 	// OpenShardedCorpus durable: an existing approxstore in the directory is
 	// loaded instead of building from records, and every later mutation is
@@ -232,9 +229,9 @@ type BuildSettings struct {
 	DataDir string
 }
 
-// BuildOption configures predicate construction. The facade's functional
-// options (WithQ, WithRealization, ...) implement it, and Config itself is
-// a BuildOption that replaces the whole configuration — which keeps the
+// BuildOption configures predicate construction. The facade's options
+// (WithRealization, WithDataDir) implement it, and Config itself is a
+// BuildOption that replaces the whole configuration — which keeps the
 // original New(name, records, cfg) call form compiling unchanged.
 type BuildOption interface {
 	ApplyBuild(*BuildSettings)

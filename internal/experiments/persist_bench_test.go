@@ -19,9 +19,11 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 		b.Fatal(err)
 	}
 	dir := b.TempDir()
-	if err := store.Save(dir, c); err != nil {
+	l, err := store.Create(dir, c)
+	if err != nil {
 		b.Fatal(err)
 	}
+	l.Release()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := store.Load(dir); err != nil {

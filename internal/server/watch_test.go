@@ -158,6 +158,35 @@ func TestServeWatchSSE(t *testing.T) {
 	}
 }
 
+// TestServeWatchEmptyProbes: "probes": [] is a join against no probes, so
+// a duplicate insert replays no event; only an absent list is a self watch.
+func TestServeWatchEmptyProbes(t *testing.T) {
+	_, ts := newTestServer(t, Config{Shards: 2}, 40)
+	before, err := json.Marshal(corpusEpochs(t, ts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := RecordJSON{TID: 1000, Text: testRecords(40)[6].Text}
+	if _, code := post[MutateResponse](t, ts, "/v1/insert", MutateRequest{Corpus: "main", Records: []RecordJSON{dup}}); code != http.StatusOK {
+		t.Fatalf("insert: code=%d", code)
+	}
+	poll := func(probes string) WatchPollResponse {
+		t.Helper()
+		body := json.RawMessage(`{"corpus":"main","predicate":"Jaccard","theta":0.6,"mode":"poll","resume":` + string(before) + probes + `}`)
+		page, code := post[WatchPollResponse](t, ts, "/v1/watch", body)
+		if code != http.StatusOK {
+			t.Fatalf("poll%s: code=%d", probes, code)
+		}
+		return page
+	}
+	if page := poll(""); len(page.Events) == 0 {
+		t.Fatal("test vacuous: the self watch replayed no event for a duplicate insert")
+	}
+	if page := poll(`,"probes":[]`); len(page.Events) != 0 {
+		t.Fatalf("an empty probe list replayed %d events: %+v", len(page.Events), page.Events)
+	}
+}
+
 // TestServeWatchPoll: the stateless long-poll page resumes exactly once —
 // a poll with a pre-mutation vector returns the missed events and the
 // vector to continue from; polling again there returns nothing.

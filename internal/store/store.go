@@ -1,16 +1,16 @@
 // Package store implements approxstore, the durable persistence layer of
 // the shared corpus: versioned binary snapshot segments plus an
-// epoch-stamped write-ahead log, under one data directory per corpus.
+// epoch-stamped write-ahead log, under one data directory per core corpus.
 //
-// Layout of a corpus directory:
+// Layout of a core corpus directory:
 //
 //	snapshot-<epoch, 16 hex digits>.seg   // full corpus snapshot (internal/core segment format)
 //	wal.log                               // mutation batches applied after that snapshot
 //
-// A sharded corpus persists as a root directory holding MANIFEST.json
+// The facade's corpus persists as a root directory holding MANIFEST.json
 // (format version, shard count, the shard-epoch vector at the last
-// checkpoint) and one corpus directory per shard (shard-0000, shard-0001,
-// ...).
+// checkpoint) and one such directory per shard (shard-0000, shard-0001,
+// ...), also when it has one shard.
 //
 // Durability contract: a mutation is acknowledged only after its WAL entry
 // has been written to the file (the corpus's mutation hook runs before the
@@ -137,23 +137,9 @@ func Create(dir string, c *core.Corpus) (*Log, error) {
 	return l, nil
 }
 
-// Save writes dir as a one-shot durable snapshot of c — segment at the
-// current epoch plus an empty WAL — without attaching a mutation hook: the
-// corpus keeps mutating un-logged afterwards. An existing store in dir is
-// replaced. It is the facade's SaveCorpus.
-func Save(dir string, c *core.Corpus) error {
-	l, err := Create(dir, c)
-	if err != nil {
-		return err
-	}
-	l.Release()
-	return nil
-}
-
 // Load restores the corpus stored in dir — newest valid segment plus WAL
 // replay — without attaching a mutation hook or keeping the WAL open: a
-// read-only restore whose corpus then mutates un-logged. It is the facade's
-// LoadCorpus.
+// read-only restore whose corpus then mutates un-logged.
 func Load(dir string) (*core.Corpus, Stats, error) {
 	l, err := Open(dir)
 	if err != nil {

@@ -248,6 +248,11 @@ func (h *Hub) Register(spec Spec, probe ProbeFunc) (*Watch, error) {
 		return nil, err
 	}
 	w := &Watch{hub: h, spec: spec, sc: sc, probe: probe}
+	if spec.Probes != nil {
+		// Non-nil even when empty: a join watch with no probes matches
+		// nothing, it does not turn into a self watch.
+		w.probes = make([]probeRec, 0, len(spec.Probes))
+	}
 	for _, r := range spec.Probes {
 		w.probes = append(w.probes, probeRec{tid: r.TID, p: sc.prep(r.Text)})
 	}

@@ -71,11 +71,13 @@ func TestHubFoldEqualsBatchJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	hub := watch.NewHub(cfg, 1, ds.Records, []uint64{c.Epoch()}, nil)
-	c.AddMutationObserver(func(m core.Mutation) {
-		hub.OnBatch(watch.Batch{Seq: m.Seq, Subs: []watch.SubMutation{
-			{Shard: 0, Kind: m.Kind, Add: m.Add, Del: m.Del, Epoch: m.Epoch},
+	// publish hands the hub one applied mutation, as the facade does after
+	// every batch; a corpus without a sequence source stamps Seq = Epoch.
+	publish := func(kind core.MutationKind, add []core.Record, del []int) {
+		hub.OnBatch(watch.Batch{Seq: c.Epoch(), Subs: []watch.SubMutation{
+			{Shard: 0, Kind: kind, Add: add, Del: del, Epoch: c.Epoch()},
 		}})
-	})
+	}
 
 	// The probe re-attaches when the corpus moves, as the facade's
 	// epoch-refreshing view does. The hub serializes probe calls.
@@ -118,11 +120,19 @@ func TestHubFoldEqualsBatchJoin(t *testing.T) {
 				recs = append(recs, core.Record{TID: nextTID + 1, Text: recs[0].Text})
 			}
 			nextTID += len(recs)
-			err = c.Insert(recs...)
+			if err = c.Insert(recs...); err == nil {
+				publish(core.MutationInsert, recs, nil)
+			}
 		case 1: // an existing record takes another record's title
-			err = c.Upsert(core.Record{TID: live[rng.Intn(len(live))].TID, Text: text()})
+			rec := core.Record{TID: live[rng.Intn(len(live))].TID, Text: text()}
+			if err = c.Upsert(rec); err == nil {
+				publish(core.MutationUpsert, []core.Record{rec}, nil)
+			}
 		default:
-			err = c.Delete(live[rng.Intn(len(live))].TID)
+			tid := live[rng.Intn(len(live))].TID
+			if err = c.Delete(tid); err == nil {
+				publish(core.MutationDelete, nil, []int{tid})
+			}
 		}
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)

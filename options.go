@@ -6,105 +6,23 @@ import (
 
 // ---- construction options ----
 
-// BuildOption configures predicate construction in New. Config itself is a
-// BuildOption that replaces the whole parameter set, which keeps the
-// original New(name, records, cfg) call form working unchanged; the With*
-// options below tweak individual parameters on top of whatever came before
-// them, so
+// BuildOption configures predicate construction in New and corpus opening
+// in OpenCorpus. A Config value is itself a BuildOption that replaces the
+// whole parameter set, which keeps the original New(name, records, cfg)
+// call form working; to adjust a few knobs, start from DefaultConfig:
 //
-//	approxsel.New("BM25", records, approxsel.WithQ(3), approxsel.WithPruneRate(0.1))
-//
-// starts from DefaultConfig and adjusts two knobs.
+//	cfg := approxsel.DefaultConfig()
+//	cfg.Q, cfg.PruneRate = 3, 0.1
+//	approxsel.New("BM25", records, cfg)
 type BuildOption = core.BuildOption
 
 // buildOpt adapts a settings mutation to the BuildOption interface.
 func buildOpt(f func(*core.BuildSettings)) BuildOption { return core.BuildOptionFunc(f) }
 
-// configOpt adapts a Config mutation to the BuildOption interface.
-func configOpt(f func(*Config)) BuildOption {
-	return buildOpt(func(s *core.BuildSettings) { f(&s.Config) })
-}
-
-// WithCorpus makes New attach the predicate to a shared, mutable Corpus
-// instead of preprocessing the records argument (which is ignored and may
-// be nil): all predicates attached to one corpus share a single
-// tokenization/statistics pass and observe Insert/Delete/Upsert on the
-// corpus. The option adopts the corpus's configuration, so options placed
-// after it adjust scoring-level parameters on top; tokenization-level
-// parameters must match the corpus (they were fixed at OpenCorpus).
-func WithCorpus(c *Corpus) BuildOption {
-	return buildOpt(func(s *core.BuildSettings) {
-		if c == nil {
-			return
-		}
-		s.Corpus = c.c
-		s.Config = c.c.Config()
-	})
-}
-
 // WithRealization selects which realization New builds: Native (the
 // default, in-memory) or Declarative (the paper's SQL realization).
 func WithRealization(r Realization) BuildOption {
 	return buildOpt(func(s *core.BuildSettings) { s.Realization = string(r) })
-}
-
-// WithConfig replaces the entire parameter Config, like passing a Config
-// positionally. Options appearing after it still apply on top.
-func WithConfig(cfg Config) BuildOption { return cfg }
-
-// WithQ sets the q-gram size of the token-based predicates (paper: 2).
-func WithQ(q int) BuildOption { return configOpt(func(c *Config) { c.Q = q }) }
-
-// WithWordQ sets the q-gram size used on word tokens inside the GES
-// combination predicates.
-func WithWordQ(q int) BuildOption { return configOpt(func(c *Config) { c.WordQ = q }) }
-
-// WithBM25 sets the BM25 parameters (paper: k1=1.5, k3=8, b=0.675).
-func WithBM25(k1, k3, b float64) BuildOption {
-	return configOpt(func(c *Config) { c.BM25K1, c.BM25K3, c.BM25B = k1, k3, b })
-}
-
-// WithHMMA0 sets the HMM "General English" transition probability.
-func WithHMMA0(a0 float64) BuildOption { return configOpt(func(c *Config) { c.HMMA0 = a0 }) }
-
-// WithGESCins sets the GES token-insertion cost factor.
-func WithGESCins(cins float64) BuildOption {
-	return configOpt(func(c *Config) { c.GESCins = cins })
-}
-
-// WithGESThreshold sets the candidate-filter threshold of GESJaccard and
-// GESapx; zero disables filtering.
-func WithGESThreshold(theta float64) BuildOption {
-	return configOpt(func(c *Config) { c.GESThreshold = theta })
-}
-
-// WithSoftTFIDFTheta sets the Jaro–Winkler closeness threshold of SoftTFIDF.
-func WithSoftTFIDFTheta(theta float64) BuildOption {
-	return configOpt(func(c *Config) { c.SoftTFIDFTheta = theta })
-}
-
-// WithEditTheta sets the edit-similarity threshold driving q-gram filtering
-// in the edit predicate; zero ranks the whole base relation.
-func WithEditTheta(theta float64) BuildOption {
-	return configOpt(func(c *Config) { c.EditTheta = theta })
-}
-
-// WithEditPositional toggles the positional q-gram filter of the edit
-// predicate.
-func WithEditPositional(on bool) BuildOption {
-	return configOpt(func(c *Config) { c.EditPositional = on })
-}
-
-// WithMinHash sets the min-hash signature size and permutation seed used by
-// GESapx (paper: k=5).
-func WithMinHash(k int, seed int64) BuildOption {
-	return configOpt(func(c *Config) { c.MinHashK, c.MinHashSeed = k, seed })
-}
-
-// WithPruneRate sets the §5.6 IDF pruning rate applied during
-// preprocessing; zero disables pruning.
-func WithPruneRate(rate float64) BuildOption {
-	return configOpt(func(c *Config) { c.PruneRate = rate })
 }
 
 // ---- selection options ----

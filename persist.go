@@ -10,42 +10,37 @@ import (
 )
 
 // This file is the public face of approxstore, the durable persistence
-// layer: a corpus saves as a versioned binary snapshot segment (records,
-// interned token tables, posting lists, collection statistics, bound
-// columns, epoch — floats serialized bit-for-bit) plus an epoch-stamped
-// write-ahead log of the mutations applied since. A loaded corpus is
-// bit-identical to the one that was saved and then mutated: same epoch,
-// same scores, same tie order, for every predicate.
-//
-// Two usage shapes:
-//
-//	// One-shot: save now, restore later (mutations in between are lost).
-//	approxsel.SaveCorpus(dir, corpus)
-//	corpus, err := approxsel.LoadCorpus(dir)
+// layer: every shard of a corpus saves as a versioned binary snapshot
+// segment (records, interned token tables, posting lists, collection
+// statistics, bound columns, epoch — floats serialized bit-for-bit) plus an
+// epoch-stamped write-ahead log of the mutations applied since, under one
+// root directory whose MANIFEST.json fixes the shard count. A reopened
+// corpus is bit-identical to the one that was built and then mutated: same
+// epochs, same scores, same tie order, for every predicate.
 //
 //	// Durable: load-or-build, with every mutation write-ahead logged.
 //	corpus, err := approxsel.OpenCorpus(records, approxsel.WithDataDir(dir))
 //	defer corpus.CloseStore()
 //	corpus.Insert(...)       // acknowledged only after the WAL took it
-//	corpus.Checkpoint()      // fresh segment at the current epoch, WAL truncated
+//	corpus.Checkpoint()      // fresh segment at the current epochs, WAL truncated
 
-// WithDataDir makes OpenCorpus (and OpenShardedCorpus) durable under the
+// WithDataDir makes OpenCorpus and OpenShardedCorpus durable under the
 // given directory: an existing approxstore there is loaded instead of
-// building from the records argument (the stored configuration and — for
-// sharded corpora — shard count win), a fresh directory is seeded from the
-// records, and either way every later mutation is write-ahead logged and
-// acknowledged only once the log has taken it.
+// building from the records argument (the stored configuration and shard
+// count win), a fresh directory is seeded from the records, and either way
+// every later mutation is write-ahead logged and acknowledged only once the
+// log has taken it.
 func WithDataDir(dir string) BuildOption {
 	return buildOpt(func(s *core.BuildSettings) { s.DataDir = dir })
 }
 
 // StoreStats describes the durable state of a corpus opened with
-// WithDataDir (or restored by LoadCorpus, reporting its load).
+// WithDataDir.
 type StoreStats struct {
-	// Dir is the data directory (the root directory for a sharded corpus).
+	// Dir is the root data directory.
 	Dir string
 	// SnapshotEpochs is the per-shard epoch vector of the segments a cold
-	// start would load; a plain Corpus reports one entry.
+	// start would load.
 	SnapshotEpochs []uint64
 	// SnapshotBytes is the total on-disk size of those segments.
 	SnapshotBytes int64
@@ -56,32 +51,6 @@ type StoreStats struct {
 	// LastLoadDur is how long the last cold start (segment decode + WAL
 	// replay, slowest shard) took; zero for a freshly created store.
 	LastLoadDur time.Duration
-}
-
-// SaveCorpus writes dir as a durable snapshot of the corpus's current
-// state, replacing any store already there. The corpus itself is left
-// untouched — it keeps mutating in memory without logging; use
-// OpenCorpus(records, WithDataDir(dir)) for a corpus whose mutations
-// persist continuously.
-func SaveCorpus(dir string, c *Corpus) error {
-	if c == nil {
-		return fmt.Errorf("approxsel: SaveCorpus of a nil corpus")
-	}
-	return store.Save(dir, c.c)
-}
-
-// LoadCorpus restores the corpus saved in dir: the newest valid snapshot
-// segment, then WAL replay up to the last acknowledged epoch. The loaded
-// corpus is bit-identical to the one that was saved and then mutated —
-// same epoch, same scores, same tie order — and is purely in-memory
-// afterwards (its mutations are not logged); open with WithDataDir to
-// keep logging.
-func LoadCorpus(dir string) (*Corpus, error) {
-	c, _, err := store.Load(dir)
-	if err != nil {
-		return nil, err
-	}
-	return &Corpus{c: c, hub: wireWatchHub(c, c.Records(), c.Epoch(), nil)}, nil
 }
 
 // PartialMutationError reports a multi-shard mutation batch that failed
@@ -104,66 +73,11 @@ func (e *PartialMutationError) Error() string {
 // Unwrap exposes the underlying failure.
 func (e *PartialMutationError) Unwrap() error { return e.Err }
 
-// ---- durable Corpus methods ----
+// ---- durable methods ----
 
 // Persistent reports whether the corpus is attached to a data directory
 // (opened with WithDataDir), i.e. whether its mutations are write-ahead
 // logged.
-func (c *Corpus) Persistent() bool { return c.log != nil }
-
-// Checkpoint writes a fresh snapshot segment at the corpus's current epoch
-// and truncates the write-ahead log, atomically with respect to concurrent
-// mutations (selections proceed unaffected). It errors on a corpus without
-// a data directory.
-func (c *Corpus) Checkpoint() error {
-	if c.log == nil {
-		return fmt.Errorf("approxsel: Checkpoint on a corpus without a data directory")
-	}
-	return c.log.Checkpoint()
-}
-
-// SyncStore flushes logged mutations to stable storage. Appends survive a
-// process crash as soon as they are acknowledged; Sync hardens them
-// against machine crashes too. It is a no-op on a corpus without a data
-// directory.
-func (c *Corpus) SyncStore() error {
-	if c.log == nil {
-		return nil
-	}
-	return c.log.Sync()
-}
-
-// CloseStore fsyncs and closes the write-ahead log. Further mutations on
-// the corpus fail (nothing can land unlogged after a graceful shutdown);
-// selections keep working. It is a no-op on a corpus without a data
-// directory.
-func (c *Corpus) CloseStore() error {
-	if c.log == nil {
-		return nil
-	}
-	return c.log.Close()
-}
-
-// StoreStats returns the durable-state counters; ok is false for a corpus
-// without a data directory.
-func (c *Corpus) StoreStats() (StoreStats, bool) {
-	if c.log == nil {
-		return StoreStats{}, false
-	}
-	st := c.log.Stats()
-	return StoreStats{
-		Dir:            st.Dir,
-		SnapshotEpochs: []uint64{st.SnapshotEpoch},
-		SnapshotBytes:  st.SnapshotBytes,
-		WALEntries:     st.WALEntries,
-		LastLoadDur:    st.LastLoadDur,
-	}, true
-}
-
-// ---- durable ShardedCorpus methods ----
-
-// Persistent reports whether the sharded corpus is attached to a data
-// directory (opened with WithDataDir).
 func (s *ShardedCorpus) Persistent() bool { return s.root != "" }
 
 // Checkpoint writes a fresh snapshot segment per shard and truncates every
@@ -184,8 +98,10 @@ func (s *ShardedCorpus) Checkpoint() error {
 	return store.WriteManifest(s.root, store.Manifest{Version: 1, Shards: len(s.shards), Epochs: s.Epochs(), Seq: s.seq.Load()})
 }
 
-// SyncStore flushes every shard's logged mutations to stable storage. It is
-// a no-op on a corpus without a data directory.
+// SyncStore flushes every shard's logged mutations to stable storage.
+// Appends survive a process crash as soon as they are acknowledged; Sync
+// hardens them against machine crashes too. It is a no-op on a corpus
+// without a data directory.
 func (s *ShardedCorpus) SyncStore() error {
 	for _, l := range s.logs {
 		if err := l.Sync(); err != nil {

@@ -3,15 +3,17 @@ package approxsel
 import (
 	"math"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/store"
 )
 
-// The facade-level persistence acceptance suite: save→load and
-// save→mutate→crash→replay must yield bit-identical scores, tie order and
-// epoch versus a never-persisted corpus, for all thirteen native
+// The facade-level persistence acceptance suite: checkpoint→close→reopen
+// and build→mutate→crash→replay must yield bit-identical scores, tie order
+// and epochs versus a never-reopened corpus, for all thirteen native
 // predicates.
 
 // persistQueries exercises exact hits, near-misses and no-token-overlap
@@ -71,38 +73,6 @@ func assertPredicatesBitIdentical(t *testing.T, want, got interface {
 	}
 }
 
-func TestSaveLoadBitIdenticalAllPredicates(t *testing.T) {
-	records := facadeRecords()
-	dir := filepath.Join(t.TempDir(), "corpus")
-	c, err := OpenCorpus(records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveCorpus(dir, c); err != nil {
-		t.Fatal(err)
-	}
-	lc, err := LoadCorpus(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lc.Epoch() != c.Epoch() || lc.Len() != c.Len() {
-		t.Fatalf("restored state: epoch %d len %d, want %d/%d", lc.Epoch(), lc.Len(), c.Epoch(), c.Len())
-	}
-	assertPredicatesBitIdentical(t, c, lc, persistQueries(records))
-	// A loaded corpus never re-tokenizes: attaching the full suite reads the
-	// decoded tables directly.
-	if got := lc.c.TokenizePasses(); got != 0 {
-		t.Fatalf("loaded corpus tokenized %d times", got)
-	}
-	// SaveCorpus leaves the source corpus un-attached: it keeps mutating.
-	if c.Persistent() {
-		t.Fatal("SaveCorpus must not attach the corpus")
-	}
-	if err := c.Insert(Record{TID: 9000, Text: "Still Mutable Inc"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDurableCorpusCrashReplayDifferential(t *testing.T) {
 	records := facadeRecords()
 	dir := filepath.Join(t.TempDir(), "corpus")
@@ -145,8 +115,8 @@ func TestDurableCorpusCrashReplayDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer restored.CloseStore()
-	if restored.Epoch() != control.Epoch() {
-		t.Fatalf("replayed epoch %d, control %d", restored.Epoch(), control.Epoch())
+	if !reflect.DeepEqual(restored.Epochs(), control.Epochs()) {
+		t.Fatalf("replayed epochs %v, control %v", restored.Epochs(), control.Epochs())
 	}
 	assertPredicatesBitIdentical(t, control, restored, persistQueries(records))
 
@@ -156,6 +126,40 @@ func TestDurableCorpusCrashReplayDifferential(t *testing.T) {
 	}
 	if st, _ := restored.StoreStats(); st.WALEntries != 4 {
 		t.Fatalf("wal entries after post-replay insert: %+v", st)
+	}
+}
+
+// TestSaveLoadBitIdenticalAllPredicates saves a corpus the durable way —
+// WithDataDir, Checkpoint, CloseStore — and loads it by reopening the
+// directory: the loaded corpus must match the built one bit for bit for
+// all thirteen native predicates, without re-tokenizing.
+func TestSaveLoadBitIdenticalAllPredicates(t *testing.T) {
+	records := facadeRecords()
+	dir := filepath.Join(t.TempDir(), "corpus")
+	c, err := OpenCorpus(records, WithDataDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+	lc, err := OpenCorpus(nil, WithDataDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.CloseStore()
+	if lc.Shards() != 1 || !reflect.DeepEqual(lc.Epochs(), c.Epochs()) || lc.Len() != c.Len() {
+		t.Fatalf("restored state: shards %d epochs %v len %d, want 1/%v/%d",
+			lc.Shards(), lc.Epochs(), lc.Len(), c.Epochs(), c.Len())
+	}
+	assertPredicatesBitIdentical(t, c, lc, persistQueries(records))
+	// A loaded corpus never re-tokenizes: attaching the full suite reads the
+	// decoded tables directly.
+	if got := lc.shards[0].TokenizePasses(); got != 0 {
+		t.Fatalf("loaded corpus tokenized %d times", got)
 	}
 }
 
@@ -188,8 +192,8 @@ func TestDurableCorpusCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer restored.CloseStore()
-	if restored.Epoch() != 2 || restored.Len() != c.Len() {
-		t.Fatalf("restored epoch %d len %d", restored.Epoch(), restored.Len())
+	if restored.Shards() != 1 || restored.Epochs()[0] != 2 || restored.Len() != c.Len() {
+		t.Fatalf("restored shards %d epochs %v len %d", restored.Shards(), restored.Epochs(), restored.Len())
 	}
 
 	// CloseStore seals the log: further mutations must fail, selections keep
@@ -279,12 +283,6 @@ func TestDurableShardedCorpusCrashReplay(t *testing.T) {
 }
 
 func TestPersistenceErrors(t *testing.T) {
-	if err := SaveCorpus(t.TempDir(), nil); err == nil {
-		t.Fatal("SaveCorpus(nil) must fail")
-	}
-	if _, err := LoadCorpus(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Fatal("LoadCorpus of a missing dir must fail")
-	}
 	c, err := OpenCorpus(facadeRecords()[:10])
 	if err != nil {
 		t.Fatal(err)
@@ -352,9 +350,11 @@ func TestShardEpochRegressionDetected(t *testing.T) {
 	}
 }
 
-// TestDataDirFlavorMismatch pins the cross-flavor guard: a directory
-// holding one store layout must not be silently re-seeded by the other
-// opener (which would serve a corpus missing every logged mutation).
+// TestDataDirFlavorMismatch pins how an opener treats a directory it did
+// not write: a stored manifest's shard count wins over the opener's (a
+// record's home shard must never change), and a store without a manifest —
+// the layout the one-shard corpus used to write — is refused, never
+// re-seeded (which would serve a corpus missing every logged mutation).
 func TestDataDirFlavorMismatch(t *testing.T) {
 	records := facadeRecords()[:15]
 
@@ -363,22 +363,43 @@ func TestDataDirFlavorMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := s.Insert(Record{TID: 900, Text: "Logged Before Close"}); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.CloseStore(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenCorpus(records, WithDataDir(shardedDir)); err == nil {
-		t.Fatal("OpenCorpus over a sharded store must fail, not re-seed")
+	c, err := OpenCorpus(records, WithDataDir(shardedDir))
+	if err != nil {
+		t.Fatalf("OpenCorpus over a two-shard store: %v", err)
+	}
+	defer c.CloseStore()
+	if c.Shards() != 2 || c.Len() != len(records)+1 || !reflect.DeepEqual(c.Epochs(), s.Epochs()) {
+		t.Fatalf("stored layout must win: shards %d len %d epochs %v, want 2/%d/%v",
+			c.Shards(), c.Len(), c.Epochs(), len(records)+1, s.Epochs())
 	}
 
 	plainDir := filepath.Join(t.TempDir(), "plain")
-	c, err := OpenCorpus(records, WithDataDir(plainDir))
+	cc, err := core.NewCorpus(records, DefaultConfig(), core.AllLayers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CloseStore(); err != nil {
+	l, err := store.Create(plainDir, cc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenShardedCorpus(records, 2, WithDataDir(plainDir)); err == nil {
-		t.Fatal("OpenShardedCorpus over a plain store must fail, not re-seed")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, open := range []func() (*ShardedCorpus, error){
+		func() (*ShardedCorpus, error) { return OpenCorpus(records, WithDataDir(plainDir)) },
+		func() (*ShardedCorpus, error) { return OpenShardedCorpus(records, 2, WithDataDir(plainDir)) },
+	} {
+		if _, err := open(); err == nil || !strings.Contains(err.Error(), "no longer opens") {
+			t.Fatalf("a store without a manifest must be refused, not re-seeded: %v", err)
+		}
+	}
+	if store.HasManifest(plainDir) {
+		t.Fatal("the refused open wrote a manifest")
 	}
 }

@@ -1,7 +1,12 @@
 package approxsel
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -98,4 +103,71 @@ func sourceNames(t *testing.T, path, pattern string) map[string]bool {
 		t.Fatalf("no names matched %s in %s; the pattern is stale", pattern, path)
 	}
 	return names
+}
+
+// TestReadmeNamesRealIdentifiers keeps the documented API honest: every
+// approxsel.Name that README or a file under examples/ mentions must be an
+// exported identifier of the package.
+func TestReadmeNamesRealIdentifiers(t *testing.T) {
+	sources, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := map[string]bool{}
+	for _, path := range sources {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					exported[d.Name.Name] = d.Name.IsExported()
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						exported[sp.Name.Name] = sp.Name.IsExported()
+					case *ast.ValueSpec:
+						for _, n := range sp.Names {
+							exported[n.Name] = n.IsExported()
+						}
+					}
+				}
+			}
+		}
+	}
+	if !exported["OpenCorpus"] {
+		t.Fatal("package scope lacks OpenCorpus; the parse is stale")
+	}
+	docs := []string{"README.md"}
+	if err := filepath.WalkDir("examples", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+			docs = append(docs, path)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, path := range docs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range regexp.MustCompile(`\bapproxsel\.([A-Z]\w*)`).FindAllStringSubmatch(string(data), -1) {
+			if !exported[m[1]] {
+				t.Errorf("%s names approxsel.%s, which the package does not export", path, m[1])
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no approxsel.Name found in README or examples; the pattern is stale")
+	}
 }

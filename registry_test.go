@@ -3,6 +3,8 @@ package approxsel
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // equalityPredicate is a minimal custom predicate for registry tests: score
@@ -167,22 +169,26 @@ func TestUnknownPredicateListsRegistered(t *testing.T) {
 
 func TestBuildOptionsCompose(t *testing.T) {
 	records := facadeRecords()
-	// WithConfig replaces wholesale; later options still apply on top.
-	cfg := DefaultConfig()
-	cfg.Q = 4
-	p, err := New("Jaccard", records, WithConfig(cfg), WithQ(3))
+	// A Config replaces the parameters wholesale, so the last one wins, and
+	// WithRealization composes with it in either order.
+	q4, q3 := DefaultConfig(), DefaultConfig()
+	q4.Q, q3.Q = 4, 3
+	p, err := New("Jaccard", records, WithRealization(Declarative), q4, q3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q3, err := New("Jaccard", records, WithQ(3))
+	want, err := New("Jaccard", records, q3, WithRealization(Declarative))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if core.ConcurrentSafe(p) || core.ConcurrentSafe(want) {
+		t.Fatal("WithRealization must build the declarative realization in either order")
 	}
 	a, err := p.Select(records[1].Text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := q3.Select(records[1].Text)
+	b, err := want.Select(records[1].Text)
 	if err != nil {
 		t.Fatal(err)
 	}

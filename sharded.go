@@ -15,25 +15,35 @@ import (
 	"repro/internal/watch"
 )
 
-// ShardedCorpus partitions the base relation across N shared Corpus shards
-// by a stable hash of the TID, so that preprocessing, mutation maintenance
-// and probing all parallelize across cores instead of serializing on one
-// snapshot. Shards are ordinary core corpora: attached predicates fan each
-// selection out to every shard on the SelectBatch worker pool and merge the
-// per-shard top-k rankings with a k-way heap, mutations route each record
-// to its home shard, and every shard keeps its own mutation epoch — the
-// epoch vector (Epochs) identifies one global version of the relation, the
-// invalidation key of the serving subsystem's result cache.
+// ShardedCorpus is the shared, mutable token and weight store, partitioned
+// across N core corpus shards by a stable hash of the TID; Corpus is its
+// one-shard form. Opening tokenizes the relation exactly once; Predicate
+// attaches any registered predicate as a lightweight view over the shared
+// tables (so the full thirteen-predicate suite performs a single
+// tokenization/statistics pass); and Insert, Delete and Upsert mutate the
+// relation in place, re-tokenizing only the changed records. Attached
+// predicates notice a moved epoch on their next selection and re-attach to
+// the fresh statistics automatically.
+//
+// Preprocessing, mutation maintenance and probing parallelize across the
+// shards: attached predicates fan each selection out to every shard on the
+// SelectBatch worker pool and merge the per-shard top-k rankings with a
+// k-way heap, mutations route each record to its home shard, and every
+// shard keeps its own mutation epoch — the epoch vector (Epochs) identifies
+// one global version of the relation, the invalidation key of the serving
+// subsystem's result cache.
 //
 // Collection statistics (document frequencies, idf, average document
 // length) are computed per shard, the standard practice of partitioned
-// search engines: with one shard the scores are bit-identical to an
-// unsharded Corpus, and with more shards they converge to it as shards
-// grow. The merge itself is deterministic for any shard count.
+// search engines: with one shard the scores are bit-identical to
+// predicates attached directly to one core corpus, and with more shards
+// they converge to them as shards grow. The merge itself is deterministic
+// for any shard count.
 //
-// A ShardedCorpus is safe for concurrent use under the same contract as
-// Corpus: selections read immutable per-shard snapshots, mutations are
-// serialized and publish atomically per shard.
+// A ShardedCorpus is safe for concurrent use: selections read immutable
+// per-shard snapshots, mutations are serialized and publish atomically per
+// shard, and a selection racing a mutation observes either the old or the
+// new version of each shard — never a mix.
 type ShardedCorpus struct {
 	cfg    Config
 	shards []*core.Corpus
@@ -57,8 +67,8 @@ type ShardedCorpus struct {
 
 // OpenShardedCorpus tokenizes the base relation once, partitioned across
 // the given number of shards (values < 1 select GOMAXPROCS) and built in
-// parallel. Options adjust the tokenization parameters exactly as in
-// OpenCorpus.
+// parallel. Options adjust the tokenization parameters exactly as in New;
+// the realization is chosen per Predicate call.
 func OpenShardedCorpus(records []Record, shards int, opts ...BuildOption) (*ShardedCorpus, error) {
 	if shards < 1 {
 		shards = runtime.GOMAXPROCS(0)
@@ -70,18 +80,18 @@ func OpenShardedCorpus(records []Record, shards int, opts ...BuildOption) (*Shar
 	for _, o := range opts {
 		o.ApplyBuild(&settings)
 	}
-	if settings.Corpus != nil {
-		return nil, fmt.Errorf("approxsel: WithCorpus is not a valid OpenShardedCorpus option")
-	}
 	if root := settings.DataDir; root != "" {
-		// Durable sharded corpus: an existing manifest wins over the records
-		// and shard-count arguments — the stored layout fixes both (a record's
-		// home shard must never change across restarts).
+		// Durable corpus: an existing manifest wins over the records and
+		// shard-count arguments — the stored layout fixes both (a record's
+		// home shard must never change across restarts). A segment and WAL
+		// directly in root, without a manifest, is the layout the one-shard
+		// corpus used to write: refused, never re-seeded over (that would
+		// serve a corpus missing every logged mutation).
 		if store.HasManifest(root) {
 			return openStoredShards(root)
 		}
 		if store.Exists(root) {
-			return nil, fmt.Errorf("approxsel: %s holds a plain corpus store; open it with OpenCorpus", root)
+			return nil, fmt.Errorf("approxsel: %s holds a corpus store without MANIFEST.json, a layout this version no longer opens", root)
 		}
 		s, err := buildShards(records, shards, settings.Config)
 		if err != nil {
@@ -262,9 +272,16 @@ func (s *ShardedCorpus) Records() []Record {
 func (s *ShardedCorpus) Config() Config { return s.cfg }
 
 // Predicate attaches the named predicate to every shard, resolving the
-// name through the predicate registry exactly like Corpus.Predicate, and
-// returns a view that fans selections out across the shards and merges the
-// per-shard rankings. Options may change scoring-level parameters only.
+// name through the predicate registry exactly like New, and returns a view
+// that fans selections out across the shards and merges the per-shard
+// rankings. The attach starts from the corpus's own configuration; options
+// apply on top and may change scoring-level parameters only
+// (tokenization-level parameters — q-gram sizes, pruning, min-hash
+// geometry — are fixed when the corpus opens).
+//
+// Native predicates attach as views over the shards' shared tables; the
+// declarative realization and Register-ed predicates are adapted
+// automatically, rebuilding from a shard's records when its epoch moves.
 func (s *ShardedCorpus) Predicate(name string, opts ...BuildOption) (Predicate, error) {
 	settings := core.BuildSettings{
 		Config:      s.cfg,
@@ -272,9 +289,6 @@ func (s *ShardedCorpus) Predicate(name string, opts ...BuildOption) (Predicate, 
 	}
 	for _, o := range opts {
 		o.ApplyBuild(&settings)
-	}
-	if settings.Corpus != nil {
-		return nil, fmt.Errorf("approxsel: WithCorpus is not a valid ShardedCorpus.Predicate option")
 	}
 	v := &shardedView{name: name, views: make([]Predicate, len(s.shards)), safe: true}
 	for i, c := range s.shards {

@@ -5,44 +5,57 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/native"
 )
 
-// TestShardedOneShardParity checks that a single-shard ShardedCorpus is
-// bit-identical to the unsharded Corpus for every registered predicate.
+// TestShardedOneShardParity checks that the one-shard corpus (what
+// OpenCorpus returns) ranks bit-identically to the thirteen native
+// predicates attached directly to one core corpus: full rankings, Limit
+// push-down and Threshold push-down, same scores and same order.
 func TestShardedOneShardParity(t *testing.T) {
 	records := facadeRecords()
-	plain, err := OpenCorpus(records)
+	c, err := OpenCorpus(records)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := OpenShardedCorpus(records, 1)
+	cc, err := core.NewCorpus(records, DefaultConfig(), core.AllLayers)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	queries := batchQueries(records[:10])
-	for _, name := range PredicateNames() {
-		pp, err := plain.Predicate(name)
+	for _, name := range core.PredicateNames {
+		got, err := c.Predicate(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := sharded.Predicate(name)
+		ref, err := native.Attach(name, cc, cc.Config())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, q := range queries {
-			want, err := pp.Select(q)
+			full, err := core.SelectWithOptions(ctx, ref, q, core.SelectOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sp.Select(q)
-			if err != nil {
-				t.Fatal(err)
+			opts := []core.SelectOptions{{}, {Limit: 10}}
+			if len(full) > 0 {
+				opts = append(opts, core.SelectOptions{Threshold: full[len(full)/2].Score, HasThreshold: true})
 			}
-			if len(want) == 0 && len(got) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s %q: sharded(1) diverged from Corpus", name, q)
+			for _, o := range opts {
+				want, err := core.SelectWithOptions(ctx, ref, q, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ms, err := core.SelectWithOptions(ctx, got, q, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !matchesBitIdentical(ms, want) {
+					t.Fatalf("%s %q %+v: one-shard corpus diverged from the core corpus\ngot:  %+v\nwant: %+v", name, q, o, ms, want)
+				}
 			}
 		}
 	}
@@ -252,12 +265,5 @@ func TestShardedOpenErrors(t *testing.T) {
 	if _, err := OpenShardedCorpus([]Record{{TID: 1}, {TID: 1}}, 2); err == nil ||
 		!strings.Contains(err.Error(), "duplicate TID") {
 		t.Fatalf("duplicate TIDs must be rejected: %v", err)
-	}
-	c, err := OpenCorpus(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenShardedCorpus(nil, 2, WithCorpus(c)); err == nil {
-		t.Fatal("WithCorpus must be rejected by OpenShardedCorpus")
 	}
 }

@@ -9,8 +9,8 @@ import (
 
 // This file is the public face of approxwatch, the standing-query
 // subsystem: RegisterWatch installs a predicate + threshold pair over a
-// live Corpus or ShardedCorpus and streams epoch-tagged match/unmatch
-// events as the relation mutates, instead of re-running ApproximateJoin.
+// live corpus and streams epoch-tagged match/unmatch events as the
+// relation mutates, instead of re-running ApproximateJoin.
 // Folding a watch's events up to epoch E reproduces the batch join at
 // epoch E bit for bit — same pair set, same scores.
 //
@@ -50,15 +50,16 @@ type WatchOption func(*watch.Spec)
 
 // WithProbes turns the watch into an incremental join: events track the
 // approximate join of the fixed probe relation against the corpus, rather
-// than the corpus's self join.
+// than the corpus's self join. An empty probe set is a join that never
+// matches, not a self join.
 func WithProbes(records ...Record) WatchOption {
 	return func(s *watch.Spec) {
-		s.Probes = append([]Record(nil), records...)
+		s.Probes = append([]Record{}, records...)
 	}
 }
 
 // WithResume replays the window the client missed: epochs is the
-// per-shard epoch vector it last saw (one entry for a plain Corpus).
+// per-shard epoch vector it last saw (one entry for a one-shard Corpus).
 func WithResume(epochs []uint64) WatchOption {
 	return func(s *watch.Spec) {
 		s.Resume = append([]uint64(nil), epochs...)
@@ -88,74 +89,23 @@ func watchProbe(pred Predicate) watch.ProbeFunc {
 	}
 }
 
-// watchPredOpts aligns the probe predicate's configuration with the
-// watch: EditDistance verifies against its configured theta, which must
-// equal the watch threshold for the candidate filter to be exact.
-func watchPredOpts(predicate string, theta float64) []BuildOption {
-	if predicate == "EditDistance" {
-		return []BuildOption{WithEditTheta(theta)}
-	}
-	return nil
-}
-
-// ---- plain Corpus ----
-
 // RegisterWatch installs a standing query on the corpus: predicate one of
 // the stats-free watchable predicates, theta the positive match
-// threshold. Without options it is a self watch (online dedup). The
-// returned Watch delivers until Close, corpus CloseWatches, or the
-// consumer lags.
-func (c *Corpus) RegisterWatch(predicate string, theta float64, opts ...WatchOption) (*Watch, error) {
-	spec := watchSpec(predicate, theta, opts)
-	var probe watch.ProbeFunc
-	if spec.Probes == nil {
-		pred, err := c.Predicate(predicate, watchPredOpts(predicate, theta)...)
-		if err != nil {
-			return nil, err
-		}
-		probe = watchProbe(pred)
-	}
-	return c.hub.Register(spec, probe)
-}
-
-// CloseWatches closes every watch on the corpus cleanly and rejects
-// further registrations (graceful drain).
-func (c *Corpus) CloseWatches() { c.hub.CloseAll() }
-
-// WatchStats reports the corpus's watch counters.
-func (c *Corpus) WatchStats() WatchStats { return c.hub.Stats() }
-
-// Epochs returns the epoch vector a watch resume token uses; a plain
-// corpus has one entry, equal to Epoch.
-func (c *Corpus) Epochs() []uint64 { return c.hub.Epochs() }
-
-// wireWatchHub builds the corpus's watch hub over the given base state
-// (plus, after a durable cold start, the WAL replay window as resumable
-// history) and subscribes it to the mutation stream.
-func wireWatchHub(c *core.Corpus, base []core.Record, baseEpoch uint64, muts []core.Mutation) *watch.Hub {
-	var hist []watch.Batch
-	if len(muts) > 0 {
-		hist = watch.GroupBatches([][]core.Mutation{muts})
-	}
-	hub := watch.NewHub(c.Config(), 1, base, []uint64{baseEpoch}, hist)
-	c.AddMutationObserver(func(m core.Mutation) {
-		hub.OnBatch(watch.Batch{Seq: m.Seq, Subs: []watch.SubMutation{
-			{Shard: 0, Kind: m.Kind, Add: m.Add, Del: m.Del, Epoch: m.Epoch},
-		}})
-	})
-	return hub
-}
-
-// ---- ShardedCorpus ----
-
-// RegisterWatch installs a standing query on the sharded corpus; see
-// Corpus.RegisterWatch. Resume vectors carry one epoch per shard, and the
-// self-watch probe fans out across all shards.
+// threshold. Without options it is a self watch (online dedup) whose probe
+// fans out across all shards; resume vectors carry one epoch per shard.
+// The returned Watch delivers until Close, CloseWatches, or the consumer
+// lags.
 func (s *ShardedCorpus) RegisterWatch(predicate string, theta float64, opts ...WatchOption) (*Watch, error) {
 	spec := watchSpec(predicate, theta, opts)
 	var probe watch.ProbeFunc
 	if spec.Probes == nil {
-		pred, err := s.Predicate(predicate, watchPredOpts(predicate, theta)...)
+		// EditDistance verifies against its configured theta, which must
+		// equal the watch threshold for the candidate filter to be exact.
+		cfg := s.cfg
+		if predicate == "EditDistance" {
+			cfg.EditTheta = theta
+		}
+		pred, err := s.Predicate(predicate, cfg)
 		if err != nil {
 			return nil, err
 		}

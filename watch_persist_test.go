@@ -11,12 +11,7 @@ import (
 // and then continues live, with the fold still bit-identical to the
 // from-scratch batch join.
 
-type durableWatchCorpus interface {
-	watchCorpus
-	CloseStore() error
-}
-
-func testWatchColdStartResume(t *testing.T, open func(*testing.T, []Record, string) (durableWatchCorpus, error)) {
+func testWatchColdStartResume(t *testing.T, open func(*testing.T, []Record, string) (*Corpus, error)) {
 	dir := t.TempDir()
 	recs := dirtyWatchData(t)
 
@@ -115,13 +110,13 @@ func testWatchColdStartResume(t *testing.T, open func(*testing.T, []Record, stri
 func TestWatchColdStartResume(t *testing.T) {
 	t.Run("plain", func(t *testing.T) {
 		t.Parallel()
-		testWatchColdStartResume(t, func(t *testing.T, recs []Record, dir string) (durableWatchCorpus, error) {
+		testWatchColdStartResume(t, func(t *testing.T, recs []Record, dir string) (*Corpus, error) {
 			return OpenCorpus(recs, WithDataDir(dir))
 		})
 	})
 	t.Run("sharded", func(t *testing.T) {
 		t.Parallel()
-		testWatchColdStartResume(t, func(t *testing.T, recs []Record, dir string) (durableWatchCorpus, error) {
+		testWatchColdStartResume(t, func(t *testing.T, recs []Record, dir string) (*Corpus, error) {
 			return OpenShardedCorpus(recs, 3, WithDataDir(dir))
 		})
 	})

@@ -132,19 +132,6 @@ func compareFold(t *testing.T, label string, fold, want map[pairKey]float64) {
 	}
 }
 
-// watchable corpora under one test body.
-type watchCorpus interface {
-	Insert(...Record) error
-	Delete(...int) error
-	Upsert(...Record) error
-	Records() []Record
-	Config() Config
-	Epochs() []uint64
-	RegisterWatch(string, float64, ...WatchOption) (*Watch, error)
-	Predicate(string, ...BuildOption) (Predicate, error)
-	WatchStats() WatchStats
-}
-
 func dirtyWatchData(t *testing.T) []Record {
 	t.Helper()
 	ds, err := GenerateDirty(CompanyNames(80, 7), Abbreviations(), DirtyParams{
@@ -158,7 +145,7 @@ func dirtyWatchData(t *testing.T) []Record {
 	return ds.Records
 }
 
-func testWatchDifferential(t *testing.T, open func([]Record) (watchCorpus, error), predName string, theta float64) {
+func testWatchDifferential(t *testing.T, open func([]Record) (*Corpus, error), predName string, theta float64) {
 	recs := dirtyWatchData(t)
 	initial, pool := recs[:80], recs[80:200]
 	probes := make([]Record, 0, 12)
@@ -272,8 +259,8 @@ func testWatchDifferential(t *testing.T, open func([]Record) (watchCorpus, error
 	}
 }
 
-func openPlainWatch(recs []Record) (watchCorpus, error)   { return OpenCorpus(recs) }
-func openShardedWatch(recs []Record) (watchCorpus, error) { return OpenShardedCorpus(recs, 3) }
+func openPlainWatch(recs []Record) (*Corpus, error)   { return OpenCorpus(recs) }
+func openShardedWatch(recs []Record) (*Corpus, error) { return OpenShardedCorpus(recs, 3) }
 
 func TestWatchDifferential(t *testing.T) {
 	cases := []struct {
@@ -307,7 +294,7 @@ func TestWatchResumeExactlyOnce(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			t.Parallel()
 			recs := dirtyWatchData(t)
-			var c watchCorpus
+			var c *Corpus
 			var err error
 			if mode == "plain" {
 				c, err = openPlainWatch(recs[:60])
@@ -386,10 +373,12 @@ func TestWatchRegistrationGuards(t *testing.T) {
 	if _, err := c.RegisterWatch("Jaccard", 0.5, WithResume([]uint64{1, 2})); err == nil {
 		t.Fatal("resume vector of wrong width accepted")
 	}
-	if _, err := c.RegisterWatch("Jaccard", 0.5, WithResume([]uint64{c.Epoch() + 5})); err == nil {
+	if _, err := c.RegisterWatch("Jaccard", 0.5, WithResume([]uint64{c.Epochs()[0] + 5})); err == nil {
 		t.Fatal("future resume vector accepted")
 	}
-	pruned, err := OpenCorpus(recs, WithPruneRate(0.1))
+	prune := DefaultConfig()
+	prune.PruneRate = 0.1
+	pruned, err := OpenCorpus(recs, prune)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,5 +464,33 @@ func TestWatchLagClosesWatch(t *testing.T) {
 	st := c.WatchStats()
 	if st.Active != 0 {
 		t.Fatalf("lagged watch still counted active: %+v", st)
+	}
+}
+
+// TestWatchEmptyProbesNeverMatch: WithProbes with no records is a join
+// against an empty probe relation, so a duplicate insert emits nothing;
+// only a watch without WithProbes is a self watch.
+func TestWatchEmptyProbesNeverMatch(t *testing.T) {
+	recs := dirtyWatchData(t)[:40]
+	c, err := OpenCorpus(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := c.RegisterWatch("Jaccard", 0.45, WithProbes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	self, err := c.RegisterWatch("Jaccard", 0.45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Insert(Record{TID: 100000, Text: recs[0].Text}); err != nil {
+		t.Fatal(err)
+	}
+	if evs := drainWatch(self); len(evs) == 0 {
+		t.Fatal("test vacuous: the self watch saw no event for a duplicate insert")
+	}
+	if evs := drainWatch(empty); len(evs) != 0 {
+		t.Fatalf("a watch with an empty probe set emitted %d events: %+v", len(evs), evs)
 	}
 }
