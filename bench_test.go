@@ -1,31 +1,39 @@
 package approxsel
 
 // One benchmark per table and figure of the paper's evaluation chapter.
-// Each bench runs the corresponding experiment end to end at a reduced
-// scale (Scaled(10): 500-tuple datasets, 50 queries; performance figures on
-// 1–2k-record relations), so `go test -bench=.` regenerates every artifact
-// in minutes. The approxbench binary runs the same experiments at paper
-// scale and prints the tables.
+//
+// The accuracy tables and Figures 5.1, 5.5 and 5.6 run the experiment of
+// internal/experiments end to end at a reduced scale (Scaled(10): 500-tuple
+// datasets, 50 queries); approxbench prints the same experiments as tables
+// at any scale, but times nothing.
+//
+// The timing figures of §5.5 time one build or one select per op over the
+// dirty DBLP relation, with one sub-benchmark per relation size,
+// realization and predicate, named n=<size>/<realization>/<predicate>:
+//
+//	go test -run '^$' -bench 'Figure52' .  # preprocessing, n ∈ {1000, 10000}
+//	go test -run '^$' -bench 'Figure53' .  # query time, n ∈ {1000, 10000}
+//	go test -run '^$' -bench 'Figure54' .  # query time vs size, n ∈ {1000 … 10000}
+//
+// A sub-benchmark pattern is unanchored, so select one size with a $:
+// -bench 'Figure5[234]/n=1000$/'.
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/dirty"
 	"repro/internal/experiments"
 )
 
 func benchAccOpts() experiments.Options {
 	return experiments.Scaled(10)
-}
-
-func benchPerfOpts() experiments.PerfOptions {
-	o := experiments.PerfDefaults()
-	o.Size = 1000
-	o.Sizes = []int{500, 1000, 2000}
-	o.Queries = 10
-	return o
 }
 
 // BenchmarkTable51_DatasetStats regenerates Table 5.1 (clean dataset
@@ -106,48 +114,110 @@ func BenchmarkTable57_GESThresholds(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure52_Preprocessing regenerates Figure 5.2 (preprocessing
-// time per predicate, declarative realization).
+// benchFigure runs leaf as the sub-benchmark n=<size>/<realization>/<name>
+// for every size, both realizations and every name, over the §5.5 relation
+// of that size (dirty.DBLP, seed 1).
+func benchFigure(b *testing.B, sizes []int, names []string, leaf func(b *testing.B, records []Record, r Realization, name string)) {
+	for _, n := range sizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ds, err := dirty.DBLP(n, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, r := range []Realization{Native, Declarative} {
+				b.Run(string(r), func(b *testing.B) {
+					for _, name := range names {
+						b.Run(name, func(b *testing.B) { leaf(b, ds.Records, r, name) })
+					}
+				})
+			}
+		})
+	}
+}
+
+// benchSelect times one Select per op, cycling over 100 record texts drawn
+// from the relation (§5.5: 100 queries). A positive words keeps only the
+// first words words of each text.
+func benchSelect(b *testing.B, records []Record, r Realization, name string, words int) {
+	p, err := New(name, records, DefaultConfig(), WithRealization(r))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	queries := make([]string, 100)
+	for i := range queries {
+		q := strings.Fields(records[rng.Intn(len(records))].Text)
+		if words > 0 && len(q) > words {
+			q = q[:words]
+		}
+		queries[i] = strings.Join(q, " ")
+	}
+	i := 0
+	for b.Loop() {
+		if _, err := p.Select(queries[i%len(queries)]); err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}
+}
+
+// BenchmarkFigure52_Preprocessing regenerates Figure 5.2: the time to build
+// each predicate, reported with the last build's split into tokenization
+// and weight computation (core.Phased) as tokenize-s and weights-s.
 func BenchmarkFigure52_Preprocessing(b *testing.B) {
-	o := benchPerfOpts()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure52(o); err != nil {
-			b.Fatal(err)
+	benchFigure(b, []int{1000, 10000}, core.PredicateNames, func(b *testing.B, records []Record, r Realization, name string) {
+		var p Predicate
+		for b.Loop() {
+			var err error
+			if p, err = New(name, records, DefaultConfig(), WithRealization(r)); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+		ph, ok := p.(core.Phased)
+		if !ok {
+			b.Fatalf("%s %s does not report its preprocessing phases", r, name)
+		}
+		tok, w := ph.PreprocessPhases()
+		b.ReportMetric(tok.Seconds(), "tokenize-s")
+		b.ReportMetric(w.Seconds(), "weights-s")
+	})
 }
 
-// BenchmarkFigure53_QueryTime regenerates Figure 5.3 (query time per
-// predicate, declarative realization).
+// BenchmarkFigure53_QueryTime regenerates Figure 5.3: the time of one
+// selection per predicate.
 func BenchmarkFigure53_QueryTime(b *testing.B) {
-	o := benchPerfOpts()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure53(o); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchFigure(b, []int{1000, 10000}, core.PredicateNames, func(b *testing.B, records []Record, r Realization, name string) {
+		benchSelect(b, records, r, name, 0)
+	})
 }
 
-// BenchmarkFigure54_Scalability regenerates Figure 5.4 (query time vs base
-// table size for the paper's predicate groups).
+// BenchmarkFigure54_Scalability regenerates Figure 5.4: query time as the
+// base table grows. As in the paper, edit distance is left out for its poor
+// accuracy, and the combination predicates SoftTFIDF, GESJaccard and GESapx
+// take 3-word queries.
 func BenchmarkFigure54_Scalability(b *testing.B) {
-	o := benchPerfOpts()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure54(o); err != nil {
-			b.Fatal(err)
+	var names []string
+	for _, name := range core.PredicateNames {
+		if name != "EditDistance" {
+			names = append(names, name)
 		}
 	}
+	benchFigure(b, []int{1000, 2500, 5000, 10000}, names, func(b *testing.B, records []Record, r Realization, name string) {
+		words := 0
+		if name == "SoftTFIDF" || name == "GESJaccard" || name == "GESapx" {
+			words = 3
+		}
+		benchSelect(b, records, r, name, words)
+	})
 }
 
-// BenchmarkFigure55_Pruning regenerates Figure 5.5 (IDF pruning: MAP and
-// query time vs pruning rate).
+// BenchmarkFigure55_Pruning regenerates Figure 5.5 (MAP vs IDF pruning
+// rate).
 func BenchmarkFigure55_Pruning(b *testing.B) {
-	ao := benchAccOpts()
-	ao.Queries = 20
-	po := benchPerfOpts()
-	po.Queries = 5
+	o := benchAccOpts()
+	o.Queries = 20
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure55(ao, po); err != nil {
+		if _, err := experiments.Figure55(o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -167,13 +237,9 @@ func BenchmarkFigure56_IDFHistogram(b *testing.B) {
 // BenchmarkRunAll_Tiny runs the entire experiment suite end to end at a
 // very small scale, as a smoke benchmark of the whole pipeline.
 func BenchmarkRunAll_Tiny(b *testing.B) {
-	ao := experiments.Scaled(25)
-	po := benchPerfOpts()
-	po.Size = 300
-	po.Sizes = []int{300}
-	po.Queries = 3
+	o := experiments.Scaled(25)
 	for i := 0; i < b.N; i++ {
-		if err := experiments.RunAll(io.Discard, ao, po); err != nil {
+		if err := experiments.RunAll(io.Discard, o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -181,24 +247,25 @@ func BenchmarkRunAll_Tiny(b *testing.B) {
 
 // ---- ablation benchmarks ----
 
-// BenchmarkAblationMinHashK sweeps the GESapx signature size (§5.4.1).
+// BenchmarkAblationMinHashK times the GESapx build per signature size K
+// over the 1 000-record §5.5 relation. §5.4.1: more signatures cost
+// preprocessing time without much accuracy, which
+// experiments.AblationMinHashK measures.
 func BenchmarkAblationMinHashK(b *testing.B) {
-	o := benchAccOpts()
-	o.Queries = 20
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationMinHashK(o); err != nil {
-			b.Fatal(err)
-		}
+	ds, err := dirty.DBLP(1000, 1)
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-// BenchmarkAblationImplOverhead compares declarative vs native query time.
-func BenchmarkAblationImplOverhead(b *testing.B) {
-	o := benchPerfOpts()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationImplOverhead(o); err != nil {
-			b.Fatal(err)
-		}
+	for _, k := range []int{1, 2, 5, 10, 20} {
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.MinHashK = k
+			for b.Loop() {
+				if _, err := New("GESapx", ds.Records, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -212,50 +279,6 @@ func BenchmarkAblationQSweep(b *testing.B) {
 		}
 	}
 }
-
-// ---- micro-benchmarks: per-predicate query latency on the facade ----
-
-func benchPredicate(b *testing.B, name string, declarative bool) {
-	names := CompanyNames(1000, 1)
-	records := make([]Record, len(names))
-	for i, n := range names {
-		records[i] = Record{TID: i + 1, Text: n}
-	}
-	cfg := DefaultConfig()
-	var p Predicate
-	var err error
-	if declarative {
-		p, err = New(name, records, cfg, WithRealization(Declarative))
-	} else {
-		p, err = New(name, records, cfg)
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
-	query := names[17]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Select(query); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSelectNativeBM25(b *testing.B)      { benchPredicate(b, "BM25", false) }
-func BenchmarkSelectNativeJaccard(b *testing.B)   { benchPredicate(b, "Jaccard", false) }
-func BenchmarkSelectNativeHMM(b *testing.B)       { benchPredicate(b, "HMM", false) }
-func BenchmarkSelectNativeLM(b *testing.B)        { benchPredicate(b, "LM", false) }
-func BenchmarkSelectNativeCosine(b *testing.B)    { benchPredicate(b, "Cosine", false) }
-func BenchmarkSelectNativeEdit(b *testing.B)      { benchPredicate(b, "EditDistance", false) }
-func BenchmarkSelectNativeSoftTFIDF(b *testing.B) { benchPredicate(b, "SoftTFIDF", false) }
-func BenchmarkSelectNativeGESJaccard(b *testing.B) {
-	benchPredicate(b, "GESJaccard", false)
-}
-
-func BenchmarkSelectDeclarativeBM25(b *testing.B)    { benchPredicate(b, "BM25", true) }
-func BenchmarkSelectDeclarativeJaccard(b *testing.B) { benchPredicate(b, "Jaccard", true) }
-func BenchmarkSelectDeclarativeHMM(b *testing.B)     { benchPredicate(b, "HMM", true) }
-func BenchmarkSelectDeclarativeLM(b *testing.B)      { benchPredicate(b, "LM", true) }
 
 // ---- shared-corpus preprocessing (the Corpus API acceptance benchmark) ----
 

@@ -1,16 +1,19 @@
-// Command approxbench regenerates the paper's evaluation artifacts: every
-// table and figure of Chapter 5, printed as ASCII tables with the paper's
-// reference values noted in each title.
+// Command approxbench regenerates the paper's accuracy artifacts: the
+// tables and figures of Chapter 5 that report MAP or dataset statistics,
+// printed as ASCII tables with the paper's reference values noted in each
+// title.
 //
 // Usage:
 //
 //	approxbench                  # reduced scale (minutes)
 //	approxbench -scale 1         # paper scale (5000-tuple datasets, 500 queries)
-//	approxbench -exp figure5.3   # a single experiment
-//	approxbench -impl native     # measure the in-memory realization instead
+//	approxbench -exp figure5.1   # a single experiment
+//	approxbench -exp list        # the registered realizations and predicates
 //
-// The system's performance and correctness benchmark is a separate program:
-// go run ./bench (see bench/README.md).
+// The timing figures 5.2–5.4 are Go benchmarks in the repository root
+// (go test -run '^$' -bench 'Figure5' .). The system's performance and
+// correctness benchmark is a separate program: go run ./bench (see
+// bench/README.md).
 package main
 
 import (
@@ -33,57 +36,35 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("approxbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	scale := fs.Int("scale", 5, "accuracy scale divisor (1 = paper scale: 5000 tuples, 500 queries)")
-	perfSize := fs.Int("perfsize", 2000, "relation size for Figures 5.2/5.3 (paper: 10000)")
-	perfSizes := fs.String("perfsizes", "1000,2000,4000", "comma-separated sizes for Figure 5.4 (paper: 10000..100000)")
-	perfQueries := fs.Int("perfqueries", 20, "timed queries per performance point (paper: 100)")
-	impl := fs.String("impl", "declarative", "realization measured by performance experiments: declarative|native")
-	exp := fs.String("exp", "all", "experiment: all, table5.1, table5.3, qgram, table5.5, table5.6, figure5.1, table5.7, figure5.2, figure5.3, figure5.4, figure5.5, figure5.6, ablation.minhash, ablation.impl, ablation.q, ablation.dist")
+	scale := fs.Int("scale", 5, "accuracy scale divisor, at least 1 (1 = paper scale: 5000 tuples, 500 queries)")
+	exp := fs.String("exp", "all", "experiment: all, table5.1, table5.3, qgram, table5.5, table5.6, figure5.1, table5.7, figure5.5, figure5.6, ablation.minhash, ablation.q, ablation.dist; or list, which prints the registered realizations and predicates")
 	seed := fs.Int64("seed", 1, "generation seed")
-	list := fs.Bool("list", false, "list the registered predicates and realizations, then exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *impl != "declarative" && *impl != "native" {
-		fmt.Fprintf(stderr, "approxbench: bad -impl %q (want declarative or native)\n", *impl)
+	if *scale < 1 {
+		fmt.Fprintf(stderr, "approxbench: bad -scale %d (want a divisor of at least 1)\n", *scale)
 		return 2
-	}
-
-	if *list {
-		fmt.Fprint(stdout, "realizations:")
-		for _, r := range approxsel.Realizations() {
-			fmt.Fprintf(stdout, " %s", r)
-		}
-		fmt.Fprintln(stdout)
-		fmt.Fprintln(stdout, "predicates:")
-		for _, name := range approxsel.PredicateNames() {
-			fmt.Fprintf(stdout, "  %s\n", name)
-		}
-		return 0
 	}
 
 	ao := experiments.Scaled(*scale)
 	ao.Seed = *seed
-	po := experiments.PerfDefaults()
-	po.Size = *perfSize
-	po.Queries = *perfQueries
-	po.Seed = *seed
-	po.Impl = *impl
-	po.Sizes = nil
-	for _, s := range strings.Split(*perfSizes, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err != nil {
-			fmt.Fprintf(stderr, "approxbench: bad -perfsizes entry %q\n", s)
-			return 2
-		}
-		po.Sizes = append(po.Sizes, n)
-	}
 
 	w := stdout
 	var err error
 	switch strings.ToLower(*exp) {
+	case "list":
+		fmt.Fprint(w, "realizations:")
+		for _, r := range approxsel.Realizations() {
+			fmt.Fprintf(w, " %s", r)
+		}
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, "predicates:")
+		for _, name := range approxsel.PredicateNames() {
+			fmt.Fprintf(w, "  %s\n", name)
+		}
 	case "all":
-		err = experiments.RunAll(w, ao, po)
+		err = experiments.RunAll(w, ao)
 	case "table5.1":
 		experiments.Table51(ao).Print(w)
 	case "table5.3":
@@ -116,24 +97,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if r, err = experiments.Table57(ao); err == nil {
 			r.Print(w)
 		}
-	case "figure5.2":
-		var r experiments.Figure52Result
-		if r, err = experiments.Figure52(po); err == nil {
-			r.Print(w)
-		}
-	case "figure5.3":
-		var r experiments.Figure53Result
-		if r, err = experiments.Figure53(po); err == nil {
-			r.Print(w)
-		}
-	case "figure5.4":
-		var r experiments.Figure54Result
-		if r, err = experiments.Figure54(po); err == nil {
-			r.Print(w)
-		}
 	case "figure5.5":
 		var r experiments.Figure55Result
-		if r, err = experiments.Figure55(ao, po); err == nil {
+		if r, err = experiments.Figure55(ao); err == nil {
 			r.Print(w)
 		}
 	case "figure5.6":
@@ -144,11 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "ablation.minhash":
 		var r experiments.MinHashKResult
 		if r, err = experiments.AblationMinHashK(ao); err == nil {
-			r.Print(w)
-		}
-	case "ablation.impl":
-		var r experiments.ImplOverheadResult
-		if r, err = experiments.AblationImplOverhead(po); err == nil {
 			r.Print(w)
 		}
 	case "ablation.q":

@@ -6,15 +6,15 @@ import (
 	"testing"
 )
 
-// TestRunList smoke-tests the -list mode.
+// TestRunList smoke-tests -exp list.
 func TestRunList(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
+	if code := run([]string{"-exp", "list"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
 	s := out.String()
 	if !strings.Contains(s, "BM25") || !strings.Contains(s, "declarative") {
-		t.Fatalf("-list output missing predicates/realizations:\n%s", s)
+		t.Fatalf("-exp list output missing predicates/realizations:\n%s", s)
 	}
 }
 
@@ -37,13 +37,25 @@ func TestRunBadFlags(t *testing.T) {
 	if code := run([]string{"-exp", "nosuch"}, &out, &errOut); code != 2 {
 		t.Fatalf("unknown experiment: exit %d", code)
 	}
-	if code := run([]string{"-perfsizes", "12,x"}, &out, &errOut); code != 2 {
-		t.Fatalf("bad perfsizes: exit %d", code)
+	// A divisor below 1 used to run silently at paper scale.
+	for _, scale := range []string{"0", "-3"} {
+		if code := run([]string{"-scale", scale, "-exp", "table5.1"}, &out, &errOut); code != 2 {
+			t.Fatalf("-scale %s: exit %d", scale, code)
+		}
 	}
-	// Any -impl other than the two realizations used to measure the
-	// declarative one silently.
-	if code := run([]string{"-impl", "both", "-exp", "table5.1", "-scale", "50"}, &out, &errOut); code != 2 {
-		t.Fatalf("bad impl: exit %d", code)
+	// The timing flags are retired: the figures they sized are Go
+	// benchmarks now.
+	for _, args := range [][]string{
+		{"-perfsize", "1000"}, {"-perfsizes", "1000,2000"}, {"-perfqueries", "5"},
+		{"-impl", "native"}, {"-list"},
+	} {
+		errOut.Reset()
+		if code := run(append(args, "-exp", "table5.1", "-scale", "50"), &out, &errOut); code != 2 {
+			t.Fatalf("%s: exit %d", args[0], code)
+		}
+		if !strings.Contains(errOut.String(), "flag provided but not defined") {
+			t.Fatalf("%s: stderr %q", args[0], errOut.String())
+		}
 	}
 	// The -exp usage names the experiments the switch accepts.
 	errOut.Reset()

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/datasets"
 	"repro/internal/dirty"
 )
 
@@ -19,12 +18,7 @@ var declSix = []string{"Jaccard", "BM25", "LM", "EditDistance", "GESJaccard", "S
 // benchRelation is the relation of the decl-sql workload: 2 000 dirty DBLP
 // titles (§5.5), seed 1.
 func benchRelation(b *testing.B) []core.Record {
-	const size = 2000
-	ds, err := dirty.Generate(datasets.DBLPTitles(size/10, 1), nil, dirty.Params{
-		Size: size, NumClean: size / 10, Dist: dirty.Uniform,
-		ErroneousPct: 0.70, ErrorExtent: 0.20, TokenSwapPct: 0.20,
-		Seed: 1,
-	})
+	ds, err := dirty.DBLP(2000, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/datasets"
 	"repro/internal/dirty"
 )
 
@@ -36,11 +35,7 @@ const (
 // a single word.
 func goldenRelation(t *testing.T) ([]core.Record, []string) {
 	t.Helper()
-	ds, err := dirty.Generate(datasets.DBLPTitles(30, 1), nil, dirty.Params{
-		Size: 300, NumClean: 30, Dist: dirty.Uniform,
-		ErroneousPct: 0.70, ErrorExtent: 0.20, TokenSwapPct: 0.20,
-		Seed: 1,
-	})
+	ds, err := dirty.DBLP(300, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

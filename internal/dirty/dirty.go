@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/datasets"
 )
 
 // Distribution selects how duplicates are allocated across clean tuples.
@@ -116,6 +117,19 @@ func Generate(clean []string, abbrs [][2]string, p Params) (*Dataset, error) {
 		}
 	}
 	return ds, nil
+}
+
+// DBLP generates the medium-error DBLP-like relation of the performance
+// experiments (§5.5): size tuples over max(size/10, 10) clean titles, 70%
+// erroneous duplicates, 20% error extent and 20% token swap, uniform, with
+// no abbreviation errors. seed drives both the clean titles and the errors.
+func DBLP(size int, seed int64) (*Dataset, error) {
+	numClean := max(size/10, 10)
+	return Generate(datasets.DBLPTitles(numClean, seed), nil, Params{
+		Size: size, NumClean: numClean, Dist: Uniform,
+		ErroneousPct: 0.70, ErrorExtent: 0.20, TokenSwapPct: 0.20,
+		Seed: seed,
+	})
 }
 
 // duplicateCounts allocates Size − NumClean duplicates across clusters

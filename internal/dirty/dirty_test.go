@@ -229,6 +229,25 @@ func TestParamValidation(t *testing.T) {
 	}
 }
 
+// TestDBLPClusterFloor pins the §5.5 relation's shape: one clean title per
+// ten tuples, but never fewer than ten, and a size below that floor is an
+// error.
+func TestDBLPClusterFloor(t *testing.T) {
+	for _, c := range []struct{ size, clusters int }{{50, 10}, {2000, 200}} {
+		ds, err := DBLP(c.size, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ds.Records) != c.size || len(ds.Clusters) != c.clusters {
+			t.Errorf("DBLP(%d): %d records in %d clusters, want %d in %d",
+				c.size, len(ds.Records), len(ds.Clusters), c.size, c.clusters)
+		}
+	}
+	if _, err := DBLP(5, 1); err == nil {
+		t.Error("DBLP(5) should be rejected: fewer tuples than clean titles")
+	}
+}
+
 func TestDistributionString(t *testing.T) {
 	if Uniform.String() != "uniform" || Zipfian.String() != "zipfian" || Poisson.String() != "poisson" {
 		t.Error("Distribution.String")

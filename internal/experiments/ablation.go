@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"repro/internal/declarative"
 	"repro/internal/dirty"
 	"repro/internal/native"
 )
@@ -16,16 +14,15 @@ import (
 // MinHashKResult sweeps the GESapx signature size. §5.4.1: "A small number
 // of min hash signatures results in significant accuracy loss" while
 // "increasing the number ... takes more time without having a significant
-// impact on accuracy".
+// impact on accuracy". The time half is BenchmarkAblationMinHashK.
 type MinHashKResult struct {
 	Ks         []int
 	MAP        []float64
-	Preprocess []time.Duration
 	GESJaccard float64 // the K→∞ reference: exact Jaccard filtering
 }
 
-// AblationMinHashK measures GESapx accuracy and preprocessing cost as the
-// signature size grows, on the CU1 dataset.
+// AblationMinHashK measures GESapx accuracy as the signature size grows, on
+// the CU1 dataset.
 func AblationMinHashK(o Options) (MinHashKResult, error) {
 	r := MinHashKResult{Ks: []int{1, 2, 5, 10, 20}}
 	spec := specsByName(o, "CU1")[0]
@@ -48,12 +45,10 @@ func AblationMinHashK(o Options) (MinHashKResult, error) {
 	for _, k := range r.Ks {
 		cfg := o.Config
 		cfg.MinHashK = k
-		start := time.Now()
 		p, err := native.Build("GESapx", ds.Records, cfg)
 		if err != nil {
 			return r, err
 		}
-		r.Preprocess = append(r.Preprocess, time.Since(start))
 		s, err := measureAccuracy(p, texts, relevant)
 		if err != nil {
 			return r, err
@@ -65,78 +60,12 @@ func AblationMinHashK(o Options) (MinHashKResult, error) {
 
 // Print writes the min-hash ablation table.
 func (r MinHashKResult) Print(w io.Writer) {
-	t := &table{header: []string{"K", "MAP", "preprocess"}}
+	t := &table{header: []string{"K", "MAP"}}
 	for i, k := range r.Ks {
-		t.add(fmt.Sprint(k), f3(r.MAP[i]), r.Preprocess[i].Round(time.Millisecond).String())
+		t.add(fmt.Sprint(k), f3(r.MAP[i]))
 	}
-	t.add("GESJaccard (exact)", f3(r.GESJaccard), "")
+	t.add("GESJaccard (exact)", f3(r.GESJaccard))
 	t.write(w, "Ablation — GESapx min-hash signature size on CU1 (§5.4.1: small K loses accuracy, large K only costs time)")
-}
-
-// ImplOverheadResult compares the declarative (SQL) realization with the
-// native one: the cost of declarativity the paper's introduction frames as
-// the price of ease of deployment.
-type ImplOverheadResult struct {
-	Predicates  []string
-	Native      []time.Duration
-	Declarative []time.Duration
-	Size        int
-}
-
-// AblationImplOverhead times both realizations on identical workloads.
-func AblationImplOverhead(o PerfOptions) (ImplOverheadResult, error) {
-	names := []string{"IntersectSize", "Jaccard", "Cosine", "BM25", "HMM", "LM"}
-	r := ImplOverheadResult{Predicates: names, Size: o.Size}
-	ds, err := dblpDataset(o.Size, o.Seed)
-	if err != nil {
-		return r, err
-	}
-	texts, _ := sampleQueries(ds, o.Queries, o.Seed+3)
-	src, err := newPredicateSource("native", ds.Records, o.Config)
-	if err != nil {
-		return r, err
-	}
-	for _, name := range names {
-		np, err := src.build(name, o.Config)
-		if err != nil {
-			return r, err
-		}
-		nd, err := timeQueries(np, texts)
-		if err != nil {
-			return r, err
-		}
-		r.Native = append(r.Native, nd)
-
-		dp, err := declarative.Build(name, ds.Records, o.Config)
-		if err != nil {
-			return r, err
-		}
-		dd, err := timeQueries(dp, texts)
-		if err != nil {
-			return r, err
-		}
-		r.Declarative = append(r.Declarative, dd)
-	}
-	return r, nil
-}
-
-// Print writes the realization-overhead table.
-func (r ImplOverheadResult) Print(w io.Writer) {
-	t := &table{header: []string{"predicate", "native", "declarative", "ratio"}}
-	for i, name := range r.Predicates {
-		ratio := float64(r.Declarative[i]) / float64(maxDuration(r.Native[i], 1))
-		t.add(name, r.Native[i].Round(time.Microsecond).String(),
-			r.Declarative[i].Round(time.Microsecond).String(),
-			fmt.Sprintf("%.1fx", ratio))
-	}
-	t.write(w, fmt.Sprintf("Ablation — query time: declarative (SQL) vs native realization, %d records", r.Size))
-}
-
-func maxDuration(d time.Duration, floor time.Duration) time.Duration {
-	if d > floor {
-		return d
-	}
-	return floor
 }
 
 // QSweepResult extends the §5.3.3 study to a wider q range, an extension

@@ -15,14 +15,6 @@ func tinyOptions() Options {
 	return o
 }
 
-func tinyPerf() PerfOptions {
-	p := PerfDefaults()
-	p.Size = 300
-	p.Sizes = []int{200, 400}
-	p.Queries = 5
-	return p
-}
-
 func TestScaledOptions(t *testing.T) {
 	o := Scaled(10)
 	if o.Size != 500 || o.NumClean != 50 || o.Queries != 50 {
@@ -207,68 +199,14 @@ func TestQGramSize(t *testing.T) {
 	}
 }
 
-func TestFigure52And53(t *testing.T) {
-	p := tinyPerf()
-	f52, err := Figure52(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f52.Tokenize) != len(f52.Predicates) {
-		t.Fatalf("figure 5.2 shape")
-	}
-	for i := range f52.Predicates {
-		if f52.Tokenize[i] < 0 || f52.Weights[i] < 0 {
-			t.Fatalf("negative duration for %s", f52.Predicates[i])
-		}
-	}
-	f53, err := Figure53(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range f53.QueryTime {
-		if d <= 0 {
-			t.Fatalf("query time %v for %s", d, f53.Predicates[i])
-		}
-	}
-	var buf bytes.Buffer
-	f52.Print(&buf)
-	f53.Print(&buf)
-	if !strings.Contains(buf.String(), "Figure 5.2") || !strings.Contains(buf.String(), "Figure 5.3") {
-		t.Fatal("print")
-	}
-}
-
-func TestFigure54GrowsWithSize(t *testing.T) {
-	p := tinyPerf()
-	r, err := Figure54(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Time) != len(r.Groups) {
-		t.Fatalf("figure 5.4 shape")
-	}
-	for gi := range r.Groups {
-		if len(r.Time[gi]) != len(p.Sizes) {
-			t.Fatalf("group %s sweep incomplete", r.Groups[gi])
-		}
-	}
-	var buf bytes.Buffer
-	r.Print(&buf)
-	if !strings.Contains(buf.String(), "Figure 5.4") {
-		t.Fatal("print")
-	}
-}
-
 func TestFigure55PruningShape(t *testing.T) {
-	ao := tinyOptions()
-	ao.Queries = 15
-	po := tinyPerf()
-	po.Queries = 3
-	r, err := Figure55(ao, po)
+	o := tinyOptions()
+	o.Queries = 15
+	r, err := Figure55(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.MAP) != len(r.Rates) || len(r.Time) != len(r.Rates) {
+	if len(r.MAP) != len(r.Rates) {
 		t.Fatalf("figure 5.5 shape")
 	}
 	var buf bytes.Buffer
@@ -313,18 +251,14 @@ func TestRunAllTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("RunAll is slow")
 	}
-	ao := tinyOptions()
-	ao.Queries = 10
-	po := tinyPerf()
-	po.Queries = 2
-	po.Sizes = []int{150}
+	o := tinyOptions()
+	o.Queries = 10
 	var buf bytes.Buffer
-	if err := RunAll(&buf, ao, po); err != nil {
+	if err := RunAll(&buf, o); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Table 5.1", "Table 5.3", "Table 5.5", "Table 5.6",
-		"Table 5.7", "Figure 5.1", "Figure 5.2", "Figure 5.3", "Figure 5.4",
-		"Figure 5.5", "Figure 5.6"} {
+		"Table 5.7", "Figure 5.1", "Figure 5.5", "Figure 5.6"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("RunAll output missing %s", want)
 		}

@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dirty"
 	"repro/internal/store"
 )
 
 // BenchmarkSnapshotLoad times the cold-start restore path of a 5 000-record
 // corpus; pair with -cpuprofile to find decode hot spots.
 func BenchmarkSnapshotLoad(b *testing.B) {
-	ds, err := dblpDataset(5000, 1)
+	ds, err := dirty.DBLP(5000, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,12 +6,11 @@ import (
 )
 
 // RunAll executes every experiment of the reproduction and writes the
-// paper-style tables to w. Accuracy experiments use the Options scale;
-// performance experiments the PerfOptions scale.
-func RunAll(w io.Writer, ao Options, po PerfOptions) error {
-	fmt.Fprintf(w, "== Benchmarking Declarative Approximate Selection Predicates — full reproduction ==\n")
-	fmt.Fprintf(w, "accuracy scale: %d tuples / %d clean / %d queries; performance scale: %d tuples / %d queries (%s)\n",
-		ao.Size, ao.NumClean, ao.Queries, po.Size, po.Queries, po.Impl)
+// paper-style tables to w. The timing figures (5.2–5.4) are Go benchmarks:
+// go test -bench 'Figure5' in the repository root.
+func RunAll(w io.Writer, ao Options) error {
+	fmt.Fprintf(w, "== Benchmarking Declarative Approximate Selection Predicates — accuracy reproduction ==\n")
+	fmt.Fprintf(w, "scale: %d tuples / %d clean / %d queries\n", ao.Size, ao.NumClean, ao.Queries)
 
 	Table51(ao).Print(w)
 
@@ -51,25 +50,7 @@ func RunAll(w io.Writer, ao Options, po PerfOptions) error {
 	}
 	t57.Print(w)
 
-	f52, err := Figure52(po)
-	if err != nil {
-		return fmt.Errorf("figure 5.2: %w", err)
-	}
-	f52.Print(w)
-
-	f53, err := Figure53(po)
-	if err != nil {
-		return fmt.Errorf("figure 5.3: %w", err)
-	}
-	f53.Print(w)
-
-	f54, err := Figure54(po)
-	if err != nil {
-		return fmt.Errorf("figure 5.4: %w", err)
-	}
-	f54.Print(w)
-
-	f55, err := Figure55(ao, po)
+	f55, err := Figure55(ao)
 	if err != nil {
 		return fmt.Errorf("figure 5.5: %w", err)
 	}

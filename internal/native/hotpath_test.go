@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/datasets"
 	"repro/internal/dirty"
 	"repro/internal/weights"
 )
@@ -31,12 +30,7 @@ func hotPathCorpus(t testing.TB, size int, seed int64) (*core.Corpus, []core.Rec
 // hotPathRecords is the dirty DBLP-like relation alone.
 func hotPathRecords(t testing.TB, size int, seed int64) []core.Record {
 	t.Helper()
-	clean := datasets.DBLPTitles(max(size/10, 10), seed)
-	ds, err := dirty.Generate(clean, nil, dirty.Params{
-		Size: size, NumClean: max(size/10, 10), Dist: dirty.Uniform,
-		ErroneousPct: 0.70, ErrorExtent: 0.20, TokenSwapPct: 0.20,
-		Seed: seed,
-	})
+	ds, err := dirty.DBLP(size, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

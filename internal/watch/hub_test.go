@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/datasets"
 	"repro/internal/dirty"
 	"repro/internal/native"
 	"repro/internal/watch"
@@ -59,10 +58,7 @@ func selfJoin(t *testing.T, recs []core.Record, theta float64, cfg core.Config) 
 func TestHubFoldEqualsBatchJoin(t *testing.T) {
 	const theta = 0.6
 	cfg := core.DefaultConfig()
-	ds, err := dirty.Generate(datasets.DBLPTitles(30, 1), nil, dirty.Params{
-		Size: 300, NumClean: 30, Dist: dirty.Uniform,
-		ErroneousPct: 0.7, ErrorExtent: 0.2, TokenSwapPct: 0.2, Seed: 1,
-	})
+	ds, err := dirty.DBLP(300, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

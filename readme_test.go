@@ -39,47 +39,56 @@ func TestReadmePathsExist(t *testing.T) {
 	}
 }
 
-// TestReadmeNamesRealFlagsAndRoutes keeps README's approxserved surface
-// honest. A flag counts as attributed to approxserved when it follows the
-// command on a README line (`approxserved -data DIR`) or stands alone in
-// backticks in a section that documents the daemon; each must be defined
-// in cmd/approxserved's run. Every /v1/, /cluster/ or /chaos/ route README
-// names must be registered in internal/server/handlers.go.
+// TestReadmeNamesRealFlagsAndRoutes keeps README's command-line surface
+// honest. A flag counts as attributed to a command when it follows the
+// command on a README line (`approxserved -data DIR`, `approxbench -exp
+// list`) or, for approxserved, stands alone in backticks in a section that
+// documents the daemon; each must be defined in that command's run. Every
+// /v1/, /cluster/ or /chaos/ route README names must be registered in
+// internal/server/handlers.go.
 func TestReadmeNamesRealFlagsAndRoutes(t *testing.T) {
 	data, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	readme := string(data)
-	flags := sourceNames(t, "cmd/approxserved/main.go", `fs\.\w+\("([\w-]+)"`)
-	routes := sourceNames(t, "internal/server/handlers.go", `mux\.HandleFunc\("(?:[A-Z]+ )?(/[^"]*)"`)
-
-	var named []string
-	for _, m := range regexp.MustCompile("(?m)(?:^|`)approxserved ([^`#\n]*)").FindAllStringSubmatch(readme, -1) {
-		named = append(named, strings.Fields(m[1])...)
-	}
-	daemon := regexp.MustCompile(`^(approxserved|Observability|Durable persistence|Standing queries)\b`)
-	for _, section := range strings.Split(readme, "\n## ")[1:] {
-		if !daemon.MatchString(section) {
-			continue
-		}
-		for _, m := range regexp.MustCompile("`(-[^`]*)`").FindAllStringSubmatch(section, -1) {
+	for _, cmd := range []struct {
+		name string
+		// sections matches the headings of the sections whose standalone
+		// backticked flags belong to the command; nil matches none.
+		sections *regexp.Regexp
+	}{
+		{"approxserved", regexp.MustCompile(`^(approxserved|Observability|Durable persistence|Standing queries)\b`)},
+		{"approxbench", nil},
+	} {
+		flags := sourceNames(t, "cmd/"+cmd.name+"/main.go", `fs\.\w+\("([\w-]+)"`)
+		var named []string
+		for _, m := range regexp.MustCompile("(?m)(?:^|`)"+cmd.name+" ([^`#\n]*)").FindAllStringSubmatch(readme, -1) {
 			named = append(named, strings.Fields(m[1])...)
 		}
-	}
-	checked := 0
-	for _, tok := range named {
-		if len(tok) < 2 || tok[0] != '-' || tok[1] < 'a' || tok[1] > 'z' {
-			continue // an argument: a path, -1, or "-" for stdout
+		for _, section := range strings.Split(readme, "\n## ")[1:] {
+			if cmd.sections == nil || !cmd.sections.MatchString(section) {
+				continue
+			}
+			for _, m := range regexp.MustCompile("`(-[^`]*)`").FindAllStringSubmatch(section, -1) {
+				named = append(named, strings.Fields(m[1])...)
+			}
 		}
-		if !flags[tok[1:]] {
-			t.Errorf("README attributes %s to approxserved, but run defines no such flag", tok)
+		checked := 0
+		for _, tok := range named {
+			if len(tok) < 2 || tok[0] != '-' || tok[1] < 'a' || tok[1] > 'z' {
+				continue // an argument: a path, -1, or "-" for stdout
+			}
+			if !flags[tok[1:]] {
+				t.Errorf("README attributes %s to %s, but run defines no such flag", tok, cmd.name)
+			}
+			checked++
 		}
-		checked++
+		if checked == 0 {
+			t.Fatalf("no %s flag found in README; the patterns are stale", cmd.name)
+		}
 	}
-	if checked == 0 {
-		t.Fatal("no approxserved flag found in README; the patterns are stale")
-	}
+	routes := sourceNames(t, "internal/server/handlers.go", `mux\.HandleFunc\("(?:[A-Z]+ )?(/[^"]*)"`)
 	for _, route := range regexp.MustCompile(`/(?:v1|cluster|chaos)/[\w/-]*`).FindAllString(readme, -1) {
 		if !routes[route] {
 			t.Errorf("README names route %s, but handlers.go registers no such route", route)
