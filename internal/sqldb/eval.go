@@ -525,7 +525,8 @@ func (c *compiler) compileMemo(e expr, slot int) (evalFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan.stages[c.stage].memos++
+	st := plan.stages[c.stage]
+	st.memos++
 	rows := plan.sources[slot].rel.n
 	var cache []memoEntry
 	return func(ctx *evalCtx) (Value, error) {
@@ -537,6 +538,7 @@ func (c *compiler) compileMemo(e expr, slot int) (evalFn, error) {
 			cache = make([]memoEntry, rows)
 		}
 		if m := &cache[p]; m.set {
+			st.hits++
 			return m.v, nil
 		}
 		v, err := fn(ctx)

@@ -95,6 +95,9 @@ type stage struct {
 	// memos counts the memoized subexpressions evaluated at the stage: in
 	// its filters and, at the last stage, in the projection.
 	memos int
+	// rows and hits tally, for the plan's one run, the frames the stage
+	// handed on and the rows its memoized sites answered from the memo.
+	rows, hits int
 
 	outerVals []Value   // index stage: the outer side of pairs[1:] for the current frame
 	hash      *hashJoin // hash stage
@@ -147,6 +150,19 @@ func (st *stage) String() string {
 		fmt.Fprintf(&sb, " [memo %d]", st.memos)
 	}
 	return sb.String()
+}
+
+// tally lists, stage by stage, the rows the stage handed on and, after a
+// slash, the memo hits of its sites, e.g. "3 → 12/9".
+func (p *selectPlan) tally() string {
+	parts := make([]string, len(p.stages))
+	for i, st := range p.stages {
+		parts[i] = fmt.Sprint(st.rows)
+		if st.memos > 0 {
+			parts[i] += fmt.Sprintf("/%d", st.hits)
+		}
+	}
+	return strings.Join(parts, " → ")
 }
 
 // repeats reports whether a site evaluated as stage k binds its rows can
@@ -570,6 +586,7 @@ func (st *stage) pass(ctx *evalCtx) error {
 	if ok, err := holds(st.filters, ctx); err != nil || !ok {
 		return err
 	}
+	st.rows++
 	return st.next(ctx)
 }
 

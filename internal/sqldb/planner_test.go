@@ -486,6 +486,13 @@ func TestModAndNegativeRounding(t *testing.T) {
 // their build side. It returns the first UNION ALL arm's plan.
 func planOf(t *testing.T, db *DB, sql string, args ...Value) *selectPlan {
 	t.Helper()
+	return queryOf(t, db, sql, args...).arms[0].plan
+}
+
+// queryOf plans and runs a statement's SELECT as planOf does, and returns
+// every arm.
+func queryOf(t *testing.T, db *DB, sql string, args ...Value) *query {
+	t.Helper()
 	st, err := parseSQL(sql, args)
 	if err != nil {
 		t.Fatalf("parse %s: %v", sql, err)
@@ -504,7 +511,7 @@ func planOf(t *testing.T, db *DB, sql string, args ...Value) *selectPlan {
 	if err := q.run(func([]Value) {}); err != nil {
 		t.Fatalf("run %s: %v", sql, err)
 	}
-	return q.arms[0].plan
+	return q
 }
 
 // TestDeclarativeScoringPlans answers ROADMAP's question about the
