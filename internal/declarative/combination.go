@@ -3,6 +3,7 @@ package declarative
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -85,10 +86,22 @@ func (t *idfTable) weight(token string) float64 {
 	return t.avg
 }
 
+// gesQuery is GESSCORE's query side, weighed once per query string: its
+// words and their idf weights. An entry is never changed once published.
+type gesQuery struct {
+	query   string
+	words   []string
+	weights []float64
+	wtQ     float64
+}
+
 // registerGESScore installs GESSCORE(query, record): the exact Eq. 3.14
 // similarity, sharing native.GESCost so both realizations agree bit-for-bit
-// on the kernel.
+// on the kernel. A select calls it once per candidate with one query, so
+// the last query weighed is kept, behind an atomic pointer to an immutable
+// entry: the function stays safe for concurrent use.
 func registerGESScore(db *sqldb.DB, idf *idfTable, cins float64) {
+	var last atomic.Pointer[gesQuery]
 	db.RegisterFunc("GESSCORE", func(args []sqldb.Value) (sqldb.Value, error) {
 		if len(args) != 2 {
 			return sqldb.Null(), fmt.Errorf("GESSCORE takes 2 arguments")
@@ -96,20 +109,24 @@ func registerGESScore(db *sqldb.DB, idf *idfTable, cins float64) {
 		if args[0].IsNull() || args[1].IsNull() {
 			return sqldb.Null(), nil
 		}
-		qws := tokenize.Words(normalizeUpper(args[0].AsString()))
+		q := last.Load()
+		if query := args[0].AsString(); q == nil || q.query != query {
+			q = &gesQuery{query: query, words: tokenize.Words(normalizeUpper(query))}
+			q.weights = make([]float64, len(q.words))
+			for i, t := range q.words {
+				q.weights[i] = idf.weight(t)
+				q.wtQ += q.weights[i]
+			}
+			last.Store(q)
+		}
 		dws := tokenize.Words(normalizeUpper(args[1].AsString()))
-		qWeights := make([]float64, len(qws))
-		wtQ := 0.0
-		for i, t := range qws {
-			qWeights[i] = idf.weight(t)
-			wtQ += qWeights[i]
+		var buf [32]float64
+		dWeights := buf[:0]
+		for _, t := range dws {
+			dWeights = append(dWeights, idf.weight(t))
 		}
-		dWeights := make([]float64, len(dws))
-		for i, t := range dws {
-			dWeights[i] = idf.weight(t)
-		}
-		cost := native.GESCost(qws, qWeights, dws, dWeights, cins)
-		return sqldb.Float(native.GESScore(cost, wtQ)), nil
+		cost := native.GESCost(q.words, q.weights, dws, dWeights, cins)
+		return sqldb.Float(native.GESScore(cost, q.wtQ)), nil
 	})
 }
 
