@@ -39,11 +39,11 @@ type index struct {
 
 // add chains position len(ix.next), whose value is v.
 func (ix *index) add(v Value) {
-	id, added := int32(-1), false
+	id := int32(-1)
 	if !v.IsNull() {
-		id, added = ix.keys.add(v)
+		id, _ = ix.keys.add(v)
 	}
-	ix.link(id, added)
+	ix.link(id)
 }
 
 // rebuild indexes r afresh.
@@ -86,6 +86,17 @@ func (t *Table) appendRow(vals []Value) {
 	t.rel.appendRow(vals)
 	for _, ix := range t.indexes {
 		ix.add(t.rel.cols[ix.col].value(pos))
+	}
+}
+
+// appendBatch stores the rows of a batch (see relation.appendBatch).
+func (t *Table) appendBatch(from []int, cols []*vec, sel []int32) {
+	n := t.rel.n
+	t.rel.appendBatch(from, cols, sel)
+	for _, ix := range t.indexes {
+		for p := int32(n); p < int32(t.rel.n); p++ {
+			ix.add(t.rel.cols[ix.col].value(p))
+		}
 	}
 }
 

@@ -32,6 +32,40 @@ func (r *relation) appendRow(vals []Value) {
 	r.n++
 }
 
+// appendBatch appends the rows of a batch: column c takes, at each frame
+// sel lists, the value of cols[from[c]] — NULL where from[c] is −1, and
+// cols[c] when from is nil — coerced to its kind; a vector of the column's
+// kind is copied as it is.
+func (r *relation) appendBatch(from []int, cols []*vec, sel []int32) {
+	for ci := range r.cols {
+		c, j := &r.cols[ci], ci
+		if from != nil {
+			j = from[ci]
+		}
+		var v *vec
+		if j >= 0 {
+			v = cols[j]
+		}
+		for k, i := range sel {
+			switch {
+			case v == nil:
+				c.append(r.n+k, Value{})
+			case v.kind == c.kind && c.kind == KindInt && !v.null[i]:
+				c.ints = append(c.ints, v.ints[i])
+			case v.kind == c.kind && c.kind == KindFloat && !v.null[i]:
+				c.floats = append(c.floats, v.floats[i])
+			case v.kind == c.kind && c.kind == KindString: // codes of this database
+				if c.codes = append(c.codes, v.codes[i]); v.codes[i] >= 0 {
+					c.dict.refs[v.codes[i]]++
+				}
+			default:
+				c.append(r.n+k, v.value(i))
+			}
+		}
+	}
+	r.n += len(sel)
+}
+
 // row copies the values of row i into dst.
 func (r *relation) row(i int32, dst []Value) {
 	for j := range r.cols {
@@ -94,30 +128,41 @@ func (c *column) str(code int32) Value {
 	return Value{Kind: KindString, code: code, S: c.dict.strs[code]}
 }
 
-// reader compiles a read of the column at the position frame slot slot
-// binds: value, with the kind switch done once.
-func (c *column) reader(slot int) evalFn {
-	switch c.kind {
-	case KindInt:
-		return func(ctx *evalCtx) (Value, error) {
-			i := ctx.pos[slot]
-			if c.nulls != nil && c.isNull(i) {
-				return Value{}, nil
+// kernel compiles a read of the column at the positions frame slot slot
+// binds; position −1, a group with no rows, reads NULL. A VARCHAR column
+// reads as codes, and a derived table's column, whose values may mix
+// kinds, as a typed vector wherever a batch's values share one.
+func (c *column) kernel(slot int) kernel {
+	out, typedOut := &vec{kind: c.kind, dict: c.dict}, &vec{}
+	return func(b *batch, sel []int32) (*vec, error) {
+		out.fit(b.n)
+		pos := b.pos[slot]
+		switch c.kind {
+		case KindInt, KindFloat:
+			for _, i := range sel {
+				p := pos[i]
+				if out.null[i] = p < 0 || c.nulls != nil && c.isNull(p); out.null[i] {
+				} else if c.kind == KindInt {
+					out.ints[i] = c.ints[p]
+				} else {
+					out.floats[i] = c.floats[p]
+				}
 			}
-			return Value{Kind: KindInt, I: c.ints[i]}, nil
-		}
-	case KindFloat:
-		return func(ctx *evalCtx) (Value, error) {
-			i := ctx.pos[slot]
-			if c.nulls != nil && c.isNull(i) {
-				return Value{}, nil
+		case KindString:
+			for _, i := range sel {
+				if out.codes[i] = -1; pos[i] >= 0 {
+					out.codes[i] = c.codes[pos[i]]
+				}
 			}
-			return Value{Kind: KindFloat, F: c.floats[i]}, nil
+		default:
+			for _, i := range sel {
+				if out.vals[i] = (Value{}); pos[i] >= 0 {
+					out.vals[i] = c.vals[pos[i]]
+				}
+			}
+			return out.uniform(sel, typedOut), nil
 		}
-	case KindString:
-		return func(ctx *evalCtx) (Value, error) { return c.str(c.codes[ctx.pos[slot]]), nil }
-	default:
-		return func(ctx *evalCtx) (Value, error) { return c.vals[ctx.pos[slot]], nil }
+		return out, nil
 	}
 }
 

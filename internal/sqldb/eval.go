@@ -10,8 +10,8 @@ import (
 
 // relCol is one column an expression can name: the table alias that
 // produced it, its (lower-case) column name, and where its value lives — in
-// col, the column of its FROM item's relation, at the position the
-// evaluation frame binds in slot slot.
+// col, the column of its FROM item's relation, at the position a batch's
+// frames bind in slot slot.
 type relCol struct {
 	qual string
 	name string
@@ -49,26 +49,24 @@ func (s *relSchema) resolve(qual, name string) (int, error) {
 	return found, nil
 }
 
-// evalCtx is the evaluation frame of one statement: pos holds, for each FROM
-// item, the position of the row currently bound (a join stage binds its
-// slot; a row is never copied). While a grouped query emits a group, pos
-// holds the group's representative row positions — −1 for a group with no
-// rows — and aggs its finalized aggregates.
-type evalCtx struct {
-	pos  []int32
-	aggs []Value
-}
-
-// evalFn is a compiled expression.
-type evalFn func(ctx *evalCtx) (Value, error)
+// kernel is a compiled expression: it computes the expression for the
+// frames of b that sel lists and returns a vector holding the results at
+// the frames' indexes, valid until the kernel runs again. A vector's kind
+// may change from batch to batch — a function whose results in a batch are
+// all INT or all DOUBLE hands them on typed — and the kernels above run
+// typed loops over typed vectors and Value code over the rest. A kernel
+// evaluates a subexpression only on the frames a row-by-row evaluation
+// would reach (AND, OR, CASE and IN narrow sel), so a function sees
+// exactly those rows.
+type kernel func(b *batch, sel []int32) (*vec, error)
 
 // aggSpec is one aggregate call discovered during compilation. Its arg is
-// evaluated per input row; its position in compiler.aggs indexes
-// evalCtx.aggs. Structurally identical calls share one spec.
+// evaluated over every joined frame; its position in compiler.aggs indexes
+// batch.aggs. Structurally identical calls share one spec.
 type aggSpec struct {
 	call    *funcCall
 	op      aggOp
-	arg     evalFn    // nil for COUNT(*)
+	arg     kernel    // nil for COUNT(*)
 	seen    *keyIndex // DISTINCT: the (group, value) pairs fed so far
 	extreme int       // MIN, MAX: position among the group's running extremes
 }
@@ -147,14 +145,22 @@ func isAggregate(e expr) bool {
 	}
 }
 
-func (c *compiler) compile(e expr) (evalFn, error) {
+// constValue evaluates a kernel that reads no frame.
+func constValue(k kernel) (Value, error) {
+	v, err := k(&batch{n: 1}, identity[:1])
+	if err != nil {
+		return Value{}, err
+	}
+	return v.value(0), nil
+}
+
+func (c *compiler) compile(e expr) (kernel, error) {
 	if slot, ok := c.memoSlot(e); ok {
 		return c.compileMemo(e, slot)
 	}
 	switch x := e.(type) {
 	case *literal:
-		v := x.Val
-		return func(*evalCtx) (Value, error) { return v, nil }, nil
+		return constant(x.Val), nil
 
 	case *colRef:
 		pos, err := c.schema.resolve(x.Table, x.Name)
@@ -164,43 +170,25 @@ func (c *compiler) compile(e expr) (evalFn, error) {
 		col, slot := c.schema.cols[pos].col, c.schema.cols[pos].slot
 		if c.grouped && !c.inAgg {
 			c.repSlot(slot)
-			return func(ctx *evalCtx) (Value, error) {
-				if p := ctx.pos[slot]; p >= 0 {
-					return col.value(p), nil
-				}
-				return Null(), nil
-			}, nil
 		}
-		return col.reader(slot), nil
+		return col.kernel(slot), nil
 
 	case *unaryExpr:
 		inner, err := c.compile(x.X)
-		if err != nil {
+		switch {
+		case err != nil:
 			return nil, err
+		case x.Op == "-": // exactly a negation, −0.0 included
+			return arithKernel('*', inner, constant(Int(-1))), nil
+		case x.Op == "NOT":
+			return rowwise([]kernel{inner}, func(a []Value) (Value, error) {
+				if a[0].IsNull() {
+					return Null(), nil
+				}
+				return Bool(!a[0].Truthy()), nil
+			}), nil
 		}
-		switch x.Op {
-		case "-":
-			return func(ctx *evalCtx) (Value, error) {
-				v, err := inner(ctx)
-				if err != nil || v.IsNull() {
-					return Null(), err
-				}
-				if v.Kind == KindInt {
-					return Int(-v.I), nil
-				}
-				return Float(-v.AsFloat()), nil
-			}, nil
-		case "NOT":
-			return func(ctx *evalCtx) (Value, error) {
-				v, err := inner(ctx)
-				if err != nil || v.IsNull() {
-					return Null(), err
-				}
-				return Bool(!v.Truthy()), nil
-			}, nil
-		default:
-			return nil, fmt.Errorf("sqldb: unknown unary operator %q", x.Op)
-		}
+		return nil, fmt.Errorf("sqldb: unknown unary operator %q", x.Op)
 
 	case *binaryExpr:
 		return c.compileBinary(x)
@@ -217,58 +205,191 @@ func (c *compiler) compile(e expr) (evalFn, error) {
 			return nil, err
 		}
 		not := x.Not
-		return func(ctx *evalCtx) (Value, error) {
-			v, err := inner(ctx)
-			if err != nil {
-				return Null(), err
-			}
-			return Bool(v.IsNull() != not), nil
-		}, nil
+		return rowwise([]kernel{inner}, func(a []Value) (Value, error) {
+			return Bool(a[0].IsNull() != not), nil
+		}), nil
 
 	case *caseExpr:
-		type compiledWhen struct{ cond, then evalFn }
-		whens := make([]compiledWhen, len(x.Whens))
-		for i, w := range x.Whens {
-			cond, err := c.compile(w.Cond)
-			if err != nil {
-				return nil, err
-			}
-			then, err := c.compile(w.Then)
-			if err != nil {
-				return nil, err
-			}
-			whens[i] = compiledWhen{cond, then}
-		}
-		var elseFn evalFn
-		if x.Else != nil {
-			var err error
-			elseFn, err = c.compile(x.Else)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return func(ctx *evalCtx) (Value, error) {
-			for _, w := range whens {
-				v, err := w.cond(ctx)
-				if err != nil {
-					return Null(), err
-				}
-				if v.Truthy() {
-					return w.then(ctx)
-				}
-			}
-			if elseFn != nil {
-				return elseFn(ctx)
-			}
-			return Null(), nil
-		}, nil
+		return c.compileCase(x)
 
 	default:
 		return nil, fmt.Errorf("sqldb: cannot compile expression of type %T", e)
 	}
 }
 
-func (c *compiler) compileBinary(x *binaryExpr) (evalFn, error) {
+// constant compiles the value v.
+func constant(v Value) kernel {
+	out, filled := &vec{kind: KindNull}, 0
+	if typed(v.Kind) {
+		out.kind = v.Kind
+	}
+	return func(b *batch, _ []int32) (*vec, error) {
+		if filled < b.n {
+			out.fit(b.n)
+			for filled = 0; filled < b.n; filled++ {
+				switch out.kind {
+				case KindInt:
+					out.ints[filled] = v.I
+				case KindFloat:
+					out.floats[filled] = v.F
+				default:
+					out.vals[filled] = v
+				}
+			}
+		}
+		return out, nil
+	}
+}
+
+// rowwise compiles f applied to the values of args, frame by frame: every
+// argument is evaluated over the batch first, then f runs once per
+// selected frame on one argument buffer, refilled for every frame (the
+// ScalarFunc contract makes it the callee's only for the call). VARCHAR
+// arguments carry no dictionary code: a registered function may keep an
+// argument, and a code is valid for the statement only.
+func rowwise(args []kernel, f ScalarFunc) kernel {
+	out, typedOut := &vec{kind: KindNull}, &vec{}
+	vals, vs := make([]Value, len(args)), make([]*vec, len(args))
+	return func(b *batch, sel []int32) (*vec, error) {
+		for j, a := range args {
+			v, err := a(b, sel)
+			if err != nil {
+				return nil, err
+			}
+			vs[j] = v
+		}
+		out.fit(b.n)
+		for _, i := range sel {
+			for j, v := range vs {
+				vals[j] = v.value(i)
+				vals[j].code = 0
+			}
+			r, err := f(vals)
+			if err != nil {
+				return nil, err
+			}
+			out.vals[i] = r
+		}
+		return out.uniform(sel, typedOut), nil
+	}
+}
+
+// intOps and floatOps are the arithmetic operators over INT and DOUBLE
+// operands, as arith computes them; each reports whether its result is
+// defined (a zero divisor yields NULL). Division is DOUBLE only.
+var (
+	intOps = map[byte]func(x, y int64) (int64, bool){
+		'+': func(x, y int64) (int64, bool) { return x + y, true },
+		'-': func(x, y int64) (int64, bool) { return x - y, true },
+		'*': func(x, y int64) (int64, bool) { return x * y, true },
+		'%': func(x, y int64) (int64, bool) {
+			if y == 0 {
+				return 0, false
+			}
+			return x % y, true
+		},
+	}
+	floatOps = map[byte]func(x, y float64) (float64, bool){
+		'+': func(x, y float64) (float64, bool) { return x + y, true },
+		'-': func(x, y float64) (float64, bool) { return x - y, true },
+		'*': func(x, y float64) (float64, bool) { return x * y, true },
+		'/': func(x, y float64) (float64, bool) { return x / y, y != 0 },
+		'%': func(x, y float64) (float64, bool) { return math.Mod(x, y), y != 0 },
+	}
+)
+
+// arithKernel compiles l op r as arith computes it, with a typed loop over
+// typed vectors: INT when both sides are INT and op is not '/', DOUBLE
+// otherwise, NULL for a NULL side or a zero divisor.
+func arithKernel(op byte, l, r kernel) kernel {
+	out, ops, iop, fop := &vec{}, string(op), intOps[op], floatOps[op]
+	return func(b *batch, sel []int32) (*vec, error) {
+		lv, err := l(b, sel)
+		if err != nil {
+			return nil, err
+		}
+		rv, err := r(b, sel)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case !typed(lv.kind) || !typed(rv.kind):
+			out.kind = KindNull
+		case lv.kind == KindInt && rv.kind == KindInt && iop != nil:
+			out.kind = KindInt
+		default:
+			out.kind = KindFloat
+		}
+		out.fit(b.n)
+		for _, i := range sel {
+			ok := false
+			switch {
+			case out.kind == KindNull:
+				out.vals[i], _ = arith(ops, lv.value(i), rv.value(i))
+			case lv.null[i] || rv.null[i]:
+			case out.kind == KindInt:
+				out.ints[i], ok = iop(lv.ints[i], rv.ints[i])
+			default:
+				out.floats[i], ok = fop(lv.num(i), rv.num(i))
+			}
+			if out.kind != KindNull {
+				out.null[i] = !ok
+			}
+		}
+		return out, nil
+	}
+}
+
+// cmpHolds tells, per comparison operator, whether it holds of a result
+// cmp of −1, 0 or 1 (at cmp+1).
+var cmpHolds = map[string][3]bool{
+	"=": {false, true, false}, "<>": {true, false, true},
+	"<": {true, false, false}, "<=": {true, true, false},
+	">": {false, false, true}, ">=": {false, true, true},
+}
+
+// compareKernel compiles a comparison: numerically over typed vectors,
+// with Compare otherwise.
+func compareKernel(holds [3]bool, l, r kernel) kernel {
+	out := &vec{kind: KindInt}
+	return func(b *batch, sel []int32) (*vec, error) {
+		lv, err := l(b, sel)
+		if err != nil {
+			return nil, err
+		}
+		rv, err := r(b, sel)
+		if err != nil {
+			return nil, err
+		}
+		out.fit(b.n)
+		ints, nums := lv.kind == KindInt && rv.kind == KindInt, typed(lv.kind) && typed(rv.kind)
+		for _, i := range sel {
+			cmp, ok := 0, true
+			switch {
+			case !nums:
+				cmp, ok = Compare(lv.value(i), rv.value(i))
+			case lv.null[i] || rv.null[i]:
+				ok = false
+			case ints:
+				cmp = b2i(lv.ints[i] > rv.ints[i]) - b2i(lv.ints[i] < rv.ints[i])
+			default:
+				x, y := lv.num(i), rv.num(i)
+				cmp = b2i(x > y) - b2i(x < y)
+			}
+			out.null[i], out.ints[i] = !ok, int64(b2i(holds[cmp+1]))
+		}
+		return out, nil
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func (c *compiler) compileBinary(x *binaryExpr) (kernel, error) {
 	l, err := c.compile(x.L)
 	if err != nil {
 		return nil, err
@@ -277,105 +398,106 @@ func (c *compiler) compileBinary(x *binaryExpr) (evalFn, error) {
 	if err != nil {
 		return nil, err
 	}
+	if holds, ok := cmpHolds[x.Op]; ok {
+		return compareKernel(holds, l, r), nil
+	}
 	switch x.Op {
 	case "+", "-", "*", "/", "%":
-		op := x.Op
-		return func(ctx *evalCtx) (Value, error) {
-			lv, err := l(ctx)
-			if err != nil {
-				return Null(), err
+		return arithKernel(x.Op[0], l, r), nil
+	case "AND", "OR":
+		return logicKernel(x.Op == "AND", l, r), nil
+	}
+	return nil, fmt.Errorf("sqldb: unknown binary operator %q", x.Op)
+}
+
+// logicKernel compiles l AND r, or l OR r. The right side runs only where
+// the left leaves the answer open: AND where it is true or NULL, OR where
+// it is false or NULL.
+func logicKernel(and bool, l, r kernel) kernel {
+	open, decided := tNull|tTrue, tFalse
+	if !and {
+		open, decided = tNull|tFalse, tTrue
+	}
+	out := &vec{kind: KindInt}
+	var rsel []int32
+	return func(b *batch, sel []int32) (*vec, error) {
+		lv, err := l(b, sel)
+		if err != nil {
+			return nil, err
+		}
+		rv, err := r(b, lv.pick(sel, &rsel, open))
+		if err != nil {
+			return nil, err
+		}
+		out.fit(b.n)
+		for _, i := range sel {
+			lt, rt := lv.truth(i), decided
+			if lt != decided {
+				rt = rv.truth(i)
 			}
-			rv, err := r(ctx)
-			if err != nil {
-				return Null(), err
-			}
-			return arith(op, lv, rv)
-		}, nil
-	case "=", "<>", "<", "<=", ">", ">=":
-		op := x.Op
-		return func(ctx *evalCtx) (Value, error) {
-			lv, err := l(ctx)
-			if err != nil {
-				return Null(), err
-			}
-			rv, err := r(ctx)
-			if err != nil {
-				return Null(), err
-			}
-			cmp, ok := Compare(lv, rv)
-			if !ok {
-				return Null(), nil
-			}
-			var res bool
-			switch op {
-			case "=":
-				res = cmp == 0
-			case "<>":
-				res = cmp != 0
-			case "<":
-				res = cmp < 0
-			case "<=":
-				res = cmp <= 0
-			case ">":
-				res = cmp > 0
-			case ">=":
-				res = cmp >= 0
-			}
-			return Bool(res), nil
-		}, nil
-	case "AND":
-		return func(ctx *evalCtx) (Value, error) {
-			lv, err := l(ctx)
-			if err != nil {
-				return Null(), err
-			}
-			if !lv.IsNull() && !lv.Truthy() {
-				return Bool(false), nil
-			}
-			rv, err := r(ctx)
-			if err != nil {
-				return Null(), err
-			}
-			if !rv.IsNull() && !rv.Truthy() {
-				return Bool(false), nil
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return Null(), nil
-			}
-			return Bool(true), nil
-		}, nil
-	case "OR":
-		return func(ctx *evalCtx) (Value, error) {
-			lv, err := l(ctx)
-			if err != nil {
-				return Null(), err
-			}
-			if lv.Truthy() {
-				return Bool(true), nil
-			}
-			rv, err := r(ctx)
-			if err != nil {
-				return Null(), err
-			}
-			if rv.Truthy() {
-				return Bool(true), nil
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return Null(), nil
-			}
-			return Bool(false), nil
-		}, nil
-	default:
-		return nil, fmt.Errorf("sqldb: unknown binary operator %q", x.Op)
+			out.null[i] = rt != decided && (lt == tNull || rt == tNull)
+			out.ints[i] = int64(b2i(rt == tTrue || rt != decided && and))
+		}
+		return out, nil
 	}
 }
 
-func (c *compiler) compileIn(x *inExpr) (evalFn, error) {
+// compileCase compiles a searched CASE: each WHEN's condition runs on the
+// frames no earlier WHEN took, and its THEN on the frames it takes; ELSE is
+// a last WHEN that takes the rest, which are NULL without it.
+func (c *compiler) compileCase(x *caseExpr) (kernel, error) {
+	whens := x.Whens
+	if x.Else != nil {
+		whens = append(whens[:len(whens):len(whens)], whenClause{&literal{Int(1)}, x.Else})
+	}
+	arms := make([]kernel, 0, 2*len(whens))
+	for _, w := range whens {
+		for _, e := range []expr{w.Cond, w.Then} {
+			k, err := c.compile(e)
+			if err != nil {
+				return nil, err
+			}
+			arms = append(arms, k)
+		}
+	}
+	out := &vec{kind: KindNull}
+	var take, rest []int32
+	return func(b *batch, sel []int32) (*vec, error) {
+		out.fit(b.n)
+		rest = append(rest[:0], sel...)
+		for _, i := range rest {
+			out.vals[i] = Value{}
+		}
+		for w := 0; w < len(arms); w += 2 {
+			cv, err := arms[w](b, rest)
+			if err != nil {
+				return nil, err
+			}
+			take = cv.pick(rest, &take, tTrue)
+			tv, err := arms[w+1](b, take)
+			if err != nil {
+				return nil, err
+			}
+			for _, i := range take {
+				out.vals[i] = tv.value(i)
+			}
+			cv.pick(rest, &rest, tNull|tFalse)
+		}
+		return out, nil
+	}, nil
+}
+
+// compileIn compiles x IN (...): over the frames where x is not NULL, a
+// member kernel tells whether x is in the set — NULL when that is unknown —
+// reading x's vector, evaluated once.
+func (c *compiler) compileIn(x *inExpr) (kernel, error) {
 	inner, err := c.compile(x.X)
 	if err != nil {
 		return nil, err
 	}
-	not := x.Not
+	var xv *vec
+	same := func(*batch, []int32) (*vec, error) { return xv, nil }
+	var member kernel
 	if x.Sub != nil {
 		// Uncorrelated subquery: evaluate once at compile time.
 		rel, names, err := c.db.materialize(x.Sub)
@@ -385,8 +507,7 @@ func (c *compiler) compileIn(x *inExpr) (evalFn, error) {
 		if len(names) != 1 {
 			return nil, fmt.Errorf("sqldb: IN subquery must return one column, got %d", len(names))
 		}
-		set := keyIndex{dict: c.db.dict}
-		hasNull := false
+		set, hasNull := keyIndex{dict: c.db.dict}, false
 		for i := int32(0); i < int32(rel.n); i++ {
 			if v := rel.cols[0].value(i); v.IsNull() {
 				hasNull = true
@@ -394,51 +515,50 @@ func (c *compiler) compileIn(x *inExpr) (evalFn, error) {
 				set.add(v)
 			}
 		}
-		return func(ctx *evalCtx) (Value, error) {
-			v, err := inner(ctx)
-			if err != nil || v.IsNull() {
-				return Null(), err
+		var ks keyScratch
+		found := &vec{kind: KindInt}
+		member = func(b *batch, sel []int32) (*vec, error) {
+			ids, err := set.findBatch([]kernel{same}, b, sel, false, false, false, &ks)
+			found.fit(b.n)
+			for _, i := range sel {
+				found.null[i], found.ints[i] = ids[i] < 0 && hasNull, int64(b2i(ids[i] >= 0))
 			}
-			if set.lookup(v) >= 0 {
-				return Bool(!not), nil
-			}
-			if hasNull {
-				return Null(), nil
-			}
-			return Bool(not), nil
-		}, nil
+			return found, err
+		}
 	}
-	items := make([]evalFn, len(x.List))
-	for i, e := range x.List {
-		fn, err := c.compile(e)
+	// A list runs as x = a OR x = b: each item on the frames no earlier
+	// item matched.
+	for _, e := range x.List {
+		it, err := c.compile(e)
 		if err != nil {
 			return nil, err
 		}
-		items[i] = fn
+		if eq := compareKernel(cmpHolds["="], same, it); member == nil {
+			member = eq
+		} else {
+			member = logicKernel(false, member, eq)
+		}
 	}
-	return func(ctx *evalCtx) (Value, error) {
-		v, err := inner(ctx)
-		if err != nil || v.IsNull() {
-			return Null(), err
+	out, not := &vec{kind: KindInt}, x.Not
+	var open []int32
+	return func(b *batch, sel []int32) (*vec, error) {
+		var err error
+		if xv, err = inner(b, sel); err != nil {
+			return nil, err
 		}
-		sawNull := false
-		for _, it := range items {
-			iv, err := it(ctx)
-			if err != nil {
-				return Null(), err
-			}
-			if iv.IsNull() {
-				sawNull = true
-				continue
-			}
-			if cmp, ok := Compare(v, iv); ok && cmp == 0 {
-				return Bool(!not), nil
-			}
+		v, err := member(b, xv.pick(sel, &open, tFalse|tTrue))
+		if err != nil {
+			return nil, err
 		}
-		if sawNull {
-			return Null(), nil
+		out.fit(b.n)
+		for _, i := range sel {
+			t := tNull
+			if !xv.isNull(i) {
+				t = v.truth(i)
+			}
+			out.null[i], out.ints[i] = t == tNull, int64(b2i(t == tTrue != not))
 		}
-		return Bool(not), nil
+		return out, nil
 	}, nil
 }
 
@@ -453,54 +573,21 @@ func (c *compiler) memoSlot(e expr) (int, bool) {
 		return 0, false
 	}
 	slot, call := -1, false
-	var reads func(expr) bool // reports whether every column read is slot's
-	reads = func(e expr) bool {
+	reads := walk(e, func(e expr) bool { // whether every column read is slot's
 		switch x := e.(type) {
-		case nil, *literal:
-			return true
+		case *funcCall:
+			call = true
+			return !isAggCall(x)
 		case *colRef:
 			pos, err := c.schema.resolve(x.Table, x.Name)
 			if err != nil || slot >= 0 && c.schema.cols[pos].slot != slot {
 				return false
 			}
 			slot = c.schema.cols[pos].slot
-			return true
-		case *unaryExpr:
-			return reads(x.X)
-		case *binaryExpr:
-			return reads(x.L) && reads(x.R)
-		case *funcCall:
-			if isAggCall(x) {
-				return false
-			}
-			call = true
-			for _, a := range x.Args {
-				if !reads(a) {
-					return false
-				}
-			}
-			return true
-		case *inExpr:
-			for _, a := range x.List {
-				if !reads(a) {
-					return false
-				}
-			}
-			return reads(x.X) // a subquery is uncorrelated
-		case *isNullExpr:
-			return reads(x.X)
-		case *caseExpr:
-			for _, w := range x.Whens {
-				if !reads(w.Cond) || !reads(w.Then) {
-					return false
-				}
-			}
-			return reads(x.Else)
-		default:
-			return false
 		}
-	}
-	ok := reads(e) && call && slot >= 0 && c.plan.repeats(c.stage, slot)
+		return true
+	})
+	ok := reads && call && slot >= 0 && c.plan.repeats(c.stage, slot)
 	return slot, ok
 }
 
@@ -510,17 +597,19 @@ type memoEntry struct {
 	set bool
 }
 
-// compileMemo compiles e, which memoSlot accepted, to a function that
-// evaluates it at most once per row of the FROM item in frame slot slot.
-// It evaluates only when asked, as the unmemoized expression would, so
-// short-circuits and filter order still decide which rows reach a UDF. The
-// cache is allocated on the first call, one entry per row of the item, and
-// lives as long as the statement's plan; an error is never cached, and
-// position −1 (a group with no rows) is not a row, so it is recomputed.
-func (c *compiler) compileMemo(e expr, slot int) (evalFn, error) {
+// compileMemo compiles e, which memoSlot accepted, to a kernel that
+// evaluates it at most once per row of the FROM item in frame slot slot:
+// over a batch it evaluates e on the first frame of each row the memo
+// holds no value for, and reads the rest from the memo, so short-circuits
+// and filter order still decide which rows reach a function. The memo is
+// allocated on the first batch, one entry per row of the item, and lives
+// as long as the statement's plan; an error fails the statement, so no
+// entry of a failed batch is read, and position −1 (a group with no rows)
+// is not a row, so it is recomputed.
+func (c *compiler) compileMemo(e expr, slot int) (kernel, error) {
 	plan := c.plan
 	c.plan = nil // memoize the largest qualifying subexpression, not its parts
-	fn, err := c.compile(e)
+	k, err := c.compile(e)
 	c.plan = plan
 	if err != nil {
 		return nil, err
@@ -528,24 +617,42 @@ func (c *compiler) compileMemo(e expr, slot int) (evalFn, error) {
 	st := plan.stages[c.stage]
 	st.memos++
 	rows := plan.sources[slot].rel.n
-	var cache []memoEntry
-	return func(ctx *evalCtx) (Value, error) {
-		p := ctx.pos[slot]
-		if p < 0 {
-			return fn(ctx)
+	var memo []memoEntry
+	out := &vec{kind: KindNull}
+	var todo []int32
+	return func(b *batch, sel []int32) (*vec, error) {
+		if memo == nil {
+			memo = make([]memoEntry, rows)
 		}
-		if cache == nil {
-			cache = make([]memoEntry, rows)
+		out.fit(b.n)
+		pos := b.pos[slot]
+		todo = todo[:0]
+		for _, i := range sel {
+			if p := pos[i]; p < 0 || !memo[p].set {
+				if p >= 0 {
+					memo[p].set = true
+				}
+				todo = append(todo, i)
+			}
 		}
-		if m := &cache[p]; m.set {
-			st.hits++
-			return m.v, nil
+		st.hits += len(sel) - len(todo)
+		v, err := k(b, todo)
+		if err != nil {
+			return nil, err
 		}
-		v, err := fn(ctx)
-		if err == nil {
-			cache[p] = memoEntry{v, true}
+		for _, i := range todo {
+			if p := pos[i]; p >= 0 {
+				memo[p].v = v.value(i)
+			} else {
+				out.vals[i] = v.value(i)
+			}
 		}
-		return v, err
+		for _, i := range sel {
+			if p := pos[i]; p >= 0 {
+				out.vals[i] = memo[p].v
+			}
+		}
+		return out, nil
 	}, nil
 }
 
@@ -561,10 +668,10 @@ func (c *compiler) repSlot(slot int) {
 }
 
 // compileAggregate compiles an aggregate call to a read of its slot in
-// evalCtx.aggs. A call structurally identical to one already registered —
+// batch.aggs. A call structurally identical to one already registered —
 // Jaccard's two COUNT(*) — reads that call's slot, so it is fed once per
 // row.
-func (c *compiler) compileAggregate(x *funcCall) (evalFn, error) {
+func (c *compiler) compileAggregate(x *funcCall) (kernel, error) {
 	if !c.grouped || c.inAgg {
 		return nil, fmt.Errorf("sqldb: aggregate %s not allowed here", x.Name)
 	}
@@ -592,54 +699,64 @@ func (c *compiler) compileAggregate(x *funcCall) (evalFn, error) {
 		slot = len(c.aggs)
 		c.aggs = append(c.aggs, spec)
 	}
-	return func(ctx *evalCtx) (Value, error) { return ctx.aggs[slot], nil }, nil
+	return func(b *batch, _ []int32) (*vec, error) { return b.aggs[slot], nil }, nil
 }
 
-func (c *compiler) compileFunc(x *funcCall) (evalFn, error) {
+func (c *compiler) compileFunc(x *funcCall) (kernel, error) {
 	if isAggCall(x) {
 		return c.compileAggregate(x)
 	}
-
-	args := make([]evalFn, len(x.Args))
+	args := make([]kernel, len(x.Args))
 	for i, a := range x.Args {
-		fn, err := c.compile(a)
+		k, err := c.compile(a)
 		if err != nil {
 			return nil, err
 		}
-		args[i] = fn
+		args[i] = k
 	}
-	var impl ScalarFunc
-	registered := false
+	impl, registered := c.db.funcs[x.Name]
 	if fn, ok := builtinFuncs[x.Name]; ok {
 		if err := fn.checkArity(x.Name, len(args)); err != nil {
 			return nil, err
 		}
 		impl = fn.impl
-	} else if impl, registered = c.db.funcs[x.Name]; !registered {
+	} else if !registered {
 		// No locking here: compilation always happens under the public
 		// API's database lock (Exec holds the write lock, Query the read
 		// lock).
 		return nil, fmt.Errorf("sqldb: unknown function %s", x.Name)
 	}
-	// One argument buffer per call site, refilled for every call: the
-	// ScalarFunc contract makes it the callee's only for the call. A call
-	// nested in an argument is another call site with its own buffer. A
-	// registered function may keep an argument, so it gets none that
-	// carries a code, which is valid for the statement only.
-	vals := make([]Value, len(args))
-	return func(ctx *evalCtx) (Value, error) {
-		for i, fn := range args {
-			v, err := fn(ctx)
+	if f, ok := floatFuncs[x.Name]; ok && len(args) == 1 {
+		out := &vec{kind: KindFloat}
+		return func(b *batch, sel []int32) (*vec, error) {
+			v, err := args[0](b, sel)
 			if err != nil {
-				return Null(), err
+				return nil, err
 			}
-			if registered {
-				v.code = 0
+			out.fit(b.n)
+			for _, i := range sel {
+				ok := !v.isNull(i)
+				if ok {
+					out.floats[i], ok = f(v.num(i))
+				}
+				out.null[i] = !ok
 			}
-			vals[i] = v
-		}
-		return impl(vals)
-	}, nil
+			return out, nil
+		}, nil
+	}
+	// One argument buffer per call site: a call nested in an argument is
+	// another call site with its own buffer.
+	return rowwise(args, impl), nil
+}
+
+// floatFuncs are the one-argument numeric builtins that run as a typed
+// loop; each reports whether its result is defined (NULL otherwise, as in
+// MySQL). MySQL LOG(x) is the natural logarithm.
+var floatFuncs = map[string]func(x float64) (float64, bool){
+	"LOG":  func(x float64) (float64, bool) { return math.Log(x), x > 0 },
+	"LN":   func(x float64) (float64, bool) { return math.Log(x), x > 0 },
+	"EXP":  func(x float64) (float64, bool) { return math.Exp(x), true },
+	"SQRT": func(x float64) (float64, bool) { return math.Sqrt(x), x >= 0 },
 }
 
 // builtin holds a built-in scalar function implementation and arity bounds.
@@ -665,48 +782,34 @@ func anyNull(args []Value) bool {
 	return false
 }
 
-func numeric1(f func(x float64) (Value, error)) builtin {
+// floatFn is floatFuncs[name] over a Value.
+func floatFn(name string) builtin {
 	return builtin{1, 1, func(args []Value) (Value, error) {
-		if anyNull(args) {
-			return Null(), nil
+		if y, ok := floatFuncs[name](args[0].AsFloat()); ok && !args[0].IsNull() {
+			return Float(y), nil
 		}
-		return f(args[0].AsFloat())
+		return Null(), nil
 	}}
 }
 
 var builtinFuncs = map[string]builtin{
-	// MySQL LOG(x) is the natural logarithm; LOG(b, x) uses base b.
-	// Non-positive arguments yield NULL, as in MySQL.
+	// LOG(b, x) uses base b. Non-positive arguments yield NULL, as in MySQL.
 	"LOG": {1, 2, func(args []Value) (Value, error) {
+		if len(args) == 1 {
+			return floatFn("LOG").impl(args)
+		}
 		if anyNull(args) {
 			return Null(), nil
 		}
-		if len(args) == 2 {
-			b, x := args[0].AsFloat(), args[1].AsFloat()
-			if b <= 0 || b == 1 || x <= 0 {
-				return Null(), nil
-			}
-			return Float(math.Log(x) / math.Log(b)), nil
-		}
-		x := args[0].AsFloat()
-		if x <= 0 {
+		b, x := args[0].AsFloat(), args[1].AsFloat()
+		if b <= 0 || b == 1 || x <= 0 {
 			return Null(), nil
 		}
-		return Float(math.Log(x)), nil
+		return Float(math.Log(x) / math.Log(b)), nil
 	}},
-	"LN": numeric1(func(x float64) (Value, error) {
-		if x <= 0 {
-			return Null(), nil
-		}
-		return Float(math.Log(x)), nil
-	}),
-	"EXP": numeric1(func(x float64) (Value, error) { return Float(math.Exp(x)), nil }),
-	"SQRT": numeric1(func(x float64) (Value, error) {
-		if x < 0 {
-			return Null(), nil
-		}
-		return Float(math.Sqrt(x)), nil
-	}),
+	"LN":   floatFn("LN"),
+	"EXP":  floatFn("EXP"),
+	"SQRT": floatFn("SQRT"),
 	"ABS": {1, 1, func(args []Value) (Value, error) {
 		if anyNull(args) {
 			return Null(), nil
@@ -720,9 +823,14 @@ var builtinFuncs = map[string]builtin{
 		}
 		return Float(math.Abs(v.AsFloat())), nil
 	}},
-	"POWER":   powerFn,
-	"POW":     powerFn,
-	"FLOOR":   numeric1(func(x float64) (Value, error) { return Int(int64(math.Floor(x))), nil }),
+	"POWER": powerFn,
+	"POW":   powerFn,
+	"FLOOR": {1, 1, func(args []Value) (Value, error) {
+		if anyNull(args) {
+			return Null(), nil
+		}
+		return Int(int64(math.Floor(args[0].AsFloat()))), nil
+	}},
 	"CEIL":    ceilFn,
 	"CEILING": ceilFn,
 	"ROUND": {1, 2, func(args []Value) (Value, error) {

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -106,7 +107,7 @@ func (db *DB) execStmt(st stmt) (int, error) {
 			return 0, err
 		}
 		n := 0
-		if err := q.run(func([]Value) { n++ }); err != nil {
+		if err := q.run(func(_ []*vec, sel []int32) { n += len(sel) }); err != nil {
 			return 0, err
 		}
 		return n, nil
@@ -156,18 +157,22 @@ func (db *DB) execDelete(s *deleteStmt) (int, error) {
 	// the table's, whose cells are released.
 	kept := newRelation(t.kinds(), db.dict)
 	row := make([]Value, len(t.defs))
-	ctx := &evalCtx{pos: make([]int32, 1)}
-	for i := int32(0); i < int32(n); i++ {
-		ctx.pos[0] = i
-		v, err := cond(ctx)
+	err = (&source{rel: &t.rel}).scan(1, func(b *batch) error {
+		v, err := cond(b, b.sel)
 		if err != nil {
-			kept.truncate(0)
-			return 0, err
+			return err
 		}
-		if !v.Truthy() {
-			t.rel.row(i, row)
-			kept.appendRow(row)
+		for _, i := range b.sel {
+			if v.truth(i) != tTrue {
+				t.rel.row(b.pos[0][i], row)
+				kept.appendRow(row)
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		kept.truncate(0)
+		return 0, err
 	}
 	t.rel.truncate(0)
 	t.rel = *kept
@@ -195,72 +200,64 @@ func (db *DB) execInsert(s *insertStmt) (int, error) {
 		}
 	}
 
-	// store places one source row's values in their columns of a row
-	// buffer, whose other columns stay NULL, and appends it.
-	row := make([]Value, len(t.defs))
-	n := 0
-	store := func(src []Value) {
-		for i, ci := range dest {
-			row[ci] = src[i]
-		}
-		t.appendRow(row)
-		n++
+	from := make([]int, len(t.defs)) // per column, the value it takes, or −1
+	for ci := range from {
+		from[ci] = slices.Index(dest, ci)
 	}
 
+	// rel holds the rows when they are not streamed into the table: VALUES,
+	// evaluated before the first goes in, and the rows of a SELECT that
+	// reads the table itself, which sees the table as it was.
+	var rel *relation
 	if s.Select == nil {
-		c := &compiler{db: db, schema: &relSchema{}}
-		ctx := &evalCtx{}
-		rows := make([][]Value, len(s.Rows))
-		for r, rowExprs := range s.Rows {
+		rel = newRelation(make([]Kind, len(dest)), nil)
+		c, row := &compiler{db: db, schema: &relSchema{}}, make([]Value, len(dest))
+		for _, rowExprs := range s.Rows {
 			if len(rowExprs) != len(dest) {
 				return 0, fmt.Errorf("sqldb: INSERT expects %d values, got %d", len(dest), len(rowExprs))
 			}
-			rows[r] = make([]Value, len(rowExprs))
 			for i, e := range rowExprs {
-				fn, err := c.compile(e)
+				k, err := c.compile(e)
 				if err != nil {
 					return 0, err
 				}
-				if rows[r][i], err = fn(ctx); err != nil {
+				if row[i], err = constValue(k); err != nil {
 					return 0, err
 				}
 			}
+			rel.appendRow(row)
 		}
-		for _, vals := range rows {
-			store(vals)
-		}
-		return n, nil
-	}
-
-	q, err := db.planQuery(s.Select)
-	if err != nil {
-		return 0, err
-	}
-	if len(q.names) != len(dest) {
-		return 0, fmt.Errorf("sqldb: INSERT expects %d columns, SELECT returns %d", len(dest), len(q.names))
-	}
-	if q.reads(t) {
-		// The statement sees the table as it was: finish reading it before
-		// the first row goes in.
-		rel, err := q.materialize()
+	} else {
+		q, err := db.planQuery(s.Select)
 		if err != nil {
 			return 0, err
 		}
-		src := make([]Value, len(dest))
-		for i := int32(0); i < int32(rel.n); i++ {
-			rel.row(i, src)
-			store(src)
+		if len(q.names) != len(dest) {
+			return 0, fmt.Errorf("sqldb: INSERT expects %d columns, SELECT returns %d", len(dest), len(q.names))
 		}
-		return n, nil
+		if !q.reads(t) {
+			// The table is the pipeline's sink. A statement that fails
+			// half-way inserts nothing.
+			before := t.rel.n
+			if err := q.run(func(cols []*vec, sel []int32) { t.appendBatch(from, cols, sel) }); err != nil {
+				t.truncate(before)
+				return 0, err
+			}
+			return t.rel.n - before, nil
+		}
+		if rel, err = q.materialize(); err != nil {
+			return 0, err
+		}
 	}
-	// The table is the pipeline's sink. A statement that fails half-way
-	// inserts nothing.
-	before := t.rel.n
-	if err := q.run(store); err != nil {
-		t.truncate(before)
-		return 0, err
+	cols := make([]*vec, len(rel.cols))
+	for lo := 0; lo < rel.n; lo += batchSize {
+		hi := min(lo+batchSize, rel.n)
+		for j := range cols {
+			cols[j] = &vec{kind: KindNull, vals: rel.cols[j].vals[lo:hi]}
+		}
+		t.appendBatch(from, cols, identity[:hi-lo])
 	}
-	return n, nil
+	return rel.n, nil
 }
 
 // ---- SELECT execution ----
@@ -299,10 +296,11 @@ func (db *DB) planQuery(sel *selectStmt) (*query, error) {
 	return q, nil
 }
 
-// rowSink consumes a statement's result rows. vals is valid only for the
-// duration of the call: the projection refills one buffer for every row, so
-// a sink that keeps a row copies the values out and never keeps the slice.
-type rowSink func(vals []Value)
+// rowSink consumes a statement's result rows a batch at a time: column j of
+// the row at frame f is cols[j].value(f), for each frame f sel lists. The
+// vectors are valid only for the duration of the call: a sink that keeps a
+// row copies the values out.
+type rowSink func(cols []*vec, sel []int32)
 
 // run streams the statement's result rows, arm after arm, into out.
 func (q *query) run(out rowSink) error {
@@ -324,17 +322,19 @@ func (q *query) collect() (*Rows, error) {
 	rows := &Rows{Cols: q.names, Data: [][]Value{}}
 	w := len(q.names)
 	var slab []Value
-	err := q.run(func(vals []Value) {
-		if len(slab) < w {
-			slab = make([]Value, w*min(max(len(rows.Data), 4), 256))
+	err := q.run(func(cols []*vec, sel []int32) {
+		for _, f := range sel {
+			if len(slab) < w {
+				slab = make([]Value, w*min(max(len(rows.Data), 4), 256))
+			}
+			row := slab[:w:w]
+			slab = slab[w:]
+			for i, c := range cols {
+				row[i] = c.value(f)
+				row[i].code = 0 // a code is the statement's, not the caller's
+			}
+			rows.Data = append(rows.Data, row)
 		}
-		row := slab[:w:w]
-		slab = slab[w:]
-		for i, v := range vals {
-			v.code = 0 // a code is the statement's, not the caller's
-			row[i] = v
-		}
-		rows.Data = append(rows.Data, row)
 	})
 	if err != nil {
 		return nil, err
@@ -347,7 +347,7 @@ func (q *query) collect() (*Rows, error) {
 // from its own target.
 func (q *query) materialize() (*relation, error) {
 	rel := newRelation(make([]Kind, len(q.names)), nil)
-	if err := q.run(rel.appendRow); err != nil {
+	if err := q.run(func(cols []*vec, sel []int32) { rel.appendBatch(nil, cols, sel) }); err != nil {
 		return nil, err
 	}
 	return rel, nil

@@ -10,17 +10,25 @@ import (
 // a hash join's build side, a table index, an IN subquery, a GROUP BY or a
 // DISTINCT. A key is a fixed stride of 64-bit words: one tag word per 21
 // components, three bits a component, then one word per component (see
-// word). The keys lie back to back in one slice, found through one
-// open-addressing table of their hashes and ids.
+// word). The keys lie back to back in chunks of keyChunk keys, so that
+// growing never copies them, found through one open-addressing table of
+// their hashes and ids.
 type keyIndex struct {
 	dict   *dict              // resolves VARCHARs that carry no code
 	tags   int                // tag words per key
 	stride int                // words per key; 0 until the first key
 	n      int32              // keys
-	words  []uint64           // key id's words at id*stride
+	words  [][]uint64         // key id's words: chunk id/keyChunk, at id%keyChunk*stride
 	slots  []uint64           // hash and id per key (see slot), 0 when empty; len a power of two
 	local  map[string]keyWord // computed strings resolved so far
 	buf    []uint64           // scratch: the key being looked up
+}
+
+const keyChunk = 1024
+
+// key returns key id's words.
+func (k *keyIndex) key(id int32) []uint64 {
+	return k.words[id/keyChunk][int(id%keyChunk)*k.stride:][:k.stride]
 }
 
 // The tag of a key component: what its word holds.
@@ -37,24 +45,77 @@ const tagBits, tagsPerWord = 3, 21
 // keyWord is one key component: its tag and its word.
 type keyWord struct{ tag, w uint64 }
 
-// find evaluates the key expressions on the frame and returns the key's id,
-// or −1 when the key is absent — or, unless nulls is set, when a component
-// is NULL (a NULL join key matches nothing, a NULL group key is a group).
-// With add, an absent key is assigned the next id.
-func (k *keyIndex) find(fns []evalFn, ctx *evalCtx, add, nulls bool) (id int32, added bool, err error) {
-	key := k.scratch(len(fns))
-	for i, fn := range fns {
-		v, err := fn(ctx)
-		if err != nil {
-			return -1, false, err
+// keyScratch is one statement's buffers for finding a batch of keys: the
+// ids found, each frame's key words, and the frames still being keyed.
+type keyScratch struct {
+	ids   []int32
+	words []uint64
+	live  []int32
+}
+
+// findBatch evaluates the key kernels over the frames of b that sel lists
+// and returns, at each frame's index, the id of its key: −1 when the key is
+// absent or — unless nulls is set — has a NULL component, whose later
+// components are then not evaluated, as a row-by-row evaluation would stop
+// (a NULL join key matches nothing, a NULL group key is a group). With add,
+// absent keys are assigned the next ids in frame order. With cache, a
+// string no table holds is given a code of the index's own (see word);
+// without, a lookup of one component writes nothing, so that concurrent
+// statements may probe one table's index.
+func (k *keyIndex) findBatch(fns []kernel, b *batch, sel []int32, add, nulls, cache bool, ks *keyScratch) ([]int32, error) {
+	tags, stride := k.tags, k.stride
+	if stride == 0 {
+		tags = (len(fns) + tagsPerWord - 1) / tagsPerWord
+		stride = tags + len(fns)
+		if add {
+			k.tags, k.stride = tags, stride
 		}
-		if v.IsNull() && !nulls {
-			return -1, false, nil
-		}
-		k.put(key, i, v)
 	}
-	id, added = k.findKey(key, add)
-	return id, added, nil
+	if len(ks.ids) < b.n {
+		ks.ids = make([]int32, b.n)
+	}
+	if len(ks.words) < b.n*stride {
+		ks.words = make([]uint64, b.n*stride)
+	}
+	live := append(ks.live[:0], sel...)
+	for _, i := range live {
+		clear(ks.words[int(i)*stride:][:tags])
+	}
+	for j, fn := range fns {
+		v, err := fn(b, live)
+		if err != nil {
+			return nil, err
+		}
+		kept, tag, shift := live[:0], j/tagsPerWord, tagBits*(j%tagsPerWord)
+		for _, i := range live {
+			w, ok := keyWord{}, true
+			switch {
+			case v.kind == KindString && v.codes[i] >= 0:
+				w = keyWord{tagCode, uint64(v.codes[i])}
+			case v.kind == KindInt && !v.null[i]:
+				w = keyWord{tagInt, uint64(v.ints[i])}
+			case v.kind == KindFloat && !v.null[i]:
+				w = floatWord(v.floats[i])
+			case v.kind == KindNull:
+				w, ok = k.word(v.vals[i], cache)
+			}
+			if !ok || w.tag == tagNull && !nulls {
+				ks.ids[i] = -1
+				continue
+			}
+			key := ks.words[int(i)*stride:]
+			key[tag] |= w.tag << shift
+			key[tags+j] = w.w
+			kept = append(kept, i)
+		}
+		live = kept
+	}
+	ks.live = live
+	for _, i := range live {
+		key := ks.words[int(i)*stride:][:stride]
+		ks.ids[i], _ = k.findKey(key, hashWords(key), add)
+	}
+	return ks.ids, nil
 }
 
 // add adds the tuple as a key, unless present, and returns its id and
@@ -64,18 +125,7 @@ func (k *keyIndex) add(vals ...Value) (int32, bool) {
 	for i, v := range vals {
 		k.put(key, i, v)
 	}
-	return k.findKey(key, true)
-}
-
-// lookup returns the id of the one-component key v, or −1. It writes
-// nothing, so that concurrent readers may probe one table's index.
-func (k *keyIndex) lookup(v Value) int32 {
-	w, ok := k.word(v, false)
-	if !ok || k.stride != 2 {
-		return -1
-	}
-	id, _ := k.findKey([]uint64{w.tag, w.w}, false)
-	return id
+	return k.findKey(key, hashWords(key), true)
 }
 
 // scratch returns the key buffer, sized for n components on first use, with
@@ -108,11 +158,7 @@ func (k *keyIndex) word(v Value, cache bool) (keyWord, bool) {
 	case KindInt:
 		return keyWord{tagInt, uint64(v.I)}, true
 	case KindFloat:
-		f := v.F
-		if f == math.Trunc(f) && f >= -1<<63 && f < 1<<63 && !(f == 0 && math.Signbit(f)) {
-			return keyWord{tagInt, uint64(int64(f))}, true
-		}
-		return keyWord{tagFloat, math.Float64bits(f)}, true
+		return floatWord(v.F), true
 	case KindString:
 		if v.code > 0 {
 			return keyWord{tagCode, uint64(v.code)}, true
@@ -137,10 +183,18 @@ func (k *keyIndex) word(v Value, cache bool) (keyWord, bool) {
 	return keyWord{}, true
 }
 
-// findKey returns the id of key, or −1. With add, an absent key is copied
+// floatWord returns a DOUBLE's key component: an INT's when it holds an
+// int64.
+func floatWord(f float64) keyWord {
+	if f == math.Trunc(f) && f >= -1<<63 && f < 1<<63 && !(f == 0 && math.Signbit(f)) {
+		return keyWord{tagInt, uint64(int64(f))}
+	}
+	return keyWord{tagFloat, math.Float64bits(f)}
+}
+
+// findKey returns the id of key, whose hash is h, or −1. With add, an absent key is copied
 // in under the next id; without, nothing is written.
-func (k *keyIndex) findKey(key []uint64, add bool) (int32, bool) {
-	h := hashWords(key)
+func (k *keyIndex) findKey(key []uint64, h uint32, add bool) (int32, bool) {
 	if k.slots == nil {
 		if !add {
 			return -1, false
@@ -155,7 +209,7 @@ func (k *keyIndex) findKey(key []uint64, add bool) (int32, bool) {
 			continue
 		}
 		id := int32(s) - 1
-		if slices.Equal(k.words[int(id)*k.stride:][:k.stride], key) {
+		if slices.Equal(k.key(id), key) {
 			return id, false
 		}
 	}
@@ -164,7 +218,15 @@ func (k *keyIndex) findKey(key []uint64, add bool) (int32, bool) {
 	}
 	id := k.n
 	k.n++
-	k.words = append(k.words, key...)
+	last := len(k.words) - 1
+	if last < 0 || len(k.words[last]) == keyChunk*k.stride {
+		size := k.stride // the first chunk grows as keys come
+		if last >= 0 {
+			size = keyChunk * k.stride
+		}
+		k.words, last = append(k.words, make([]uint64, 0, size)), last+1
+	}
+	k.words[last] = append(k.words[last], key...)
 	if 2*int(k.n) <= len(k.slots) {
 		k.slots[i] = slot(h, id)
 		return id, true

@@ -7,10 +7,12 @@ import (
 
 // This file plans one SELECT core and streams its joins. planSelect fixes
 // the join order and compiles every join key and conjunct once; run then
-// pushes rows through the left-deep pipeline of stages, each binding a row
-// position into the statement's one evaluation frame, so no join output is
-// ever materialized — only derived tables, pushed-down filters' position
-// lists and a hash stage's bounded buffer of held-back positions are.
+// pushes batches of frames through the left-deep pipeline of stages, each
+// adding its row positions to the frames upstream handed it and handing
+// on the frames its conjuncts pass, batchSize at a time. No join output is
+// materialized beyond one batch per stage — only derived tables,
+// pushed-down filters' position lists and a hash stage's bounded buffer
+// of held-back positions are.
 //
 // The plan also decides where a row position can come back: a stage loops
 // with the slots earlier stages bound held still, and a cross stage rescans
@@ -51,6 +53,25 @@ func (s *source) at(i int) int32 {
 	return int32(i)
 }
 
+// scan hands fn the rows the source binds, batchSize at a time, as batches
+// of frames with nslots slots that bind only the source's.
+func (s *source) scan(nslots int, fn func(*batch) error) error {
+	b := &batch{pos: make([][]int32, nslots)}
+	var all []int32
+	for lo := 0; lo < s.size(); lo += batchSize {
+		hi := min(lo+batchSize, s.size())
+		all = all[:0]
+		for i := lo; i < hi; i++ {
+			all = append(all, s.at(i))
+		}
+		b.pos[s.slot], b.n, b.sel = all, hi-lo, identity[:hi-lo]
+		if err := fn(b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // conjunct is one AND-term of the WHERE/ON pool with planning metadata.
 type conjunct struct {
 	e       expr
@@ -63,7 +84,7 @@ type conjunct struct {
 // innerCol is the inner relation's column position when the inner side is a
 // bare column reference (enabling index nested-loop joins), −1 otherwise.
 type equiPair struct {
-	outer, inner         evalFn
+	outer, inner         kernel
 	outerExpr, innerExpr expr
 	innerCol             int
 	cj                   *conjunct
@@ -79,9 +100,9 @@ const (
 )
 
 // stage adds one relation to the frames flowing through the pipeline: for
-// every upstream frame it binds each matching row of src, by position, into
-// src's slot, drops the frame unless the conjuncts that just became
-// evaluable hold, and hands it to next.
+// every upstream frame it binds each matching row of src, by position, in
+// src's slot, and once it holds a batch of such frames it keeps those the
+// conjuncts that just became evaluable pass and hands them to next.
 type stage struct {
 	kind stageKind
 	src  *source
@@ -90,8 +111,8 @@ type stage struct {
 	// and compares the rest per match.
 	pairs   []equiPair
 	index   *index
-	filters []evalFn
-	next    func(*evalCtx) error
+	filters []kernel
+	next    func(*batch) error
 	// memos counts the memoized subexpressions evaluated at the stage: in
 	// its filters and, at the last stage, in the projection.
 	memos int
@@ -99,8 +120,13 @@ type stage struct {
 	// handed on and the rows its memoized sites answered from the memo.
 	rows, hits int
 
-	outerVals []Value   // index stage: the outer side of pairs[1:] for the current frame
-	hash      *hashJoin // hash stage
+	up    []int      // the frame slots earlier stages bind
+	out   batch      // frames bound, not yet handed on
+	sel   []int32    // the frames of out that pass
+	keys  keyScratch // the stage's key lookups
+	from  []int32    // index stage with pairs[1:]: per frame of out, its upstream frame,
+	outer []*vec     // whose outer sides of pairs[1:] these are
+	hash  *hashJoin  // hash stage
 }
 
 // selectPlan is the executable form of one SELECT core's FROM/WHERE.
@@ -242,7 +268,6 @@ func (db *DB) planSelect(sel *selectStmt) (*selectPlan, error) {
 		cj.needs = referencedAliases(cj.e, colOwners)
 	}
 	full := &compiler{db: db, schema: p.schema}
-	ctx := &evalCtx{pos: make([]int32, len(p.sources))}
 
 	// Push single-relation filters below the joins. The order and build
 	// sides chosen below depend on the filtered sizes, and a filtered
@@ -253,31 +278,30 @@ func (db *DB) planSelect(sel *selectStmt) (*selectPlan, error) {
 			break
 		}
 		src := &p.sources[i]
-		var filters []evalFn
+		var filters []kernel
 		for _, cj := range pool {
 			if cj.applied || len(cj.needs) != 1 || !cj.needs[src.alias] {
 				continue
 			}
-			fn, err := full.compile(cj.e)
+			k, err := full.compile(cj.e)
 			if err != nil {
 				return nil, err
 			}
-			filters = append(filters, fn)
+			filters = append(filters, k)
 			cj.applied = true
 		}
 		if len(filters) == 0 {
 			continue
 		}
 		kept := []int32{}
-		for i := int32(0); i < int32(src.rel.n); i++ {
-			ctx.pos[src.slot] = i
-			ok, err := holds(filters, ctx)
-			if err != nil {
-				return nil, err
+		keep := &stage{filters: filters, next: func(b *batch) error {
+			for _, i := range b.sel {
+				kept = append(kept, b.pos[src.slot][i])
 			}
-			if ok {
-				kept = append(kept, i)
-			}
+			return nil
+		}}
+		if err := src.scan(len(p.sources), keep.hand); err != nil {
+			return nil, err
 		}
 		src.sel, src.table = kept, nil
 	}
@@ -289,6 +313,7 @@ func (db *DB) planSelect(sel *selectStmt) (*selectPlan, error) {
 		}
 	}
 	p.stages = []*stage{{kind: stageScan, src: &p.sources[first]}}
+	up := []int{p.sources[first].slot}
 	// From here on a conjunct runs as some stage binds its rows, where a
 	// row can come back; a pushed-down filter saw each row once.
 	full.plan = p
@@ -321,12 +346,13 @@ func (db *DB) planSelect(sel *selectStmt) (*selectPlan, error) {
 		cand := remaining[bestPos]
 		remaining = append(remaining[:bestPos], remaining[bestPos+1:]...)
 
-		st := &stage{kind: stageCross, src: cand, pairs: bestPairs}
+		st := &stage{kind: stageCross, src: cand, pairs: bestPairs, up: up}
+		up = append(up[:len(up):len(up)], cand.slot)
 		if ip := indexedPair(cand, bestPairs); ip >= 0 {
 			st.kind = stageIndex
 			st.pairs[0], st.pairs[ip] = st.pairs[ip], st.pairs[0]
 			st.index = cand.table.indexes[cand.cols[st.pairs[0].innerCol].name]
-			st.outerVals = make([]Value, len(st.pairs)-1)
+			st.outer = make([]*vec, len(st.pairs)-1)
 		} else if len(bestPairs) > 0 {
 			st.kind = stageHash
 			st.hash = &hashJoin{table: joinTable{keys: keyIndex{dict: db.dict}}}
@@ -380,12 +406,12 @@ func (db *DB) planSelect(sel *selectStmt) (*selectPlan, error) {
 func equiPairsFor(db *DB, outer *relSchema, cand *source, pool []*conjunct) []equiPair {
 	outerC := &compiler{db: db, schema: outer}
 	candC := &compiler{db: db, schema: &relSchema{cols: cand.cols}}
-	tryCompile := func(c *compiler, e expr) (evalFn, bool) {
+	tryCompile := func(c *compiler, e expr) (kernel, bool) {
 		if isAggregate(e) {
 			return nil, false
 		}
-		fn, err := c.compile(e)
-		return fn, err == nil
+		k, err := c.compile(e)
+		return k, err == nil
 	}
 	candCol := func(e expr) int {
 		cr, ok := e.(*colRef)
@@ -472,66 +498,23 @@ func splitAnd(e expr) []expr {
 // or nil when a reference cannot be attributed statically.
 func referencedAliases(e expr, colOwners map[string][]string) map[string]bool {
 	needs := map[string]bool{}
-	ok := collectAliases(e, colOwners, needs)
+	ok := walk(e, func(e expr) bool {
+		cr, isCol := e.(*colRef)
+		switch {
+		case !isCol:
+		case cr.Table != "":
+			needs[cr.Table] = true
+		case len(colOwners[cr.Name]) != 1:
+			return false
+		default:
+			needs[colOwners[cr.Name][0]] = true
+		}
+		return true
+	})
 	if !ok {
 		return nil
 	}
 	return needs
-}
-
-func collectAliases(e expr, colOwners map[string][]string, needs map[string]bool) bool {
-	switch x := e.(type) {
-	case nil:
-		return true
-	case *literal:
-		return true
-	case *colRef:
-		if x.Table != "" {
-			needs[x.Table] = true
-			return true
-		}
-		owners := colOwners[x.Name]
-		if len(owners) != 1 {
-			return false
-		}
-		needs[owners[0]] = true
-		return true
-	case *unaryExpr:
-		return collectAliases(x.X, colOwners, needs)
-	case *binaryExpr:
-		return collectAliases(x.L, colOwners, needs) && collectAliases(x.R, colOwners, needs)
-	case *funcCall:
-		for _, a := range x.Args {
-			if !collectAliases(a, colOwners, needs) {
-				return false
-			}
-		}
-		return true
-	case *inExpr:
-		if !collectAliases(x.X, colOwners, needs) {
-			return false
-		}
-		for _, a := range x.List {
-			if !collectAliases(a, colOwners, needs) {
-				return false
-			}
-		}
-		return true // subquery is uncorrelated by construction
-	case *isNullExpr:
-		return collectAliases(x.X, colOwners, needs)
-	case *caseExpr:
-		for _, w := range x.Whens {
-			if !collectAliases(w.Cond, colOwners, needs) || !collectAliases(w.Then, colOwners, needs) {
-				return false
-			}
-		}
-		if x.Else != nil {
-			return collectAliases(x.Else, colOwners, needs)
-		}
-		return true
-	default:
-		return false
-	}
 }
 
 func subset(a, b map[string]bool) bool {
@@ -546,96 +529,147 @@ func subset(a, b map[string]bool) bool {
 // ---- the pipeline ----
 
 // run streams every joined frame that satisfies the plan's conjuncts into
-// sink, in emission order: outer order, then index-chain or row order.
-func (p *selectPlan) run(sink func(*evalCtx) error) error {
+// sink, a batch at a time, in emission order: outer order, then
+// index-chain or row order.
+func (p *selectPlan) run(sink func(*batch) error) error {
 	next := sink
 	for i := len(p.stages) - 1; i >= 0; i-- {
-		p.stages[i].next = next
-		next = p.stages[i].push
+		st := p.stages[i]
+		st.next, next = next, st.push
+		st.out.pos = make([][]int32, len(p.sources))
 	}
-	ctx := &evalCtx{pos: make([]int32, len(p.sources))}
-	if err := next(ctx); err != nil {
+	first := p.stages[0]
+	if err := first.src.scan(len(p.sources), first.hand); err != nil {
 		return err
 	}
 	// Upstream is exhausted: a hash stage still holding its input decides
-	// now. In pipeline order, since a flush feeds the stages after it.
-	for _, st := range p.stages {
+	// now, and each stage hands on the frames it holds, in pipeline order,
+	// since what a stage hands on feeds the stages after it.
+	for _, st := range p.stages[1:] {
 		if st.kind == stageHash {
-			if err := st.flushHash(ctx); err != nil {
+			if err := st.flushHash(); err != nil {
 				return err
 			}
 		}
-	}
-	return nil
-}
-
-// holds reports whether every filter is true of the frame.
-func holds(filters []evalFn, ctx *evalCtx) (bool, error) {
-	for _, f := range filters {
-		v, err := f(ctx)
-		if err != nil || !v.Truthy() {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
-// pass hands the frame, the stage's row bound, on if the stage's filters
-// hold.
-func (st *stage) pass(ctx *evalCtx) error {
-	if ok, err := holds(st.filters, ctx); err != nil || !ok {
-		return err
-	}
-	st.rows++
-	return st.next(ctx)
-}
-
-func (st *stage) push(ctx *evalCtx) error {
-	switch st.kind {
-	case stageIndex:
-		return st.pushIndex(ctx)
-	case stageHash:
-		return st.pushHash(ctx)
-	}
-	for i, n := 0, st.src.size(); i < n; i++ {
-		ctx.pos[st.src.slot] = st.src.at(i)
-		if err := st.pass(ctx); err != nil {
+		if err := st.flush(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (st *stage) pushIndex(ctx *evalCtx) error {
-	kv, err := st.pairs[0].outer(ctx)
-	if err != nil || kv.IsNull() {
-		return err
+// hand keeps the frames of b its selection lists that the stage's filters
+// pass — each filter runs on the frames the ones before it passed — and
+// hands them on.
+func (st *stage) hand(b *batch) error {
+	sel := b.sel
+	for _, f := range st.filters {
+		v, err := f(b, sel)
+		if err != nil {
+			return err
+		}
+		sel = v.pick(sel, &st.sel, tTrue)
 	}
-	id := st.index.keys.lookup(kv)
-	if id < 0 {
+	if st.rows += len(sel); len(sel) == 0 {
 		return nil
 	}
-	rest := st.pairs[1:]
-	for i, p := range rest {
-		if st.outerVals[i], err = p.outer(ctx); err != nil {
+	b.sel = sel
+	return st.next(b)
+}
+
+// emit binds row r of the stage's relation to frame f of in, handing the
+// stage's frames on once it holds a batch of them.
+func (st *stage) emit(in *batch, f, r int32) error {
+	o := &st.out
+	o.pos[st.src.slot] = append(o.pos[st.src.slot][:o.n], r)
+	if o.add(st.up, in, f); o.n == batchSize {
+		return st.flush()
+	}
+	return nil
+}
+
+// flush hands on the frames the stage holds. An index stage first keeps
+// those whose row matches the upstream frame on pairs[1:], comparing pair
+// by pair, each on the frames the pairs before it matched.
+func (st *stage) flush() error {
+	o := &st.out
+	if o.n == 0 {
+		return nil
+	}
+	o.sel = identity[:o.n]
+	for k := range st.outer {
+		iv, err := st.pairs[k+1].inner(o, o.sel)
+		if err != nil {
 			return err
 		}
+		kept := st.sel[:0]
+		for _, i := range o.sel {
+			if cmp, ok := Compare(st.outer[k].value(st.from[i]), iv.value(i)); ok && cmp == 0 {
+				kept = append(kept, i)
+			}
+		}
+		st.sel, o.sel = kept, kept
 	}
-matches:
-	for r := st.index.head[id]; r >= 0; r = st.index.next[r] {
-		ctx.pos[st.src.slot] = r
-		for i, p := range rest {
-			iv, err := p.inner(ctx)
-			if err != nil {
+	err := st.hand(o)
+	o.n, st.from = 0, st.from[:0]
+	return err
+}
+
+func (st *stage) push(in *batch) error {
+	switch st.kind {
+	case stageIndex:
+		return st.pushIndex(in)
+	case stageHash:
+		return st.pushHash(in)
+	}
+	for _, f := range in.sel {
+		for i, n := 0, st.src.size(); i < n; i++ {
+			if err := st.emit(in, f, st.src.at(i)); err != nil {
 				return err
 			}
-			if cmp, ok := Compare(st.outerVals[i], iv); !ok || cmp != 0 {
-				continue matches
+		}
+	}
+	return nil
+}
+
+func (st *stage) pushIndex(in *batch) error {
+	ids, err := st.index.keys.findBatch([]kernel{st.pairs[0].outer}, in, in.sel, false, false, false, &st.keys)
+	if err != nil {
+		return err
+	}
+	rest := len(st.pairs) > 1
+	if rest {
+		// The outer sides of the other pairs, once per upstream frame with
+		// a match; the frames they are compared on are handed on before
+		// the next upstream batch overwrites them.
+		found := st.sel[:0]
+		for _, f := range in.sel {
+			if ids[f] >= 0 {
+				found = append(found, f)
 			}
 		}
-		if err := st.pass(ctx); err != nil {
-			return err
+		st.sel = found
+		for k, pr := range st.pairs[1:] {
+			if st.outer[k], err = pr.outer(in, found); err != nil {
+				return err
+			}
 		}
+	}
+	for _, f := range in.sel {
+		if ids[f] < 0 {
+			continue
+		}
+		for r := st.index.head[ids[f]]; r >= 0; r = st.index.next[r] {
+			if rest {
+				st.from = append(st.from, f)
+			}
+			if err := st.emit(in, f, r); err != nil {
+				return err
+			}
+		}
+	}
+	if rest {
+		return st.flush()
 	}
 	return nil
 }
@@ -648,80 +682,87 @@ matches:
 // on. If upstream ends first, the table is built on the held frames and the
 // relation's rows probe it.
 type hashJoin struct {
-	outerKeys, innerKeys []evalFn // the two sides of the stage's pairs
-	held                 []int32  // frames awaiting the decision, len(ctx.pos) positions each
-	probing              bool     // table is built on the stage's relation
+	outerKeys, innerKeys []kernel // the two sides of the stage's pairs
+	held                 []batch  // frames awaiting the decision, batchSize a batch
+	nheld                int
+	probing              bool // table is built on the stage's relation
 	table                joinTable
 	builtOn              string
 }
 
-func (st *stage) pushHash(ctx *evalCtx) error {
+func (st *stage) pushHash(in *batch) error {
 	h := st.hash
 	if h.probing {
-		return st.probeHash(ctx)
+		return st.probeHash(in, in.sel)
 	}
-	h.held = append(h.held, ctx.pos...)
-	if len(h.held) < st.src.size()*len(ctx.pos) {
-		return nil
-	}
-	for i, n := 0, st.src.size(); i < n; i++ {
-		ctx.pos[st.src.slot] = st.src.at(i)
-		if err := h.table.insert(h.innerKeys, ctx); err != nil {
+	for k, f := range in.sel {
+		if h.nheld%batchSize == 0 {
+			h.held = append(h.held, batch{pos: make([][]int32, len(in.pos))})
+		}
+		last := &h.held[len(h.held)-1]
+		last.add(st.up, in, f)
+		if last.sel = identity[:last.n]; h.nheld+1 < st.src.size() {
+			h.nheld++
+			continue
+		}
+		err := st.src.scan(len(in.pos), func(b *batch) error {
+			return h.table.insert(h.innerKeys, b, &st.keys)
+		})
+		if err != nil {
 			return err
 		}
-	}
-	h.probing, h.builtOn = true, st.src.name
-	// The last held frame is the one being pushed, so replaying leaves the
-	// frame as upstream bound it.
-	n := len(ctx.pos)
-	for at := 0; at < len(h.held); at += n {
-		copy(ctx.pos, h.held[at:at+n])
-		if err := st.probeHash(ctx); err != nil {
-			return err
+		h.probing, h.builtOn = true, st.src.name
+		held := h.held
+		h.held = nil
+		for i := range held {
+			if err := st.probeHash(&held[i], held[i].sel); err != nil {
+				return err
+			}
 		}
+		return st.probeHash(in, in.sel[k+1:])
 	}
-	h.held = nil
 	return nil
 }
 
-func (st *stage) probeHash(ctx *evalCtx) error {
-	r, err := st.hash.table.first(st.hash.outerKeys, ctx)
-	for ; err == nil && r >= 0; r = st.hash.table.next[r] {
-		ctx.pos[st.src.slot] = st.src.at(int(r))
-		err = st.pass(ctx)
+func (st *stage) probeHash(in *batch, sel []int32) error {
+	t := &st.hash.table
+	ids, err := t.keys.findBatch(st.hash.outerKeys, in, sel, false, false, true, &st.keys)
+	if err != nil {
+		return err
+	}
+	for _, f := range sel {
+		for r := t.first(ids[f]); err == nil && r >= 0; r = t.next[r] {
+			err = st.emit(in, f, st.src.at(int(r)))
+		}
 	}
 	return err
 }
 
 // flushHash runs when upstream ended before the stage decided: upstream is
 // the smaller input.
-func (st *stage) flushHash(ctx *evalCtx) error {
+func (st *stage) flushHash() error {
 	h := st.hash
-	if h.probing || len(h.held) == 0 {
+	if h.probing || h.nheld == 0 {
 		return nil
 	}
-	n := len(ctx.pos)
-	for at := 0; at < len(h.held); at += n {
-		copy(ctx.pos, h.held[at:at+n])
-		if err := h.table.insert(h.outerKeys, ctx); err != nil {
+	for i := range h.held {
+		if err := h.table.insert(h.outerKeys, &h.held[i], &st.keys); err != nil {
 			return err
 		}
 	}
 	h.builtOn = "upstream"
-	for i, m := 0, st.src.size(); i < m; i++ {
-		pos := st.src.at(i)
-		ctx.pos[st.src.slot] = pos
-		r, err := h.table.first(h.innerKeys, ctx)
-		for ; err == nil && r >= 0; r = h.table.next[r] {
-			copy(ctx.pos, h.held[int(r)*n:int(r)*n+n])
-			ctx.pos[st.src.slot] = pos
-			err = st.pass(ctx)
-		}
+	return st.src.scan(len(st.out.pos), func(b *batch) error {
+		ids, err := h.table.keys.findBatch(h.innerKeys, b, b.sel, false, false, true, &st.keys)
 		if err != nil {
 			return err
 		}
-	}
-	return nil
+		for _, i := range b.sel {
+			for r := h.table.first(ids[i]); err == nil && r >= 0; r = h.table.next[r] {
+				err = st.emit(&h.held[r/batchSize], r%batchSize, b.pos[st.src.slot][i])
+			}
+		}
+		return err
+	})
 }
 
 // joinTable chains rows per distinct key in insertion order, without a
@@ -732,25 +773,27 @@ type joinTable struct {
 	next       []int32 // per row: the next row with the same key, −1 at the end
 }
 
-// insert adds the next row, len(t.next), under the key the frame yields; a
-// row with a NULL key component joins nothing.
-func (t *joinTable) insert(keys []evalFn, ctx *evalCtx) error {
-	id, added, err := t.keys.find(keys, ctx, true, false)
+// insert adds the frames of b as the next rows, under the keys the kernels
+// give them; a row with a NULL key component joins nothing.
+func (t *joinTable) insert(keys []kernel, b *batch, ks *keyScratch) error {
+	ids, err := t.keys.findBatch(keys, b, b.sel, true, false, true, ks)
 	if err != nil {
 		return err
 	}
-	t.link(id, added)
+	for _, i := range b.sel {
+		t.link(ids[i])
+	}
 	return nil
 }
 
-// link appends the next row to the chain of key id (a new key's when added);
-// with id −1 the row is chained nowhere.
-func (t *joinTable) link(id int32, added bool) {
+// link appends the next row to the chain of key id — a new key's, when id
+// is the next one; with id −1 the row is chained nowhere.
+func (t *joinTable) link(id int32) {
 	row := int32(len(t.next))
 	t.next = append(t.next, -1)
 	switch {
 	case id < 0:
-	case added:
+	case int(id) == len(t.head):
 		t.head, t.tail = append(t.head, row), append(t.tail, row)
 	default:
 		t.next[t.tail[id]] = row
@@ -758,11 +801,10 @@ func (t *joinTable) link(id int32, added bool) {
 	}
 }
 
-// first returns the first row stored under the key the frame yields, or −1.
-func (t *joinTable) first(keys []evalFn, ctx *evalCtx) (int32, error) {
-	id, _, err := t.keys.find(keys, ctx, false, false)
-	if err != nil || id < 0 {
-		return -1, err
+// first returns the first row of key id's chain, or −1 for id −1.
+func (t *joinTable) first(id int32) int32 {
+	if id < 0 {
+		return -1
 	}
-	return t.head[id], nil
+	return t.head[id]
 }

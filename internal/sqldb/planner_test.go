@@ -508,7 +508,7 @@ func queryOf(t *testing.T, db *DB, sql string, args ...Value) *query {
 	if err != nil {
 		t.Fatalf("plan %s: %v", sql, err)
 	}
-	if err := q.run(func([]Value) {}); err != nil {
+	if err := q.run(func([]*vec, []int32) {}); err != nil {
 		t.Fatalf("run %s: %v", sql, err)
 	}
 	return q
@@ -785,7 +785,7 @@ func TestHashStageReportsBuildSide(t *testing.T) {
 		t.Errorf("plan %s, want %s", got, want)
 	}
 	if held := p.stages[2].hash.held; held != nil {
-		t.Errorf("a probing hash stage keeps %d held row headers", len(held))
+		t.Errorf("a probing hash stage keeps %d batches of held frames", len(held))
 	}
 }
 

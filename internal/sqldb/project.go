@@ -5,25 +5,28 @@ import (
 	"sort"
 )
 
-// projection is the sink of a SELECT core's pipeline: it turns the frames
-// the joins emit into output rows — grouping and aggregating, HAVING,
-// DISTINCT, ORDER BY, LIMIT — and hands each finished row to out, under the
-// rowSink contract: the row is valid for the call only. Its state is
-// proportionate to groups and output rows, never to joined rows.
+// projection is the sink of a SELECT core's pipeline: it turns the batches
+// of frames the joins emit into output rows — grouping and aggregating,
+// HAVING, DISTINCT, ORDER BY, LIMIT — and hands them to out a batch at a
+// time, under the rowSink contract. Its state is proportionate to groups
+// and output rows, never to joined rows.
 type projection struct {
 	names    []string
-	items    []evalFn
-	having   evalFn
+	items    []kernel
+	having   kernel // zero when absent
 	order    []orderKey
 	distinct bool
 	limit    int // −1: none
 
 	grouped bool
-	groupBy []evalFn
+	groupBy []kernel
 	aggs    []aggSpec
 	rep     []int // the frame slots post-aggregation expressions read
 	groups  groupTable
+	keys    keyScratch
 
+	vecs    []*vec   // the select items over the batch being emitted
+	sel     []int32  // the frames of that batch that make rows
 	buf     []Value  // the output row being built
 	seen    keyIndex // DISTINCT
 	pending []Value  // ORDER BY: rows awaiting the sort, then their sort keys, one after another
@@ -34,9 +37,10 @@ type projection struct {
 // orderKey is one ORDER BY term: an output column position, or an
 // expression evaluated in the same context as the select items.
 type orderKey struct {
-	fn   evalFn // nil when positional
+	fn   kernel // zero when positional
 	pos  int
 	desc bool
+	v    *vec // fn over the batch being emitted
 }
 
 // compileProjection compiles everything after FROM/WHERE of one SELECT core
@@ -76,7 +80,8 @@ func (db *DB) compileProjection(sel *selectStmt, plan *selectPlan) (*projection,
 		items = append(items, projItem{e: it.Expr, alias: it.Alias, name: name})
 	}
 
-	pr := &projection{distinct: sel.Distinct, limit: -1, grouped: len(sel.GroupBy) > 0, buf: make([]Value, len(items)), seen: keyIndex{dict: db.dict}}
+	pr := &projection{distinct: sel.Distinct, limit: -1, grouped: len(sel.GroupBy) > 0,
+		buf: make([]Value, len(items)), vecs: make([]*vec, len(items)), seen: keyIndex{dict: db.dict}}
 	if !pr.grouped {
 		for _, it := range items {
 			if isAggregate(it.e) {
@@ -102,14 +107,14 @@ func (db *DB) compileProjection(sel *selectStmt, plan *selectPlan) (*projection,
 	substitute := func(e expr) expr { return substituteAliases(e, aliasExpr, schema) }
 
 	c := &compiler{db: db, schema: schema, grouped: pr.grouped, plan: plan, stage: last}
-	pr.items = make([]evalFn, len(items))
+	pr.items = make([]kernel, len(items))
 	pr.names = make([]string, len(items))
 	for i, it := range items {
-		fn, err := c.compile(it.e)
+		k, err := c.compile(it.e)
 		if err != nil {
 			return nil, err
 		}
-		pr.items[i] = fn
+		pr.items[i] = k
 		if it.name != "" {
 			pr.names[i] = it.name
 		} else {
@@ -117,11 +122,11 @@ func (db *DB) compileProjection(sel *selectStmt, plan *selectPlan) (*projection,
 		}
 	}
 	if sel.Having != nil {
-		fn, err := c.compile(substitute(sel.Having))
+		k, err := c.compile(substitute(sel.Having))
 		if err != nil {
 			return nil, err
 		}
-		pr.having = fn
+		pr.having = k
 	}
 	for _, oi := range sel.OrderBy {
 		if lit, ok := oi.Expr.(*literal); ok && lit.Val.Kind == KindInt {
@@ -132,18 +137,18 @@ func (db *DB) compileProjection(sel *selectStmt, plan *selectPlan) (*projection,
 			pr.order = append(pr.order, orderKey{pos: p, desc: oi.Desc})
 			continue
 		}
-		fn, err := c.compile(substitute(oi.Expr))
+		k, err := c.compile(substitute(oi.Expr))
 		if err != nil {
 			return nil, err
 		}
-		pr.order = append(pr.order, orderKey{fn: fn, pos: -1, desc: oi.Desc})
+		pr.order = append(pr.order, orderKey{fn: k, pos: -1, desc: oi.Desc})
 	}
 	if sel.Limit != nil {
-		fn, err := (&compiler{db: db, schema: &relSchema{}}).compile(sel.Limit)
+		k, err := (&compiler{db: db, schema: &relSchema{}}).compile(sel.Limit)
 		if err != nil {
 			return nil, err
 		}
-		v, err := fn(&evalCtx{})
+		v, err := constValue(k)
 		if err != nil {
 			return nil, err
 		}
@@ -155,11 +160,11 @@ func (db *DB) compileProjection(sel *selectStmt, plan *selectPlan) (*projection,
 		// aggregates.
 		gc := &compiler{db: db, schema: schema, plan: plan, stage: last}
 		for _, ge := range sel.GroupBy {
-			fn, err := gc.compile(substitute(ge))
+			k, err := gc.compile(substitute(ge))
 			if err != nil {
 				return nil, err
 			}
-			pr.groupBy = append(pr.groupBy, fn)
+			pr.groupBy = append(pr.groupBy, k)
 		}
 		pr.aggs, pr.rep = c.aggs, c.rep
 		pr.groups = groupTable{keys: keyIndex{dict: db.dict}, nrep: len(pr.rep), nagg: len(pr.aggs)}
@@ -173,36 +178,46 @@ func (db *DB) compileProjection(sel *selectStmt, plan *selectPlan) (*projection,
 	return pr, nil
 }
 
-// push consumes one joined frame.
-func (pr *projection) push(ctx *evalCtx) error {
+// push consumes one batch of joined frames: each frame's group is found —
+// a new group takes the frame as its representative row — and every
+// aggregate's argument is evaluated over the batch and fed to the groups
+// frame by frame, so each group's sums add up in emission order.
+func (pr *projection) push(b *batch) error {
 	if !pr.grouped {
-		return pr.emit(ctx)
+		return pr.emit(b)
 	}
-	gid := int32(0)
-	added := pr.groups.n == 0
-	if len(pr.groupBy) > 0 {
-		var err error
-		if gid, added, err = pr.groups.keys.find(pr.groupBy, ctx, true, true); err != nil {
-			return err
+	// Without GROUP BY every frame has the empty key: one group.
+	gids, err := pr.groups.keys.findBatch(pr.groupBy, b, b.sel, true, true, true, &pr.keys)
+	if err != nil {
+		return err
+	}
+	for _, f := range b.sel {
+		if int(gids[f]) == pr.groups.n {
+			rep := pr.groups.add()
+			for i, slot := range pr.rep {
+				rep[i] = b.pos[slot][f]
+			}
 		}
 	}
-	if added {
-		rep := pr.groups.add()
-		for i, slot := range pr.rep {
-			rep[i] = ctx.pos[slot]
+	for a := range pr.aggs {
+		spec := &pr.aggs[a]
+		var v *vec
+		if spec.arg != nil {
+			if v, err = spec.arg(b, b.sel); err != nil {
+				return err
+			}
 		}
-	}
-	accs, extremes := pr.groups.accs(gid)
-	for i := range pr.aggs {
-		if err := accs[i].add(&pr.aggs[i], ctx, gid, extremes); err != nil {
-			return err
+		for _, f := range b.sel {
+			accs, extremes := pr.groups.accs(gids[f])
+			accs[a].add(spec, v, f, gids[f], extremes)
 		}
 	}
 	return nil
 }
 
 // finish runs once the pipeline is exhausted: groups are finalized and
-// emitted in first-seen order, then buffered rows are sorted and released.
+// emitted in first-seen order, a batch of groups at a time, then buffered
+// rows are sorted and released.
 func (pr *projection) finish() error {
 	if pr.grouped {
 		if pr.groups.n == 0 && len(pr.groupBy) == 0 {
@@ -217,16 +232,31 @@ func (pr *projection) finish() error {
 		for _, slot := range pr.rep {
 			nslots = max(nslots, slot+1)
 		}
-		ctx := &evalCtx{pos: make([]int32, nslots), aggs: make([]Value, len(pr.aggs))}
-		for gid := int32(0); gid < int32(pr.groups.n); gid++ {
-			for i, p := range pr.groups.rep(gid) {
-				ctx.pos[pr.rep[i]] = p
+		b := &batch{pos: make([][]int32, nslots), aggs: make([]*vec, len(pr.aggs))}
+		for _, slot := range pr.rep {
+			b.pos[slot] = make([]int32, min(pr.groups.n, batchSize))
+		}
+		vals, typedVals := make([]vec, len(pr.aggs)), make([]vec, len(pr.aggs))
+		for lo := 0; lo < pr.groups.n; lo += batchSize {
+			b.n = min(pr.groups.n-lo, batchSize)
+			b.sel = identity[:b.n]
+			for a := range vals {
+				vals[a].fit(b.n)
 			}
-			accs, extremes := pr.groups.accs(gid)
-			for i := range accs {
-				ctx.aggs[i] = accs[i].finalize(&pr.aggs[i], extremes)
+			for i := range b.n {
+				gid := int32(lo + i)
+				for r, p := range pr.groups.rep(gid) {
+					b.pos[pr.rep[r]][i] = p
+				}
+				accs, extremes := pr.groups.accs(gid)
+				for a := range accs {
+					vals[a].vals[i] = accs[a].finalize(&pr.aggs[a], extremes)
+				}
 			}
-			if err := pr.emit(ctx); err != nil {
+			for a := range vals {
+				b.aggs[a] = vals[a].uniform(b.sel, &typedVals[a])
+			}
+			if err := pr.emit(b); err != nil {
 				return err
 			}
 		}
@@ -254,58 +284,94 @@ func (pr *projection) finish() error {
 		}
 		return false
 	})
-	for _, at := range rows {
-		pr.release(pr.pending[at : at+len(pr.items)])
+	// The sorted rows go out a batch at a time, as Values.
+	for i := range pr.vecs {
+		pr.vecs[i] = &vec{kind: KindNull}
+	}
+	for lo := 0; lo < len(rows); lo += batchSize {
+		chunk := rows[lo:min(lo+batchSize, len(rows))]
+		for i, v := range pr.vecs {
+			v.fit(len(chunk))
+			for f, at := range chunk {
+				v.vals[f] = pr.pending[at+i]
+			}
+		}
+		pr.release(identity[:len(chunk)])
 	}
 	return nil
 }
 
-// emit evaluates HAVING and the select list in ctx — a joined frame, or a
-// finalized group — and produces one output row.
-func (pr *projection) emit(ctx *evalCtx) error {
+// emit evaluates HAVING and the select list over a batch — of joined
+// frames, or of finalized groups — and produces an output row per frame
+// that passes HAVING and, with DISTINCT, is new. ORDER BY's keys are
+// evaluated on those frames only.
+func (pr *projection) emit(b *batch) error {
+	sel := b.sel
 	if pr.having != nil {
-		hv, err := pr.having(ctx)
-		if err != nil || !hv.Truthy() {
-			return err
-		}
-	}
-	vals := pr.buf
-	for i, fn := range pr.items {
-		v, err := fn(ctx)
+		hv, err := pr.having(b, sel)
 		if err != nil {
 			return err
 		}
-		vals[i] = v
+		sel = hv.pick(sel, &pr.sel, tTrue)
+	}
+	for i, k := range pr.items {
+		v, err := k(b, sel)
+		if err != nil {
+			return err
+		}
+		pr.vecs[i] = v
 	}
 	if pr.distinct {
-		if _, added := pr.seen.add(vals...); !added {
-			return nil
+		kept := pr.sel[:0]
+		for _, f := range sel {
+			if _, added := pr.seen.add(pr.row(f)...); added {
+				kept = append(kept, f)
+			}
+		}
+		pr.sel, sel = kept, kept
+	}
+	for i := range pr.order {
+		if ok := &pr.order[i]; ok.fn != nil {
+			var err error
+			if ok.v, err = ok.fn(b, sel); err != nil {
+				return err
+			}
 		}
 	}
 	if len(pr.order) == 0 {
-		pr.release(vals)
+		pr.release(sel)
 		return nil
 	}
-	pr.pending = append(pr.pending, vals...)
-	for _, ok := range pr.order {
-		if ok.fn == nil {
-			pr.pending = append(pr.pending, vals[ok.pos])
-			continue
+	for _, f := range sel {
+		vals := pr.row(f)
+		pr.pending = append(pr.pending, vals...)
+		for _, ok := range pr.order {
+			if ok.v == nil {
+				pr.pending = append(pr.pending, vals[ok.pos])
+			} else {
+				pr.pending = append(pr.pending, ok.v.value(f))
+			}
 		}
-		v, err := ok.fn(ctx)
-		if err != nil {
-			return err
-		}
-		pr.pending = append(pr.pending, v)
 	}
 	return nil
 }
 
-// release hands a finished row to the consumer unless LIMIT is used up.
-func (pr *projection) release(vals []Value) {
-	if pr.limit < 0 || pr.emitted < pr.limit {
-		pr.emitted++
-		pr.out(vals)
+// row fills the output row buffer with frame f's select items.
+func (pr *projection) row(f int32) []Value {
+	for i, v := range pr.vecs {
+		pr.buf[i] = v.value(f)
+	}
+	return pr.buf
+}
+
+// release hands the finished rows of the frames sel lists, whose select
+// items are in pr.vecs, to the consumer, as far as LIMIT allows.
+func (pr *projection) release(sel []int32) {
+	if pr.limit >= 0 {
+		sel = sel[:min(len(sel), pr.limit-pr.emitted)]
+	}
+	if pr.emitted += len(sel); len(sel) > 0 {
+		pr.out(pr.vecs, sel)
 	}
 }
 
@@ -430,44 +496,45 @@ type aggAcc struct {
 	sawFloat bool
 }
 
-func (a *aggAcc) add(spec *aggSpec, ctx *evalCtx, gid int32, extremes []Value) error {
-	if spec.arg == nil {
+// add feeds frame f of the argument vector v (nil for COUNT(*)) to the
+// accumulator of group gid.
+func (a *aggAcc) add(spec *aggSpec, v *vec, f int32, gid int32, extremes []Value) {
+	if v == nil {
 		a.n++
-		return nil
+		return
 	}
-	v, err := spec.arg(ctx)
-	if err != nil || v.IsNull() {
-		return err
+	x := v.value(f)
+	if x.IsNull() {
+		return
 	}
 	if spec.seen != nil {
 		// One index for the whole statement, keyed by (group, value).
-		if _, added := spec.seen.add(Int(int64(gid)), v); !added {
-			return nil
+		if _, added := spec.seen.add(Int(int64(gid)), x); !added {
+			return
 		}
 	}
 	a.n++
 	switch spec.op {
 	case aggSum, aggAvg:
-		switch v.Kind {
+		switch x.Kind {
 		case KindInt:
-			a.isum += v.I
+			a.isum += x.I
 		case KindFloat:
-			a.fsum += v.F
+			a.fsum += x.F
 			a.sawFloat = true
 		case KindString:
-			a.fsum += v.AsFloat()
+			a.fsum += x.AsFloat()
 			a.sawFloat = true
 		}
-	case aggMin:
-		if cmp, ok := Compare(v, extremes[spec.extreme]); a.n == 1 || ok && cmp < 0 {
-			extremes[spec.extreme] = v
+	case aggMin, aggMax:
+		cmp, ok := Compare(x, extremes[spec.extreme])
+		if spec.op == aggMax {
+			cmp = -cmp
 		}
-	case aggMax:
-		if cmp, ok := Compare(v, extremes[spec.extreme]); a.n == 1 || ok && cmp > 0 {
-			extremes[spec.extreme] = v
+		if a.n == 1 || ok && cmp < 0 {
+			extremes[spec.extreme] = x
 		}
 	}
-	return nil
 }
 
 func (a *aggAcc) finalize(spec *aggSpec, extremes []Value) Value {

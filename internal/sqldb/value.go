@@ -26,30 +26,38 @@
 // index chains a column's positions per distinct value, in row order, with
 // one int32 link per row.
 //
-// Keys are integers. A VARCHAR read from a column carries its code in the
-// Value for the rest of the statement (Rows and the arguments of registered
-// functions carry none), and every key — of a hash join, an index, an IN
-// set, a GROUP BY or a DISTINCT — is a fixed stride of 64-bit words in one
-// flat hash table: per component an integer, a DOUBLE's bits or a string's
-// code, with a tag word per 21 components.
+// Keys are integers. A VARCHAR read from a column carries its code for the
+// rest of the statement (Rows and the arguments of functions carry none),
+// and every key — of a hash join, an index, an IN set, a GROUP BY or a
+// DISTINCT — is a fixed stride of 64-bit words in one flat hash table: per
+// component an integer, a DOUBLE's bits or a string's code, with a tag word
+// per 21 components.
 //
-// A SELECT runs as plan → pipeline → sink. planSelect fixes the join order
-// with a small greedy optimizer — smallest relation first, then index
-// nested-loop joins into indexed base tables, hash joins otherwise, mirroring
-// how MySQL executes the paper's token-join queries when the token columns
-// are indexed — and compiles every key, conjunct and select expression once;
-// a column reference compiles to a read of its vector. The joins then
-// stream: each stage binds a row position into its slot of the statement's
-// one evaluation frame, applies the conjuncts that just became evaluable and
-// hands the frame on, in a fixed emission order (outer order, then index
-// chain or row order) so float SUMs associate the same way every run. The
+// A SELECT runs as plan → pipeline → sink, a batch of up to batchSize
+// (1 024) frames at a time. planSelect fixes the join order with a small
+// greedy optimizer — smallest relation first, then index nested-loop joins
+// into indexed base tables, hash joins otherwise, mirroring how MySQL
+// executes the paper's token-join queries when the token columns are
+// indexed — and compiles every key, conjunct and select expression once to
+// a kernel over a batch. A batch holds one vector of row positions per FROM
+// slot and a selection vector of its live frames; a kernel fills a typed
+// vector at the selected frames — int64s, float64s or int32 dictionary
+// codes, with Values for computed strings and mixed kinds — and AND, OR,
+// CASE and IN narrow the selection before their later operands run, so a
+// function sees exactly the rows a row-at-a-time evaluation would reach. A
+// registered function runs once per selected frame inside its kernel's
+// loop. Each stage fills an output batch, runs the conjuncts that just
+// became evaluable over it and hands it on, in a fixed emission order
+// (outer order, then index chain or row order) so float SUMs associate the
+// same way every run. Keys are built and probed a batch at a time, and the
 // sink is the projection — GROUP BY state proportionate to groups, not
-// joined rows — which refills one output row buffer: INSERT ... SELECT and
-// derived tables copy it into columns, and only Query's Rows and the rows
-// awaiting ORDER BY allocate rows. Derived tables and IN subqueries are
-// materialized as relations of the same column layout; pushed-down filters
-// as position lists; a hash stage holds back at most its relation's row
-// count of upstream frames, as positions.
+// joined rows, fed in emission order — which hands its consumer a batch of
+// output columns: INSERT ... SELECT appends them to the target's columns.
+// Derived tables and IN subqueries are materialized as relations of the
+// same column layout; pushed-down filters as position lists; a hash stage
+// holds back at most its relation's row count of upstream frames, as
+// positions. Subexpressions that read one repeatedly bound FROM item
+// through a function call are memoized per row of that item.
 package sqldb
 
 import (
