@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"errors"
+	"fmt"
 	"go/ast"
 	goparser "go/parser"
 	gotoken "go/token"
@@ -223,6 +224,13 @@ func FuzzExecSQL(f *testing.F) {
 	} {
 		f.Add(s)
 	}
+	// Past a batch of frames: cross joins with a table of 32 integers.
+	ints := "CREATE TABLE integers (i INT); INSERT INTO integers VALUES (1)"
+	for i := 2; i <= 32; i++ {
+		ints += fmt.Sprintf(", (%d)", i)
+	}
+	f.Add(ints + "; SELECT a.s, COUNT(*), SUM(n1.i * n2.i) FROM integers n1, integers n2, a WHERE n1.i <= n2.i + a.k GROUP BY a.s")
+	f.Add(ints + "; INSERT INTO c SELECT FAILON(n2.i - n1.i) FROM integers n1, integers n2, b WHERE n1.i * n2.i > 1000 AND b.k = 1")
 	f.Fuzz(func(t *testing.T, src string) {
 		stmts, err := parseScript(src, make([]Value, strings.Count(src, "?")))
 		if err != nil || len(stmts) > 8 {

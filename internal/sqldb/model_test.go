@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -615,5 +616,263 @@ func TestTokenJoinAllocatesPerGroupNotPerJoinedRow(t *testing.T) {
 	// constant for parsing and planning.
 	if ceiling := float64(2*tids + 200); once > ceiling {
 		t.Errorf("%v allocations per select, ceiling %v", once, ceiling)
+	}
+}
+
+// value returns column c of r as the engine stores it: a is NULL
+// when negative.
+func (r modelRow) value(c byte) Value {
+	switch c {
+	case 'g':
+		return Int(r.g)
+	case 'a':
+		if r.a < 0 {
+			return Null()
+		}
+		return Int(r.a)
+	case 'b':
+		return Float(r.b)
+	}
+	return String(r.s)
+}
+
+// TestBatchBoundariesAgainstModel runs relations of one row short of a
+// batch, exactly one, one past and two past, through the typed kernels,
+// grouping, a join, DISTINCT, ORDER BY and LIMIT, against a plain-Go model
+// that evaluates each row with the Value semantics (arith, Compare).
+func TestBatchBoundariesAgainstModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	for _, n := range []int{batchSize - 1, batchSize, batchSize + 1, 2*batchSize + 1} {
+		rows := randomModel(rng, n)
+		db := New()
+		mustExec(t, db, "CREATE TABLE t (g INT, a INT, b DOUBLE, s VARCHAR(4))")
+		load := make([][]Value, n)
+		for i, r := range rows {
+			load[i] = []Value{r.value('g'), r.value('a'), r.value('b'), r.value('s')}
+		}
+		if err := db.BulkInsert("t", load); err != nil {
+			t.Fatal(err)
+		}
+
+		// Typed loops against the Value semantics, frame by frame.
+		got := mustQuery(t, db, `SELECT a + g, a - g, a * g, a / g, a % g, b * a, b % a, a - b,
+			a < b, a = g, b >= g, -a, -b, LOG(b), SQRT(a), EXP(a / 4) FROM t`)
+		if len(got.Data) != n {
+			t.Fatalf("n=%d: %d rows", n, len(got.Data))
+		}
+		for i, r := range rows {
+			a, b, g := r.value('a'), r.value('b'), r.value('g')
+			var want []Value
+			for _, o := range []struct {
+				op   string
+				l, r Value
+			}{{"+", a, g}, {"-", a, g}, {"*", a, g}, {"/", a, g}, {"%", a, g}, {"*", b, a}, {"%", b, a}, {"-", a, b}} {
+				v, _ := arith(o.op, o.l, o.r)
+				want = append(want, v)
+			}
+			for _, c := range []struct {
+				l, r Value
+				op   string
+			}{{a, b, "<"}, {a, g, "="}, {b, g, ">="}} {
+				cmp, ok := Compare(c.l, c.r)
+				if !ok {
+					want = append(want, Null())
+				} else {
+					want = append(want, Bool(cmpHolds[c.op][cmp+1]))
+				}
+			}
+			neg, _ := arith("*", a, Int(-1))
+			want = append(want, neg, Float(-b.F))
+			for _, f := range []struct {
+				name string
+				x    Value
+			}{{"LOG", b}, {"SQRT", a}} {
+				v, _ := builtinFuncs[f.name].impl([]Value{f.x})
+				want = append(want, v)
+			}
+			quarter, _ := arith("/", a, Int(4))
+			e, _ := builtinFuncs["EXP"].impl([]Value{quarter})
+			want = append(want, e)
+			if !reflect.DeepEqual(got.Data[i], want) {
+				t.Fatalf("n=%d row %d (%+v):\n got %v\nwant %v", n, i, r, got.Data[i], want)
+			}
+		}
+
+		// Grouping and aggregation, and ORDER BY's stability: groups come
+		// out in first-seen order, which a stable sort on a constant keeps.
+		agg := mustQuery(t, db, `SELECT g, COUNT(*), COUNT(a), SUM(a), SUM(b), MIN(s), MAX(b)
+			FROM t GROUP BY g ORDER BY g * 0`)
+		type acc struct {
+			n, na, sa int64
+			sb, maxb  float64
+			mins      string
+		}
+		model, order := map[int64]*acc{}, []int64{}
+		for _, r := range rows {
+			m := model[r.g]
+			if m == nil {
+				m = &acc{mins: r.s, maxb: r.b}
+				model[r.g] = m
+				order = append(order, r.g)
+			}
+			m.n++
+			m.sb += r.b
+			m.maxb = max(m.maxb, r.b)
+			m.mins = min(m.mins, r.s)
+			if r.a >= 0 {
+				m.na++
+				m.sa += r.a
+			}
+		}
+		if len(agg.Data) != len(order) {
+			t.Fatalf("n=%d: %d groups, want %d", n, len(agg.Data), len(order))
+		}
+		for i, g := range order {
+			m, row := model[g], agg.Data[i]
+			want := []Value{Int(g), Int(m.n), Int(m.na), Int(m.sa), Float(m.sb), String(m.mins), Float(m.maxb)}
+			if m.na == 0 {
+				want[3] = Null()
+			}
+			if !reflect.DeepEqual(row, want) {
+				t.Fatalf("n=%d group %d: got %v, want %v", n, g, row, want)
+			}
+		}
+
+		// ORDER BY on many ties across batches, ending mid-batch: a stable
+		// sort of the rows in table order.
+		limit := n - n/3
+		sorted := mustQuery(t, db, fmt.Sprintf("SELECT g, b FROM t ORDER BY g DESC LIMIT %d", limit))
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.SliceStable(idx, func(i, j int) bool { return rows[idx[i]].g > rows[idx[j]].g })
+		if len(sorted.Data) != limit {
+			t.Fatalf("n=%d: ORDER BY ... LIMIT %d returned %d rows", n, limit, len(sorted.Data))
+		}
+		for i, at := range idx[:limit] {
+			if want := []Value{Int(rows[at].g), Float(rows[at].b)}; !reflect.DeepEqual(sorted.Data[i], want) {
+				t.Fatalf("n=%d: sorted row %d = %v, want %v", n, i, sorted.Data[i], want)
+			}
+		}
+
+		// DISTINCT and LIMIT ending mid-batch, in first-seen order.
+		distinct := mustQuery(t, db, "SELECT DISTINCT a, g FROM t LIMIT 40")
+		seen, want := map[[2]int64]bool{}, [][]Value{}
+		for _, r := range rows {
+			if k := [2]int64{r.a, r.g}; !seen[k] && len(want) < 40 {
+				seen[k] = true
+				want = append(want, []Value{r.value('a'), Int(r.g)})
+			}
+		}
+		if !reflect.DeepEqual(distinct.Data, want) {
+			t.Fatalf("n=%d: DISTINCT ... LIMIT 40:\n got %v\nwant %v", n, distinct.Data, want)
+		}
+
+		// A self join through a hash stage, its output past a batch.
+		joined := mustQuery(t, db, `SELECT COUNT(*), SUM(t1.b * t2.g) FROM t t1, t t2
+			WHERE t1.a + 0 = t2.g + 0 AND t1.s = 'a'`)
+		var count int64
+		var sum float64
+		for _, r1 := range rows {
+			for _, r2 := range rows {
+				if r1.a >= 0 && r1.a == r2.g && r1.s == "a" {
+					count++
+					sum += r1.b * float64(r2.g)
+				}
+			}
+		}
+		if got := joined.Data[0]; got[0].AsInt() != count || math.Abs(got[1].AsFloat()-sum) > 1e-6*math.Abs(sum) {
+			t.Fatalf("n=%d: join gave %v, want %d and %v", n, got, count, sum)
+		}
+	}
+}
+
+// TestHashDecisionInsideABatch: a hash stage whose relation has 1 500 rows
+// sees the 1 500th upstream frame in the middle of the second upstream
+// batch. The table goes on the relation there, the frames held so far
+// probe it first, and the result comes out in the order a row-by-row
+// evaluation gives: upstream order, then the relation's row order.
+func TestHashDecisionInsideABatch(t *testing.T) {
+	db := New()
+	for _, s := range []string{"CREATE TABLE few (k INT)", "CREATE TABLE many (k INT)", "CREATE TABLE most (k INT, id INT)"} {
+		mustExec(t, db, s)
+	}
+	few, many, most := []int64{0, 1}, make([]int64, 1000), make([]int64, 1500)
+	var rows [][]Value
+	for i := range many {
+		many[i] = int64(i % 37)
+		rows = append(rows, []Value{Int(many[i])})
+	}
+	if err := db.BulkInsert("many", rows); err != nil {
+		t.Fatal(err)
+	}
+	rows = nil
+	for i := range most {
+		most[i] = int64(i % 41)
+		rows = append(rows, []Value{Int(most[i]), Int(int64(i))})
+	}
+	if err := db.BulkInsert("most", rows); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "INSERT INTO few VALUES (0), (1)")
+	const q = "SELECT few.k, many.k, most.id FROM few, many, most WHERE few.k + many.k = most.k + 0"
+	if got, want := planOf(t, db, q).String(), "scan few → cross many → hash most: (most.k + 0) = (few.k + many.k) [built on most]"; got != want {
+		t.Fatalf("plan %s, want %s", got, want)
+	}
+	var want [][]Value
+	for _, f := range few {
+		for _, m := range many {
+			for id, x := range most {
+				if f+m == x {
+					want = append(want, []Value{Int(f), Int(m), Int(int64(id))})
+				}
+			}
+		}
+	}
+	if got := mustQuery(t, db, q); !reflect.DeepEqual(got.Data, want) {
+		t.Fatalf("%d rows, want %d; first %v, want %v", len(got.Data), len(want), got.Data[:min(3, len(got.Data))], want[:min(3, len(want))])
+	}
+}
+
+// TestGuardedFailuresInLaterBatches: FAILON fails on every k from 2 000
+// on, which only batches after the first hold; AND, OR and CASE guard it,
+// so those rows never reach it, and it runs exactly on the rows a row-by-
+// row evaluation would call it on.
+func TestGuardedFailuresInLaterBatches(t *testing.T) {
+	db := New()
+	calls := 0
+	db.RegisterFunc("FAILON", func(args []Value) (Value, error) {
+		calls++
+		if args[0].AsInt() >= 2000 {
+			return Null(), errors.New("boom")
+		}
+		return args[0], nil
+	})
+	mustExec(t, db, "CREATE TABLE t (k INT)")
+	var rows [][]Value
+	for k := 1; k <= 3000; k++ {
+		rows = append(rows, []Value{Int(int64(k))})
+	}
+	if err := db.BulkInsert("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sql   string
+		want  int64
+		calls int
+	}{
+		{"SELECT COUNT(*) FROM t WHERE k < 1500 AND FAILON(k) > 0", 1499, 1499},
+		{"SELECT COUNT(*) FROM t WHERE k >= 1500 OR FAILON(k) > 0", 3000, 1499},
+		{"SELECT SUM(CASE WHEN k < 1500 THEN FAILON(k) ELSE 0 END) FROM t", 1499 * 1500 / 2, 1499},
+		{"SELECT COUNT(*) FROM t WHERE k < 1500 AND k IN (FAILON(k), 0)", 1499, 1499},
+	} {
+		calls = 0
+		if got := mustQuery(t, db, c.sql).Data[0][0].AsInt(); got != c.want || calls != c.calls {
+			t.Errorf("%s: %d from %d calls, want %d from %d", c.sql, got, calls, c.want, c.calls)
+		}
+	}
+	if _, err := db.Query("SELECT COUNT(*) FROM t WHERE k < 2500 AND FAILON(k) > 0"); err == nil {
+		t.Error("an unguarded failing row did not fail the statement")
 	}
 }
