@@ -36,10 +36,10 @@ func (b *batch) add(slots []int, in *batch, f int32) {
 }
 
 // vec is an expression's value for each frame of a batch, at the frame's
-// index. Its kind is fixed when the expression compiles: INT as int64s and
+// index. Its kind says which vector holds the values: INT as int64s and
 // DOUBLE as float64s, each with a NULL flag per frame; a VARCHAR column's
 // cells as their codes in dict, −1 for NULL; and anything else — computed
-// strings, aggregates, whatever may mix kinds — as Values (kind KindNull).
+// strings, whatever mixes kinds — as Values (kind KindNull).
 type vec struct {
 	kind   Kind
 	ints   []int64

@@ -141,10 +141,12 @@ func (c *column) kernel(slot int) kernel {
 		case KindInt, KindFloat:
 			for _, i := range sel {
 				p := pos[i]
-				if out.null[i] = p < 0 || c.nulls != nil && c.isNull(p); out.null[i] {
-				} else if c.kind == KindInt {
+				out.null[i] = p < 0 || c.nulls != nil && c.isNull(p)
+				switch {
+				case out.null[i]:
+				case c.kind == KindInt:
 					out.ints[i] = c.ints[p]
-				} else {
+				default:
 					out.floats[i] = c.floats[p]
 				}
 			}
