@@ -460,7 +460,7 @@ func (c *compiler) compileCase(x *caseExpr) (kernel, error) {
 			arms = append(arms, k)
 		}
 	}
-	out := &vec{kind: KindNull}
+	out, typedOut := &vec{kind: KindNull}, &vec{}
 	var take, rest []int32
 	return func(b *batch, sel []int32) (*vec, error) {
 		out.fit(b.n)
@@ -483,7 +483,7 @@ func (c *compiler) compileCase(x *caseExpr) (kernel, error) {
 			}
 			cv.pick(rest, &rest, tNull|tFalse)
 		}
-		return out, nil
+		return out.uniform(sel, typedOut), nil
 	}, nil
 }
 
@@ -618,7 +618,7 @@ func (c *compiler) compileMemo(e expr, slot int) (kernel, error) {
 	st.memos++
 	rows := plan.sources[slot].rel.n
 	var memo []memoEntry
-	out := &vec{kind: KindNull}
+	out, typedOut := &vec{kind: KindNull}, &vec{}
 	var todo []int32
 	return func(b *batch, sel []int32) (*vec, error) {
 		if memo == nil {
@@ -652,7 +652,7 @@ func (c *compiler) compileMemo(e expr, slot int) (kernel, error) {
 				out.vals[i] = memo[p].v
 			}
 		}
-		return out, nil
+		return out.uniform(sel, typedOut), nil
 	}, nil
 }
 
