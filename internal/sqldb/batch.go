@@ -53,17 +53,22 @@ type vec struct {
 // typed reports whether values of kind k travel in a typed numeric vector.
 func typed(k Kind) bool { return k == KindInt || k == KindFloat }
 
-// fit readies the vector for a batch of n frames.
+// fit readies the vector for a batch of n frames. A kernel's output kind
+// may change from batch to batch, so each vector, the NULL flags included,
+// is sized on its own.
 func (v *vec) fit(n int) {
 	switch {
 	case v.kind == KindInt && len(v.ints) < n:
-		v.ints, v.null = make([]int64, n), make([]bool, n)
+		v.ints = make([]int64, n)
 	case v.kind == KindFloat && len(v.floats) < n:
-		v.floats, v.null = make([]float64, n), make([]bool, n)
+		v.floats = make([]float64, n)
 	case v.kind == KindString && len(v.codes) < n:
 		v.codes = make([]int32, n)
 	case v.kind == KindNull && len(v.vals) < n:
 		v.vals = make([]Value, n)
+	}
+	if typed(v.kind) && len(v.null) < n {
+		v.null = make([]bool, n)
 	}
 }
 

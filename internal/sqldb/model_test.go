@@ -792,17 +792,21 @@ func TestBatchBoundariesAgainstModel(t *testing.T) {
 // sees the 1 500th upstream frame in the middle of the second upstream
 // batch. The table goes on the relation there, the frames held so far
 // probe it first, and the result comes out in the order a row-by-row
-// evaluation gives: upstream order, then the relation's row order.
+// evaluation gives: upstream order, then the relation's row order. The
+// second query's key is a DOUBLE on exactly the frames of the partial held
+// batch and an INT elsewhere, so the key kernel sees a full batch, a
+// shorter one and a full one again, with a different kind of value each
+// time.
 func TestHashDecisionInsideABatch(t *testing.T) {
 	db := New()
-	for _, s := range []string{"CREATE TABLE few (k INT)", "CREATE TABLE many (k INT)", "CREATE TABLE most (k INT, id INT)"} {
+	for _, s := range []string{"CREATE TABLE few (k INT)", "CREATE TABLE many (k INT, id INT)", "CREATE TABLE most (k INT, id INT)"} {
 		mustExec(t, db, s)
 	}
 	few, many, most := []int64{0, 1}, make([]int64, 1000), make([]int64, 1500)
 	var rows [][]Value
 	for i := range many {
 		many[i] = int64(i % 37)
-		rows = append(rows, []Value{Int(many[i])})
+		rows = append(rows, []Value{Int(many[i]), Int(int64(i))})
 	}
 	if err := db.BulkInsert("many", rows); err != nil {
 		t.Fatal(err)
@@ -816,10 +820,6 @@ func TestHashDecisionInsideABatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustExec(t, db, "INSERT INTO few VALUES (0), (1)")
-	const q = "SELECT few.k, many.k, most.id FROM few, many, most WHERE few.k + many.k = most.k + 0"
-	if got, want := planOf(t, db, q).String(), "scan few → cross many → hash most: (most.k + 0) = (few.k + many.k) [built on most]"; got != want {
-		t.Fatalf("plan %s, want %s", got, want)
-	}
 	var want [][]Value
 	for _, f := range few {
 		for _, m := range many {
@@ -830,8 +830,55 @@ func TestHashDecisionInsideABatch(t *testing.T) {
 			}
 		}
 	}
+	for _, key := range []string{
+		"few.k + many.k",
+		// Upstream frames 1 024–1 499, the partial held batch, are few.k = 1
+		// with many.id 24–499.
+		"CASE WHEN few.k = 1 AND many.id >= 24 AND many.id < 500 THEN few.k + many.k + 0.0 ELSE few.k + many.k END + 0",
+	} {
+		q := "SELECT few.k, many.k, most.id FROM few, many, most WHERE " + key + " = most.k + 0"
+		plan := planOf(t, db, q).String()
+		if prefix := "scan few → cross many → hash most: (most.k + 0) = "; !strings.HasPrefix(plan, prefix) || !strings.HasSuffix(plan, " [built on most]") {
+			t.Fatalf("plan %s, want %s… [built on most]", plan, prefix)
+		}
+		if got := mustQuery(t, db, q); !reflect.DeepEqual(got.Data, want) {
+			t.Fatalf("%s: %d rows, want %d; first %v, want %v", key, len(got.Data), len(want), got.Data[:min(3, len(got.Data))], want[:min(3, len(want))])
+		}
+	}
+}
+
+// TestIndexJoinSecondPairAcrossBatches: an index stage with two equalities
+// compares the second on the frames it holds, a full batch, then a partial
+// one after an upstream batch with few matches, then a full one again. The
+// second pair's inner side is a DOUBLE on exactly the partial batch's rows.
+func TestIndexJoinSecondPairAcrossBatches(t *testing.T) {
+	db := New()
+	mustExec(t, db, "CREATE TABLE u (k INT)")
+	mustExec(t, db, "CREATE TABLE ix (k INT, v INT)")
+	mustExec(t, db, "CREATE INDEX ix_k ON ix (k)")
+	var urows, xrows [][]Value
+	var want [][]Value
+	for k := range int64(3 * batchSize) {
+		urows = append(urows, []Value{Int(k)})
+		if k < batchSize || k >= 2*batchSize || k < batchSize+476 {
+			xrows = append(xrows, []Value{Int(k), Int(k)})
+			want = append(want, []Value{Int(k), Int(k)})
+		}
+	}
+	for k := range int64(batchSize) { // rows no frame matches, so that ix is the larger side
+		xrows = append(xrows, []Value{Int(10*batchSize + k), Int(k)})
+	}
+	for table, rows := range map[string][][]Value{"u": urows, "ix": xrows} {
+		if err := db.BulkInsert(table, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const q = "SELECT u.k, ix.v FROM u, ix WHERE ix.k = u.k AND CASE WHEN ix.k >= 1024 AND ix.k < 2048 THEN ix.v * 1.0 ELSE ix.v END + 0 = u.k"
+	if got, want := planOf(t, db, q).String(), "scan u → index-nlj ix(k) ← u.k"; !strings.HasPrefix(got, want) {
+		t.Fatalf("plan %s, want %s…", got, want)
+	}
 	if got := mustQuery(t, db, q); !reflect.DeepEqual(got.Data, want) {
-		t.Fatalf("%d rows, want %d; first %v, want %v", len(got.Data), len(want), got.Data[:min(3, len(got.Data))], want[:min(3, len(want))])
+		t.Fatalf("%d rows, want %d", len(got.Data), len(want))
 	}
 }
 
