@@ -155,42 +155,6 @@ func (*inExpr) isExpr()     {}
 func (*isNullExpr) isExpr() {}
 func (*caseExpr) isExpr()   {}
 
-// walk calls fn on e and, while fn returns true, on e's subexpressions in
-// order (an IN subquery is not one: it is uncorrelated). It reports whether
-// fn returned true throughout; a nil e is no expression.
-func walk(e expr, fn func(expr) bool) bool {
-	if e == nil {
-		return true
-	}
-	if !fn(e) {
-		return false
-	}
-	var sub []expr
-	switch x := e.(type) {
-	case *unaryExpr:
-		sub = []expr{x.X}
-	case *binaryExpr:
-		sub = []expr{x.L, x.R}
-	case *funcCall:
-		sub = x.Args
-	case *inExpr:
-		sub = append([]expr{x.X}, x.List...)
-	case *isNullExpr:
-		sub = []expr{x.X}
-	case *caseExpr:
-		for _, w := range x.Whens {
-			sub = append(sub, w.Cond, w.Then)
-		}
-		sub = append(sub, x.Else)
-	}
-	for _, s := range sub {
-		if !walk(s, fn) {
-			return false
-		}
-	}
-	return true
-}
-
 // exprString renders an expression for plan descriptions.
 func exprString(e expr) string {
 	switch x := e.(type) {

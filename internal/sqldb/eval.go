@@ -573,21 +573,54 @@ func (c *compiler) memoSlot(e expr) (int, bool) {
 		return 0, false
 	}
 	slot, call := -1, false
-	reads := walk(e, func(e expr) bool { // whether every column read is slot's
+	var reads func(expr) bool // reports whether every column read is slot's
+	reads = func(e expr) bool {
 		switch x := e.(type) {
-		case *funcCall:
-			call = true
-			return !isAggCall(x)
+		case nil, *literal:
+			return true
 		case *colRef:
 			pos, err := c.schema.resolve(x.Table, x.Name)
 			if err != nil || slot >= 0 && c.schema.cols[pos].slot != slot {
 				return false
 			}
 			slot = c.schema.cols[pos].slot
+			return true
+		case *unaryExpr:
+			return reads(x.X)
+		case *binaryExpr:
+			return reads(x.L) && reads(x.R)
+		case *funcCall:
+			if isAggCall(x) {
+				return false
+			}
+			call = true
+			for _, a := range x.Args {
+				if !reads(a) {
+					return false
+				}
+			}
+			return true
+		case *inExpr:
+			for _, a := range x.List {
+				if !reads(a) {
+					return false
+				}
+			}
+			return reads(x.X) // a subquery is uncorrelated
+		case *isNullExpr:
+			return reads(x.X)
+		case *caseExpr:
+			for _, w := range x.Whens {
+				if !reads(w.Cond) || !reads(w.Then) {
+					return false
+				}
+			}
+			return reads(x.Else)
+		default:
+			return false
 		}
-		return true
-	})
-	ok := reads && call && slot >= 0 && c.plan.repeats(c.stage, slot)
+	}
+	ok := reads(e) && call && slot >= 0 && c.plan.repeats(c.stage, slot)
 	return slot, ok
 }
 

@@ -570,50 +570,52 @@ func (p *parser) parseIdent(what string) (string, error) {
 
 func (p *parser) parseExpr() (expr, error) { return p.parseOr() }
 
-// parseChain parses a left-associative chain of operands that next
-// parses, joined by any of the operators ops, which are tokens of kind.
-func (p *parser) parseChain(next func() (expr, error), kind tokKind, ops ...string) (expr, error) {
-	l, err := next()
-	for err == nil {
-		i := 0
-		for i < len(ops) && !p.accept(kind, ops[i]) {
-			i++
-		}
-		if i == len(ops) {
-			return l, nil
-		}
-		var r expr
-		if r, err = next(); err == nil {
-			l = &binaryExpr{Op: ops[i], L: l, R: r}
-		}
+func (p *parser) parseOr() (expr, error) {
+	l, err := p.parseAnd()
+	if err != nil {
+		return nil, err
 	}
-	return nil, err
+	for p.acceptKeyword("OR") {
+		r, err := p.parseAnd()
+		if err != nil {
+			return nil, err
+		}
+		l = &binaryExpr{Op: "OR", L: l, R: r}
+	}
+	return l, nil
 }
 
-func (p *parser) parseOr() (expr, error) { return p.parseChain(p.parseAnd, tokIdent, "OR") }
+func (p *parser) parseAnd() (expr, error) {
+	l, err := p.parseNot()
+	if err != nil {
+		return nil, err
+	}
+	for p.acceptKeyword("AND") {
+		r, err := p.parseNot()
+		if err != nil {
+			return nil, err
+		}
+		l = &binaryExpr{Op: "AND", L: l, R: r}
+	}
+	return l, nil
+}
 
-func (p *parser) parseAnd() (expr, error) { return p.parseChain(p.parseNot, tokIdent, "AND") }
-
-// parsePrefix parses an operand that next parses, after any number of
-// prefix operators op, tokens of kind. Every cycle of the expression
-// grammar passes through here (or parseSelect), so it carries the nesting
-// bound.
-func (p *parser) parsePrefix(kind tokKind, op string, next func() (expr, error)) (expr, error) {
+// Every cycle of the expression grammar passes through parseNot or
+// parseUnary, so these two (and parseSelect) carry the nesting bound.
+func (p *parser) parseNot() (expr, error) {
 	if err := p.nest(); err != nil {
 		return nil, err
 	}
 	defer p.unnest()
-	if !p.accept(kind, op) {
-		return next()
+	if p.acceptKeyword("NOT") {
+		x, err := p.parseNot()
+		if err != nil {
+			return nil, err
+		}
+		return &unaryExpr{Op: "NOT", X: x}, nil
 	}
-	x, err := p.parsePrefix(kind, op, next)
-	if err != nil {
-		return nil, err
-	}
-	return &unaryExpr{Op: op, X: x}, nil
+	return p.parsePredicate()
 }
-
-func (p *parser) parseNot() (expr, error) { return p.parsePrefix(tokIdent, "NOT", p.parsePredicate) }
 
 func (p *parser) parsePredicate() (expr, error) {
 	l, err := p.parseAdditive()
@@ -730,18 +732,53 @@ func (p *parser) parsePredicate() (expr, error) {
 }
 
 func (p *parser) parseAdditive() (expr, error) {
-	return p.parseChain(p.parseMultiplicative, tokOp, "+", "-")
+	l, err := p.parseMultiplicative()
+	if err != nil {
+		return nil, err
+	}
+	for p.at(tokOp, "+") || p.at(tokOp, "-") {
+		op := p.cur().text
+		p.pos++
+		r, err := p.parseMultiplicative()
+		if err != nil {
+			return nil, err
+		}
+		l = &binaryExpr{Op: op, L: l, R: r}
+	}
+	return l, nil
 }
 
 func (p *parser) parseMultiplicative() (expr, error) {
-	return p.parseChain(p.parseUnary, tokOp, "*", "/", "%")
+	l, err := p.parseUnary()
+	if err != nil {
+		return nil, err
+	}
+	for p.at(tokOp, "*") || p.at(tokOp, "/") || p.at(tokOp, "%") {
+		op := p.cur().text
+		p.pos++
+		r, err := p.parseUnary()
+		if err != nil {
+			return nil, err
+		}
+		l = &binaryExpr{Op: op, L: l, R: r}
+	}
+	return l, nil
 }
 
 func (p *parser) parseUnary() (expr, error) {
-	return p.parsePrefix(tokOp, "-", func() (expr, error) {
-		p.accept(tokOp, "+")
-		return p.parsePrimary()
-	})
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
+	if p.accept(tokOp, "-") {
+		x, err := p.parseUnary()
+		if err != nil {
+			return nil, err
+		}
+		return &unaryExpr{Op: "-", X: x}, nil
+	}
+	p.accept(tokOp, "+")
+	return p.parsePrimary()
 }
 
 func (p *parser) parsePrimary() (expr, error) {

@@ -498,23 +498,66 @@ func splitAnd(e expr) []expr {
 // or nil when a reference cannot be attributed statically.
 func referencedAliases(e expr, colOwners map[string][]string) map[string]bool {
 	needs := map[string]bool{}
-	ok := walk(e, func(e expr) bool {
-		cr, isCol := e.(*colRef)
-		switch {
-		case !isCol:
-		case cr.Table != "":
-			needs[cr.Table] = true
-		case len(colOwners[cr.Name]) != 1:
-			return false
-		default:
-			needs[colOwners[cr.Name][0]] = true
-		}
-		return true
-	})
+	ok := collectAliases(e, colOwners, needs)
 	if !ok {
 		return nil
 	}
 	return needs
+}
+
+func collectAliases(e expr, colOwners map[string][]string, needs map[string]bool) bool {
+	switch x := e.(type) {
+	case nil:
+		return true
+	case *literal:
+		return true
+	case *colRef:
+		if x.Table != "" {
+			needs[x.Table] = true
+			return true
+		}
+		owners := colOwners[x.Name]
+		if len(owners) != 1 {
+			return false
+		}
+		needs[owners[0]] = true
+		return true
+	case *unaryExpr:
+		return collectAliases(x.X, colOwners, needs)
+	case *binaryExpr:
+		return collectAliases(x.L, colOwners, needs) && collectAliases(x.R, colOwners, needs)
+	case *funcCall:
+		for _, a := range x.Args {
+			if !collectAliases(a, colOwners, needs) {
+				return false
+			}
+		}
+		return true
+	case *inExpr:
+		if !collectAliases(x.X, colOwners, needs) {
+			return false
+		}
+		for _, a := range x.List {
+			if !collectAliases(a, colOwners, needs) {
+				return false
+			}
+		}
+		return true // subquery is uncorrelated by construction
+	case *isNullExpr:
+		return collectAliases(x.X, colOwners, needs)
+	case *caseExpr:
+		for _, w := range x.Whens {
+			if !collectAliases(w.Cond, colOwners, needs) || !collectAliases(w.Then, colOwners, needs) {
+				return false
+			}
+		}
+		if x.Else != nil {
+			return collectAliases(x.Else, colOwners, needs)
+		}
+		return true
+	default:
+		return false
+	}
 }
 
 func subset(a, b map[string]bool) bool {
