@@ -39,7 +39,8 @@ func (b *batch) add(slots []int, in *batch, f int32) {
 // index. Its kind says which vector holds the values: INT as int64s and
 // DOUBLE as float64s, each with a NULL flag per frame; a VARCHAR column's
 // cells as their codes in dict, −1 for NULL; and anything else — computed
-// strings, whatever mixes kinds — as Values (kind KindNull).
+// strings, function results, whatever may mix kinds — as Values (kind
+// KindNull).
 type vec struct {
 	kind   Kind
 	ints   []int64
@@ -53,9 +54,9 @@ type vec struct {
 // typed reports whether values of kind k travel in a typed numeric vector.
 func typed(k Kind) bool { return k == KindInt || k == KindFloat }
 
-// fit readies the vector for a batch of n frames. A kernel's output kind
-// may change from batch to batch, so each vector, the NULL flags included,
-// is sized on its own.
+// fit readies the vector for a batch of n frames. Each slice, the NULL
+// flags included, is sized on its own, so none is shorter than n whatever
+// kinds the vector held before.
 func (v *vec) fit(n int) {
 	switch {
 	case v.kind == KindInt && len(v.ints) < n:
@@ -91,32 +92,6 @@ func (v *vec) num(i int32) float64 {
 		return v.floats[i]
 	}
 	return v.value(i).AsFloat()
-}
-
-// uniform returns the Values of v at sel as an INT or DOUBLE vector, in t,
-// when they all are of that kind or NULL, and v otherwise.
-func (v *vec) uniform(sel []int32, t *vec) *vec {
-	t.kind = KindNull
-	for _, i := range sel {
-		if k := v.vals[i].Kind; t.kind == KindNull && typed(k) {
-			t.kind = k
-		} else if k != KindNull && k != t.kind {
-			return v
-		}
-	}
-	if t.kind == KindNull {
-		return v
-	}
-	t.fit(len(v.vals))
-	for _, i := range sel {
-		x := v.vals[i]
-		if t.null[i] = x.IsNull(); t.kind == KindInt {
-			t.ints[i] = x.I
-		} else {
-			t.floats[i] = x.F
-		}
-	}
-	return t
 }
 
 func (v *vec) value(i int32) Value {

@@ -131,9 +131,9 @@ func (c *column) str(code int32) Value {
 // kernel compiles a read of the column at the positions frame slot slot
 // binds; position −1, a group with no rows, reads NULL. A VARCHAR column
 // reads as codes, and a derived table's column, whose values may mix
-// kinds, as a typed vector wherever a batch's values share one.
+// kinds, as Values.
 func (c *column) kernel(slot int) kernel {
-	out, typedOut := &vec{kind: c.kind, dict: c.dict}, &vec{}
+	out := &vec{kind: c.kind, dict: c.dict}
 	return func(b *batch, sel []int32) (*vec, error) {
 		out.fit(b.n)
 		pos := b.pos[slot]
@@ -162,7 +162,6 @@ func (c *column) kernel(slot int) kernel {
 					out.vals[i] = c.vals[pos[i]]
 				}
 			}
-			return out.uniform(sel, typedOut), nil
 		}
 		return out, nil
 	}

@@ -51,10 +51,9 @@ func (s *relSchema) resolve(qual, name string) (int, error) {
 
 // kernel is a compiled expression: it computes the expression for the
 // frames of b that sel lists and returns a vector holding the results at
-// the frames' indexes, valid until the kernel runs again. A vector's kind
-// may change from batch to batch — a function whose results in a batch are
-// all INT or all DOUBLE hands them on typed — and the kernels above run
-// typed loops over typed vectors and Value code over the rest. A kernel
+// the frames' indexes, valid until the kernel runs again. Its kind follows
+// from the expression's operands, and the kernels above run typed loops
+// over typed vectors and Value code over the rest. A kernel
 // evaluates a subexpression only on the frames a row-by-row evaluation
 // would reach (AND, OR, CASE and IN narrow sel), so a function sees
 // exactly those rows.
@@ -248,7 +247,7 @@ func constant(v Value) kernel {
 // arguments carry no dictionary code: a registered function may keep an
 // argument, and a code is valid for the statement only.
 func rowwise(args []kernel, f ScalarFunc) kernel {
-	out, typedOut := &vec{kind: KindNull}, &vec{}
+	out := &vec{kind: KindNull}
 	vals, vs := make([]Value, len(args)), make([]*vec, len(args))
 	return func(b *batch, sel []int32) (*vec, error) {
 		for j, a := range args {
@@ -270,7 +269,7 @@ func rowwise(args []kernel, f ScalarFunc) kernel {
 			}
 			out.vals[i] = r
 		}
-		return out.uniform(sel, typedOut), nil
+		return out, nil
 	}
 }
 
@@ -460,7 +459,7 @@ func (c *compiler) compileCase(x *caseExpr) (kernel, error) {
 			arms = append(arms, k)
 		}
 	}
-	out, typedOut := &vec{kind: KindNull}, &vec{}
+	out := &vec{kind: KindNull}
 	var take, rest []int32
 	return func(b *batch, sel []int32) (*vec, error) {
 		out.fit(b.n)
@@ -483,7 +482,7 @@ func (c *compiler) compileCase(x *caseExpr) (kernel, error) {
 			}
 			cv.pick(rest, &rest, tNull|tFalse)
 		}
-		return out.uniform(sel, typedOut), nil
+		return out, nil
 	}, nil
 }
 
@@ -651,7 +650,7 @@ func (c *compiler) compileMemo(e expr, slot int) (kernel, error) {
 	st.memos++
 	rows := plan.sources[slot].rel.n
 	var memo []memoEntry
-	out, typedOut := &vec{kind: KindNull}, &vec{}
+	out := &vec{kind: KindNull}
 	var todo []int32
 	return func(b *batch, sel []int32) (*vec, error) {
 		if memo == nil {
@@ -685,7 +684,7 @@ func (c *compiler) compileMemo(e expr, slot int) (kernel, error) {
 				out.vals[i] = memo[p].v
 			}
 		}
-		return out.uniform(sel, typedOut), nil
+		return out, nil
 	}, nil
 }
 

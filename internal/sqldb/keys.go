@@ -10,25 +10,17 @@ import (
 // a hash join's build side, a table index, an IN subquery, a GROUP BY or a
 // DISTINCT. A key is a fixed stride of 64-bit words: one tag word per 21
 // components, three bits a component, then one word per component (see
-// word). The keys lie back to back in chunks of keyChunk keys, so that
-// growing never copies them, found through one open-addressing table of
-// their hashes and ids.
+// word). The keys lie back to back in one slice, found through one
+// open-addressing table of their hashes and ids.
 type keyIndex struct {
 	dict   *dict              // resolves VARCHARs that carry no code
 	tags   int                // tag words per key
 	stride int                // words per key; 0 until the first key
 	n      int32              // keys
-	words  [][]uint64         // key id's words: chunk id/keyChunk, at id%keyChunk*stride
+	words  []uint64           // key id's words at id*stride
 	slots  []uint64           // hash and id per key (see slot), 0 when empty; len a power of two
 	local  map[string]keyWord // computed strings resolved so far
 	buf    []uint64           // scratch: the key being looked up
-}
-
-const keyChunk = 1024
-
-// key returns key id's words.
-func (k *keyIndex) key(id int32) []uint64 {
-	return k.words[id/keyChunk][int(id%keyChunk)*k.stride:][:k.stride]
 }
 
 // The tag of a key component: what its word holds.
@@ -209,7 +201,7 @@ func (k *keyIndex) findKey(key []uint64, h uint32, add bool) (int32, bool) {
 			continue
 		}
 		id := int32(s) - 1
-		if slices.Equal(k.key(id), key) {
+		if slices.Equal(k.words[int(id)*k.stride:][:k.stride], key) {
 			return id, false
 		}
 	}
@@ -218,15 +210,7 @@ func (k *keyIndex) findKey(key []uint64, h uint32, add bool) (int32, bool) {
 	}
 	id := k.n
 	k.n++
-	last := len(k.words) - 1
-	if last < 0 || len(k.words[last]) == keyChunk*k.stride {
-		size := k.stride // the first chunk grows as keys come
-		if last >= 0 {
-			size = keyChunk * k.stride
-		}
-		k.words, last = append(k.words, make([]uint64, 0, size)), last+1
-	}
-	k.words[last] = append(k.words[last], key...)
+	k.words = append(k.words, key...)
 	if 2*int(k.n) <= len(k.slots) {
 		k.slots[i] = slot(h, id)
 		return id, true

@@ -699,22 +699,17 @@ func (st *stage) pushIndex(in *batch) error {
 		}
 	}
 	for _, f := range in.sel {
-		if ids[f] < 0 {
-			continue
-		}
-		for r := st.index.head[ids[f]]; r >= 0; r = st.index.next[r] {
+		for r := st.index.first(ids[f]); err == nil && r >= 0; r = st.index.next[r] {
 			if rest {
 				st.from = append(st.from, f)
 			}
-			if err := st.emit(in, f, r); err != nil {
-				return err
-			}
+			err = st.emit(in, f, r)
 		}
 	}
-	if rest {
+	if err == nil && rest {
 		return st.flush()
 	}
-	return nil
+	return err
 }
 
 // hashJoin is the run-time state of a hash stage. The table goes on the

@@ -236,12 +236,11 @@ func (pr *projection) finish() error {
 		for _, slot := range pr.rep {
 			b.pos[slot] = make([]int32, min(pr.groups.n, batchSize))
 		}
-		vals, typedVals := make([]vec, len(pr.aggs)), make([]vec, len(pr.aggs))
 		for lo := 0; lo < pr.groups.n; lo += batchSize {
 			b.n = min(pr.groups.n-lo, batchSize)
 			b.sel = identity[:b.n]
-			for a := range vals {
-				vals[a].fit(b.n)
+			for a := range b.aggs {
+				b.aggs[a] = &vec{kind: KindNull, vals: make([]Value, b.n)}
 			}
 			for i := range b.n {
 				gid := int32(lo + i)
@@ -250,11 +249,8 @@ func (pr *projection) finish() error {
 				}
 				accs, extremes := pr.groups.accs(gid)
 				for a := range accs {
-					vals[a].vals[i] = accs[a].finalize(&pr.aggs[a], extremes)
+					b.aggs[a].vals[i] = accs[a].finalize(&pr.aggs[a], extremes)
 				}
-			}
-			for a := range vals {
-				b.aggs[a] = vals[a].uniform(b.sel, &typedVals[a])
 			}
 			if err := pr.emit(b); err != nil {
 				return err
@@ -285,15 +281,12 @@ func (pr *projection) finish() error {
 		return false
 	})
 	// The sorted rows go out a batch at a time, as Values.
-	for i := range pr.vecs {
-		pr.vecs[i] = &vec{kind: KindNull}
-	}
 	for lo := 0; lo < len(rows); lo += batchSize {
 		chunk := rows[lo:min(lo+batchSize, len(rows))]
-		for i, v := range pr.vecs {
-			v.fit(len(chunk))
+		for i := range pr.vecs {
+			pr.vecs[i] = &vec{kind: KindNull, vals: make([]Value, len(chunk))}
 			for f, at := range chunk {
-				v.vals[f] = pr.pending[at+i]
+				pr.vecs[i].vals[f] = pr.pending[at+i]
 			}
 		}
 		pr.release(identity[:len(chunk)])

@@ -42,17 +42,18 @@
 // a kernel over a batch. A batch holds one vector of row positions per FROM
 // slot and a selection vector of its live frames; a kernel fills a typed
 // vector at the selected frames — int64s, float64s or int32 dictionary
-// codes, with Values for computed strings and mixed kinds — and AND, OR,
-// CASE and IN narrow the selection before their later operands run, so a
-// function sees exactly the rows a row-at-a-time evaluation would reach. A
-// registered function runs once per selected frame inside its kernel's
-// loop. Each stage fills an output batch, runs the conjuncts that just
-// became evaluable over it and hands it on, in a fixed emission order
-// (outer order, then index chain or row order) so float SUMs associate the
-// same way every run. Keys are built and probed a batch at a time, and the
-// sink is the projection — GROUP BY state proportionate to groups, not
-// joined rows, fed in emission order — which hands its consumer a batch of
-// output columns: INSERT ... SELECT appends them to the target's columns.
+// codes, with Values for computed strings, function, CASE and aggregate
+// results and mixed kinds — and AND, OR, CASE and IN narrow the selection
+// before their later operands run, so a function sees exactly the rows a
+// row-at-a-time evaluation would reach. A registered function runs once
+// per selected frame inside its kernel's loop. Each stage fills an output
+// batch, runs the conjuncts that just became evaluable over it and hands
+// it on, in a fixed emission order (outer order, then index chain or row
+// order) so float SUMs associate the same way every run. Keys are built
+// and probed a batch at a time, and the sink is the projection — GROUP BY
+// state proportionate to groups, not joined rows, fed in emission order —
+// which hands its consumer a batch of output columns: INSERT ... SELECT
+// appends them to the target's columns.
 // Derived tables and IN subqueries are materialized as relations of the
 // same column layout; pushed-down filters as position lists; a hash stage
 // holds back at most its relation's row count of upstream frames, as
