@@ -276,16 +276,28 @@ func NewCorpus(records []Record, cfg Config, layers CorpusLayers) (*Corpus, erro
 	return c, nil
 }
 
+// Upper bounds on the sizes a Config names, far above any the paper or its
+// ablations use (q ≤ 4, min-hash size ≤ 20) and far below what padding
+// every string with q−1 characters or allocating a signature family of
+// that size would cost — a snapshot header is input from outside.
+const (
+	maxQ        = 64
+	maxMinHashK = 1024
+)
+
 // validateCorpus checks the invariants shared by all predicates.
 func validateCorpus(records []Record, cfg Config) error {
-	if cfg.Q < 1 {
-		return fmt.Errorf("approxsel: q-gram size must be ≥ 1, got %d", cfg.Q)
+	if cfg.Q < 1 || cfg.Q > maxQ {
+		return fmt.Errorf("approxsel: q-gram size must be in [1, %d], got %d", maxQ, cfg.Q)
 	}
-	if cfg.WordQ < 1 {
-		return fmt.Errorf("approxsel: word q-gram size must be ≥ 1, got %d", cfg.WordQ)
+	if cfg.WordQ < 1 || cfg.WordQ > maxQ {
+		return fmt.Errorf("approxsel: word q-gram size must be in [1, %d], got %d", maxQ, cfg.WordQ)
 	}
-	if cfg.PruneRate < 0 || cfg.PruneRate >= 1 {
+	if !(cfg.PruneRate >= 0 && cfg.PruneRate < 1) {
 		return fmt.Errorf("approxsel: prune rate must be in [0, 1), got %v", cfg.PruneRate)
+	}
+	if cfg.MinHashK > maxMinHashK {
+		return fmt.Errorf("approxsel: min-hash size must be ≤ %d, got %d", maxMinHashK, cfg.MinHashK)
 	}
 	seen := make(map[int]bool, len(records))
 	for _, r := range records {
@@ -650,13 +662,8 @@ func (c *Corpus) assemble(prev *Snapshot, sp *splice, epoch uint64, tokDur time.
 		tids:    spliceTIDs(prev.tids, sp),
 	}
 	if c.layers.Has(LayerGrams) {
-		pruned := c.cfg.PruneRate > 0
-		s.RawGrams = prev.RawGrams.splice(sp, sp.raw.docs, gramTables(c.layers, pruned, true))
-		s.Grams = s.RawGrams
-		if pruned {
-			all := (&splice{recs: s.Records}).seal(0)
-			s.Grams = emptyGramLayer().splice(all, pruneDocs(s.RawGrams, c.cfg.PruneRate), gramTables(c.layers, pruned, false))
-		}
+		s.RawGrams = prev.RawGrams.splice(sp, sp.raw.docs, gramTables(c.layers, c.cfg.PruneRate > 0, true))
+		s.Grams = c.effectiveGrams(s.Records, s.RawGrams)
 	}
 	if c.layers.Has(LayerNorms) {
 		s.Norms = spliceRows(prev.Norms, sp, sp.raw.norms)
@@ -666,6 +673,17 @@ func (c *Corpus) assemble(prev *Snapshot, sp *splice, epoch uint64, tokDur time.
 	}
 	s.TokDur, s.WeightDur = tokDur, time.Since(start)
 	return s
+}
+
+// effectiveGrams is the scoring layer over the raw gram layer of records:
+// the raw layer itself, or with PruneRate > 0 the IDF-pruned layer, built
+// in full because its idf threshold moves with every write.
+func (c *Corpus) effectiveGrams(records []Record, raw *GramLayer) *GramLayer {
+	if c.cfg.PruneRate <= 0 {
+		return raw
+	}
+	all := (&splice{recs: records}).seal(0)
+	return emptyGramLayer().splice(all, pruneDocs(raw, c.cfg.PruneRate), gramTables(c.layers, true, false))
 }
 
 // spliceTIDs carries the TID index over: dropped entries leave, positions

@@ -45,9 +45,6 @@ func (l *lazy[T]) get(build func() T) T {
 	return l.v
 }
 
-// set installs an already computed column (the snapshot decoder's path).
-func (l *lazy[T]) set(v T) { l.once.Do(func() { l.v = v }) }
-
 // PostTable is a rank-indexed weight column aligned with a layer's posting
 // ids — Post[r][j] is the weight of the token of rank r in record
 // Postings[r][j] — with its per-rank weight bound columns, the max-score
@@ -463,18 +460,6 @@ func (l *GramLayer) TF() [][]int32 {
 	})
 }
 
-// materialize derives every weight column the layer carries — what
-// WriteSnapshot needs before encoding.
-func (l *GramLayer) materialize() {
-	if l.layers.Has(LayerTokenIDs) {
-		l.idfByRank()
-	}
-	l.RS()
-	l.TFIDF()
-	l.LM()
-	l.TF()
-}
-
 // powInt is x^n for small positive integer exponents (term frequencies):
 // repeated multiplication is an order of magnitude cheaper than math.Pow
 // and exact for the n=1 common case. Large exponents fall back to math.Pow.
@@ -818,10 +803,4 @@ func (l *WordLayer) WordSigs() []strutil.WordSig {
 		}
 		return sigs
 	})
-}
-
-func (l *WordLayer) materialize() {
-	l.toks.idfByRank()
-	l.IDFWeights()
-	l.TFIDF()
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
-	"slices"
+	"io"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/store/segment"
@@ -21,7 +24,7 @@ func fuzzRecords() []Record {
 }
 
 // zeroNormRecords holds one record ("ab") whose grams all occur in every
-// record, so its tf-idf norm is 0 and its tf-idf rows are absent on disk.
+// record, so its tf-idf norm is 0 and the tf-idf table marks it skipped.
 func zeroNormRecords() []Record {
 	texts := []string{"ab cd", "ab", "cd ab", "ab ab ef", "xy ab", "ab cd ef"}
 	out := make([]Record, len(texts))
@@ -37,115 +40,182 @@ func encodedGramLayer(t testing.TB, recs []Record) []byte {
 		t.Fatal(err)
 	}
 	e := segment.NewEncoder(1 << 16)
-	encodeGramLayer(e, c.Snapshot().Grams, wireTables(c.layers, false, false))
+	encodeTokens(e, c.Snapshot().Grams)
 	return e.Bytes()
-}
-
-// TestDecodeWPostTableRejectsHostileRows feeds the weighted-table decoder
-// rows that disagree with the shared posting ids — a wrong record, a
-// missing row, an extra row, a wrong total, rows for records the skip
-// column marks — and tf values that are not positive integers. Each must be
-// an error, never a misaligned column.
-func TestDecodeWPostTableRejectsHostileRows(t *testing.T) {
-	c, err := NewCorpus(zeroNormRecords(), DefaultConfig(), AllLayers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := c.Snapshot().Grams
-	tfidf := l.TFIDF()
-	if tfidf.Skip == nil {
-		t.Fatal("precondition: the fixture has a zero-norm record")
-	}
-	identity := func(v float64) (float64, bool) { return v, true }
-	decode := func(ids [][]int32, col [][]float64, encSkip, decSkip []bool) ([][]float64, error) {
-		e := segment.NewEncoder(1 << 12)
-		encodeWPostTable(e, ids, col, encSkip)
-		return decodeWPostTable(segment.NewDecoder(e.Bytes()), l, decSkip, identity)
-	}
-	got, err := decode(l.Postings, tfidf.Post, tfidf.Skip, tfidf.Skip)
-	if err != nil || !slices.EqualFunc(got, tfidf.Post, slices.Equal[[]float64]) {
-		t.Fatalf("clean round trip: %v", err)
-	}
-	// r is a rank whose list holds at least two records, none of which the
-	// skip column marks.
-	r := slices.IndexFunc(l.Postings, func(ids []int32) bool {
-		return len(ids) >= 2 && rowCount(ids, tfidf.Skip) == len(ids)
-	})
-	edit := func(f func(ids [][]int32, col [][]float64)) ([][]int32, [][]float64) {
-		ids, col := make([][]int32, len(l.Postings)), make([][]float64, len(l.Postings))
-		for i := range ids {
-			ids[i], col[i] = slices.Clone(l.Postings[i]), slices.Clone(tfidf.Post[i])
-		}
-		f(ids, col)
-		return ids, col
-	}
-	hostile := map[string]func(ids [][]int32, col [][]float64){
-		"wrong record": func(ids [][]int32, _ [][]float64) { ids[r][0], ids[r][1] = ids[r][1], ids[r][0] },
-		"missing row":  func(ids [][]int32, col [][]float64) { ids[r], col[r] = ids[r][1:], col[r][1:] },
-		"extra row": func(ids [][]int32, col [][]float64) {
-			ids[r], col[r] = append(ids[r], ids[r][0]), append(col[r], 0)
-		},
-		"repeated record": func(ids [][]int32, _ [][]float64) { ids[r][1] = ids[r][0] },
-	}
-	for name, f := range hostile {
-		ids, col := edit(f)
-		if _, err := decode(ids, col, tfidf.Skip, tfidf.Skip); err == nil {
-			t.Errorf("%s: decoded without error", name)
-		}
-	}
-	if _, err := decode(l.Postings, tfidf.Post, nil, tfidf.Skip); err == nil {
-		t.Error("rows for skipped records: decoded without error")
-	}
-	if _, err := decode(l.Postings, tfidf.Post, tfidf.Skip, nil); err == nil {
-		t.Error("missing rows for unmarked records: decoded without error")
-	}
-	e := segment.NewEncoder(1 << 12)
-	encodeWPostTable(e, l.Postings, tfidf.Post, tfidf.Skip)
-	b := e.Bytes()
-	b[0]++ // the leading total
-	if _, err := decodeWPostTable(segment.NewDecoder(b), l, tfidf.Skip, identity); err == nil {
-		t.Error("wrong total: decoded without error")
-	}
-
-	tf := l.TF()
-	for _, v := range []float64{0, -1, 1.5, 1 << 40} {
-		bad := make([][]float64, len(tf))
-		for i := range tf {
-			bad[i] = make([]float64, len(tf[i]))
-			for j, x := range tf[i] {
-				bad[i][j] = float64(x)
-			}
-		}
-		bad[r][0] = v
-		e := segment.NewEncoder(1 << 12)
-		encodeWPostTable(e, l.Postings, bad, nil)
-		if _, err := decodeWPostTable(segment.NewDecoder(e.Bytes()), l, nil, tfValue); err == nil {
-			t.Errorf("tf %v: decoded without error", v)
-		}
-	}
 }
 
 // FuzzDecodeGramLayer decodes arbitrary gram layer sections. Whatever the
 // bytes, the decoder returns an error or a layer whose posting ids are in
-// range and ascending and whose every weight column holds one value per
-// shared id — never a panic, never a misaligned column.
+// range and ascending and whose every weight column derives with one value
+// per shared id — never a panic, never a misaligned column.
 func FuzzDecodeGramLayer(f *testing.F) {
-	wire := gramTables(AllLayers.withDeps(), false, false)
 	for _, recs := range [][]Record{fuzzRecords(), zeroNormRecords()} {
 		payload := encodedGramLayer(f, recs)
-		if _, err := decodeGramLayer(payload, len(recs), wire, wire); err != nil {
+		if _, err := decodeGramLayer(payload, len(recs), AllLayers); err != nil {
 			f.Fatalf("seed of %d records does not decode: %v", len(recs), err)
 		}
 		f.Add(payload, uint8(len(recs)))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte, n uint8) {
 		nrec := int(n)
-		l, err := decodeGramLayer(payload, nrec, wire, wire)
+		l, err := decodeGramLayer(payload, nrec, AllLayers)
 		if err != nil {
 			return
 		}
 		if err := checkDecodedLayer(l, nrec); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// snapshotTags are the sections FuzzLoadSnapshot frames, in segment order.
+var snapshotTags = []uint8{secHeader, secRecords, secRawGrams, secWords, secNorms}
+
+// splitSnapshot returns the payloads of a segment's sections in
+// snapshotTags order, empty where the segment has none.
+func splitSnapshot(t testing.TB, data []byte) [][]byte {
+	r, err := segment.NewReader(data, SnapshotMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byTag := map[uint8][]byte{}
+	for {
+		tag, payload, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		byTag[tag] = payload
+	}
+	out := make([][]byte, len(snapshotTags))
+	for i, tag := range snapshotTags {
+		out[i] = byTag[tag]
+	}
+	return out
+}
+
+// frameSnapshot frames section payloads, in snapshotTags order, into a
+// segment with valid CRCs.
+func frameSnapshot(t testing.TB, payloads ...[]byte) []byte {
+	var buf bytes.Buffer
+	sw, err := segment.NewWriter(&buf, SnapshotMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range payloads {
+		if err := sw.Section(snapshotTags[i], p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// headerPayload encodes a snapshot header section as WriteSnapshot does.
+func headerPayload(cfg Config, layers CorpusLayers, nrec int, pruned bool) []byte {
+	e := segment.NewEncoder(128)
+	encodeConfig(e, cfg)
+	e.U32(uint32(layers))
+	e.U64(0)
+	e.Int(nrec)
+	e.Bool(pruned)
+	return e.Bytes()
+}
+
+// hostileHeader is a segment of about a hundred bytes whose header asks
+// for min-hash signatures of 2^40 values: a loader that sized a signature
+// family from it would exhaust memory, which no recover can catch.
+func hostileHeader(t testing.TB) []byte {
+	cfg := DefaultConfig()
+	cfg.MinHashK = 1 << 40
+	return frameSnapshot(t, headerPayload(cfg, LayerSigs.withDeps(), 0, false), nil, nil, nil, nil)
+}
+
+func snapshotBytes(t testing.TB, recs []Record, cfg Config, layers CorpusLayers) []byte {
+	c, err := NewCorpus(recs, cfg, layers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := c.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadSnapshotRejectsHostileHeader loads CRC-valid segments whose header
+// or signatures contradict what a corpus can be. Each must be an error,
+// never a crash: the header's config passes the same validation NewCorpus
+// runs, and the stored signatures must be as wide as the config says.
+func TestLoadSnapshotRejectsHostileHeader(t *testing.T) {
+	if _, err := LoadSnapshot(hostileHeader(t)); err == nil || !strings.Contains(err.Error(), "min-hash size") {
+		t.Fatalf("min-hash size 2^40: %v", err)
+	}
+	recs := persistRecords()
+	secs := splitSnapshot(t, snapshotBytes(t, recs, DefaultConfig(), AllLayers))
+	load := func(cfg Config, nrec int, pruned bool) error {
+		framed := append([][]byte{headerPayload(cfg, AllLayers, nrec, pruned)}, secs[1:]...)
+		_, err := LoadSnapshot(frameSnapshot(t, framed...))
+		return err
+	}
+	if err := load(DefaultConfig(), len(recs), false); err != nil {
+		t.Fatalf("re-framed segment does not load: %v", err)
+	}
+	wide := DefaultConfig()
+	wide.MinHashK++
+	nan := DefaultConfig()
+	nan.PruneRate = math.NaN()
+	hugeQ := DefaultConfig()
+	hugeQ.Q = 1 << 40
+	for name, err := range map[string]error{
+		"signatures narrower than the config": load(wide, len(recs), false),
+		"NaN prune rate":                      load(nan, len(recs), false),
+		"q-grams of 2^40 characters":          load(hugeQ, len(recs), false),
+		"pruning flag without a prune rate":   load(DefaultConfig(), len(recs), true),
+		"more records than the section holds": load(DefaultConfig(), 1<<40, false),
+		"fewer records than the layers hold":  load(DefaultConfig(), len(recs)-1, false),
+	} {
+		if err == nil {
+			t.Errorf("%s: loaded without error", name)
+		}
+	}
+}
+
+// FuzzLoadSnapshot loads segments framed from arbitrary header, records,
+// gram, word and norms payloads with valid CRCs, so the bytes reach the
+// section decoders rather than the CRC check. Whatever loads must carry
+// aligned posting columns and derive every weight column its layers carry
+// without a panic.
+func FuzzLoadSnapshot(f *testing.F) {
+	pruned := DefaultConfig()
+	pruned.PruneRate = 0.2
+	for _, seg := range [][]byte{
+		snapshotBytes(f, persistRecords(), DefaultConfig(), AllLayers),
+		snapshotBytes(f, persistRecords(), pruned, AllLayers),
+		snapshotBytes(f, zeroNormRecords(), DefaultConfig(), LayerTFIDF.withDeps()),
+		snapshotBytes(f, persistRecords(), DefaultConfig(), (LayerSigs | LayerNorms).withDeps()),
+		hostileHeader(f),
+	} {
+		s := splitSnapshot(f, seg)
+		f.Add(s[0], s[1], s[2], s[3], s[4])
+	}
+	f.Fuzz(func(t *testing.T, header, records, grams, words, norms []byte) {
+		c, err := LoadSnapshot(frameSnapshot(t, header, records, grams, words, norms))
+		if err != nil {
+			return
+		}
+		s := c.Snapshot()
+		deriveColumns(s)
+		for _, l := range []*GramLayer{s.RawGrams, s.Grams} {
+			if l != nil {
+				if err := checkDecodedLayer(l, len(s.Records)); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	})
 }

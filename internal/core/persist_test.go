@@ -6,6 +6,8 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"repro/internal/weights"
 )
 
 // persistRecords builds a relation exercising every layer: repeated tokens,
@@ -44,22 +46,11 @@ func roundTrip(t *testing.T, c *Corpus) *Corpus {
 // distinguishes float bit patterns via ==; NaNs do not appear in the
 // tables). This is the strongest form of the persistence contract: not
 // just equal scores, but equal state. Weight columns derive on first use,
-// so both sides materialize every column they carry first.
+// so both sides derive every column they carry first.
 func assertSnapshotsIdentical(t *testing.T, want, got *Snapshot) {
 	t.Helper()
-	for _, s := range []*Snapshot{want, got} {
-		for _, l := range []*GramLayer{s.RawGrams, s.Grams} {
-			if l != nil {
-				l.materialize()
-				l.idfByRank() // pruning derives it on the raw layer too
-				l.Stats.Export()
-			}
-		}
-		if s.Words != nil {
-			s.Words.materialize()
-			s.Words.Stats.Export()
-		}
-	}
+	deriveColumns(want)
+	deriveColumns(got)
 	if want.Epoch != got.Epoch {
 		t.Fatalf("epoch: want %d, got %d", want.Epoch, got.Epoch)
 	}
@@ -83,6 +74,33 @@ func assertSnapshotsIdentical(t *testing.T, want, got *Snapshot) {
 	}
 	if !reflect.DeepEqual(want.Norms, got.Norms) {
 		t.Fatalf("norms differ")
+	}
+}
+
+// deriveColumns derives, through their accessors, every weight column and
+// float aggregate the snapshot's layers carry.
+func deriveColumns(s *Snapshot) {
+	stats := func(st *weights.Corpus) {
+		st.AvgIDF()
+		if st.Tokens() > 0 {
+			st.PavgAt(0) // sums Σ tf/dl for every rank
+		}
+	}
+	for _, l := range []*GramLayer{s.RawGrams, s.Grams} {
+		if l != nil {
+			l.idfByRank() // pruning derives it on the raw layer too
+			l.RS()
+			l.TFIDF()
+			l.LM()
+			l.TF()
+			stats(l.Stats)
+		}
+	}
+	if w := s.Words; w != nil {
+		w.IDFWeights()
+		w.TFIDF()
+		w.WordSigs()
+		stats(w.Stats)
 	}
 }
 
@@ -379,13 +397,11 @@ func TestFreezeSerializesAgainstMutations(t *testing.T) {
 	}
 }
 
-// TestLoadSegmentWithoutPostingIDs loads a segment written before every
-// weight column shared the layer's posting ids: its header names the
-// tf-idf, LM and edit tables but not LayerPostings, so no id lists are on
-// disk. The loader rebuilds them from the interned pairs and reads the
-// stored (record, weight) rows against them; the result must equal a fresh
-// build, including the zero-norm record ("ab", TID 2) the tf-idf rows leave
-// out.
+// TestLoadSegmentWithoutPostingIDs loads a legacy segment written before
+// every weight column shared the layer's posting ids: its header names the
+// tf-idf, LM and edit tables but not LayerPostings. The loader builds the
+// corpus from its records; the result must equal a fresh build, including
+// the zero-norm record ("ab", TID 2) the tf-idf table marks.
 func TestLoadSegmentWithoutPostingIDs(t *testing.T) {
 	data, err := os.ReadFile("testdata/lean-without-posting-ids.seg")
 	if err != nil {

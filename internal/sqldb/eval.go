@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"unicode/utf8"
 )
@@ -129,7 +130,7 @@ func isAggregate(e expr) bool {
 		}
 		return false
 	case *inExpr:
-		return isAggregate(x.X)
+		return isAggregate(x.X) || slices.ContainsFunc(x.List, isAggregate)
 	case *isNullExpr:
 		return isAggregate(x.X)
 	case *caseExpr:

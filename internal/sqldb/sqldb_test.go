@@ -661,6 +661,13 @@ func TestAggregateInsideExpression(t *testing.T) {
 	if got := rows.Data[0][1].AsFloat(); math.Abs(got-2.0/5.0) > 1e-12 {
 		t.Fatalf("agg inside expr: %v", got)
 	}
+	// An aggregate is one on either side of IN.
+	for _, q := range []string{"SELECT COUNT(*) IN (3) FROM t", "SELECT 3 IN (COUNT(*)) FROM t"} {
+		rows := mustQuery(t, db, q)
+		if len(rows.Data) != 1 || rows.Data[0][0].AsInt() != 1 {
+			t.Fatalf("%s: %v", q, rows.Data)
+		}
+	}
 }
 
 func TestBulkInsertAndTableAccessors(t *testing.T) {

@@ -243,7 +243,7 @@ func TestOpenFallsBackToOlderSegment(t *testing.T) {
 	// A corrupt newer segment must not brick the store when the WAL still
 	// covers its epoch: open falls back to the older segment and the
 	// replay reaches the corrupt segment's named epoch exactly.
-	if err := os.WriteFile(filepath.Join(dir, segName(1)), []byte("APXSNAP1garbage"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), []byte(core.SnapshotMagic+"garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	l2, err := Open(dir)
@@ -266,7 +266,7 @@ func TestOpenRefusesEpochRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	if err := os.WriteFile(filepath.Join(dir, segName(7)), []byte("APXSNAP1garbage"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segName(7)), []byte(core.SnapshotMagic+"garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir); err == nil {

@@ -9,7 +9,6 @@
 package weights
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -309,58 +308,6 @@ func (c *Corpus) TFIDF(counts map[string]int) map[string]float64 {
 		out[c.tokens[p.Rank]] = float64(p.TF) * c.IDFAt(p.Rank) / norm
 	}
 	return out
-}
-
-// ---- persistence ----
-
-// StatsData is the flat, rank-indexed form of a Corpus used by the
-// persistence layer: three arrays in sorted token order plus the scalars.
-type StatsData struct {
-	N      int
-	CS     int
-	AvgDL  float64
-	AvgIDF float64
-	DF     []int64
-	CF     []int64
-	SumPML []float64
-}
-
-// Export flattens the corpus statistics, materializing both float
-// aggregates.
-func (c *Corpus) Export() StatsData {
-	d := StatsData{
-		N:      c.n,
-		CS:     c.cs,
-		AvgDL:  c.AvgDL(),
-		AvgIDF: c.AvgIDF(),
-		DF:     make([]int64, len(c.tokens)),
-		CF:     make([]int64, len(c.tokens)),
-		SumPML: c.sumPML(),
-	}
-	for i := range c.tokens {
-		d.DF[i] = int64(c.df[i])
-		d.CF[i] = int64(c.cf[i])
-	}
-	return d
-}
-
-// FromData rebuilds a Corpus from its flat form. The float aggregates are
-// restored bit-exactly from the data rather than recomputed, so a restored
-// corpus answers every weight lookup with the same bits as the corpus
-// Export flattened.
-func FromData(tokens []string, d StatsData) (*Corpus, error) {
-	if len(d.DF) != len(tokens) || len(d.CF) != len(tokens) || len(d.SumPML) != len(tokens) {
-		return nil, fmt.Errorf("weights: stats arrays (%d/%d/%d entries) do not match %d tokens",
-			len(d.DF), len(d.CF), len(d.SumPML), len(tokens))
-	}
-	c := &Corpus{n: d.N, cs: d.CS, tokens: tokens, df: make([]int32, len(tokens)), cf: make([]int32, len(tokens))}
-	for i := range tokens {
-		c.df[i] = int32(d.DF[i])
-		c.cf[i] = int32(d.CF[i])
-	}
-	c.pml.once.Do(func() { c.pml.v = d.SumPML })
-	c.avg.once.Do(func() { c.avg.v = d.AvgIDF })
-	return c, nil
 }
 
 // BM25Params are the free parameters of the BM25 predicate. The paper sets
