@@ -91,6 +91,11 @@ func TestCorpusValidation(t *testing.T) {
 	if _, err := NewCorpus(corpusRecords(), cfg, LayerGrams); err == nil {
 		t.Error("prune rate 1 must be rejected")
 	}
+	cfg = DefaultConfig()
+	cfg.MinHashK = maxMinHashK + 1
+	if _, err := NewCorpus(corpusRecords(), cfg, LayerSigs); err == nil {
+		t.Error("a min-hash size above the bound must be rejected")
+	}
 	dup := []Record{{TID: 1, Text: "a"}, {TID: 1, Text: "b"}}
 	if _, err := NewCorpus(dup, DefaultConfig(), LayerGrams); err == nil {
 		t.Error("duplicate TIDs must be rejected")
