@@ -276,8 +276,8 @@ func TestIncrementalAssembleMatchesFresh(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Predicates first, so the byte comparison below also covers
-				// snapshots whose columns derived one by one.
+				// Predicates first, so the state comparison below also covers
+				// layers whose columns derived one by one on attach.
 				got, want := attachable(t, c, cfg), attachable(t, fresh, cfg)
 				if len(got) != tc.want || len(want) != tc.want {
 					t.Fatalf("step %d: %d/%d predicates attached, want %d", step, len(got), len(want), tc.want)
@@ -301,6 +301,12 @@ func TestIncrementalAssembleMatchesFresh(t *testing.T) {
 					if err := core.ColumnsAligned(l); err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
+				}
+				// Spliced pairs, df/cf/cs, Σ tf/dl, posting ids, every weight
+				// column and the pruned effective layer re-derive on load, so
+				// no segment holds them: compare them as state.
+				if d := core.SnapshotStateDiff(fresh.Snapshot(), c.Snapshot()); d != "" {
+					t.Fatalf("step %d (epoch %d, %d records): mutated corpus differs from a fresh build: %s", step, c.Epoch(), len(recs), d)
 				}
 				a, b := snapshotSections(t, c), snapshotSections(t, fresh)
 				if len(a) != len(b) {

@@ -390,6 +390,9 @@ func decodeRankRows(d *segment.Decoder, nrec, nTok int, what string) ([][]int32,
 		}
 		rows[i] = backing[start:len(backing):len(backing)]
 	}
+	if len(backing) != total {
+		return nil, fmt.Errorf("approxsel: %s table holds %d entries, its %d rows %d", what, total, nrec, len(backing))
+	}
 	return rows, nil
 }
 

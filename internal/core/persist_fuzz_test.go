@@ -177,10 +177,24 @@ func TestLoadSnapshotRejectsHostileHeader(t *testing.T) {
 		"q-grams of 2^40 characters":          load(hugeQ, len(recs), false),
 		"pruning flag without a prune rate":   load(DefaultConfig(), len(recs), true),
 		"more records than the section holds": load(DefaultConfig(), 1<<40, false),
-		"fewer records than the layers hold":  load(DefaultConfig(), len(recs)-1, false),
 	} {
 		if err == nil {
 			t.Errorf("%s: loaded without error", name)
+		}
+	}
+	// One record fewer in the header, records and norms sections, which
+	// then decode cleanly: the rank rows of the layer taken from the full
+	// segment outnumber the records, and its decoder must say so.
+	short := splitSnapshot(t, snapshotBytes(t, recs[:len(recs)-1], DefaultConfig(), AllLayers))
+	for name, grams := range map[string]bool{"gram layer": true, "word layer": false} {
+		framed := append([][]byte{headerPayload(DefaultConfig(), AllLayers, len(recs)-1, false)}, short[1:]...)
+		if grams {
+			framed[2] = secs[2]
+		} else {
+			framed[3] = secs[3]
+		}
+		if _, err := LoadSnapshot(frameSnapshot(t, framed...)); err == nil || !strings.Contains(err.Error(), "token table holds") {
+			t.Errorf("%s with more rows than records: %v", name, err)
 		}
 	}
 }

@@ -45,36 +45,41 @@ func roundTrip(t *testing.T, c *Corpus) *Corpus {
 // field — including every float table bit for bit (reflect.DeepEqual
 // distinguishes float bit patterns via ==; NaNs do not appear in the
 // tables). This is the strongest form of the persistence contract: not
-// just equal scores, but equal state. Weight columns derive on first use,
-// so both sides derive every column they carry first.
+// just equal scores, but equal state.
 func assertSnapshotsIdentical(t *testing.T, want, got *Snapshot) {
 	t.Helper()
-	deriveColumns(want)
-	deriveColumns(got)
 	if want.Epoch != got.Epoch {
 		t.Fatalf("epoch: want %d, got %d", want.Epoch, got.Epoch)
 	}
-	if !reflect.DeepEqual(want.Records, got.Records) {
-		t.Fatalf("records differ")
+	if d := snapshotStateDiff(want, got); d != "" {
+		t.Fatal(d)
 	}
-	if !reflect.DeepEqual(want.tids, got.tids) {
-		t.Fatalf("TID index differs")
+}
+
+// snapshotStateDiff reports the first difference between two snapshots'
+// state, everything but the epoch, or "" when there is none. Weight
+// columns derive on first use, so both sides derive every column they
+// carry first.
+func snapshotStateDiff(want, got *Snapshot) string {
+	deriveColumns(want)
+	deriveColumns(got)
+	switch {
+	case !reflect.DeepEqual(want.Records, got.Records):
+		return "records differ"
+	case !reflect.DeepEqual(want.tids, got.tids):
+		return "TID index differs"
+	case (want.Grams == want.RawGrams) != (got.Grams == got.RawGrams):
+		return "effective-layer aliasing differs"
+	case !reflect.DeepEqual(want.RawGrams, got.RawGrams):
+		return "raw gram layer differs:\n" + diffGramLayer(want.RawGrams, got.RawGrams)
+	case !reflect.DeepEqual(want.Grams, got.Grams):
+		return "effective gram layer differs:\n" + diffGramLayer(want.Grams, got.Grams)
+	case !reflect.DeepEqual(want.Words, got.Words):
+		return "word layer differs:\n" + diffWordLayer(want.Words, got.Words)
+	case !reflect.DeepEqual(want.Norms, got.Norms):
+		return "norms differ"
 	}
-	if (want.Grams == want.RawGrams) != (got.Grams == got.RawGrams) {
-		t.Fatalf("effective-layer aliasing differs")
-	}
-	if !reflect.DeepEqual(want.RawGrams, got.RawGrams) {
-		t.Fatalf("raw gram layer differs:\n%s", diffGramLayer(want.RawGrams, got.RawGrams))
-	}
-	if !reflect.DeepEqual(want.Grams, got.Grams) {
-		t.Fatalf("effective gram layer differs:\n%s", diffGramLayer(want.Grams, got.Grams))
-	}
-	if !reflect.DeepEqual(want.Words, got.Words) {
-		t.Fatalf("word layer differs:\n%s", diffWordLayer(want.Words, got.Words))
-	}
-	if !reflect.DeepEqual(want.Norms, got.Norms) {
-		t.Fatalf("norms differ")
-	}
+	return ""
 }
 
 // deriveColumns derives, through their accessors, every weight column and
