@@ -559,7 +559,6 @@ type rawCols struct {
 	words  [][]string
 	vocab  [][]string
 	vgrams [][][]string
-	sigs   [][][]uint64
 	norms  []string
 }
 
@@ -576,9 +575,6 @@ func (c *Corpus) tokenize(sp *splice) {
 	if c.layers.Has(LayerWordGrams) {
 		raw.vocab, raw.vgrams = make([][]string, n), make([][][]string, n)
 	}
-	if c.layers.Has(LayerSigs) {
-		raw.sigs = make([][][]uint64, n)
-	}
 	if c.layers.Has(LayerNorms) {
 		raw.norms = make([]string, n)
 	}
@@ -593,13 +589,7 @@ func (c *Corpus) tokenize(sp *splice) {
 			raw.vocab[k] = tokenize.Distinct(raw.words[k])
 			raw.vgrams[k] = make([][]string, len(raw.vocab[k]))
 			for j, w := range raw.vocab[k] {
-				raw.vgrams[k][j] = tokenize.Distinct(tokenize.WordQGrams(w, c.cfg.WordQ))
-			}
-		}
-		if raw.sigs != nil {
-			raw.sigs[k] = make([][]uint64, len(raw.vocab[k]))
-			for j, grams := range raw.vgrams[k] {
-				raw.sigs[k][j] = c.fam.Signature(grams)
+				raw.vgrams[k][j] = wordGrams(w, c.cfg.WordQ)
 			}
 		}
 		if raw.norms != nil {
@@ -631,7 +621,7 @@ func (c *Corpus) emptySnapshot() *Snapshot {
 		s.RawGrams = emptyGramLayer()
 	}
 	if c.layers.Has(LayerWords) {
-		s.Words = newWordLayer(emptyGramLayer(), c.layers)
+		s.Words = newWordLayer(emptyGramLayer(), nil, c.layers)
 	}
 	return s
 }
@@ -663,27 +653,26 @@ func (c *Corpus) assemble(prev *Snapshot, sp *splice, epoch uint64, tokDur time.
 	}
 	if c.layers.Has(LayerGrams) {
 		s.RawGrams = prev.RawGrams.splice(sp, sp.raw.docs, gramTables(c.layers, c.cfg.PruneRate > 0, true))
-		s.Grams = c.effectiveGrams(s.Records, s.RawGrams)
+		s.Grams = c.effectiveGrams(s.RawGrams)
 	}
 	if c.layers.Has(LayerNorms) {
 		s.Norms = spliceRows(prev.Norms, sp, sp.raw.norms)
 	}
 	if c.layers.Has(LayerWords) {
-		s.Words = prev.Words.splice(sp, c.layers)
+		s.Words = prev.Words.splice(sp, c.layers, c.cfg.WordQ, c.fam)
 	}
 	s.TokDur, s.WeightDur = tokDur, time.Since(start)
 	return s
 }
 
-// effectiveGrams is the scoring layer over the raw gram layer of records:
-// the raw layer itself, or with PruneRate > 0 the IDF-pruned layer, built
-// in full because its idf threshold moves with every write.
-func (c *Corpus) effectiveGrams(records []Record, raw *GramLayer) *GramLayer {
+// effectiveGrams is the scoring layer over a raw gram layer: the raw layer
+// itself, or with PruneRate > 0 the IDF-pruned layer, built in full from
+// the raw pairs because its idf threshold moves with every write.
+func (c *Corpus) effectiveGrams(raw *GramLayer) *GramLayer {
 	if c.cfg.PruneRate <= 0 {
 		return raw
 	}
-	all := (&splice{recs: records}).seal(0)
-	return emptyGramLayer().splice(all, pruneDocs(raw, c.cfg.PruneRate), gramTables(c.layers, true, false))
+	return pruneLayer(raw, c.cfg.PruneRate, gramTables(c.layers, true, false))
 }
 
 // spliceTIDs carries the TID index over: dropped entries leave, positions

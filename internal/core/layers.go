@@ -8,18 +8,24 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/minhash"
 	"repro/internal/strutil"
+	"repro/internal/tokenize"
 	"repro/internal/weights"
 )
 
 // This file holds the two token layers of a snapshot. Each layer has three
 // kinds of state:
 //
-//   - per-record tokenization products (gram multisets, word sequences,
-//     vocabularies, signatures), shared row by row between snapshots;
+//   - per-record tokenization products, shared row by row between
+//     snapshots: the interned (rank, tf) pairs and lengths of the gram
+//     multisets, the word sequences, the vocabularies. No per-gram string
+//     is kept: a record's grams are ranks into the sorted token table, and
+//     the q-grams and min-hash signatures of its words are recounted from
+//     its vocabulary when the record leaves the tables;
 //   - structural tables — the sorted token dictionary with its integer
-//     counters, interned (rank, tf) pairs, inverted lists — spliced from the
-//     predecessor by the primitives of splice.go;
+//     counters, inverted lists, the word q-gram and signature indexes —
+//     spliced from the predecessor by the primitives of splice.go;
 //   - weight columns that depend on N (idf, RS, tf-idf, the language-model
 //     table, the float aggregates of the statistics), derived by flat passes
 //     over the interned pairs the first time a predicate view asks for
@@ -81,10 +87,10 @@ type LMTable struct {
 // GramLayer is the q-gram token layer of a snapshot. All fields are
 // read-only once the snapshot is published.
 type GramLayer struct {
-	// Docs and DL are the per-record gram multisets (occurrence order) and
-	// their sizes.
-	Docs [][]string
-	DL   []int
+	// DL is the size of every record's gram multiset. The multisets
+	// themselves are the Pairs; their occurrence order is not kept (the
+	// positional edit filter recounts it from the record text).
+	DL []int
 	// Stats holds the collection statistics; TokenByRank is its sorted
 	// token order, which ranks index.
 	Stats       *weights.Corpus
@@ -112,7 +118,8 @@ func emptyGramLayer() *GramLayer {
 }
 
 // splice produces the layer that follows l when the record list changes by
-// sp; docs are the token multisets of sp.recs.
+// sp; docs are the token multisets of sp.recs, which the layer keeps only
+// as interned pairs.
 func (l *GramLayer) splice(sp *splice, docs [][]string, layers CorpusLayers) *GramLayer {
 	removed := sp.removed
 	kd := newKeyDelta(l.TokenByRank, strings.Compare)
@@ -145,7 +152,6 @@ func (l *GramLayer) splice(sp *splice, docs [][]string, layers CorpusLayers) *Gr
 	tokens, remap := kd.finish(func(id int32) int32 { return l.Stats.DFs()[id] })
 
 	next := &GramLayer{
-		Docs:        spliceRows(l.Docs, sp, docs),
 		DL:          spliceRows(l.DL, sp, dls),
 		TokenByRank: tokens,
 		layers:      layers,
@@ -155,7 +161,7 @@ func (l *GramLayer) splice(sp *splice, docs [][]string, layers CorpusLayers) *Gr
 	next.Stats = weights.New(tokens,
 		remapCounts(l.Stats.DFs(), kd.delta, remap, len(tokens)),
 		remapCounts(l.Stats.CFs(), dcf, remap, len(tokens)),
-		len(next.Docs), l.Stats.CS()+dcs,
+		len(next.DL), l.Stats.CS()+dcs,
 		func() []float64 { return weights.SumPML(pairs, dl, len(tokens)) })
 	if layers.Has(LayerPostings) {
 		sh := newValueShift(len(removed))
@@ -482,26 +488,94 @@ func powInt(x float64, n int) float64 {
 	}
 }
 
-// pruneDocs drops tokens whose idf falls below the §5.6 pruning threshold
-// min(idf) + rate·(max(idf) − min(idf)).
-func pruneDocs(l *GramLayer, rate float64) [][]string {
+// pruneLayer is the §5.6 IDF-pruned layer over l: every rank whose idf falls
+// below min(idf) + rate·(max(idf) − min(idf)) leaves, the kept ranks map
+// monotonically into the pruned token table (so every row stays sorted),
+// and a record's length is the tf its kept ranks sum to.
+func pruneLayer(l *GramLayer, rate float64, layers CorpusLayers) *GramLayer {
 	idf := l.idfByRank()
-	if len(idf) == 0 {
-		return l.Docs
+	var threshold float64
+	if len(idf) > 0 {
+		lo, hi := slices.Min(idf), slices.Max(idf)
+		threshold = lo + rate*(hi-lo)
 	}
-	lo, hi := slices.Min(idf), slices.Max(idf)
-	threshold := lo + rate*(hi-lo)
-	out := make([][]string, len(l.Docs))
-	for i, doc := range l.Docs {
-		kept := make([]string, 0, len(doc))
-		for _, t := range doc {
-			if idf[pairIn(l.Pairs[i], l.TokenByRank, t).Rank] >= threshold {
-				kept = append(kept, t)
+	remap := make([]int32, len(idf))
+	var tokens []string
+	for r, v := range idf {
+		remap[r] = -1
+		if v >= threshold {
+			remap[r] = int32(len(tokens))
+			tokens = append(tokens, l.TokenByRank[r])
+		}
+	}
+	total := 0
+	for _, row := range l.Pairs {
+		total += len(row)
+	}
+	backing := make([]RankTF, 0, total)
+	pairs, dl := make([][]RankTF, len(l.Pairs)), make([]int, len(l.Pairs))
+	for i, row := range l.Pairs {
+		start := len(backing)
+		for _, p := range row {
+			if nr := remap[p.Rank]; nr >= 0 {
+				backing = append(backing, RankTF{Rank: nr, TF: p.TF})
+				dl[i] += int(p.TF)
 			}
 		}
-		out[i] = kept
+		pairs[i] = backing[start:len(backing):len(backing)]
 	}
-	return out
+	return countedGramLayer(tokens, pairs, dl, layers)
+}
+
+// countedGramLayer builds a layer over its sorted token table and interned
+// rows the way assembly builds it: integer df/cf/cs counters, statistics
+// whose Σ tf/dl aggregate sums on first use (the supplier GramLayer.splice
+// installs), and the posting ids when the layer carries them. Every weight
+// column stays lazy.
+func countedGramLayer(tokens []string, pairs [][]RankTF, dl []int, layers CorpusLayers) *GramLayer {
+	df, cf := make([]int32, len(tokens)), make([]int32, len(tokens))
+	cs := 0
+	for i, row := range pairs {
+		for _, p := range row {
+			df[p.Rank]++
+			cf[p.Rank] += p.TF
+		}
+		cs += dl[i]
+	}
+	l := &GramLayer{DL: dl, TokenByRank: tokens, Pairs: pairs, layers: layers}
+	l.Stats = weights.New(tokens, df, cf, len(pairs), cs, func() []float64 { return weights.SumPML(pairs, dl, len(tokens)) })
+	if layers.Has(LayerPostings) {
+		l.Postings = postingsFromPairs(pairs, len(tokens))
+	}
+	return l
+}
+
+// postingsFromPairs builds the distinct-token inverted index from the
+// interned pairs — the lists assembly splices, rebuilt with the same
+// integer arithmetic: per rank, the ascending positions of the records
+// holding the token.
+func postingsFromPairs(pairs [][]RankTF, nTok int) [][]int32 {
+	df := make([]int, nTok)
+	total := 0
+	for _, row := range pairs {
+		for _, p := range row {
+			df[p.Rank]++
+		}
+		total += len(row)
+	}
+	backing := make([]int32, total)
+	lists := make([][]int32, nTok)
+	off := 0
+	for r, n := range df {
+		lists[r] = backing[off : off : off+n]
+		off += n
+	}
+	for i, row := range pairs {
+		for _, p := range row {
+			lists[p.Rank] = append(lists[p.Rank], int32(i))
+		}
+	}
+	return lists
 }
 
 // pairIn finds the interned pair of one of a record's own tokens through
@@ -531,21 +605,22 @@ func compareSigKeys(a, b SigKey) int {
 // WordLayer is the word token layer of a snapshot. All fields are
 // read-only once the snapshot is published.
 type WordLayer struct {
-	// Words are the per-record upper-cased word sequences, Pairs their
-	// interned rank-sorted (rank, tf) form, Stats the collection statistics
-	// over them — the fields of toks, the word layer's token dictionary,
-	// which is a gram layer without postings.
+	// Words are the per-record upper-cased word sequences; Pairs their
+	// interned rank-sorted (rank, tf) form and Stats the collection
+	// statistics over them are the fields of toks, the word layer's token
+	// dictionary, which is a gram layer without postings.
 	Words [][]string
 	Pairs [][]RankTF
 	Stats *weights.Corpus
 	toks  *GramLayer
-	// Vocab and VocabGrams are the per-record distinct words and their
-	// q-gram sets (LayerWordGrams). WordOff, WordRecOf and GramSizeOf
-	// flatten the distinct-word space into dense ids (WordOff[rec]+word), so
-	// the GES filters accumulate per-word match counts in a dense scratch;
-	// WordTotal is the id-space size.
+	// Vocab are the per-record distinct words (LayerWordGrams). WordOff,
+	// WordRecOf and GramSizeOf flatten the distinct-word space into dense
+	// ids (WordOff[rec]+word), so the GES filters accumulate per-word match
+	// counts in a dense scratch; WordTotal is the id-space size. A word's
+	// q-gram set and min-hash signature are not kept: the two indexes below
+	// hold them, and when a record leaves the tables they are recounted
+	// from its vocabulary with the calls tokenization made.
 	Vocab      [][]string
-	VocabGrams [][][]string
 	WordOff    []int32
 	WordRecOf  []int32
 	GramSizeOf []int32
@@ -555,9 +630,9 @@ type WordLayer struct {
 	// words containing it.
 	GramKeys  []string
 	GramIndex [][]int32
-	// Sigs are the min-hash signatures (LayerSigs); SigKeys and SigIndex
-	// their shared (slot, value) index, in the same form as the gram index.
-	Sigs     [][][]uint64
+	// SigKeys and SigIndex are the min-hash signature index (LayerSigs), in
+	// the same form: per (slot, value) key, the words whose signature holds
+	// it.
 	SigKeys  []SigKey
 	SigIndex [][]int32
 
@@ -568,33 +643,56 @@ type WordLayer struct {
 	wsigs  lazy[[]strutil.WordSig]
 }
 
-func newWordLayer(toks *GramLayer, layers CorpusLayers) *WordLayer {
-	return &WordLayer{Words: toks.Docs, Pairs: toks.Pairs, Stats: toks.Stats, toks: toks, layers: layers}
+func newWordLayer(toks *GramLayer, words [][]string, layers CorpusLayers) *WordLayer {
+	return &WordLayer{Words: words, Pairs: toks.Pairs, Stats: toks.Stats, toks: toks, layers: layers}
+}
+
+// wordGrams is the q-gram set of one word: what the word q-gram index holds
+// for it and what its min-hash signature hashes.
+func wordGrams(w string, q int) []string {
+	return tokenize.Distinct(tokenize.WordQGrams(w, q))
+}
+
+// setWordIDs lays the dense word ids out over the vocabularies.
+func (l *WordLayer) setWordIDs() {
+	l.WordOff = make([]int32, len(l.Vocab))
+	for i, v := range l.Vocab {
+		l.WordOff[i] = int32(l.WordTotal)
+		l.WordTotal += len(v)
+	}
+	l.WordRecOf = make([]int32, l.WordTotal)
+	for i, v := range l.Vocab {
+		for j := range v {
+			l.WordRecOf[int(l.WordOff[i])+j] = int32(i)
+		}
+	}
 }
 
 // splice produces the word layer that follows l when the record list
-// changes by sp.
-func (l *WordLayer) splice(sp *splice, layers CorpusLayers) *WordLayer {
+// changes by sp. q is the word q-gram size tokenization used, and fam the
+// min-hash family that signs every word's q-gram set: the signatures of
+// the added words are computed here, the q-gram sets and signatures of the
+// removed records' words recounted.
+func (l *WordLayer) splice(sp *splice, layers CorpusLayers, q int, fam *minhash.Family) *WordLayer {
 	removed := sp.removed
-	next := newWordLayer(l.toks.splice(sp, sp.raw.words, 0), layers)
+	next := newWordLayer(l.toks.splice(sp, sp.raw.words, 0), spliceRows(l.Words, sp, sp.raw.words), layers)
 	if !layers.Has(LayerWordGrams) {
 		return next
 	}
-	vocab, vgrams, sigs := sp.raw.vocab, sp.raw.vgrams, sp.raw.sigs
+	vocab, vgrams := sp.raw.vocab, sp.raw.vgrams
 	next.Vocab = spliceRows(l.Vocab, sp, vocab)
-	next.VocabGrams = spliceRows(l.VocabGrams, sp, vgrams)
-	next.WordOff = make([]int32, len(next.Vocab))
-	for i, v := range next.Vocab {
-		next.WordOff[i] = int32(next.WordTotal)
-		next.WordTotal += len(v)
+	next.setWordIDs()
+	sizes := make([][]int32, len(vgrams))
+	for k, vg := range vgrams {
+		for _, grams := range vg {
+			sizes[k] = append(sizes[k], int32(len(grams)))
+		}
 	}
-	next.WordRecOf = make([]int32, next.WordTotal)
-	next.GramSizeOf = make([]int32, next.WordTotal)
-	for i, vg := range next.VocabGrams {
-		base := next.WordOff[i]
-		for j, grams := range vg {
-			next.WordRecOf[base+int32(j)] = int32(i)
-			next.GramSizeOf[base+int32(j)] = int32(len(grams))
+	next.GramSizeOf = spliceSpans(l.GramSizeOf, l.WordOff, sp, sizes)
+	var gone [][]string // the q-gram sets of the removed records' words
+	for _, p := range removed {
+		for _, w := range l.Vocab[p] {
+			gone = append(gone, wordGrams(w, q))
 		}
 	}
 	// Dense word ids of a removed record vanish; ids above move by the
@@ -610,12 +708,10 @@ func (l *WordLayer) splice(sp *splice, layers CorpusLayers) *WordLayer {
 	pos := sp.pos
 	next.GramKeys, next.GramIndex = spliceIndex(l.GramKeys, l.GramIndex, strings.Compare, sh,
 		func(yield func(string) bool) {
-			for _, p := range removed {
-				for _, grams := range l.VocabGrams[p] {
-					for _, g := range grams {
-						if !yield(g) {
-							return
-						}
+			for _, grams := range gone {
+				for _, g := range grams {
+					if !yield(g) {
+						return
 					}
 				}
 			}
@@ -634,23 +730,20 @@ func (l *WordLayer) splice(sp *splice, layers CorpusLayers) *WordLayer {
 	if !layers.Has(LayerSigs) {
 		return next
 	}
-	next.Sigs = spliceRows(l.Sigs, sp, sigs)
 	next.SigKeys, next.SigIndex = spliceIndex(l.SigKeys, l.SigIndex, compareSigKeys, sh,
 		func(yield func(SigKey) bool) {
-			for _, p := range removed {
-				for _, sig := range l.Sigs[p] {
-					for slot, v := range sig {
-						if !yield(SigKey{Slot: slot, Value: v}) {
-							return
-						}
+			for _, grams := range gone {
+				for slot, v := range fam.Signature(grams) {
+					if !yield(SigKey{Slot: slot, Value: v}) {
+						return
 					}
 				}
 			}
 		},
 		func(yield func(SigKey, int32) bool) {
-			for k, rs := range sigs {
-				for j, sig := range rs {
-					for slot, v := range sig {
+			for k, vg := range vgrams {
+				for j, grams := range vg {
+					for slot, v := range fam.Signature(grams) {
 						if !yield(SigKey{Slot: slot, Value: v}, next.WordOff[pos[k]]+int32(j)) {
 							return
 						}
@@ -665,26 +758,24 @@ func (l *WordLayer) splice(sp *splice, layers CorpusLayers) *WordLayer {
 // sorted key dictionary with one ascending value list per key. removed
 // yields the key of every value that leaves (the values themselves are the
 // ranges sh removes), added every arriving (key, value) in ascending value
-// order.
+// order. Each sequence is consumed once.
 func spliceIndex[K comparable](keys []K, lists [][]int32, cmp func(a, b K) int, sh *valueShift, removed iter.Seq[K], added iter.Seq2[K, int32]) ([]K, [][]int32) {
 	kd := newKeyDelta(keys, cmp)
 	for k := range removed {
 		kd.remove(kd.id(k))
 	}
-	var ids []int32
-	for k := range added {
+	var ids, vals []int32
+	for k, v := range added {
 		id := kd.id(k)
 		kd.add(id)
-		ids = append(ids, id)
+		ids, vals = append(ids, id), append(vals, v)
 	}
 	next, remap := kd.finish(func(id int32) int32 { return int32(len(lists[id])) })
 	return next, spliceLists(lists, remap, len(next), sh, kd.lost, func(yield func(int32, int32) bool) {
-		i := 0
-		for _, v := range added {
-			if !yield(remapped(remap, ids[i]), v) {
+		for i, id := range ids {
+			if !yield(remapped(remap, id), vals[i]) {
 				return
 			}
-			i++
 		}
 	})
 }

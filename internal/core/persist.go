@@ -14,27 +14,29 @@ import (
 // This file implements corpus snapshot persistence. WriteSnapshot encodes
 // what tokenization and hashing produced — records, edit-normalized
 // strings, each token layer's sorted token table with every record's tokens
-// as ranks into it, and the word layer's vocabularies, word q-grams,
-// min-hash signatures and their indexes — into a versioned, CRC-framed
-// binary segment stamped with the snapshot's epoch. Nothing a count can
-// recover is stored: LoadSnapshot rebuilds the interned pairs, the integer
-// statistics and the posting ids from the rank rows with the integer
-// arithmetic of assembly, and the pruned effective layer with assembly's
-// own call, so every weight column stays lazy and derives on first use
-// exactly as on a fresh build. A loaded corpus is therefore bit-identical
-// to the one that was saved — same epoch, same scores, same tie order, for
-// every predicate — without tokenizing a string. Strings are interned
-// through the token tables on decode (a document's grams alias the
-// TokenByRank entries), so a loaded snapshot is also more compact in
-// memory than a freshly tokenized one.
+// as ranks into it, the word layer's vocabularies and its word q-gram and
+// min-hash signature indexes — into a versioned, CRC-framed binary segment
+// stamped with the snapshot's epoch. Nothing a count can recover is
+// stored: LoadSnapshot rebuilds the interned pairs, the integer statistics
+// and the posting ids from the rank rows with the integer arithmetic of
+// assembly, each word's q-gram count from the gram index, and the pruned
+// effective layer with assembly's own call, so every weight column stays
+// lazy and derives on first use exactly as on a fresh build. A loaded
+// corpus is therefore bit-identical to the one that was saved — same
+// epoch, same scores, same tie order, for every predicate — without
+// tokenizing a string. Word strings are interned through the word table on
+// decode (a record's words alias its entries), so a loaded snapshot is
+// also more compact in memory than a freshly tokenized one.
 
 // SnapshotMagic identifies a corpus snapshot segment file.
-const SnapshotMagic = "APXSNAP2"
+const SnapshotMagic = "APXSNAP3"
 
-// legacyMagic identifies the first snapshot format, which also stored every
-// weight table. Its header and records sections have today's layout; a
-// legacy segment opens by building the corpus from its records.
-const legacyMagic = "APXSNAP1"
+// legacyMagics identify the earlier snapshot formats: APXSNAP1 also stored
+// every weight table, APXSNAP2 gram rows in occurrence order and every
+// word's q-grams and signature. Their header and records sections have
+// today's layout; a legacy segment opens by building the corpus from its
+// records.
+var legacyMagics = []string{"APXSNAP1", "APXSNAP2"}
 
 // Section tags of a snapshot segment (the legacy format kept the pruned
 // layer's tables under tag 4).
@@ -70,20 +72,25 @@ func (c *Corpus) WriteSnapshot(w io.Writer) error {
 		e.Int(len(s.Records))
 		e.Bool(s.Grams != s.RawGrams)
 	})
-	section(secRecords, 32*len(s.Records), func(e *segment.Encoder) {
+	recSize := 0
+	for _, r := range s.Records {
+		recSize += 12 + len(r.Text)
+	}
+	section(secRecords, recSize, func(e *segment.Encoder) {
 		for _, r := range s.Records {
 			e.I64(int64(r.TID))
 			e.Str(r.Text)
 		}
 	})
 	if c.layers.Has(LayerGrams) {
-		section(secRawGrams, 1<<20, func(e *segment.Encoder) { encodeTokens(e, s.RawGrams) })
+		l := s.RawGrams
+		section(secRawGrams, rowsSize(l.TokenByRank, len(l.DL), l.Stats.CS()), func(e *segment.Encoder) { encodeGramLayer(e, l) })
 	}
 	if c.layers.Has(LayerWords) {
-		section(secWords, 1<<20, func(e *segment.Encoder) { encodeWordLayer(e, s.Words) })
+		section(secWords, wordLayerSize(s.Words), func(e *segment.Encoder) { encodeWordLayer(e, s.Words) })
 	}
 	if c.layers.Has(LayerNorms) {
-		section(secNorms, 16*len(s.Norms), func(e *segment.Encoder) { e.Strs(s.Norms) })
+		section(secNorms, strsSize(s.Norms), func(e *segment.Encoder) { e.Strs(s.Norms) })
 	}
 	if err != nil {
 		return err
@@ -99,8 +106,8 @@ func (c *Corpus) WriteSnapshot(w io.Writer) error {
 // builds the corpus from its records.
 func LoadSnapshot(data []byte) (*Corpus, error) {
 	magic := SnapshotMagic
-	if len(data) >= len(legacyMagic) && string(data[:len(legacyMagic)]) == legacyMagic {
-		magic = legacyMagic
+	if m := string(data[:min(len(data), len(magic))]); slices.Contains(legacyMagics, m) {
+		magic = m
 	}
 	r, err := segment.NewReader(data, magic)
 	if err != nil {
@@ -158,7 +165,7 @@ func LoadSnapshot(data []byte) (*Corpus, error) {
 	if err := validateCorpus(records, cfg); err != nil {
 		return nil, err
 	}
-	if magic == legacyMagic {
+	if magic != SnapshotMagic {
 		// Its tables are not read: a fresh build over its records yields
 		// the same state, which is then stamped with the stored epoch.
 		c, err := NewCorpus(records, cfg, layers)
@@ -187,7 +194,7 @@ func LoadSnapshot(data []byte) (*Corpus, error) {
 		if s.RawGrams, err = decodeGramLayer(raw, nrec, gramTables(layers, pruned, true)); err != nil {
 			return nil, err
 		}
-		s.Grams = c.effectiveGrams(records, s.RawGrams)
+		s.Grams = c.effectiveGrams(s.RawGrams)
 	}
 	if layers.Has(LayerWords) {
 		wl, ok := sections[secWords]
@@ -289,73 +296,106 @@ func decodeConfig(d *segment.Decoder) Config {
 
 // ---- token layers ----
 
-// encodeTokens writes what tokenization produced for one token layer: the
-// sorted token table and every record's tokens as ranks into it, in
-// occurrence order (the edit predicate's positional filter reads gram
-// positions). The total leads, so the decoder carves every row from one
-// backing array.
-func encodeTokens(e *segment.Encoder, l *GramLayer) {
+// strsSize is the encoded size of a string table.
+func strsSize(ss []string) int {
+	n := 4 + 4*len(ss)
+	for _, s := range ss {
+		n += len(s)
+	}
+	return n
+}
+
+// rowsSize is the encoded size of a token table with nrec rank rows of
+// total entries.
+func rowsSize(tokens []string, nrec, total int) int {
+	return strsSize(tokens) + 8 + 4*nrec + 4*total
+}
+
+// encodeGramLayer writes what tokenization produced for a gram layer: the
+// sorted token table and every record's gram multiset as ranks into it, in
+// rank order, each rank repeated tf times. The total leads, so the decoder
+// carves every row from one backing array.
+func encodeGramLayer(e *segment.Encoder, l *GramLayer) {
 	e.Strs(l.TokenByRank)
 	e.Int(l.Stats.CS())
-	for i, doc := range l.Docs {
-		e.U32(uint32(len(doc)))
-		for _, t := range doc {
-			e.U32(uint32(pairIn(l.Pairs[i], l.TokenByRank, t).Rank))
+	for i, pairs := range l.Pairs {
+		e.U32(uint32(l.DL[i]))
+		for _, p := range pairs {
+			for range p.TF {
+				e.U32(uint32(p.Rank))
+			}
 		}
 	}
 }
 
-// decodeGramLayer decodes a gram layer section into a layer carrying layers.
+// decodeGramLayer decodes a gram layer section into a layer carrying
+// layers. Its rows are in rank order, so a record's (rank, tf) pairs are
+// the runs of its row.
 func decodeGramLayer(payload []byte, nrec int, layers CorpusLayers) (*GramLayer, error) {
 	d := segment.NewDecoder(payload)
-	l, err := decodeTokens(d, nrec, layers)
+	tokens, ranks, err := decodeTokenRows(d, nrec)
 	if err == nil {
 		err = d.Finish()
 	}
 	if err != nil {
 		return nil, err
 	}
+	runs := 0
+	for i, row := range ranks {
+		for j := range row {
+			if j > 0 && row[j] < row[j-1] {
+				return nil, fmt.Errorf("approxsel: token row %d decreases at entry %d", i, j)
+			}
+			if j == 0 || row[j] != row[j-1] {
+				runs++
+			}
+		}
+	}
+	backing := make([]RankTF, 0, runs)
+	pairs, dl := make([][]RankTF, nrec), make([]int, nrec)
+	for i, row := range ranks {
+		start := len(backing)
+		for j, r := range row {
+			if j > 0 && r == row[j-1] {
+				backing[len(backing)-1].TF++
+			} else {
+				backing = append(backing, RankTF{Rank: r, TF: 1})
+			}
+		}
+		pairs[i], dl[i] = backing[start:len(backing):len(backing)], len(row)
+	}
+	return checkedGramLayer(tokens, pairs, dl, layers)
+}
+
+// checkedGramLayer builds a decoded layer, which must not name a token that
+// occurs in no record.
+func checkedGramLayer(tokens []string, pairs [][]RankTF, dl []int, layers CorpusLayers) (*GramLayer, error) {
+	l := countedGramLayer(tokens, pairs, dl, layers)
+	if r := slices.Index(l.Stats.DFs(), 0); r >= 0 {
+		return nil, fmt.Errorf("approxsel: token %q occurs in no record", tokens[r])
+	}
 	return l, nil
 }
 
-// decodeTokens reads a token layer written by encodeTokens and rebuilds the
-// rest of it the way assembly builds it: interned (rank, tf) pairs, integer
-// df/cf/cs counters, statistics whose Σ tf/dl aggregate sums on first use
-// (the supplier GramLayer.splice installs), and the posting ids when the
-// layer carries them. Every weight column stays lazy.
-func decodeTokens(d *segment.Decoder, nrec int, layers CorpusLayers) (*GramLayer, error) {
+// decodeTokenTable reads a sorted token table.
+func decodeTokenTable(d *segment.Decoder) ([]string, error) {
 	tokens := d.Strs()
 	for r := 1; r < len(tokens); r++ {
 		if tokens[r-1] >= tokens[r] {
 			return nil, fmt.Errorf("approxsel: token table out of order at rank %d", r)
 		}
 	}
-	ranks, err := decodeRankRows(d, nrec, len(tokens), "token")
+	return tokens, d.Err()
+}
+
+// decodeTokenRows reads a token table and nrec rank rows into it.
+func decodeTokenRows(d *segment.Decoder, nrec int) ([]string, [][]int32, error) {
+	tokens, err := decodeTokenTable(d)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	l := &GramLayer{Docs: internRows(ranks, tokens), DL: make([]int, nrec), TokenByRank: tokens, Pairs: make([][]RankTF, nrec), layers: layers}
-	df, cf := make([]int32, len(tokens)), make([]int32, len(tokens))
-	cs := 0
-	var scratch []int32
-	for i, row := range ranks {
-		scratch = append(scratch[:0], row...) // CountRanks sorts in place
-		l.Pairs[i], l.DL[i] = weights.CountRanks(scratch), len(row)
-		cs += len(row)
-		for _, p := range l.Pairs[i] {
-			df[p.Rank]++
-			cf[p.Rank] += p.TF
-		}
-	}
-	if r := slices.Index(df, 0); r >= 0 {
-		return nil, fmt.Errorf("approxsel: token %q occurs in no record", tokens[r])
-	}
-	pairs, dl := l.Pairs, l.DL
-	l.Stats = weights.New(tokens, df, cf, nrec, cs, func() []float64 { return weights.SumPML(pairs, dl, len(tokens)) })
-	if layers.Has(LayerPostings) {
-		l.Postings = postingsFromPairs(pairs, len(tokens))
-	}
-	return l, nil
+	ranks, err := decodeRankRows(d, nrec, len(tokens), "token")
+	return tokens, ranks, err
 }
 
 // decodeRankRows reads nrec rows of ranks into a table of nTok entries,
@@ -415,44 +455,35 @@ func internRows(ranks [][]int32, table []string) [][]string {
 	return rows
 }
 
-// postingsFromPairs builds the distinct-token inverted index from the
-// interned pairs — the lists assembly splices, rebuilt with the same
-// integer arithmetic: per rank, the ascending positions of the records
-// holding the token.
-func postingsFromPairs(pairs [][]RankTF, nTok int) [][]int32 {
-	df := make([]int, nTok)
-	total := 0
-	for _, row := range pairs {
-		for _, p := range row {
-			df[p.Rank]++
-		}
-		total += len(row)
-	}
-	backing := make([]int32, total)
-	lists := make([][]int32, nTok)
-	off := 0
-	for r, n := range df {
-		lists[r] = backing[off : off : off+n]
-		off += n
-	}
-	for i, row := range pairs {
-		for _, p := range row {
-			lists[p.Rank] = append(lists[p.Rank], int32(i))
-		}
-	}
-	return lists
-}
-
 // ---- word layer ----
 
-// encodeWordLayer writes the word layer: its word token layer, then the
-// tokenization and hashing products over each record's distinct words —
-// vocabularies as ranks into the word table, word q-grams as ids into the
-// sorted gram dictionary, min-hash signatures — and the two indexes over
-// them as (record, word) references.
+// wordLayerSize is the encoded size of a word layer section.
+func wordLayerSize(l *WordLayer) int {
+	n := rowsSize(l.toks.TokenByRank, len(l.Words), l.Stats.CS())
+	if l.layers.Has(LayerWordGrams) {
+		n += rowsSize(nil, len(l.Vocab), l.WordTotal) + strsSize(l.GramKeys) + indexSize(l.GramIndex, 0)
+	}
+	if l.layers.Has(LayerSigs) {
+		n += indexSize(l.SigIndex, 12)
+	}
+	return n
+}
+
+// encodeWordLayer writes the word layer: its word sequences as ranks into
+// the sorted word table, in occurrence order, then each record's distinct
+// words as ranks, and the word q-gram and signature indexes with their
+// keys and dense word ids. A word's own q-grams and signature are what the
+// indexes hold and are not written again.
 func encodeWordLayer(e *segment.Encoder, l *WordLayer) {
-	encodeTokens(e, l.toks)
 	sorted := l.toks.TokenByRank
+	e.Strs(sorted)
+	e.Int(l.Stats.CS())
+	for i, words := range l.Words {
+		e.U32(uint32(len(words)))
+		for _, w := range words {
+			e.U32(uint32(pairIn(l.Pairs[i], sorted, w).Rank))
+		}
+	}
 	if l.layers.Has(LayerWordGrams) {
 		e.Int(l.WordTotal)
 		for i, vocab := range l.Vocab {
@@ -461,244 +492,139 @@ func encodeWordLayer(e *segment.Encoder, l *WordLayer) {
 				e.U32(uint32(pairIn(l.Pairs[i], sorted, w).Rank))
 			}
 		}
-		// The word-gram string table: the sorted gram dictionary gives
-		// every distinct gram a dense id.
-		gramID := make(map[string]int32, len(l.GramKeys))
-		for i, g := range l.GramKeys {
-			gramID[g] = int32(i)
-		}
 		e.Strs(l.GramKeys)
-		total := 0
-		for _, sz := range l.GramSizeOf {
-			total += int(sz)
-		}
-		e.Int(total)
-		for _, vgrams := range l.VocabGrams {
-			e.U32(uint32(len(vgrams)))
-			for _, gs := range vgrams {
-				e.U32(uint32(len(gs)))
-				for _, g := range gs {
-					e.U32(uint32(gramID[g]))
-				}
-			}
-		}
-		e.Int(total)
-		for _, refs := range l.GramIndex {
-			l.encodeRefs(e, refs)
-		}
+		encodeIndex(e, l.GramIndex, func(int) {})
 	}
 	if l.layers.Has(LayerSigs) {
-		total := 0
-		for _, sigs := range l.Sigs {
-			for _, sig := range sigs {
-				total += len(sig)
-			}
-		}
-		e.Int(total)
-		for _, sigs := range l.Sigs {
-			e.U32(uint32(len(sigs)))
-			for _, sig := range sigs {
-				e.U64s(sig)
-			}
-		}
-		e.Int(total)
-		e.U32(uint32(len(l.SigKeys)))
-		for i, k := range l.SigKeys {
-			e.U32(uint32(k.Slot))
-			e.U64(k.Value)
-			l.encodeRefs(e, l.SigIndex[i])
-		}
+		encodeIndex(e, l.SigIndex, func(i int) {
+			e.U32(uint32(l.SigKeys[i].Slot))
+			e.U64(l.SigKeys[i].Value)
+		})
 	}
 }
 
-// encodeRefs writes one inverted list as (record, word) references, the
-// wire form of the dense word ids.
-func (l *WordLayer) encodeRefs(e *segment.Encoder, refs []int32) {
-	e.U32(uint32(len(refs)))
-	for _, wid := range refs {
-		rec := l.WordRecOf[wid]
-		e.U32(uint32(rec))
-		e.U32(uint32(wid - l.WordOff[rec]))
+// encodeIndex writes an inverted index over dense word ids: the list and
+// reference counts, then every list behind whatever key writes.
+func encodeIndex(e *segment.Encoder, lists [][]int32, key func(i int)) {
+	e.Int(len(lists))
+	e.Int(refCount(lists))
+	for i, ids := range lists {
+		key(i)
+		e.I32s(ids)
 	}
 }
 
-// decodeRefs reads total inverted lists' worth of (record, word)
-// references back into dense word ids, n lists carved from one backing
-// array; each list is preceded by whatever key lead reads.
-func (l *WordLayer) decodeRefs(d *segment.Decoder, n, total int, what string, key func()) ([][]int32, error) {
-	if total < 0 || total > d.Remaining()/8 {
-		return nil, fmt.Errorf("approxsel: %s claims %d references", what, total)
+// indexSize is the encoded size of an index with keySize-byte keys.
+func indexSize(lists [][]int32, keySize int) int {
+	return 16 + (keySize+4)*len(lists) + 4*refCount(lists)
+}
+
+func refCount(lists [][]int32) int {
+	n := 0
+	for _, ids := range lists {
+		n += len(ids)
 	}
-	backing := make([]int32, 0, total)
+	return n
+}
+
+// decodeIndex reads an index encodeIndex wrote, list i of n behind its key,
+// which key(i, n) reads in keySize bytes; the lists are carved from one
+// backing array. Every id must name a word and every list ascend. It also
+// returns how many lists name each word.
+func (l *WordLayer) decodeIndex(d *segment.Decoder, what string, keySize int, key func(i, n int)) ([][]int32, []int32, error) {
+	n, total := d.Int(), d.Int()
+	if err := d.Err(); err != nil {
+		return nil, nil, err
+	}
+	if n < 0 || n > d.Remaining()/(4+keySize) || total < 0 || total > d.Remaining()/4 {
+		return nil, nil, fmt.Errorf("approxsel: %s claims %d lists of %d ids", what, n, total)
+	}
 	lists := make([][]int32, n)
+	refs := make([]int32, l.WordTotal)
+	backing := make([]int32, 0, total)
 	for i := range lists {
-		key()
+		key(i, n)
 		cnt := int(d.U32())
+		raw := d.Raw(4*cnt, what)
 		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		rows := d.Raw(8*cnt, what)
-		if err := d.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if len(backing)+cnt > total {
-			return nil, fmt.Errorf("approxsel: %s list %d overruns its table", what, i)
+			return nil, nil, fmt.Errorf("approxsel: %s list %d overruns its table", what, i)
 		}
 		start := len(backing)
 		for j := 0; j < cnt; j++ {
-			rec := binary.LittleEndian.Uint32(rows[8*j:])
-			word := binary.LittleEndian.Uint32(rows[8*j+4:])
-			if rec >= uint32(len(l.Vocab)) || word >= uint32(len(l.Vocab[rec])) {
-				return nil, fmt.Errorf("approxsel: %s reference (%d, %d) out of range", what, rec, word)
+			wid := int32(binary.LittleEndian.Uint32(raw[4*j:]))
+			if wid < 0 || int(wid) >= l.WordTotal {
+				return nil, nil, fmt.Errorf("approxsel: %s list %d names word %d of %d", what, i, wid, l.WordTotal)
 			}
-			backing = append(backing, l.WordOff[rec]+int32(word))
+			if j > 0 && wid <= backing[len(backing)-1] {
+				return nil, nil, fmt.Errorf("approxsel: %s list %d out of order", what, i)
+			}
+			backing = append(backing, wid)
+			refs[wid]++
 		}
 		lists[i] = backing[start:len(backing):len(backing)]
 	}
-	return lists, nil
+	if len(backing) != total {
+		return nil, nil, fmt.Errorf("approxsel: %s holds %d ids, its lists %d", what, total, len(backing))
+	}
+	return lists, refs, nil
 }
 
 // decodeWordLayer decodes a word layer section into a layer carrying
 // layers, whose signatures must hold sigSize values each.
 func decodeWordLayer(payload []byte, nrec int, layers CorpusLayers, sigSize int) (*WordLayer, error) {
 	d := segment.NewDecoder(payload)
-	toks, err := decodeTokens(d, nrec, 0)
+	sorted, ranks, err := decodeTokenRows(d, nrec)
 	if err != nil {
 		return nil, err
 	}
-	l := newWordLayer(toks, layers)
-	sorted := toks.TokenByRank
+	pairs, dl := make([][]RankTF, nrec), make([]int, nrec)
+	var scratch []int32
+	for i, row := range ranks {
+		scratch = append(scratch[:0], row...) // CountRanks sorts in place
+		pairs[i], dl[i] = weights.CountRanks(scratch), len(row)
+	}
+	toks, err := checkedGramLayer(sorted, pairs, dl, 0)
+	if err != nil {
+		return nil, err
+	}
+	l := newWordLayer(toks, internRows(ranks, sorted), layers)
 	if layers.Has(LayerWordGrams) {
 		vocabRanks, err := decodeRankRows(d, nrec, len(sorted), "vocab")
 		if err != nil {
 			return nil, err
 		}
 		l.Vocab = internRows(vocabRanks, sorted)
-		l.WordOff = make([]int32, nrec)
-		for i, vocab := range l.Vocab {
-			l.WordOff[i] = int32(l.WordTotal)
-			l.WordTotal += len(vocab)
-		}
-		l.GramKeys = d.Strs()
-		if !slices.IsSorted(l.GramKeys) {
-			return nil, fmt.Errorf("approxsel: word gram table out of order")
-		}
-		totalWG := d.Int()
-		if err := d.Err(); err != nil {
+		l.setWordIDs()
+		if l.GramKeys, err = decodeTokenTable(d); err != nil {
 			return nil, err
 		}
-		if totalWG < 0 || totalWG > d.Remaining()/4 {
-			return nil, fmt.Errorf("approxsel: word grams claim %d entries", totalWG)
-		}
-		// Two backing arrays: the gram strings (totalWG entries) and the
-		// per-word gram slices (one per vocab word).
-		wgBacking := make([]string, 0, totalWG)
-		vgramsBacking := make([][]string, l.WordTotal)
-		l.WordRecOf = make([]int32, l.WordTotal)
-		l.GramSizeOf = make([]int32, l.WordTotal)
-		l.VocabGrams = make([][][]string, nrec)
-		for i := 0; i < nrec; i++ {
-			nw := int(d.U32())
-			if err := d.Err(); err != nil {
-				return nil, err
-			}
-			if nw != len(l.Vocab[i]) {
-				return nil, fmt.Errorf("approxsel: vocab grams of record %d do not match its vocab", i)
-			}
-			base := int(l.WordOff[i])
-			vgrams := vgramsBacking[base : base+nw : base+nw]
-			for j := 0; j < nw; j++ {
-				ng := int(d.U32())
-				if err := d.Err(); err != nil {
-					return nil, err
-				}
-				rows := d.Raw(4*ng, "word grams")
-				if err := d.Err(); err != nil {
-					return nil, err
-				}
-				if len(wgBacking)+ng > totalWG {
-					return nil, fmt.Errorf("approxsel: word grams of record %d overrun their table", i)
-				}
-				start := len(wgBacking)
-				for k := 0; k < ng; k++ {
-					id := binary.LittleEndian.Uint32(rows[4*k:])
-					if id >= uint32(len(l.GramKeys)) {
-						return nil, fmt.Errorf("approxsel: word gram id %d out of range (%d grams)", id, len(l.GramKeys))
-					}
-					wgBacking = append(wgBacking, l.GramKeys[id])
-				}
-				vgrams[j] = wgBacking[start:len(wgBacking):len(wgBacking)]
-				l.WordRecOf[base+j] = int32(i)
-				l.GramSizeOf[base+j] = int32(ng)
-			}
-			l.VocabGrams[i] = vgrams
-		}
-		total := d.Int()
-		if err := d.Err(); err != nil {
+		if l.GramIndex, l.GramSizeOf, err = l.decodeIndex(d, "gram index", 0, func(int, int) {}); err != nil {
 			return nil, err
 		}
-		if l.GramIndex, err = l.decodeRefs(d, len(l.GramKeys), total, "gram index", func() {}); err != nil {
-			return nil, err
+		if len(l.GramIndex) != len(l.GramKeys) {
+			return nil, fmt.Errorf("approxsel: gram index holds %d lists for %d grams", len(l.GramIndex), len(l.GramKeys))
 		}
 	}
 	if layers.Has(LayerSigs) {
-		totalSig := d.Int()
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		if totalSig < 0 || totalSig > d.Remaining()/8 {
-			return nil, fmt.Errorf("approxsel: signatures claim %d values", totalSig)
-		}
-		sigBacking := make([]uint64, 0, totalSig)
-		l.Sigs = make([][][]uint64, nrec)
-		for i := 0; i < nrec; i++ {
-			nw := int(d.U32())
-			if err := d.Err(); err != nil {
-				return nil, err
+		var slots []int32
+		if l.SigIndex, slots, err = l.decodeIndex(d, "signature index", 12, func(i, n int) {
+			if i == 0 {
+				l.SigKeys = make([]SigKey, n)
 			}
-			if nw != len(l.Vocab[i]) {
-				return nil, fmt.Errorf("approxsel: signatures of record %d do not match its vocab", i)
-			}
-			sigs := make([][]uint64, nw)
-			for j := 0; j < nw; j++ {
-				k := int(d.U32())
-				if err := d.Err(); err != nil {
-					return nil, err
-				}
-				if k != sigSize {
-					return nil, fmt.Errorf("approxsel: signature of record %d holds %d values, want %d", i, k, sigSize)
-				}
-				rows := d.Raw(8*k, "signature")
-				if err := d.Err(); err != nil {
-					return nil, err
-				}
-				if len(sigBacking)+k > totalSig {
-					return nil, fmt.Errorf("approxsel: signatures of record %d overrun their table", i)
-				}
-				start := len(sigBacking)
-				for v := 0; v < k; v++ {
-					sigBacking = append(sigBacking, binary.LittleEndian.Uint64(rows[8*v:]))
-				}
-				sigs[j] = sigBacking[start:len(sigBacking):len(sigBacking)]
-			}
-			l.Sigs[i] = sigs
-		}
-		total := d.Int()
-		nKeys := int(d.U32())
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		if nKeys < 0 || nKeys > d.Remaining()/16 {
-			return nil, fmt.Errorf("approxsel: signature index claims %d keys", nKeys)
-		}
-		l.SigKeys = make([]SigKey, 0, nKeys)
-		if l.SigIndex, err = l.decodeRefs(d, nKeys, total, "signature index", func() {
-			l.SigKeys = append(l.SigKeys, SigKey{Slot: int(d.U32()), Value: d.U64()})
+			l.SigKeys[i] = SigKey{Slot: int(d.U32()), Value: d.U64()}
 		}); err != nil {
 			return nil, err
 		}
-		if !slices.IsSortedFunc(l.SigKeys, compareSigKeys) {
-			return nil, fmt.Errorf("approxsel: signature index out of order")
+		if !slices.IsSortedFunc(l.SigKeys, compareSigKeys) || slices.ContainsFunc(l.SigKeys, func(k SigKey) bool { return k.Slot >= sigSize }) {
+			return nil, fmt.Errorf("approxsel: signature index out of order or past slot %d", sigSize)
+		}
+		// A signature holds one value per slot, so every word is named in
+		// exactly sigSize lists.
+		if i := slices.IndexFunc(slots, func(n int32) bool { return int(n) != sigSize }); i >= 0 {
+			return nil, fmt.Errorf("approxsel: signature of word %d holds %d values, want %d", i, slots[i], sigSize)
 		}
 	}
 	if err := d.Finish(); err != nil {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,13 +36,47 @@ func zeroNormRecords() []Record {
 	return out
 }
 
+// repeatedGramRecords repeat grams within a record, so rank rows hold runs
+// longer than one (tf > 1).
+func repeatedGramRecords() []Record {
+	texts := []string{"aaaa aaaa", "abab abab ab", "banana bandana", "aaaa", "nab"}
+	out := make([]Record, len(texts))
+	for i, s := range texts {
+		out[i] = Record{TID: 10 * (i + 1), Text: s}
+	}
+	return out
+}
+
+// decreasingGramRow returns a copy of a gram layer section of nrec records
+// with the first and last entries of the first row holding two distinct
+// ranks swapped, so that row's ranks decrease.
+func decreasingGramRow(t testing.TB, payload []byte, nrec int) []byte {
+	d := segment.NewDecoder(payload)
+	d.Strs()
+	d.Int()
+	off := len(payload) - d.Remaining()
+	for range nrec {
+		n := int(binary.LittleEndian.Uint32(payload[off:]))
+		first, last := off+4, off+4*n
+		if n > 1 && !bytes.Equal(payload[first:first+4], payload[last:last+4]) {
+			out := bytes.Clone(payload)
+			copy(out[first:first+4], payload[last:last+4])
+			copy(out[last:last+4], payload[first:first+4])
+			return out
+		}
+		off += 4 + 4*n
+	}
+	t.Fatal("no row holds two distinct ranks")
+	return nil
+}
+
 func encodedGramLayer(t testing.TB, recs []Record) []byte {
 	c, err := NewCorpus(recs, DefaultConfig(), AllLayers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := segment.NewEncoder(1 << 16)
-	encodeTokens(e, c.Snapshot().Grams)
+	encodeGramLayer(e, c.Snapshot().Grams)
 	return e.Bytes()
 }
 
@@ -49,13 +85,16 @@ func encodedGramLayer(t testing.TB, recs []Record) []byte {
 // range and ascending and whose every weight column derives with one value
 // per shared id — never a panic, never a misaligned column.
 func FuzzDecodeGramLayer(f *testing.F) {
-	for _, recs := range [][]Record{fuzzRecords(), zeroNormRecords()} {
+	for _, recs := range [][]Record{fuzzRecords(), zeroNormRecords(), repeatedGramRecords()} {
 		payload := encodedGramLayer(f, recs)
 		if _, err := decodeGramLayer(payload, len(recs), AllLayers); err != nil {
 			f.Fatalf("seed of %d records does not decode: %v", len(recs), err)
 		}
 		f.Add(payload, uint8(len(recs)))
 	}
+	// A row whose ranks decrease: every byte valid but the order.
+	recs := repeatedGramRecords()
+	f.Add(decreasingGramRow(f, encodedGramLayer(f, recs), len(recs)), uint8(len(recs)))
 	f.Fuzz(func(t *testing.T, payload []byte, n uint8) {
 		nrec := int(n)
 		l, err := decodeGramLayer(payload, nrec, AllLayers)
@@ -147,6 +186,30 @@ func snapshotBytes(t testing.TB, recs []Record, cfg Config, layers CorpusLayers)
 	return buf.Bytes()
 }
 
+// mutatedSnapshotBytes is the segment of an all-layers corpus after an
+// insert, a delete and an upsert: dense word ids and posting positions
+// that moved.
+func mutatedSnapshotBytes(t testing.TB) []byte {
+	c, err := NewCorpus(persistRecords(), DefaultConfig(), AllLayers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{
+		c.Insert(Record{TID: 500, Text: "Beijing Hotel Group"}),
+		c.Delete(4),
+		c.Upsert(Record{TID: 10, Text: "Hotel Beijing Labs"}),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := c.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestLoadSnapshotRejectsHostileHeader loads CRC-valid segments whose header
 // or signatures contradict what a corpus can be. Each must be an error,
 // never a crash: the header's config passes the same validation NewCorpus
@@ -182,6 +245,35 @@ func TestLoadSnapshotRejectsHostileHeader(t *testing.T) {
 			t.Errorf("%s: loaded without error", name)
 		}
 	}
+	// Sections that are well framed but name impossible state.
+	c, err := NewCorpus(recs, DefaultConfig(), AllLayers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := c.Snapshot().Words
+	pastWords := bytes.Clone(secs[3])
+	// The first id of the first gram index list, past the word rows, the
+	// vocabularies, the gram table and the index's two counts.
+	at := rowsSize(w.toks.TokenByRank, len(recs), w.Stats.CS()) + 8 + 4*len(recs) + 4*w.WordTotal + strsSize(w.GramKeys) + 16 + 4
+	if got := binary.LittleEndian.Uint32(pastWords[at:]); got != uint32(w.GramIndex[0][0]) {
+		t.Fatalf("gram index layout: id %d at offset %d, want %d", got, at, w.GramIndex[0][0])
+	}
+	binary.LittleEndian.PutUint32(pastWords[at:], uint32(w.WordTotal))
+	for name, tc := range map[string]struct {
+		sec     int
+		payload []byte
+		msg     string
+	}{
+		"gram row whose ranks decrease":          {2, decreasingGramRow(t, secs[2], len(recs)), "decreases"},
+		"gram index names a word past WordTotal": {3, pastWords, "names word"},
+	} {
+		framed := slices.Clone(secs)
+		framed[0] = headerPayload(DefaultConfig(), AllLayers, len(recs), false)
+		framed[tc.sec] = tc.payload
+		if _, err := LoadSnapshot(frameSnapshot(t, framed...)); err == nil || !strings.Contains(err.Error(), tc.msg) {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
 	// One record fewer in the header, records and norms sections, which
 	// then decode cleanly: the rank rows of the layer taken from the full
 	// segment outnumber the records, and its decoder must say so.
@@ -213,6 +305,8 @@ func FuzzLoadSnapshot(f *testing.F) {
 		snapshotBytes(f, zeroNormRecords(), DefaultConfig(), LayerTFIDF.withDeps()),
 		snapshotBytes(f, persistRecords(), DefaultConfig(), (LayerSigs | LayerNorms).withDeps()),
 		hostileHeader(f),
+		mutatedSnapshotBytes(f),
+		snapshotBytes(f, repeatedGramRecords(), DefaultConfig(), AllLayers),
 	} {
 		s := splitSnapshot(f, seg)
 		f.Add(s[0], s[1], s[2], s[3], s[4])

@@ -119,7 +119,7 @@ func diffGramLayer(a, b *GramLayer) string {
 		name string
 		x, y any
 	}{
-		{"Docs", a.Docs, b.Docs}, {"DL", a.DL, b.DL},
+		{"DL", a.DL, b.DL},
 		{"TokenByRank", a.TokenByRank, b.TokenByRank},
 		{"Pairs", a.Pairs, b.Pairs}, {"layers", a.layers, b.layers},
 		{"Postings", a.Postings, b.Postings},
@@ -147,12 +147,12 @@ func diffWordLayer(a, b *WordLayer) string {
 		{"Words", a.Words, b.Words}, {"Pairs", a.Pairs, b.Pairs},
 		{"Stats", a.Stats, b.Stats}, {"toks", a.toks, b.toks},
 		{"IDFWeights", a.IDFWeights(), b.IDFWeights()}, {"TFIDF", a.TFIDF(), b.TFIDF()},
-		{"Vocab", a.Vocab, b.Vocab}, {"VocabGrams", a.VocabGrams, b.VocabGrams},
+		{"Vocab", a.Vocab, b.Vocab},
 		{"GramKeys", a.GramKeys, b.GramKeys}, {"GramIndex", a.GramIndex, b.GramIndex},
 		{"WordOff", a.WordOff, b.WordOff}, {"WordRecOf", a.WordRecOf, b.WordRecOf},
 		{"GramSizeOf", a.GramSizeOf, b.GramSizeOf}, {"WordTotal", a.WordTotal, b.WordTotal},
 		{"SigKeys", a.SigKeys, b.SigKeys},
-		{"Sigs", a.Sigs, b.Sigs}, {"SigIndex", a.SigIndex, b.SigIndex},
+		{"SigIndex", a.SigIndex, b.SigIndex},
 	}
 	for _, c := range checks {
 		if !reflect.DeepEqual(c.x, c.y) {
@@ -402,11 +402,14 @@ func TestFreezeSerializesAgainstMutations(t *testing.T) {
 	}
 }
 
-// TestLoadSegmentWithoutPostingIDs loads a legacy segment written before
-// every weight column shared the layer's posting ids: its header names the
-// tf-idf, LM and edit tables but not LayerPostings. The loader builds the
-// corpus from its records; the result must equal a fresh build, including
-// the zero-norm record ("ab", TID 2) the tf-idf table marks.
+// TestLoadSegmentWithoutPostingIDs loads legacy segments. The APXSNAP1 one
+// was written before every weight column shared the layer's posting ids:
+// its header names the tf-idf, LM and edit tables but not LayerPostings.
+// The APXSNAP2 one, an all-layers corpus at epoch 2, stores gram rows in
+// occurrence order and every word's q-grams and signature. The loader
+// builds each corpus from its records at the stored epoch; the result must
+// equal a fresh build, including the zero-norm record ("ab", TID 2) the
+// tf-idf table marks.
 func TestLoadSegmentWithoutPostingIDs(t *testing.T) {
 	data, err := os.ReadFile("testdata/lean-without-posting-ids.seg")
 	if err != nil {
@@ -426,5 +429,21 @@ func TestLoadSegmentWithoutPostingIDs(t *testing.T) {
 	assertSnapshotsIdentical(t, fresh.Snapshot(), lc.Snapshot())
 	if skip := lc.Snapshot().Grams.TFIDF().Skip; skip == nil || !skip[1] {
 		t.Fatalf("zero-norm record not marked after load: %v", skip)
+	}
+
+	if data, err = os.ReadFile("testdata/apxsnap2-mutated.seg"); err != nil {
+		t.Fatal(err)
+	}
+	if lc, err = LoadSnapshot(data); err != nil {
+		t.Fatal(err)
+	}
+	if lc.Layers() != AllLayers || lc.Epoch() != 2 || lc.TokenizePasses() != 1 {
+		t.Fatalf("APXSNAP2 segment: layers %b, epoch %d, %d tokenize passes", lc.Layers(), lc.Epoch(), lc.TokenizePasses())
+	}
+	if fresh, err = NewCorpus(lc.Records(), lc.Config(), lc.Layers()); err != nil {
+		t.Fatal(err)
+	}
+	if d := snapshotStateDiff(fresh.Snapshot(), lc.Snapshot()); d != "" {
+		t.Fatal(d)
 	}
 }

@@ -57,23 +57,53 @@ func (sp *splice) seal(oldLen int) *splice {
 // position p, or false when p is dropped (or retained).
 func (sp *splice) replacement(p int) (int, bool) { return slices.BinarySearch(sp.repl, p) }
 
+// walk visits the next generation of a per-record column of oldLen rows in
+// order: every run [from, to) of retained old positions, and every added
+// record k where sp.recs[k] lands. The splice must be sealed.
+func (sp *splice) walk(oldLen int, keep func(from, to int), add func(k int)) {
+	from := 0
+	for _, p := range sp.removed {
+		keep(from, p)
+		if k, replaced := sp.replacement(p); replaced {
+			add(k)
+		}
+		from = p + 1
+	}
+	keep(from, oldLen)
+	for k := len(sp.repl); k < len(sp.recs); k++ {
+		add(k)
+	}
+}
+
 // spliceRows applies a splice to one per-record column: runs of retained
 // rows are block-copied, added[k] lands where sp.recs[k] does.
 func spliceRows[T any](old []T, sp *splice, added []T) []T {
 	out := make([]T, 0, len(old)-len(sp.drop)-len(sp.repl)+len(added))
-	d, r, from := 0, 0, 0
-	for d < len(sp.drop) || r < len(sp.repl) {
-		if r == len(sp.repl) || (d < len(sp.drop) && sp.drop[d] < sp.repl[r]) {
-			out = append(out, old[from:sp.drop[d]]...)
-			from = sp.drop[d] + 1
-			d++
-		} else {
-			out = append(append(out, old[from:sp.repl[r]]...), added[r])
-			from = sp.repl[r] + 1
-			r++
+	sp.walk(len(old),
+		func(from, to int) { out = append(out, old[from:to]...) },
+		func(k int) { out = append(out, added[k]) })
+	return out
+}
+
+// spliceSpans applies a splice to a column of per-record spans laid end to
+// end — record i's values start at off[i] — block-copying the spans of
+// runs of retained records; added[k] lands where sp.recs[k] does.
+func spliceSpans[T any](old []T, off []int32, sp *splice, added [][]T) []T {
+	at := func(i int) int {
+		if i == len(off) {
+			return len(old)
 		}
+		return int(off[i])
 	}
-	return append(append(out, old[from:]...), added[len(sp.repl):]...)
+	n := len(old)
+	for _, a := range added {
+		n += len(a)
+	}
+	out := make([]T, 0, n)
+	sp.walk(len(off),
+		func(from, to int) { out = append(out, old[at(from):at(to)]...) },
+		func(k int) { out = append(out, added[k]...) })
+	return out
 }
 
 // valueShift maps the values stored in inverted lists (record positions,

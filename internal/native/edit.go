@@ -56,11 +56,12 @@ func attachEditDistance(s *core.Snapshot, cfg core.Config) predicate {
 	if !e.positional {
 		e.tf = raw.TF()
 	} else {
-		// The corpus's gram slice is in occurrence order, so position j of
-		// Docs[i] is the j-th gram start — no re-tokenization needed.
+		// The corpus keeps gram multisets, not their order: the positions
+		// come from the tokenization the corpus ran, repeated here (position
+		// j of the gram slice is the j-th gram start).
 		e.posIndex = make(map[string][]posPost)
-		for i := range raw.Docs {
-			for j, g := range raw.Docs[i] {
+		for i, rec := range s.Records {
+			for j, g := range tokenize.QGrams(rec.Text, cfg.Q) {
 				refs := e.posIndex[g]
 				if n := len(refs); n > 0 && refs[n-1].idx == i {
 					refs[n-1].positions = append(refs[n-1].positions, int32(j))

@@ -1,6 +1,7 @@
 package native
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"strings"
@@ -73,6 +74,104 @@ func TestPositionalFilterNoFalseNegatives(t *testing.T) {
 				if ws, ok := want[m.TID]; !ok || math.Abs(ws-m.Score) > 1e-12 {
 					t.Fatalf("θ=%v query %q tid %d: %v vs %v", theta, q, m.TID, m.Score, ws)
 				}
+			}
+		}
+	}
+}
+
+// TestPositionalFilterOnDerivedPositions attaches the positional edit
+// filter to corpora whose gram positions it has to recount from the record
+// text because the corpus keeps gram multisets only: a corpus loaded from a
+// snapshot, corpora after a mutation script, and a loaded corpus after the
+// same script. On each, the positional variant must return exactly the
+// count-filter variant's matches, both naive scorers' and the brute-force
+// ranking's cut at θ.
+func TestPositionalFilterOnDerivedPositions(t *testing.T) {
+	const theta = 0.7
+	records := randomEditRecords(120, 5)
+	cfg := core.DefaultConfig()
+	cfg.EditTheta = theta
+	build := func() *core.Corpus {
+		c, err := core.NewCorpus(records, cfg, core.AllLayers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	load := func(c *core.Corpus) *core.Corpus {
+		var buf bytes.Buffer
+		if err := c.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		lc, err := core.LoadSnapshot(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lc
+	}
+	mutate := func(c *core.Corpus) *core.Corpus {
+		rng := rand.New(rand.NewSource(8))
+		for i, r := range randomEditRecords(30, 6) {
+			var err error
+			switch live := c.Records(); i % 3 {
+			case 0:
+				err = c.Insert(core.Record{TID: 1000 + i, Text: r.Text})
+			case 1:
+				err = c.Upsert(core.Record{TID: live[rng.Intn(len(live))].TID, Text: r.Text})
+			default:
+				err = c.Delete(live[rng.Intn(len(live))].TID)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+	positional, brute := cfg, cfg
+	positional.EditPositional = true
+	brute.EditTheta = 0
+	for name, c := range map[string]*core.Corpus{
+		"loaded":             load(build()),
+		"mutated":            mutate(build()),
+		"loaded and mutated": mutate(load(build())),
+	} {
+		attach := func(cfg core.Config) core.Predicate {
+			p, err := Attach("EditDistance", c, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		pos, count, all := attach(positional), attach(cfg), attach(brute)
+		live := c.Records()
+		rng := rand.New(rand.NewSource(9))
+		for trial := 0; trial < 20; trial++ {
+			q := []rune(live[rng.Intn(len(live))].Text)
+			if trial%2 == 0 {
+				q[rng.Intn(len(q))] = 'x'
+			}
+			query := string(q)
+			ranked, err := all.Select(query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []core.Match
+			for _, m := range ranked {
+				if m.Score >= theta {
+					want = append(want, m)
+				}
+			}
+			for label, p := range map[string]core.Predicate{"positional": pos, "count": count} {
+				got, err := p.Select(query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertIdentical(t, name+" "+label+" "+query, want, got)
+				naive, err := NaiveSelect(p, query, core.SelectOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertIdentical(t, name+" "+label+" naive "+query, want, naive)
 			}
 		}
 	}

@@ -361,16 +361,6 @@ func (d *Decoder) U64s() []uint64 {
 
 // ---- section frames ----
 
-// Frame wraps one payload into a section frame: tag, length, payload, CRC.
-func Frame(tag uint8, payload []byte) []byte {
-	out := make([]byte, 0, len(payload)+17)
-	out = append(out, tag)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
-	return out
-}
-
 // Writer writes a segment file: magic, version, framed sections, sentinel.
 type Writer struct {
 	w     io.Writer
@@ -409,7 +399,22 @@ func (sw *Writer) Section(tag uint8, payload []byte) error {
 		sw.err = fmt.Errorf("segment: section 0x%02x payload (%d bytes) exceeds the %d-byte format bound", tag, len(payload), maxSectionSize)
 		return sw.err
 	}
-	_, sw.err = sw.w.Write(Frame(tag, payload))
+	return sw.frame(tag, payload)
+}
+
+// frame writes one section frame — tag, length, payload, CRC — passing the
+// payload through without copying it.
+func (sw *Writer) frame(tag uint8, payload []byte) error {
+	var hdr [9]byte
+	hdr[0] = tag
+	binary.LittleEndian.PutUint64(hdr[1:], uint64(len(payload)))
+	var sum [4]byte
+	binary.LittleEndian.PutUint32(sum[:], crc32.Checksum(payload, castagnoli))
+	for _, b := range [][]byte{hdr[:], payload, sum[:]} {
+		if _, sw.err = sw.w.Write(b); sw.err != nil {
+			break
+		}
+	}
 	return sw.err
 }
 
@@ -419,8 +424,7 @@ func (sw *Writer) Close() error {
 	if sw.err != nil {
 		return sw.err
 	}
-	_, sw.err = sw.w.Write(Frame(EndTag, nil))
-	return sw.err
+	return sw.frame(EndTag, nil)
 }
 
 // Reader validates and iterates a segment file read fully into memory.
