@@ -19,8 +19,8 @@ import (
 // thirteen predicates read, instead of one private copy per predicate.
 // A Corpus tokenizes the base relation exactly once, materializes the
 // layers the attached predicates need (q-gram and word token tables,
-// collection statistics, shared weight/posting tables, min-hash
-// signatures, edit-normalized strings), and supports epoch-versioned
+// collection statistics, shared weight/posting tables, the word q-gram and
+// min-hash indexes, edit-normalized strings), and supports epoch-versioned
 // Insert/Delete/Upsert: a mutation tokenizes only the changed records,
 // splices them into the previous snapshot's tables (layers.go, splice.go),
 // and publishes a fresh immutable Snapshot under a new epoch. Predicates
@@ -63,11 +63,12 @@ const (
 	// LayerWordTFIDF is the per-position normalized tf-idf word weight
 	// column used by SoftTFIDF.
 	LayerWordTFIDF
-	// LayerWordGrams is the per-(record, distinct word) q-gram set layer
-	// with its shared inverted index (GESJaccard's filter).
+	// LayerWordGrams is the word q-gram inverted index over dense word ids
+	// (GESJaccard's filter), built when a view first asks for it
+	// (WordLayer.Index).
 	LayerWordGrams
-	// LayerSigs is the min-hash signature layer with its shared
-	// (slot, value) index (GESapx's filter).
+	// LayerSigs adds the min-hash signature (slot, value) index to the word
+	// index (GESapx's filter).
 	LayerSigs
 )
 
@@ -78,7 +79,7 @@ const AllLayers = LayerGrams | LayerPostings | LayerRS | LayerTFIDF | LayerLM |
 
 // withDeps closes a layer set under build dependencies (weight tables need
 // their token layer and the posting ids their columns align with;
-// signatures need the word q-gram sets).
+// the signature index is part of the word index).
 func (l CorpusLayers) withDeps() CorpusLayers {
 	if l&(LayerTFIDF|LayerLM) != 0 {
 		l |= LayerTokenIDs
@@ -555,11 +556,9 @@ func (p *splicePlan) splice() *splice {
 // rawCols carries the tokenization products of a splice's records, one
 // column per materialized layer (parallel to splice.recs).
 type rawCols struct {
-	docs   [][]string
-	words  [][]string
-	vocab  [][]string
-	vgrams [][][]string
-	norms  []string
+	docs  [][]string
+	words [][]string
+	norms []string
 }
 
 // tokenize fills in the tokenization columns of a splice's records.
@@ -572,9 +571,6 @@ func (c *Corpus) tokenize(sp *splice) {
 	if c.layers.Has(LayerWords) {
 		raw.words = make([][]string, n)
 	}
-	if c.layers.Has(LayerWordGrams) {
-		raw.vocab, raw.vgrams = make([][]string, n), make([][][]string, n)
-	}
 	if c.layers.Has(LayerNorms) {
 		raw.norms = make([]string, n)
 	}
@@ -584,13 +580,6 @@ func (c *Corpus) tokenize(sp *splice) {
 		}
 		if raw.words != nil {
 			raw.words[k] = tokenize.Words(strings.ToUpper(rec.Text))
-		}
-		if raw.vocab != nil {
-			raw.vocab[k] = tokenize.Distinct(raw.words[k])
-			raw.vgrams[k] = make([][]string, len(raw.vocab[k]))
-			for j, w := range raw.vocab[k] {
-				raw.vgrams[k][j] = wordGrams(w, c.cfg.WordQ)
-			}
 		}
 		if raw.norms != nil {
 			raw.norms[k] = tokenize.EditNormalize(rec.Text, c.cfg.Q)
@@ -621,7 +610,7 @@ func (c *Corpus) emptySnapshot() *Snapshot {
 		s.RawGrams = emptyGramLayer()
 	}
 	if c.layers.Has(LayerWords) {
-		s.Words = newWordLayer(emptyGramLayer(), nil, c.layers)
+		s.Words = newWordLayer(emptyGramLayer(), nil, c.layers, c.cfg.WordQ, c.fam)
 	}
 	return s
 }
@@ -659,7 +648,7 @@ func (c *Corpus) assemble(prev *Snapshot, sp *splice, epoch uint64, tokDur time.
 		s.Norms = spliceRows(prev.Norms, sp, sp.raw.norms)
 	}
 	if c.layers.Has(LayerWords) {
-		s.Words = prev.Words.splice(sp, c.layers, c.cfg.WordQ, c.fam)
+		s.Words = prev.Words.splice(sp)
 	}
 	s.TokDur, s.WeightDur = tokDur, time.Since(start)
 	return s

@@ -39,7 +39,7 @@ func TestNewCorpusBuildsRequestedLayers(t *testing.T) {
 		s.Grams.TFIDF() == nil || s.Grams.LM() == nil {
 		t.Fatal("gram layer tables missing")
 	}
-	if s.Words == nil || s.Words.TFIDF() == nil || s.Words.GramIndex == nil || s.Words.SigIndex == nil {
+	if s.Words == nil || s.Words.TFIDF() == nil || s.Words.Index() == nil || s.Words.Index().SigIndex == nil {
 		t.Fatal("word layer tables missing")
 	}
 	if len(s.Norms) != len(s.Records) {

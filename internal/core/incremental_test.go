@@ -437,8 +437,7 @@ func TestOldSnapshotsSurviveLaterMutations(t *testing.T) {
 		check("TFIDF", hd.snap.Grams.TFIDF(), fs.Grams.TFIDF())
 		check("LM", hd.snap.Grams.LM(), fs.Grams.LM())
 		check("TF", hd.snap.RawGrams.TF(), fs.RawGrams.TF())
-		check("word gram index", hd.snap.Words.GramIndex, fs.Words.GramIndex)
-		check("signature index", hd.snap.Words.SigIndex, fs.Words.SigIndex)
+		check("word index", hd.snap.Words.Index(), fs.Words.Index())
 		check("word idf weights", hd.snap.Words.IDFWeights(), fs.Words.IDFWeights())
 		check("word tf-idf", hd.snap.Words.TFIDF(), fs.Words.TFIDF())
 		if _, ok := hd.snap.Index(hd.recs[0].TID); !ok {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"iter"
 	"math"
 	"slices"
 	"strings"
@@ -19,21 +18,22 @@ import (
 //
 //   - per-record tokenization products, shared row by row between
 //     snapshots: the interned (rank, tf) pairs and lengths of the gram
-//     multisets, the word sequences, the vocabularies. No per-gram string
-//     is kept: a record's grams are ranks into the sorted token table, and
-//     the q-grams and min-hash signatures of its words are recounted from
-//     its vocabulary when the record leaves the tables;
-//   - structural tables — the sorted token dictionary with its integer
-//     counters, inverted lists, the word q-gram and signature indexes —
-//     spliced from the predecessor by the primitives of splice.go;
-//   - weight columns that depend on N (idf, RS, tf-idf, the language-model
-//     table, the float aggregates of the statistics), derived by flat passes
-//     over the interned pairs the first time a predicate view asks for
-//     them, once per snapshot.
+//     multisets and the word sequences. No per-gram string is kept: a
+//     record's grams are ranks into the sorted token table;
+//   - structural tables — the sorted token dictionaries with their integer
+//     counters and the gram layer's inverted lists — spliced from the
+//     predecessor by the primitives of splice.go;
+//   - state built on first use, once per snapshot, by the first predicate
+//     view that asks for it: the weight columns that depend on N (idf, RS,
+//     tf-idf, the language-model table, the float aggregates of the
+//     statistics), derived by flat passes over the interned pairs, and the
+//     word layer's filter index (dense word ids, the word q-gram and
+//     min-hash signature indexes), built per dictionary word from the
+//     word sequences.
 //
 // A write therefore pays for the records it changes plus a handful of
 // memmove-speed passes; the weight phase moved to the first read that
-// needs a given column, the rule BM25 and HMM always followed for their
+// needs a given table, the rule BM25 and HMM always followed for their
 // parameter-dependent tables.
 
 // RankTF is one interned token occurrence of a record: the token's dense
@@ -613,21 +613,42 @@ type WordLayer struct {
 	Pairs [][]RankTF
 	Stats *weights.Corpus
 	toks  *GramLayer
-	// Vocab are the per-record distinct words (LayerWordGrams). WordOff,
-	// WordRecOf and GramSizeOf flatten the distinct-word space into dense
-	// ids (WordOff[rec]+word), so the GES filters accumulate per-word match
-	// counts in a dense scratch; WordTotal is the id-space size. A word's
-	// q-gram set and min-hash signature are not kept: the two indexes below
-	// hold them, and when a record leaves the tables they are recounted
-	// from its vocabulary with the calls tokenization made.
-	Vocab      [][]string
+
+	layers CorpusLayers
+	q      int             // word q-gram size of the index
+	fam    *minhash.Family // signs every word's q-gram set (LayerSigs)
+	pos    lazy[[][]int32]
+	idf    lazy[[][]float64]
+	tfidf  lazy[[][]float64]
+	wsigs  lazy[[]strutil.WordSig]
+	index  lazy[*WordIndex]
+}
+
+func newWordLayer(toks *GramLayer, words [][]string, layers CorpusLayers, q int, fam *minhash.Family) *WordLayer {
+	return &WordLayer{Words: words, Pairs: toks.Pairs, Stats: toks.Stats, toks: toks, layers: layers, q: q, fam: fam}
+}
+
+// splice produces the word layer that follows l when the record list
+// changes by sp: the word dictionary and the word sequences. The index is
+// the next layer's own, built when a filter first asks for it.
+func (l *WordLayer) splice(sp *splice) *WordLayer {
+	return newWordLayer(l.toks.splice(sp, sp.raw.words, 0), spliceRows(l.Words, sp, sp.raw.words), l.layers, l.q, l.fam)
+}
+
+// WordIndex is the filter index of the GES family over a word layer
+// (LayerWordGrams). WordOff, WordRecOf and GramSizeOf flatten the
+// per-record distinct words, in first-occurrence order, into dense ids
+// (WordOff[rec]+j), so the filters accumulate per-word match counts in a
+// dense scratch; WordTotal is the id-space size and GramSizeOf the size of
+// each word's q-gram set.
+type WordIndex struct {
 	WordOff    []int32
 	WordRecOf  []int32
 	GramSizeOf []int32
 	WordTotal  int
-	// GramKeys and GramIndex are the shared word q-gram inverted index:
-	// sorted distinct grams, and per gram the ascending dense ids of the
-	// words containing it.
+	// GramKeys and GramIndex are the word q-gram inverted index: sorted
+	// distinct grams, and per gram the ascending dense ids of the words
+	// containing it.
 	GramKeys  []string
 	GramIndex [][]int32
 	// SigKeys and SigIndex are the min-hash signature index (LayerSigs), in
@@ -635,164 +656,159 @@ type WordLayer struct {
 	// it.
 	SigKeys  []SigKey
 	SigIndex [][]int32
-
-	layers CorpusLayers
-	pos    lazy[[][]int32]
-	idf    lazy[[][]float64]
-	tfidf  lazy[[][]float64]
-	wsigs  lazy[[]strutil.WordSig]
 }
 
-func newWordLayer(toks *GramLayer, words [][]string, layers CorpusLayers) *WordLayer {
-	return &WordLayer{Words: words, Pairs: toks.Pairs, Stats: toks.Stats, toks: toks, layers: layers}
+// Index returns the word layer's filter index, nil when the layer does not
+// carry LayerWordGrams. It is built on first use, once per snapshot, like
+// the weight columns: a write splices only the dictionary and the words,
+// and the first GESJaccard or GESapx view pays for the index in its weight
+// phase.
+func (l *WordLayer) Index() *WordIndex {
+	if !l.layers.Has(LayerWordGrams) {
+		return nil
+	}
+	return l.index.get(l.buildIndex)
 }
 
-// wordGrams is the q-gram set of one word: what the word q-gram index holds
-// for it and what its min-hash signature hashes.
-func wordGrams(w string, q int) []string {
-	return tokenize.Distinct(tokenize.WordQGrams(w, q))
+// buildIndex builds the index per dictionary word: each rank's q-gram set,
+// and with LayerSigs the min-hash signature of that set, is computed once
+// however many records hold the word, as key ids into a key table; the
+// lists then fill in one count-then-fill pass over the records' distinct
+// words.
+func (l *WordLayer) buildIndex() *WordIndex {
+	dict := l.toks.TokenByRank
+	grams := newKeyTable[string](len(dict))
+	var sigs *keyTable[SigKey]
+	if l.layers.Has(LayerSigs) {
+		sigs = newKeyTable[SigKey](len(dict) * l.fam.K())
+	}
+	for _, w := range dict {
+		// A repeated gram is one set member and does not move a minimum.
+		gs := tokenize.WordQGrams(w, l.q)
+		for _, g := range gs {
+			grams.add(g)
+		}
+		grams.endRow()
+		if sigs != nil {
+			for slot, v := range l.fam.Signature(gs) {
+				sigs.add(SigKey{Slot: slot, Value: v})
+			}
+			sigs.endRow()
+		}
+	}
+
+	x := &WordIndex{WordOff: make([]int32, len(l.Words))}
+	distinct := 0
+	for _, pairs := range l.Pairs {
+		distinct += len(pairs)
+	}
+	wordRank := make([]int32, 0, distinct) // the rank of every dense id
+	x.WordRecOf = make([]int32, 0, distinct)
+	last := make([]int32, len(dict)) // 1 + the last record holding each rank
+	for i, row := range l.PosRanks() {
+		x.WordOff[i] = int32(len(wordRank))
+		for _, r := range row {
+			if last[r] != int32(i)+1 {
+				last[r] = int32(i) + 1
+				wordRank = append(wordRank, r)
+				x.WordRecOf = append(x.WordRecOf, int32(i))
+			}
+		}
+	}
+	x.WordTotal = len(wordRank)
+	x.GramSizeOf = make([]int32, len(wordRank))
+	for wid, r := range wordRank {
+		x.GramSizeOf[wid] = grams.off[r+1] - grams.off[r]
+	}
+	x.GramKeys, x.GramIndex = grams.invert(wordRank, strings.Compare)
+	if sigs != nil {
+		x.SigKeys, x.SigIndex = sigs.invert(wordRank, compareSigKeys)
+	}
+	return x
 }
 
-// setWordIDs lays the dense word ids out over the vocabularies.
-func (l *WordLayer) setWordIDs() {
-	l.WordOff = make([]int32, len(l.Vocab))
-	for i, v := range l.Vocab {
-		l.WordOff[i] = int32(l.WordTotal)
-		l.WordTotal += len(v)
-	}
-	l.WordRecOf = make([]int32, l.WordTotal)
-	for i, v := range l.Vocab {
-		for j := range v {
-			l.WordRecOf[int(l.WordOff[i])+j] = int32(i)
-		}
-	}
+// keyTable interns the key sets of one row per dictionary rank: row r's
+// distinct key ids are val[off[r]:off[r+1]], ids into keys in first-seen
+// order.
+type keyTable[K comparable] struct {
+	ids  map[K]int32
+	keys []K
+	off  []int32
+	val  []int32
 }
 
-// splice produces the word layer that follows l when the record list
-// changes by sp. q is the word q-gram size tokenization used, and fam the
-// min-hash family that signs every word's q-gram set: the signatures of
-// the added words are computed here, the q-gram sets and signatures of the
-// removed records' words recounted.
-func (l *WordLayer) splice(sp *splice, layers CorpusLayers, q int, fam *minhash.Family) *WordLayer {
-	removed := sp.removed
-	next := newWordLayer(l.toks.splice(sp, sp.raw.words, 0), spliceRows(l.Words, sp, sp.raw.words), layers)
-	if !layers.Has(LayerWordGrams) {
-		return next
-	}
-	vocab, vgrams := sp.raw.vocab, sp.raw.vgrams
-	next.Vocab = spliceRows(l.Vocab, sp, vocab)
-	next.setWordIDs()
-	sizes := make([][]int32, len(vgrams))
-	for k, vg := range vgrams {
-		for _, grams := range vg {
-			sizes[k] = append(sizes[k], int32(len(grams)))
-		}
-	}
-	next.GramSizeOf = spliceSpans(l.GramSizeOf, l.WordOff, sp, sizes)
-	var gone [][]string // the q-gram sets of the removed records' words
-	for _, p := range removed {
-		for _, w := range l.Vocab[p] {
-			gone = append(gone, wordGrams(w, q))
-		}
-	}
-	// Dense word ids of a removed record vanish; ids above move by the
-	// difference between its old and new vocabulary size.
-	sh := newValueShift(len(removed))
-	for _, p := range removed {
-		size := 0
-		if k, replaced := sp.replacement(p); replaced {
-			size = len(vocab[k])
-		}
-		sh.remove(l.WordOff[p], l.WordOff[p]+int32(len(l.Vocab[p])), int32(size))
-	}
-	pos := sp.pos
-	next.GramKeys, next.GramIndex = spliceIndex(l.GramKeys, l.GramIndex, strings.Compare, sh,
-		func(yield func(string) bool) {
-			for _, grams := range gone {
-				for _, g := range grams {
-					if !yield(g) {
-						return
-					}
-				}
-			}
-		},
-		func(yield func(string, int32) bool) {
-			for k, vg := range vgrams {
-				for j, grams := range vg {
-					for _, g := range grams {
-						if !yield(g, next.WordOff[pos[k]]+int32(j)) {
-							return
-						}
-					}
-				}
-			}
-		})
-	if !layers.Has(LayerSigs) {
-		return next
-	}
-	next.SigKeys, next.SigIndex = spliceIndex(l.SigKeys, l.SigIndex, compareSigKeys, sh,
-		func(yield func(SigKey) bool) {
-			for _, grams := range gone {
-				for slot, v := range fam.Signature(grams) {
-					if !yield(SigKey{Slot: slot, Value: v}) {
-						return
-					}
-				}
-			}
-		},
-		func(yield func(SigKey, int32) bool) {
-			for k, vg := range vgrams {
-				for j, grams := range vg {
-					for slot, v := range fam.Signature(grams) {
-						if !yield(SigKey{Slot: slot, Value: v}, next.WordOff[pos[k]]+int32(j)) {
-							return
-						}
-					}
-				}
-			}
-		})
-	return next
+func newKeyTable[K comparable](hint int) *keyTable[K] {
+	return &keyTable[K]{ids: make(map[K]int32, hint), off: []int32{0}, val: make([]int32, 0, hint)}
 }
 
-// spliceIndex produces the next generation of a keyed inverted index: a
-// sorted key dictionary with one ascending value list per key. removed
-// yields the key of every value that leaves (the values themselves are the
-// ranges sh removes), added every arriving (key, value) in ascending value
-// order. Each sequence is consumed once.
-func spliceIndex[K comparable](keys []K, lists [][]int32, cmp func(a, b K) int, sh *valueShift, removed iter.Seq[K], added iter.Seq2[K, int32]) ([]K, [][]int32) {
-	kd := newKeyDelta(keys, cmp)
-	for k := range removed {
-		kd.remove(kd.id(k))
+// add puts a key in the current row unless the row holds it already; a
+// row has a few dozen keys at most, so a scan finds a repeat.
+func (t *keyTable[K]) add(k K) {
+	id, ok := t.ids[k]
+	if !ok {
+		id = int32(len(t.keys))
+		t.ids[k] = id
+		t.keys = append(t.keys, k)
+	} else if slices.Contains(t.val[t.off[len(t.off)-1]:], id) {
+		return
 	}
-	var ids, vals []int32
-	for k, v := range added {
-		id := kd.id(k)
-		kd.add(id)
-		ids, vals = append(ids, id), append(vals, v)
+	t.val = append(t.val, id)
+}
+
+func (t *keyTable[K]) endRow() { t.off = append(t.off, int32(len(t.val))) }
+
+// invert returns the keys in cmp order and, per key, the ascending dense
+// ids of the words whose rank's row holds it (wordRank[wid] is the rank of
+// word wid), counted first and then filled into one backing array. Every
+// dictionary word occurs in some record, so no list is empty.
+func (t *keyTable[K]) invert(wordRank []int32, cmp func(a, b K) int) ([]K, [][]int32) {
+	order := make([]int32, len(t.keys))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	next, remap := kd.finish(func(id int32) int32 { return int32(len(lists[id])) })
-	return next, spliceLists(lists, remap, len(next), sh, kd.lost, func(yield func(int32, int32) bool) {
-		for i, id := range ids {
-			if !yield(remapped(remap, id), vals[i]) {
-				return
-			}
+	slices.SortFunc(order, func(a, b int32) int { return cmp(t.keys[a], t.keys[b]) })
+	keys := make([]K, len(order))
+	remap := make([]int32, len(order))
+	for nid, id := range order {
+		keys[nid], remap[id] = t.keys[id], int32(nid)
+	}
+	count := make([]int32, len(keys))
+	total := 0
+	for _, r := range wordRank {
+		row := t.val[t.off[r]:t.off[r+1]]
+		for _, id := range row {
+			count[remap[id]]++
 		}
-	})
+		total += len(row)
+	}
+	backing := make([]int32, total)
+	lists := make([][]int32, len(keys))
+	off := 0
+	for k, n := range count {
+		lists[k] = backing[off : off : off+int(n)]
+		off += int(n)
+	}
+	for wid, r := range wordRank {
+		for _, id := range t.val[t.off[r]:t.off[r+1]] {
+			lists[remap[id]] = append(lists[remap[id]], int32(wid))
+		}
+	}
+	return keys, lists
 }
 
 // GramRefs returns the dense ids of the words containing a word q-gram.
-func (l *WordLayer) GramRefs(g string) []int32 {
-	if i, ok := slices.BinarySearch(l.GramKeys, g); ok {
-		return l.GramIndex[i]
+func (x *WordIndex) GramRefs(g string) []int32 {
+	if i, ok := slices.BinarySearch(x.GramKeys, g); ok {
+		return x.GramIndex[i]
 	}
 	return nil
 }
 
 // SigRefs returns the dense ids of the words whose signature holds value
 // k.Value in slot k.Slot.
-func (l *WordLayer) SigRefs(k SigKey) []int32 {
-	if i, ok := slices.BinarySearchFunc(l.SigKeys, k, compareSigKeys); ok {
-		return l.SigIndex[i]
+func (x *WordIndex) SigRefs(k SigKey) []int32 {
+	if i, ok := slices.BinarySearchFunc(x.SigKeys, k, compareSigKeys); ok {
+		return x.SigIndex[i]
 	}
 	return nil
 }

@@ -12,31 +12,31 @@ import (
 )
 
 // This file implements corpus snapshot persistence. WriteSnapshot encodes
-// what tokenization and hashing produced — records, edit-normalized
-// strings, each token layer's sorted token table with every record's tokens
-// as ranks into it, the word layer's vocabularies and its word q-gram and
-// min-hash signature indexes — into a versioned, CRC-framed binary segment
-// stamped with the snapshot's epoch. Nothing a count can recover is
-// stored: LoadSnapshot rebuilds the interned pairs, the integer statistics
-// and the posting ids from the rank rows with the integer arithmetic of
-// assembly, each word's q-gram count from the gram index, and the pruned
-// effective layer with assembly's own call, so every weight column stays
-// lazy and derives on first use exactly as on a fresh build. A loaded
-// corpus is therefore bit-identical to the one that was saved — same
-// epoch, same scores, same tie order, for every predicate — without
-// tokenizing a string. Word strings are interned through the word table on
-// decode (a record's words alias its entries), so a loaded snapshot is
-// also more compact in memory than a freshly tokenized one.
+// what tokenization produced — records, edit-normalized strings, and each
+// token layer's sorted token table with every record's tokens as ranks into
+// it — into a versioned, CRC-framed binary segment stamped with the
+// snapshot's epoch. Nothing a count or a hash can recover is stored:
+// LoadSnapshot rebuilds the interned pairs, the integer statistics and the
+// posting ids from the rank rows with the integer arithmetic of assembly,
+// and the pruned effective layer with assembly's own call; every weight
+// column and the word index stay lazy and are built on first use exactly
+// as on a fresh build. A loaded corpus is therefore bit-identical to the
+// one that was saved — same epoch, same scores, same tie order, for every
+// predicate — without tokenizing a string. Word strings are interned
+// through the word table on decode (a record's words alias its entries),
+// so a loaded snapshot is also more compact in memory than a freshly
+// tokenized one.
 
 // SnapshotMagic identifies a corpus snapshot segment file.
-const SnapshotMagic = "APXSNAP3"
+const SnapshotMagic = "APXSNAP4"
 
 // legacyMagics identify the earlier snapshot formats: APXSNAP1 also stored
 // every weight table, APXSNAP2 gram rows in occurrence order and every
-// word's q-grams and signature. Their header and records sections have
+// word's q-grams and signature, APXSNAP3 the word vocabularies and the word
+// q-gram and signature indexes. Their header and records sections have
 // today's layout; a legacy segment opens by building the corpus from its
-// records.
-var legacyMagics = []string{"APXSNAP1", "APXSNAP2"}
+// records, so none of its stored indexes is trusted.
+var legacyMagics = []string{"APXSNAP1", "APXSNAP2", "APXSNAP3"}
 
 // Section tags of a snapshot segment (the legacy format kept the pruned
 // layer's tables under tag 4).
@@ -87,7 +87,8 @@ func (c *Corpus) WriteSnapshot(w io.Writer) error {
 		section(secRawGrams, rowsSize(l.TokenByRank, len(l.DL), l.Stats.CS()), func(e *segment.Encoder) { encodeGramLayer(e, l) })
 	}
 	if c.layers.Has(LayerWords) {
-		section(secWords, wordLayerSize(s.Words), func(e *segment.Encoder) { encodeWordLayer(e, s.Words) })
+		w := s.Words
+		section(secWords, rowsSize(w.toks.TokenByRank, len(w.Words), w.Stats.CS()), func(e *segment.Encoder) { encodeWordLayer(e, w) })
 	}
 	if c.layers.Has(LayerNorms) {
 		section(secNorms, strsSize(s.Norms), func(e *segment.Encoder) { e.Strs(s.Norms) })
@@ -201,7 +202,7 @@ func LoadSnapshot(data []byte) (*Corpus, error) {
 		if !ok {
 			return nil, fmt.Errorf("approxsel: snapshot has no word layer section")
 		}
-		if s.Words, err = decodeWordLayer(wl, nrec, layers, cfg.MinHashSize()); err != nil {
+		if s.Words, err = decodeWordLayer(wl, nrec, layers, cfg.WordQ, c.fam); err != nil {
 			return nil, err
 		}
 	}
@@ -394,44 +395,44 @@ func decodeTokenRows(d *segment.Decoder, nrec int) ([]string, [][]int32, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	ranks, err := decodeRankRows(d, nrec, len(tokens), "token")
+	ranks, err := decodeRankRows(d, nrec, len(tokens))
 	return tokens, ranks, err
 }
 
 // decodeRankRows reads nrec rows of ranks into a table of nTok entries,
 // written as a total and then (length, ranks...) per row, carving every row
 // from one backing array.
-func decodeRankRows(d *segment.Decoder, nrec, nTok int, what string) ([][]int32, error) {
+func decodeRankRows(d *segment.Decoder, nrec, nTok int) ([][]int32, error) {
 	total := d.Int()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	if total < 0 || total > d.Remaining()/4 {
-		return nil, fmt.Errorf("approxsel: %s table claims %d entries", what, total)
+		return nil, fmt.Errorf("approxsel: token table claims %d entries", total)
 	}
 	backing := make([]int32, 0, total)
 	rows := make([][]int32, nrec)
 	for i := range rows {
 		n := int(d.U32())
-		raw := d.Raw(4*n, what)
+		raw := d.Raw(4*n, "token")
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
 		if len(backing)+n > total {
-			return nil, fmt.Errorf("approxsel: %s row %d overruns its table", what, i)
+			return nil, fmt.Errorf("approxsel: token row %d overruns its table", i)
 		}
 		start := len(backing)
 		for j := 0; j < n; j++ {
 			r := binary.LittleEndian.Uint32(raw[4*j:])
 			if r >= uint32(nTok) {
-				return nil, fmt.Errorf("approxsel: %s rank %d out of range (%d tokens)", what, r, nTok)
+				return nil, fmt.Errorf("approxsel: token rank %d out of range (%d tokens)", r, nTok)
 			}
 			backing = append(backing, int32(r))
 		}
 		rows[i] = backing[start:len(backing):len(backing)]
 	}
 	if len(backing) != total {
-		return nil, fmt.Errorf("approxsel: %s table holds %d entries, its %d rows %d", what, total, nrec, len(backing))
+		return nil, fmt.Errorf("approxsel: token table holds %d entries, its %d rows %d", total, nrec, len(backing))
 	}
 	return rows, nil
 }
@@ -457,23 +458,8 @@ func internRows(ranks [][]int32, table []string) [][]string {
 
 // ---- word layer ----
 
-// wordLayerSize is the encoded size of a word layer section.
-func wordLayerSize(l *WordLayer) int {
-	n := rowsSize(l.toks.TokenByRank, len(l.Words), l.Stats.CS())
-	if l.layers.Has(LayerWordGrams) {
-		n += rowsSize(nil, len(l.Vocab), l.WordTotal) + strsSize(l.GramKeys) + indexSize(l.GramIndex, 0)
-	}
-	if l.layers.Has(LayerSigs) {
-		n += indexSize(l.SigIndex, 12)
-	}
-	return n
-}
-
 // encodeWordLayer writes the word layer: its word sequences as ranks into
-// the sorted word table, in occurrence order, then each record's distinct
-// words as ranks, and the word q-gram and signature indexes with their
-// keys and dense word ids. A word's own q-grams and signature are what the
-// indexes hold and are not written again.
+// the sorted word table, in occurrence order.
 func encodeWordLayer(e *segment.Encoder, l *WordLayer) {
 	sorted := l.toks.TokenByRank
 	e.Strs(sorted)
@@ -484,99 +470,17 @@ func encodeWordLayer(e *segment.Encoder, l *WordLayer) {
 			e.U32(uint32(pairIn(l.Pairs[i], sorted, w).Rank))
 		}
 	}
-	if l.layers.Has(LayerWordGrams) {
-		e.Int(l.WordTotal)
-		for i, vocab := range l.Vocab {
-			e.U32(uint32(len(vocab)))
-			for _, w := range vocab {
-				e.U32(uint32(pairIn(l.Pairs[i], sorted, w).Rank))
-			}
-		}
-		e.Strs(l.GramKeys)
-		encodeIndex(e, l.GramIndex, func(int) {})
-	}
-	if l.layers.Has(LayerSigs) {
-		encodeIndex(e, l.SigIndex, func(i int) {
-			e.U32(uint32(l.SigKeys[i].Slot))
-			e.U64(l.SigKeys[i].Value)
-		})
-	}
-}
-
-// encodeIndex writes an inverted index over dense word ids: the list and
-// reference counts, then every list behind whatever key writes.
-func encodeIndex(e *segment.Encoder, lists [][]int32, key func(i int)) {
-	e.Int(len(lists))
-	e.Int(refCount(lists))
-	for i, ids := range lists {
-		key(i)
-		e.I32s(ids)
-	}
-}
-
-// indexSize is the encoded size of an index with keySize-byte keys.
-func indexSize(lists [][]int32, keySize int) int {
-	return 16 + (keySize+4)*len(lists) + 4*refCount(lists)
-}
-
-func refCount(lists [][]int32) int {
-	n := 0
-	for _, ids := range lists {
-		n += len(ids)
-	}
-	return n
-}
-
-// decodeIndex reads an index encodeIndex wrote, list i of n behind its key,
-// which key(i, n) reads in keySize bytes; the lists are carved from one
-// backing array. Every id must name a word and every list ascend. It also
-// returns how many lists name each word.
-func (l *WordLayer) decodeIndex(d *segment.Decoder, what string, keySize int, key func(i, n int)) ([][]int32, []int32, error) {
-	n, total := d.Int(), d.Int()
-	if err := d.Err(); err != nil {
-		return nil, nil, err
-	}
-	if n < 0 || n > d.Remaining()/(4+keySize) || total < 0 || total > d.Remaining()/4 {
-		return nil, nil, fmt.Errorf("approxsel: %s claims %d lists of %d ids", what, n, total)
-	}
-	lists := make([][]int32, n)
-	refs := make([]int32, l.WordTotal)
-	backing := make([]int32, 0, total)
-	for i := range lists {
-		key(i, n)
-		cnt := int(d.U32())
-		raw := d.Raw(4*cnt, what)
-		if err := d.Err(); err != nil {
-			return nil, nil, err
-		}
-		if len(backing)+cnt > total {
-			return nil, nil, fmt.Errorf("approxsel: %s list %d overruns its table", what, i)
-		}
-		start := len(backing)
-		for j := 0; j < cnt; j++ {
-			wid := int32(binary.LittleEndian.Uint32(raw[4*j:]))
-			if wid < 0 || int(wid) >= l.WordTotal {
-				return nil, nil, fmt.Errorf("approxsel: %s list %d names word %d of %d", what, i, wid, l.WordTotal)
-			}
-			if j > 0 && wid <= backing[len(backing)-1] {
-				return nil, nil, fmt.Errorf("approxsel: %s list %d out of order", what, i)
-			}
-			backing = append(backing, wid)
-			refs[wid]++
-		}
-		lists[i] = backing[start:len(backing):len(backing)]
-	}
-	if len(backing) != total {
-		return nil, nil, fmt.Errorf("approxsel: %s holds %d ids, its lists %d", what, total, len(backing))
-	}
-	return lists, refs, nil
 }
 
 // decodeWordLayer decodes a word layer section into a layer carrying
-// layers, whose signatures must hold sigSize values each.
-func decodeWordLayer(payload []byte, nrec int, layers CorpusLayers, sigSize int) (*WordLayer, error) {
+// layers, whose index counts q-grams of q characters and signs them with
+// fam.
+func decodeWordLayer(payload []byte, nrec int, layers CorpusLayers, q int, fam *minhash.Family) (*WordLayer, error) {
 	d := segment.NewDecoder(payload)
 	sorted, ranks, err := decodeTokenRows(d, nrec)
+	if err == nil {
+		err = d.Finish()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -590,45 +494,5 @@ func decodeWordLayer(payload []byte, nrec int, layers CorpusLayers, sigSize int)
 	if err != nil {
 		return nil, err
 	}
-	l := newWordLayer(toks, internRows(ranks, sorted), layers)
-	if layers.Has(LayerWordGrams) {
-		vocabRanks, err := decodeRankRows(d, nrec, len(sorted), "vocab")
-		if err != nil {
-			return nil, err
-		}
-		l.Vocab = internRows(vocabRanks, sorted)
-		l.setWordIDs()
-		if l.GramKeys, err = decodeTokenTable(d); err != nil {
-			return nil, err
-		}
-		if l.GramIndex, l.GramSizeOf, err = l.decodeIndex(d, "gram index", 0, func(int, int) {}); err != nil {
-			return nil, err
-		}
-		if len(l.GramIndex) != len(l.GramKeys) {
-			return nil, fmt.Errorf("approxsel: gram index holds %d lists for %d grams", len(l.GramIndex), len(l.GramKeys))
-		}
-	}
-	if layers.Has(LayerSigs) {
-		var slots []int32
-		if l.SigIndex, slots, err = l.decodeIndex(d, "signature index", 12, func(i, n int) {
-			if i == 0 {
-				l.SigKeys = make([]SigKey, n)
-			}
-			l.SigKeys[i] = SigKey{Slot: int(d.U32()), Value: d.U64()}
-		}); err != nil {
-			return nil, err
-		}
-		if !slices.IsSortedFunc(l.SigKeys, compareSigKeys) || slices.ContainsFunc(l.SigKeys, func(k SigKey) bool { return k.Slot >= sigSize }) {
-			return nil, fmt.Errorf("approxsel: signature index out of order or past slot %d", sigSize)
-		}
-		// A signature holds one value per slot, so every word is named in
-		// exactly sigSize lists.
-		if i := slices.IndexFunc(slots, func(n int32) bool { return int(n) != sigSize }); i >= 0 {
-			return nil, fmt.Errorf("approxsel: signature of word %d holds %d values, want %d", i, slots[i], sigSize)
-		}
-	}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return l, nil
+	return newWordLayer(toks, internRows(ranks, sorted), layers, q, fam), nil
 }

@@ -211,9 +211,9 @@ func mutatedSnapshotBytes(t testing.TB) []byte {
 }
 
 // TestLoadSnapshotRejectsHostileHeader loads CRC-valid segments whose header
-// or signatures contradict what a corpus can be. Each must be an error,
+// or rank rows contradict what a corpus can be. Each must be an error,
 // never a crash: the header's config passes the same validation NewCorpus
-// runs, and the stored signatures must be as wide as the config says.
+// runs, and every rank row must fit its token table and its records.
 func TestLoadSnapshotRejectsHostileHeader(t *testing.T) {
 	if _, err := LoadSnapshot(hostileHeader(t)); err == nil || !strings.Contains(err.Error(), "min-hash size") {
 		t.Fatalf("min-hash size 2^40: %v", err)
@@ -228,14 +228,11 @@ func TestLoadSnapshotRejectsHostileHeader(t *testing.T) {
 	if err := load(DefaultConfig(), len(recs), false); err != nil {
 		t.Fatalf("re-framed segment does not load: %v", err)
 	}
-	wide := DefaultConfig()
-	wide.MinHashK++
 	nan := DefaultConfig()
 	nan.PruneRate = math.NaN()
 	hugeQ := DefaultConfig()
 	hugeQ.Q = 1 << 40
 	for name, err := range map[string]error{
-		"signatures narrower than the config": load(wide, len(recs), false),
 		"NaN prune rate":                      load(nan, len(recs), false),
 		"q-grams of 2^40 characters":          load(hugeQ, len(recs), false),
 		"pruning flag without a prune rate":   load(DefaultConfig(), len(recs), true),
@@ -245,34 +242,11 @@ func TestLoadSnapshotRejectsHostileHeader(t *testing.T) {
 			t.Errorf("%s: loaded without error", name)
 		}
 	}
-	// Sections that are well framed but name impossible state.
-	c, err := NewCorpus(recs, DefaultConfig(), AllLayers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := c.Snapshot().Words
-	pastWords := bytes.Clone(secs[3])
-	// The first id of the first gram index list, past the word rows, the
-	// vocabularies, the gram table and the index's two counts.
-	at := rowsSize(w.toks.TokenByRank, len(recs), w.Stats.CS()) + 8 + 4*len(recs) + 4*w.WordTotal + strsSize(w.GramKeys) + 16 + 4
-	if got := binary.LittleEndian.Uint32(pastWords[at:]); got != uint32(w.GramIndex[0][0]) {
-		t.Fatalf("gram index layout: id %d at offset %d, want %d", got, at, w.GramIndex[0][0])
-	}
-	binary.LittleEndian.PutUint32(pastWords[at:], uint32(w.WordTotal))
-	for name, tc := range map[string]struct {
-		sec     int
-		payload []byte
-		msg     string
-	}{
-		"gram row whose ranks decrease":          {2, decreasingGramRow(t, secs[2], len(recs)), "decreases"},
-		"gram index names a word past WordTotal": {3, pastWords, "names word"},
-	} {
-		framed := slices.Clone(secs)
-		framed[0] = headerPayload(DefaultConfig(), AllLayers, len(recs), false)
-		framed[tc.sec] = tc.payload
-		if _, err := LoadSnapshot(frameSnapshot(t, framed...)); err == nil || !strings.Contains(err.Error(), tc.msg) {
-			t.Errorf("%s: %v", name, err)
-		}
+	// A section that is well framed but names impossible state.
+	framed := slices.Clone(secs)
+	framed[2] = decreasingGramRow(t, secs[2], len(recs))
+	if _, err := LoadSnapshot(frameSnapshot(t, framed...)); err == nil || !strings.Contains(err.Error(), "decreases") {
+		t.Errorf("gram row whose ranks decrease: %v", err)
 	}
 	// One record fewer in the header, records and norms sections, which
 	// then decode cleanly: the rank rows of the layer taken from the full
@@ -294,14 +268,18 @@ func TestLoadSnapshotRejectsHostileHeader(t *testing.T) {
 // FuzzLoadSnapshot loads segments framed from arbitrary header, records,
 // gram, word and norms payloads with valid CRCs, so the bytes reach the
 // section decoders rather than the CRC check. Whatever loads must carry
-// aligned posting columns and derive every weight column its layers carry
-// without a panic.
+// aligned posting columns and build every weight column and word index its
+// layers carry without a panic. The seeds are APXSNAP4 segments as
+// WriteSnapshot writes them today.
 func FuzzLoadSnapshot(f *testing.F) {
 	pruned := DefaultConfig()
 	pruned.PruneRate = 0.2
+	wordQ3 := DefaultConfig()
+	wordQ3.WordQ = 3
 	for _, seg := range [][]byte{
 		snapshotBytes(f, persistRecords(), DefaultConfig(), AllLayers),
 		snapshotBytes(f, persistRecords(), pruned, AllLayers),
+		snapshotBytes(f, repeatedGramRecords(), wordQ3, AllLayers),
 		snapshotBytes(f, zeroNormRecords(), DefaultConfig(), LayerTFIDF.withDeps()),
 		snapshotBytes(f, persistRecords(), DefaultConfig(), (LayerSigs | LayerNorms).withDeps()),
 		hostileHeader(f),

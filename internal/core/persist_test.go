@@ -82,8 +82,8 @@ func snapshotStateDiff(want, got *Snapshot) string {
 	return ""
 }
 
-// deriveColumns derives, through their accessors, every weight column and
-// float aggregate the snapshot's layers carry.
+// deriveColumns derives, through their accessors, every weight column,
+// float aggregate and word index the snapshot's layers carry.
 func deriveColumns(s *Snapshot) {
 	stats := func(st *weights.Corpus) {
 		st.AvgIDF()
@@ -105,6 +105,7 @@ func deriveColumns(s *Snapshot) {
 		w.IDFWeights()
 		w.TFIDF()
 		w.WordSigs()
+		w.Index()
 		stats(w.Stats)
 	}
 }
@@ -147,12 +148,7 @@ func diffWordLayer(a, b *WordLayer) string {
 		{"Words", a.Words, b.Words}, {"Pairs", a.Pairs, b.Pairs},
 		{"Stats", a.Stats, b.Stats}, {"toks", a.toks, b.toks},
 		{"IDFWeights", a.IDFWeights(), b.IDFWeights()}, {"TFIDF", a.TFIDF(), b.TFIDF()},
-		{"Vocab", a.Vocab, b.Vocab},
-		{"GramKeys", a.GramKeys, b.GramKeys}, {"GramIndex", a.GramIndex, b.GramIndex},
-		{"WordOff", a.WordOff, b.WordOff}, {"WordRecOf", a.WordRecOf, b.WordRecOf},
-		{"GramSizeOf", a.GramSizeOf, b.GramSizeOf}, {"WordTotal", a.WordTotal, b.WordTotal},
-		{"SigKeys", a.SigKeys, b.SigKeys},
-		{"SigIndex", a.SigIndex, b.SigIndex},
+		{"Index", a.Index(), b.Index()},
 	}
 	for _, c := range checks {
 		if !reflect.DeepEqual(c.x, c.y) {

@@ -85,30 +85,9 @@ func spliceRows[T any](old []T, sp *splice, added []T) []T {
 	return out
 }
 
-// spliceSpans applies a splice to a column of per-record spans laid end to
-// end — record i's values start at off[i] — block-copying the spans of
-// runs of retained records; added[k] lands where sp.recs[k] does.
-func spliceSpans[T any](old []T, off []int32, sp *splice, added [][]T) []T {
-	at := func(i int) int {
-		if i == len(off) {
-			return len(old)
-		}
-		return int(off[i])
-	}
-	n := len(old)
-	for _, a := range added {
-		n += len(a)
-	}
-	out := make([]T, 0, n)
-	sp.walk(len(off),
-		func(from, to int) { out = append(out, old[at(from):at(to)]...) },
-		func(k int) { out = append(out, added[k]...) })
-	return out
-}
-
-// valueShift maps the values stored in inverted lists (record positions,
-// dense word ids) from one generation to the next: values inside a removed
-// range vanish, values above it move by the cumulative size change.
+// valueShift maps the record positions stored in inverted lists from one
+// generation to the next: values inside a removed range vanish, values
+// above it move by the cumulative size change.
 type valueShift struct {
 	lo, hi []int32 // removed old ranges [lo, hi), ascending and disjoint
 	cum    []int32 // shift of old values in [hi[k], lo[k+1])

@@ -300,33 +300,38 @@ func (g *gesEval) selectAllNaive(query string, opts core.SelectOptions) []core.M
 // index (core.LayerWordGrams). GESapx replaces it with a min-hash estimate
 // (Eq. 4.8), trading accuracy for faster filtering; its signature index is
 // shared corpus state (core.LayerSigs) and only the query-side hash family
-// is reconstructed at attach (it is deterministic in k and seed).
+// is reconstructed at attach (it is deterministic in k and seed). The
+// first view to attach to a snapshot builds the snapshot's word index
+// (core.WordLayer.Index), inside its timed weight phase; later views share
+// it.
 type gesFilter struct {
 	ges    *gesEval
+	idx    *core.WordIndex
 	family *minhash.Family // nil for GESJaccard
 	q      int
 	theta  float64
 }
 
 func attachGESJaccard(s *core.Snapshot, cfg core.Config) predicate {
-	return newGESFilter(s, cfg, nil)
+	return newGESFilter(s, cfg, nil).view()
 }
 
 func attachGESapx(s *core.Snapshot, cfg core.Config) predicate {
-	return newGESFilter(s, cfg, minhash.NewFamily(cfg.MinHashSize(), cfg.MinHashSeed))
+	return newGESFilter(s, cfg, minhash.NewFamily(cfg.MinHashSize(), cfg.MinHashSeed)).view()
 }
 
-func newGESFilter(s *core.Snapshot, cfg core.Config, family *minhash.Family) predicate {
-	f := &gesFilter{ges: newGESEval(s, cfg), family: family, q: cfg.WordQ, theta: cfg.GESThreshold}
-	return predicate{sel: f.selectOpts, naive: f.selectNaive}
+func newGESFilter(s *core.Snapshot, cfg core.Config, family *minhash.Family) *gesFilter {
+	return &gesFilter{ges: newGESEval(s, cfg), idx: s.Words.Index(), family: family, q: cfg.WordQ, theta: cfg.GESThreshold}
 }
+
+func (f *gesFilter) view() predicate { return predicate{sel: f.selectOpts, naive: f.selectNaive} }
 
 // estimate turns c, the match count of word wid, into the filter's word
 // similarity: the Jaccard coefficient of the q-gram sets, or the share of
 // agreeing signature slots.
 func (f *gesFilter) estimate(c float64, grams int, wid int32) float64 {
 	if f.family == nil {
-		return c / (float64(grams+int(f.ges.w.GramSizeOf[wid])) - c)
+		return c / (float64(grams+int(f.idx.GramSizeOf[wid])) - c)
 	}
 	return c / float64(f.family.K())
 }
@@ -345,7 +350,7 @@ func (f *gesFilter) selectOpts(query string, opts core.SelectOptions) []core.Mat
 	if wtQ == 0 {
 		return nil
 	}
-	w := f.ges.w
+	w := f.idx
 	distinctQ := tokenize.Distinct(qws)
 	ws := core.GetScratch(w.WordTotal)
 	rs := core.GetScratch(len(f.ges.recs))
@@ -425,7 +430,7 @@ func (f *gesFilter) selectNaive(query string, opts core.SelectOptions) []core.Ma
 	if wtQ == 0 {
 		return nil
 	}
-	w := f.ges.w
+	w := f.idx
 	dq := 1 - 1.0/float64(f.q)
 	twoOverQ := 2.0 / float64(f.q)
 
@@ -470,7 +475,7 @@ func (f *gesFilter) selectNaive(query string, opts core.SelectOptions) []core.Ma
 			if ms[qi] == 0 {
 				continue
 			}
-			score += w.Stats.IDF(t) * (twoOverQ*ms[qi] + dq)
+			score += f.ges.w.Stats.IDF(t) * (twoOverQ*ms[qi] + dq)
 		}
 		score = (1.0 / wtQ) * score // match the SQL plan's association order
 		if score >= f.theta {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/minhash"
 )
 
 // TestConcurrentSelect verifies that native predicates are safe for
@@ -130,4 +131,55 @@ func (e mismatchError) Error() string {
 
 func errMismatch(pred, query string, got, want int) error {
 	return mismatchError{pred: pred, query: query, got: got, want: want}
+}
+
+// TestConcurrentGESAttachBuildsIndexOnce attaches GESJaccard and GESapx
+// filters from 8 goroutines at the same moment to one fresh snapshot,
+// whose word index nobody has asked for yet. Run with -race: every view
+// must hold the same *core.WordIndex, so it was built once, and answer as
+// a view attached alone.
+func TestConcurrentGESAttachBuildsIndexOnce(t *testing.T) {
+	c, records, cfg := hotPathCorpus(t, 300, 17)
+	fam := minhash.NewFamily(cfg.MinHashSize(), cfg.MinHashSeed)
+	queries := hotPathQueries(records)
+	opts := core.SelectOptions{Limit: 10}
+	solo := func(family *minhash.Family) [][]core.Match {
+		// A private corpus over the same records, so the shared one's
+		// index stays unbuilt until the goroutines race for it.
+		own, _, _ := hotPathCorpus(t, 300, 17)
+		f := newGESFilter(own.Snapshot(), cfg, family)
+		out := make([][]core.Match, len(queries))
+		for i, q := range queries {
+			out[i] = f.selectOpts(q, opts)
+		}
+		return out
+	}
+	want := [2][][]core.Match{solo(nil), solo(fam)}
+
+	snap := c.Snapshot()
+	filters := make([]*gesFilter, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range filters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			family := [2]*minhash.Family{nil, fam}[g%2]
+			<-start
+			filters[g] = newGESFilter(snap, cfg, family)
+			for i, q := range queries {
+				if ms := filters[g].selectOpts(q, opts); !slices.Equal(ms, want[g%2][i]) {
+					t.Errorf("goroutine %d: %q answered differently from a view attached alone", g, q)
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g, f := range filters {
+		if f.idx == nil || f.idx != filters[0].idx || f.idx != snap.Words.Index() {
+			t.Fatalf("view %d holds word index %p, view 0 %p: the index was built more than once", g, f.idx, filters[0].idx)
+		}
+	}
 }

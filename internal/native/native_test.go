@@ -469,14 +469,23 @@ func TestPreprocessPhasesReported(t *testing.T) {
 	}
 }
 
-// TestWeightPhaseCoversDerivedColumns: the shared weight tables derive on
-// first use, so the cost moved out of corpus assembly — and must show up in
-// the weight phase of the predicate whose attach asked for the column, not
-// vanish. Tokenization stays the corpus's one shared pass.
+// TestWeightPhaseCoversDerivedColumns: the shared weight tables and the
+// word index are built on first use, so the cost moved out of corpus
+// assembly — and must show up in the weight phase of the predicate whose
+// attach asked for the table (Figure 5.2's preprocessing column), not
+// vanish. Tokenization stays the corpus's one shared pass. GESJaccard and
+// GESapx share the word index, so each gets a corpus of its own, where a
+// plain GES view has already derived the word columns all three read: what
+// their first attach adds is the index.
 func TestWeightPhaseCoversDerivedColumns(t *testing.T) {
-	c, _, cfg := hotPathCorpus(t, 400, 3)
-	snap := c.Snapshot()
-	for _, name := range []string{"Cosine", "LM"} {
+	for _, name := range []string{"Cosine", "LM", "GESJaccard", "GESapx"} {
+		c, _, cfg := hotPathCorpus(t, 400, 3)
+		snap := c.Snapshot()
+		if strings.HasPrefix(name, "GES") {
+			if _, err := Attach("GES", c, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
 		p, err := Attach(name, c, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -7,6 +7,7 @@ package tokenize
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // PadRune is the special symbol the paper inserts in place of whitespace and
@@ -50,26 +51,36 @@ func QGrams(s string, q int) []string {
 // WordQGrams returns the q-grams of a single word token, padded with q−1 pad
 // symbols on both sides and upper-cased. It is the per-word tokenization the
 // combination predicates (GES variants, SoftTFIDF) use to compare word
-// tokens (Appendix A.3).
+// tokens (Appendix A.3). For q ≤ 1 the grams are the word's characters. The
+// grams are substrings of one padded copy of the word, in which every
+// invalid UTF-8 byte reads as U+FFFD.
 func WordQGrams(word string, q int) []string {
-	if q <= 1 {
-		runes := []rune(strings.ToUpper(word))
-		out := make([]string, 0, len(runes))
-		for _, r := range runes {
-			out = append(out, string(r))
-		}
-		return out
-	}
+	q = max(q, 1)
 	pad := strings.Repeat(string(PadRune), q-1)
-	padded := []rune(pad + strings.ToUpper(word) + pad)
-	if len(padded) < q {
+	padded := pad + strings.ToUpper(word) + pad
+	if !utf8.ValidString(padded) {
+		padded = string([]rune(padded))
+	}
+	n := utf8.RuneCountInString(padded)
+	if n < q {
 		return nil
 	}
-	out := make([]string, 0, len(padded)-q+1)
-	for i := 0; i+q <= len(padded); i++ {
-		out = append(out, string(padded[i:i+q]))
+	out := make([]string, 0, n-q+1)
+	from, to := 0, 0
+	for range q {
+		_, size := utf8.DecodeRuneInString(padded[to:])
+		to += size
 	}
-	return out
+	for {
+		out = append(out, padded[from:to])
+		if to == len(padded) {
+			return out
+		}
+		_, size := utf8.DecodeRuneInString(padded[from:])
+		from += size
+		_, size = utf8.DecodeRuneInString(padded[to:])
+		to += size
+	}
 }
 
 // EditNormalize prepares a string for edit-based comparison: whitespace

@@ -101,6 +101,36 @@ func TestWordQGramsQ1(t *testing.T) {
 	}
 }
 
+// TestWordQGramsMatchesRuneWindows checks the substring grams against
+// windows over the padded word's rune slice, on multi-byte and invalid
+// UTF-8 words and at every q up to past the padded length.
+func TestWordQGramsMatchesRuneWindows(t *testing.T) {
+	windows := func(word string, q int) []string {
+		if q <= 1 {
+			var out []string
+			for _, r := range []rune(strings.ToUpper(word)) {
+				out = append(out, string(r))
+			}
+			return out
+		}
+		pad := strings.Repeat(string(PadRune), q-1)
+		padded := []rune(pad + strings.ToUpper(word) + pad)
+		var out []string
+		for i := 0; i+q <= len(padded); i++ {
+			out = append(out, string(padded[i:i+q]))
+		}
+		return out
+	}
+	for _, word := range []string{"", "a", "ab", "straße", "東京大学", "naïve", "\xffa\xfe", "é\x80"} {
+		for q := 0; q <= 6; q++ {
+			got, want := WordQGrams(word, q), windows(word, q)
+			if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Errorf("WordQGrams(%q, %d) = %q, want %q", word, q, got, want)
+			}
+		}
+	}
+}
+
 func TestEditNormalize(t *testing.T) {
 	if got := EditNormalize("db  lab", 3); got != "DB$$LAB" {
 		t.Errorf("EditNormalize = %q", got)
