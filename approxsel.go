@@ -93,7 +93,8 @@ type Match = core.Match
 type Config = core.Config
 
 // Predicate is a preprocessed approximate-selection predicate over a fixed
-// base relation. Select returns matches ranked by decreasing similarity.
+// base relation. Select returns matches ranked by decreasing similarity
+// and is safe for concurrent use.
 type Predicate = core.Predicate
 
 // DefaultConfig returns the paper's parameter settings (§5.3.2): q=2,

@@ -40,11 +40,8 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // identical to probing sequentially: workers only decide which query runs
 // where, never the per-query ranking.
 //
-// The pool size comes from Workers (default GOMAXPROCS). Predicates that do
-// not declare concurrent probing safe (the declarative realization, whose
-// predicates share mutable query tables in their SQL database) are probed
-// by a single worker regardless. Per-probe options (Limit, Threshold) apply
-// to every query of the batch.
+// The pool size comes from Workers (default GOMAXPROCS). Per-probe options
+// (Limit, Threshold) apply to every query of the batch.
 //
 // Cancellation is honored at query granularity: when ctx is cancelled,
 // workers finish their in-flight probe, pending queries are abandoned, and
@@ -61,9 +58,6 @@ func SelectBatch(ctx context.Context, p Predicate, queries []string, opts ...Bat
 	workers := b.workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if !core.ConcurrentSafe(p) {
-		workers = 1
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -56,9 +56,9 @@ func TestSelectBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSelectBatchDeclarative checks that the declarative realization, which
-// does not declare concurrent probing safe, still yields sequential-equal
-// results under a large requested worker count (it is serialized).
+// TestSelectBatchDeclarative checks that the declarative realization, whose
+// predicates serialize their own selects, yields sequential-equal results
+// under a large worker count.
 func TestSelectBatchDeclarative(t *testing.T) {
 	records := facadeRecords()[:20]
 	queries := batchQueries(records)
@@ -133,16 +133,14 @@ func TestSelectBatchPreCancelled(t *testing.T) {
 	}
 }
 
-// slowPredicate blocks each probe briefly and counts probes; it declares
-// concurrent probing safe so the pool actually fans out.
+// slowPredicate blocks each probe briefly and counts probes.
 type slowPredicate struct {
 	probes  atomic.Int64
 	started chan struct{}
 	once    atomic.Bool
 }
 
-func (p *slowPredicate) Name() string              { return "slow" }
-func (p *slowPredicate) ConcurrentProbeSafe() bool { return true }
+func (p *slowPredicate) Name() string { return "slow" }
 
 func (p *slowPredicate) Select(string) ([]Match, error) {
 	if p.once.CompareAndSwap(false, true) {
@@ -179,8 +177,7 @@ func TestSelectBatchCancellationPrompt(t *testing.T) {
 // failingPredicate errors on one specific query.
 type failingPredicate struct{}
 
-func (failingPredicate) Name() string              { return "failing" }
-func (failingPredicate) ConcurrentProbeSafe() bool { return true }
+func (failingPredicate) Name() string { return "failing" }
 
 func (failingPredicate) Select(q string) ([]Match, error) {
 	if q == "boom" {
@@ -202,8 +199,7 @@ func TestSelectBatchError(t *testing.T) {
 // race-based error report would name the wrong query.
 type racingFailures struct{}
 
-func (racingFailures) Name() string              { return "racing" }
-func (racingFailures) ConcurrentProbeSafe() bool { return true }
+func (racingFailures) Name() string { return "racing" }
 
 func (racingFailures) Select(q string) ([]Match, error) {
 	switch {
@@ -265,5 +261,4 @@ func TestBatchErrorUnwrap(t *testing.T) {
 type probeErr struct{ err error }
 
 func (probeErr) Name() string                     { return "probeErr" }
-func (probeErr) ConcurrentProbeSafe() bool        { return true }
 func (p probeErr) Select(string) ([]Match, error) { return nil, p.err }

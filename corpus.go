@@ -2,6 +2,7 @@ package approxsel
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -42,11 +43,9 @@ func attachToCorpus(cc *core.Corpus, r Realization, name string, cfg Config) (Pr
 		}
 		v.build = func() (core.Predicate, error) { return legacyBuilder(cc.Records(), cfg) }
 	}
-	inner, err := v.current()
-	if err != nil {
+	if _, err := v.current(); err != nil {
 		return nil, err
 	}
-	v.safe = core.ConcurrentSafe(inner)
 	return v, nil
 }
 
@@ -61,7 +60,7 @@ type corpusView struct {
 	name   string
 	build  func() (core.Predicate, error)
 	state  atomic.Pointer[viewState]
-	safe   bool
+	mu     sync.Mutex // held while one epoch's predicate is built
 }
 
 type viewState struct {
@@ -70,30 +69,25 @@ type viewState struct {
 }
 
 // current returns the inner predicate for the corpus's current epoch,
-// rebuilding it if the epoch moved. Concurrent callers may race to
-// rebuild; the compare-and-swap keeps exactly one winner and the losers'
-// builds are discarded (they are views over immutable snapshots, so this
-// is waste, not corruption).
+// building it if the epoch moved. A hit is one atomic load; on a miss the
+// first caller builds under mu while concurrent first reads wait for that
+// build, so each epoch's predicate is built once.
 func (v *corpusView) current() (core.Predicate, error) {
 	e := v.corpus.Epoch()
-	st := v.state.Load()
-	if st != nil && st.epoch >= e {
+	if st := v.state.Load(); st != nil && st.epoch >= e {
+		return st.inner, nil
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if st := v.state.Load(); st != nil && st.epoch >= e {
 		return st.inner, nil
 	}
 	inner, err := v.build()
 	if err != nil {
 		return nil, err
 	}
-	ns := &viewState{epoch: e, inner: inner}
-	for {
-		st = v.state.Load()
-		if st != nil && st.epoch >= e {
-			return st.inner, nil
-		}
-		if v.state.CompareAndSwap(st, ns) {
-			return inner, nil
-		}
-	}
+	v.state.Store(&viewState{epoch: e, inner: inner})
+	return inner, nil
 }
 
 // Name implements core.Predicate.
@@ -117,11 +111,6 @@ func (v *corpusView) SelectCtx(ctx context.Context, query string, opts core.Sele
 	}
 	return core.SelectWithOptions(ctx, p, query, opts)
 }
-
-// ConcurrentProbeSafe implements core.ConcurrentProber: the view is as
-// safe as the predicates it builds (the rebuild handshake itself is
-// lock-free and race-clean).
-func (v *corpusView) ConcurrentProbeSafe() bool { return v.safe }
 
 // PreprocessPhases implements core.Phased by delegating to the inner
 // predicate; adapted predicates that do not track phases report zeros.

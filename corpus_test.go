@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestCorpusSinglePass is the acceptance contract of the Corpus API:
@@ -268,6 +270,64 @@ func TestCorpusDeclarativeAndCustomAttach(t *testing.T) {
 	}
 	if len(ms) == 0 || ms[0].TID != 300 {
 		t.Fatalf("declarative predicate must observe the insert: %+v", ms)
+	}
+}
+
+// TestConcurrentFirstReadsBuildOnce checks that a view builds each epoch's
+// predicate once: after an Insert that touches every shard, eight
+// concurrent first reads wait for one build per shard instead of each
+// running their own.
+func TestConcurrentFirstReadsBuildOnce(t *testing.T) {
+	var builds atomic.Int64
+	counted := func(records []Record, cfg Config) (Predicate, error) {
+		builds.Add(1)
+		time.Sleep(5 * time.Millisecond) // keep the first reads overlapping the build
+		return buildEquality(records, cfg)
+	}
+	if err := Register("CountedBuilds", counted); err != nil {
+		t.Fatal(err)
+	}
+	defer Unregister("CountedBuilds")
+
+	records := facadeRecords()
+	for _, shards := range []int{1, 2} {
+		c, err := OpenShardedCorpus(records, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := c.Predicate("CountedBuilds")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One new record per shard, all in one Insert.
+		var add []Record
+		for tid := 1000; len(add) < shards; tid++ {
+			if shardOf(tid, shards) == len(add) {
+				add = append(add, Record{TID: tid, Text: fmt.Sprintf("Counted Builds %d", tid)})
+			}
+		}
+		if err := c.Insert(add...); err != nil {
+			t.Fatal(err)
+		}
+		builds.Store(0)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				ms, err := p.Select(add[0].Text)
+				if err != nil || len(ms) != 1 || ms[0].TID != add[0].TID {
+					t.Errorf("shards=%d: first read after the insert: %+v, %v", shards, ms, err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if n := builds.Load(); n != int64(shards) {
+			t.Errorf("shards=%d: %d builds for 8 concurrent first reads, want one per touched shard (%d)", shards, n, shards)
+		}
 	}
 }
 

@@ -13,16 +13,20 @@ import (
 	"fmt"
 	"log"
 	"strings"
+	"sync"
 
 	approxsel "repro"
 )
 
 // dicePredicate realizes Dice's coefficient declaratively: the base
 // relation is tokenized into padded q-grams with the Appendix A INTEGERS
-// trick, and every Select scores candidates with one SQL statement.
+// trick, and every Select scores candidates with one SQL statement. Select
+// refills the shared query_tokens table, so mu holds one Select at a time:
+// a Predicate must be safe for concurrent use.
 type dicePredicate struct {
 	db *approxsel.SQLDB
 	q  int
+	mu sync.Mutex
 }
 
 // newDice is the BuilderFunc registered under "Dice": it preprocesses the
@@ -90,6 +94,8 @@ func (p *dicePredicate) Name() string { return "Dice" }
 // the QUERY_TOKENS table and candidates sharing a q-gram are scored and
 // ranked by one declarative statement.
 func (p *dicePredicate) Select(query string) ([]approxsel.Match, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if _, err := p.db.Exec("DELETE FROM query_tokens"); err != nil {
 		return nil, err
 	}

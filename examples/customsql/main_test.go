@@ -1,8 +1,11 @@
 package main
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	approxsel "repro"
@@ -38,6 +41,7 @@ func TestDicePredicate(t *testing.T) {
 	if err := approxsel.Register("DiceTest", newDice); err != nil {
 		t.Fatal(err)
 	}
+	defer approxsel.Unregister("DiceTest")
 	records := []approxsel.Record{
 		{TID: 1, Text: "Morgan Stanley Group Inc."},
 		{TID: 2, Text: "Beijing Hotel"},
@@ -70,4 +74,57 @@ func TestDicePredicate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDiceConcurrentSelects probes the predicate through SelectBatch on
+// four workers and through direct Selects from eight goroutines: every
+// answer must equal the serial one, because Select refills the shared
+// query_tokens table under the predicate's own lock.
+func TestDiceConcurrentSelects(t *testing.T) {
+	if err := approxsel.Register("DiceConcurrent", newDice); err != nil {
+		t.Fatal(err)
+	}
+	defer approxsel.Unregister("DiceConcurrent")
+	companies := approxsel.CompanyNames(60, 3)
+	records := make([]approxsel.Record, len(companies))
+	for i, name := range companies {
+		records[i] = approxsel.Record{TID: i + 1, Text: name}
+	}
+	p, err := approxsel.New("DiceConcurrent", records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{companies[0], companies[17], companies[42], "Pacific Hotel Group"}
+	want := make([][]approxsel.Match, len(queries))
+	for i, q := range queries {
+		if want[i], err = p.Select(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := approxsel.SelectBatch(context.Background(), p, queries, approxsel.Workers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("SelectBatch on four workers differs from the serial answers")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range queries {
+				j := (g + i) % len(queries)
+				ms, err := p.Select(queries[j])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(ms, want[j]) {
+					t.Errorf("concurrent Select %q differs from the serial answer", queries[j])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

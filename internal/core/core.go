@@ -30,6 +30,11 @@ type Match struct {
 // at least one token with the query), ranked by decreasing score with ties
 // broken by increasing TID. The accuracy methodology (§5.2) deliberately
 // does not threshold this ranking.
+//
+// Select is safe for concurrent use: batches, joins, shard fan-outs and the
+// server call it from many goroutines at once, so a predicate with
+// per-select state (the declarative realization's query tables) guards that
+// state itself.
 type Predicate interface {
 	Name() string
 	Select(query string) ([]Match, error)

@@ -42,21 +42,6 @@ type ContextPredicate interface {
 	SelectCtx(ctx context.Context, query string, opts SelectOptions) ([]Match, error)
 }
 
-// ConcurrentProber is the optional interface of predicates that declare
-// whether Select may be called concurrently once the predicate is built.
-// Native predicates are read-only after preprocessing and report true; the
-// declarative realization shares mutable query tables in its SQL database
-// and does not implement the interface, so batch probing serializes it.
-type ConcurrentProber interface {
-	ConcurrentProbeSafe() bool
-}
-
-// ConcurrentSafe reports whether p declares concurrent Selects safe.
-func ConcurrentSafe(p Predicate) bool {
-	cp, ok := p.(ConcurrentProber)
-	return ok && cp.ConcurrentProbeSafe()
-}
-
 // SelectWithOptions runs one selection with options against any predicate.
 // Predicates implementing ContextPredicate get the options pushed down;
 // for the rest the full ranking is computed and the options are applied as

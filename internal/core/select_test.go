@@ -103,9 +103,3 @@ func TestSelectWithOptionsRejectsNegativeLimit(t *testing.T) {
 		t.Fatalf("zero limit: %v %v", got, err)
 	}
 }
-
-func TestConcurrentSafeDefault(t *testing.T) {
-	if ConcurrentSafe(plainPredicate{}) {
-		t.Fatal("predicates without the marker must report unsafe")
-	}
-}

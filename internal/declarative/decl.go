@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 	"unicode"
 
@@ -234,17 +235,24 @@ func (b *base) pruneSQL(tokTable string, rate float64) error {
 
 // predicate is every declarative predicate: the database its
 // preprocessing statements built and the statements one selection runs.
+// A selection refills the query tables before it scores, so mu holds one
+// selection at a time.
 type predicate struct {
 	*base
 	name string
 	sel  func(*base, string) ([]core.Match, error)
+	mu   sync.Mutex
 }
 
 // Name implements core.Predicate.
 func (p *predicate) Name() string { return p.name }
 
 // Select implements core.Predicate.
-func (p *predicate) Select(query string) ([]core.Match, error) { return p.sel(p.base, query) }
+func (p *predicate) Select(query string) ([]core.Match, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.sel(p.base, query)
+}
 
 // Tables shared by several keep lists: what setQuery (q-gram queries) and
 // setQueryWords (word queries) refill on every select, and what the
@@ -309,10 +317,6 @@ func Build(name string, records []core.Record, cfg core.Config) (core.Predicate,
 // Builders is the registration table of the declarative realization: one
 // BuilderFunc per benchmark predicate, in terms of which the facade's
 // registry resolves New with WithRealization(Declarative).
-//
-// Declarative predicates share mutable query tables inside their SQL
-// database, so they deliberately do not implement core.ConcurrentProber:
-// batch probing over them serializes onto a single worker.
 func Builders() map[string]core.BuilderFunc {
 	out := make(map[string]core.BuilderFunc, len(core.PredicateNames))
 	for _, name := range core.PredicateNames {

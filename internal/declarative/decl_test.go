@@ -4,11 +4,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dirty"
 	"repro/internal/native"
 	"repro/internal/tokenize"
 )
@@ -298,12 +302,6 @@ func TestBuildEveryPredicate(t *testing.T) {
 		if _, ok := nat.(core.ContextPredicate); !ok {
 			t.Errorf("native %s does not take selection options", name)
 		}
-		if !core.ConcurrentSafe(nat) {
-			t.Errorf("native %s is not concurrent-safe", name)
-		}
-		if core.ConcurrentSafe(dec) {
-			t.Errorf("declarative %s claims concurrent-safe selects over shared query tables", name)
-		}
 	}
 
 	if _, err := native.Build("NoSuch", records, cfg); err == nil {
@@ -318,6 +316,56 @@ func TestBuildEveryPredicate(t *testing.T) {
 	}
 	if _, err := native.Attach("BM25", c, cfg); err == nil {
 		t.Error("native.Attach(BM25) on a corpus without token ids should error")
+	}
+}
+
+// TestConcurrentDeclarativeSelects calls Select on every declarative
+// predicate from eight goroutines at once. Each select refills the
+// predicate's query tables before scoring, so without the predicate's own
+// lock the goroutines' query rows interleave and answers come back wrong
+// without an error. Every answer must equal the serial one.
+func TestConcurrentDeclarativeSelects(t *testing.T) {
+	ds, err := dirty.DBLP(200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := ds.Records
+	queries := []string{records[0].Text, records[57].Text, records[111].Text, records[199].Text, "scalable query processing"}
+	const goroutines = 8
+	for _, name := range core.PredicateNames {
+		p, err := Build(name, records, core.DefaultConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := make([][]core.Match, len(queries))
+		for i, q := range queries {
+			if want[i], err = p.Select(q); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		var wrong atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range queries {
+					j := (g + i) % len(queries)
+					got, err := p.Select(queries[j])
+					if err != nil {
+						t.Errorf("%s %q: %v", name, queries[j], err)
+						return
+					}
+					if !reflect.DeepEqual(got, want[j]) {
+						wrong.Add(1)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if n := wrong.Load(); n > 0 {
+			t.Errorf("%s: %d of %d concurrent selects differ from the serial answer", name, n, goroutines*len(queries))
+		}
 	}
 }
 

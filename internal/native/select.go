@@ -46,9 +46,6 @@ func (p *predicate) SelectCtx(ctx context.Context, query string, opts core.Selec
 	return p.selectOpts(query, opts), nil
 }
 
-// ConcurrentProbeSafe implements core.ConcurrentProber.
-func (*predicate) ConcurrentProbeSafe() bool { return true }
-
 // PreprocessPhases implements core.Phased: the corpus's tokenization pass
 // and the weight phase (shared table assembly plus this attach).
 func (p *predicate) PreprocessPhases() (time.Duration, time.Duration) {

@@ -306,7 +306,7 @@ func selectOptions(limit int, threshold *float64) (core.SelectOptions, error) {
 }
 
 // resolve looks up the corpus and attached predicate of a request.
-func (s *Server) resolve(w http.ResponseWriter, corpus, predicate, realization string) (*corpusHandle, *predicateHandle, bool) {
+func (s *Server) resolve(w http.ResponseWriter, corpus, predicate, realization string) (*corpusHandle, approxsel.Predicate, bool) {
 	if predicate == "" {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("server: missing predicate name"))
 		return nil, nil, false
@@ -316,12 +316,12 @@ func (s *Server) resolve(w http.ResponseWriter, corpus, predicate, realization s
 		s.fail(w, http.StatusNotFound, err)
 		return nil, nil, false
 	}
-	ph, err := h.predicate(realization, predicate)
+	p, err := h.predicate(realization, predicate)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return nil, nil, false
 	}
-	return h, ph, true
+	return h, p, true
 }
 
 // ---- selection endpoints ----
@@ -333,7 +333,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Realization = normRealization(req.Realization)
-	h, ph, ok := s.resolve(w, req.Corpus, req.Predicate, req.Realization)
+	h, p, ok := s.resolve(w, req.Corpus, req.Predicate, req.Realization)
 	if !ok {
 		return
 	}
@@ -345,7 +345,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	ri := requestInfo(r.Context())
 	ri.corpus, ri.predicate, ri.shards = h.name, req.Predicate, h.sc.Shards()
 	start := time.Now()
-	ms, epochs, cached, err := h.probe(r.Context(), ph, req.Realization, req.Predicate, req.Query, opts)
+	ms, epochs, cached, err := h.probe(r.Context(), p, req.Realization, req.Predicate, req.Query, opts)
 	elapsed := time.Since(start)
 	if err != nil {
 		s.fail(w, status(err), err)
@@ -374,7 +374,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Realization = normRealization(req.Realization)
-	h, ph, ok := s.resolve(w, req.Corpus, req.Predicate, req.Realization)
+	h, p, ok := s.resolve(w, req.Corpus, req.Predicate, req.Realization)
 	if !ok {
 		return
 	}
@@ -416,13 +416,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if opts.HasThreshold {
 			batchOpts = append(batchOpts, approxsel.Threshold(opts.Threshold))
 		}
-		probed, err := func() ([][]core.Match, error) {
-			if ph.mu != nil {
-				ph.mu.Lock()
-				defer ph.mu.Unlock()
-			}
-			return approxsel.SelectBatch(r.Context(), ph.p, queries, batchOpts...)
-		}()
+		probed, err := approxsel.SelectBatch(r.Context(), p, queries, batchOpts...)
 		if err != nil {
 			// BatchError names the lowest failing probe deterministically;
 			// translate its index back into the caller's query list.
@@ -474,21 +468,15 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Realization = normRealization(req.Realization)
-	h, ph, ok := s.resolve(w, req.Corpus, req.Predicate, req.Realization)
+	h, p, ok := s.resolve(w, req.Corpus, req.Predicate, req.Realization)
 	if !ok {
 		return
 	}
 	ri := requestInfo(r.Context())
 	ri.corpus, ri.predicate, ri.shards = h.name, req.Predicate, h.sc.Shards()
 	start := time.Now()
-	pairs, err := func() ([]approxsel.JoinPair, error) {
-		if ph.mu != nil {
-			ph.mu.Lock()
-			defer ph.mu.Unlock()
-		}
-		return approxsel.ApproximateJoinCtx(r.Context(), ph.p, toRecords(req.Probe), req.Theta,
-			approxsel.Workers(s.cfg.Workers))
-	}()
+	pairs, err := approxsel.ApproximateJoinCtx(r.Context(), p, toRecords(req.Probe), req.Theta,
+		approxsel.Workers(s.cfg.Workers))
 	elapsed := time.Since(start)
 	if err != nil {
 		s.fail(w, status(err), err)
@@ -498,8 +486,8 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	// never reads the result cache.
 	s.met.observeSelections(req.Predicate, false, elapsed, len(req.Probe))
 	out := make([]JoinPair, len(pairs))
-	for i, p := range pairs {
-		out[i] = JoinPair{ProbeTID: p.ProbeTID, BaseTID: p.BaseTID, Score: p.Score}
+	for i, jp := range pairs {
+		out[i] = JoinPair{ProbeTID: jp.ProbeTID, BaseTID: jp.BaseTID, Score: jp.Score}
 	}
 	writeJSON(w, http.StatusOK, JoinResponse{Pairs: out, Count: len(out), ElapsedUS: elapsed.Microseconds()})
 }

@@ -238,7 +238,7 @@ func (s *Server) addCorpus(name string, records []approxsel.Record, shards int, 
 	h := &corpusHandle{
 		name:  name,
 		sc:    sc,
-		preds: make(map[string]*predicateHandle),
+		preds: make(map[string]approxsel.Predicate),
 	}
 	if s.cfg.CacheEntries > 0 {
 		h.cache = cache.New[[]core.Match](s.cfg.CacheEntries)
@@ -380,15 +380,7 @@ type corpusHandle struct {
 	mmu sync.Mutex
 
 	pmu   sync.Mutex
-	preds map[string]*predicateHandle
-}
-
-// predicateHandle pairs an attached predicate with the mutex that
-// serializes probing when the predicate does not declare concurrent probes
-// safe (the declarative realization).
-type predicateHandle struct {
-	p  approxsel.Predicate
-	mu *sync.Mutex // nil when concurrent probing is safe
+	preds map[string]approxsel.Predicate
 }
 
 // normRealization canonicalizes the request's realization name so cache
@@ -407,23 +399,19 @@ func cacheKey(corpus, predicate, realization string, opts core.SelectOptions, ep
 
 // predicate returns the attached view for (realization, name), building and
 // memoizing it on first use.
-func (h *corpusHandle) predicate(realization, name string) (*predicateHandle, error) {
+func (h *corpusHandle) predicate(realization, name string) (approxsel.Predicate, error) {
 	key := realization + "\x1f" + name
 	h.pmu.Lock()
 	defer h.pmu.Unlock()
-	if ph, ok := h.preds[key]; ok {
-		return ph, nil
+	if p, ok := h.preds[key]; ok {
+		return p, nil
 	}
 	p, err := h.sc.Predicate(name, approxsel.WithRealization(approxsel.Realization(realization)))
 	if err != nil {
 		return nil, err
 	}
-	ph := &predicateHandle{p: p}
-	if !core.ConcurrentSafe(p) {
-		ph.mu = &sync.Mutex{}
-	}
-	h.preds[key] = ph
-	return ph, nil
+	h.preds[key] = p
+	return p, nil
 }
 
 // probe runs one selection with the epoch-stability handshake: the shard
@@ -432,7 +420,7 @@ func (h *corpusHandle) predicate(realization, name string) (*predicateHandle, er
 // computed against, so the result is cacheable and the vector is reported;
 // an unstable one (the probe raced a mutation) is returned uncached with a
 // nil vector.
-func (h *corpusHandle) probe(ctx context.Context, ph *predicateHandle, realization, name, query string, opts core.SelectOptions) (ms []core.Match, epochs []uint64, cached bool, err error) {
+func (h *corpusHandle) probe(ctx context.Context, p approxsel.Predicate, realization, name, query string, opts core.SelectOptions) (ms []core.Match, epochs []uint64, cached bool, err error) {
 	e1 := h.sc.Epochs()
 	var key string
 	if h.cache != nil {
@@ -446,11 +434,7 @@ func (h *corpusHandle) probe(ctx context.Context, ph *predicateHandle, realizati
 		lk.SetAttr("result", "miss")
 		lk.End()
 	}
-	if ph.mu != nil {
-		ph.mu.Lock()
-		defer ph.mu.Unlock()
-	}
-	ms, err = core.SelectWithOptions(ctx, ph.p, query, opts)
+	ms, err = core.SelectWithOptions(ctx, p, query, opts)
 	if err != nil {
 		return nil, nil, false, err
 	}

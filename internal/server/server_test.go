@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -51,6 +52,25 @@ func post[T any](t *testing.T, ts *httptest.Server, path string, body any) (T, i
 		t.Fatalf("%s: decode: %v", path, err)
 	}
 	return out, resp.StatusCode
+}
+
+// postOK is the goroutine-safe request helper: it returns an error for a
+// failed request or a status other than 200, so workers report failures
+// with t.Error instead of calling Fatal off the test goroutine.
+func postOK(ts *httptest.Server, path string, body, out any) error {
+	buf, err := json.Marshal(body)
+	if err != nil {
+		return err
+	}
+	resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(buf))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s: status %d", path, resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 func get[T any](t *testing.T, ts *httptest.Server, path string) (T, int) {
@@ -295,25 +315,6 @@ func TestServeConcurrentMutationFreshness(t *testing.T) {
 	)
 	fingerprint := func(epochs []uint64) string { return fmt.Sprint(epochs) }
 
-	// postE is the goroutine-safe request helper: the workers report
-	// failures with t.Error and return instead of calling Fatal off the
-	// test goroutine.
-	postE := func(path string, body, out any) error {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(buf))
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("%s: status %d", path, resp.StatusCode)
-		}
-		return json.NewDecoder(resp.Body).Decode(out)
-	}
-
 	// Seed: marker absent at the initial vector.
 	expected.Store(fingerprint(s.stats().Corpora[0].Epochs), false)
 
@@ -325,11 +326,11 @@ func TestServeConcurrentMutationFreshness(t *testing.T) {
 			var mr MutateResponse
 			var err error
 			if !present {
-				err = postE("/v1/insert", MutateRequest{
+				err = postOK(ts, "/v1/insert", MutateRequest{
 					Records: []RecordJSON{{TID: markerTID, Text: markerText}},
 				}, &mr)
 			} else {
-				err = postE("/v1/delete", DeleteRequest{TIDs: []int{markerTID}}, &mr)
+				err = postOK(ts, "/v1/delete", DeleteRequest{TIDs: []int{markerTID}}, &mr)
 			}
 			if err != nil {
 				t.Error(err)
@@ -347,7 +348,7 @@ func TestServeConcurrentMutationFreshness(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 150; i++ {
 				var resp SelectResponse
-				if err := postE("/v1/select", SelectRequest{
+				if err := postOK(ts, "/v1/select", SelectRequest{
 					Predicate: "BM25",
 					Query:     markerText,
 				}, &resp); err != nil {
@@ -387,4 +388,74 @@ func TestServeConcurrentMutationFreshness(t *testing.T) {
 		t.Fatal("no cache hits under load; test did not exercise the cache")
 	}
 	t.Logf("checked %d versioned responses, %d cache hits", checked.Load(), hits.Load())
+}
+
+// TestServeConcurrentDeclarative serves the declarative realization on two
+// shards to concurrent /v1/select, /v1/batch and /v1/join clients, with the
+// result cache off so that every request probes the predicates. Each answer
+// must equal the library's serial answer over the same sharded corpus.
+func TestServeConcurrentDeclarative(t *testing.T) {
+	const n, limit, theta = 40, 10, 0.5
+	_, ts := newTestServer(t, Config{Shards: 2, CacheEntries: -1, Workers: 4}, n)
+	records := testRecords(n)
+	queries := []string{records[3].Text, records[17].Text, records[30].Text, "pacific hotel group"}
+	probe := []RecordJSON{{TID: 1, Text: records[5].Text}, {TID: 2, Text: records[22].Text}}
+
+	lib, err := approxsel.OpenShardedCorpus(records, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"BM25", "GESJaccard"} {
+		p, err := lib.Predicate(name, approxsel.WithRealization(approxsel.Declarative))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([][]Match, len(queries))
+		for i, q := range queries {
+			ms, err := approxsel.TopK(p, q, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = toWire(ms)
+		}
+		pairs, err := approxsel.ApproximateJoinCtx(context.Background(), p, toRecords(probe), theta, approxsel.Workers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJoin := make([]JoinPair, len(pairs))
+		for i, jp := range pairs {
+			wantJoin[i] = JoinPair{ProbeTID: jp.ProbeTID, BaseTID: jp.BaseTID, Score: jp.Score}
+		}
+		if len(wantJoin) == 0 || len(want[0]) == 0 {
+			t.Fatalf("%s: empty serial answers leave nothing to compare", name)
+		}
+
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				i := g % len(queries)
+				var sel SelectResponse
+				if err := postOK(ts, "/v1/select", SelectRequest{Predicate: name, Realization: "declarative", Query: queries[i], Limit: limit}, &sel); err != nil {
+					t.Error(err)
+				} else if !reflect.DeepEqual(sel.Matches, want[i]) {
+					t.Errorf("%s select %q: %v, want %v", name, queries[i], sel.Matches, want[i])
+				}
+				var batch BatchResponse
+				if err := postOK(ts, "/v1/batch", BatchRequest{Predicate: name, Realization: "declarative", Queries: queries, Limit: limit}, &batch); err != nil {
+					t.Error(err)
+				} else if !reflect.DeepEqual(batch.Results, want) {
+					t.Errorf("%s batch differs from the serial answers", name)
+				}
+				var join JoinResponse
+				if err := postOK(ts, "/v1/join", JoinRequest{Predicate: name, Realization: "declarative", Theta: theta, Probe: probe}, &join); err != nil {
+					t.Error(err)
+				} else if !reflect.DeepEqual(join.Pairs, wantJoin) {
+					t.Errorf("%s join: %v, want %v", name, join.Pairs, wantJoin)
+				}
+			}()
+		}
+		wg.Wait()
+	}
 }

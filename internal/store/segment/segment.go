@@ -104,38 +104,6 @@ func (e *Encoder) Strs(ss []string) {
 	}
 }
 
-// I32s appends a length-prefixed []int32.
-func (e *Encoder) I32s(vs []int32) {
-	e.U32(uint32(len(vs)))
-	for _, v := range vs {
-		e.U32(uint32(v))
-	}
-}
-
-// Ints appends a length-prefixed []int as 64-bit values.
-func (e *Encoder) Ints(vs []int) {
-	e.U32(uint32(len(vs)))
-	for _, v := range vs {
-		e.I64(int64(v))
-	}
-}
-
-// F64s appends a length-prefixed []float64.
-func (e *Encoder) F64s(vs []float64) {
-	e.U32(uint32(len(vs)))
-	for _, v := range vs {
-		e.F64(v)
-	}
-}
-
-// U64s appends a length-prefixed []uint64.
-func (e *Encoder) U64s(vs []uint64) {
-	e.U32(uint32(len(vs)))
-	for _, v := range vs {
-		e.U64(v)
-	}
-}
-
 // ---- decoder ----
 
 // Decoder reads the Encoder's vocabulary back from a byte slice. Errors are
@@ -266,95 +234,6 @@ func (d *Decoder) Strs() []string {
 	out := make([]string, n)
 	for i := range out {
 		out[i] = d.Str()
-	}
-	return out
-}
-
-// I32s reads a length-prefixed []int32.
-func (d *Decoder) I32s() []int32 {
-	n := d.sliceLen(4, "[]int32")
-	if d.err != nil {
-		return nil
-	}
-	b := d.take(4*n, "[]int32")
-	if b == nil {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-// Ints reads a length-prefixed []int.
-func (d *Decoder) Ints() []int {
-	n := d.sliceLen(8, "[]int")
-	if d.err != nil {
-		return nil
-	}
-	b := d.take(8*n, "[]int")
-	if b == nil {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
-// F64s reads a length-prefixed []float64.
-func (d *Decoder) F64s() []float64 {
-	n := d.sliceLen(8, "[]float64")
-	if d.err != nil {
-		return nil
-	}
-	b := d.take(8*n, "[]float64")
-	if b == nil {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
-// F64sInto decodes a length-prefixed float64 array into dst, which must
-// have exactly the prefixed length — the carving path for column groups
-// whose total size the caller preallocated.
-func (d *Decoder) F64sInto(dst []float64) error {
-	n := d.sliceLen(8, "[]float64")
-	if d.err != nil {
-		return d.err
-	}
-	if n != len(dst) {
-		return fmt.Errorf("segment: float column has %d entries, want %d", n, len(dst))
-	}
-	b := d.take(8*n, "[]float64")
-	if d.err != nil {
-		return d.err
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return nil
-}
-
-// U64s reads a length-prefixed []uint64.
-func (d *Decoder) U64s() []uint64 {
-	n := d.sliceLen(8, "[]uint64")
-	if d.err != nil {
-		return nil
-	}
-	b := d.take(8*n, "[]uint64")
-	if b == nil {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
 	return out
 }

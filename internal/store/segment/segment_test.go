@@ -23,10 +23,6 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	e.F64(math.Inf(-1))
 	e.Str("hello, 世界")
 	e.Strs([]string{"", "a", "bb"})
-	e.I32s([]int32{-1, 0, 1 << 30})
-	e.Ints([]int{-5, 5})
-	e.F64s([]float64{0, -0.5, math.MaxFloat64})
-	e.U64s([]uint64{1, math.MaxUint64})
 
 	d := NewDecoder(e.Bytes())
 	if got := d.U8(); got != 7 {
@@ -59,18 +55,6 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	if got := d.Strs(); len(got) != 3 || got[2] != "bb" {
 		t.Fatalf("strs: %v", got)
 	}
-	if got := d.I32s(); len(got) != 3 || got[0] != -1 || got[2] != 1<<30 {
-		t.Fatalf("i32s: %v", got)
-	}
-	if got := d.Ints(); len(got) != 2 || got[0] != -5 {
-		t.Fatalf("ints: %v", got)
-	}
-	if got := d.F64s(); len(got) != 3 || got[1] != -0.5 {
-		t.Fatalf("f64s: %v", got)
-	}
-	if got := d.U64s(); len(got) != 2 || got[1] != math.MaxUint64 {
-		t.Fatalf("u64s: %v", got)
-	}
 	if err := d.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +67,7 @@ func TestDecoderStickyError(t *testing.T) {
 		t.Fatal("want sticky error")
 	}
 	// Later reads stay poisoned and return zero values, never panic.
-	if d.U32() != 0 || d.Str() != "" || d.F64s() != nil {
+	if d.U32() != 0 || d.Str() != "" || d.Strs() != nil {
 		t.Fatal("poisoned decoder must return zero values")
 	}
 	if d.Finish() == nil {
@@ -95,7 +79,7 @@ func TestDecoderHugeLengthRejected(t *testing.T) {
 	e := NewEncoder(8)
 	e.U32(1 << 31) // absurd element count with no backing bytes
 	d := NewDecoder(e.Bytes())
-	if got := d.F64s(); got != nil || d.Err() == nil {
+	if got := d.Strs(); got != nil || d.Err() == nil {
 		t.Fatalf("bogus count must fail cleanly, got %v err %v", got, d.Err())
 	}
 }

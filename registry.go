@@ -63,8 +63,11 @@ var registry = &predicateRegistry{
 }
 
 // Register makes a custom predicate constructible through New under the
-// given name, for every realization. It errors on an empty name, a nil
-// builder, or a name already taken by a built-in or a prior registration.
+// given name, for every realization. The predicates the builder returns
+// must be safe for concurrent Select, as core.Predicate requires: batches,
+// joins, shard fan-outs and the server probe them from many goroutines. It
+// errors on an empty name, a nil builder, or a name already taken by a
+// built-in or a prior registration.
 func Register(name string, builder BuilderFunc) error {
 	if name == "" {
 		return fmt.Errorf("approxsel: Register with empty predicate name")

@@ -290,16 +290,13 @@ func (s *ShardedCorpus) Predicate(name string, opts ...BuildOption) (Predicate, 
 	for _, o := range opts {
 		o.ApplyBuild(&settings)
 	}
-	v := &shardedView{name: name, views: make([]Predicate, len(s.shards)), safe: true}
+	v := &shardedView{name: name, views: make([]Predicate, len(s.shards))}
 	for i, c := range s.shards {
 		p, err := attachToCorpus(c, Realization(settings.Realization), name, settings.Config)
 		if err != nil {
 			return nil, err
 		}
 		v.views[i] = p
-		if !core.ConcurrentSafe(p) {
-			v.safe = false
-		}
 	}
 	return v, nil
 }
@@ -438,7 +435,6 @@ func (s *ShardedCorpus) mutate(add []Record, del []int, upsert bool) error {
 type shardedView struct {
 	name  string
 	views []Predicate
-	safe  bool
 }
 
 // Name implements core.Predicate.
@@ -456,16 +452,12 @@ func (v *shardedView) SelectCtx(ctx context.Context, query string, opts core.Sel
 	if opts.Limit < 0 {
 		return nil, fmt.Errorf("approxsel: negative selection limit %d", opts.Limit)
 	}
-	workers := 0 // GOMAXPROCS
-	if !v.safe {
-		workers = 1
-	}
 	// Traced requests get one span per shard probe under a "fanout" parent
 	// and a "merge" span for the cross-shard heap merge; untraced requests
 	// pay one atomic load per StartSpan.
 	fanCtx, fan := obs.StartSpan(ctx, "fanout")
 	per := make([][]Match, len(v.views))
-	_, err := core.RunJobs(ctx, len(v.views), workers, func(i int) error {
+	_, err := core.RunJobs(ctx, len(v.views), 0, func(i int) error {
 		shCtx, sp := obs.StartSpan(fanCtx, "shard.select")
 		if sp != nil {
 			sp.SetAttr("shard", strconv.Itoa(i))
@@ -490,10 +482,6 @@ func (v *shardedView) SelectCtx(ctx context.Context, query string, opts core.Sel
 	mg.End()
 	return ms, nil
 }
-
-// ConcurrentProbeSafe implements core.ConcurrentProber: a sharded view is
-// as safe as the least safe of its shard views.
-func (v *shardedView) ConcurrentProbeSafe() bool { return v.safe }
 
 // PreprocessPhases implements core.Phased with the summed per-shard phases
 // (the total work; shards overlap on the wall clock).

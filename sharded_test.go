@@ -237,7 +237,8 @@ func TestShardedMutationValidation(t *testing.T) {
 }
 
 // TestShardedDeclarative attaches a declarative predicate across shards;
-// the view must serialize probing and still match its own sequential run.
+// the view probes its shards in parallel, and a batch over many workers
+// must match its own sequential run.
 func TestShardedDeclarative(t *testing.T) {
 	records := facadeRecords()[:20]
 	sharded, err := OpenShardedCorpus(records, 2)
@@ -248,15 +249,21 @@ func TestShardedDeclarative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.(interface{ ConcurrentProbeSafe() bool }).ConcurrentProbeSafe() {
-		t.Fatal("declarative sharded view must not claim concurrent safety")
-	}
 	ms, err := p.Select(records[2].Text)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ms) == 0 || ms[0].TID != records[2].TID {
 		t.Fatalf("declarative sharded self-query missed: %v", ms)
+	}
+	queries := batchQueries(records)
+	want := sequentialSelect(t, p, queries)
+	got, err := SelectBatch(context.Background(), p, queries, Workers(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("declarative sharded batch diverged from sequential")
 	}
 }
 
