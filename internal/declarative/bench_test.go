@@ -35,15 +35,17 @@ func heapInUse() uint64 {
 }
 
 // BenchmarkDeclarativePreprocess times building each decl-sql predicate —
-// its whole Appendix A/B preprocessing in SQL — and reports what the built
-// predicate keeps on the heap as MiB-retained: the sqldb tables, columns
-// and indexes it leaves behind, counted as tables. Build keeps only the
-// tables the predicate's select reads (TestBuildKeepsOnlyWhatSelectReads).
+// its whole Appendix A/B preprocessing in SQL — and splits the time, per
+// build, into tokenize-ms and weights-ms as PreprocessPhases reports them.
+// It reports what the built predicate keeps on the heap as MiB-retained:
+// the sqldb tables, columns and indexes it leaves behind, counted as
+// tables. Build keeps only the tables the predicate's select reads
+// (TestBuildKeepsOnlyWhatSelectReads).
 func BenchmarkDeclarativePreprocess(b *testing.B) {
 	records := benchRelation(b)
 	for _, name := range declSix {
 		b.Run(name, func(b *testing.B) {
-			var retained float64
+			var retained, tokenize, weights float64
 			var tables int
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -56,8 +58,12 @@ func BenchmarkDeclarativePreprocess(b *testing.B) {
 				b.StopTimer()
 				retained += float64(heapInUse()) - float64(before)
 				tables = len(p.(*predicate).db.TableNames())
+				tok, w := p.(core.Phased).PreprocessPhases()
+				tokenize, weights = tokenize+tok.Seconds(), weights+w.Seconds()
 				b.StartTimer()
 			}
+			b.ReportMetric(tokenize/float64(b.N)*1e3, "tokenize-ms")
+			b.ReportMetric(weights/float64(b.N)*1e3, "weights-ms")
 			b.ReportMetric(retained/float64(b.N)/(1<<20), "MiB-retained")
 			b.ReportMetric(float64(tables), "tables")
 		})

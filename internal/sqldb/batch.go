@@ -94,6 +94,22 @@ func (v *vec) num(i int32) float64 {
 	return v.value(i).AsFloat()
 }
 
+// str returns frame i, which is not NULL, as AsString would.
+func (v *vec) str(i int32) string {
+	if v.kind == KindString {
+		return v.dict.strs[v.codes[i]]
+	}
+	return v.value(i).AsString()
+}
+
+// asInt returns frame i, which is not NULL, as AsInt would.
+func (v *vec) asInt(i int32) int64 {
+	if v.kind == KindInt {
+		return v.ints[i]
+	}
+	return v.value(i).AsInt()
+}
+
 func (v *vec) value(i int32) Value {
 	switch {
 	case v.kind == KindNull:

@@ -777,9 +777,63 @@ func (c *compiler) compileFunc(x *funcCall) (kernel, error) {
 			return out, nil
 		}, nil
 	}
+	if tf, ok := typedFuncs[x.Name]; ok {
+		return typedCall(tf.kind, args, tf.at), nil
+	}
 	// One argument buffer per call site: a call nested in an argument is
 	// another call site with its own buffer.
 	return rowwise(args, impl), nil
+}
+
+// typedCall compiles a builtin that runs as a typed loop filling a vector
+// of kind kind: every argument is evaluated over the batch first, then at
+// runs once per selected frame where no argument is NULL, writes the
+// result at the frame and reports whether it is defined. A NULL argument,
+// or an undefined result, makes the frame NULL.
+func typedCall(kind Kind, args []kernel, at func(a []*vec, i int32, out *vec) bool) kernel {
+	out, vs := &vec{kind: kind}, make([]*vec, len(args))
+	return func(b *batch, sel []int32) (*vec, error) {
+		for j, a := range args {
+			v, err := a(b, sel)
+			if err != nil {
+				return nil, err
+			}
+			vs[j] = v
+		}
+		out.fit(b.n)
+		for _, i := range sel {
+			ok := true
+			for _, v := range vs {
+				ok = ok && !v.isNull(i)
+			}
+			out.null[i] = !(ok && at(vs, i, out))
+		}
+		return out, nil
+	}
+}
+
+// typedFuncs are the builtins, besides floatFuncs, that run as a typed
+// loop (see typedCall). Each computes what its Value implementation in
+// builtinFuncs computes, from the same arguments.
+var typedFuncs = map[string]struct {
+	kind Kind
+	at   func(a []*vec, i int32, out *vec) bool
+}{
+	"LOCATE": {KindInt, func(a []*vec, i int32, out *vec) bool {
+		start := 1
+		if len(a) == 3 {
+			start = int(a[2].asInt(i))
+		}
+		out.ints[i] = locate(a[0].str(i), a[1].str(i), start)
+		return true
+	}},
+	"POWER": {KindFloat, powerAt},
+	"POW":   {KindFloat, powerAt},
+}
+
+func powerAt(a []*vec, i int32, out *vec) bool {
+	out.floats[i] = math.Pow(a[0].num(i), a[1].num(i))
+	return true
 }
 
 // floatFuncs are the one-argument numeric builtins that run as a typed
@@ -946,24 +1000,11 @@ var builtinFuncs = map[string]builtin{
 		if anyNull(args) {
 			return Null(), nil
 		}
-		sub, s := args[0].AsString(), args[1].AsString()
-		n := utf8.RuneCountInString(s)
 		start := 1
 		if len(args) == 3 {
 			start = int(args[2].AsInt())
-			if start < 1 {
-				start = 1
-			}
 		}
-		if start > n+1 {
-			return Int(0), nil
-		}
-		tail := s[runeOffset(s, n, start-1):]
-		idx := strings.Index(tail, sub)
-		if idx < 0 {
-			return Int(0), nil
-		}
-		return Int(int64(start + utf8.RuneCountInString(tail[:idx]))), nil
+		return Int(locate(args[0].AsString(), args[1].AsString(), start)), nil
 	}},
 	"COALESCE": {1, -1, func(args []Value) (Value, error) {
 		for _, a := range args {
@@ -1022,6 +1063,25 @@ func likeMatch(s, pat []rune) bool {
 		pi++
 	}
 	return pi == len(pat)
+}
+
+// locate is LOCATE(sub, s, start): the 1-based position, in runes, of
+// the first sub in s at or after rune start (1 when start is lower), or 0.
+func locate(sub, s string, start int) int64 {
+	n := utf8.RuneCountInString(s)
+	start = max(start, 1)
+	if start > n+1 {
+		return 0
+	}
+	tail := s[runeOffset(s, n, start-1):]
+	idx := strings.Index(tail, sub)
+	switch {
+	case idx < 0:
+		return 0
+	case n == len(s): // ASCII: bytes are runes
+		return int64(start + idx)
+	}
+	return int64(start + utf8.RuneCountInString(tail[:idx]))
 }
 
 var powerFn = builtin{2, 2, func(args []Value) (Value, error) {

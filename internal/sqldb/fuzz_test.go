@@ -231,6 +231,12 @@ func FuzzExecSQL(f *testing.F) {
 	}
 	f.Add(ints + "; SELECT a.s, COUNT(*), SUM(n1.i * n2.i) FROM integers n1, integers n2, a WHERE n1.i <= n2.i + a.k GROUP BY a.s")
 	f.Add(ints + "; INSERT INTO c SELECT FAILON(n2.i - n1.i) FROM integers n1, integers n2, b WHERE n1.i * n2.i > 1000 AND b.k = 1")
+	// A cross stage's pre-bind comparison, past a batch of frames: the
+	// upstream side on the left, then on the right, then a relation side
+	// that calls FAILON (and fails on n2.i = 4).
+	f.Add(ints + "; SELECT a.s, n1.i, n2.i FROM integers n1, integers n2, a WHERE n1.i * a.k < n2.i + 32")
+	f.Add(ints + "; SELECT COUNT(*), SUM(n1.i * 0.5 + n2.i) FROM integers n1, integers n2, c WHERE n2.i / 4.0 >= c.x + n1.i / 8")
+	f.Add(ints + "; INSERT INTO c SELECT n2.i FROM integers n1, integers n2, a WHERE a.k + n1.i > FAILON(n2.i - 1)")
 	f.Fuzz(func(t *testing.T, src string) {
 		stmts, err := parseScript(src, make([]Value, strings.Count(src, "?")))
 		if err != nil || len(stmts) > 8 {

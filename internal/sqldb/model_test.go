@@ -923,3 +923,242 @@ func TestGuardedFailuresInLaterBatches(t *testing.T) {
 		t.Error("an unguarded failing row did not fail the statement")
 	}
 }
+
+// TestRandomizedCrossComparisonAgainstModel drives the cross stage's
+// pre-bind comparison: random cross joins whose one conjunct compares an
+// upstream expression with one of the stage's relation, under each of the
+// five operators, with the upstream side on the left and on the right, over
+// INT, DOUBLE, VARCHAR and computed columns with NULLs, and a relation past
+// one batch of frames. Rows and their emission order — upstream order, then
+// the relation's row order — must equal a triple loop's that compares with
+// Compare.
+func TestRandomizedCrossComparisonAgainstModel(t *testing.T) {
+	type row struct {
+		k Value // INT
+		x Value // DOUBLE
+		s Value // VARCHAR
+	}
+	gen := func(rng *rand.Rand, n int) []row {
+		rows := make([]row, n)
+		for i := range rows {
+			rows[i] = row{Int(int64(rng.Intn(9))), Float(float64(rng.Intn(17)) / 4), String(string(rune('a' + rng.Intn(5))))}
+			switch rng.Intn(8) {
+			case 0:
+				rows[i].k = Null()
+			case 1:
+				rows[i].x = Null()
+			case 2:
+				rows[i].s = Null()
+			}
+		}
+		return rows
+	}
+	load := func(db *DB, name string, rows []row) {
+		mustExec(t, db, "CREATE TABLE "+name+" (id INT, k INT, x DOUBLE, s VARCHAR(4))")
+		data := make([][]Value, len(rows))
+		for i, r := range rows {
+			data[i] = []Value{Int(int64(i)), r.k, r.x, r.s}
+		}
+		if err := db.BulkInsert(name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The smallest relation, a, leads, then l: the upstream frames are l's
+	// rows, or a's times l's.
+	// Each column pair is an upstream expression over l and a relation one
+	// over r, with the model's value of each; the CONCAT and CASE sides
+	// come as Values rather than a typed vector.
+	cols := []struct {
+		up, rel string
+		val     func(r row, upstream bool) Value
+	}{
+		{"l.k", "r.k", func(r row, _ bool) Value { return r.k }},
+		{"l.x", "r.x", func(r row, _ bool) Value { return r.x }},
+		{"l.s", "r.s", func(r row, _ bool) Value { return r.s }},
+		{"l.k", "r.x", func(r row, up bool) Value {
+			if up {
+				return r.k
+			}
+			return r.x
+		}},
+		{"l.x * 2", "r.k + 0", func(r row, up bool) Value {
+			if up {
+				v, _ := arith("*", r.x, Int(2))
+				return v
+			}
+			return r.k
+		}},
+		{"l.s", "CONCAT(r.s, '')", func(r row, _ bool) Value { return r.s }},
+		{"l.k", "CASE WHEN r.k > 4 THEN r.x ELSE r.k END", func(r row, up bool) Value {
+			if up || r.k.IsNull() || r.k.I <= 4 {
+				return r.k
+			}
+			return r.x
+		}},
+	}
+	ops := []string{"<", "<=", ">", ">=", "<>"}
+	rng := rand.New(rand.NewSource(79))
+	for trial := 0; trial < 2*len(cols)*len(ops); trial++ { // every pair, operator and orientation
+		db := New()
+		ls, rs, as := gen(rng, 4+rng.Intn(9)), gen(rng, batchSize+rng.Intn(2*batchSize)), gen(rng, 2+rng.Intn(2))
+		load(db, "l", ls)
+		load(db, "r", rs)
+		load(db, "a", as)
+		c, op := cols[trial%len(cols)], ops[trial/len(cols)%len(ops)]
+		upLeft, three := trial < len(cols)*len(ops), trial%3 == 0
+		cond := c.up + " " + op + " " + c.rel
+		if !upLeft {
+			cond = c.rel + " " + op + " " + c.up
+		}
+		sql := "SELECT l.id, r.id FROM l, r WHERE " + cond
+		if three {
+			sql = "SELECT l.id, r.id, a.id FROM a, l, r WHERE " + cond
+		}
+		holds := func(l, r row) bool {
+			x, y := c.val(l, true), c.val(r, false)
+			if !upLeft {
+				x, y = y, x
+			}
+			cmp, ok := Compare(x, y)
+			return ok && cmpHolds[op][cmp+1]
+		}
+		var want [][]Value
+		upstream := [][]Value{}
+		if three {
+			for i := range as {
+				for j := range ls {
+					upstream = append(upstream, []Value{Int(int64(i)), Int(int64(j))})
+				}
+			}
+		} else {
+			for j := range ls {
+				upstream = append(upstream, []Value{Null(), Int(int64(j))})
+			}
+		}
+		for _, u := range upstream {
+			for k, r := range rs {
+				if holds(ls[u[1].I], r) {
+					w := []Value{u[1], Int(int64(k))}
+					if three {
+						w = append(w, u[0])
+					}
+					want = append(want, w)
+				}
+			}
+		}
+		plan := planOf(t, db, sql).String()
+		if !strings.Contains(plan, "cross r [") {
+			t.Fatalf("trial %d: %s planned %s, want a pre-bind comparison at cross r", trial, sql, plan)
+		}
+		got := mustQuery(t, db, sql)
+		if len(got.Data) != len(want) {
+			t.Fatalf("trial %d: %s (%s): %d rows, want %d", trial, sql, plan, len(got.Data), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got.Data[i], want[i]) {
+				t.Fatalf("trial %d: %s (%s): row %d is %v, want %v", trial, sql, plan, i, got.Data[i], want[i])
+			}
+		}
+	}
+}
+
+// TestPreBindComparisonCallsEachRowOnce: a function on the relation side
+// of a cross stage's comparison runs once per row of the relation, and one
+// on the upstream side once per upstream row — as many calls as the
+// comparison made a filter over bound frames, memoized — and neither runs
+// at all when the other input is empty.
+func TestPreBindComparisonCallsEachRowOnce(t *testing.T) {
+	db := New()
+	calls := 0
+	db.RegisterFunc("FAILON", func(args []Value) (Value, error) {
+		calls++
+		if args[0].AsInt() == -3 {
+			return Null(), errors.New("boom")
+		}
+		return args[0], nil
+	})
+	mustExec(t, db, "CREATE TABLE l (k INT)")
+	mustExec(t, db, "CREATE TABLE r (k INT)")
+	mustExec(t, db, "INSERT INTO l VALUES (5), (500), (1500)")
+	var rows [][]Value
+	for k := range int64(2*batchSize + 7) {
+		rows = append(rows, []Value{Int(k)})
+	}
+	if err := db.BulkInsert("r", rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sql   string
+		plan  string
+		count int64
+		calls int
+	}{
+		{"SELECT COUNT(*) FROM l, r WHERE l.k > FAILON(r.k)", "scan l → cross r [l.k > FAILON(r.k)]", 5 + 500 + 1500, 2*batchSize + 7},
+		{"SELECT COUNT(*) FROM l, r WHERE FAILON(r.k) < l.k", "scan l → cross r [FAILON(r.k) < l.k]", 5 + 500 + 1500, 2*batchSize + 7},
+		{"SELECT COUNT(*) FROM l, r WHERE FAILON(l.k) <= r.k", "scan l → cross r [FAILON(l.k) <= r.k] [memo 1]", 3*(2*batchSize+7) - 5 - 500 - 1500, 3},
+		{"SELECT COUNT(*) FROM l, r WHERE l.k > 9999 AND l.k > FAILON(r.k)", "scan l → cross r [l.k > FAILON(r.k)]", 0, 0},
+		{"SELECT COUNT(*) FROM l, r WHERE r.k < 0 AND FAILON(l.k) <= r.k", "scan r → cross l [FAILON(l.k) <= r.k]", 0, 0},
+	} {
+		if got := planOf(t, db, c.sql).String(); got != c.plan {
+			t.Errorf("%s: plan %s, want %s", c.sql, got, c.plan)
+		}
+		calls = 0
+		if got := mustQuery(t, db, c.sql).Data[0][0].AsInt(); got != c.count || calls != c.calls {
+			t.Errorf("%s: %d rows from %d calls, want %d from %d", c.sql, got, calls, c.count, c.calls)
+		}
+	}
+	if _, err := db.Query("SELECT COUNT(*) FROM l, r WHERE l.k > FAILON(0 - r.k)"); err == nil {
+		t.Error("a failing relation row did not fail the statement")
+	}
+}
+
+// TestTypedBuiltinsMatchValueImplementations: LOCATE and POWER run as
+// typed loops; over every kind of argument, NULLs and multi-byte text
+// included, they give what their Value implementations give.
+func TestTypedBuiltinsMatchValueImplementations(t *testing.T) {
+	db := New()
+	mustExec(t, db, "CREATE TABLE t (s VARCHAR(16), u VARCHAR(4), k INT, x DOUBLE)")
+	strs := []Value{String("ab cd ef"), String("é b é"), String(""), String(" "), String("12"), Null()}
+	subs := []Value{String(" "), String("é"), String(""), String("cd"), Null()}
+	nums := []Value{Int(-1), Int(0), Int(2), Int(7), Null()}
+	dbls := []Value{Float(0.5), Float(-2.25), Float(0), Float(3), Null()}
+	var rows [][]Value
+	for i := range 200 {
+		rows = append(rows, []Value{strs[i%len(strs)], subs[i/len(strs)%len(subs)], nums[i/7%len(nums)], dbls[i/3%len(dbls)]})
+	}
+	if err := db.BulkInsert("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	calls := []struct {
+		sql  string
+		name string
+		args func(r []Value) []Value
+	}{
+		{"LOCATE(u, s)", "LOCATE", func(r []Value) []Value { return []Value{r[1], r[0]} }},
+		{"LOCATE(u, s, k)", "LOCATE", func(r []Value) []Value { return []Value{r[1], r[0], r[2]} }},
+		{"LOCATE(u, CONCAT(s, u), x)", "LOCATE", func(r []Value) []Value {
+			cat, _ := builtinFuncs["CONCAT"].impl([]Value{r[0], r[1]})
+			return []Value{r[1], cat, r[3]}
+		}},
+		{"LOCATE(k, s, u)", "LOCATE", func(r []Value) []Value { return []Value{r[2], r[0], r[1]} }},
+		{"POWER(x, k)", "POWER", func(r []Value) []Value { return []Value{r[3], r[2]} }},
+		{"POW(k, x)", "POW", func(r []Value) []Value { return []Value{r[2], r[3]} }},
+		{"POWER(s, 0.5)", "POWER", func(r []Value) []Value { return []Value{r[0], Float(0.5)} }},
+	}
+	var items []string
+	for _, c := range calls {
+		items = append(items, c.sql)
+	}
+	got := mustQuery(t, db, "SELECT "+strings.Join(items, ", ")+" FROM t")
+	for i, r := range rows {
+		for j, c := range calls {
+			want, err := builtinFuncs[c.name].impl(c.args(r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g := got.Data[i][j]; !reflect.DeepEqual(g, want) && !(g.Kind == KindFloat && math.IsNaN(g.F) && math.IsNaN(want.F)) {
+				t.Errorf("row %d %v: %s = %v, want %v", i, r, c.sql, g, want)
+			}
+		}
+	}
+}

@@ -20,6 +20,11 @@ import (
 // expression that reads one FROM item through a function call is memoized
 // by that item's row position (see compiler.memoSlot), so the Appendix A
 // tokenizers pad and measure each record once, not once per integer.
+//
+// A cross stage's first conjunct, when it compares an expression of the
+// upstream slots with one of the stage's relation, is checked before a frame
+// is bound (see preCompare): the Appendix A tokenizers' N.i <= LENGTH(…) + 1
+// then binds only the pairs it keeps.
 
 // source is one FROM item resolved for execution: the rows of rel it binds,
 // by position, into frame slot slot.
@@ -72,6 +77,38 @@ func (s *source) scan(nslots int, fn func(*batch) error) error {
 	return nil
 }
 
+// gather evaluates k over the rows the source binds, batchSize at a time,
+// and returns its values as one vector indexed like at: an INT vector when
+// every value that is not NULL is an INT — an integer comparison then
+// agrees with Compare — and Values otherwise.
+func (s *source) gather(k kernel, nslots int) (*vec, error) {
+	vals := make([]Value, 0, s.size())
+	err := s.scan(nslots, func(b *batch) error {
+		v, err := k(b, b.sel)
+		if err != nil {
+			return err
+		}
+		for _, i := range b.sel {
+			vals = append(vals, v.value(i))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, x := range vals {
+		if !x.IsNull() && x.Kind != KindInt {
+			return &vec{kind: KindNull, vals: vals}, nil
+		}
+	}
+	out := &vec{kind: KindInt}
+	out.fit(len(vals))
+	for i, x := range vals {
+		out.ints[i], out.null[i] = x.I, x.IsNull()
+	}
+	return out, nil
+}
+
 // conjunct is one AND-term of the WHERE/ON pool with planning metadata.
 type conjunct struct {
 	e       expr
@@ -112,9 +149,13 @@ type stage struct {
 	pairs   []equiPair
 	index   *index
 	filters []kernel
-	next    func(*batch) error
+	// cmp, at a cross stage, is the comparison it checks before it binds a
+	// frame; nil when it has none.
+	cmp  *preCompare
+	next func(*batch) error
 	// memos counts the memoized subexpressions evaluated at the stage: in
-	// its filters and, at the last stage, in the projection.
+	// its comparison's upstream side, its filters and, at the last stage,
+	// in the projection.
 	memos int
 	// rows and hits tally, for the plan's one run, the frames the stage
 	// handed on and the rows its memoized sites answered from the memo.
@@ -145,8 +186,10 @@ func (p *selectPlan) String() string {
 }
 
 // String describes the stage, e.g. "index-nlj base_weights(token) ← s.token".
-// A hash stage that has run also reports which input it built its table on.
-// Memoized subexpressions are counted, e.g. "cross base_table [memo 2]".
+// A hash stage that has run also reports which input it built its table on,
+// and a cross stage the comparison it checks before binding, e.g.
+// "cross base_table [n.i <= (LENGTH(b.string) + 1)]". Memoized
+// subexpressions are counted, e.g. "cross base_table [memo 1]".
 func (st *stage) String() string {
 	var sb strings.Builder
 	switch st.kind {
@@ -154,6 +197,9 @@ func (st *stage) String() string {
 		sb.WriteString("scan " + st.src.name)
 	case stageCross:
 		sb.WriteString("cross " + st.src.name)
+		if c := st.cmp; c != nil {
+			fmt.Fprintf(&sb, " [%s %s %s]", exprString(c.e.L), c.e.Op, exprString(c.e.R))
+		}
 	case stageIndex:
 		fmt.Fprintf(&sb, "index-nlj %s(%s) ← %s", st.src.name, st.src.cols[st.index.col].name, exprString(st.pairs[0].outerExpr))
 		for _, p := range st.pairs[1:] {
@@ -372,12 +418,21 @@ func (db *DB) planSelect(sel *selectStmt) (*selectPlan, error) {
 			if cj.applied || cj.needs == nil || !subset(cj.needs, joined) {
 				continue
 			}
+			cj.applied = true
+			if st.kind == stageCross && st.cmp == nil && len(st.filters) == 0 {
+				c, err := full.preCompare(cj.e, cand.alias, colOwners)
+				if err != nil {
+					return nil, err
+				}
+				if st.cmp = c; c != nil {
+					continue
+				}
+			}
 			fn, err := full.compile(cj.e)
 			if err != nil {
 				return nil, err
 			}
 			st.filters = append(st.filters, fn)
-			cj.applied = true
 		}
 	}
 
@@ -446,6 +501,65 @@ func equiPairsFor(db *DB, outer *relSchema, cand *source, pool []*conjunct) []eq
 		}
 	}
 	return pairs
+}
+
+// preCompare is a comparison a cross stage checks before it binds a frame:
+// up reads only the slots upstream binds, rel only the stage's relation.
+// Only the stage's first conjunct qualifies — the one that, as a filter,
+// would run on every (upstream frame, row) pair — so a function on either
+// side sees the rows it would see as a filter: rel every row of the
+// relation, up every upstream frame, and neither any when the other input
+// is empty.
+type preCompare struct {
+	e      *binaryExpr
+	upLeft bool    // up is e.L; it is evaluated first, as compareKernel would
+	holds  [3]bool // at cmp(up, rel) + 1
+	up     kernel  // over upstream frames, memoized as a filter would be
+	rel    kernel  // over the relation's rows
+	rows   *vec    // rel at each row the source binds, once evaluated
+}
+
+// preCompare returns the pre-bind comparison e makes at the compiler's
+// stage, whose relation is alias's, or nil if e is no ordering comparison
+// or <> between an expression of upstream slots and one of that relation.
+func (c *compiler) preCompare(e expr, alias string, colOwners map[string][]string) (*preCompare, error) {
+	be, ok := e.(*binaryExpr)
+	if !ok || be.Op == "=" {
+		return nil, nil
+	}
+	holds, ok := cmpHolds[be.Op]
+	if !ok {
+		return nil, nil
+	}
+	reads := func(e expr, rel bool) bool {
+		for a := range referencedAliases(e, colOwners) {
+			if (a == alias) != rel {
+				return false
+			}
+		}
+		return true
+	}
+	pc := &preCompare{e: be, upLeft: true, holds: holds}
+	upSide, relSide := be.L, be.R
+	if !reads(upSide, false) || !reads(relSide, true) {
+		if !reads(be.R, false) || !reads(be.L, true) {
+			return nil, nil
+		}
+		pc.upLeft, upSide, relSide = false, be.R, be.L
+		pc.holds = [3]bool{holds[2], holds[1], holds[0]}
+	}
+	var err error
+	if pc.up, err = c.compile(upSide); err != nil {
+		return nil, err
+	}
+	plan := c.plan
+	c.plan = nil // rel runs once per row: nothing to memoize
+	pc.rel, err = c.compile(relSide)
+	c.plan = plan
+	if err != nil {
+		return nil, err
+	}
+	return pc, nil
 }
 
 // indexedPair returns the first pair whose inner side is an indexed column
@@ -665,10 +779,70 @@ func (st *stage) push(in *batch) error {
 	case stageHash:
 		return st.pushHash(in)
 	}
+	if st.cmp != nil {
+		return st.pushCompare(in)
+	}
 	for _, f := range in.sel {
 		for i, n := 0, st.src.size(); i < n; i++ {
 			if err := st.emit(in, f, st.src.at(i)); err != nil {
 				return err
+			}
+		}
+	}
+	return nil
+}
+
+// pushCompare binds, for each upstream frame, the rows of the relation
+// that the stage's comparison holds for, in row order. The relation side is
+// evaluated over every row at the first upstream batch and kept for the
+// statement, the upstream side once per upstream batch. Comparison agrees
+// with compareKernel: typed over INT, Compare otherwise (which compares
+// numbers as compareKernel's DOUBLE loop does), and NULL never holds.
+func (st *stage) pushCompare(in *batch) error {
+	c, n := st.cmp, st.src.size()
+	if n == 0 {
+		return nil
+	}
+	var uv *vec
+	var err error
+	if c.upLeft {
+		if uv, err = c.up(in, in.sel); err != nil {
+			return err
+		}
+	}
+	if c.rows == nil {
+		if c.rows, err = st.src.gather(c.rel, len(in.pos)); err != nil {
+			return err
+		}
+	}
+	if !c.upLeft {
+		if uv, err = c.up(in, in.sel); err != nil {
+			return err
+		}
+	}
+	rv, h := c.rows, c.holds
+	ints := uv.kind == KindInt && rv.kind == KindInt
+	for _, f := range in.sel {
+		if ints {
+			if uv.null[f] {
+				continue
+			}
+			u := uv.ints[f]
+			for i, x := range rv.ints[:n] {
+				if !rv.null[i] && h[b2i(u > x)-b2i(u < x)+1] {
+					if err := st.emit(in, f, st.src.at(i)); err != nil {
+						return err
+					}
+				}
+			}
+			continue
+		}
+		u := uv.value(f)
+		for i := range int32(n) {
+			if cmp, ok := Compare(u, rv.value(i)); ok && h[cmp+1] {
+				if err := st.emit(in, f, st.src.at(int(i))); err != nil {
+					return err
+				}
 			}
 		}
 	}
