@@ -96,6 +96,16 @@ func Build(name string, records []core.Record, cfg core.Config) (core.Predicate,
 	return Attach(name, c, cfg)
 }
 
+// Layers returns the corpus layers the named predicate reads: what a
+// corpus must materialize for Attach to accept it.
+func Layers(name string) (core.CorpusLayers, error) {
+	def, ok := predicates[name]
+	if !ok {
+		return 0, fmt.Errorf("native: unknown predicate %q", name)
+	}
+	return def.need, nil
+}
+
 // Attach builds the named predicate as a view over the corpus's current
 // snapshot, sharing the corpus's precomputed token and weight tables
 // instead of re-tokenizing the relation. The cfg may differ from the

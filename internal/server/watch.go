@@ -131,16 +131,16 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// deliveredVector seeds the consumer-progress vector feeding the lag stat:
-// the resumed vector when the client presented one, the registration-time
-// vector otherwise.
-func deliveredVector(req WatchRequest, h *corpusHandle) []uint64 {
+// deliveredVector seeds the consumer-progress vector: the resumed vector
+// when the client presented one, else the vector the hub registered the
+// watch at — every live event lies past it. (The corpus's current epochs,
+// read any time after registration, may already be past events still in
+// the channel.)
+func deliveredVector(req WatchRequest, wa *approxsel.Watch) []uint64 {
 	if req.Resume != nil {
-		out := make([]uint64, len(req.Resume))
-		copy(out, req.Resume)
-		return out
+		return append([]uint64(nil), req.Resume...)
 	}
-	return h.sc.Epochs()
+	return wa.RegisteredAt()
 }
 
 func sumEpochs(v []uint64) uint64 {
@@ -174,7 +174,7 @@ func (s *Server) watchSSE(w http.ResponseWriter, r *http.Request, h *corpusHandl
 		return
 	}
 	defer wa.Close()
-	delivered := deliveredVector(req, h)
+	delivered := deliveredVector(req, wa)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -182,7 +182,7 @@ func (s *Server) watchSSE(w http.ResponseWriter, r *http.Request, h *corpusHandl
 	// len of the delivery channel right after registration is the replay
 	// preload: live events cannot be in it yet — the watch was registered
 	// under the hub lock and nothing has been read.
-	writeSSE(w, "epoch", WatchEpochFrame{Epochs: h.sc.Epochs(), Replayed: len(wa.Events())})
+	writeSSE(w, "epoch", WatchEpochFrame{Epochs: wa.RegisteredAt(), Replayed: len(wa.Events())})
 	fl.Flush()
 
 	for {
@@ -275,23 +275,7 @@ func (s *Server) watchPoll(w http.ResponseWriter, r *http.Request, h *corpusHand
 		}
 	}
 
-	// Truncate only at a (shard, epoch) boundary: the resume vector marks
-	// whole mutations as seen, so splitting one would lose its tail.
-	more := false
-	if len(evs) > maxEvents {
-		cut := maxEvents
-		for cut < len(evs) && evs[cut].Shard == evs[cut-1].Shard && evs[cut].Epoch == evs[cut-1].Epoch {
-			cut++
-		}
-		more = cut < len(evs)
-		evs = evs[:cut]
-	}
-	resume := deliveredVector(req, h)
-	for _, e := range evs {
-		if e.Epoch > resume[e.Shard] {
-			resume[e.Shard] = e.Epoch
-		}
-	}
+	evs, resume, more := pollPage(evs, maxEvents, deliveredVector(req, wa))
 	if evs == nil {
 		evs = []approxsel.WatchEvent{}
 	}
@@ -301,4 +285,28 @@ func (s *Server) watchPoll(w http.ResponseWriter, r *http.Request, h *corpusHand
 		Resume: resume,
 		More:   more,
 	})
+}
+
+// pollPage cuts a poll page to at most maxEvents events, extending the cut
+// to a (shard, epoch) boundary — the resume vector marks whole mutations
+// as seen, so splitting one would lose its tail — and returns it with the
+// resume vector: from, advanced past every event on the page. more reports
+// events beyond the cut.
+func pollPage(evs []approxsel.WatchEvent, maxEvents int, from []uint64) ([]approxsel.WatchEvent, []uint64, bool) {
+	more := false
+	if len(evs) > maxEvents {
+		cut := maxEvents
+		for cut < len(evs) && evs[cut].Shard == evs[cut-1].Shard && evs[cut].Epoch == evs[cut-1].Epoch {
+			cut++
+		}
+		more = cut < len(evs)
+		evs = evs[:cut]
+	}
+	resume := append([]uint64(nil), from...)
+	for _, e := range evs {
+		if e.Epoch > resume[e.Shard] {
+			resume[e.Shard] = e.Epoch
+		}
+	}
+	return evs, resume, more
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -324,4 +325,52 @@ func TestServeWatchConcurrentSelect(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestWatchPollPageResume pins the poll page cut and its resume vector. The
+// vector starts from the client's resume vector, or else from the vector
+// the watch registered at — never the corpus's current epochs, which may
+// already be past events the page does not carry.
+func TestWatchPollPageResume(t *testing.T) {
+	ev := func(shard int, epoch uint64) approxsel.WatchEvent {
+		return approxsel.WatchEvent{Kind: "match", Shard: shard, Epoch: epoch}
+	}
+	burst := []approxsel.WatchEvent{ev(0, 5), ev(0, 5), ev(0, 5), ev(1, 3), ev(1, 3), ev(0, 6)}
+	cases := []struct {
+		name       string
+		evs        []approxsel.WatchEvent
+		max        int
+		from       []uint64
+		wantN      int
+		wantMore   bool
+		wantResume []uint64
+	}{
+		// Registered at [4 2] while the corpus has since moved on: an empty
+		// page resumes at the registration vector, so a write that landed
+		// after the drain is not skipped.
+		{"empty page keeps the registration vector", nil, 10, []uint64{4, 2}, 0, false, []uint64{4, 2}},
+		{"whole page", burst, 10, []uint64{4, 2}, 6, false, []uint64{6, 3}},
+		// No resume in the request, truncated at max_events: the cut grows
+		// to the end of shard 0's epoch 5, and the vector covers only that.
+		{"truncated page without resume", burst, 2, []uint64{4, 2}, 3, true, []uint64{5, 2}},
+		{"cut at a boundary", burst, 3, []uint64{4, 2}, 3, true, []uint64{5, 2}},
+		{"cut inside the second mutation", burst, 4, []uint64{4, 2}, 5, true, []uint64{5, 3}},
+		// A resumed client's vector is behind the registration vector:
+		// the truncated replay resumes from where the client stood.
+		{"truncated replay from a resume vector", burst, 2, []uint64{1, 0}, 3, true, []uint64{5, 0}},
+		{"page of exactly max events", burst, 6, []uint64{4, 2}, 6, false, []uint64{6, 3}},
+	}
+	for _, tc := range cases {
+		from := append([]uint64(nil), tc.from...)
+		page, resume, more := pollPage(tc.evs, tc.max, from)
+		if len(page) != tc.wantN || more != tc.wantMore {
+			t.Errorf("%s: %d events more=%v, want %d more=%v", tc.name, len(page), more, tc.wantN, tc.wantMore)
+		}
+		if fmt.Sprint(resume) != fmt.Sprint(tc.wantResume) {
+			t.Errorf("%s: resume %v, want %v", tc.name, resume, tc.wantResume)
+		}
+		if fmt.Sprint(from) != fmt.Sprint(tc.from) {
+			t.Errorf("%s: pollPage wrote through its from vector: %v", tc.name, from)
+		}
+	}
 }

@@ -1,11 +1,23 @@
 // Package watch is the standing-query subsystem: a watch installs a
 // predicate + threshold pair over a live corpus and receives epoch-tagged
 // match/unmatch events as the corpus mutates, instead of re-running a
-// batch join. Only the delta record of each mutation is evaluated — via
-// the hot-path Select for live inserts, via an equivalent pairwise scan
-// for retractions and WAL replay — under a strict contract: folding a
-// watch's emissions up to epoch E yields exactly the pair set and scores
-// a from-scratch batch join would produce at epoch E.
+// batch join. A watch is the approximate join kept up to date, and every
+// score it emits comes from a thresholded Select through the engine, one
+// per changed record:
+//
+//   - a self watch selects a record's new text against the live corpus
+//     after the batch to assert its pairs, and its old text against the
+//     same corpus to retract them — plus, when the batch changes several
+//     records, against a throwaway corpus of the batch's pre-images;
+//   - a join watch indexes its fixed probe relation into a small corpus
+//     once and selects both texts against that;
+//   - a resumed watch replays its missed window over a scratch corpus
+//     rolled back to the resume point, through the same derive step.
+//
+// The hub keeps no copy of the corpus text: the pre-images of deleted and
+// replaced records travel with each batch. The contract is strict:
+// folding a watch's emissions up to epoch E yields exactly the pair set
+// and scores a from-scratch batch join would produce at epoch E.
 //
 // Delivery is resumable. Every event carries the (shard, epoch) the
 // mutation moved the corpus to; a client that reconnects presents the
@@ -16,14 +28,17 @@
 package watch
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/native"
 	"repro/internal/obs"
 )
 
@@ -60,6 +75,9 @@ type SubMutation struct {
 	Kind  core.MutationKind
 	Add   []core.Record
 	Del   []int
+	// Old holds the records the sub-batch deleted or replaced, as they
+	// stood before the batch: the texts retractions select with.
+	Old   []core.Record
 	Epoch uint64
 }
 
@@ -70,15 +88,10 @@ type Batch struct {
 	Subs []SubMutation
 }
 
-// ProbeFunc evaluates a delta record against the live corpus through the
-// hot-path Select: every record whose similarity to query is >= theta,
-// any order. The hub filters self-pairs and batch ordering itself.
-type ProbeFunc func(query string, theta float64) ([]core.Match, error)
-
 // Spec describes a watch registration.
 type Spec struct {
 	// Predicate names the similarity; it must be one of the stats-free
-	// watchable predicates (see newScorer).
+	// watchable predicates (see checkSpec).
 	Predicate string
 	// Theta is the match threshold; must be positive.
 	Theta float64
@@ -113,20 +126,64 @@ const (
 	replaySlack    = 64
 )
 
+// A watch promises that its incremental emissions are bit-identical to a
+// from-scratch batch join at every epoch. That restricts the predicates it
+// can serve: any similarity that reads collection statistics (IDF weights,
+// average lengths, language models) changes the score of *existing* pairs
+// whenever *any* record mutates, so an incremental evaluation that only
+// touches the delta record can never stay exact. The watchable predicates
+// are exactly the stats-free ones — Jaccard, IntersectSize and
+// EditDistance — whose pair scores depend on the two strings alone, so a
+// Select against any corpus holding the partner scores the pair alike.
+var watchable = []string{"Jaccard", "IntersectSize", "EditDistance"}
+
+// checkSpec enforces the delta-exactness whitelist and the configuration
+// corners where even a whitelisted predicate loses exactness.
+func checkSpec(spec Spec, cfg core.Config) error {
+	if !(spec.Theta > 0) {
+		return fmt.Errorf("watch: threshold must be positive, got %g (an unthresholded standing query would re-rank the whole corpus on every insert)", spec.Theta)
+	}
+	if cfg.PruneRate != 0 {
+		return fmt.Errorf("watch: corpus built with PruneRate=%g; watches require an unpruned index (pruning drops postings by collection frequency, which shifts with every mutation)", cfg.PruneRate)
+	}
+	if !slices.Contains(watchable, spec.Predicate) {
+		return fmt.Errorf("watch: predicate %q is not incrementally exact (its scores read collection statistics that shift on every mutation); watchable predicates: %v", spec.Predicate, watchable)
+	}
+	// The posting-driven Select only reaches candidates sharing at least
+	// one q-gram with the query. Two strings within edit distance k share
+	// a gram whenever k·q < max length, which a threshold θ ≥ 1−1/q
+	// guarantees for every pair above θ; below that, Select can miss pairs
+	// a from-scratch scan would score, and the bit-identical contract
+	// breaks.
+	if min := 1 - 1/float64(cfg.Q); spec.Predicate == "EditDistance" && spec.Theta < min {
+		return fmt.Errorf("watch: EditDistance watch needs threshold >= %g with q=%d (below it, pairs above the threshold can share no q-gram and the index cannot surface them)", min, cfg.Q)
+	}
+	return nil
+}
+
+// AttachConfig is the configuration every predicate a watch selects
+// through is attached with: the corpus's, with EditDistance verifying at
+// the watch threshold — the setting under which its q-gram candidate
+// filter is exact at θ.
+func AttachConfig(cfg core.Config, spec Spec) core.Config {
+	if spec.Predicate == "EditDistance" {
+		cfg.EditTheta = spec.Theta
+	}
+	return cfg
+}
+
 // Hub multiplexes a corpus's mutation stream to its registered watches.
-// It keeps a bounded history of recent batches (seeded from the WAL
-// replay window on a durable cold start) for resume, plus a TID → text
-// view of the corpus used to derive retractions and replay windows.
+// It keeps a bounded history of recent batches, pre-images included
+// (seeded from the WAL replay window on a durable cold start), for
+// resume; it keeps no view of the corpus text.
 type Hub struct {
 	cfg     core.Config
 	shards  int
 	histCap int
 
 	mu         sync.Mutex
-	live       map[int]string // current corpus text by TID
-	epochs     []uint64       // current per-shard epoch vector
-	base       map[int]string // corpus text as of baseEpochs (history floor)
-	baseEpochs []uint64
+	epochs     []uint64 // current per-shard epoch vector
+	baseEpochs []uint64 // history floor: the oldest resumable vector
 	hist       []Batch
 	subs       map[*Watch]struct{}
 	closed     bool
@@ -136,32 +193,24 @@ type Hub struct {
 	deriveNS int64
 }
 
-// NewHub builds a hub over a corpus currently at baseEpochs with the
-// given records, plus the already-applied batches in hist (the WAL replay
-// window on a durable cold start; nil for a fresh corpus). hist both
-// seeds the resume history and advances the hub's view to the corpus's
-// current state.
-func NewHub(cfg core.Config, shards int, base []core.Record, baseEpochs []uint64, hist []Batch) *Hub {
+// NewHub builds a hub over a corpus that stood at baseEpochs before the
+// already-applied batches in hist (the WAL replay window on a durable cold
+// start; nil for a fresh corpus). hist both seeds the resume history and
+// advances the hub's epoch vector to the corpus's current one.
+func NewHub(cfg core.Config, shards int, baseEpochs []uint64, hist []Batch) *Hub {
 	h := &Hub{
 		cfg:        cfg,
 		shards:     shards,
 		histCap:    defaultHistory,
-		live:       make(map[int]string, len(base)),
-		base:       make(map[int]string, len(base)),
 		epochs:     make([]uint64, shards),
 		baseEpochs: make([]uint64, shards),
+		hist:       hist,
 		subs:       make(map[*Watch]struct{}),
-	}
-	for _, r := range base {
-		h.base[r.TID] = r.Text
-		h.live[r.TID] = r.Text
 	}
 	copy(h.baseEpochs, baseEpochs)
 	copy(h.epochs, baseEpochs)
 	for _, b := range hist {
-		h.hist = append(h.hist, b)
 		for _, sub := range b.Subs {
-			applySub(h.live, sub)
 			h.epochs[sub.Shard] = sub.Epoch
 		}
 	}
@@ -174,8 +223,10 @@ func NewHub(cfg core.Config, shards int, base []core.Record, baseEpochs []uint64
 // (same global sequence number) back into one Batch, ordered by sequence
 // then shard. Logs written before sequence numbers existed fall back to
 // grouping by epoch, which can merge unrelated cross-shard batches from
-// that era; the fold of the replayed window is unaffected.
-func GroupBatches(perShard [][]core.Mutation) []Batch {
+// that era; the fold of the replayed window is unaffected. base is every
+// shard's loaded segment: walking it forward through the window once
+// fills each sub-batch's pre-images.
+func GroupBatches(base []core.Record, perShard [][]core.Mutation) []Batch {
 	type tagged struct {
 		shard int
 		m     core.Mutation
@@ -192,9 +243,23 @@ func GroupBatches(perShard [][]core.Mutation) []Batch {
 		}
 		return all[i].shard < all[j].shard
 	})
+	text := make(map[int]string, len(base))
+	for _, r := range base {
+		text[r.TID] = r.Text
+	}
 	var out []Batch
 	for _, t := range all {
 		sub := SubMutation{Shard: t.shard, Kind: t.m.Kind, Add: t.m.Add, Del: t.m.Del, Epoch: t.m.Epoch}
+		for _, tid := range t.m.Del {
+			sub.Old = append(sub.Old, core.Record{TID: tid, Text: text[tid]})
+			delete(text, tid)
+		}
+		for _, r := range t.m.Add {
+			if old, ok := text[r.TID]; ok {
+				sub.Old = append(sub.Old, core.Record{TID: r.TID, Text: old})
+			}
+			text[r.TID] = r.Text
+		}
 		if n := len(out); n > 0 && out[n-1].Seq == t.m.Seq {
 			out[n-1].Subs = append(out[n-1].Subs, sub)
 			continue
@@ -204,59 +269,41 @@ func GroupBatches(perShard [][]core.Mutation) []Batch {
 	return out
 }
 
-func applySub(view map[int]string, sub SubMutation) {
-	for _, tid := range sub.Del {
-		delete(view, tid)
-	}
-	for _, r := range sub.Add {
-		view[r.TID] = r.Text
-	}
-}
-
-// trimLocked folds history overflow into the base view, advancing the
-// resume floor.
+// trimLocked drops history overflow, advancing the resume floor.
 func (h *Hub) trimLocked() {
 	for len(h.hist) > h.histCap {
-		b := h.hist[0]
-		h.hist = h.hist[1:]
-		for _, sub := range b.Subs {
-			applySub(h.base, sub)
+		for _, sub := range h.hist[0].Subs {
 			h.baseEpochs[sub.Shard] = sub.Epoch
 		}
+		h.hist = h.hist[1:]
 	}
 }
 
-// Shards returns the width of the hub's epoch vector.
-func (h *Hub) Shards() int { return h.shards }
-
-// Epochs returns the current per-shard epoch vector.
-func (h *Hub) Epochs() []uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]uint64, len(h.epochs))
-	copy(out, h.epochs)
-	return out
-}
-
-// Register installs a watch. When spec.Resume is set, the missed window
-// (every sub-batch above the resumed epoch) is derived from history and
-// preloaded into the delivery channel before the watch goes live, so the
-// replay→live transition loses and duplicates nothing.
-func (h *Hub) Register(spec Spec, probe ProbeFunc) (*Watch, error) {
-	sc, err := newScorer(spec.Predicate, h.cfg, spec.Theta)
-	if err != nil {
+// Register installs a watch. live selects against the corpus as it
+// stands; a self watch needs it, a join watch ignores it. current lists
+// the corpus's records and is read only to replay a resumed self watch's
+// window. The caller holds the corpus's mutation lock, so both describe
+// the version the hub's epoch vector names. When spec.Resume is set, the
+// missed window (every sub-batch above the resumed epoch) is derived from
+// history and preloaded into the delivery channel before the watch goes
+// live, so the replay→live transition loses and duplicates nothing.
+func (h *Hub) Register(spec Spec, live core.Predicate, current func() []core.Record) (*Watch, error) {
+	if err := checkSpec(spec, h.cfg); err != nil {
 		return nil, err
 	}
-	w := &Watch{hub: h, spec: spec, sc: sc, probe: probe}
+	w := &Watch{hub: h, spec: spec, live: live}
+	var records []core.Record
 	if spec.Probes != nil {
 		// Non-nil even when empty: a join watch with no probes matches
 		// nothing, it does not turn into a self watch.
-		w.probes = make([]probeRec, 0, len(spec.Probes))
+		p, err := native.Build(spec.Predicate, spec.Probes, AttachConfig(h.cfg, spec))
+		if err != nil {
+			return nil, fmt.Errorf("watch: probe relation: %w", err)
+		}
+		w.live, w.probes = nil, p
+	} else if spec.Resume != nil {
+		records = current()
 	}
-	for _, r := range spec.Probes {
-		w.probes = append(w.probes, probeRec{tid: r.TID, p: sc.prep(r.Text)})
-	}
-	sort.Slice(w.probes, func(i, j int) bool { return w.probes[i].tid < w.probes[j].tid })
 
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -276,7 +323,10 @@ func (h *Hub) Register(spec Spec, probe ProbeFunc) (*Watch, error) {
 				return nil, fmt.Errorf("%w: shard %d epoch %d is below the history floor %d", ErrResumeTooOld, i, e, h.baseEpochs[i])
 			}
 		}
-		pending = h.replayLocked(w, spec.Resume)
+		var err error
+		if pending, err = h.replayLocked(w, spec.Resume, records); err != nil {
+			return nil, err
+		}
 	}
 	buf := spec.Buffer
 	if buf <= 0 {
@@ -291,6 +341,7 @@ func (h *Hub) Register(spec Spec, probe ProbeFunc) (*Watch, error) {
 	}
 	h.replayed += uint64(len(pending))
 	h.emitted += uint64(len(pending))
+	w.at = slices.Clone(h.epochs)
 	w.queued = sumVec(h.epochs)
 	if spec.Resume != nil {
 		w.delivered.Store(sumVec(spec.Resume))
@@ -302,73 +353,114 @@ func (h *Hub) Register(spec Spec, probe ProbeFunc) (*Watch, error) {
 }
 
 // replayLocked derives this watch's events for the history window above
-// resume. Covered sub-batches are applied to the walk's view without
-// scanning; uncovered ones run the same canonical derivation live
-// delivery uses, with the pairwise scorer standing in for Select.
-func (h *Hub) replayLocked(w *Watch, resume []uint64) []Event {
-	view := make(map[int]string, len(h.base))
-	for k, v := range h.base {
-		view[k] = v
+// resume with the live derive step. A self watch reads a scratch corpus
+// standing in for the live one: the current records rolled back through
+// the window's pre-images to the first batch the client has not fully
+// seen, then advanced batch by batch. A join watch reads only its probes.
+func (h *Hub) replayLocked(w *Watch, resume []uint64, records []core.Record) ([]Event, error) {
+	missed := func(sub SubMutation) bool { return sub.Epoch > resume[sub.Shard] }
+	first := slices.IndexFunc(h.hist, func(b Batch) bool { return slices.ContainsFunc(b.Subs, missed) })
+	if first < 0 {
+		return nil, nil
+	}
+	window := h.hist[first:]
+	cfg := AttachConfig(h.cfg, w.spec)
+	var scratch *core.Corpus
+	if !w.join() {
+		layers, err := native.Layers(w.spec.Predicate)
+		if err != nil {
+			return nil, err
+		}
+		if scratch, err = core.NewCorpus(rollback(records, window), cfg, layers); err != nil {
+			return nil, err
+		}
 	}
 	var out []Event
-	for _, b := range h.hist {
-		st := newDeriveState(view, b)
-		for _, sub := range b.Subs {
-			if sub.Epoch > resume[sub.Shard] {
-				evs, _ := st.processSub(sub, []*Watch{w}, false)
-				out = append(out, evs[w]...)
-			} else {
-				st.applyOnly(sub)
+	for _, b := range window {
+		var live core.Predicate
+		if scratch != nil {
+			for _, sub := range b.Subs {
+				if err := applySub(scratch, sub); err != nil {
+					return nil, err
+				}
 			}
 		}
+		if !slices.ContainsFunc(b.Subs, missed) {
+			continue
+		}
+		if scratch != nil {
+			var err error
+			if live, err = native.Attach(w.spec.Predicate, scratch, cfg); err != nil {
+				return nil, err
+			}
+		}
+		evs, err := w.derive(b, live, missed)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, evs...)
+	}
+	return out, nil
+}
+
+// rollback undoes batches, newest first, on a relation and returns it as
+// it stood before the first of them.
+func rollback(records []core.Record, batches []Batch) []core.Record {
+	text := make(map[int]string, len(records))
+	for _, r := range records {
+		text[r.TID] = r.Text
+	}
+	for i := len(batches) - 1; i >= 0; i-- {
+		for j := len(batches[i].Subs) - 1; j >= 0; j-- {
+			sub := batches[i].Subs[j]
+			for _, r := range sub.Add {
+				delete(text, r.TID)
+			}
+			for _, r := range sub.Old {
+				text[r.TID] = r.Text
+			}
+		}
+	}
+	out := make([]core.Record, 0, len(text))
+	for tid, t := range text {
+		out = append(out, core.Record{TID: tid, Text: t})
 	}
 	return out
 }
 
-// OnBatch ingests one published mutation batch: it derives every
-// registered watch's events for the batch, applies the batch to the live
-// view and history, and delivers. It must be called under the corpus's
-// mutation serialization, after the batch published — the hot-path probe
-// reads the post-batch corpus state.
+// applySub applies one sub-batch to a corpus.
+func applySub(c *core.Corpus, sub SubMutation) error {
+	switch sub.Kind {
+	case core.MutationDelete:
+		return c.Delete(sub.Del...)
+	case core.MutationUpsert:
+		return c.Upsert(sub.Add...)
+	default:
+		return c.Insert(sub.Add...)
+	}
+}
+
+// OnBatch ingests one published mutation batch: it appends the batch to
+// history, derives every registered watch's events for it and delivers
+// them. It must be called under the corpus's mutation serialization,
+// after the batch published — the live selects read the post-batch
+// corpus state.
 func (h *Hub) OnBatch(b Batch) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	start := time.Now()
-	watches := make([]*Watch, 0, len(h.subs))
-	for w := range h.subs {
-		watches = append(watches, w)
-	}
-
-	st := newDeriveState(h.live, b)
-	out := make(map[*Watch][]Event)
-	var failed map[*Watch]error
 	for _, sub := range b.Subs {
-		evs, errs := st.processSub(sub, watches, true)
-		for w, e := range evs {
-			out[w] = append(out[w], e...)
-		}
-		for w, err := range errs {
-			if failed == nil {
-				failed = make(map[*Watch]error)
-			}
-			failed[w] = err
-		}
 		h.epochs[sub.Shard] = sub.Epoch
 	}
 	h.hist = append(h.hist, b)
 	h.trimLocked()
-	h.deriveNS += time.Since(start).Nanoseconds()
-	if obs.TracingEnabled() {
-		obs.RecordStage("watch.derive", time.Since(start))
-	}
-
 	qsum := sumVec(h.epochs)
-	for _, w := range watches {
-		if err, ok := failed[w]; ok {
+	for w := range h.subs {
+		evs, err := w.derive(b, w.live, nil)
+		if err != nil {
 			h.failLocked(w, err)
 			continue
 		}
-		evs := out[w]
 		h.emitted += uint64(len(evs))
 		lagged := false
 		for _, e := range evs {
@@ -390,6 +482,10 @@ func (h *Hub) OnBatch(b Batch) {
 		if lagged {
 			h.failLocked(w, ErrLagged)
 		}
+	}
+	h.deriveNS += time.Since(start).Nanoseconds()
+	if obs.TracingEnabled() {
+		obs.RecordStage("watch.derive", time.Since(start))
 	}
 }
 
@@ -426,8 +522,9 @@ type Stats struct {
 	// MaxLagEpochs is the widest gap, over active watches, between the
 	// epoch sum enqueued and the epoch sum the consumer acknowledged.
 	MaxLagEpochs uint64
-	// DeriveNS is cumulative wall time spent deriving events in OnBatch —
-	// the incremental cost mutations pay for standing queries.
+	// DeriveNS is cumulative wall time OnBatch spends deriving and
+	// enqueueing events — the incremental cost mutations pay for standing
+	// queries.
 	DeriveNS int64
 }
 
@@ -454,21 +551,18 @@ func sumVec(v []uint64) uint64 {
 
 // ---- Watch handle ----
 
-// probeRec is one prepared probe-side record of a join watch.
-type probeRec struct {
-	tid int
-	p   *prepped
-}
-
 // Watch is one registered standing query. Consume Events until it
 // closes, then check Err: nil means a clean close (Close or drain),
 // ErrLagged means the consumer fell behind and should resume.
 type Watch struct {
-	hub    *Hub
-	spec   Spec
-	sc     scorer
-	probe  ProbeFunc
-	probes []probeRec
+	hub  *Hub
+	spec Spec
+	// live selects against the corpus after each batch (self watch);
+	// probes is a join watch's probe relation, indexed once. Exactly one
+	// is set.
+	live   core.Predicate
+	probes core.Predicate
+	at     []uint64 // the hub's epoch vector at registration
 
 	ch     chan Event
 	closed bool  // guarded by hub.mu
@@ -480,6 +574,11 @@ type Watch struct {
 
 // Events is the delivery channel. It closes when the watch ends.
 func (w *Watch) Events() <-chan Event { return w.ch }
+
+// RegisteredAt returns the epoch vector the hub stood at when the watch
+// registered, read under the hub lock: every live event lies past it, and
+// a resumed watch's replayed window ends at it.
+func (w *Watch) RegisteredAt() []uint64 { return slices.Clone(w.at) }
 
 // Close unregisters the watch and closes its channel.
 func (w *Watch) Close() {
@@ -510,152 +609,115 @@ func (w *Watch) join() bool { return w.probes != nil }
 
 // ---- canonical batch derivation ----
 
-// deriveState walks one logical batch in canonical order (subs by shard
-// ascending, records in batch position order) over a TID → text view,
-// producing per-watch events. The same walk serves live delivery (view =
-// the hub's live map, inserts probed through Select) and replay (a
-// scratch view, everything scanned pairwise); both yield identical
-// events by construction.
-type deriveState struct {
-	view      map[int]string
-	batchAdds map[int]bool
-	processed map[int]bool
-	seq       uint64
+// deriver is one watch's walk over one batch. The walk is canonical —
+// subs by shard ascending, records in batch order — and every step reads
+// the corpus after the whole batch, keeping or dropping each partner by
+// its batch position instead of stepping through intermediate states.
+type deriver struct {
+	w       *Watch
+	src     core.Predicate // the corpus after the batch, or a join's probes
+	pos     map[int]int    // batch position of every TID the batch touches
+	old     []core.Record  // the batch's pre-images
+	lastOld int            // the last position holding a pre-image
+	pre     core.Predicate // indexes old, built on first need
+	out     []Event
 }
 
-func newDeriveState(view map[int]string, b Batch) *deriveState {
-	adds := make(map[int]bool)
+// derive returns w's events for the subs of b that emit accepts (every
+// sub when emit is nil), selecting through live — the corpus after b.
+func (w *Watch) derive(b Batch, live core.Predicate, emit func(SubMutation) bool) ([]Event, error) {
+	d := &deriver{w: w, src: live, pos: make(map[int]int), lastOld: -1}
+	if w.join() {
+		d.src = w.probes
+	}
 	for _, sub := range b.Subs {
+		for _, tid := range sub.Del {
+			d.pos[tid] = len(d.pos)
+		}
 		for _, r := range sub.Add {
-			adds[r.TID] = true
+			d.pos[r.TID] = len(d.pos)
 		}
+		d.old = append(d.old, sub.Old...)
 	}
-	return &deriveState{view: view, batchAdds: adds, processed: make(map[int]bool), seq: b.Seq}
-}
-
-// applyOnly advances the view past a sub-batch without deriving events
-// (replay of a window the client already saw).
-func (st *deriveState) applyOnly(sub SubMutation) {
-	for _, tid := range sub.Del {
-		delete(st.view, tid)
+	old := make(map[int]string, len(d.old))
+	for _, r := range d.old {
+		old[r.TID] = r.Text
+		d.lastOld = max(d.lastOld, d.pos[r.TID])
 	}
-	for _, r := range sub.Add {
-		st.view[r.TID] = r.Text
-		st.processed[r.TID] = true
-	}
-}
-
-// processSub derives events for one sub-batch and applies it to the
-// view. Deletes retract the pairs the removed record participated in;
-// upserts retract the old record's pairs, then both upserts and inserts
-// assert the new record's matches. All watches scan each step against
-// the same pre-step view before the view advances.
-func (st *deriveState) processSub(sub SubMutation, watches []*Watch, live bool) (map[*Watch][]Event, map[*Watch]error) {
-	out := make(map[*Watch][]Event, len(watches))
-	var failed map[*Watch]error
-	for _, tid := range sub.Del {
-		old, ok := st.view[tid]
-		if ok {
-			for _, w := range watches {
-				out[w] = append(out[w], st.retractStep(w, sub, tid, old)...)
+	for _, sub := range b.Subs {
+		if emit != nil && !emit(sub) {
+			continue
+		}
+		at := Event{Shard: sub.Shard, Epoch: sub.Epoch, Seq: b.Seq}
+		for _, tid := range sub.Del {
+			if err := d.retract(at, tid, old[tid]); err != nil {
+				return nil, err
 			}
 		}
-		delete(st.view, tid)
-	}
-	for _, r := range sub.Add {
-		if old, existed := st.view[r.TID]; existed {
-			for _, w := range watches {
-				out[w] = append(out[w], st.retractStep(w, sub, r.TID, old)...)
-			}
-		}
-		for _, w := range watches {
-			if failed[w] != nil {
-				continue
-			}
-			evs, err := st.matchStep(w, sub, r, live)
-			if err != nil {
-				if failed == nil {
-					failed = make(map[*Watch]error)
+		for _, r := range sub.Add {
+			if text, ok := old[r.TID]; ok {
+				if err := d.retract(at, r.TID, text); err != nil {
+					return nil, err
 				}
-				failed[w] = err
-				continue
 			}
-			out[w] = append(out[w], evs...)
+			if err := d.match(at, r); err != nil {
+				return nil, err
+			}
 		}
-		st.view[r.TID] = r.Text
-		st.processed[r.TID] = true
 	}
-	return out, failed
+	return d.out, nil
 }
 
-// retractStep emits unmatch events for every pair the record's old text
-// participated in. Partners already processed in this batch are skipped:
-// their own match step ran against the post-step view, so no pair with
-// this record's old text was ever asserted for them.
-func (st *deriveState) retractStep(w *Watch, sub SubMutation, tid int, oldText string) []Event {
-	oldP := w.sc.prep(oldText)
-	var out []Event
-	if w.join() {
-		for _, pr := range w.probes {
-			if s, ok := w.sc.score(pr.p, oldP); ok {
-				out = append(out, Event{Kind: KindUnmatch, ProbeTID: pr.tid, BaseTID: tid, Score: s, Shard: sub.Shard, Epoch: sub.Epoch, Seq: st.seq})
-			}
+// retract emits unmatch events for every pair the record's old text still
+// holds: with each record the batch leaves untouched, and with the
+// pre-image of each record the batch touches later (that record's own
+// retraction has not run yet). Partners touched earlier are skipped: their
+// match step excluded this record, so no pair with its old text stands.
+func (d *deriver) retract(at Event, tid int, text string) error {
+	at.Kind = KindUnmatch
+	start, p := len(d.out), d.pos[tid]
+	err := d.scan(at, d.src, tid, text, func(_ int, touched bool) bool { return !touched })
+	if err == nil && !d.w.join() && p < d.lastOld {
+		if d.pre == nil {
+			d.pre, err = native.Build(d.w.spec.Predicate, d.old, AttachConfig(d.w.hub.cfg, d.w.spec))
 		}
-		return out
-	}
-	for ptid, text := range st.view {
-		if ptid == tid || st.processed[ptid] {
-			continue
-		}
-		if s, ok := w.sc.score(oldP, w.sc.prep(text)); ok {
-			out = append(out, Event{Kind: KindUnmatch, ProbeTID: tid, BaseTID: ptid, Score: s, Shard: sub.Shard, Epoch: sub.Epoch, Seq: st.seq})
+		if err == nil {
+			err = d.scan(at, d.pre, tid, text, func(q int, _ bool) bool { return q > p })
 		}
 	}
-	sortEvents(out)
-	return out
+	sortEvents(d.out[start:])
+	return err
 }
 
-// matchStep emits match events for the record's new text: against the
-// fixed probe set for a join watch, against the corpus for a self watch —
-// through the hot-path Select when live, through the pairwise scan during
-// replay. Batch members not yet processed are excluded either way (their
-// pairs with this record are asserted at their own, later step).
-func (st *deriveState) matchStep(w *Watch, sub SubMutation, r core.Record, live bool) ([]Event, error) {
-	var out []Event
-	if w.join() {
-		rp := w.sc.prep(r.Text)
-		for _, pr := range w.probes {
-			if s, ok := w.sc.score(pr.p, rp); ok {
-				out = append(out, Event{Kind: KindMatch, ProbeTID: pr.tid, BaseTID: r.TID, Score: s, Shard: sub.Shard, Epoch: sub.Epoch, Seq: st.seq})
-			}
-		}
-		return out, nil
-	}
-	if live {
-		ms, err := w.probe(r.Text, w.spec.Theta)
-		if err != nil {
-			return nil, err
-		}
-		for _, m := range ms {
-			if m.TID == r.TID || (st.batchAdds[m.TID] && !st.processed[m.TID]) {
-				continue
-			}
-			out = append(out, Event{Kind: KindMatch, ProbeTID: r.TID, BaseTID: m.TID, Score: m.Score, Shard: sub.Shard, Epoch: sub.Epoch, Seq: st.seq})
-		}
-		sortEvents(out)
-		return out, nil
-	}
-	rp := w.sc.prep(r.Text)
-	for ptid, text := range st.view {
-		if ptid == r.TID || (st.batchAdds[ptid] && !st.processed[ptid]) {
+// match emits match events for the record's new text. A self watch skips
+// the record itself and records the batch touches later: their pairs
+// with this record are asserted at their own, later step.
+func (d *deriver) match(at Event, r core.Record) error {
+	at.Kind = KindMatch
+	start, p := len(d.out), d.pos[r.TID]
+	err := d.scan(at, d.src, r.TID, r.Text, func(q int, touched bool) bool { return !touched || q < p })
+	sortEvents(d.out[start:])
+	return err
+}
+
+// scan is the watch's one scoring operation: it selects text at θ through
+// src and appends an event for each match — for a self watch, only those
+// keep accepts given the match's batch position. tid is the changed
+// record: the probe side of a self watch, the base side of a join.
+func (d *deriver) scan(at Event, src core.Predicate, tid int, text string, keep func(pos int, touched bool) bool) error {
+	ms, err := core.SelectWithOptions(context.Background(), src, text,
+		core.SelectOptions{Threshold: d.w.spec.Theta, HasThreshold: true})
+	for _, m := range ms {
+		e := at
+		e.ProbeTID, e.BaseTID, e.Score = tid, m.TID, m.Score
+		if d.w.join() {
+			e.ProbeTID, e.BaseTID = m.TID, tid
+		} else if q, touched := d.pos[m.TID]; !keep(q, touched) {
 			continue
 		}
-		if s, ok := w.sc.score(rp, w.sc.prep(text)); ok {
-			out = append(out, Event{Kind: KindMatch, ProbeTID: r.TID, BaseTID: ptid, Score: s, Shard: sub.Shard, Epoch: sub.Epoch, Seq: st.seq})
-		}
+		d.out = append(d.out, e)
 	}
-	sortEvents(out)
-	return out, nil
+	return err
 }
 
 func sortEvents(evs []Event) {

@@ -125,7 +125,7 @@ func buildShards(records []Record, shards int, cfg Config) (*ShardedCorpus, erro
 	if err != nil {
 		return nil, err
 	}
-	s.initWatchHub(s.Records(), s.Epochs(), nil)
+	s.initWatchHub(s.Epochs(), nil)
 	return s, nil
 }
 
@@ -209,7 +209,7 @@ func openStoredShards(root string) (*ShardedCorpus, error) {
 		maxSeq = m.Seq
 	}
 	s.seq.Store(maxSeq)
-	s.initWatchHub(base, baseEpochs, watch.GroupBatches(perShard))
+	s.initWatchHub(baseEpochs, watch.GroupBatches(base, perShard))
 	return s, nil
 }
 
@@ -330,6 +330,9 @@ func (s *ShardedCorpus) mutate(add []Record, del []int, upsert bool) error {
 	n := len(s.shards)
 	addBy := make([][]Record, n)
 	delBy := make([][]int, n)
+	// oldBy collects the pre-images of deleted and replaced records: the
+	// watch hub retracts their pairs with them.
+	oldBy := make([][]Record, n)
 	seen := make(map[int]bool, len(add)+len(del))
 	for _, tid := range del {
 		if seen[tid] {
@@ -337,10 +340,13 @@ func (s *ShardedCorpus) mutate(add []Record, del []int, upsert bool) error {
 		}
 		seen[tid] = true
 		sh := shardOf(tid, n)
-		if _, ok := s.shards[sh].Snapshot().Index(tid); !ok {
+		snap := s.shards[sh].Snapshot()
+		i, ok := snap.Index(tid)
+		if !ok {
 			return fmt.Errorf("approxsel: delete of unknown TID %d", tid)
 		}
 		delBy[sh] = append(delBy[sh], tid)
+		oldBy[sh] = append(oldBy[sh], snap.Records[i])
 	}
 	// A batch is adds XOR deletes (Insert/Upsert/Delete each pass one), so
 	// a repeated TID here is always a duplicate within the add batch.
@@ -354,8 +360,12 @@ func (s *ShardedCorpus) mutate(add []Record, del []int, upsert bool) error {
 		}
 		seen[r.TID] = true
 		sh := shardOf(r.TID, n)
-		if _, ok := s.shards[sh].Snapshot().Index(r.TID); ok && !upsert {
-			return fmt.Errorf("approxsel: insert of existing TID %d (use Upsert to replace)", r.TID)
+		snap := s.shards[sh].Snapshot()
+		if i, ok := snap.Index(r.TID); ok {
+			if !upsert {
+				return fmt.Errorf("approxsel: insert of existing TID %d (use Upsert to replace)", r.TID)
+			}
+			oldBy[sh] = append(oldBy[sh], snap.Records[i])
 		}
 		addBy[sh] = append(addBy[sh], r)
 	}
@@ -384,7 +394,7 @@ func (s *ShardedCorpus) mutate(add []Record, del []int, upsert bool) error {
 	})
 	// Tell the watch hub exactly what landed — on a partial failure, only
 	// the applied shards' sub-batches — before reporting the outcome, so
-	// its view of the relation never diverges from the corpus.
+	// its history never diverges from the corpus.
 	if s.hub != nil {
 		var subs []watch.SubMutation
 		for i := 0; i < n; i++ {
@@ -397,7 +407,7 @@ func (s *ShardedCorpus) mutate(add []Record, del []int, upsert bool) error {
 			} else if upsert {
 				kind = core.MutationUpsert
 			}
-			subs = append(subs, watch.SubMutation{Shard: i, Kind: kind, Add: addBy[i], Del: delBy[i], Epoch: s.shards[i].Epoch()})
+			subs = append(subs, watch.SubMutation{Shard: i, Kind: kind, Add: addBy[i], Del: delBy[i], Old: oldBy[i], Epoch: s.shards[i].Epoch()})
 		}
 		if len(subs) > 0 {
 			s.hub.OnBatch(watch.Batch{Seq: seq, Subs: subs})

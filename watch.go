@@ -1,18 +1,18 @@
 package approxsel
 
-import (
-	"context"
-
-	"repro/internal/core"
-	"repro/internal/watch"
-)
+import "repro/internal/watch"
 
 // This file is the public face of approxwatch, the standing-query
 // subsystem: RegisterWatch installs a predicate + threshold pair over a
 // live corpus and streams epoch-tagged match/unmatch events as the
 // relation mutates, instead of re-running ApproximateJoin.
 // Folding a watch's events up to epoch E reproduces the batch join at
-// epoch E bit for bit — same pair set, same scores.
+// epoch E bit for bit — same pair set, same scores. Every event's score
+// comes from a thresholded Select: a changed record's new text asserts
+// pairs and its old text (the pre-image the mutation carries) retracts
+// them, against the corpus after the batch for a self watch and against
+// the indexed probe relation for a join watch; a resumed watch replays
+// the missed window over a scratch corpus rolled back to its vector.
 //
 //	w, err := corpus.RegisterWatch("Jaccard", 0.6)
 //	for ev := range w.Events() { ... }     // online dedup
@@ -80,38 +80,26 @@ func watchSpec(predicate string, theta float64, opts []WatchOption) watch.Spec {
 	return spec
 }
 
-// watchProbe adapts an attached predicate view into the hub's hot-path
-// probe: thresholded, unlimited selection against the live corpus.
-func watchProbe(pred Predicate) watch.ProbeFunc {
-	return func(query string, theta float64) ([]core.Match, error) {
-		return core.SelectWithOptions(context.Background(), pred, query,
-			core.SelectOptions{Threshold: theta, HasThreshold: true})
-	}
-}
-
 // RegisterWatch installs a standing query on the corpus: predicate one of
 // the stats-free watchable predicates, theta the positive match
-// threshold. Without options it is a self watch (online dedup) whose probe
-// fans out across all shards; resume vectors carry one epoch per shard.
-// The returned Watch delivers until Close, CloseWatches, or the consumer
-// lags.
+// threshold. Without options it is a self watch (online dedup) whose
+// selects fan out across all shards; resume vectors carry one epoch per
+// shard. The returned Watch delivers until Close, CloseWatches, or the
+// consumer lags.
 func (s *ShardedCorpus) RegisterWatch(predicate string, theta float64, opts ...WatchOption) (*Watch, error) {
 	spec := watchSpec(predicate, theta, opts)
-	var probe watch.ProbeFunc
+	var live Predicate
 	if spec.Probes == nil {
-		// EditDistance verifies against its configured theta, which must
-		// equal the watch threshold for the candidate filter to be exact.
-		cfg := s.cfg
-		if predicate == "EditDistance" {
-			cfg.EditTheta = theta
-		}
-		pred, err := s.Predicate(predicate, cfg)
-		if err != nil {
+		var err error
+		if live, err = s.Predicate(predicate, watch.AttachConfig(s.cfg, spec)); err != nil {
 			return nil, err
 		}
-		probe = watchProbe(pred)
 	}
-	return s.hub.Register(spec, probe)
+	// Under the mutation lock, the records a resume replay rolls back from
+	// are the version the hub's epoch vector names.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.hub.Register(spec, live, s.Records)
 }
 
 // CloseWatches closes every watch on the corpus cleanly and rejects
@@ -124,8 +112,8 @@ func (s *ShardedCorpus) WatchStats() WatchStats { return s.hub.Stats() }
 // initWatchHub builds the sharded corpus's hub and points every shard's
 // sequence source at the corpus-wide batch counter, so all sub-batches of
 // one logical mutation log the same sequence number.
-func (s *ShardedCorpus) initWatchHub(base []core.Record, baseEpochs []uint64, hist []watch.Batch) {
-	s.hub = watch.NewHub(s.cfg, len(s.shards), base, baseEpochs, hist)
+func (s *ShardedCorpus) initWatchHub(baseEpochs []uint64, hist []watch.Batch) {
+	s.hub = watch.NewHub(s.cfg, len(s.shards), baseEpochs, hist)
 	for _, c := range s.shards {
 		c.SetSeqSource(func() uint64 { return s.seq.Load() })
 	}

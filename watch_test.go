@@ -3,9 +3,12 @@ package approxsel
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/dirty"
 	"repro/internal/watch"
 )
 
@@ -188,24 +191,49 @@ func testWatchDifferential(t *testing.T, open func([]Record) (*Corpus, error), p
 		}
 		return out
 	}
+	// pickLive removes k distinct TIDs from the live set and returns them.
+	pickLive := func(k int) []int {
+		var tids []int
+		for i := 0; i < k; i++ {
+			j := rng.Intn(len(liveTIDs))
+			tids = append(tids, liveTIDs[j])
+			liveTIDs = append(liveTIDs[:j], liveTIDs[j+1:]...)
+		}
+		return tids
+	}
+	// Every vector the corpus passes through, and every event of the
+	// continuously connected watches: a watch resumed at any of them must
+	// replay exactly the events past it.
+	vectors := [][]uint64{c.Epochs()}
+	var selfAll, joinAll []WatchEvent
 	checkpoint := func(step int) {
 		label := fmt.Sprintf("step %d", step)
 		if err := self.Err(); err != nil {
 			t.Fatalf("%s: self watch died: %v", label, err)
 		}
-		foldEvents(t, selfFold, drainWatch(self), true)
-		foldEvents(t, joinFold, drainWatch(join), false)
+		selfEvs, joinEvs := drainWatch(self), drainWatch(join)
+		selfAll, joinAll = append(selfAll, selfEvs...), append(joinAll, joinEvs...)
+		foldEvents(t, selfFold, selfEvs, true)
+		foldEvents(t, joinFold, joinEvs, false)
 		cur := c.Records()
 		compareFold(t, label+" self", selfFold, oracleSelf(t, cur, predName, theta, cfg))
 		compareFold(t, label+" join", joinFold, oracleJoin(t, cur, probes, predName, theta, cfg))
 	}
 
+	// Batches of one to four records. Inserts may repeat a live record's
+	// text and upserts may give two TIDs one text; deletes and upserts take
+	// several existing TIDs at once, so a batch's pre-images can match
+	// each other.
 	for step := 0; step < 36; step++ {
+		k := 1 + rng.Intn(4)
 		switch op := rng.Intn(10); {
 		case op < 5: // insert a small batch of fresh dirty records
-			batch := takePool(1 + rng.Intn(3))
+			batch := takePool(k)
 			if len(batch) == 0 {
 				continue
+			}
+			if cur := c.Records(); rng.Intn(2) == 0 {
+				batch[0].Text = cur[rng.Intn(len(cur))].Text
 			}
 			if err := c.Insert(batch...); err != nil {
 				t.Fatalf("step %d insert: %v", step, err)
@@ -214,39 +242,30 @@ func testWatchDifferential(t *testing.T, open func([]Record) (*Corpus, error), p
 				liveTIDs = append(liveTIDs, r.TID)
 			}
 		case op < 7: // delete existing records
-			if len(liveTIDs) < 4 {
+			if len(liveTIDs) < k+4 {
 				continue
 			}
-			k := 1 + rng.Intn(2)
-			var tids []int
-			for i := 0; i < k; i++ {
-				j := rng.Intn(len(liveTIDs))
-				tids = append(tids, liveTIDs[j])
-				liveTIDs = append(liveTIDs[:j], liveTIDs[j+1:]...)
-			}
-			if err := c.Delete(tids...); err != nil {
+			if err := c.Delete(pickLive(k)...); err != nil {
 				t.Fatalf("step %d delete: %v", step, err)
 			}
 		default: // upsert: replace existing records with other dirty texts
-			if len(liveTIDs) == 0 {
+			if len(liveTIDs) < k+4 {
 				continue
 			}
-			k := 1 + rng.Intn(2)
-			seen := map[int]bool{}
+			tids := pickLive(k)
+			liveTIDs = append(liveTIDs, tids...)
 			var ups []Record
-			for i := 0; i < k; i++ {
-				tid := liveTIDs[rng.Intn(len(liveTIDs))]
-				if seen[tid] {
-					continue
-				}
-				seen[tid] = true
-				src := recs[rng.Intn(200)]
-				ups = append(ups, Record{TID: tid, Text: src.Text})
+			for _, tid := range tids {
+				ups = append(ups, Record{TID: tid, Text: recs[rng.Intn(200)].Text})
+			}
+			if rng.Intn(2) == 0 {
+				ups[0].Text = ups[len(ups)-1].Text
 			}
 			if err := c.Upsert(ups...); err != nil {
 				t.Fatalf("step %d upsert: %v", step, err)
 			}
 		}
+		vectors = append(vectors, c.Epochs())
 		if step%9 == 8 {
 			checkpoint(step)
 		}
@@ -256,6 +275,29 @@ func testWatchDifferential(t *testing.T, open func([]Record) (*Corpus, error), p
 	join.Close()
 	if err := self.Err(); err != nil {
 		t.Fatalf("self watch ended with error: %v", err)
+	}
+
+	for _, v := range vectors {
+		for _, tc := range []struct {
+			opts []WatchOption
+			all  []WatchEvent
+		}{{nil, selfAll}, {[]WatchOption{WithProbes(probes...)}, joinAll}} {
+			w, err := c.RegisterWatch(predName, theta, append(tc.opts, WithResume(v))...)
+			if err != nil {
+				t.Fatalf("resume at %v: %v", v, err)
+			}
+			got := drainWatch(w)
+			w.Close()
+			var want []WatchEvent
+			for _, e := range tc.all {
+				if e.Epoch > v[e.Shard] {
+					want = append(want, e)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("resumed at %v: replayed %d events, the continuous watch saw %d past it", v, len(got), len(want))
+			}
+		}
 	}
 }
 
@@ -492,5 +534,66 @@ func TestWatchEmptyProbesNeverMatch(t *testing.T) {
 	}
 	if evs := drainWatch(empty); len(evs) != 0 {
 		t.Fatalf("a watch with an empty probe set emitted %d events: %+v", len(evs), evs)
+	}
+}
+
+// BenchmarkWatchDelete prices what a standing query adds to a delete. Each
+// op deletes one record from a 2-shard corpus of n dirty DBLP titles
+// without a watch (plain) and from a twin corpus with a Jaccard θ = 0.6
+// self watch (watched), then re-inserts it into both, untimed. It reports
+// the mean delete time of each and watched/plain, the ratio taken within
+// one run:
+//
+//	go test -run '^$' -bench WatchDelete -benchtime 200x .
+func BenchmarkWatchDelete(b *testing.B) {
+	for _, n := range []int{5000, 20000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ds, err := dirty.DBLP(n, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			plain, err := OpenShardedCorpus(ds.Records, 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			watched, err := OpenShardedCorpus(ds.Records, 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			w, err := watched.RegisterWatch("Jaccard", 0.6)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer w.Close()
+			var plainT, watchedT time.Duration
+			ops := 0
+			for b.Loop() {
+				r := ds.Records[ops%n]
+				ops++
+				t0 := time.Now()
+				if err := plain.Delete(r.TID); err != nil {
+					b.Fatal(err)
+				}
+				t1 := time.Now()
+				if err := watched.Delete(r.TID); err != nil {
+					b.Fatal(err)
+				}
+				plainT, watchedT = plainT+t1.Sub(t0), watchedT+time.Since(t1)
+				if err := plain.Insert(r); err != nil {
+					b.Fatal(err)
+				}
+				if err := watched.Insert(r); err != nil {
+					b.Fatal(err)
+				}
+				drainWatch(w)
+			}
+			if err := w.Err(); err != nil {
+				b.Fatal(err)
+			}
+			us := func(d time.Duration) float64 { return float64(d.Microseconds()) / float64(ops) }
+			b.ReportMetric(us(plainT), "plain-us")
+			b.ReportMetric(us(watchedT), "watched-us")
+			b.ReportMetric(float64(watchedT)/float64(plainT), "watched/plain")
+		})
 	}
 }
